@@ -1,62 +1,37 @@
-//! The Airfoil loop drivers — the per-backend code OP2's generator emits.
+//! The Airfoil loop drivers — the code OP2's generator emits from one
+//! `op_par_loop` declaration per kernel.
 //!
-//! Each `step_*` advances one outer iteration (save_soln + 2 × {adt_calc,
-//! res_calc, bres_calc, update}) and returns the normalized RMS residual:
+//! Each entry point advances one outer iteration (save_soln + 2 ×
+//! {adt_calc, res_calc, bres_calc, update}) and returns the normalized
+//! RMS residual:
 //!
-//! * [`step_seq`] — scalar reference (paper Fig. 2b's per-rank loop),
-//! * [`step_threaded`] — colored-block threading (the OpenMP backend),
-//! * [`step_simd`] — explicit vectorization with gathers, serialized
-//!   scatters and the three-sweep structure (paper Fig. 3b),
-//! * [`step_simd_threaded`] — the hybrid (threads × vectors) backend,
-//! * [`step_simd_scheme`] — SIMD `res_calc` under the three coloring
-//!   schemes (Fig. 8a's comparison),
-//! * [`step_simt`] — the OpenCL-on-CPU emulation (paper Fig. 3a).
+//! * [`step_seq`] — the hand-written scalar reference (paper Fig. 2b's
+//!   per-rank loop); the oracle every other path is tested against,
+//! * [`step_shape`] — the per-loop timestep, declared once (scalar body,
+//!   `L`-lane chunk body and reduction per loop) and executed by a
+//!   [`LoopShape`]: colored-block threading (OpenMP), explicit SIMD with
+//!   gathers, serialized scatters and the three-sweep structure (Fig.
+//!   3b), threads × vectors, the permute coloring schemes (Fig. 8a) and
+//!   the OpenCL-on-CPU SIMT emulation (Fig. 3a) are shapes, not copies,
+//! * [`step_fused_on`] / [`step_fused_simd_on`] — the timestep recorded
+//!   as an `ump_lazy` chain and executed with cross-loop fusion,
+//! * [`run_tiled_on`] — cross-timestep sparse tiling,
+//! * [`step_on`] — the registry dispatcher over all of the above.
 //!
 //! All drivers compute identical physics; integration tests pin them to
 //! the sequential reference within floating-point reassociation bounds.
 
-use ump_color::PlanInputs;
 use ump_core::{
-    apply_edge_inc, global_pool_cap, seq_loop, Backend, ExecPool, Layout, OpDat, PlanCache,
-    Recorder, Scheme, SharedDat, SharedMut,
+    seq_loop, two_rows_mut, Backend, ExecPool, Layout, LoopShape, PlanCache, Recorder, SharedDat,
+    DISPATCH_SIMT_WIDTH,
 };
 use ump_lazy::{Chain, LoopDesc, Shape, TileReport, TiledChain};
-use ump_simd::{split_sweep, DatView, IdxVec, Real, VecR};
+use ump_simd::{DatView, IdxVec, Real, VecR};
 
 use super::kernels::{adt_calc, bres_calc, res_calc, save_soln, update};
 use super::kernels_vec::{adt_calc_vec, res_calc_vec, update_vec};
 use super::{profile, Airfoil};
-
-/// Split two distinct rows out of a dat's storage for a two-sided update.
-#[inline(always)]
-pub(crate) fn two_rows_mut<R>(
-    data: &mut [R],
-    dim: usize,
-    i: usize,
-    j: usize,
-) -> (&mut [R], &mut [R]) {
-    debug_assert_ne!(i, j, "edge connects a cell to itself");
-    if i < j {
-        let (a, b) = data.split_at_mut(j * dim);
-        (&mut a[i * dim..(i + 1) * dim], &mut b[..dim])
-    } else {
-        let (a, b) = data.split_at_mut(i * dim);
-        (&mut b[..dim], &mut a[j * dim..(j + 1) * dim])
-    }
-}
-
-fn maybe_time<T>(
-    rec: Option<&Recorder>,
-    name: &str,
-    word_bytes: usize,
-    n_elems: usize,
-    f: impl FnOnce() -> T,
-) -> T {
-    match rec {
-        Some(r) => r.time(&profile(name), word_bytes, n_elems, f),
-        None => f(),
-    }
-}
+use crate::{maybe_time, no_lane_instantiation, DISPATCH_TILE_BLOCKS};
 
 // ---------------------------------------------------------------------------
 // sequential reference
@@ -151,256 +126,14 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// threaded (OpenMP-analogue) backend
+// lane-chunk bodies (paper Fig. 3b), shared by the per-loop declaration
+// and the fused / distributed chains
 // ---------------------------------------------------------------------------
-
-/// One iteration with colored-block threading on the process-wide
-/// [`ExecPool`], capped at `n_threads` team members (`0` = all).
-pub fn step_threaded<R: Real>(
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    step_threaded_on(
-        ExecPool::global(),
-        sim,
-        cache,
-        global_pool_cap(n_threads),
-        block_size,
-        rec,
-    )
-}
-
-/// One iteration with colored-block threading on an explicit pool.
-pub fn step_threaded_on<R: Real>(
-    pool: &ExecPool,
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let wb = R::BYTES;
-    let Airfoil {
-        case,
-        consts,
-        x,
-        q,
-        qold,
-        adt,
-        res,
-    } = sim;
-    let mesh = &case.mesh;
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-
-    let cell_plan = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(nc, vec![], block_size),
-    );
-    let edge_plan = cache.get(
-        Scheme::TwoLevel,
-        &["edge2cell"],
-        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
-    );
-
-    maybe_time(rec, "save_soln", wb, nc, || {
-        let qs = SharedDat::new(&mut q.data);
-        let qolds = SharedDat::new(&mut qold.data);
-        pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-            for c in range.start as usize..range.end as usize {
-                unsafe { save_soln(&qs.as_slice()[c * 4..c * 4 + 4], qolds.slice_mut(c * 4, 4)) };
-            }
-        });
-    });
-
-    let mut rms = R::ZERO;
-    for _phase in 0..2 {
-        maybe_time(rec, "adt_calc", wb, nc, || {
-            let adts = SharedDat::new(&mut adt.data);
-            pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-                for c in range.start as usize..range.end as usize {
-                    let n = mesh.cell2node.row(c);
-                    let mut a = R::ZERO;
-                    adt_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        x.row(n[2] as usize),
-                        x.row(n[3] as usize),
-                        q.row(c),
-                        &mut a,
-                        consts,
-                    );
-                    unsafe { adts.slice_mut(c, 1)[0] = a };
-                }
-            });
-        });
-        maybe_time(rec, "res_calc", wb, ne, || {
-            let ress = SharedDat::new(&mut res.data);
-            pool.colored_blocks(edge_plan.two_level(), n_threads, |_b, range| {
-                for e in range.start as usize..range.end as usize {
-                    let n = mesh.edge2node.row(e);
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    // block coloring guarantees no other thread touches
-                    // these two cells during this color round
-                    let (r1, r2) =
-                        unsafe { (ress.slice_mut(c0 * 4, 4), ress.slice_mut(c1 * 4, 4)) };
-                    res_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        q.row(c0),
-                        q.row(c1),
-                        adt.row(c0)[0],
-                        adt.row(c1)[0],
-                        r1,
-                        r2,
-                        consts,
-                    );
-                }
-            });
-        });
-        // boundary set is tiny (paper drops it from analysis): scalar
-        maybe_time(rec, "bres_calc", wb, nb, || {
-            seq_loop(0..nb, |be| {
-                let n = mesh.bedge2node.row(be);
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bres_calc(
-                    x.row(n[0] as usize),
-                    x.row(n[1] as usize),
-                    q.row(c0),
-                    adt.row(c0)[0],
-                    res.row_mut(c0),
-                    case.bound[be],
-                    consts,
-                );
-            });
-        });
-        maybe_time(rec, "update", wb, nc, || {
-            let plan = cell_plan.two_level();
-            let mut rms_blocks = vec![R::ZERO; plan.blocks.len()];
-            {
-                let qs = SharedDat::new(&mut q.data);
-                let ress = SharedDat::new(&mut res.data);
-                let rmss = SharedDat::new(&mut rms_blocks);
-                pool.colored_blocks(plan, n_threads, |b, range| {
-                    let mut local = R::ZERO;
-                    for c in range.start as usize..range.end as usize {
-                        unsafe {
-                            update(
-                                qold.row(c),
-                                qs.slice_mut(c * 4, 4),
-                                ress.slice_mut(c * 4, 4),
-                                adt.row(c)[0],
-                                &mut local,
-                            );
-                        }
-                    }
-                    unsafe { rmss.slice_mut(b, 1)[0] = local };
-                });
-            }
-            // deterministic block-order reduction
-            for v in rms_blocks {
-                rms += v;
-            }
-        });
-    }
-    sim.normalize_rms(rms.to_f64())
-}
-
-// ---------------------------------------------------------------------------
-// explicit SIMD backend (single rank) — paper Fig. 3b
-// ---------------------------------------------------------------------------
-
-/// One iteration, explicitly vectorized at `L` lanes, single thread.
-/// This is the per-rank body of the paper's "vectorized pure MPI"
-/// configuration.
-pub fn step_simd<R: Real, const L: usize>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
-    let wb = R::BYTES;
-    let Airfoil {
-        case,
-        consts,
-        x,
-        q,
-        qold,
-        adt,
-        res,
-    } = sim;
-    let mesh = &case.mesh;
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-
-    maybe_time(rec, "save_soln", wb, nc, || {
-        // direct copy: vectorize over the flat value array
-        let flat = nc * 4;
-        let sweep = split_sweep(0..flat, L, 0);
-        for i in sweep.scalar_items() {
-            qold.data[i] = q.data[i];
-        }
-        for i in sweep.vector_chunks() {
-            VecR::<R, L>::load(&q.data, i).store(&mut qold.data, i);
-        }
-    });
-
-    let mut rms_v = VecR::<R, L>::zero();
-    let mut rms_s = R::ZERO;
-    for _phase in 0..2 {
-        maybe_time(rec, "adt_calc", wb, nc, || {
-            simd_adt_sweep::<R, L>(0..nc, mesh, x, q, adt, consts);
-        });
-        maybe_time(rec, "res_calc", wb, ne, || {
-            simd_res_sweep::<R, L>(0..ne, mesh, x, q, adt, res, consts);
-        });
-        maybe_time(rec, "bres_calc", wb, nb, || {
-            seq_loop(0..nb, |be| {
-                let n = mesh.bedge2node.row(be);
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bres_calc(
-                    x.row(n[0] as usize),
-                    x.row(n[1] as usize),
-                    q.row(c0),
-                    adt.row(c0)[0],
-                    res.row_mut(c0),
-                    case.bound[be],
-                    consts,
-                );
-            });
-        });
-        maybe_time(rec, "update", wb, nc, || {
-            let (qoldv, qv, resv) = (qold.view(), q.view(), res.view());
-            let sweep = split_sweep(0..nc, L, 0);
-            for c in sweep.scalar_items() {
-                update(
-                    qold.row(c),
-                    &mut q.data[c * 4..c * 4 + 4],
-                    &mut res.data[c * 4..c * 4 + 4],
-                    adt.data[c],
-                    &mut rms_s,
-                );
-            }
-            for cstart in sweep.vector_chunks() {
-                update_chunk::<R, L>(
-                    cstart,
-                    &qold.data,
-                    qoldv,
-                    &mut q.data,
-                    qv,
-                    &mut res.data,
-                    resv,
-                    &adt.data,
-                    &mut rms_v,
-                );
-            }
-        });
-    }
-    sim.normalize_rms(rms_s.to_f64() + rms_v.reduce_sum().to_f64())
-}
 
 /// One lane-aligned chunk of vectorized `adt_calc`: gather node
 /// coordinates through `cell2node`, load q through its layout view,
 /// store adt contiguously (dim-1 dats index identically in every
-/// layout). Raw-slice + [`DatView`] signature so the pooled sweeps
+/// layout). Raw-slice + [`DatView`] signature so the per-loop sweeps
 /// (`OpDat` storage) and the fused-chain vector bodies (`SharedDat`
 /// views) share one copy of the index arithmetic, and one copy serves
 /// AoS, SoA and AoSoA storage.
@@ -485,127 +218,67 @@ pub(crate) fn update_chunk<R: Real, const L: usize>(
     }
 }
 
-/// Vectorized adt_calc over an element range (shared by the pure-SIMD and
-/// hybrid drivers).
-pub(crate) fn simd_adt_sweep<R: Real, const L: usize>(
-    range: std::ops::Range<usize>,
-    mesh: &ump_mesh::Mesh2d,
-    x: &OpDat<R>,
-    q: &OpDat<R>,
-    adt: &mut OpDat<R>,
-    consts: &super::Consts<R>,
-) {
-    let sweep = split_sweep(range, L, 0);
-    for c in sweep.scalar_items() {
-        let n = mesh.cell2node.row(c);
-        let mut a = R::ZERO;
-        adt_calc(
-            x.row(n[0] as usize),
-            x.row(n[1] as usize),
-            x.row(n[2] as usize),
-            x.row(n[3] as usize),
-            q.row(c),
-            &mut a,
-            consts,
-        );
-        adt.data[c] = a;
-    }
-    for cs in sweep.vector_chunks() {
-        adt_chunk::<R, L>(
-            cs,
-            &mesh.cell2node.data,
-            &x.data,
-            x.view(),
-            &q.data,
-            q.view(),
-            &mut adt.data,
-            consts,
-        );
-    }
-}
-
-/// Vectorized res_calc over an element range with *serialized* scatter —
-/// the "original coloring" SIMD shape of paper Fig. 3b. Safe within one
-/// thread regardless of lane collisions.
+/// `L` color-permuted edges of vectorized `res_calc`: everything —
+/// including formerly-direct data — is gathered through the
+/// permutation, and because a color group shares no target cell the
+/// increments land with true vector scatters (§4's permute schemes).
+/// Defined on AoS storage.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simd_res_sweep<R: Real, const L: usize>(
-    range: std::ops::Range<usize>,
-    mesh: &ump_mesh::Mesh2d,
-    x: &OpDat<R>,
-    q: &OpDat<R>,
-    adt: &OpDat<R>,
-    res: &mut OpDat<R>,
+pub(crate) fn res_chunk_permuted<R: Real, const L: usize>(
+    ids: &[u32],
+    e2n: &[i32],
+    e2c: &[i32],
+    x: &[R],
+    q: &[R],
+    adt: &[R],
+    res: &mut [R],
     consts: &super::Consts<R>,
 ) {
-    let sweep = split_sweep(range, L, 0);
-    for e in sweep.scalar_items() {
-        let n = mesh.edge2node.row(e);
-        let c = mesh.edge2cell.row(e);
-        let (c0, c1) = (c[0] as usize, c[1] as usize);
-        let (r1, r2) = two_rows_mut(&mut res.data, 4, c0, c1);
-        res_calc(
-            x.row(n[0] as usize),
-            x.row(n[1] as usize),
-            q.row(c0),
-            q.row(c1),
-            adt.row(c0)[0],
-            adt.row(c1)[0],
-            r1,
-            r2,
-            consts,
-        );
-    }
-    let resv = res.view();
-    for es in sweep.vector_chunks() {
-        res_chunk::<R, L>(
-            es,
-            &mesh.edge2node.data,
-            &mesh.edge2cell.data,
-            &x.data,
-            x.view(),
-            &q.data,
-            q.view(),
-            &adt.data,
-            &mut res.data,
-            resv,
-            consts,
-        );
+    let ids: [usize; L] = std::array::from_fn(|l| ids[l] as usize);
+    let n0 = IdxVec::<L>::from_array(ids.map(|e| e2n[e * 2]));
+    let n1 = IdxVec::<L>::from_array(ids.map(|e| e2n[e * 2 + 1]));
+    let c0 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2]));
+    let c1 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2 + 1]));
+    let x1 = [VecR::gather(x, n0, 2, 0), VecR::gather(x, n0, 2, 1)];
+    let x2 = [VecR::gather(x, n1, 2, 0), VecR::gather(x, n1, 2, 1)];
+    let q1: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(q, c0, 4, d));
+    let q2: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(q, c1, 4, d));
+    let a1 = VecR::gather(adt, c0, 1, 0);
+    let a2 = VecR::gather(adt, c1, 1, 0);
+    let mut r1 = [VecR::<R, L>::zero(); 4];
+    let mut r2 = [VecR::<R, L>::zero(); 4];
+    res_calc_vec(&x1, &x2, &q1, &q2, a1, a2, &mut r1, &mut r2, consts);
+    for d in 0..4 {
+        r1[d].scatter_add(res, c0, 4, d);
+        r2[d].scatter_add(res, c1, 4, d);
     }
 }
 
 // ---------------------------------------------------------------------------
-// hybrid: threads × vectors
+// the per-loop timestep, declared once
 // ---------------------------------------------------------------------------
 
-/// One iteration with colored-block threading *and* explicit SIMD inside
-/// each block (the paper's "vectorized MPI+OpenMP" shape), on the
-/// process-wide [`ExecPool`] capped at `n_threads` members (`0` = all).
-pub fn step_simd_threaded<R: Real, const L: usize>(
+/// One iteration with every loop executed separately in `shape` — the
+/// single per-loop declaration behind `threaded`, `simd{L}`,
+/// `simd_threaded{L}`, `simd_scheme_*` and `simt`. Each loop states its
+/// scalar element body, its `L`-lane chunk body and its reduction once;
+/// [`LoopShape`] supplies the ranges (whole set or colored blocks), the
+/// sweep (scalar or three-sweep) and the way `res_calc`'s increments
+/// land. `shape.lanes` must be `0` or `L`. Defined on AoS storage
+/// ([`step_on`] converts around it).
+pub fn step_shape<R: Real, const L: usize>(
+    shape: &LoopShape<'_>,
     sim: &mut Airfoil<R>,
     cache: &PlanCache,
-    n_threads: usize,
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    step_simd_threaded_on::<R, L>(
-        ExecPool::global(),
-        sim,
-        cache,
-        global_pool_cap(n_threads),
-        block_size,
-        rec,
-    )
-}
-
-/// As [`step_simd_threaded`] on an explicit pool.
-pub fn step_simd_threaded_on<R: Real, const L: usize>(
-    pool: &ExecPool,
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
+    assert!(
+        shape.lanes == 0 || shape.lanes == L,
+        "shape sweeps {} lanes, chunk bodies are {L} wide",
+        shape.lanes
+    );
     let wb = R::BYTES;
     let Airfoil {
         case,
@@ -617,262 +290,107 @@ pub fn step_simd_threaded_on<R: Real, const L: usize>(
         res,
     } = sim;
     let mesh = &case.mesh;
+    let (x, consts) = (&*x, &*consts);
     let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-
-    let cell_plan = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(nc, vec![], block_size),
-    );
-    let edge_plan = cache.get(
-        Scheme::TwoLevel,
-        &["edge2cell"],
-        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
-    );
+    let cells = shape.direct_set(cache, nc, block_size);
+    let edges = shape.inc_set(cache, &mesh.edge2cell, block_size);
 
     maybe_time(rec, "save_soln", wb, nc, || {
-        let qs = SharedDat::new(&mut qold.data);
-        pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-            let (s, e) = (range.start as usize * 4, range.end as usize * 4);
-            let sweep = split_sweep(s..e, L, 0);
-            unsafe {
-                let dst = qs.slice_mut(0, qs.len());
-                for i in sweep.scalar_items() {
-                    dst[i] = q.data[i];
+        cells.direct(
+            qold,
+            |qold, c| save_soln(&q.data[c * 4..c * 4 + 4], &mut qold.data[c * 4..c * 4 + 4]),
+            // L cells are 4·L contiguous values: a straight vector copy
+            |qold, cs| {
+                for i in 0..4 {
+                    VecR::<R, L>::load(&q.data, cs * 4 + i * L)
+                        .store(&mut qold.data, cs * 4 + i * L);
                 }
-                for i in sweep.vector_chunks() {
-                    VecR::<R, L>::load(&q.data, i).store(dst, i);
-                }
-            }
-        });
+            },
+        );
     });
 
     let mut rms = R::ZERO;
     for _phase in 0..2 {
         maybe_time(rec, "adt_calc", wb, nc, || {
-            let adts = SharedMut::new(adt);
-            pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-                let adt_ref: &mut OpDat<R> = unsafe { adts.get_mut() };
-                simd_adt_sweep::<R, L>(
-                    range.start as usize..range.end as usize,
-                    mesh,
-                    x,
-                    q,
-                    adt_ref,
-                    consts,
-                );
-            });
+            cells.direct(
+                adt,
+                |adt, c| {
+                    let n = mesh.cell2node.row(c);
+                    adt_calc(
+                        x.row(n[0] as usize),
+                        x.row(n[1] as usize),
+                        x.row(n[2] as usize),
+                        x.row(n[3] as usize),
+                        q.row(c),
+                        &mut adt.data[c],
+                        consts,
+                    );
+                },
+                |adt, cs| {
+                    adt_chunk::<R, L>(
+                        cs,
+                        &mesh.cell2node.data,
+                        &x.data,
+                        x.view(),
+                        &q.data,
+                        q.view(),
+                        &mut adt.data,
+                        consts,
+                    );
+                },
+            );
         });
         maybe_time(rec, "res_calc", wb, ne, || {
-            let ress = SharedMut::new(res);
-            pool.colored_blocks(edge_plan.two_level(), n_threads, |_b, range| {
-                let res_ref: &mut OpDat<R> = unsafe { ress.get_mut() };
-                simd_res_sweep::<R, L>(
-                    range.start as usize..range.end as usize,
-                    mesh,
-                    x,
-                    q,
-                    adt,
-                    res_ref,
-                    consts,
-                );
-            });
-        });
-        maybe_time(rec, "bres_calc", wb, nb, || {
-            seq_loop(0..nb, |be| {
-                let n = mesh.bedge2node.row(be);
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bres_calc(
-                    x.row(n[0] as usize),
-                    x.row(n[1] as usize),
-                    q.row(c0),
-                    adt.row(c0)[0],
-                    res.row_mut(c0),
-                    case.bound[be],
-                    consts,
-                );
-            });
-        });
-        maybe_time(rec, "update", wb, nc, || {
-            let plan = cell_plan.two_level();
-            let (qoldv, qv, resv) = (qold.view(), q.view(), res.view());
-            let mut rms_blocks = vec![R::ZERO; plan.blocks.len()];
-            {
-                let qs = SharedDat::new(&mut q.data);
-                let ress = SharedDat::new(&mut res.data);
-                let rmss = SharedDat::new(&mut rms_blocks);
-                pool.colored_blocks(plan, n_threads, |b, range| {
-                    let mut local_v = VecR::<R, L>::zero();
-                    let mut local_s = R::ZERO;
-                    let sweep = split_sweep(range.start as usize..range.end as usize, L, 0);
-                    unsafe {
-                        for c in sweep.scalar_items() {
-                            update(
-                                qold.row(c),
-                                qs.slice_mut(c * 4, 4),
-                                ress.slice_mut(c * 4, 4),
-                                adt.row(c)[0],
-                                &mut local_s,
-                            );
-                        }
-                        for cs in sweep.vector_chunks() {
-                            update_chunk::<R, L>(
-                                cs,
-                                &qold.data,
-                                qoldv,
-                                qs.slice_mut(0, qs.len()),
-                                qv,
-                                ress.slice_mut(0, ress.len()),
-                                resv,
-                                &adt.data,
-                                &mut local_v,
-                            );
-                        }
-                        rmss.slice_mut(b, 1)[0] = local_s + local_v.reduce_sum();
-                    }
-                });
-            }
-            for v in rms_blocks {
-                rms += v;
-            }
-        });
-    }
-    sim.normalize_rms(rms.to_f64())
-}
-
-// ---------------------------------------------------------------------------
-// SIMD res_calc under the three coloring schemes (Fig. 8a)
-// ---------------------------------------------------------------------------
-
-/// One iteration where `res_calc` uses the chosen coloring scheme's SIMD
-/// execution (other loops as in [`step_simd`]); single-threaded. The
-/// permute schemes gather *everything* (including formerly-direct data)
-/// through the permutation and use vector scatters, exactly the trade-off
-/// §4 describes.
-pub fn step_simd_scheme<R: Real, const L: usize>(
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    scheme: Scheme,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    // run everything except res_calc via the plain SIMD path by swapping
-    // in a no-op res, then execute res_calc per scheme. To keep the
-    // physics identical we instead run the full step with a custom
-    // res_calc below.
-    let wb = R::BYTES;
-    let Airfoil {
-        case,
-        consts,
-        x,
-        q,
-        qold,
-        adt,
-        res,
-    } = sim;
-    let mesh = &case.mesh;
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-
-    maybe_time(rec, "save_soln", wb, nc, || {
-        qold.data.copy_from_slice(&q.data);
-    });
-
-    let mut rms = R::ZERO;
-    for _phase in 0..2 {
-        maybe_time(rec, "adt_calc", wb, nc, || {
-            simd_adt_sweep::<R, L>(0..nc, mesh, x, q, adt, consts);
-        });
-        maybe_time(rec, "res_calc", wb, ne, || {
-            let gather_group = |group: &[u32], res: &mut OpDat<R>| {
-                // process a conflict-free group: chunks of L via index
-                // gathers, vector scatter; sub-L tail scalar
-                let mut i = 0;
-                while i + L <= group.len() {
-                    let ids: [usize; L] = std::array::from_fn(|l| group[i + l] as usize);
-                    let n0 = IdxVec::<L>::from_array(ids.map(|e| mesh.edge2node.data[e * 2]));
-                    let n1 = IdxVec::<L>::from_array(ids.map(|e| mesh.edge2node.data[e * 2 + 1]));
-                    let c0 = IdxVec::<L>::from_array(ids.map(|e| mesh.edge2cell.data[e * 2]));
-                    let c1 = IdxVec::<L>::from_array(ids.map(|e| mesh.edge2cell.data[e * 2 + 1]));
-                    let x1 = [
-                        VecR::gather(&x.data, n0, 2, 0),
-                        VecR::gather(&x.data, n0, 2, 1),
-                    ];
-                    let x2 = [
-                        VecR::gather(&x.data, n1, 2, 0),
-                        VecR::gather(&x.data, n1, 2, 1),
-                    ];
-                    let q1: [VecR<R, L>; 4] =
-                        std::array::from_fn(|d| VecR::gather(&q.data, c0, 4, d));
-                    let q2: [VecR<R, L>; 4] =
-                        std::array::from_fn(|d| VecR::gather(&q.data, c1, 4, d));
-                    let a1 = VecR::gather(&adt.data, c0, 1, 0);
-                    let a2 = VecR::gather(&adt.data, c1, 1, 0);
-                    let mut r1 = [VecR::<R, L>::zero(); 4];
-                    let mut r2 = [VecR::<R, L>::zero(); 4];
-                    res_calc_vec(&x1, &x2, &q1, &q2, a1, a2, &mut r1, &mut r2, consts);
-                    // lanes are independent within a color group: true
-                    // vector scatter (IMCI-style), no serialization
-                    for d in 0..4 {
-                        r1[d].scatter_add(&mut res.data, c0, 4, d);
-                        r2[d].scatter_add(&mut res.data, c1, 4, d);
-                    }
-                    i += L;
-                }
-                for &eu in &group[i..] {
-                    let e = eu as usize;
+            let resv = res.view();
+            edges.inc::<R, 4>(
+                &mut res.data,
+                |e, r1, r2| {
                     let n = mesh.edge2node.row(e);
                     let c = mesh.edge2cell.row(e);
                     let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let (r1, r2) = two_rows_mut(&mut res.data, 4, c0, c1);
                     res_calc(
                         x.row(n[0] as usize),
                         x.row(n[1] as usize),
                         q.row(c0),
                         q.row(c1),
-                        adt.row(c0)[0],
-                        adt.row(c1)[0],
+                        adt.data[c0],
+                        adt.data[c1],
                         r1,
                         r2,
                         consts,
                     );
-                }
-            };
-            match scheme {
-                Scheme::TwoLevel => {
-                    simd_res_sweep::<R, L>(0..ne, mesh, x, q, adt, res, consts);
-                }
-                Scheme::FullPermute => {
-                    let plan = cache.get(
-                        Scheme::FullPermute,
-                        &["edge2cell"],
-                        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
+                },
+                |es, res| {
+                    res_chunk::<R, L>(
+                        es,
+                        &mesh.edge2node.data,
+                        &mesh.edge2cell.data,
+                        &x.data,
+                        x.view(),
+                        &q.data,
+                        q.view(),
+                        &adt.data,
+                        res,
+                        resv,
+                        consts,
                     );
-                    let plan = plan.full_permute();
-                    for c in 0..plan.coloring.n_colors as usize {
-                        let group =
-                            &plan.perm[plan.offsets[c] as usize..plan.offsets[c + 1] as usize];
-                        gather_group(group, res);
-                    }
-                }
-                Scheme::BlockPermute => {
-                    let plan = cache.get(
-                        Scheme::BlockPermute,
-                        &["edge2cell"],
-                        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
+                },
+                |ids, res| {
+                    res_chunk_permuted::<R, L>(
+                        ids,
+                        &mesh.edge2node.data,
+                        &mesh.edge2cell.data,
+                        &x.data,
+                        &q.data,
+                        &adt.data,
+                        res,
+                        consts,
                     );
-                    let plan = plan.block_permute();
-                    for b in 0..plan.blocks.len() {
-                        let r = plan.blocks[b].clone();
-                        let offs = &plan.color_offsets[b];
-                        for c in 0..offs.len() - 1 {
-                            let group = &plan.perm[r.start as usize + offs[c] as usize
-                                ..r.start as usize + offs[c + 1] as usize];
-                            gather_group(group, res);
-                        }
-                    }
-                }
-            }
+                },
+            );
         });
+        // boundary set is tiny (paper drops it from analysis): always
+        // scalar on the calling thread
         maybe_time(rec, "bres_calc", wb, nb, || {
             seq_loop(0..nb, |be| {
                 let n = mesh.bedge2node.row(be);
@@ -881,7 +399,7 @@ pub fn step_simd_scheme<R: Real, const L: usize>(
                     x.row(n[0] as usize),
                     x.row(n[1] as usize),
                     q.row(c0),
-                    adt.row(c0)[0],
+                    adt.data[c0],
                     res.row_mut(c0),
                     case.bound[be],
                     consts,
@@ -889,15 +407,35 @@ pub fn step_simd_scheme<R: Real, const L: usize>(
             });
         });
         maybe_time(rec, "update", wb, nc, || {
-            seq_loop(0..nc, |c| {
-                update(
-                    qold.row(c),
-                    &mut q.data[c * 4..c * 4 + 4],
-                    &mut res.data[c * 4..c * 4 + 4],
-                    adt.data[c],
-                    &mut rms,
-                );
-            });
+            let (qoldv, qv, resv) = (qold.view(), q.view(), res.view());
+            cells.direct_reduce(
+                &mut (&mut *q, &mut *res),
+                (R::ZERO, VecR::<R, L>::zero()),
+                |(q, res), rms, c| {
+                    update(
+                        qold.row(c),
+                        &mut q.data[c * 4..c * 4 + 4],
+                        &mut res.data[c * 4..c * 4 + 4],
+                        adt.data[c],
+                        &mut rms.0,
+                    );
+                },
+                |(q, res), rms, cs| {
+                    update_chunk::<R, L>(
+                        cs,
+                        &qold.data,
+                        qoldv,
+                        &mut q.data,
+                        qv,
+                        &mut res.data,
+                        resv,
+                        &adt.data,
+                        &mut rms.1,
+                    );
+                },
+                |(scalar, lanes)| scalar + lanes.reduce_sum(),
+                |block| rms += block,
+            );
         });
     }
     sim.normalize_rms(rms.to_f64())
@@ -908,36 +446,17 @@ pub fn step_simd_scheme<R: Real, const L: usize>(
 // ---------------------------------------------------------------------------
 
 /// One iteration recorded as an `ump_lazy` loop chain and executed with
-/// cross-loop fusion on the process-wide [`ExecPool`] (threaded shape,
-/// `n_threads` team members, `0` = all).
+/// cross-loop fusion on `pool`, in execution shape [`Shape::Threaded`]
+/// or the SIMT emulation [`Shape::Simt`] (for the vectorized fused shape
+/// use [`step_fused_simd_on`], which pins the lane count at compile
+/// time).
 ///
 /// The nine-loop timestep fuses into seven groups — `save_soln+adt_calc`
 /// and `update+adt_calc` share one colored dispatch each (all direct
 /// dependencies), `res_calc` stays alone (indirect increment), and the
 /// tiny `bres_calc` runs serially — so every step issues two dispatch
-/// rounds fewer than [`step_threaded`] while computing identical physics.
-pub fn step_fused<R: Real>(
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    step_fused_on(
-        ExecPool::global(),
-        sim,
-        cache,
-        Shape::Threaded,
-        global_pool_cap(n_threads),
-        block_size,
-        rec,
-    )
-}
-
-/// As [`step_fused`] on an explicit pool and execution shape
-/// ([`Shape::Threaded`] or the SIMT emulation [`Shape::Simt`]; for the
-/// vectorized fused shape use [`step_fused_simd_on`], which pins the
-/// lane count at compile time).
+/// rounds fewer than the per-loop `threaded` shape while computing
+/// identical physics.
 pub fn step_fused_on<R: Real>(
     pool: &ExecPool,
     sim: &mut Airfoil<R>,
@@ -951,32 +470,13 @@ pub fn step_fused_on<R: Real>(
 }
 
 /// One iteration through the **fused-SIMD** backend: the same recorded
-/// chain and union-write-set plans as [`step_fused`], but every pooled
-/// loop carries an `L`-lane vector body (gathers through the mesh maps,
-/// serialized lane scatters for the colored increment, three-sweep
+/// chain and union-write-set plans as [`step_fused_on`], but every
+/// pooled loop carries an `L`-lane vector body (gathers through the mesh
+/// maps, serialized lane scatters for the colored increment, three-sweep
 /// alignment handling) executed via [`Shape::Simd`] — the paper's
 /// headline explicit vectorization composed with cross-loop fusion on
 /// one dispatch path. Issues exactly as many pool rounds as the fused
-/// threaded shape (the plans are shared). Runs on the process-wide
-/// [`ExecPool`] capped at `n_threads` members (`0` = all).
-pub fn step_fused_simd<R: Real, const L: usize>(
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    step_fused_simd_on::<R, L>(
-        ExecPool::global(),
-        sim,
-        cache,
-        global_pool_cap(n_threads),
-        block_size,
-        rec,
-    )
-}
-
-/// As [`step_fused_simd`] on an explicit pool.
+/// threaded shape (the plans are shared).
 pub fn step_fused_simd_on<R: Real, const L: usize>(
     pool: &ExecPool,
     sim: &mut Airfoil<R>,
@@ -1031,7 +531,7 @@ fn fused_chain_step<R: Real, const L: usize>(
     let n_cell_blocks = nc.div_ceil(block_size);
     // rms partials: one slot per (phase, cell block), merged in block
     // order after the chain runs — the same deterministic reduction as
-    // step_threaded's
+    // the per-loop shapes'
     let mut rms_blocks = vec![R::ZERO; 2 * n_cell_blocks];
     {
         let qs = SharedDat::new(&mut q.data);
@@ -1206,7 +706,7 @@ fn fused_chain_step<R: Real, const L: usize>(
                 let (qs, qolds, adts, ress, rmss) = (&qs, &qolds, &adts, &ress, &rmss);
                 // rms partials land in one (phase, block) slot each; both
                 // recordings below produce the same deterministic
-                // block-order reduction as step_threaded
+                // block-order reduction as the per-loop shapes
                 if let Shape::Simd { .. } = shape {
                     // SIMD shape: per-chunk fold into the block slot (a
                     // block executes on one thread, so the in-place `+=`
@@ -1289,197 +789,8 @@ fn fused_chain_step<R: Real, const L: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// SIMT (OpenCL-on-CPU) emulation — paper Fig. 3a
-// ---------------------------------------------------------------------------
-
-/// One iteration through the SIMT emulation: work-groups = colored
-/// blocks, lock-step work-items, private increments applied in element
-/// color order. `sched_overhead_ns` models the OpenCL work-group
-/// scheduling cost (0 = ideal runtime). Runs on the process-wide
-/// [`ExecPool`] capped at `n_threads` members (`0` = all).
-pub fn step_simt<R: Real>(
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    simt_width: usize,
-    sched_overhead_ns: u64,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    step_simt_on(
-        ExecPool::global(),
-        sim,
-        cache,
-        global_pool_cap(n_threads),
-        simt_width,
-        sched_overhead_ns,
-        block_size,
-        rec,
-    )
-}
-
-/// As [`step_simt`] on an explicit pool.
-#[allow(clippy::too_many_arguments)]
-pub fn step_simt_on<R: Real>(
-    pool: &ExecPool,
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    simt_width: usize,
-    sched_overhead_ns: u64,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let wb = R::BYTES;
-    let Airfoil {
-        case,
-        consts,
-        x,
-        q,
-        qold,
-        adt,
-        res,
-    } = sim;
-    let mesh = &case.mesh;
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-
-    let cell_plan = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(nc, vec![], block_size),
-    );
-    let edge_plan = cache.get(
-        Scheme::TwoLevel,
-        &["edge2cell"],
-        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
-    );
-
-    maybe_time(rec, "save_soln", wb, nc, || {
-        let qolds = SharedDat::new(&mut qold.data);
-        pool.simt_colored(
-            cell_plan.two_level(),
-            n_threads,
-            simt_width,
-            sched_overhead_ns,
-            |c| std::array::from_fn::<R, 4, _>(|d| q.data[c * 4 + d]),
-            |c, vals| unsafe {
-                qolds.slice_mut(c * 4, 4).copy_from_slice(vals);
-            },
-        );
-    });
-
-    let mut rms = R::ZERO;
-    for _phase in 0..2 {
-        maybe_time(rec, "adt_calc", wb, nc, || {
-            let adts = SharedDat::new(&mut adt.data);
-            pool.simt_colored(
-                cell_plan.two_level(),
-                n_threads,
-                simt_width,
-                sched_overhead_ns,
-                |c| {
-                    let n = mesh.cell2node.row(c);
-                    let mut a = R::ZERO;
-                    adt_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        x.row(n[2] as usize),
-                        x.row(n[3] as usize),
-                        q.row(c),
-                        &mut a,
-                        consts,
-                    );
-                    a
-                },
-                |c, a| unsafe {
-                    adts.slice_mut(c, 1)[0] = *a;
-                },
-            );
-        });
-        maybe_time(rec, "res_calc", wb, ne, || {
-            let ress = SharedDat::new(&mut res.data);
-            pool.simt_colored(
-                edge_plan.two_level(),
-                n_threads,
-                simt_width,
-                sched_overhead_ns,
-                |e| {
-                    // compute phase: private accumulators (arg_l in Fig 3a)
-                    let n = mesh.edge2node.row(e);
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let mut r1 = [R::ZERO; 4];
-                    let mut r2 = [R::ZERO; 4];
-                    res_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        q.row(c0),
-                        q.row(c1),
-                        adt.row(c0)[0],
-                        adt.row(c1)[0],
-                        &mut r1,
-                        &mut r2,
-                        consts,
-                    );
-                    (c0, r1, c1, r2)
-                },
-                // colored increment phase
-                |_e, inc| unsafe { apply_edge_inc(&ress, inc) },
-            );
-        });
-        maybe_time(rec, "bres_calc", wb, nb, || {
-            seq_loop(0..nb, |be| {
-                let n = mesh.bedge2node.row(be);
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bres_calc(
-                    x.row(n[0] as usize),
-                    x.row(n[1] as usize),
-                    q.row(c0),
-                    adt.row(c0)[0],
-                    res.row_mut(c0),
-                    case.bound[be],
-                    consts,
-                );
-            });
-        });
-        maybe_time(rec, "update", wb, nc, || {
-            let plan = cell_plan.two_level();
-            let mut rms_blocks = vec![R::ZERO; plan.blocks.len()];
-            {
-                let qs = SharedDat::new(&mut q.data);
-                let ress = SharedDat::new(&mut res.data);
-                let rmss = SharedDat::new(&mut rms_blocks);
-                pool.colored_blocks(plan, n_threads, |b, range| {
-                    let mut local = R::ZERO;
-                    for c in range.start as usize..range.end as usize {
-                        unsafe {
-                            update(
-                                qold.row(c),
-                                qs.slice_mut(c * 4, 4),
-                                ress.slice_mut(c * 4, 4),
-                                adt.row(c)[0],
-                                &mut local,
-                            );
-                        }
-                    }
-                    unsafe { rmss.slice_mut(b, 1)[0] = local };
-                });
-            }
-            for v in rms_blocks {
-                rms += v;
-            }
-        });
-    }
-    sim.normalize_rms(rms.to_f64())
-}
-
-// ---------------------------------------------------------------------------
 // cross-timestep sparse tiling
 // ---------------------------------------------------------------------------
-
-/// Default anchor-blocks-per-tile of the registry dispatcher's tiled
-/// arms: `tile_cells = DISPATCH_TILE_BLOCKS × block_size`.
-pub const DISPATCH_TILE_BLOCKS: usize = 4;
 
 /// Record `steps` outer iterations as one tiled super-chain
 /// ([`ump_lazy::TiledChain`]) and sweep it tile-by-tile: every tile of
@@ -1709,10 +1020,6 @@ pub fn step_tiled_simd_on<R: Real, const L: usize>(
 // the unified dispatcher — one entry point per execution shape
 // ---------------------------------------------------------------------------
 
-/// Simt lock-step width used by the registry dispatcher (the unfused and
-/// fused SIMT shapes alike); the paper's OpenCL work-group sub-width.
-pub const DISPATCH_SIMT_WIDTH: usize = 8;
-
 /// One iteration through any registered [`Backend`], on an explicit pool
 /// — the single dispatcher behind the conformance matrix and the `repro`
 /// backend sweep. Backends with `needs_pool() == false` ignore `pool`
@@ -1744,30 +1051,16 @@ pub fn step_on<R: Real>(
         sim.set_layout(layout);
         return out;
     }
+    if let Some(shape) = backend.loop_shape(pool, n_threads) {
+        return match shape.lanes {
+            0 => step_shape::<R, 1>(&shape, sim, cache, block_size, rec),
+            4 => step_shape::<R, 4>(&shape, sim, cache, block_size, rec),
+            8 => step_shape::<R, 8>(&shape, sim, cache, block_size, rec),
+            _ => no_lane_instantiation(backend),
+        };
+    }
     match backend {
         Backend::Seq => step_seq(sim, rec),
-        Backend::Threaded => step_threaded_on(pool, sim, cache, n_threads, block_size, rec),
-        Backend::Simd { lanes: 4 } => step_simd::<R, 4>(sim, rec),
-        Backend::Simd { lanes: 8 } => step_simd::<R, 8>(sim, rec),
-        Backend::SimdThreaded { lanes: 4 } => {
-            step_simd_threaded_on::<R, 4>(pool, sim, cache, n_threads, block_size, rec)
-        }
-        Backend::SimdThreaded { lanes: 8 } => {
-            step_simd_threaded_on::<R, 8>(pool, sim, cache, n_threads, block_size, rec)
-        }
-        Backend::SimdScheme { scheme } => {
-            step_simd_scheme::<R, 4>(sim, cache, scheme, block_size, rec)
-        }
-        Backend::Simt => step_simt_on(
-            pool,
-            sim,
-            cache,
-            n_threads,
-            DISPATCH_SIMT_WIDTH,
-            0,
-            block_size,
-            rec,
-        ),
         Backend::Fused => step_fused_on(
             pool,
             sim,
@@ -1825,9 +1118,6 @@ pub fn step_on<R: Real>(
         Backend::TiledSimd { lanes: 8 } => {
             step_tiled_simd_on::<R, 8>(sim, pool, n_threads, block_size, rec)
         }
-        other => panic!(
-            "backend {} has no compiled lane instantiation — add it to step_on",
-            other.name()
-        ),
+        other => no_lane_instantiation(other),
     }
 }

@@ -250,13 +250,18 @@ pub fn profiles() -> Vec<LoopProfile> {
 /// instrumented and fused drivers resolve profiles every loop of every
 /// step, which must not rebuild the whole signature vocabulary.
 pub fn profile(name: &str) -> LoopProfile {
+    find_profile(name).unwrap_or_else(|| panic!("unknown airfoil kernel {name}"))
+}
+
+/// [`profile`], or `None` when `name` is not one of this application's
+/// kernels.
+pub(crate) fn find_profile(name: &str) -> Option<LoopProfile> {
     static CACHE: std::sync::OnceLock<Vec<LoopProfile>> = std::sync::OnceLock::new();
     CACHE
         .get_or_init(profiles)
         .iter()
         .find(|p| p.name == name)
-        .unwrap_or_else(|| panic!("unknown airfoil kernel {name}"))
-        .clone()
+        .cloned()
 }
 
 #[cfg(test)]

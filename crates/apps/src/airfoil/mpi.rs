@@ -18,7 +18,7 @@
 //! its own copy of the boundary edge); ghost `res` rows are re-zeroed
 //! after each phase so they cannot grow unboundedly.
 //!
-//! The production path is [`RankState::step_fused_chain`]: the rank's
+//! The one entry point is [`RankState::step_fused_chain`]: the rank's
 //! iteration recorded as an `ump_lazy` chain whose halo exchanges are
 //! non-blocking — `res_calc`'s **interior** colored blocks (edges whose
 //! cells are both owned) execute while the `q`/`adt` messages are in
@@ -28,8 +28,7 @@
 //! allreduce. [`run_mpi_fused`] drives it end to end at any rank count,
 //! in threaded or `L`-lane SIMD shape, with overlap or blocking
 //! exchanges (same compute order — bit-identical results; the halo
-//! bench compares wall time). The scalar [`RankState::step`] and hybrid
-//! [`RankState::step_hybrid`] remain as references.
+//! bench compares wall time).
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -46,7 +45,7 @@ use ump_simd::{Real, VecR};
 
 use crate::resilience::{resilient_loop, ResilientReport};
 
-use super::drivers; // scalar kernels reused through the local meshes
+use super::drivers; // lane-chunk bodies shared with the single-process chains
 use super::kernels::{adt_calc, bres_calc, res_calc, save_soln, update};
 use super::{profile, Airfoil, Consts};
 
@@ -101,345 +100,13 @@ impl<R: Real> RankState<R> {
             local,
         }
     }
-
-    /// One iteration on this rank; returns the global normalized RMS.
-    pub fn step(&mut self, comm: &Comm, total_cells: usize, rec: Option<&Recorder>) -> f64 {
-        let mesh = &self.local.mesh;
-        let n_owned = self.local.n_owned_cells;
-        let time = |rec: Option<&Recorder>, name: &str, n: usize, f: &mut dyn FnMut()| match rec {
-            Some(r) => r.time(&super::profile(name), R::BYTES, n, f),
-            None => f(),
-        };
-
-        time(rec, "save_soln", n_owned, &mut || {
-            for c in 0..n_owned {
-                let (q, qold) = (&self.q, &mut self.qold);
-                save_soln(q.row(c), qold.row_mut(c));
-            }
-        });
-
-        let mut rms = R::ZERO;
-        for phase in 0..2u64 {
-            time(rec, "adt_calc", n_owned, &mut || {
-                for c in 0..n_owned {
-                    let n = mesh.cell2node.row(c);
-                    let mut a = R::ZERO;
-                    adt_calc(
-                        self.x.row(n[0] as usize),
-                        self.x.row(n[1] as usize),
-                        self.x.row(n[2] as usize),
-                        self.x.row(n[3] as usize),
-                        self.q.row(c),
-                        &mut a,
-                        &self.consts,
-                    );
-                    self.adt.row_mut(c)[0] = a;
-                }
-            });
-            // halo exchanges: ghosts of q and adt are stale (update /
-            // adt_calc ran on owned only)
-            self.local
-                .cell_halo
-                .execute(comm, &mut self.q.data, 4, phase * 2);
-            self.local
-                .cell_halo
-                .execute(comm, &mut self.adt.data, 1, phase * 2 + 1);
-
-            time(rec, "res_calc", mesh.n_edges(), &mut || {
-                for e in 0..mesh.n_edges() {
-                    let n = mesh.edge2node.row(e);
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let (r1, r2) = drivers::two_rows_mut(&mut self.res.data, 4, c0, c1);
-                    res_calc(
-                        self.x.row(n[0] as usize),
-                        self.x.row(n[1] as usize),
-                        self.q.row(c0),
-                        self.q.row(c1),
-                        self.adt.row(c0)[0],
-                        self.adt.row(c1)[0],
-                        r1,
-                        r2,
-                        &self.consts,
-                    );
-                }
-            });
-            time(rec, "bres_calc", mesh.n_bedges(), &mut || {
-                for be in 0..mesh.n_bedges() {
-                    let n = mesh.bedge2node.row(be);
-                    let c0 = mesh.bedge2cell.at(be, 0);
-                    bres_calc(
-                        self.x.row(n[0] as usize),
-                        self.x.row(n[1] as usize),
-                        self.q.row(c0),
-                        self.adt.row(c0)[0],
-                        self.res.row_mut(c0),
-                        self.bound[be],
-                        &self.consts,
-                    );
-                }
-            });
-            time(rec, "update", n_owned, &mut || {
-                for c in 0..n_owned {
-                    let (qold, q, res, adt) = (&self.qold, &mut self.q, &mut self.res, &self.adt);
-                    update(
-                        qold.row(c),
-                        q.row_mut(c),
-                        res.row_mut(c),
-                        adt.row(c)[0],
-                        &mut rms,
-                    );
-                }
-                // discard ghost increments (owners recompute them)
-                for v in &mut self.res.data[n_owned * 4..] {
-                    *v = R::ZERO;
-                }
-            });
-        }
-        let global = comm.allreduce_sum(rms.to_f64());
-        (global / total_cells as f64).sqrt()
-    }
-}
-
-/// Run `iters` iterations of Airfoil across `n_ranks` message-passing
-/// ranks. Returns the assembled global flow state and the per-iteration
-/// RMS history (identical on every rank).
-pub fn run_mpi<R: Real>(
-    case: &AirfoilCase,
-    n_ranks: usize,
-    iters: usize,
-    rec: Option<&Recorder>,
-) -> (OpDat<R>, Vec<f64>) {
-    let mesh = &case.mesh;
-    let pts: Vec<[f64; 2]> = (0..mesh.n_cells()).map(|c| mesh.cell_centroid(c)).collect();
-    let partition = rcb(&pts, n_ranks as u32);
-    run_mpi_with_partition(case, &partition, iters, rec)
-}
-
-/// As [`run_mpi`] with an explicit partition (used by tests to stress odd
-/// partitions).
-pub fn run_mpi_with_partition<R: Real>(
-    case: &AirfoilCase,
-    partition: &Partition,
-    iters: usize,
-    rec: Option<&Recorder>,
-) -> (OpDat<R>, Vec<f64>) {
-    let mesh = &case.mesh;
-    let locals = distribute(mesh, partition);
-    let total_cells = mesh.n_cells();
-    let n_ranks = partition.n_parts as usize;
-
-    let results = Universe::new(n_ranks).run(|comm| {
-        let mut state = RankState::<R>::new(case, locals[comm.rank()].clone());
-        let mut history = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            history.push(state.step(comm, total_cells, rec));
-        }
-        (
-            state.q.data,
-            state.local.cell_global.clone(),
-            state.local.n_owned_cells,
-            history,
-        )
-    });
-
-    let history = results[0].3.clone();
-    let parts: Vec<(&[R], &[u32], usize)> = results
-        .iter()
-        .map(|(data, ids, n_owned, _)| (data.as_slice(), ids.as_slice(), *n_owned))
-        .collect();
-    let q = OpDat::from_vec(
-        "q",
-        total_cells,
-        4,
-        ump_core::dist::assemble_owned(&parts, total_cells, 4),
-    );
-    (q, history)
-}
-
-impl<R: Real> RankState<R> {
-    /// One iteration with threads × SIMD *inside* the rank — the hybrid
-    /// MPI+OpenMP vectorized configuration that wins on the Phi
-    /// (paper §6.5, Fig. 8b's tuning subject). Same communication
-    /// pattern as [`RankState::step`]; compute loops run through the
-    /// rank's persistent [`ExecPool`] with `L`-lane
-    /// sweeps per block (one pool per rank, so ranks never contend on a
-    /// shared dispatcher).
-    pub fn step_hybrid<const L: usize>(
-        &mut self,
-        comm: &Comm,
-        cache: &ump_core::PlanCache,
-        pool: &ump_core::ExecPool,
-        block_size: usize,
-        total_cells: usize,
-    ) -> f64 {
-        use ump_color::PlanInputs;
-        use ump_core::{Scheme, SharedMut};
-        let n_threads = 0; // the whole per-rank team
-
-        let n_owned = self.local.n_owned_cells;
-        let n_edges = self.local.mesh.n_edges();
-        let cell_plan = cache.get(
-            Scheme::TwoLevel,
-            &[],
-            &PlanInputs::new(n_owned, vec![], block_size),
-        );
-        let edge_plan = cache.get(
-            Scheme::TwoLevel,
-            &["edge2cell"],
-            &PlanInputs::new(n_edges, vec![&self.local.mesh.edge2cell], block_size),
-        );
-
-        // save_soln over owned cells (vector copy per block)
-        {
-            let (q, qold) = (&self.q, SharedMut::new(&mut self.qold));
-            pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-                let (s, e) = (range.start as usize * 4, range.end as usize * 4);
-                unsafe { qold.get_mut().data[s..e].copy_from_slice(&q.data[s..e]) };
-            });
-        }
-
-        let mut rms = R::ZERO;
-        for phase in 0..2u64 {
-            {
-                let mesh = &self.local.mesh;
-                let (x, q, consts) = (&self.x, &self.q, &self.consts);
-                let adt = SharedMut::new(&mut self.adt);
-                pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| unsafe {
-                    drivers::simd_adt_sweep::<R, L>(
-                        range.start as usize..range.end as usize,
-                        mesh,
-                        x,
-                        q,
-                        adt.get_mut(),
-                        consts,
-                    );
-                });
-            }
-            self.local
-                .cell_halo
-                .execute(comm, &mut self.q.data, 4, phase * 2);
-            self.local
-                .cell_halo
-                .execute(comm, &mut self.adt.data, 1, phase * 2 + 1);
-            {
-                let mesh = &self.local.mesh;
-                let (x, q, adt, consts) = (&self.x, &self.q, &self.adt, &self.consts);
-                let res = SharedMut::new(&mut self.res);
-                pool.colored_blocks(edge_plan.two_level(), n_threads, |_b, range| unsafe {
-                    drivers::simd_res_sweep::<R, L>(
-                        range.start as usize..range.end as usize,
-                        mesh,
-                        x,
-                        q,
-                        adt,
-                        res.get_mut(),
-                        consts,
-                    );
-                });
-            }
-            for be in 0..self.local.mesh.n_bedges() {
-                let n = self.local.mesh.bedge2node.row(be);
-                let c0 = self.local.mesh.bedge2cell.at(be, 0);
-                bres_calc(
-                    self.x.row(n[0] as usize),
-                    self.x.row(n[1] as usize),
-                    self.q.row(c0),
-                    self.adt.row(c0)[0],
-                    self.res.row_mut(c0),
-                    self.bound[be],
-                    &self.consts,
-                );
-            }
-            // update over owned cells with deterministic per-block rms
-            {
-                let plan = cell_plan.two_level();
-                let mut rms_blocks = vec![R::ZERO; plan.blocks.len()];
-                {
-                    let (qold, adt) = (&self.qold, &self.adt);
-                    let q = SharedMut::new(&mut self.q);
-                    let res = SharedMut::new(&mut self.res);
-                    let rmss = SharedMut::new(&mut rms_blocks);
-                    pool.colored_blocks(plan, n_threads, |b, range| {
-                        let mut local = R::ZERO;
-                        for c in range.start as usize..range.end as usize {
-                            unsafe {
-                                update(
-                                    qold.row(c),
-                                    q.get_mut().row_mut(c),
-                                    res.get_mut().row_mut(c),
-                                    adt.row(c)[0],
-                                    &mut local,
-                                );
-                            }
-                        }
-                        unsafe { rmss.get_mut()[b] = local };
-                    });
-                }
-                for v in rms_blocks {
-                    rms += v;
-                }
-                for v in &mut self.res.data[n_owned * 4..] {
-                    *v = R::ZERO;
-                }
-            }
-        }
-        let global = comm.allreduce_sum(rms.to_f64());
-        (global / total_cells as f64).sqrt()
-    }
-}
-
-/// Run the hybrid (ranks × threads × SIMD) backend end to end.
-pub fn run_mpi_hybrid<R: Real, const L: usize>(
-    case: &AirfoilCase,
-    n_ranks: usize,
-    threads_per_rank: usize,
-    block_size: usize,
-    iters: usize,
-) -> (OpDat<R>, Vec<f64>) {
-    let mesh = &case.mesh;
-    let pts: Vec<[f64; 2]> = (0..mesh.n_cells()).map(|c| mesh.cell_centroid(c)).collect();
-    let partition = rcb(&pts, n_ranks as u32);
-    let locals = distribute(mesh, &partition);
-    let total_cells = mesh.n_cells();
-
-    let results = Universe::new(n_ranks).run(|comm| {
-        let cache = ump_core::PlanCache::new();
-        // one persistent team per rank, created once and reused for
-        // every color round of every iteration
-        let pool = ump_core::ExecPool::new(threads_per_rank);
-        let mut state = RankState::<R>::new(case, locals[comm.rank()].clone());
-        let mut history = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            history.push(state.step_hybrid::<L>(comm, &cache, &pool, block_size, total_cells));
-        }
-        (
-            state.q.data,
-            state.local.cell_global.clone(),
-            state.local.n_owned_cells,
-            history,
-        )
-    });
-
-    let history = results[0].3.clone();
-    let parts: Vec<(&[R], &[u32], usize)> = results
-        .iter()
-        .map(|(data, ids, n_owned, _)| (data.as_slice(), ids.as_slice(), *n_owned))
-        .collect();
-    let q = OpDat::from_vec(
-        "q",
-        total_cells,
-        4,
-        ump_core::dist::assemble_owned(&parts, total_cells, 4),
-    );
-    (q, history)
 }
 
 impl<R: Real> RankState<R> {
     /// One iteration as a rank-local **fused chain with halo/compute
     /// overlap** — the distributed production path. The chain records
     /// the same fused groups as the shared-memory
-    /// `drivers::step_fused_simd` (save_soln+adt_calc and
+    /// `drivers::step_fused_simd_on` (save_soln+adt_calc and
     /// update+adt_calc share one colored dispatch each), plus the halo
     /// exchanges as non-blocking chain entries:
     ///
@@ -1061,7 +728,3 @@ pub fn run_mpi_fused_resilient<R: Real, const L: usize>(
     );
     (q, history, report)
 }
-
-/// Convenience: SIMD lanes used by the hybrid rank drivers; re-exported
-/// so binaries can name the width symbolically.
-pub type LaneVec<R, const L: usize> = VecR<R, L>;

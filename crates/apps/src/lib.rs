@@ -11,11 +11,14 @@
 //! Each application provides *kernels* (the "user code" of the OP2
 //! abstraction — a scalar form generic over `R: Real` and a vector form
 //! generic over `VecR<R, LANES>`, mirroring `res_calc` / `res_calc_vec`
-//! in paper Fig. 3b) and *drivers* — the per-backend loop bodies OP2's
-//! code generator would emit (Figs 2b/3a/3b): sequential, threaded
-//! colored blocks, explicit SIMD with gather/scatter and the three-sweep
-//! structure, SIMT emulation, and the message-passing backend with halo
-//! exchanges and redundant exec-halo execution.
+//! in paper Fig. 3b) and *drivers* — what OP2's code generator would
+//! emit (Figs 2b/3a/3b): a hand-written sequential reference, one
+//! per-loop declaration of the timestep that
+//! [`ump_core::LoopShape`] executes as threaded colored blocks,
+//! explicit SIMD with gather/scatter and the three-sweep structure, or
+//! the SIMT emulation, the fused and tiled `ump_lazy` recordings, and
+//! the message-passing backend with halo exchanges and redundant
+//! exec-halo execution.
 
 #![deny(missing_docs)]
 
@@ -24,3 +27,35 @@ pub mod resilience;
 pub mod volna;
 
 pub use resilience::{resilient_loop, ResilientReport};
+
+use ump_core::{Backend, Recorder};
+
+/// Default anchor-blocks-per-tile of the registry dispatchers' tiled
+/// arms: `tile_cells = DISPATCH_TILE_BLOCKS × block_size`.
+pub const DISPATCH_TILE_BLOCKS: usize = 4;
+
+/// `f()`, timed as one invocation of kernel `name` when a recorder is
+/// attached. Kernel names are unique across the two applications, so
+/// one lookup serves both.
+pub(crate) fn maybe_time<T>(
+    rec: Option<&Recorder>,
+    name: &str,
+    word_bytes: usize,
+    n_elems: usize,
+    f: impl FnOnce() -> T,
+) -> T {
+    let Some(rec) = rec else { return f() };
+    let profile = airfoil::find_profile(name)
+        .or_else(|| volna::find_profile(name))
+        .unwrap_or_else(|| panic!("unknown kernel {name}"));
+    rec.time(&profile, word_bytes, n_elems, f)
+}
+
+/// The `step_on` dispatchers' answer to a lane width the registry lists
+/// but the drivers have no const instantiation for.
+pub(crate) fn no_lane_instantiation(backend: Backend) -> ! {
+    panic!(
+        "backend {} has no compiled lane instantiation — add it to step_on",
+        backend.name()
+    )
+}

@@ -1,39 +1,24 @@
-//! The Volna loop drivers (one `step_*` = one RK2 time step; returns the
-//! CFL Δt used). Backend shapes mirror the Airfoil drivers; the paper
-//! benchmarks Volna in single precision through the same MPI / OpenMP /
-//! OpenCL / intrinsics configurations.
+//! The Volna loop drivers (one step = one RK2 time step; returns the CFL
+//! Δt used). Same structure as the Airfoil drivers — the hand-written
+//! [`step_seq`] oracle, the per-loop step declared once in
+//! [`step_shape`] and executed by a [`LoopShape`], the fused and tiled
+//! `ump_lazy` recordings, and the [`step_on`] registry dispatcher; the
+//! paper benchmarks Volna in single precision through the same MPI /
+//! OpenMP / OpenCL / intrinsics configurations.
 
-use ump_color::PlanInputs;
 use ump_core::{
-    apply_edge_inc, global_pool_cap, seq_loop, Backend, ExecPool, Layout, OpDat, PlanCache,
-    Recorder, Scheme, SharedDat, SharedMut,
+    seq_loop, two_rows_mut, Backend, ExecPool, Layout, LoopShape, OpDat, PlanCache, Recorder,
+    SharedDat, DISPATCH_SIMT_WIDTH,
 };
 use ump_lazy::{Chain, LoopDesc, Shape, TileReport, TiledChain};
-use ump_simd::{split_sweep, DatView, IdxVec, Real, VecR};
+use ump_simd::{DatView, IdxVec, Real, VecR};
 
 use super::kernels::{bc_flux, compute_flux, numerical_flux, rk_1, rk_2, sim_1, space_disc};
 use super::kernels_vec::{
     compute_flux_vec, numerical_flux_vec, rk_1_vec, rk_2_vec, space_disc_vec,
 };
 use super::{profile, Volna, CFL, GRAVITY, H_MIN};
-
-fn maybe_time<T>(
-    rec: Option<&Recorder>,
-    name: &str,
-    word_bytes: usize,
-    n_elems: usize,
-    f: impl FnOnce() -> T,
-) -> T {
-    match rec {
-        Some(r) => r.time(&profile(name), word_bytes, n_elems, f),
-        None => f(),
-    }
-}
-
-#[inline(always)]
-fn two_rows_mut<R>(data: &mut [R], dim: usize, i: usize, j: usize) -> (&mut [R], &mut [R]) {
-    crate::airfoil::drivers::two_rows_mut(data, dim, i, j)
-}
+use crate::{maybe_time, no_lane_instantiation, DISPATCH_TILE_BLOCKS};
 
 // ---------------------------------------------------------------------------
 // sequential reference
@@ -143,279 +128,12 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// threaded (OpenMP-analogue)
-// ---------------------------------------------------------------------------
-
-/// One RK2 step with colored-block threading on the process-wide
-/// [`ExecPool`], capped at `n_threads` team members (`0` = all).
-pub fn step_threaded<R: Real>(
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    step_threaded_on(
-        ExecPool::global(),
-        sim,
-        cache,
-        global_pool_cap(n_threads),
-        block_size,
-        rec,
-    )
-}
-
-/// One RK2 step with colored-block threading on an explicit pool.
-pub fn step_threaded_on<R: Real>(
-    pool: &ExecPool,
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let wb = R::BYTES;
-    let g = R::from_f64(GRAVITY);
-    let h_min = R::from_f64(H_MIN);
-    let cfl = R::from_f64(CFL);
-    let mesh = &sim.case.mesh;
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-
-    let cell_plan = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(nc, vec![], block_size),
-    );
-    let edge_direct = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(ne, vec![], block_size),
-    );
-    let edge_colored = cache.get(
-        Scheme::TwoLevel,
-        &["edge2cell"],
-        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
-    );
-
-    maybe_time(rec, "sim_1", wb, nc, || {
-        let (w, w_old) = (&sim.w, &mut sim.w_old);
-        let wo = SharedDat::new(&mut w_old.data);
-        pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-            for c in range.start as usize..range.end as usize {
-                unsafe { sim_1(w.row(c), wo.slice_mut(c * 4, 4)) };
-            }
-        });
-    });
-
-    let mut dt = R::INFINITY;
-    for phase in 0..2 {
-        let state = if phase == 0 { &sim.w } else { &sim.w1 };
-        maybe_time(rec, "compute_flux", wb, ne, || {
-            let ef = SharedDat::new(&mut sim.eflux.data);
-            pool.colored_blocks(edge_direct.two_level(), n_threads, |_b, range| {
-                for e in range.start as usize..range.end as usize {
-                    let c = mesh.edge2cell.row(e);
-                    unsafe {
-                        compute_flux(
-                            sim.egeom.row(e),
-                            state.row(c[0] as usize),
-                            state.row(c[1] as usize),
-                            ef.slice_mut(e * 4, 4),
-                            g,
-                            h_min,
-                        );
-                    }
-                }
-            });
-        });
-        if phase == 0 {
-            maybe_time(rec, "numerical_flux", wb, ne, || {
-                let plan = edge_direct.two_level();
-                let mut dt_blocks = vec![R::INFINITY; plan.blocks.len()];
-                {
-                    let dts = SharedDat::new(&mut dt_blocks);
-                    pool.colored_blocks(plan, n_threads, |b, range| {
-                        let mut local = R::INFINITY;
-                        for e in range.start as usize..range.end as usize {
-                            let c = mesh.edge2cell.row(e);
-                            numerical_flux(
-                                sim.egeom.row(e),
-                                sim.eflux.row(e),
-                                sim.area.row(c[0] as usize)[0],
-                                sim.area.row(c[1] as usize)[0],
-                                &mut local,
-                                cfl,
-                            );
-                        }
-                        unsafe { dts.slice_mut(b, 1)[0] = local };
-                    });
-                }
-                for v in dt_blocks {
-                    dt = dt.min(v);
-                }
-            });
-        }
-        maybe_time(rec, "space_disc", wb, ne, || {
-            let ress = SharedDat::new(&mut sim.res.data);
-            pool.colored_blocks(edge_colored.two_level(), n_threads, |_b, range| {
-                for e in range.start as usize..range.end as usize {
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let (rl, rr) =
-                        unsafe { (ress.slice_mut(c0 * 4, 4), ress.slice_mut(c1 * 4, 4)) };
-                    space_disc(
-                        sim.egeom.row(e),
-                        sim.eflux.row(e),
-                        state.row(c0),
-                        state.row(c1),
-                        rl,
-                        rr,
-                        g,
-                    );
-                }
-            });
-        });
-        maybe_time(rec, "bc_flux", wb, mesh.n_bedges(), || {
-            let res = &mut sim.res;
-            seq_loop(0..mesh.n_bedges(), |be| {
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bc_flux(sim.bgeom.row(be), state.row(c0), res.row_mut(c0), g);
-            });
-        });
-        let rk_name = if phase == 0 { "RK_1" } else { "RK_2" };
-        maybe_time(rec, rk_name, wb, nc, || {
-            let (w_old, w1, res, w, area) = (
-                &sim.w_old,
-                SharedMut::new(&mut sim.w1),
-                SharedMut::new(&mut sim.res),
-                SharedMut::new(&mut sim.w),
-                &sim.area,
-            );
-            pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-                for c in range.start as usize..range.end as usize {
-                    unsafe {
-                        if phase == 0 {
-                            rk_1(
-                                w_old.row(c),
-                                res.get_mut().row_mut(c),
-                                w1.get_mut().row_mut(c),
-                                area.row(c)[0],
-                                dt,
-                            );
-                        } else {
-                            rk_2(
-                                w_old.row(c),
-                                w1.get_mut().row(c),
-                                res.get_mut().row_mut(c),
-                                w.get_mut().row_mut(c),
-                                area.row(c)[0],
-                                dt,
-                            );
-                        }
-                    }
-                }
-            });
-        });
-    }
-    dt.to_f64()
-}
-
-// ---------------------------------------------------------------------------
-// explicit SIMD (single thread)
-// ---------------------------------------------------------------------------
-
-/// One RK2 step, explicitly vectorized at `L` lanes (the paper's
-/// single-precision Volna vector configurations).
-pub fn step_simd<R: Real, const L: usize>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
-    let wb = R::BYTES;
-    let g = R::from_f64(GRAVITY);
-    let h_min = R::from_f64(H_MIN);
-    let cfl = R::from_f64(CFL);
-    let mesh = &sim.case.mesh;
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-
-    maybe_time(rec, "sim_1", wb, nc, || {
-        let flat = nc * 4;
-        let sweep = split_sweep(0..flat, L, 0);
-        for i in sweep.scalar_items() {
-            sim.w_old.data[i] = sim.w.data[i];
-        }
-        for i in sweep.vector_chunks() {
-            VecR::<R, L>::load(&sim.w.data, i).store(&mut sim.w_old.data, i);
-        }
-    });
-
-    let mut dt = R::INFINITY;
-    for phase in 0..2 {
-        let state = if phase == 0 { &sim.w } else { &sim.w1 };
-        maybe_time(rec, "compute_flux", wb, ne, || {
-            simd_compute_flux_sweep::<R, L>(
-                0..ne,
-                mesh,
-                &sim.egeom,
-                state,
-                &mut sim.eflux,
-                g,
-                h_min,
-            );
-        });
-        if phase == 0 {
-            maybe_time(rec, "numerical_flux", wb, ne, || {
-                let local = simd_numerical_flux_sweep::<R, L>(
-                    0..ne,
-                    mesh,
-                    &sim.egeom,
-                    &sim.eflux,
-                    &sim.area,
-                    cfl,
-                );
-                dt = dt.min(local);
-            });
-        }
-        maybe_time(rec, "space_disc", wb, ne, || {
-            simd_space_disc_sweep::<R, L>(
-                0..ne,
-                mesh,
-                &sim.egeom,
-                &sim.eflux,
-                state,
-                &mut sim.res,
-                g,
-            );
-        });
-        maybe_time(rec, "bc_flux", wb, mesh.n_bedges(), || {
-            seq_loop(0..mesh.n_bedges(), |be| {
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bc_flux(sim.bgeom.row(be), state.row(c0), sim.res.row_mut(c0), g);
-            });
-        });
-        let rk_name = if phase == 0 { "RK_1" } else { "RK_2" };
-        maybe_time(rec, rk_name, wb, nc, || {
-            if phase == 0 {
-                simd_rk1_sweep::<R, L>(0..nc, &sim.w_old, &mut sim.res, &mut sim.w1, &sim.area, dt);
-            } else {
-                simd_rk2_sweep::<R, L>(
-                    0..nc,
-                    &sim.w_old,
-                    &sim.w1,
-                    &mut sim.res,
-                    &mut sim.w,
-                    &sim.area,
-                    dt,
-                );
-            }
-        });
-    }
-    dt.to_f64()
-}
-
-// ---------------------------------------------------------------------------
-// shared SIMD chunk kernels and sweeps (pure-SIMD, hybrid, scheme and
-// fused drivers)
+// lane-chunk bodies, shared by the per-loop declaration and the fused /
+// distributed chains
 // ---------------------------------------------------------------------------
 
 /// One lane-aligned chunk of vectorized `compute_flux`. Raw-slice +
-/// [`DatView`] signature so the pooled sweeps (`OpDat` storage) and the
+/// [`DatView`] signature so the per-loop sweeps (`OpDat` storage) and the
 /// fused-chain vector bodies (`SharedDat` views) share one copy of the
 /// layout-aware index arithmetic; under AoS every view op lowers to the
 /// historical strided/gather form.
@@ -549,534 +267,275 @@ pub(crate) fn rk2_chunk<R: Real, const L: usize>(
     }
 }
 
-/// Vectorized `compute_flux` over an edge range: gathers both cell
-/// states through `edge2cell`, loads geometry strided, stores the flux
-/// pack strided.
-pub(crate) fn simd_compute_flux_sweep<R: Real, const L: usize>(
-    range: std::ops::Range<usize>,
-    mesh: &ump_mesh::Mesh2d,
-    egeom: &OpDat<R>,
-    state: &OpDat<R>,
-    eflux: &mut OpDat<R>,
-    g: R,
-    h_min: R,
-) {
-    let sweep = split_sweep(range, L, 0);
-    for e in sweep.scalar_items() {
-        let c = mesh.edge2cell.row(e);
-        compute_flux(
-            egeom.row(e),
-            state.row(c[0] as usize),
-            state.row(c[1] as usize),
-            eflux.row_mut(e),
-            g,
-            h_min,
-        );
-    }
-    let efv = eflux.view();
-    for es in sweep.vector_chunks() {
-        compute_flux_chunk::<R, L>(
-            es,
-            &mesh.edge2cell.data,
-            &egeom.data,
-            egeom.view(),
-            &state.data,
-            state.view(),
-            &mut eflux.data,
-            efv,
-            g,
-            h_min,
-        );
-    }
-}
-
-/// Vectorized `numerical_flux` over an edge range: returns the CFL Δt
-/// minimum of the range (exact — `min` does not reassociate).
-pub(crate) fn simd_numerical_flux_sweep<R: Real, const L: usize>(
-    range: std::ops::Range<usize>,
-    mesh: &ump_mesh::Mesh2d,
-    egeom: &OpDat<R>,
-    eflux: &OpDat<R>,
-    area: &OpDat<R>,
-    cfl: R,
-) -> R {
-    let sweep = split_sweep(range, L, 0);
-    let mut local = R::INFINITY;
-    for e in sweep.scalar_items() {
-        let c = mesh.edge2cell.row(e);
-        numerical_flux(
-            egeom.row(e),
-            eflux.row(e),
-            area.row(c[0] as usize)[0],
-            area.row(c[1] as usize)[0],
-            &mut local,
-            cfl,
-        );
-    }
-    let mut dt_v = VecR::<R, L>::splat(R::INFINITY);
-    for es in sweep.vector_chunks() {
-        numerical_flux_chunk::<R, L>(
-            es,
-            &mesh.edge2cell.data,
-            &eflux.data,
-            eflux.view(),
-            &area.data,
-            &mut dt_v,
-            cfl,
-        );
-    }
-    local.min(dt_v.reduce_min())
-}
-
-/// Vectorized `space_disc` over an edge range with *serialized* lane
-/// scatter (the original-scheme shape — safe within one thread).
-pub(crate) fn simd_space_disc_sweep<R: Real, const L: usize>(
-    range: std::ops::Range<usize>,
-    mesh: &ump_mesh::Mesh2d,
-    egeom: &OpDat<R>,
-    eflux: &OpDat<R>,
-    state: &OpDat<R>,
-    res: &mut OpDat<R>,
+/// `L` color-permuted edges of vectorized `space_disc`: everything is
+/// gathered through the permutation, and because a color group shares no
+/// target cell the increments land with true vector scatter-adds (§4's
+/// permute schemes). Defined on AoS storage.
+#[inline(always)]
+pub(crate) fn space_disc_chunk_permuted<R: Real, const L: usize>(
+    ids: &[u32],
+    e2c: &[i32],
+    egeom: &[R],
+    eflux: &[R],
+    state: &[R],
+    res: &mut [R],
     g: R,
 ) {
-    let sweep = split_sweep(range, L, 0);
-    for e in sweep.scalar_items() {
-        let c = mesh.edge2cell.row(e);
-        let (c0, c1) = (c[0] as usize, c[1] as usize);
-        let (rl, rr) = two_rows_mut(&mut res.data, 4, c0, c1);
-        space_disc(
-            egeom.row(e),
-            eflux.row(e),
-            state.row(c0),
-            state.row(c1),
-            rl,
-            rr,
-            g,
-        );
-    }
-    let resv = res.view();
-    for es in sweep.vector_chunks() {
-        space_disc_chunk::<R, L>(
-            es,
-            &mesh.edge2cell.data,
-            &egeom.data,
-            egeom.view(),
-            &eflux.data,
-            eflux.view(),
-            &state.data,
-            state.view(),
-            &mut res.data,
-            resv,
-            g,
-        );
-    }
-}
-
-/// Vectorized `RK_1` over a cell range.
-pub(crate) fn simd_rk1_sweep<R: Real, const L: usize>(
-    range: std::ops::Range<usize>,
-    w_old: &OpDat<R>,
-    res: &mut OpDat<R>,
-    w1: &mut OpDat<R>,
-    area: &OpDat<R>,
-    dt: R,
-) {
-    let sweep = split_sweep(range, L, 0);
-    for c in sweep.scalar_items() {
-        rk_1(
-            w_old.row(c),
-            res.row_mut(c),
-            w1.row_mut(c),
-            area.row(c)[0],
-            dt,
-        );
-    }
-    let (resv, w1v) = (res.view(), w1.view());
-    for cs in sweep.vector_chunks() {
-        rk1_chunk::<R, L>(
-            cs,
-            &w_old.data,
-            w_old.view(),
-            &mut res.data,
-            resv,
-            &mut w1.data,
-            w1v,
-            &area.data,
-            dt,
-        );
-    }
-}
-
-/// Vectorized `RK_2` over a cell range.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simd_rk2_sweep<R: Real, const L: usize>(
-    range: std::ops::Range<usize>,
-    w_old: &OpDat<R>,
-    w1: &OpDat<R>,
-    res: &mut OpDat<R>,
-    w: &mut OpDat<R>,
-    area: &OpDat<R>,
-    dt: R,
-) {
-    let sweep = split_sweep(range, L, 0);
-    for c in sweep.scalar_items() {
-        rk_2(
-            w_old.row(c),
-            w1.row(c),
-            res.row_mut(c),
-            w.row_mut(c),
-            area.row(c)[0],
-            dt,
-        );
-    }
-    let (resv, wv) = (res.view(), w.view());
-    for cs in sweep.vector_chunks() {
-        rk2_chunk::<R, L>(
-            cs,
-            &w_old.data,
-            w_old.view(),
-            &w1.data,
-            w1.view(),
-            &mut res.data,
-            resv,
-            &mut w.data,
-            wv,
-            &area.data,
-            dt,
-        );
+    let ids: [usize; L] = std::array::from_fn(|l| ids[l] as usize);
+    let eidx = IdxVec::<L>::from_array(ids.map(|e| e as i32));
+    let c0 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2]));
+    let c1 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2 + 1]));
+    let geom: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(egeom, eidx, 4, d));
+    let ef: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(eflux, eidx, 4, d));
+    let wl: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(state, c0, 4, d));
+    let wr: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(state, c1, 4, d));
+    let (rl, rr) = space_disc_vec(&geom, &ef, &wl, &wr, g);
+    for d in 0..3 {
+        rl[d].scatter_add(res, c0, 4, d);
+        rr[d].scatter_add(res, c1, 4, d);
     }
 }
 
 // ---------------------------------------------------------------------------
-// hybrid: threads × vectors
+// the per-loop RK2 step, declared once
 // ---------------------------------------------------------------------------
 
-/// One RK2 step with colored-block threading *and* explicit SIMD inside
-/// each block (the paper's vectorized MPI+OpenMP shape for Volna), on
-/// the process-wide [`ExecPool`] capped at `n_threads` members (`0` =
-/// all).
-pub fn step_simd_threaded<R: Real, const L: usize>(
+/// One RK2 step with every loop executed separately in `shape` — the
+/// single per-loop declaration behind `threaded`, `simd{L}`,
+/// `simd_threaded{L}`, `simd_scheme_*` and `simt` (mirrors
+/// [`airfoil::drivers::step_shape`](crate::airfoil::drivers::step_shape)).
+/// `shape.lanes` must be `0` or `L`. Defined on AoS storage ([`step_on`]
+/// converts around it). Returns Δt.
+pub fn step_shape<R: Real, const L: usize>(
+    shape: &LoopShape<'_>,
     sim: &mut Volna<R>,
     cache: &PlanCache,
-    n_threads: usize,
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    step_simd_threaded_on::<R, L>(
-        ExecPool::global(),
-        sim,
-        cache,
-        global_pool_cap(n_threads),
-        block_size,
-        rec,
-    )
-}
-
-/// As [`step_simd_threaded`] on an explicit pool.
-pub fn step_simd_threaded_on<R: Real, const L: usize>(
-    pool: &ExecPool,
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
+    assert!(
+        shape.lanes == 0 || shape.lanes == L,
+        "shape sweeps {} lanes, chunk bodies are {L} wide",
+        shape.lanes
+    );
     let wb = R::BYTES;
     let g = R::from_f64(GRAVITY);
     let h_min = R::from_f64(H_MIN);
     let cfl = R::from_f64(CFL);
-    let mesh = &sim.case.mesh;
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-
-    let cell_plan = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(nc, vec![], block_size),
-    );
-    let edge_direct = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(ne, vec![], block_size),
-    );
-    let edge_colored = cache.get(
-        Scheme::TwoLevel,
-        &["edge2cell"],
-        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
-    );
+    let Volna {
+        case,
+        w,
+        w_old,
+        w1,
+        res,
+        area,
+        egeom,
+        eflux,
+        bgeom,
+    } = sim;
+    let mesh = &case.mesh;
+    let (area, egeom, bgeom) = (&*area, &*egeom, &*bgeom);
+    let e2c = &mesh.edge2cell;
+    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
+    let cells = shape.direct_set(cache, nc, block_size);
+    let edges = shape.direct_set(cache, ne, block_size);
+    let edges_inc = shape.inc_set(cache, e2c, block_size);
 
     maybe_time(rec, "sim_1", wb, nc, || {
-        let (w, w_old) = (&sim.w, &mut sim.w_old);
-        let wo = SharedDat::new(&mut w_old.data);
-        pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-            let (s, e) = (range.start as usize * 4, range.end as usize * 4);
-            let sweep = split_sweep(s..e, L, 0);
-            unsafe {
-                let dst = wo.slice_mut(0, wo.len());
-                for i in sweep.scalar_items() {
-                    dst[i] = w.data[i];
+        cells.direct(
+            w_old,
+            |w_old, c| sim_1(w.row(c), &mut w_old.data[c * 4..c * 4 + 4]),
+            // L cells are 4·L contiguous values: a straight vector copy
+            |w_old, cs| {
+                for i in 0..4 {
+                    VecR::<R, L>::load(&w.data, cs * 4 + i * L)
+                        .store(&mut w_old.data, cs * 4 + i * L);
                 }
-                for i in sweep.vector_chunks() {
-                    VecR::<R, L>::load(&w.data, i).store(dst, i);
-                }
-            }
-        });
+            },
+        );
     });
 
     let mut dt = R::INFINITY;
     for phase in 0..2 {
-        let state = if phase == 0 { &sim.w } else { &sim.w1 };
+        let state: &OpDat<R> = if phase == 0 { w } else { w1 };
         maybe_time(rec, "compute_flux", wb, ne, || {
-            let efs = SharedMut::new(&mut sim.eflux);
-            pool.colored_blocks(edge_direct.two_level(), n_threads, |_b, range| {
-                let eflux: &mut OpDat<R> = unsafe { efs.get_mut() };
-                simd_compute_flux_sweep::<R, L>(
-                    range.start as usize..range.end as usize,
-                    mesh,
-                    &sim.egeom,
-                    state,
-                    eflux,
-                    g,
-                    h_min,
-                );
-            });
+            let efv = eflux.view();
+            edges.direct(
+                eflux,
+                |eflux, e| {
+                    let c = e2c.row(e);
+                    compute_flux(
+                        egeom.row(e),
+                        state.row(c[0] as usize),
+                        state.row(c[1] as usize),
+                        &mut eflux.data[e * 4..e * 4 + 4],
+                        g,
+                        h_min,
+                    );
+                },
+                |eflux, es| {
+                    compute_flux_chunk::<R, L>(
+                        es,
+                        &e2c.data,
+                        &egeom.data,
+                        egeom.view(),
+                        &state.data,
+                        state.view(),
+                        &mut eflux.data,
+                        efv,
+                        g,
+                        h_min,
+                    );
+                },
+            );
         });
         if phase == 0 {
             maybe_time(rec, "numerical_flux", wb, ne, || {
-                let plan = edge_direct.two_level();
-                let mut dt_blocks = vec![R::INFINITY; plan.blocks.len()];
-                {
-                    let dts = SharedDat::new(&mut dt_blocks);
-                    pool.colored_blocks(plan, n_threads, |b, range| {
-                        let local = simd_numerical_flux_sweep::<R, L>(
-                            range.start as usize..range.end as usize,
-                            mesh,
-                            &sim.egeom,
-                            &sim.eflux,
-                            &sim.area,
+                let eflux = &*eflux;
+                edges.direct_reduce(
+                    &mut (),
+                    (R::INFINITY, VecR::<R, L>::splat(R::INFINITY)),
+                    |_, dt, e| {
+                        let c = e2c.row(e);
+                        numerical_flux(
+                            egeom.row(e),
+                            eflux.row(e),
+                            area.data[c[0] as usize],
+                            area.data[c[1] as usize],
+                            &mut dt.0,
                             cfl,
                         );
-                        unsafe { dts.slice_mut(b, 1)[0] = local };
-                    });
-                }
-                for v in dt_blocks {
-                    dt = dt.min(v);
-                }
-            });
-        }
-        maybe_time(rec, "space_disc", wb, ne, || {
-            let ress = SharedMut::new(&mut sim.res);
-            pool.colored_blocks(edge_colored.two_level(), n_threads, |_b, range| {
-                let res: &mut OpDat<R> = unsafe { ress.get_mut() };
-                simd_space_disc_sweep::<R, L>(
-                    range.start as usize..range.end as usize,
-                    mesh,
-                    &sim.egeom,
-                    &sim.eflux,
-                    state,
-                    res,
-                    g,
-                );
-            });
-        });
-        maybe_time(rec, "bc_flux", wb, mesh.n_bedges(), || {
-            let res = &mut sim.res;
-            seq_loop(0..mesh.n_bedges(), |be| {
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bc_flux(sim.bgeom.row(be), state.row(c0), res.row_mut(c0), g);
-            });
-        });
-        let rk_name = if phase == 0 { "RK_1" } else { "RK_2" };
-        maybe_time(rec, rk_name, wb, nc, || {
-            let (w_old, area) = (&sim.w_old, &sim.area);
-            let (w1s, ress, ws) = (
-                SharedMut::new(&mut sim.w1),
-                SharedMut::new(&mut sim.res),
-                SharedMut::new(&mut sim.w),
-            );
-            pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-                let r = range.start as usize..range.end as usize;
-                unsafe {
-                    if phase == 0 {
-                        simd_rk1_sweep::<R, L>(r, w_old, ress.get_mut(), w1s.get_mut(), area, dt);
-                    } else {
-                        simd_rk2_sweep::<R, L>(
-                            r,
-                            w_old,
-                            w1s.get_mut(),
-                            ress.get_mut(),
-                            ws.get_mut(),
-                            area,
-                            dt,
+                    },
+                    |_, dt, es| {
+                        numerical_flux_chunk::<R, L>(
+                            es,
+                            &e2c.data,
+                            &eflux.data,
+                            eflux.view(),
+                            &area.data,
+                            &mut dt.1,
+                            cfl,
                         );
-                    }
-                }
-            });
-        });
-    }
-    dt.to_f64()
-}
-
-// ---------------------------------------------------------------------------
-// SIMD space_disc under the three coloring schemes (Fig. 8a for Volna)
-// ---------------------------------------------------------------------------
-
-/// One RK2 step where `space_disc` uses the chosen coloring scheme's
-/// SIMD execution (other loops as in [`step_simd`]); single-threaded.
-/// The permute schemes gather everything through the permutation and use
-/// true vector scatters (lane independence guaranteed per color group).
-pub fn step_simd_scheme<R: Real, const L: usize>(
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    scheme: Scheme,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let wb = R::BYTES;
-    let g = R::from_f64(GRAVITY);
-    let h_min = R::from_f64(H_MIN);
-    let cfl = R::from_f64(CFL);
-    let mesh = &sim.case.mesh;
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-
-    maybe_time(rec, "sim_1", wb, nc, || {
-        sim.w_old.data.copy_from_slice(&sim.w.data);
-    });
-
-    let mut dt = R::INFINITY;
-    for phase in 0..2 {
-        let state = if phase == 0 { &sim.w } else { &sim.w1 };
-        maybe_time(rec, "compute_flux", wb, ne, || {
-            simd_compute_flux_sweep::<R, L>(
-                0..ne,
-                mesh,
-                &sim.egeom,
-                state,
-                &mut sim.eflux,
-                g,
-                h_min,
-            );
-        });
-        if phase == 0 {
-            maybe_time(rec, "numerical_flux", wb, ne, || {
-                let local = simd_numerical_flux_sweep::<R, L>(
-                    0..ne,
-                    mesh,
-                    &sim.egeom,
-                    &sim.eflux,
-                    &sim.area,
-                    cfl,
+                    },
+                    |(scalar, lanes)| scalar.min(lanes.reduce_min()),
+                    // `min` is exact in any order
+                    |block| dt = dt.min(block),
                 );
-                dt = dt.min(local);
             });
         }
         maybe_time(rec, "space_disc", wb, ne, || {
-            let gather_group = |group: &[u32], res: &mut OpDat<R>| {
-                // conflict-free group: chunks of L via index gathers and
-                // true vector scatter-adds; sub-L tail scalar
-                let e2c = &mesh.edge2cell.data;
-                let mut i = 0;
-                while i + L <= group.len() {
-                    let ids: [usize; L] = std::array::from_fn(|l| group[i + l] as usize);
-                    let eidx = IdxVec::<L>::from_array(ids.map(|e| e as i32));
-                    let c0 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2]));
-                    let c1 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2 + 1]));
-                    let geom: [VecR<R, L>; 4] =
-                        std::array::from_fn(|d| VecR::gather(&sim.egeom.data, eidx, 4, d));
-                    let ef: [VecR<R, L>; 4] =
-                        std::array::from_fn(|d| VecR::gather(&sim.eflux.data, eidx, 4, d));
-                    let wl: [VecR<R, L>; 4] =
-                        std::array::from_fn(|d| VecR::gather(&state.data, c0, 4, d));
-                    let wr: [VecR<R, L>; 4] =
-                        std::array::from_fn(|d| VecR::gather(&state.data, c1, 4, d));
-                    let (rl, rr) = space_disc_vec(&geom, &ef, &wl, &wr, g);
-                    for d in 0..3 {
-                        rl[d].scatter_add(&mut res.data, c0, 4, d);
-                        rr[d].scatter_add(&mut res.data, c1, 4, d);
-                    }
-                    i += L;
-                }
-                for &eu in &group[i..] {
-                    let e = eu as usize;
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let (rl, rr) = two_rows_mut(&mut res.data, 4, c0, c1);
+            let resv = res.view();
+            edges_inc.inc::<R, 4>(
+                &mut res.data,
+                |e, rl, rr| {
+                    let c = e2c.row(e);
                     space_disc(
-                        sim.egeom.row(e),
-                        sim.eflux.row(e),
-                        state.row(c0),
-                        state.row(c1),
+                        egeom.row(e),
+                        eflux.row(e),
+                        state.row(c[0] as usize),
+                        state.row(c[1] as usize),
                         rl,
                         rr,
                         g,
                     );
-                }
-            };
-            match scheme {
-                Scheme::TwoLevel => {
-                    simd_space_disc_sweep::<R, L>(
-                        0..ne,
-                        mesh,
-                        &sim.egeom,
-                        &sim.eflux,
-                        state,
-                        &mut sim.res,
+                },
+                |es, res| {
+                    space_disc_chunk::<R, L>(
+                        es,
+                        &e2c.data,
+                        &egeom.data,
+                        egeom.view(),
+                        &eflux.data,
+                        eflux.view(),
+                        &state.data,
+                        state.view(),
+                        res,
+                        resv,
                         g,
                     );
-                }
-                Scheme::FullPermute => {
-                    let plan = cache.get(
-                        Scheme::FullPermute,
-                        &["edge2cell"],
-                        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
+                },
+                |ids, res| {
+                    space_disc_chunk_permuted::<R, L>(
+                        ids,
+                        &e2c.data,
+                        &egeom.data,
+                        &eflux.data,
+                        &state.data,
+                        res,
+                        g,
                     );
-                    let plan = plan.full_permute();
-                    for c in 0..plan.coloring.n_colors as usize {
-                        let group =
-                            &plan.perm[plan.offsets[c] as usize..plan.offsets[c + 1] as usize];
-                        gather_group(group, &mut sim.res);
-                    }
-                }
-                Scheme::BlockPermute => {
-                    let plan = cache.get(
-                        Scheme::BlockPermute,
-                        &["edge2cell"],
-                        &PlanInputs::new(ne, vec![&mesh.edge2cell], block_size),
-                    );
-                    let plan = plan.block_permute();
-                    for b in 0..plan.blocks.len() {
-                        let r = plan.blocks[b].clone();
-                        let offs = &plan.color_offsets[b];
-                        for c in 0..offs.len() - 1 {
-                            let group = &plan.perm[r.start as usize + offs[c] as usize
-                                ..r.start as usize + offs[c + 1] as usize];
-                            gather_group(group, &mut sim.res);
-                        }
-                    }
-                }
-            }
+                },
+            );
         });
-        maybe_time(rec, "bc_flux", wb, mesh.n_bedges(), || {
-            seq_loop(0..mesh.n_bedges(), |be| {
+        // boundary set is tiny: always scalar on the calling thread
+        maybe_time(rec, "bc_flux", wb, nb, || {
+            seq_loop(0..nb, |be| {
                 let c0 = mesh.bedge2cell.at(be, 0);
-                bc_flux(sim.bgeom.row(be), state.row(c0), sim.res.row_mut(c0), g);
+                bc_flux(bgeom.row(be), state.row(c0), res.row_mut(c0), g);
             });
         });
-        let rk_name = if phase == 0 { "RK_1" } else { "RK_2" };
-        maybe_time(rec, rk_name, wb, nc, || {
-            if phase == 0 {
-                simd_rk1_sweep::<R, L>(0..nc, &sim.w_old, &mut sim.res, &mut sim.w1, &sim.area, dt);
-            } else {
-                simd_rk2_sweep::<R, L>(
-                    0..nc,
-                    &sim.w_old,
-                    &sim.w1,
-                    &mut sim.res,
-                    &mut sim.w,
-                    &sim.area,
-                    dt,
+        if phase == 0 {
+            maybe_time(rec, "RK_1", wb, nc, || {
+                let (w_old, resv, w1v) = (&*w_old, res.view(), w1.view());
+                cells.direct(
+                    &mut (&mut *res, &mut *w1),
+                    |(res, w1), c| {
+                        rk_1(
+                            w_old.row(c),
+                            &mut res.data[c * 4..c * 4 + 4],
+                            &mut w1.data[c * 4..c * 4 + 4],
+                            area.data[c],
+                            dt,
+                        );
+                    },
+                    |(res, w1), cs| {
+                        rk1_chunk::<R, L>(
+                            cs,
+                            &w_old.data,
+                            w_old.view(),
+                            &mut res.data,
+                            resv,
+                            &mut w1.data,
+                            w1v,
+                            &area.data,
+                            dt,
+                        );
+                    },
                 );
-            }
-        });
+            });
+        } else {
+            maybe_time(rec, "RK_2", wb, nc, || {
+                let (w_old, w1, resv, wv) = (&*w_old, &*w1, res.view(), w.view());
+                cells.direct(
+                    &mut (&mut *res, &mut *w),
+                    |(res, w), c| {
+                        rk_2(
+                            w_old.row(c),
+                            w1.row(c),
+                            &mut res.data[c * 4..c * 4 + 4],
+                            &mut w.data[c * 4..c * 4 + 4],
+                            area.data[c],
+                            dt,
+                        );
+                    },
+                    |(res, w), cs| {
+                        rk2_chunk::<R, L>(
+                            cs,
+                            &w_old.data,
+                            w_old.view(),
+                            &w1.data,
+                            w1.view(),
+                            &mut res.data,
+                            resv,
+                            &mut w.data,
+                            wv,
+                            &area.data,
+                            dt,
+                        );
+                    },
+                );
+            });
+        }
     }
     dt.to_f64()
 }
@@ -1086,36 +545,17 @@ pub fn step_simd_scheme<R: Real, const L: usize>(
 // ---------------------------------------------------------------------------
 
 /// One RK2 step recorded as an `ump_lazy` loop chain and executed with
-/// cross-loop fusion on the process-wide [`ExecPool`] (threaded shape,
-/// `n_threads` team members, `0` = all). Returns Δt.
+/// cross-loop fusion on `pool`, in execution shape [`Shape::Threaded`]
+/// or [`Shape::Simt`] (for the vectorized fused shape use
+/// [`step_fused_simd_on`], which pins the lane count). Returns Δt.
 ///
 /// The three edge loops of phase 0 (`compute_flux`, `numerical_flux`,
 /// `space_disc`) fuse into a single colored dispatch — their
 /// dependencies are direct (the per-edge flux pack) — and phase 1 fuses
 /// `compute_flux+space_disc`; the Δt reduction is merged by an epilogue
 /// before `RK_1` consumes it. Three dispatch rounds fewer per step than
-/// [`step_threaded`], with the edge working set streamed once per group.
-pub fn step_fused<R: Real>(
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    step_fused_on(
-        ExecPool::global(),
-        sim,
-        cache,
-        Shape::Threaded,
-        global_pool_cap(n_threads),
-        block_size,
-        rec,
-    )
-}
-
-/// As [`step_fused`] on an explicit pool and execution shape
-/// ([`Shape::Threaded`] or [`Shape::Simt`]; for the vectorized fused
-/// shape use [`step_fused_simd_on`], which pins the lane count).
+/// the per-loop `threaded` shape, with the edge working set streamed
+/// once per group.
 pub fn step_fused_on<R: Real>(
     pool: &ExecPool,
     sim: &mut Volna<R>,
@@ -1129,29 +569,10 @@ pub fn step_fused_on<R: Real>(
 }
 
 /// One RK2 step through the **fused-SIMD** backend: the fused chain of
-/// [`step_fused`] with `L`-lane vector bodies on every pooled loop,
+/// [`step_fused_on`] with `L`-lane vector bodies on every pooled loop,
 /// executed via [`Shape::Simd`] — same union-write-set plans and pool
 /// rounds as the fused threaded shape, lane-vectorized block bodies.
-/// Runs on the process-wide [`ExecPool`] capped at `n_threads` members
-/// (`0` = all). Returns Δt.
-pub fn step_fused_simd<R: Real, const L: usize>(
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    step_fused_simd_on::<R, L>(
-        ExecPool::global(),
-        sim,
-        cache,
-        global_pool_cap(n_threads),
-        block_size,
-        rec,
-    )
-}
-
-/// As [`step_fused_simd`] on an explicit pool.
+/// Returns Δt.
 pub fn step_fused_simd_on<R: Real, const L: usize>(
     pool: &ExecPool,
     sim: &mut Volna<R>,
@@ -1534,243 +955,6 @@ fn fused_chain_step<R: Real, const L: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// SIMT (OpenCL) emulation
-// ---------------------------------------------------------------------------
-
-/// One RK2 step through the SIMT emulation (space_disc uses the colored
-/// increment; other loops run as threaded blocks, since direct loops have
-/// no increment phase to color). Runs on the process-wide [`ExecPool`]
-/// capped at `n_threads` team members (`0` = all).
-pub fn step_simt<R: Real>(
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    simt_width: usize,
-    sched_overhead_ns: u64,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    step_simt_on(
-        ExecPool::global(),
-        sim,
-        cache,
-        global_pool_cap(n_threads),
-        simt_width,
-        sched_overhead_ns,
-        block_size,
-        rec,
-    )
-}
-
-/// As [`step_simt`] on an explicit pool.
-#[allow(clippy::too_many_arguments)]
-pub fn step_simt_on<R: Real>(
-    pool: &ExecPool,
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    simt_width: usize,
-    sched_overhead_ns: u64,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let g = R::from_f64(GRAVITY);
-    let mesh_edges = sim.case.mesh.n_edges();
-    let edge_colored = cache.get(
-        Scheme::TwoLevel,
-        &["edge2cell"],
-        &PlanInputs::new(mesh_edges, vec![&sim.case.mesh.edge2cell], block_size),
-    );
-
-    // everything except space_disc is identical to the threaded backend
-    // (whole-kernel vectorization of direct loops is the compiler's job
-    // in OpenCL; the emulation models the colored-increment path)
-    let dt = step_simt_inner(
-        pool,
-        sim,
-        cache,
-        n_threads,
-        block_size,
-        rec,
-        |sim, state_is_w1, rec| {
-            let mesh = &sim.case.mesh;
-            let state = if state_is_w1 { &sim.w1 } else { &sim.w };
-            maybe_time(rec, "space_disc", R::BYTES, mesh.n_edges(), || {
-                let ress = SharedDat::new(&mut sim.res.data);
-                pool.simt_colored(
-                    edge_colored.two_level(),
-                    n_threads,
-                    simt_width,
-                    sched_overhead_ns,
-                    |e| {
-                        let c = mesh.edge2cell.row(e);
-                        let (c0, c1) = (c[0] as usize, c[1] as usize);
-                        let mut rl = [R::ZERO; 4];
-                        let mut rr = [R::ZERO; 4];
-                        space_disc(
-                            sim.egeom.row(e),
-                            sim.eflux.row(e),
-                            state.row(c0),
-                            state.row(c1),
-                            &mut rl,
-                            &mut rr,
-                            g,
-                        );
-                        (c0, rl, c1, rr)
-                    },
-                    // colored increment phase
-                    |_e, inc| unsafe { apply_edge_inc(&ress, inc) },
-                );
-            });
-        },
-    );
-    dt
-}
-
-/// Shared skeleton: the threaded step with `space_disc` supplied by the
-/// caller (lets the SIMT backend swap in its colored-increment version).
-#[allow(clippy::too_many_arguments)]
-fn step_simt_inner<R: Real>(
-    pool: &ExecPool,
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-    space_disc_impl: impl Fn(&mut Volna<R>, bool, Option<&Recorder>),
-) -> f64 {
-    let wb = R::BYTES;
-    let g = R::from_f64(GRAVITY);
-    let h_min = R::from_f64(H_MIN);
-    let cfl = R::from_f64(CFL);
-    let (nc, ne) = (sim.case.mesh.n_cells(), sim.case.mesh.n_edges());
-
-    let cell_plan = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(nc, vec![], block_size),
-    );
-    let edge_direct = cache.get(
-        Scheme::TwoLevel,
-        &[],
-        &PlanInputs::new(ne, vec![], block_size),
-    );
-
-    maybe_time(rec, "sim_1", wb, nc, || {
-        let (w, w_old) = (&sim.w, &mut sim.w_old);
-        let wo = SharedDat::new(&mut w_old.data);
-        pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-            for c in range.start as usize..range.end as usize {
-                unsafe { sim_1(w.row(c), wo.slice_mut(c * 4, 4)) };
-            }
-        });
-    });
-
-    let mut dt = R::INFINITY;
-    for phase in 0..2 {
-        maybe_time(rec, "compute_flux", wb, ne, || {
-            let mesh = &sim.case.mesh;
-            let state = if phase == 0 { &sim.w } else { &sim.w1 };
-            let ef = SharedDat::new(&mut sim.eflux.data);
-            pool.colored_blocks(edge_direct.two_level(), n_threads, |_b, range| {
-                for e in range.start as usize..range.end as usize {
-                    let c = mesh.edge2cell.row(e);
-                    unsafe {
-                        compute_flux(
-                            sim.egeom.row(e),
-                            state.row(c[0] as usize),
-                            state.row(c[1] as usize),
-                            ef.slice_mut(e * 4, 4),
-                            g,
-                            h_min,
-                        );
-                    }
-                }
-            });
-        });
-        if phase == 0 {
-            maybe_time(rec, "numerical_flux", wb, ne, || {
-                let mesh = &sim.case.mesh;
-                let plan = edge_direct.two_level();
-                let mut dt_blocks = vec![R::INFINITY; plan.blocks.len()];
-                {
-                    let dts = SharedDat::new(&mut dt_blocks);
-                    pool.colored_blocks(plan, n_threads, |b, range| {
-                        let mut local = R::INFINITY;
-                        for e in range.start as usize..range.end as usize {
-                            let c = mesh.edge2cell.row(e);
-                            numerical_flux(
-                                sim.egeom.row(e),
-                                sim.eflux.row(e),
-                                sim.area.row(c[0] as usize)[0],
-                                sim.area.row(c[1] as usize)[0],
-                                &mut local,
-                                cfl,
-                            );
-                        }
-                        unsafe { dts.slice_mut(b, 1)[0] = local };
-                    });
-                }
-                for v in dt_blocks {
-                    dt = dt.min(v);
-                }
-            });
-        }
-        space_disc_impl(sim, phase == 1, rec);
-        maybe_time(rec, "bc_flux", wb, sim.case.mesh.n_bedges(), || {
-            let state_is_w1 = phase == 1;
-            let nb = sim.case.mesh.n_bedges();
-            for be in 0..nb {
-                let c0 = sim.case.mesh.bedge2cell.at(be, 0);
-                let wrow: [R; 4] = std::array::from_fn(|d| {
-                    if state_is_w1 {
-                        sim.w1.row(c0)[d]
-                    } else {
-                        sim.w.row(c0)[d]
-                    }
-                });
-                bc_flux(sim.bgeom.row(be), &wrow, sim.res.row_mut(c0), g);
-            }
-        });
-        let rk_name = if phase == 0 { "RK_1" } else { "RK_2" };
-        maybe_time(rec, rk_name, wb, nc, || {
-            let (w_old, w1, res, w, area) = (
-                &sim.w_old,
-                SharedMut::new(&mut sim.w1),
-                SharedMut::new(&mut sim.res),
-                SharedMut::new(&mut sim.w),
-                &sim.area,
-            );
-            pool.colored_blocks(cell_plan.two_level(), n_threads, |_b, range| {
-                for c in range.start as usize..range.end as usize {
-                    unsafe {
-                        if phase == 0 {
-                            rk_1(
-                                w_old.row(c),
-                                res.get_mut().row_mut(c),
-                                w1.get_mut().row_mut(c),
-                                area.row(c)[0],
-                                dt,
-                            );
-                        } else {
-                            rk_2(
-                                w_old.row(c),
-                                w1.get_mut().row(c),
-                                res.get_mut().row_mut(c),
-                                w.get_mut().row_mut(c),
-                                area.row(c)[0],
-                                dt,
-                            );
-                        }
-                    }
-                }
-            });
-        });
-    }
-    dt.to_f64()
-}
-
-// ---------------------------------------------------------------------------
 // cross-timestep sparse tiling
 // ---------------------------------------------------------------------------
 
@@ -2026,7 +1210,7 @@ pub fn step_tiled_on<R: Real>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    let tile_cells = crate::airfoil::drivers::DISPATCH_TILE_BLOCKS * block_size;
+    let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
     run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
 }
 
@@ -2039,7 +1223,7 @@ pub fn step_tiled_simd_on<R: Real, const L: usize>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    let tile_cells = crate::airfoil::drivers::DISPATCH_TILE_BLOCKS * block_size;
+    let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
     run_tiled_on::<R, L>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
 }
 
@@ -2062,7 +1246,6 @@ pub fn step_on<R: Real>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    use crate::airfoil::drivers::DISPATCH_SIMT_WIDTH;
     // only the fused chain runs natively on SoA/AoSoA storage; every
     // other backend computes in AoS, so convert around the step (pure
     // permutation — results are bit-identical to an all-AoS run)
@@ -2078,30 +1261,16 @@ pub fn step_on<R: Real>(
         sim.set_layout(layout);
         return out;
     }
+    if let Some(shape) = backend.loop_shape(pool, n_threads) {
+        return match shape.lanes {
+            0 => step_shape::<R, 1>(&shape, sim, cache, block_size, rec),
+            4 => step_shape::<R, 4>(&shape, sim, cache, block_size, rec),
+            8 => step_shape::<R, 8>(&shape, sim, cache, block_size, rec),
+            _ => no_lane_instantiation(backend),
+        };
+    }
     match backend {
         Backend::Seq => step_seq(sim, rec),
-        Backend::Threaded => step_threaded_on(pool, sim, cache, n_threads, block_size, rec),
-        Backend::Simd { lanes: 4 } => step_simd::<R, 4>(sim, rec),
-        Backend::Simd { lanes: 8 } => step_simd::<R, 8>(sim, rec),
-        Backend::SimdThreaded { lanes: 4 } => {
-            step_simd_threaded_on::<R, 4>(pool, sim, cache, n_threads, block_size, rec)
-        }
-        Backend::SimdThreaded { lanes: 8 } => {
-            step_simd_threaded_on::<R, 8>(pool, sim, cache, n_threads, block_size, rec)
-        }
-        Backend::SimdScheme { scheme } => {
-            step_simd_scheme::<R, 4>(sim, cache, scheme, block_size, rec)
-        }
-        Backend::Simt => step_simt_on(
-            pool,
-            sim,
-            cache,
-            n_threads,
-            DISPATCH_SIMT_WIDTH,
-            0,
-            block_size,
-            rec,
-        ),
         Backend::Fused => step_fused_on(
             pool,
             sim,
@@ -2159,9 +1328,6 @@ pub fn step_on<R: Real>(
         Backend::TiledSimd { lanes: 8 } => {
             step_tiled_simd_on::<R, 8>(sim, pool, n_threads, block_size, rec)
         }
-        other => panic!(
-            "backend {} has no compiled lane instantiation — add it to step_on",
-            other.name()
-        ),
+        other => no_lane_instantiation(other),
     }
 }

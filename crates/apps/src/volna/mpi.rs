@@ -12,22 +12,19 @@
 //! phase 2: halo-exchange w1 → flux kernels on w1, RK_2 over owned
 //! ```
 //!
-//! The production path is [`RankState::step_fused_chain`]: the RK2 step
+//! The one entry point is [`RankState::step_fused_chain`]: the RK2 step
 //! recorded as an `ump_lazy` chain whose `w`/`w1` exchanges are
 //! non-blocking — `sim_1` and the fused flux group's **interior** blocks
 //! run while the messages fly, the exchange completes, and only the
 //! ghost-reading **boundary** blocks wait. The CFL Δt merges through a
 //! block-ordered fold and the rank-ordered `allreduce_min` inside the
 //! flux group's epilogue, before `RK_1` (a later loop of the same chain)
-//! consumes it. [`run_mpi_fused`] drives it end to end; the scalar
-//! [`RankState::step`] and threaded [`RankState::step_threaded`] remain
-//! as references.
+//! consumes it. [`run_mpi_fused`] drives it end to end.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ump_color::PlanInputs;
-use ump_core::{distribute, ExecPool, LocalMesh, OpDat, PlanCache, Recorder, Scheme, SharedDat};
+use ump_core::{distribute, ExecPool, LocalMesh, OpDat, PlanCache, Recorder, SharedDat};
 use ump_fault::FaultInjector;
 use ump_lazy::{Chain, ExchangePolicy, LoopDesc, Shape};
 use ump_mesh::generators::CoastalCase;
@@ -102,310 +99,6 @@ impl<R: Real> RankState<R> {
             bgeom: sim.bgeom,
             local,
         }
-    }
-
-    /// One RK2 step on this rank; returns the globally-agreed Δt.
-    pub fn step(&mut self, comm: &Comm, rec: Option<&Recorder>) -> f64 {
-        let g = R::from_f64(GRAVITY);
-        let h_min = R::from_f64(H_MIN);
-        let cfl = R::from_f64(CFL);
-        let mesh = &self.local.mesh;
-        let n_owned = self.local.n_owned_cells;
-        let time = |rec: Option<&Recorder>, name: &str, n: usize, f: &mut dyn FnMut()| match rec {
-            Some(r) => r.time(&super::profile(name), R::BYTES, n, f),
-            None => f(),
-        };
-
-        time(rec, "sim_1", n_owned, &mut || {
-            for c in 0..n_owned {
-                let (w, w_old) = (&self.w, &mut self.w_old);
-                sim_1(w.row(c), w_old.row_mut(c));
-            }
-        });
-
-        let mut dt = R::INFINITY;
-        let mut global_dt = f64::INFINITY;
-        for phase in 0..2u64 {
-            // refresh ghosts of the state the flux kernels will gather
-            if phase == 0 {
-                self.local
-                    .cell_halo
-                    .execute(comm, &mut self.w.data, 4, phase);
-            } else {
-                self.local
-                    .cell_halo
-                    .execute(comm, &mut self.w1.data, 4, phase);
-            }
-            let state = if phase == 0 { &self.w } else { &self.w1 };
-            time(rec, "compute_flux", mesh.n_edges(), &mut || {
-                for e in 0..mesh.n_edges() {
-                    let c = mesh.edge2cell.row(e);
-                    compute_flux(
-                        self.egeom.row(e),
-                        state.row(c[0] as usize),
-                        state.row(c[1] as usize),
-                        self.eflux.row_mut(e),
-                        g,
-                        h_min,
-                    );
-                }
-            });
-            if phase == 0 {
-                time(rec, "numerical_flux", mesh.n_edges(), &mut || {
-                    for e in 0..mesh.n_edges() {
-                        let c = mesh.edge2cell.row(e);
-                        numerical_flux(
-                            self.egeom.row(e),
-                            self.eflux.row(e),
-                            self.area.row(c[0] as usize)[0],
-                            self.area.row(c[1] as usize)[0],
-                            &mut dt,
-                            cfl,
-                        );
-                    }
-                });
-                // the global CFL step: the implicit synchronization point
-                global_dt = comm.allreduce_min(dt.to_f64());
-            }
-            let dt_step = R::from_f64(global_dt);
-            time(rec, "space_disc", mesh.n_edges(), &mut || {
-                for e in 0..mesh.n_edges() {
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let (rl, rr) =
-                        crate::airfoil::drivers::two_rows_mut(&mut self.res.data, 4, c0, c1);
-                    space_disc(
-                        self.egeom.row(e),
-                        self.eflux.row(e),
-                        state.row(c0),
-                        state.row(c1),
-                        rl,
-                        rr,
-                        g,
-                    );
-                }
-            });
-            time(rec, "bc_flux", mesh.n_bedges(), &mut || {
-                for be in 0..mesh.n_bedges() {
-                    let c0 = mesh.bedge2cell.at(be, 0);
-                    bc_flux(self.bgeom.row(be), state.row(c0), self.res.row_mut(c0), g);
-                }
-            });
-            let rk_name = if phase == 0 { "RK_1" } else { "RK_2" };
-            time(rec, rk_name, n_owned, &mut || {
-                for c in 0..n_owned {
-                    if phase == 0 {
-                        let (w_old, res, w1, area) =
-                            (&self.w_old, &mut self.res, &mut self.w1, &self.area);
-                        rk_1(
-                            w_old.row(c),
-                            res.row_mut(c),
-                            w1.row_mut(c),
-                            area.row(c)[0],
-                            dt_step,
-                        );
-                    } else {
-                        let (w_old, w1, res, w, area) = (
-                            &self.w_old,
-                            &self.w1,
-                            &mut self.res,
-                            &mut self.w,
-                            &self.area,
-                        );
-                        rk_2(
-                            w_old.row(c),
-                            w1.row(c),
-                            res.row_mut(c),
-                            w.row_mut(c),
-                            area.row(c)[0],
-                            dt_step,
-                        );
-                    }
-                }
-                // discard ghost increments (owners recompute them)
-                for v in &mut self.res.data[n_owned * 4..] {
-                    *v = R::ZERO;
-                }
-            });
-        }
-        global_dt
-    }
-}
-
-impl<R: Real> RankState<R> {
-    /// One RK2 step with colored-block threading *inside* the rank — the
-    /// MPI×threads hybrid configuration (paper §6.5), on the rank's
-    /// persistent [`ExecPool`]. Same communication pattern and ghost
-    /// discipline as [`RankState::step`]; compute loops run as colored
-    /// blocks over the rank-local plans.
-    pub fn step_threaded(
-        &mut self,
-        comm: &Comm,
-        cache: &PlanCache,
-        pool: &ExecPool,
-        block_size: usize,
-    ) -> f64 {
-        let g = R::from_f64(GRAVITY);
-        let h_min = R::from_f64(H_MIN);
-        let cfl = R::from_f64(CFL);
-        let n_owned = self.local.n_owned_cells;
-        let n_edges = self.local.mesh.n_edges();
-
-        let cell_plan = cache.get(
-            Scheme::TwoLevel,
-            &[],
-            &PlanInputs::new(n_owned, vec![], block_size),
-        );
-        let edge_direct = cache.get(
-            Scheme::TwoLevel,
-            &[],
-            &PlanInputs::new(n_edges, vec![], block_size),
-        );
-        let edge_colored = cache.get(
-            Scheme::TwoLevel,
-            &["edge2cell"],
-            &PlanInputs::new(n_edges, vec![&self.local.mesh.edge2cell], block_size),
-        );
-
-        {
-            let (w, w_old) = (&self.w, &mut self.w_old);
-            let wo = SharedDat::new(&mut w_old.data);
-            pool.colored_blocks(cell_plan.two_level(), 0, |_b, range| {
-                for c in range.start as usize..range.end as usize {
-                    unsafe { sim_1(w.row(c), wo.slice_mut(c * 4, 4)) };
-                }
-            });
-        }
-
-        let mut global_dt = f64::INFINITY;
-        for phase in 0..2u64 {
-            if phase == 0 {
-                self.local
-                    .cell_halo
-                    .execute(comm, &mut self.w.data, 4, phase);
-            } else {
-                self.local
-                    .cell_halo
-                    .execute(comm, &mut self.w1.data, 4, phase);
-            }
-            {
-                let mesh = &self.local.mesh;
-                let state = if phase == 0 { &self.w } else { &self.w1 };
-                let (egeom, area) = (&self.egeom, &self.area);
-                let ef = SharedDat::new(&mut self.eflux.data);
-                pool.colored_blocks(edge_direct.two_level(), 0, |_b, range| {
-                    for e in range.start as usize..range.end as usize {
-                        let c = mesh.edge2cell.row(e);
-                        unsafe {
-                            compute_flux(
-                                egeom.row(e),
-                                state.row(c[0] as usize),
-                                state.row(c[1] as usize),
-                                ef.slice_mut(e * 4, 4),
-                                g,
-                                h_min,
-                            );
-                        }
-                    }
-                });
-                if phase == 0 {
-                    let plan = edge_direct.two_level();
-                    let mut dt_blocks = vec![R::INFINITY; plan.blocks.len()];
-                    {
-                        let eflux = &self.eflux;
-                        let dts = SharedDat::new(&mut dt_blocks);
-                        pool.colored_blocks(plan, 0, |b, range| {
-                            let mut local = R::INFINITY;
-                            for e in range.start as usize..range.end as usize {
-                                let c = mesh.edge2cell.row(e);
-                                numerical_flux(
-                                    egeom.row(e),
-                                    eflux.row(e),
-                                    area.row(c[0] as usize)[0],
-                                    area.row(c[1] as usize)[0],
-                                    &mut local,
-                                    cfl,
-                                );
-                            }
-                            unsafe { dts.slice_mut(b, 1)[0] = local };
-                        });
-                    }
-                    // deterministic block-order reduction, then the
-                    // global CFL synchronization point
-                    let mut dt = R::INFINITY;
-                    for v in dt_blocks {
-                        dt = dt.min(v);
-                    }
-                    global_dt = comm.allreduce_min(dt.to_f64());
-                }
-            }
-            let dt_step = R::from_f64(global_dt);
-            {
-                let mesh = &self.local.mesh;
-                let state = if phase == 0 { &self.w } else { &self.w1 };
-                let (egeom, eflux) = (&self.egeom, &self.eflux);
-                let ress = SharedDat::new(&mut self.res.data);
-                pool.colored_blocks(edge_colored.two_level(), 0, |_b, range| {
-                    for e in range.start as usize..range.end as usize {
-                        let c = mesh.edge2cell.row(e);
-                        let (c0, c1) = (c[0] as usize, c[1] as usize);
-                        let (rl, rr) =
-                            unsafe { (ress.slice_mut(c0 * 4, 4), ress.slice_mut(c1 * 4, 4)) };
-                        space_disc(
-                            egeom.row(e),
-                            eflux.row(e),
-                            state.row(c0),
-                            state.row(c1),
-                            rl,
-                            rr,
-                            g,
-                        );
-                    }
-                });
-            }
-            {
-                let state = if phase == 0 { &self.w } else { &self.w1 };
-                for be in 0..self.local.mesh.n_bedges() {
-                    let c0 = self.local.mesh.bedge2cell.at(be, 0);
-                    bc_flux(self.bgeom.row(be), state.row(c0), self.res.row_mut(c0), g);
-                }
-            }
-            {
-                let (w_old, area) = (&self.w_old, &self.area);
-                let ress = SharedDat::new(&mut self.res.data);
-                let w1s = SharedDat::new(&mut self.w1.data);
-                let ws = SharedDat::new(&mut self.w.data);
-                pool.colored_blocks(cell_plan.two_level(), 0, |_b, range| {
-                    for c in range.start as usize..range.end as usize {
-                        unsafe {
-                            if phase == 0 {
-                                rk_1(
-                                    w_old.row(c),
-                                    ress.slice_mut(c * 4, 4),
-                                    w1s.slice_mut(c * 4, 4),
-                                    area.row(c)[0],
-                                    dt_step,
-                                );
-                            } else {
-                                rk_2(
-                                    w_old.row(c),
-                                    &*(w1s.slice_mut(c * 4, 4)),
-                                    ress.slice_mut(c * 4, 4),
-                                    ws.slice_mut(c * 4, 4),
-                                    area.row(c)[0],
-                                    dt_step,
-                                );
-                            }
-                        }
-                    }
-                });
-            }
-            // discard ghost increments (owners recompute them)
-            for v in &mut self.res.data[n_owned * 4..] {
-                *v = R::ZERO;
-            }
-        }
-        global_dt
     }
 }
 
@@ -1103,92 +796,4 @@ pub fn step_mpi_fused<R: Real, const L: usize>(
     sim.w1.data = assemble(&|d| &d.2);
     sim.res.data = assemble(&|d| &d.3);
     results[0].3
-}
-
-/// Run `steps` RK2 steps of Volna across `n_ranks` message-passing
-/// ranks; returns the assembled global state and the Δt history.
-pub fn run_mpi<R: Real>(
-    case: &CoastalCase,
-    n_ranks: usize,
-    steps: usize,
-    rec: Option<&Recorder>,
-) -> (OpDat<R>, Vec<f64>) {
-    let mesh = &case.mesh;
-    let pts: Vec<[f64; 2]> = (0..mesh.n_cells()).map(|c| mesh.cell_centroid(c)).collect();
-    let partition = rcb(&pts, n_ranks as u32);
-    let locals = distribute(mesh, &partition);
-    let total_cells = mesh.n_cells();
-
-    let results = Universe::new(n_ranks).run(|comm| {
-        let mut state = RankState::<R>::new(case, locals[comm.rank()].clone());
-        let mut history = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            history.push(state.step(comm, rec));
-        }
-        (
-            state.w.data,
-            state.local.cell_global.clone(),
-            state.local.n_owned_cells,
-            history,
-        )
-    });
-
-    let history = results[0].3.clone();
-    let parts: Vec<(&[R], &[u32], usize)> = results
-        .iter()
-        .map(|(data, ids, n_owned, _)| (data.as_slice(), ids.as_slice(), *n_owned))
-        .collect();
-    let w = OpDat::from_vec(
-        "w",
-        total_cells,
-        4,
-        ump_core::dist::assemble_owned(&parts, total_cells, 4),
-    );
-    (w, history)
-}
-
-/// Run the MPI×threads hybrid backend end to end: `n_ranks` ranks, each
-/// with a persistent `threads_per_rank`-member [`ExecPool`] created once
-/// and reused across all `steps` RK2 steps.
-pub fn run_mpi_threaded<R: Real>(
-    case: &CoastalCase,
-    n_ranks: usize,
-    threads_per_rank: usize,
-    block_size: usize,
-    steps: usize,
-) -> (OpDat<R>, Vec<f64>) {
-    let mesh = &case.mesh;
-    let pts: Vec<[f64; 2]> = (0..mesh.n_cells()).map(|c| mesh.cell_centroid(c)).collect();
-    let partition = rcb(&pts, n_ranks as u32);
-    let locals = distribute(mesh, &partition);
-    let total_cells = mesh.n_cells();
-
-    let results = Universe::new(n_ranks).run(|comm| {
-        let cache = PlanCache::new();
-        let pool = ExecPool::new(threads_per_rank);
-        let mut state = RankState::<R>::new(case, locals[comm.rank()].clone());
-        let mut history = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            history.push(state.step_threaded(comm, &cache, &pool, block_size));
-        }
-        (
-            state.w.data,
-            state.local.cell_global.clone(),
-            state.local.n_owned_cells,
-            history,
-        )
-    });
-
-    let history = results[0].3.clone();
-    let parts: Vec<(&[R], &[u32], usize)> = results
-        .iter()
-        .map(|(data, ids, n_owned, _)| (data.as_slice(), ids.as_slice(), *n_owned))
-        .collect();
-    let w = OpDat::from_vec(
-        "w",
-        total_cells,
-        4,
-        ump_core::dist::assemble_owned(&parts, total_cells, 4),
-    );
-    (w, history)
 }

@@ -1,7 +1,7 @@
 //! Fused vs unfused timestep (the motivation for `ump-lazy`): the same
 //! physics executed as independent `op_par_loop`s with a pool barrier
-//! between each (`step_threaded`) versus recorded into a chain and
-//! dispatched one colored round per fused group (`step_fused`).
+//! between each (the `threaded` backend) versus recorded into a chain
+//! and dispatched one colored round per fused group (`step_fused_on`).
 //!
 //! Measured on the 300×150 Airfoil mesh (the pool bench's baseline mesh)
 //! and a comparable Volna coastal mesh, with the dispatch rounds per
@@ -13,7 +13,7 @@
 
 use criterion::Criterion;
 use ump_apps::{airfoil, volna};
-use ump_core::{ExecPool, Layout, PlanCache, Recorder};
+use ump_core::{Backend, ExecPool, Layout, PlanCache, Recorder};
 use ump_lazy::Shape;
 use ump_simd::isa_name;
 use ump_tune::HostProbe;
@@ -49,13 +49,23 @@ fn main() {
         let mut sim = airfoil::Airfoil::<f64>::new(300, 150);
         let (nc, ne) = (sim.case.mesh.n_cells(), sim.case.mesh.n_edges());
         // warm plans so the measurement is pure execution
-        airfoil::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, BLOCK, None);
+        airfoil::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None);
         airfoil::drivers::step_fused_on(&pool, &mut sim, &cache, Shape::Threaded, 0, BLOCK, None);
 
         let mut group = criterion.benchmark_group("airfoil_step");
         group.sample_size(15);
         group.bench_function("unfused", |b| {
-            b.iter(|| airfoil::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, BLOCK, None));
+            b.iter(|| {
+                airfoil::drivers::step_on(
+                    Backend::Threaded,
+                    &mut sim,
+                    &pool,
+                    &cache,
+                    0,
+                    BLOCK,
+                    None,
+                )
+            });
         });
         group.bench_function("fused", |b| {
             b.iter(|| {
@@ -73,7 +83,7 @@ fn main() {
         group.finish();
 
         let r0 = pool.dispatch_rounds();
-        airfoil::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, BLOCK, None);
+        airfoil::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None);
         let rounds_unfused = pool.dispatch_rounds() - r0;
         let rec = Recorder::new();
         let r1 = pool.dispatch_rounds();
@@ -105,13 +115,15 @@ fn main() {
         let cache = PlanCache::new();
         let mut sim = volna::Volna::<f32>::new(150, 150);
         let (nc, ne) = (sim.case.mesh.n_cells(), sim.case.mesh.n_edges());
-        volna::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, BLOCK, None);
+        volna::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None);
         volna::drivers::step_fused_on(&pool, &mut sim, &cache, Shape::Threaded, 0, BLOCK, None);
 
         let mut group = criterion.benchmark_group("volna_step");
         group.sample_size(15);
         group.bench_function("unfused", |b| {
-            b.iter(|| volna::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, BLOCK, None));
+            b.iter(|| {
+                volna::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None)
+            });
         });
         group.bench_function("fused", |b| {
             b.iter(|| {
@@ -129,7 +141,7 @@ fn main() {
         group.finish();
 
         let r0 = pool.dispatch_rounds();
-        volna::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, BLOCK, None);
+        volna::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None);
         let rounds_unfused = pool.dispatch_rounds() - r0;
         let rec = Recorder::new();
         let r1 = pool.dispatch_rounds();

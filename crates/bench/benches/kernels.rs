@@ -4,7 +4,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ump_apps::airfoil::{drivers, Airfoil};
 use ump_apps::volna::{self, Volna};
-use ump_core::{ExecPool, PlanCache};
+use ump_core::{Backend, ExecPool, IncMode, LoopShape, PlanCache};
+
+/// `lanes`-wide explicit SIMD on the calling thread (the `simd{L}` shape).
+fn simd(lanes: usize) -> LoopShape<'static> {
+    LoopShape::calling_thread().with_lanes(lanes)
+}
 
 fn airfoil_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("airfoil_step");
@@ -19,11 +24,13 @@ fn airfoil_steps(c: &mut Criterion) {
     });
     group.bench_function("simd_dp_l4", |b| {
         let mut sim = Airfoil::<f64>::new(nx, ny);
-        b.iter(|| drivers::step_simd::<f64, 4>(&mut sim, None));
+        let cache = PlanCache::new();
+        b.iter(|| drivers::step_shape::<f64, 4>(&simd(4), &mut sim, &cache, 1024, None));
     });
     group.bench_function("simd_dp_l8", |b| {
         let mut sim = Airfoil::<f64>::new(nx, ny);
-        b.iter(|| drivers::step_simd::<f64, 8>(&mut sim, None));
+        let cache = PlanCache::new();
+        b.iter(|| drivers::step_shape::<f64, 8>(&simd(8), &mut sim, &cache, 1024, None));
     });
     group.bench_function("scalar_sp", |b| {
         let mut sim = Airfoil::<f32>::new(nx, ny);
@@ -31,22 +38,24 @@ fn airfoil_steps(c: &mut Criterion) {
     });
     group.bench_function("simd_sp_l8", |b| {
         let mut sim = Airfoil::<f32>::new(nx, ny);
-        b.iter(|| drivers::step_simd::<f32, 8>(&mut sim, None));
+        let cache = PlanCache::new();
+        b.iter(|| drivers::step_shape::<f32, 8>(&simd(8), &mut sim, &cache, 1024, None));
     });
     group.bench_function("threaded_dp", |b| {
         let mut sim = Airfoil::<f64>::new(nx, ny);
         let cache = PlanCache::new();
-        b.iter(|| drivers::step_threaded_on(&pool, &mut sim, &cache, 0, 1024, None));
+        b.iter(|| drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, 1024, None));
     });
     group.bench_function("simd_threaded_dp_l4", |b| {
         let mut sim = Airfoil::<f64>::new(nx, ny);
         let cache = PlanCache::new();
-        b.iter(|| drivers::step_simd_threaded_on::<f64, 4>(&pool, &mut sim, &cache, 0, 1024, None));
+        let hybrid = Backend::SimdThreaded { lanes: 4 };
+        b.iter(|| drivers::step_on(hybrid, &mut sim, &pool, &cache, 0, 1024, None));
     });
     group.bench_function("simt_dp", |b| {
         let mut sim = Airfoil::<f64>::new(nx, ny);
         let cache = PlanCache::new();
-        b.iter(|| drivers::step_simt_on(&pool, &mut sim, &cache, 0, 8, 0, 256, None));
+        b.iter(|| drivers::step_on(Backend::Simt, &mut sim, &pool, &cache, 0, 256, None));
     });
     group.finish();
 }
@@ -56,15 +65,16 @@ fn coloring_schemes(c: &mut Criterion) {
     let mut group = c.benchmark_group("res_calc_scheme");
     group.sample_size(10);
     let (nx, ny) = (300, 150);
-    for (name, scheme) in [
-        ("original", ump_core::Scheme::TwoLevel),
-        ("full_permute", ump_core::Scheme::FullPermute),
-        ("block_permute", ump_core::Scheme::BlockPermute),
+    for (name, inc) in [
+        ("original", IncMode::InPlace),
+        ("full_permute", IncMode::FullPermute),
+        ("block_permute", IncMode::BlockPermute),
     ] {
         group.bench_function(name, |b| {
             let mut sim = Airfoil::<f64>::new(nx, ny);
             let cache = PlanCache::new();
-            b.iter(|| drivers::step_simd_scheme::<f64, 4>(&mut sim, &cache, scheme, 1024, None));
+            let shape = LoopShape::calling_thread().with_lanes(4).with_inc(inc);
+            b.iter(|| drivers::step_shape::<f64, 4>(&shape, &mut sim, &cache, 1024, None));
         });
     }
     group.finish();
@@ -80,11 +90,13 @@ fn volna_steps(c: &mut Criterion) {
     });
     group.bench_function("simd_sp_l8", |b| {
         let mut sim = Volna::<f32>::new(nx, ny);
-        b.iter(|| volna::drivers::step_simd::<f32, 8>(&mut sim, None));
+        let cache = PlanCache::new();
+        b.iter(|| volna::drivers::step_shape::<f32, 8>(&simd(8), &mut sim, &cache, 1024, None));
     });
     group.bench_function("simd_sp_l16", |b| {
         let mut sim = Volna::<f32>::new(nx, ny);
-        b.iter(|| volna::drivers::step_simd::<f32, 16>(&mut sim, None));
+        let cache = PlanCache::new();
+        b.iter(|| volna::drivers::step_shape::<f32, 16>(&simd(16), &mut sim, &cache, 1024, None));
     });
     group.finish();
 }

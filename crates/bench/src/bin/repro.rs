@@ -20,7 +20,7 @@
 use ump_apps::{airfoil, volna};
 use ump_archsim::{machines, predict, Backend, Machine};
 use ump_bench::{fmt_s, measure_indirect, work_for, MeasuredLoop, Scale};
-use ump_core::{Backend as ExecBackend, ExecPool, PlanCache, Recorder};
+use ump_core::{Backend as ExecBackend, ExecPool, IncMode, LoopShape, PlanCache, Recorder};
 use ump_mesh::MeshStats;
 
 /// Every experiment the CLI accepts, in `all` execution order.
@@ -682,47 +682,30 @@ fn fig6(scale: Scale) {
             ExecPool::new(1)
         };
         let mut sim = ump_apps::airfoil::Airfoil::<R>::new(nx, ny);
+        let (block, shape) = match which {
+            "MPI(scalar)" => (1024, None),
+            "MPI vectorized" => (1024, Some(LoopShape::calling_thread().with_lanes(L))),
+            "OpenMP" => (1024, Some(LoopShape::on_pool(&pool, 0))),
+            "OpenMP vectorized" => (1024, Some(LoopShape::on_pool(&pool, 0).with_lanes(L))),
+            _ => (
+                256,
+                Some(LoopShape::on_pool(&pool, 0).with_inc(IncMode::Simt {
+                    width: L,
+                    sched_overhead_ns: 200,
+                })),
+            ),
+        };
         for _ in 0..iters {
-            match which {
-                "MPI(scalar)" => {
-                    ump_apps::airfoil::drivers::step_seq(&mut sim, Some(&rec));
-                }
-                "MPI vectorized" => {
-                    ump_apps::airfoil::drivers::step_simd::<R, L>(&mut sim, Some(&rec));
-                }
-                "OpenMP" => {
-                    ump_apps::airfoil::drivers::step_threaded_on(
-                        &pool,
-                        &mut sim,
-                        &cache,
-                        0,
-                        1024,
-                        Some(&rec),
-                    );
-                }
-                "OpenMP vectorized" => {
-                    ump_apps::airfoil::drivers::step_simd_threaded_on::<R, L>(
-                        &pool,
-                        &mut sim,
-                        &cache,
-                        0,
-                        1024,
-                        Some(&rec),
-                    );
-                }
-                _ => {
-                    ump_apps::airfoil::drivers::step_simt_on(
-                        &pool,
-                        &mut sim,
-                        &cache,
-                        0,
-                        L,
-                        200,
-                        256,
-                        Some(&rec),
-                    );
-                }
-            }
+            match &shape {
+                None => ump_apps::airfoil::drivers::step_seq(&mut sim, Some(&rec)),
+                Some(shape) => ump_apps::airfoil::drivers::step_shape::<R, L>(
+                    shape,
+                    &mut sim,
+                    &cache,
+                    block,
+                    Some(&rec),
+                ),
+            };
         }
         rec.total_seconds()
     }
@@ -759,7 +742,13 @@ fn fig6(scale: Scale) {
         let rec = Recorder::new();
         let mut sim = ump_apps::volna::Volna::<f32>::new(vx, vy);
         for _ in 0..iters {
-            ump_apps::volna::drivers::step_simd::<f32, 8>(&mut sim, Some(&rec));
+            ump_apps::volna::drivers::step_shape::<f32, 8>(
+                &LoopShape::calling_thread().with_lanes(8),
+                &mut sim,
+                &cache,
+                1024,
+                Some(&rec),
+            );
         }
         rec.total_seconds()
     };
@@ -768,11 +757,10 @@ fn fig6(scale: Scale) {
         let pool = ExecPool::new(threads);
         let mut sim = ump_apps::volna::Volna::<f32>::new(vx, vy);
         for _ in 0..iters {
-            ump_apps::volna::drivers::step_threaded_on(
-                &pool,
+            ump_apps::volna::drivers::step_shape::<f32, 1>(
+                &LoopShape::on_pool(&pool, 0),
                 &mut sim,
                 &cache,
-                0,
                 1024,
                 Some(&rec),
             );
@@ -816,20 +804,20 @@ fn fig8a(scale: Scale) {
     let (nx, ny) = scale.airfoil_dims();
     let iters = scale.iters();
     println!("{:<16} {:>12} {:>12}", "scheme", "DP total s", "SP total s");
-    for (name, scheme) in [
-        ("Original", ump_core::Scheme::TwoLevel),
-        ("FullPermute", ump_core::Scheme::FullPermute),
-        ("BlockPermute", ump_core::Scheme::BlockPermute),
+    for (name, inc) in [
+        ("Original", IncMode::InPlace),
+        ("FullPermute", IncMode::FullPermute),
+        ("BlockPermute", IncMode::BlockPermute),
     ] {
         let run_dp = {
             let cache = PlanCache::new();
             let rec = Recorder::new();
             let mut sim = ump_apps::airfoil::Airfoil::<f64>::new(nx, ny);
             for _ in 0..iters {
-                ump_apps::airfoil::drivers::step_simd_scheme::<f64, 4>(
+                ump_apps::airfoil::drivers::step_shape::<f64, 4>(
+                    &LoopShape::calling_thread().with_lanes(4).with_inc(inc),
                     &mut sim,
                     &cache,
-                    scheme,
                     1024,
                     Some(&rec),
                 );
@@ -841,10 +829,10 @@ fn fig8a(scale: Scale) {
             let rec = Recorder::new();
             let mut sim = ump_apps::airfoil::Airfoil::<f32>::new(nx, ny);
             for _ in 0..iters {
-                ump_apps::airfoil::drivers::step_simd_scheme::<f32, 8>(
+                ump_apps::airfoil::drivers::step_shape::<f32, 8>(
+                    &LoopShape::calling_thread().with_lanes(8).with_inc(inc),
                     &mut sim,
                     &cache,
-                    scheme,
                     1024,
                     Some(&rec),
                 );
@@ -879,11 +867,10 @@ fn fig8b(scale: Scale) {
             let rec = Recorder::new();
             let mut sim = ump_apps::airfoil::Airfoil::<f64>::new(nx, ny);
             for _ in 0..iters {
-                ump_apps::airfoil::drivers::step_simd_threaded_on::<f64, 4>(
-                    pool,
+                ump_apps::airfoil::drivers::step_shape::<f64, 4>(
+                    &LoopShape::on_pool(pool, 0).with_lanes(4),
                     &mut sim,
                     &cache,
-                    0,
                     block,
                     Some(&rec),
                 );
@@ -922,7 +909,15 @@ fn fusion(scale: Scale) {
                 None,
             );
         } else {
-            ump_apps::airfoil::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, 1024, None);
+            ump_apps::airfoil::drivers::step_on(
+                ExecBackend::Threaded,
+                &mut sim,
+                &pool,
+                &cache,
+                0,
+                1024,
+                None,
+            );
         }
         let r0 = pool.dispatch_rounds();
         let t0 = std::time::Instant::now();
@@ -938,9 +933,10 @@ fn fusion(scale: Scale) {
                     Some(&rec),
                 );
             } else {
-                ump_apps::airfoil::drivers::step_threaded_on(
-                    &pool,
+                ump_apps::airfoil::drivers::step_on(
+                    ExecBackend::Threaded,
                     &mut sim,
+                    &pool,
                     &cache,
                     0,
                     1024,
@@ -958,12 +954,9 @@ fn fusion(scale: Scale) {
     println!("{:<28} {:>10} {:>16}", "config", "total s", "rounds/step");
     println!(
         "{:<28} {unfused_s:>10.2} {unfused_rounds:>16}",
-        "unfused (step_threaded)"
+        "unfused (threaded)"
     );
-    println!(
-        "{:<28} {fused_s:>10.2} {fused_rounds:>16}",
-        "fused (step_fused)"
-    );
+    println!("{:<28} {fused_s:>10.2} {fused_rounds:>16}", "fused (fused)");
     if let Some(s) = stats {
         println!(
             "per step: {} loops -> {} groups, {} rounds saved, {:.1} MB not re-streamed",

@@ -1,25 +1,25 @@
-//! Execution engines shared by all generated loop drivers.
+//! Execution building blocks shared by all loop drivers.
 //!
-//! Three engines mirror the paper's shared-memory backends:
+//! The engines mirror the paper's shared-memory backends:
 //!
 //! * [`seq_loop`] — the scalar reference (also the per-rank inner loop of
 //!   the message-passing backend),
-//! * [`par_colored_blocks`] — the OpenMP analogue: blocks of one color
-//!   dispatched to a *persistent* thread pool, no synchronization needed
-//!   inside a color round (paper §3),
-//! * [`simt_colored`] — the OpenCL-on-CPU analogue: each block is a
-//!   work-group executed by one thread; work-items advance in lock-step
-//!   chunks of the SIMT width, buffering their indirect increments in
-//!   private storage and applying them serialized by element color
-//!   (paper Fig. 3a, with the work-group barrier removed exactly as §4.1
-//!   describes for sequential work-group execution).
+//! * [`ExecPool::colored_blocks`](crate::pool::ExecPool::colored_blocks)
+//!   — the OpenMP analogue: blocks of one color dispatched to a
+//!   *persistent* thread team, no synchronization needed inside a color
+//!   round (paper §3),
+//! * [`simt_block_sweep`](crate::pool::simt_block_sweep) — the
+//!   OpenCL-on-CPU analogue: each block is a work-group executed by one
+//!   thread; work-items advance in lock-step chunks of the SIMT width,
+//!   buffering their indirect increments in private storage and applying
+//!   them serialized by element color (paper Fig. 3a, with the
+//!   work-group barrier removed exactly as §4.1 describes for sequential
+//!   work-group execution).
 //!
-//! Both parallel engines are thin wrappers over the lazily-created
-//! process-wide [`ExecPool`] — the persistent
-//! worker team the paper's OpenMP `parallel` region corresponds to.
-//! Drivers that want an explicitly owned team (per-rank pools in the
-//! hybrid backends, benchmarks comparing team sizes) call the
-//! [`ExecPool`] methods directly.
+//! Every parallel dispatch names the [`ExecPool`](crate::pool::ExecPool)
+//! it runs on — there is no process-wide team. Applications do not call
+//! the engines per kernel: they declare each loop once and a
+//! [`LoopShape`](crate::par_loop::LoopShape) drives it through them.
 //!
 //! Mutation from multiple threads is funnelled through [`SharedDat`], a
 //! raw-pointer wrapper whose safety contract is the coloring invariant:
@@ -28,10 +28,6 @@
 
 use std::marker::PhantomData;
 use std::ops::Range;
-
-use ump_color::TwoLevelPlan;
-
-use crate::pool::ExecPool;
 
 /// A shared mutable view of a dat's storage for colored concurrency.
 ///
@@ -169,6 +165,20 @@ impl<'a, T> SharedMut<'a, T> {
     }
 }
 
+/// Split two distinct rows out of a dat's AoS storage for a two-sided
+/// update.
+#[inline(always)]
+pub fn two_rows_mut<R>(data: &mut [R], dim: usize, i: usize, j: usize) -> (&mut [R], &mut [R]) {
+    debug_assert_ne!(i, j, "edge connects a cell to itself");
+    if i < j {
+        let (a, b) = data.split_at_mut(j * dim);
+        (&mut a[i * dim..(i + 1) * dim], &mut b[..dim])
+    } else {
+        let (a, b) = data.split_at_mut(i * dim);
+        (&mut b[..dim], &mut a[j * dim..(j + 1) * dim])
+    }
+}
+
 /// The scalar reference executor: `body(e)` for every element in order.
 #[inline]
 pub fn seq_loop(range: Range<usize>, mut body: impl FnMut(usize)) {
@@ -182,72 +192,11 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Resolve a legacy `n_threads: usize` argument for dispatch on the
-/// [global pool](ExecPool::global): `0` means [`default_threads`]
-/// (the pre-pool behaviour), anything else is the explicit count. At
-/// the pool API level `0` means "whole team", which for the global
-/// pool includes small-host headroom — hence this translation.
-pub fn global_pool_cap(n_threads: usize) -> usize {
-    if n_threads == 0 {
-        default_threads()
-    } else {
-        n_threads
-    }
-}
-
-/// Colored-block parallel execution (the OpenMP backend's shape):
-/// for each block color, the blocks of that color are distributed over
-/// at most `n_threads` members (`0` = all) of the lazily-created
-/// process-wide [`ExecPool`]; `body(block_id, range)` runs with
-/// exclusive access to everything its block writes.
-///
-/// This entry point never spawns threads — the global pool's team is
-/// created once per process, and `n_threads` beyond that team size is
-/// clamped to it. Drivers that need an isolated team or an exact
-/// oversubscribed thread count (e.g. one pool per message-passing
-/// rank, or the paper's threads-per-core sweeps) should hold their own
-/// [`ExecPool`] and call [`ExecPool::colored_blocks`] on it.
-pub fn par_colored_blocks(
-    plan: &TwoLevelPlan,
-    n_threads: usize,
-    body: impl Fn(usize, Range<u32>) + Sync,
-) {
-    ExecPool::global().colored_blocks(plan, global_pool_cap(n_threads), body);
-}
-
-/// SIMT (OpenCL-on-CPU) emulation: work-groups = plan blocks, executed
-/// over at most `n_threads` members (`0` = all) of the process-wide
-/// [`ExecPool`]; inside a group, work-items run in lock-step chunks of
-/// `simt_width`. `compute(e)` produces the element's private increment
-/// record; `apply(e, inc)` commits it, called serialized in
-/// element-color order within each chunk — the "colored increment" of
-/// paper Fig. 3a.
-///
-/// `sched_overhead_ns` busy-waits per work-group dispatch, modelling the
-/// OpenCL runtime's work-group scheduling cost the paper measures against
-/// static OpenMP loops (§4.1); pass 0 for none.
-pub fn simt_colored<I: Send>(
-    plan: &TwoLevelPlan,
-    n_threads: usize,
-    simt_width: usize,
-    sched_overhead_ns: u64,
-    compute: impl Fn(usize) -> I + Sync,
-    apply: impl Fn(usize, &I) + Sync,
-) {
-    ExecPool::global().simt_colored(
-        plan,
-        global_pool_cap(n_threads),
-        simt_width,
-        sched_overhead_ns,
-        compute,
-        apply,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ump_color::PlanInputs;
+    use crate::pool::ExecPool;
+    use ump_color::{PlanInputs, TwoLevelPlan};
     use ump_mesh::generators::quad_channel;
 
     #[test]
@@ -295,7 +244,7 @@ mod tests {
         let mut out = vec![0.0f64; m.n_cells()];
         let shared = SharedDat::new(&mut out);
         let e2c = &m.edge2cell;
-        par_colored_blocks(&plan, 4, |_b, range| {
+        ExecPool::new(4).colored_blocks(&plan, 0, |_b, range| {
             for e in range {
                 let c = e2c.row(e as usize);
                 unsafe {
@@ -308,42 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn simt_emulation_reproduces_sequential_increment() {
-        let m = quad_channel(10, 10).mesh;
-        let inputs = PlanInputs::new(m.n_edges(), vec![&m.edge2cell], 16);
-        let plan = TwoLevelPlan::build(&inputs);
-
-        let mut reference = vec![0.0f64; m.n_cells()];
-        for e in 0..m.n_edges() {
-            let c = m.edge2cell.row(e);
-            reference[c[0] as usize] += (e % 7) as f64;
-            reference[c[1] as usize] -= 1.0;
-        }
-
-        let mut out = vec![0.0f64; m.n_cells()];
-        let shared = SharedDat::new(&mut out);
-        let e2c = &m.edge2cell;
-        simt_colored(
-            &plan,
-            2,
-            8,
-            0,
-            |e| {
-                let c = e2c.row(e);
-                [(c[0], (e % 7) as f64), (c[1], -1.0)]
-            },
-            |_e, inc| {
-                for &(target, v) in inc {
-                    unsafe {
-                        shared.slice_mut(target as usize, 1)[0] += v;
-                    }
-                }
-            },
-        );
-        assert_eq!(out, reference);
-    }
-
-    #[test]
     fn single_thread_path_equals_multithread_path() {
         let m = quad_channel(8, 8).mesh;
         let inputs = PlanInputs::new(m.n_edges(), vec![&m.edge2cell], 16);
@@ -351,7 +264,7 @@ mod tests {
         let run = |threads: usize| {
             let mut out = vec![0.0f64; m.n_cells()];
             let shared = SharedDat::new(&mut out);
-            par_colored_blocks(&plan, threads, |_b, range| {
+            ExecPool::new(threads).colored_blocks(&plan, 0, |_b, range| {
                 for e in range {
                     let c = m.edge2cell.row(e as usize);
                     unsafe {

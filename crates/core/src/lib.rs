@@ -40,19 +40,18 @@ pub mod dat;
 pub mod dist;
 pub mod exec;
 pub mod instrument;
+pub mod par_loop;
 pub mod plan;
 pub mod pool;
 pub mod profile;
 
 pub use arg::{Access, ArgInfo, Indirection};
-pub use backend::Backend;
+pub use backend::{Backend, DISPATCH_SIMT_WIDTH};
 pub use dat::{OpDat, DAT_SNAPSHOT_MAGIC, DAT_SNAPSHOT_VERSION};
 pub use dist::{assemble_owned, distribute, extract_rows, LocalMesh};
-pub use exec::{
-    apply_edge_inc, global_pool_cap, par_colored_blocks, seq_loop, simt_colored, EdgeInc,
-    SharedDat, SharedMut,
-};
+pub use exec::{apply_edge_inc, seq_loop, two_rows_mut, EdgeInc, SharedDat, SharedMut};
 pub use instrument::{FusionStats, LoopStats, Recorder};
+pub use par_loop::{IncMode, IterSet, LoopShape};
 pub use plan::{PlanCache, Scheme};
 pub use pool::{simd_block_sweep, simt_block_sweep, ExecPool, PoolPanic};
 pub use profile::LoopProfile;

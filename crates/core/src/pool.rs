@@ -3,12 +3,11 @@
 //! The paper's OpenMP backend (§3–§4.1) runs every color round on a
 //! *persistent* thread team: the `#pragma omp parallel` region is entered
 //! once and the same OS threads pick up each colored batch of blocks.
-//! Spawning a fresh scoped team per color round — what
-//! [`par_colored_blocks`](crate::exec::par_colored_blocks) used to do —
-//! charges every indirect loop several thread create/join cycles per
-//! timestep, which drowns exactly the threading-vs-SIMT scheduling
-//! comparison the paper measures. [`ExecPool`] restores the paper's cost
-//! model: a fixed team of workers created once and dispatched per round.
+//! Spawning a fresh scoped team per color round would charge every
+//! indirect loop several thread create/join cycles per timestep, which
+//! drowns exactly the threading-vs-SIMT scheduling comparison the paper
+//! measures. [`ExecPool`] keeps the paper's cost model: a fixed team of
+//! workers created once and dispatched per round.
 //!
 //! # Dispatch protocol
 //!
@@ -78,7 +77,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
@@ -169,8 +168,8 @@ thread_local! {
 /// Worker threads are spawned **exactly once**, at construction; every
 /// [`run_round`](ExecPool::run_round) after that is a park/unpark
 /// exchange, never a `thread::spawn`. The pool is `Sync`: concurrent
-/// dispatchers (e.g. message-passing ranks sharing the
-/// [global pool](ExecPool::global)) are serialized on an internal lock.
+/// dispatchers (e.g. service jobs sharing one pool) are serialized on an
+/// internal lock.
 /// Dropping the pool wakes and joins the team.
 pub struct ExecPool {
     shared: Arc<Shared>,
@@ -296,27 +295,6 @@ impl ExecPool {
         } else {
             max_threads.min(self.team)
         }
-    }
-
-    /// The process-wide pool, created on first use with
-    /// `max(default_threads(), 4)` members. The headroom beyond the
-    /// core count keeps small explicit thread counts (the 2- and 4-way
-    /// configurations the tests pin) truly concurrent even on 1–2 core
-    /// hosts; parked spare workers cost nothing. Backs the
-    /// source-compatible
-    /// [`par_colored_blocks`](crate::exec::par_colored_blocks) /
-    /// [`simt_colored`](crate::exec::simt_colored) entry points, which
-    /// translate `n_threads == 0` to [`default_threads`] themselves (at
-    /// the pool API level `0` always means the whole team).
-    ///
-    /// A request for more threads than the team holds is clamped to the
-    /// team size (see [`run_round`](ExecPool::run_round)) — for an
-    /// *exact* oversubscribed count (the paper's 2–4 threads/core Phi
-    /// configurations), create a dedicated [`ExecPool::new`]`(n)`,
-    /// which always spawns exactly `n - 1` workers.
-    pub fn global() -> &'static ExecPool {
-        static GLOBAL: OnceLock<ExecPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| ExecPool::new(default_threads().max(4)))
     }
 
     /// Run `body(i)` for every `i in 0..n_items` across at most
@@ -463,71 +441,39 @@ impl ExecPool {
         max_threads: usize,
         body: impl Fn(usize, Range<u32>) + Sync,
     ) {
-        self.colored_block_lists(plan, &plan.blocks_by_color, max_threads, &body);
+        self.colored_block_lists(&plan.blocks, &plan.blocks_by_color, max_threads, &body);
     }
 
-    /// As [`colored_blocks`](ExecPool::colored_blocks) over an explicit
-    /// per-color block-id list instead of the plan's full
-    /// `blocks_by_color` — the primitive behind the distributed overlap
-    /// schedule, which dispatches a plan's *interior* blocks while halo
-    /// messages are in flight and its *boundary* blocks after the
-    /// exchange completes. `lists[c]` must be a subset of
-    /// `plan.blocks_by_color[c]` (same color ⇒ same non-conflict
-    /// guarantee); empty colors dispatch no round.
+    /// As [`colored_blocks`](ExecPool::colored_blocks) over a plan's
+    /// `blocks` and an explicit per-color block-id list instead of its
+    /// full `blocks_by_color` — the primitive behind the distributed
+    /// overlap schedule, which dispatches a plan's *interior* blocks
+    /// while halo messages are in flight and its *boundary* blocks after
+    /// the exchange completes. `lists[c]` must be a subset of the plan's
+    /// `blocks_by_color[c]` (same color ⇒ same non-conflict guarantee);
+    /// empty colors dispatch no round.
     pub fn colored_block_lists(
         &self,
-        plan: &TwoLevelPlan,
+        blocks: &[Range<u32>],
         lists: &[Vec<u32>],
         max_threads: usize,
         body: impl Fn(usize, Range<u32>) + Sync,
     ) {
-        for blocks in lists {
-            if blocks.is_empty() {
+        for list in lists {
+            if list.is_empty() {
                 continue;
             }
             let run_block = |i: usize| {
-                let b = blocks[i] as usize;
-                body(b, plan.blocks[b].clone());
+                let b = list[i] as usize;
+                body(b, blocks[b].clone());
             };
             // Chunked pulls: a few blocks per fetch keeps the cursor off
             // the contention critical path while still load balancing
             // (blocks of one color have near-identical cost). Sized by
             // the round's effective thread cap, not the full team.
-            let chunk = (blocks.len() / (self.cap(max_threads).max(1) * 8)).clamp(1, 16);
-            self.run_round(blocks.len(), max_threads, chunk, &run_block);
+            let chunk = (list.len() / (self.cap(max_threads).max(1) * 8)).clamp(1, 16);
+            self.run_round(list.len(), max_threads, chunk, &run_block);
         }
-    }
-
-    /// SIMT (OpenCL-on-CPU) emulation on this pool: work-groups = plan
-    /// blocks; inside a group, work-items advance in lock-step chunks of
-    /// `simt_width`, buffering private increments and applying them
-    /// serialized by element color (paper Fig. 3a). Increments are
-    /// bucketed by element color during the compute phase, so the apply
-    /// phase visits each item once instead of rescanning the chunk per
-    /// color. `sched_overhead_ns` busy-waits per work-group dispatch,
-    /// modelling the OpenCL runtime's work-group scheduling cost (§4.1).
-    pub fn simt_colored<I: Send>(
-        &self,
-        plan: &TwoLevelPlan,
-        max_threads: usize,
-        simt_width: usize,
-        sched_overhead_ns: u64,
-        compute: impl Fn(usize) -> I + Sync,
-        apply: impl Fn(usize, &I) + Sync,
-    ) {
-        assert!(simt_width >= 1);
-        let body = |block_id: usize, range: Range<u32>| {
-            simt_block_sweep(
-                plan,
-                block_id,
-                range,
-                simt_width,
-                sched_overhead_ns,
-                &compute,
-                &apply,
-            );
-        };
-        self.colored_blocks(plan, max_threads, body);
     }
 }
 
@@ -547,9 +493,13 @@ pub fn spin_ns(ns: u64) {
 /// One work-group of the SIMT emulation: the work-items of `range`
 /// advance in lock-step chunks of `simt_width`, buffering their private
 /// increments and applying them serialized by element color (paper
-/// Fig. 3a). The shared inner loop of [`ExecPool::simt_colored`] and of
-/// the fused SIMT-shape executors in `ump-lazy` — callers supply the
-/// block's plan (for element colors) and the two kernel phases.
+/// Fig. 3a). The shared inner loop of the per-loop SIMT shape
+/// ([`IncMode::Simt`](crate::par_loop::IncMode::Simt)) and of the fused
+/// SIMT-shape executors in `ump-lazy` — callers supply the block's plan
+/// (for element colors) and the two kernel phases. Increments are
+/// bucketed by element color during the compute phase, so the apply
+/// phase visits each item once instead of rescanning the chunk per
+/// color.
 ///
 /// `sched_overhead_ns` busy-waits once per call, modelling the OpenCL
 /// runtime's work-group scheduling cost; pass 0 for none.
@@ -833,8 +783,8 @@ mod tests {
                 }
             }
         };
-        pool.colored_block_lists(&plan, &first, 0, body);
-        pool.colored_block_lists(&plan, &second, 0, body);
+        pool.colored_block_lists(&plan.blocks, &first, 0, body);
+        pool.colored_block_lists(&plan.blocks, &second, 0, body);
         assert_eq!(out, reference);
         // rounds dispatched = non-empty colors of each pass
         let nonempty = |lists: &[Vec<u32>]| lists.iter().filter(|l| !l.is_empty()).count() as u64;
@@ -928,14 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn global_pool_is_a_singleton() {
-        let a = ExecPool::global() as *const ExecPool;
-        let b = ExecPool::global() as *const ExecPool;
-        assert_eq!(a, b);
-        assert!(ExecPool::global().n_threads() >= 1);
-    }
-
-    #[test]
     fn dispatch_rounds_counts_every_round() {
         let pool = ExecPool::new(2);
         let r0 = pool.dispatch_rounds();
@@ -1005,23 +947,26 @@ mod tests {
         let mut out = vec![0.0f64; m.n_cells()];
         let shared = crate::exec::SharedDat::new(&mut out);
         let e2c = &m.edge2cell;
-        pool.simt_colored(
-            &plan,
-            0,
-            8,
-            0,
-            |e| {
-                let c = e2c.row(e);
-                [(c[0], (e % 7) as f64), (c[1], -1.0)]
-            },
-            |_e, inc| {
-                for &(target, v) in inc {
-                    unsafe {
-                        shared.slice_mut(target as usize, 1)[0] += v;
+        pool.colored_blocks(&plan, 0, |b, range| {
+            simt_block_sweep(
+                &plan,
+                b,
+                range,
+                8,
+                0,
+                &|e| {
+                    let c = e2c.row(e);
+                    [(c[0], (e % 7) as f64), (c[1], -1.0)]
+                },
+                &|_e, inc: &[(i32, f64); 2]| {
+                    for &(target, v) in inc {
+                        unsafe {
+                            shared.slice_mut(target as usize, 1)[0] += v;
+                        }
                     }
-                }
-            },
-        );
+                },
+            );
+        });
         assert_eq!(out, reference);
     }
 }

@@ -86,10 +86,9 @@ enum HaloClass<'a> {
 }
 
 /// Charge the SIMT shape's work-group scheduling cost for one
-/// (block, loop) dispatch — every pooled loop pays it, exactly like the
-/// unfused [`simt_colored`](ump_core::ExecPool::simt_colored) engine
-/// charges each work-group (two-phase loops pay it inside
-/// [`simt_block_sweep`] instead).
+/// (block, loop) dispatch — every pooled loop of a fused group pays it
+/// (two-phase loops pay it inside [`simt_block_sweep`], exactly like the
+/// per-loop [`IncMode::Simt`](ump_core::IncMode::Simt) shape).
 fn sched_spin(shape: Shape) {
     if let Shape::Simt {
         sched_overhead_ns, ..
@@ -253,8 +252,8 @@ impl<'a> Chain<'a> {
     /// Record a two-phase (compute → increment) loop — the indirect-
     /// increment kernels. The threaded shape applies each element's
     /// increment immediately; the SIMT shape runs lock-step chunks with
-    /// color-bucketed increments, exactly like the unfused
-    /// [`simt_colored`](ump_core::ExecPool::simt_colored) engine.
+    /// color-bucketed increments, exactly like the per-loop
+    /// [`IncMode::Simt`](ump_core::IncMode::Simt) shape.
     pub fn record_two_phase<I: Send>(
         &mut self,
         desc: LoopDesc,
@@ -680,9 +679,9 @@ impl<'a> Chain<'a> {
                         report.split_groups += 1;
                         let (interior, boundary) = split_blocks_by_color(plan, &flags);
                         report.fused_rounds += active_lists(&interior) + active_lists(&boundary);
-                        pool.colored_block_lists(plan, &interior, n_threads, body);
+                        pool.colored_block_lists(&plan.blocks, &interior, n_threads, body);
                         waited_in_group += flush(&mut pending, &mut report);
-                        pool.colored_block_lists(plan, &boundary, n_threads, body);
+                        pool.colored_block_lists(&plan.blocks, &boundary, n_threads, body);
                     }
                     None => {
                         report.fused_rounds += active_rounds(plan);

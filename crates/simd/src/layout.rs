@@ -259,9 +259,33 @@ impl DatView {
         assert_eq!(data.len(), self.n * self.dim, "dat storage size mismatch");
         let dst = DatView::new(self.n, self.dim, to);
         let mut out = vec![R::ZERO; data.len()];
-        for e in 0..self.n {
-            for c in 0..self.dim {
-                out[dst.idx(e, c)] = data[self.idx(e, c)];
+        let (n, dim) = (self.n, self.dim);
+        // The layout dispatch is loop-invariant. The two conversions
+        // `step_on` pays every step for a non-fused backend on SoA
+        // storage state it outright: left to the optimizer's loop
+        // unswitching of `idx`, identical source measured 8 ms in one
+        // build and 13.5 ms in the next (Volna f32 274×273 round trip).
+        match (self.layout, to) {
+            (Layout::Aos, Layout::Soa) => {
+                for (e, row) in data.chunks_exact(dim.max(1)).enumerate() {
+                    for (c, &v) in row.iter().enumerate() {
+                        out[c * n + e] = v;
+                    }
+                }
+            }
+            (Layout::Soa, Layout::Aos) => {
+                for (e, row) in out.chunks_exact_mut(dim.max(1)).enumerate() {
+                    for (c, v) in row.iter_mut().enumerate() {
+                        *v = data[c * n + e];
+                    }
+                }
+            }
+            _ => {
+                for e in 0..n {
+                    for c in 0..dim {
+                        out[dst.idx(e, c)] = data[self.idx(e, c)];
+                    }
+                }
             }
         }
         out

@@ -8,6 +8,8 @@
 
 use ump::apps::airfoil::{drivers, mpi, Airfoil};
 use ump::core::{ExecPool, PlanCache, Recorder};
+use ump::lazy::{ExchangePolicy, Shape};
+use ump::Backend;
 
 fn main() {
     let args: Vec<usize> = std::env::args()
@@ -32,47 +34,53 @@ fn main() {
         print_breakdown("scalar sequential", &rec);
         results.push(("scalar", rec.total_seconds(), rms));
     }
+    // one persistent worker team and plan cache for the pooled backends
+    let pool = ExecPool::new(0);
+    let cache = PlanCache::new();
     // explicit SIMD (Fig. 3b)
     {
         let rec = Recorder::new();
         let mut sim = Airfoil::<f64>::new(nx, ny);
         let mut rms = 0.0;
         for _ in 0..iters {
-            rms = drivers::step_simd::<f64, 4>(&mut sim, Some(&rec));
+            let simd = Backend::Simd { lanes: 4 };
+            rms = drivers::step_on(simd, &mut sim, &pool, &cache, 0, 1024, Some(&rec));
         }
         print_breakdown("explicit SIMD (4 lanes, DP)", &rec);
         results.push(("simd", rec.total_seconds(), rms));
     }
-    // threaded + SIMD hybrid, on a persistent worker team created once
+    // threaded + SIMD hybrid: the same loop declaration on the team
     {
         let rec = Recorder::new();
-        let cache = PlanCache::new();
-        let pool = ExecPool::new(0);
         let mut sim = Airfoil::<f64>::new(nx, ny);
         let mut rms = 0.0;
         for _ in 0..iters {
-            rms = drivers::step_simd_threaded_on::<f64, 4>(
-                &pool,
-                &mut sim,
-                &cache,
-                0,
-                1024,
-                Some(&rec),
-            );
+            let hybrid = Backend::SimdThreaded { lanes: 4 };
+            rms = drivers::step_on(hybrid, &mut sim, &pool, &cache, 0, 1024, Some(&rec));
         }
         print_breakdown("threads × SIMD hybrid", &rec);
         results.push(("hybrid", rec.total_seconds(), rms));
     }
-    // message-passing backend
+    // message-passing backend: 2 ranks, each a fused chain with
+    // halo/compute overlap
     {
-        let rec = Recorder::new();
         let case = ump::mesh::generators::quad_channel(nx, ny);
-        let (_q, hist) = mpi::run_mpi::<f64>(&case, 2, iters, Some(&rec));
+        let t0 = std::time::Instant::now();
+        let (_q, hist) = mpi::run_mpi_fused::<f64, 4>(
+            &case,
+            2,
+            1,
+            1024,
+            iters,
+            Shape::Threaded,
+            ExchangePolicy::Overlap,
+        );
+        let secs = t0.elapsed().as_secs_f64();
         println!(
             "message-passing (2 ranks): rms history tail = {:.3e}",
             hist.last().unwrap()
         );
-        results.push(("mpi", rec.total_seconds(), *hist.last().unwrap()));
+        results.push(("mpi", secs, *hist.last().unwrap()));
     }
 
     println!("\nsummary:");

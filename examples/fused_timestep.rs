@@ -1,14 +1,14 @@
 //! Cross-loop fusion end-to-end: run the Airfoil and Volna timesteps
-//! unfused (`step_threaded`, one pool dispatch per loop) and fused
-//! (`step_fused`, one colored dispatch per fusable group via the
-//! `ump_lazy` chain runtime), print the timing, dispatch rounds and the
+//! unfused (the `threaded` backend, one pool dispatch per loop) and
+//! fused (`step_fused_on`, one colored dispatch per fusable group via
+//! the `ump_lazy` chain runtime), print the timing, dispatch rounds and the
 //! re-streamed bytes fusion avoided.
 //!
 //! ```text
 //! cargo run --release --example fused_timestep [nx ny iters]
 //! ```
 
-use ump::core::{ExecPool, PlanCache, Recorder};
+use ump::core::{Backend, ExecPool, PlanCache, Recorder};
 use ump::lazy::Shape;
 
 fn main() {
@@ -28,11 +28,19 @@ fn main() {
     // ---- Airfoil (DP) ------------------------------------------------
     let cache = PlanCache::new();
     let mut sim = ump::apps::airfoil::Airfoil::<f64>::new(nx, ny);
-    ump::apps::airfoil::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, 1024, None);
+    ump::apps::airfoil::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, 1024, None);
     let r0 = pool.dispatch_rounds();
     let t0 = std::time::Instant::now();
     for _ in 0..iters {
-        ump::apps::airfoil::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, 1024, None);
+        ump::apps::airfoil::drivers::step_on(
+            Backend::Threaded,
+            &mut sim,
+            &pool,
+            &cache,
+            0,
+            1024,
+            None,
+        );
     }
     let unfused_s = t0.elapsed().as_secs_f64();
     let unfused_rounds = (pool.dispatch_rounds() - r0) / iters as u64;
@@ -83,11 +91,19 @@ fn main() {
     let (vx, vy) = (nx / 2, ny);
     let cache = PlanCache::new();
     let mut sim = ump::apps::volna::Volna::<f32>::new(vx, vy);
-    ump::apps::volna::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, 1024, None);
+    ump::apps::volna::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, 1024, None);
     let r0 = pool.dispatch_rounds();
     let t0 = std::time::Instant::now();
     for _ in 0..iters {
-        ump::apps::volna::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, 1024, None);
+        ump::apps::volna::drivers::step_on(
+            Backend::Threaded,
+            &mut sim,
+            &pool,
+            &cache,
+            0,
+            1024,
+            None,
+        );
     }
     let unfused_s = t0.elapsed().as_secs_f64();
     let unfused_rounds = (pool.dispatch_rounds() - r0) / iters as u64;

@@ -44,7 +44,7 @@ fn main() {
         plan.max_elem_colors()
     );
     // the persistent worker team: spawned once, reused by every color
-    // round (use ExecPool::global() to share one team process-wide)
+    // round
     let pool = ExecPool::new(0);
     let mut threaded = vec![0.0f64; mesh.n_cells()];
     {

@@ -7,6 +7,8 @@
 //! ```
 
 use ump::apps::volna::{drivers, Volna};
+use ump::core::{ExecPool, PlanCache};
+use ump::Backend;
 
 fn main() {
     let args: Vec<usize> = std::env::args()
@@ -30,10 +32,16 @@ fn main() {
         .map(|&gx| nearest_cell(&sim, gx, 25.0))
         .collect();
 
+    // 8-lane single-precision SIMD on the calling thread (no team needed)
+    let (simd8, pool, cache) = (
+        Backend::Simd { lanes: 8 },
+        ExecPool::new(1),
+        PlanCache::new(),
+    );
     let v0 = sim.total_volume();
     let mut time = 0.0f64;
     for step in 0..steps {
-        let dt = drivers::step_simd::<f32, 8>(&mut sim, None);
+        let dt = drivers::step_on(simd8, &mut sim, &pool, &cache, 0, 1024, None);
         time += dt;
         if step % (steps / 10).max(1) == 0 {
             let etas: Vec<String> = gauges

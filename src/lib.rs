@@ -14,11 +14,15 @@
 //!
 //! ```
 //! use ump::apps::airfoil::{drivers, Airfoil};
+//! use ump::core::{ExecPool, PlanCache};
+//! use ump::Backend;
 //!
 //! // a small Airfoil instance, one scalar and one SIMD iteration
 //! let mut sim = Airfoil::<f64>::new(24, 12);
 //! let rms_scalar = drivers::step_seq(&mut sim, None);
-//! let rms_simd = drivers::step_simd::<f64, 4>(&mut sim, None);
+//! let (pool, cache) = (ExecPool::new(1), PlanCache::new());
+//! let simd = Backend::Simd { lanes: 4 };
+//! let rms_simd = drivers::step_on(simd, &mut sim, &pool, &cache, 0, 1024, None);
 //! assert!(rms_scalar.is_finite() && rms_simd.is_finite());
 //! ```
 //!

@@ -3,8 +3,9 @@
 //! (finite, residual-decreasing after the initial transient) — the
 //! correctness bar behind every performance number in the paper.
 
+use ump::lazy::{ExchangePolicy, Shape};
 use ump_apps::airfoil::{drivers, mpi, Airfoil};
-use ump_core::{OpDat, PlanCache, Scheme};
+use ump_core::{Backend, ExecPool, LoopShape, OpDat, PlanCache, Scheme};
 
 const NX: usize = 24;
 const NY: usize = 16;
@@ -16,6 +17,11 @@ fn reference() -> (Airfoil<f64>, Vec<f64>) {
         .map(|_| drivers::step_seq(&mut sim, None))
         .collect();
     (sim, hist)
+}
+
+/// One iteration through a registered backend on `pool`, block size 32.
+fn step(backend: Backend, sim: &mut Airfoil<f64>, pool: &ExecPool, cache: &PlanCache) -> f64 {
+    drivers::step_on(backend, sim, pool, cache, 0, 32, None)
 }
 
 fn assert_q_close(a: &OpDat<f64>, b: &OpDat<f64>, tol: f64, what: &str) {
@@ -45,9 +51,9 @@ fn sequential_physics_is_stable_and_convergent() {
 fn threaded_matches_sequential() {
     let (ref_sim, ref_hist) = reference();
     let mut sim = Airfoil::<f64>::new(NX, NY);
-    let cache = PlanCache::new();
+    let (pool, cache) = (ExecPool::new(4), PlanCache::new());
     for (i, &r) in ref_hist.iter().enumerate() {
-        let rms = drivers::step_threaded(&mut sim, &cache, 4, 32, None);
+        let rms = step(Backend::Threaded, &mut sim, &pool, &cache);
         assert!((rms - r).abs() < 1e-10 * (1.0 + r), "iter {i}");
     }
     assert_q_close(&sim.q, &ref_sim.q, 1e-11, "threaded");
@@ -57,8 +63,9 @@ fn threaded_matches_sequential() {
 fn simd_matches_sequential() {
     let (ref_sim, ref_hist) = reference();
     let mut sim = Airfoil::<f64>::new(NX, NY);
+    let (pool, cache) = (ExecPool::new(1), PlanCache::new());
     for (i, &r) in ref_hist.iter().enumerate() {
-        let rms = drivers::step_simd::<f64, 4>(&mut sim, None);
+        let rms = step(Backend::Simd { lanes: 4 }, &mut sim, &pool, &cache);
         assert!((rms - r).abs() < 1e-10 * (1.0 + r), "iter {i}");
     }
     assert_q_close(&sim.q, &ref_sim.q, 1e-11, "simd L=4");
@@ -69,9 +76,10 @@ fn simd_lane_width_is_semantically_transparent() {
     // AVX shape vs AVX-512 shape must agree (bar reassociation in rms)
     let mut a = Airfoil::<f64>::new(NX, NY);
     let mut b = Airfoil::<f64>::new(NX, NY);
+    let (pool, cache) = (ExecPool::new(1), PlanCache::new());
     for _ in 0..ITERS {
-        drivers::step_simd::<f64, 4>(&mut a, None);
-        drivers::step_simd::<f64, 8>(&mut b, None);
+        step(Backend::Simd { lanes: 4 }, &mut a, &pool, &cache);
+        step(Backend::Simd { lanes: 8 }, &mut b, &pool, &cache);
     }
     assert_q_close(&a.q, &b.q, 1e-11, "L=4 vs L=8");
 }
@@ -80,9 +88,9 @@ fn simd_lane_width_is_semantically_transparent() {
 fn simd_threaded_matches_sequential() {
     let (ref_sim, _) = reference();
     let mut sim = Airfoil::<f64>::new(NX, NY);
-    let cache = PlanCache::new();
+    let (pool, cache) = (ExecPool::new(4), PlanCache::new());
     for _ in 0..ITERS {
-        drivers::step_simd_threaded::<f64, 4>(&mut sim, &cache, 4, 32, None);
+        step(Backend::SimdThreaded { lanes: 4 }, &mut sim, &pool, &cache);
     }
     assert_q_close(&sim.q, &ref_sim.q, 1e-11, "simd+threads");
 }
@@ -91,9 +99,9 @@ fn simd_threaded_matches_sequential() {
 fn simt_emulation_matches_sequential() {
     let (ref_sim, _) = reference();
     let mut sim = Airfoil::<f64>::new(NX, NY);
-    let cache = PlanCache::new();
+    let (pool, cache) = (ExecPool::new(2), PlanCache::new());
     for _ in 0..ITERS {
-        drivers::step_simt(&mut sim, &cache, 2, 8, 0, 32, None);
+        step(Backend::Simt, &mut sim, &pool, &cache);
     }
     assert_q_close(&sim.q, &ref_sim.q, 1e-11, "simt");
 }
@@ -103,9 +111,10 @@ fn permute_schemes_match_sequential() {
     let (ref_sim, _) = reference();
     for scheme in [Scheme::TwoLevel, Scheme::FullPermute, Scheme::BlockPermute] {
         let mut sim = Airfoil::<f64>::new(NX, NY);
-        let cache = PlanCache::new();
+        let (pool, cache) = (ExecPool::new(1), PlanCache::new());
         for _ in 0..ITERS {
-            drivers::step_simd_scheme::<f64, 4>(&mut sim, &cache, scheme, 64, None);
+            let backend = Backend::SimdScheme { scheme };
+            drivers::step_on(backend, &mut sim, &pool, &cache, 0, 64, None);
         }
         assert_q_close(&sim.q, &ref_sim.q, 1e-11, &format!("{scheme:?}"));
     }
@@ -116,7 +125,15 @@ fn mpi_backend_matches_sequential() {
     let (ref_sim, ref_hist) = reference();
     let case = ref_sim.case.clone();
     for ranks in [2usize, 3, 4] {
-        let (q, hist) = mpi::run_mpi::<f64>(&case, ranks, ITERS, None);
+        let (q, hist) = mpi::run_mpi_fused::<f64, 4>(
+            &case,
+            ranks,
+            1,
+            64,
+            ITERS,
+            Shape::Threaded,
+            ExchangePolicy::Overlap,
+        );
         assert_q_close(&q, &ref_sim.q, 1e-11, &format!("mpi ranks={ranks}"));
         for (i, (&a, &b)) in hist.iter().zip(&ref_hist).enumerate() {
             assert!(
@@ -132,7 +149,15 @@ fn hybrid_ranks_threads_simd_matches_sequential() {
     // the paper's winning Phi configuration: MPI ranks × OpenMP threads
     // × vector intrinsics, all at once
     let (ref_sim, ref_hist) = reference();
-    let (q, hist) = mpi::run_mpi_hybrid::<f64, 4>(&ref_sim.case, 2, 2, 64, ITERS);
+    let (q, hist) = mpi::run_mpi_fused::<f64, 4>(
+        &ref_sim.case,
+        2,
+        2,
+        64,
+        ITERS,
+        Shape::Simd { lanes: 4 },
+        ExchangePolicy::Overlap,
+    );
     assert_q_close(
         &q,
         &ref_sim.q,
@@ -169,9 +194,11 @@ fn single_precision_tracks_double_precision() {
 fn simd_single_precision_matches_scalar_single_precision() {
     let mut a = Airfoil::<f32>::new(NX, NY);
     let mut b = Airfoil::<f32>::new(NX, NY);
+    let simd8 = LoopShape::calling_thread().with_lanes(8);
+    let cache = PlanCache::new();
     for _ in 0..ITERS {
         drivers::step_seq(&mut a, None);
-        drivers::step_simd::<f32, 8>(&mut b, None);
+        drivers::step_shape::<f32, 8>(&simd8, &mut b, &cache, 32, None);
     }
     let d = a.q.max_abs_diff(&b.q);
     assert!(d < 1e-3, "f32 simd diverged from f32 scalar: {d}");

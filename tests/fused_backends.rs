@@ -5,7 +5,7 @@
 //! runtime exists for.
 
 use ump_apps::{airfoil, volna};
-use ump_core::{ExecPool, PlanCache, Recorder};
+use ump_core::{Backend, ExecPool, PlanCache, Recorder};
 use ump_lazy::Shape;
 
 const NX: usize = 24;
@@ -67,7 +67,7 @@ fn fused_volna_matches_sequential_within_1e12() {
 }
 
 /// The headline claim: a fused Airfoil timestep issues strictly fewer
-/// pool dispatch rounds than `step_threaded`, and the instrumentation
+/// pool dispatch rounds than the `threaded` backend, and the instrumentation
 /// counters agree with the pool's own round counter.
 #[test]
 fn fused_airfoil_issues_strictly_fewer_dispatch_rounds() {
@@ -77,7 +77,15 @@ fn fused_airfoil_issues_strictly_fewer_dispatch_rounds() {
 
     let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
     // warm the plan cache so both measurements dispatch identically
-    airfoil::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, block_size, None);
+    airfoil::drivers::step_on(
+        Backend::Threaded,
+        &mut sim,
+        &pool,
+        &cache,
+        0,
+        block_size,
+        None,
+    );
     airfoil::drivers::step_fused_on(
         &pool,
         &mut sim,
@@ -89,7 +97,15 @@ fn fused_airfoil_issues_strictly_fewer_dispatch_rounds() {
     );
 
     let r0 = pool.dispatch_rounds();
-    airfoil::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, block_size, None);
+    airfoil::drivers::step_on(
+        Backend::Threaded,
+        &mut sim,
+        &pool,
+        &cache,
+        0,
+        block_size,
+        None,
+    );
     let threaded_rounds = pool.dispatch_rounds() - r0;
 
     let rec = Recorder::new();
@@ -134,7 +150,15 @@ fn fused_volna_issues_strictly_fewer_dispatch_rounds() {
     let block_size = 32;
 
     let mut sim = volna::Volna::<f64>::new(NX, NY);
-    volna::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, block_size, None);
+    volna::drivers::step_on(
+        Backend::Threaded,
+        &mut sim,
+        &pool,
+        &cache,
+        0,
+        block_size,
+        None,
+    );
     volna::drivers::step_fused_on(
         &pool,
         &mut sim,
@@ -146,7 +170,15 @@ fn fused_volna_issues_strictly_fewer_dispatch_rounds() {
     );
 
     let r0 = pool.dispatch_rounds();
-    volna::drivers::step_threaded_on(&pool, &mut sim, &cache, 0, block_size, None);
+    volna::drivers::step_on(
+        Backend::Threaded,
+        &mut sim,
+        &pool,
+        &cache,
+        0,
+        block_size,
+        None,
+    );
     let threaded_rounds = pool.dispatch_rounds() - r0;
 
     let rec = Recorder::new();

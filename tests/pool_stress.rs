@@ -8,7 +8,8 @@
 use ump::apps::airfoil::{drivers as airfoil_drivers, Airfoil};
 use ump::apps::volna::{drivers as volna_drivers, mpi as volna_mpi, Volna};
 use ump::color::{PlanInputs, TwoLevelPlan};
-use ump::core::{ExecPool, PlanCache, SharedDat};
+use ump::core::{Backend, ExecPool, PlanCache, SharedDat};
+use ump::lazy::{ExchangePolicy, Shape};
 use ump::mesh::generators::quad_channel;
 
 const NX: usize = 24;
@@ -26,7 +27,8 @@ fn hundred_threaded_iterations_through_one_pool_match_sequential() {
     let mut threaded = Airfoil::<f64>::new(NX, NY);
     for i in 0..ITERS {
         let r = airfoil_drivers::step_seq(&mut reference, None);
-        let t = airfoil_drivers::step_threaded_on(&pool, &mut threaded, &cache, 0, 32, None);
+        let t =
+            airfoil_drivers::step_on(Backend::Threaded, &mut threaded, &pool, &cache, 0, 32, None);
         assert!(
             (t - r).abs() < 1e-10 * (1.0 + r),
             "rms diverged at iter {i}: {t} vs {r}"
@@ -107,18 +109,19 @@ fn one_pool_serves_both_applications() {
 
     for step in 0..STEPS {
         let ar = airfoil_drivers::step_seq(&mut a_ref, None);
-        let at = airfoil_drivers::step_threaded_on(&pool, &mut a_thr, &cache, 0, 32, None);
+        let at =
+            airfoil_drivers::step_on(Backend::Threaded, &mut a_thr, &pool, &cache, 0, 32, None);
         assert!((at - ar).abs() < 1e-10 * (1.0 + ar), "airfoil step {step}");
         let vr = volna_drivers::step_seq(&mut v_ref, None);
-        let vt = volna_drivers::step_threaded_on(&pool, &mut v_thr, &cache, 0, 32, None);
+        let vt = volna_drivers::step_on(Backend::Threaded, &mut v_thr, &pool, &cache, 0, 32, None);
         assert!((vt - vr).abs() < 1e-12 * vr.max(1e-30), "volna step {step}");
     }
     assert!(a_thr.q.max_abs_diff(&a_ref.q) < 1e-11);
     assert!(v_thr.w.max_abs_diff(&v_ref.w) < 1e-11);
 }
 
-/// The volna MPI×threads hybrid (per-rank pools) must agree with the
-/// sequential reference, like the scalar MPI backend does.
+/// The volna MPI×threads hybrid (per-rank pools running the threaded
+/// fused chain) must agree with the sequential reference.
 #[test]
 fn volna_mpi_threaded_matches_sequential() {
     const STEPS: usize = 6;
@@ -127,7 +130,15 @@ fn volna_mpi_threaded_matches_sequential() {
     for _ in 0..STEPS {
         hist.push(volna_drivers::step_seq(&mut reference, None));
     }
-    let (w, mpi_hist) = volna_mpi::run_mpi_threaded::<f64>(&reference.case, 2, 2, 32, STEPS);
+    let (w, mpi_hist) = volna_mpi::run_mpi_fused::<f64, 4>(
+        &reference.case,
+        2,
+        2,
+        32,
+        STEPS,
+        Shape::Threaded,
+        ExchangePolicy::Overlap,
+    );
     for (i, (&a, &b)) in mpi_hist.iter().zip(&hist).enumerate() {
         assert!(
             (a - b).abs() < 1e-12 * b.max(1e-30),

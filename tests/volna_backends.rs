@@ -1,11 +1,22 @@
 //! Integration: Volna backend equivalence and conservation properties.
 
 use ump_apps::volna::{drivers, Volna};
-use ump_core::PlanCache;
+use ump_core::{Backend, ExecPool, LoopShape, PlanCache};
 
 const NX: usize = 20;
 const NY: usize = 14;
 const STEPS: usize = 10;
+
+/// One RK2 step through a registered backend on `pool`, block size 32.
+fn step(backend: Backend, sim: &mut Volna<f64>, pool: &ExecPool, cache: &PlanCache) -> f64 {
+    drivers::step_on(backend, sim, pool, cache, 0, 32, None)
+}
+
+/// One single-precision RK2 step, `L`-lane SIMD on the calling thread.
+fn step_simd_f32<const L: usize>(sim: &mut Volna<f32>, cache: &PlanCache) -> f64 {
+    let shape = LoopShape::calling_thread().with_lanes(L);
+    drivers::step_shape::<f32, L>(&shape, sim, cache, 32, None)
+}
 
 #[test]
 fn mass_is_conserved_exactly_by_construction() {
@@ -79,10 +90,10 @@ fn near_still_water_stays_near_still() {
 fn threaded_matches_sequential() {
     let mut a = Volna::<f64>::new(NX, NY);
     let mut b = Volna::<f64>::new(NX, NY);
-    let cache = PlanCache::new();
+    let (pool, cache) = (ExecPool::new(4), PlanCache::new());
     for i in 0..STEPS {
         let da = drivers::step_seq(&mut a, None);
-        let db = drivers::step_threaded(&mut b, &cache, 4, 32, None);
+        let db = step(Backend::Threaded, &mut b, &pool, &cache);
         assert!((da - db).abs() < 1e-12 * da, "dt diverged at step {i}");
     }
     let d = a.w.max_abs_diff(&b.w);
@@ -93,9 +104,10 @@ fn threaded_matches_sequential() {
 fn simd_matches_sequential() {
     let mut a = Volna::<f64>::new(NX, NY);
     let mut b = Volna::<f64>::new(NX, NY);
+    let (pool, cache) = (ExecPool::new(1), PlanCache::new());
     for i in 0..STEPS {
         let da = drivers::step_seq(&mut a, None);
-        let db = drivers::step_simd::<f64, 4>(&mut b, None);
+        let db = step(Backend::Simd { lanes: 4 }, &mut b, &pool, &cache);
         assert!(
             (da - db).abs() < 1e-12 * da.max(1e-30),
             "dt diverged at step {i}"
@@ -109,10 +121,10 @@ fn simd_matches_sequential() {
 fn simt_matches_sequential() {
     let mut a = Volna::<f64>::new(NX, NY);
     let mut b = Volna::<f64>::new(NX, NY);
-    let cache = PlanCache::new();
+    let (pool, cache) = (ExecPool::new(2), PlanCache::new());
     for _ in 0..STEPS {
         drivers::step_seq(&mut a, None);
-        drivers::step_simt(&mut b, &cache, 2, 8, 0, 32, None);
+        step(Backend::Simt, &mut b, &pool, &cache);
     }
     let d = a.w.max_abs_diff(&b.w);
     assert!(d < 1e-11, "simt diverged: {d}");
@@ -123,8 +135,9 @@ fn single_precision_backend_is_stable() {
     // the paper's Volna runs are SP-only: stability and rough agreement
     let mut sp = Volna::<f32>::new(NX, NY);
     let mut dp = Volna::<f64>::new(NX, NY);
+    let cache = PlanCache::new();
     for _ in 0..STEPS {
-        drivers::step_simd::<f32, 8>(&mut sp, None);
+        step_simd_f32::<8>(&mut sp, &cache);
         drivers::step_seq(&mut dp, None);
     }
     assert!(sp.w.all_finite());
@@ -136,9 +149,10 @@ fn single_precision_backend_is_stable() {
 fn wider_lanes_agree() {
     let mut a = Volna::<f32>::new(NX, NY);
     let mut b = Volna::<f32>::new(NX, NY);
+    let cache = PlanCache::new();
     for _ in 0..STEPS {
-        drivers::step_simd::<f32, 8>(&mut a, None);
-        drivers::step_simd::<f32, 16>(&mut b, None);
+        step_simd_f32::<8>(&mut a, &cache);
+        step_simd_f32::<16>(&mut b, &cache);
     }
     let d = a.w.max_abs_diff(&b.w);
     assert!(d < 1e-4, "lane width changed the physics: {d}");
@@ -146,6 +160,7 @@ fn wider_lanes_agree() {
 
 #[test]
 fn mpi_backend_matches_sequential() {
+    use ump::lazy::{ExchangePolicy, Shape};
     use ump_apps::volna::mpi;
     let mut reference = Volna::<f64>::new(NX, NY);
     let case = reference.case.clone();
@@ -154,7 +169,15 @@ fn mpi_backend_matches_sequential() {
         ref_hist.push(drivers::step_seq(&mut reference, None));
     }
     for ranks in [2usize, 3] {
-        let (w, hist) = mpi::run_mpi::<f64>(&case, ranks, STEPS, None);
+        let (w, hist) = mpi::run_mpi_fused::<f64, 4>(
+            &case,
+            ranks,
+            1,
+            32,
+            STEPS,
+            Shape::Threaded,
+            ExchangePolicy::Overlap,
+        );
         let d = reference.w.max_abs_diff(&w);
         assert!(d < 1e-11, "mpi ranks={ranks} diverged: {d}");
         for (i, (&a, &b)) in hist.iter().zip(&ref_hist).enumerate() {
