@@ -13,8 +13,10 @@
 //!   gathers, serialized scatters and the three-sweep structure (Fig.
 //!   3b), threads × vectors, the permute coloring schemes (Fig. 8a) and
 //!   the OpenCL-on-CPU SIMT emulation (Fig. 3a) are shapes, not copies,
-//! * [`step_fused_on`] / [`step_fused_simd_on`] — the timestep recorded
-//!   as an `ump_lazy` chain and executed with cross-loop fusion,
+//! * [`step_fused`] — the timestep recorded once as an `ump_lazy` chain
+//!   and executed with cross-loop fusion; a rank of the distributed
+//!   backend executes the same recording with its halo hooks
+//!   ([`RankHalo`]) switched on,
 //! * [`run_tiled_on`] — cross-timestep sparse tiling,
 //! * [`step_on`] — the registry dispatcher over all of the above.
 //!
@@ -22,16 +24,19 @@
 //! the sequential reference within floating-point reassociation bounds.
 
 use ump_core::{
-    seq_loop, two_rows_mut, Backend, ExecPool, Layout, LoopShape, PlanCache, Recorder, SharedDat,
-    DISPATCH_SIMT_WIDTH,
+    seq_loop, two_rows_mut, Backend, ExecPool, Layout, LoopShape, OpDat, PlanCache, Recorder,
+    SharedDat, DISPATCH_SIMT_WIDTH,
 };
-use ump_lazy::{Chain, LoopDesc, Shape, TileReport, TiledChain};
+use ump_lazy::{Chain, ExchangePolicy, LoopDesc, Shape, TileReport, TiledChain};
+use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
 use super::kernels::{adt_calc, bres_calc, res_calc, save_soln, update};
 use super::kernels_vec::{adt_calc_vec, res_calc_vec, update_vec};
-use super::{profile, Airfoil};
-use crate::{maybe_time, no_lane_instantiation, DISPATCH_TILE_BLOCKS};
+use super::mpi::RankState;
+use super::{profile, Airfoil, Consts};
+use crate::dist::{step_mpi_fused, RankHalo};
+use crate::{lane_hint, maybe_time, no_lane_instantiation, DISPATCH_TILE_BLOCKS};
 
 // ---------------------------------------------------------------------------
 // sequential reference
@@ -445,11 +450,30 @@ pub fn step_shape<R: Real, const L: usize>(
 // fused loop chains — the ump_lazy deferred-execution backend
 // ---------------------------------------------------------------------------
 
+/// The dats of one Airfoil timestep, borrowed from a global [`Airfoil`]
+/// or from a rank's piece of one (`mpi::RankState`).
+pub(crate) struct StepDats<'a, R: Real> {
+    pub mesh: &'a Mesh2d,
+    pub bound: &'a [i32],
+    pub consts: &'a Consts<R>,
+    pub x: &'a OpDat<R>,
+    pub q: &'a mut OpDat<R>,
+    pub qold: &'a mut OpDat<R>,
+    pub adt: &'a mut OpDat<R>,
+    pub res: &'a mut OpDat<R>,
+}
+
 /// One iteration recorded as an `ump_lazy` loop chain and executed with
-/// cross-loop fusion on `pool`, in execution shape [`Shape::Threaded`]
-/// or the SIMT emulation [`Shape::Simt`] (for the vectorized fused shape
-/// use [`step_fused_simd_on`], which pins the lane count at compile
-/// time).
+/// cross-loop fusion on `pool` — the shared-memory fused backends. One
+/// recorded chain carries both scalar and `L`-lane vector bodies, so it
+/// serves every fused shape: scalar bodies under [`Shape::Threaded`] and
+/// the SIMT emulation [`Shape::Simt`], and under
+/// [`Shape::Simd`]`{ lanes: L }` gathers through the mesh maps,
+/// serialized lane scatters for the colored increment and the
+/// three-sweep alignment handling — the paper's headline explicit
+/// vectorization composed with cross-loop fusion on one dispatch path,
+/// issuing exactly as many pool rounds as the threaded shape (the plans
+/// are shared).
 ///
 /// The nine-loop timestep fuses into seven groups — `save_soln+adt_calc`
 /// and `update+adt_calc` share one colored dispatch each (all direct
@@ -457,7 +481,7 @@ pub fn step_shape<R: Real, const L: usize>(
 /// tiny `bres_calc` runs serially — so every step issues two dispatch
 /// rounds fewer than the per-loop `threaded` shape while computing
 /// identical physics.
-pub fn step_fused_on<R: Real>(
+pub fn step_fused<R: Real, const L: usize>(
     pool: &ExecPool,
     sim: &mut Airfoil<R>,
     cache: &PlanCache,
@@ -466,68 +490,73 @@ pub fn step_fused_on<R: Real>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    fused_chain_step::<R, 4>(pool, sim, cache, shape, n_threads, block_size, rec)
+    let dats = StepDats {
+        mesh: &sim.case.mesh,
+        bound: &sim.case.bound,
+        consts: &sim.consts,
+        x: &sim.x,
+        q: &mut sim.q,
+        qold: &mut sim.qold,
+        adt: &mut sim.adt,
+        res: &mut sim.res,
+    };
+    let rms = fused_chain::<R, L>(dats, None, pool, cache, shape, n_threads, block_size, rec);
+    sim.normalize_rms(rms)
 }
 
-/// One iteration through the **fused-SIMD** backend: the same recorded
-/// chain and union-write-set plans as [`step_fused_on`], but every
-/// pooled loop carries an `L`-lane vector body (gathers through the mesh
-/// maps, serialized lane scatters for the colored increment, three-sweep
-/// alignment handling) executed via [`Shape::Simd`] — the paper's
-/// headline explicit vectorization composed with cross-loop fusion on
-/// one dispatch path. Issues exactly as many pool rounds as the fused
-/// threaded shape (the plans are shared).
-pub fn step_fused_simd_on<R: Real, const L: usize>(
+/// The one recording of the fused timestep, executed: the nine loops
+/// with their scalar and `L`-lane bodies, over a global state
+/// (`halo: None`) or a rank's piece of one. A rank's [`RankHalo`] adds
+/// what paper Fig. 2b's `op_mpi_halo_exchanges` adds around unchanged
+/// loops:
+///
+/// ```text
+/// [save_soln + adt_calc]        owned cells, interior
+/// exch(q), exch(adt)            sends posted, finish deferred
+/// res_calc                      interior blocks → finish → boundary blocks
+/// bres_calc                     serial, owned cells only
+/// [update + adt_calc']          owned cells, interior; ghost res zeroed
+/// exch(q), exch(adt) … phase 2 … update
+/// ```
+///
+/// Cell loops cover the owned cells only, `res_calc` all local edges
+/// (owned + redundantly executed); increments into ghost cells are
+/// discarded — the owner computes them via its own copy of the edge —
+/// by re-zeroing ghost `res` rows after each phase. The halo markings
+/// are applied only for a rank: `mark_boundary` forces the interior →
+/// finish → boundary split, which a single process must not pay.
+///
+/// Returns Σ del² over the executed cells (the caller normalizes, a
+/// rank after the allreduce).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fused_chain<R: Real, const L: usize>(
+    dats: StepDats<'_, R>,
+    halo: Option<&RankHalo<'_>>,
     pool: &ExecPool,
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    fused_chain_step::<R, L>(
-        pool,
-        sim,
-        cache,
-        Shape::Simd { lanes: L },
-        n_threads,
-        block_size,
-        rec,
-    )
-}
-
-/// The shared fused-chain timestep behind [`step_fused_on`] and
-/// [`step_fused_simd_on`]: records the nine-loop iteration with both
-/// scalar and `L`-lane vector bodies, so one chain serves every fused
-/// shape (scalar bodies under `Threaded`/`Simt`, vector bodies under
-/// `Simd { lanes: L }`).
-fn fused_chain_step<R: Real, const L: usize>(
-    pool: &ExecPool,
-    sim: &mut Airfoil<R>,
     cache: &PlanCache,
     shape: Shape,
     n_threads: usize,
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    let Airfoil {
-        case,
+    let StepDats {
+        mesh,
+        bound,
         consts,
         x,
         q,
         qold,
         adt,
         res,
-    } = sim;
-    let mesh = &case.mesh;
-    // shared immutable reborrows: many recorded bodies capture these
-    let (x, consts) = (&*x, &*consts);
+    } = dats;
     // layout-aware accessor views: every x/q/qold/res access in the
     // recorded bodies goes through these, so the one recorded chain
     // executes natively in AoS, SoA or AoSoA storage (dim-1 adt indexes
-    // identically in every layout and keeps its direct indexing)
+    // identically in every layout and keeps its direct indexing);
+    // rank-local dats are always AoS
     let (xv, qv, qoldv, resv) = (x.view(), q.view(), qold.view(), res.view());
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
+    let nc = halo.map_or(mesh.n_cells(), |h| h.n_owned);
+    let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
     let n_cell_blocks = nc.div_ceil(block_size);
     // rms partials: one slot per (phase, cell block), merged in block
     // order after the chain runs — the same deterministic reduction as
@@ -539,27 +568,8 @@ fn fused_chain_step<R: Real, const L: usize>(
         let adts = SharedDat::new(&mut adt.data);
         let ress = SharedDat::new(&mut res.data);
         let rmss = SharedDat::new(&mut rms_blocks);
-        // Per-kernel lane selection, measured on the bench host (see
-        // docs/ARCHITECTURE.md §8): once storage is lane-friendly
-        // (SoA/AoSoA) every kernel *without* a serialized indirect
-        // scatter runs faster vectorized, while the scatter kernels
-        // (res_calc, bres_calc) stay scalar — their chunks end in
-        // per-lane serial increments that never amortize the gathers.
-        // Under AoS the vector bodies pay strided loads everywhere, so
-        // the profile-driven Auto decision stands.
-        let lane_friendly = xv.layout != ump_simd::Layout::Aos;
-        let desc = move |name: &str, n: usize| {
-            let d = LoopDesc::new(profile(name), n);
-            if !lane_friendly {
-                return d;
-            }
-            let hint = if d.has_indirect_write() {
-                ump_lazy::VecHint::Scalar
-            } else {
-                ump_lazy::VecHint::Vector
-            };
-            d.with_hint(hint)
-        };
+        let layout = xv.layout;
+        let desc = move |name: &str, n: usize| lane_hint(LoopDesc::new(profile(name), n), layout);
 
         let mut chain = Chain::new("airfoil_step");
         {
@@ -582,6 +592,9 @@ fn fused_chain_step<R: Real, const L: usize>(
                     }
                 },
             );
+            if halo.is_some() {
+                chain.mark_interior();
+            }
         }
         for phase in 0..2 {
             {
@@ -592,12 +605,16 @@ fn fused_chain_step<R: Real, const L: usize>(
                     L,
                     move |c| {
                         let n = mesh.cell2node.row(c);
-                        let xr: [[R; 2]; 4] =
-                            std::array::from_fn(|j| xv.load_row(&x.data, n[j] as usize));
+                        // four loads written out: a nested `array::from_fn`
+                        // over the nodes measured 2x on this group
+                        let x0: [R; 2] = xv.load_row(&x.data, n[0] as usize);
+                        let x1: [R; 2] = xv.load_row(&x.data, n[1] as usize);
+                        let x2: [R; 2] = xv.load_row(&x.data, n[2] as usize);
+                        let x3: [R; 2] = xv.load_row(&x.data, n[3] as usize);
                         let mut a = R::ZERO;
                         unsafe {
                             let qrow: [R; 4] = qv.load_row(qs.as_slice(), c);
-                            adt_calc(&xr[0], &xr[1], &xr[2], &xr[3], &qrow, &mut a, consts);
+                            adt_calc(&x0, &x1, &x2, &x3, &qrow, &mut a, consts);
                             adts.slice_mut(c, 1)[0] = a;
                         }
                     },
@@ -614,6 +631,14 @@ fn fused_chain_step<R: Real, const L: usize>(
                         );
                     },
                 );
+            }
+            if let Some(h) = halo {
+                chain.mark_interior();
+                // ghosts of q and adt are stale (update / adt_calc ran on
+                // owned cells only): post the sends; the receives finish
+                // between res_calc's interior and boundary passes
+                h.record_exchange(&mut chain, "halo[q]", &qs, 4, phase as u64 * 2);
+                h.record_exchange(&mut chain, "halo[adt]", &adts, 1, phase as u64 * 2 + 1);
             }
             {
                 let (qs, adts, ress) = (&qs, &adts, &ress);
@@ -674,10 +699,12 @@ fn fused_chain_step<R: Real, const L: usize>(
                         );
                     },
                 );
+                if let Some(h) = halo {
+                    chain.mark_boundary(h.edge_halo);
+                }
             }
             {
                 let (qs, adts, ress) = (&qs, &adts, &ress);
-                let bound = &case.bound;
                 chain.record_seq(desc("bres_calc", nb), move || {
                     for be in 0..nb {
                         let n = mesh.bedge2node.row(be);
@@ -701,9 +728,28 @@ fn fused_chain_step<R: Real, const L: usize>(
                         }
                     }
                 });
+                // bedges map to owned cells only — never to ghosts
+                if halo.is_some() {
+                    chain.mark_interior();
+                }
             }
             {
                 let (qs, qolds, adts, ress, rmss) = (&qs, &qolds, &adts, &ress, &rmss);
+                // one cell of `update`, folding its residual into `$rms`; a
+                // macro because a closure with a call site in each recording
+                // below stays out of line (a call per cell, sum via memory)
+                macro_rules! update_cell {
+                    ($c:expr, $rms:expr) => {{
+                        let qold_row: [R; 4] = qoldv.load_row(qolds.as_slice(), $c);
+                        let mut q_row = [R::ZERO; 4];
+                        let r = ress.slice_mut(0, ress.len());
+                        let mut res_row: [R; 4] = resv.load_row(r, $c);
+                        let adt = adts.slice($c, 1)[0];
+                        update(&qold_row, &mut q_row, &mut res_row, adt, $rms);
+                        qv.store_row(qs.slice_mut(0, qs.len()), $c, &q_row);
+                        resv.store_row(r, $c, &res_row);
+                    }};
+                }
                 // rms partials land in one (phase, block) slot each; both
                 // recordings below produce the same deterministic
                 // block-order reduction as the per-loop shapes
@@ -718,19 +764,7 @@ fn fused_chain_step<R: Real, const L: usize>(
                         L,
                         move |c| unsafe {
                             let mut local = R::ZERO;
-                            let qold_row: [R; 4] = qoldv.load_row(qolds.as_slice(), c);
-                            let mut q_row = [R::ZERO; 4];
-                            let r = ress.slice_mut(0, ress.len());
-                            let mut res_row: [R; 4] = resv.load_row(r, c);
-                            update(
-                                &qold_row,
-                                &mut q_row,
-                                &mut res_row,
-                                adts.slice(c, 1)[0],
-                                &mut local,
-                            );
-                            qv.store_row(qs.slice_mut(0, qs.len()), c, &q_row);
-                            resv.store_row(r, c, &res_row);
+                            update_cell!(c, &mut local);
                             let slot = phase * n_cell_blocks + c / block_size;
                             rmss.slice_mut(slot, 1)[0] += local;
                         },
@@ -758,34 +792,41 @@ fn fused_chain_step<R: Real, const L: usize>(
                     chain.record_blocks(desc("update", nc), vec![], move |b, range| {
                         let mut local = R::ZERO;
                         for c in range.start as usize..range.end as usize {
-                            unsafe {
-                                let qold_row: [R; 4] = qoldv.load_row(qolds.as_slice(), c);
-                                let mut q_row = [R::ZERO; 4];
-                                let r = ress.slice_mut(0, ress.len());
-                                let mut res_row: [R; 4] = resv.load_row(r, c);
-                                update(
-                                    &qold_row,
-                                    &mut q_row,
-                                    &mut res_row,
-                                    adts.slice(c, 1)[0],
-                                    &mut local,
-                                );
-                                qv.store_row(qs.slice_mut(0, qs.len()), c, &q_row);
-                                resv.store_row(r, c, &res_row);
-                            }
+                            unsafe { update_cell!(c, &mut local) };
                         }
                         unsafe { rmss.slice_mut(phase * n_cell_blocks + b, 1)[0] = local };
                     });
                 }
             }
+            if halo.is_some() {
+                chain.mark_interior();
+                // discard ghost increments (owners recompute them via
+                // their redundant boundary edges)
+                let ress = &ress;
+                chain.epilogue(move || unsafe {
+                    for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
+                        *v = R::ZERO;
+                    }
+                });
+            }
         }
-        chain.execute(pool, cache, shape, n_threads, block_size, R::BYTES, rec);
+        let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
+        chain.execute_policy(
+            pool,
+            cache,
+            shape,
+            n_threads,
+            block_size,
+            R::BYTES,
+            rec,
+            policy,
+        );
     }
     let mut rms = R::ZERO;
     for v in rms_blocks {
         rms += v;
     }
-    sim.normalize_rms(rms.to_f64())
+    rms.to_f64()
 }
 
 // ---------------------------------------------------------------------------
@@ -989,33 +1030,6 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
     (hist, report)
 }
 
-/// One iteration through the tiled executor (a 1-step super-chain) —
-/// the registry dispatcher's `tiled` arm. Multi-step harnesses call
-/// [`run_tiled_on`] directly.
-pub fn step_tiled_on<R: Real>(
-    sim: &mut Airfoil<R>,
-    pool: &ExecPool,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
-    run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-}
-
-/// The `tiled_simd{L}` arm: tiled sweep with `L`-lane run bodies on the
-/// direct copy loops.
-pub fn step_tiled_simd_on<R: Real, const L: usize>(
-    sim: &mut Airfoil<R>,
-    pool: &ExecPool,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
-    run_tiled_on::<R, L>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-}
-
 // ---------------------------------------------------------------------------
 // the unified dispatcher — one entry point per execution shape
 // ---------------------------------------------------------------------------
@@ -1059,64 +1073,43 @@ pub fn step_on<R: Real>(
             _ => no_lane_instantiation(backend),
         };
     }
+    // the recorded chains: the shape a registry row executes them in;
+    // scalar shapes ride on the L = 4 instantiation
+    let shape = match backend {
+        Backend::FusedSimt => Shape::Simt {
+            width: DISPATCH_SIMT_WIDTH,
+            sched_overhead_ns: 0,
+        },
+        Backend::FusedSimd { lanes } | Backend::MpiFusedSimd { lanes } => Shape::Simd { lanes },
+        _ => Shape::Threaded,
+    };
+    let (ranks, tile_cells) = (backend.ranks(), DISPATCH_TILE_BLOCKS * block_size);
     match backend {
         Backend::Seq => step_seq(sim, rec),
-        Backend::Fused => step_fused_on(
-            pool,
-            sim,
-            cache,
-            Shape::Threaded,
-            n_threads,
-            block_size,
-            rec,
-        ),
-        Backend::FusedSimt => step_fused_on(
-            pool,
-            sim,
-            cache,
-            Shape::Simt {
-                width: DISPATCH_SIMT_WIDTH,
-                sched_overhead_ns: 0,
-            },
-            n_threads,
-            block_size,
-            rec,
-        ),
-        Backend::FusedSimd { lanes: 4 } => {
-            step_fused_simd_on::<R, 4>(pool, sim, cache, n_threads, block_size, rec)
+        Backend::Fused | Backend::FusedSimt | Backend::FusedSimd { lanes: 4 } => {
+            step_fused::<R, 4>(pool, sim, cache, shape, n_threads, block_size, rec)
         }
         Backend::FusedSimd { lanes: 8 } => {
-            step_fused_simd_on::<R, 8>(pool, sim, cache, n_threads, block_size, rec)
+            step_fused::<R, 8>(pool, sim, cache, shape, n_threads, block_size, rec)
         }
         // distributed backends: ranks own their pools; the caller's pool
         // and n_threads are unused (needs_pool() is false)
-        Backend::MpiFused => super::mpi::step_mpi_fused::<R, 4>(
-            sim,
-            backend.ranks(),
-            block_size,
-            Shape::Threaded,
-            rec,
-        ),
-        Backend::MpiFusedSimd { lanes: 4 } => super::mpi::step_mpi_fused::<R, 4>(
-            sim,
-            backend.ranks(),
-            block_size,
-            Shape::Simd { lanes: 4 },
-            rec,
-        ),
-        Backend::MpiFusedSimd { lanes: 8 } => super::mpi::step_mpi_fused::<R, 8>(
-            sim,
-            backend.ranks(),
-            block_size,
-            Shape::Simd { lanes: 8 },
-            rec,
-        ),
-        Backend::Tiled => step_tiled_on(sim, pool, n_threads, block_size, rec),
+        Backend::MpiFused | Backend::MpiFusedSimd { lanes: 4 } => {
+            step_mpi_fused::<RankState<R>, 4>(sim, ranks, block_size, shape, rec)
+        }
+        Backend::MpiFusedSimd { lanes: 8 } => {
+            step_mpi_fused::<RankState<R>, 8>(sim, ranks, block_size, shape, rec)
+        }
+        // the tiled executor as a 1-step super-chain; multi-step
+        // harnesses call `run_tiled_on` directly
+        Backend::Tiled => {
+            run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
+        }
         Backend::TiledSimd { lanes: 4 } => {
-            step_tiled_simd_on::<R, 4>(sim, pool, n_threads, block_size, rec)
+            run_tiled_on::<R, 4>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
         }
         Backend::TiledSimd { lanes: 8 } => {
-            step_tiled_simd_on::<R, 8>(sim, pool, n_threads, block_size, rec)
+            run_tiled_on::<R, 8>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
         }
         other => no_lane_instantiation(other),
     }

@@ -16,19 +16,23 @@
 //! per-loop declaration of the timestep that
 //! [`ump_core::LoopShape`] executes as threaded colored blocks,
 //! explicit SIMD with gather/scatter and the three-sweep structure, or
-//! the SIMT emulation, the fused and tiled `ump_lazy` recordings, and
-//! the message-passing backend with halo exchanges and redundant
-//! exec-halo execution.
+//! the SIMT emulation, and the fused and tiled `ump_lazy` recordings.
+//! The message-passing backend does not restate the timestep: a rank
+//! executes the fused recording with its halo hooks on, and [`dist`]
+//! drives any [`dist::RankApp`] end to end (halo exchanges, redundant
+//! exec-halo execution, checkpoints, assembly).
 
 #![deny(missing_docs)]
 
 pub mod airfoil;
+pub mod dist;
 pub mod resilience;
 pub mod volna;
 
 pub use resilience::{resilient_loop, ResilientReport};
 
-use ump_core::{Backend, Recorder};
+use ump_core::{Backend, Layout, Recorder};
+use ump_lazy::{LoopDesc, VecHint};
 
 /// Default anchor-blocks-per-tile of the registry dispatchers' tiled
 /// arms: `tile_cells = DISPATCH_TILE_BLOCKS × block_size`.
@@ -49,6 +53,26 @@ pub(crate) fn maybe_time<T>(
         .or_else(|| volna::find_profile(name))
         .unwrap_or_else(|| panic!("unknown kernel {name}"));
     rec.time(&profile, word_bytes, n_elems, f)
+}
+
+/// Per-kernel lane selection of the fused recordings, measured on the
+/// bench host (docs/ARCHITECTURE.md §8): once storage is lane-friendly
+/// (SoA/AoSoA) every kernel *without* a serialized indirect scatter runs
+/// faster vectorized, while the scatter kernels (`res_calc`,
+/// `bres_calc`; `space_disc`, `bc_flux`) stay scalar — their chunks end
+/// in per-lane serial increments that never amortize the gathers. Under
+/// AoS the vector bodies pay strided loads everywhere, so the
+/// profile-driven Auto decision stands.
+pub(crate) fn lane_hint(desc: LoopDesc, layout: Layout) -> LoopDesc {
+    if layout == Layout::Aos {
+        return desc;
+    }
+    let hint = if desc.has_indirect_write() {
+        VecHint::Scalar
+    } else {
+        VecHint::Vector
+    };
+    desc.with_hint(hint)
 }
 
 /// The `step_on` dispatchers' answer to a lane width the registry lists

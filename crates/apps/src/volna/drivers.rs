@@ -1,8 +1,10 @@
 //! The Volna loop drivers (one step = one RK2 time step; returns the CFL
 //! Δt used). Same structure as the Airfoil drivers — the hand-written
 //! [`step_seq`] oracle, the per-loop step declared once in
-//! [`step_shape`] and executed by a [`LoopShape`], the fused and tiled
-//! `ump_lazy` recordings, and the [`step_on`] registry dispatcher; the
+//! [`step_shape`] and executed by a [`LoopShape`], the fused recording
+//! ([`step_fused`]; a rank of the distributed backend executes the same
+//! recording with its [`RankHalo`] hooks switched on), the tiled
+//! recording, and the [`step_on`] registry dispatcher; the
 //! paper benchmarks Volna in single precision through the same MPI /
 //! OpenMP / OpenCL / intrinsics configurations.
 
@@ -10,15 +12,18 @@ use ump_core::{
     seq_loop, two_rows_mut, Backend, ExecPool, Layout, LoopShape, OpDat, PlanCache, Recorder,
     SharedDat, DISPATCH_SIMT_WIDTH,
 };
-use ump_lazy::{Chain, LoopDesc, Shape, TileReport, TiledChain};
+use ump_lazy::{Chain, ExchangePolicy, LoopDesc, Shape, TileReport, TiledChain};
+use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
 use super::kernels::{bc_flux, compute_flux, numerical_flux, rk_1, rk_2, sim_1, space_disc};
 use super::kernels_vec::{
     compute_flux_vec, numerical_flux_vec, rk_1_vec, rk_2_vec, space_disc_vec,
 };
-use super::{profile, Volna, CFL, GRAVITY, H_MIN};
-use crate::{maybe_time, no_lane_instantiation, DISPATCH_TILE_BLOCKS};
+use super::mpi::RankState;
+use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
+use crate::dist::{step_mpi_fused, RankHalo};
+use crate::{lane_hint, maybe_time, no_lane_instantiation, DISPATCH_TILE_BLOCKS};
 
 // ---------------------------------------------------------------------------
 // sequential reference
@@ -544,10 +549,26 @@ pub fn step_shape<R: Real, const L: usize>(
 // fused loop chains — the ump_lazy deferred-execution backend
 // ---------------------------------------------------------------------------
 
+/// The dats of one Volna step, borrowed from a global [`Volna`] or from
+/// a rank's piece of one (`mpi::RankState`).
+pub(crate) struct StepDats<'a, R: Real> {
+    pub mesh: &'a Mesh2d,
+    pub w: &'a mut OpDat<R>,
+    pub w_old: &'a mut OpDat<R>,
+    pub w1: &'a mut OpDat<R>,
+    pub res: &'a mut OpDat<R>,
+    pub area: &'a OpDat<R>,
+    pub egeom: &'a OpDat<R>,
+    pub eflux: &'a mut OpDat<R>,
+    pub bgeom: &'a OpDat<R>,
+}
+
 /// One RK2 step recorded as an `ump_lazy` loop chain and executed with
-/// cross-loop fusion on `pool`, in execution shape [`Shape::Threaded`]
-/// or [`Shape::Simt`] (for the vectorized fused shape use
-/// [`step_fused_simd_on`], which pins the lane count). Returns Δt.
+/// cross-loop fusion on `pool` — the shared-memory fused backends. One
+/// recorded chain carries scalar and `L`-lane vector bodies, so it
+/// serves [`Shape::Threaded`], [`Shape::Simt`] and
+/// [`Shape::Simd`]`{ lanes: L }` on the same union-write-set plans and
+/// pool rounds. Returns Δt.
 ///
 /// The three edge loops of phase 0 (`compute_flux`, `numerical_flux`,
 /// `space_disc`) fuse into a single colored dispatch — their
@@ -556,7 +577,7 @@ pub fn step_shape<R: Real, const L: usize>(
 /// before `RK_1` consumes it. Three dispatch rounds fewer per step than
 /// the per-loop `threaded` shape, with the edge working set streamed
 /// once per group.
-pub fn step_fused_on<R: Real>(
+pub fn step_fused<R: Real, const L: usize>(
     pool: &ExecPool,
     sim: &mut Volna<R>,
     cache: &PlanCache,
@@ -565,39 +586,47 @@ pub fn step_fused_on<R: Real>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    fused_chain_step::<R, 4>(pool, sim, cache, shape, n_threads, block_size, rec)
+    let dats = StepDats {
+        mesh: &sim.case.mesh,
+        w: &mut sim.w,
+        w_old: &mut sim.w_old,
+        w1: &mut sim.w1,
+        res: &mut sim.res,
+        area: &sim.area,
+        egeom: &sim.egeom,
+        eflux: &mut sim.eflux,
+        bgeom: &sim.bgeom,
+    };
+    fused_chain::<R, L>(dats, None, pool, cache, shape, n_threads, block_size, rec)
 }
 
-/// One RK2 step through the **fused-SIMD** backend: the fused chain of
-/// [`step_fused_on`] with `L`-lane vector bodies on every pooled loop,
-/// executed via [`Shape::Simd`] — same union-write-set plans and pool
-/// rounds as the fused threaded shape, lane-vectorized block bodies.
-/// Returns Δt.
-pub fn step_fused_simd_on<R: Real, const L: usize>(
+/// The one recording of the fused RK2 step, executed: over a global
+/// state (`halo: None`) or a rank's piece of one. A rank's [`RankHalo`]
+/// adds what `op_mpi_halo_exchanges` adds around unchanged loops:
+///
+/// ```text
+/// exch(w)                            sends posted immediately
+/// sim_1                              owned cells, interior (overlapped)
+/// [compute_flux+numerical_flux+space_disc]
+///                                    interior blocks → finish(w) → boundary
+///                                    epilogue: fold Δt blocks, allreduce_min
+/// bc_flux                            serial, owned cells only
+/// RK_1                               owned cells; ghost res zeroed
+/// exch(w1) → [compute_flux+space_disc] → bc_flux → RK_2
+/// ```
+///
+/// Cell loops cover the owned cells only, edge loops all local edges.
+/// The CFL Δt is the implicit synchronization point §6.5 charges the Phi
+/// for: it merges deterministically (block order within the rank, rank
+/// order across ranks) inside the flux group's epilogue, before `RK_1`
+/// consumes it. The halo markings are applied only for a rank:
+/// `mark_boundary` forces the interior → finish → boundary split, which
+/// a single process must not pay. Returns the (globally agreed) Δt.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fused_chain<R: Real, const L: usize>(
+    dats: StepDats<'_, R>,
+    halo: Option<&RankHalo<'_>>,
     pool: &ExecPool,
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    fused_chain_step::<R, L>(
-        pool,
-        sim,
-        cache,
-        Shape::Simd { lanes: L },
-        n_threads,
-        block_size,
-        rec,
-    )
-}
-
-/// The shared fused-chain RK2 step behind [`step_fused_on`] and
-/// [`step_fused_simd_on`]: one recorded chain with scalar and `L`-lane
-/// vector bodies serving every fused shape.
-fn fused_chain_step<R: Real, const L: usize>(
-    pool: &ExecPool,
-    sim: &mut Volna<R>,
     cache: &PlanCache,
     shape: Shape,
     n_threads: usize,
@@ -607,8 +636,8 @@ fn fused_chain_step<R: Real, const L: usize>(
     let g = R::from_f64(GRAVITY);
     let h_min = R::from_f64(H_MIN);
     let cfl = R::from_f64(CFL);
-    let Volna {
-        case,
+    let StepDats {
+        mesh,
         w,
         w_old,
         w1,
@@ -617,15 +646,15 @@ fn fused_chain_step<R: Real, const L: usize>(
         egeom,
         eflux,
         bgeom,
-    } = sim;
-    let mesh = &case.mesh;
-    let (area, egeom, bgeom) = (&*area, &*egeom, &*bgeom);
+    } = dats;
     // layout views, captured before the SharedDat borrows below: the
     // fused chain is the one driver family that runs *natively* on
-    // SoA/AoSoA storage (every other backend is shimmed to AoS)
+    // SoA/AoSoA storage (every other backend is shimmed to AoS);
+    // rank-local dats are always AoS
     let (wv, woldv, w1v, resv) = (w.view(), w_old.view(), w1.view(), res.view());
     let (egv, efv, bgv) = (egeom.view(), eflux.view(), bgeom.view());
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
+    let nc = halo.map_or(mesh.n_cells(), |h| h.n_owned);
+    let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
     let n_edge_blocks = ne.div_ceil(block_size);
     // Δt partials: one slot per edge block, folded by an epilogue into
     // `dt_slot` before RK_1 (a later loop of the same chain) reads it
@@ -639,41 +668,17 @@ fn fused_chain_step<R: Real, const L: usize>(
         let efs = SharedDat::new(&mut eflux.data);
         let dts = SharedDat::new(&mut dt_blocks);
         let dtf = SharedDat::new(&mut dt_slot);
-        // Per-kernel lane selection, measured on the bench host (see
-        // docs/ARCHITECTURE.md §8): with lane-friendly storage
-        // (SoA/AoSoA) every kernel *without* a serialized indirect
-        // scatter runs faster vectorized; the scatter kernels
-        // (space_disc, bc_flux) keep their scalar bodies. Under AoS the
-        // profile-driven Auto decision stands.
-        let lane_friendly = wv.layout != ump_simd::Layout::Aos;
-        let lane_hint = move |d: LoopDesc| {
-            if !lane_friendly {
-                return d;
-            }
-            let hint = if d.has_indirect_write() {
-                ump_lazy::VecHint::Scalar
-            } else {
-                ump_lazy::VecHint::Vector
-            };
-            d.with_hint(hint)
-        };
-        let desc = move |name: &str, n: usize| lane_hint(LoopDesc::new(profile(name), n));
-        // descriptor for the state-gathering loops, whose gathered dat
-        // switches from `w` to `w1` in the second RK phase — the
-        // dependency analyzer must see what the body actually reads
-        let state_desc = move |name: &str, n: usize, phase: usize| {
-            let mut p = profile(name);
-            if phase == 1 {
-                for a in &mut p.args {
-                    if a.dat == "w" {
-                        a.dat = "w1".into();
-                    }
-                }
-            }
-            lane_hint(LoopDesc::new(p, n))
-        };
+        let layout = wv.layout;
+        let desc = move |name: &str, n: usize| lane_hint(LoopDesc::new(profile(name), n), layout);
+        let state_desc =
+            move |name: &str, n: usize, phase: usize| lane_hint(phase_desc(name, n, phase), layout);
 
         let mut chain = Chain::new("volna_step");
+        if let Some(h) = halo {
+            // refresh w ghosts for phase 0: posted before sim_1 so the
+            // copy loop also hides message latency
+            h.record_exchange(&mut chain, "halo[w]", &ws, 4, 0);
+        }
         {
             let (ws, wolds) = (&ws, &wolds);
             chain.record_simd(
@@ -694,10 +699,17 @@ fn fused_chain_step<R: Real, const L: usize>(
                     }
                 },
             );
+            if halo.is_some() {
+                chain.mark_interior();
+            }
         }
         for phase in 0..2 {
             let state = if phase == 0 { &ws } else { &w1s };
             let sv = if phase == 0 { wv } else { w1v };
+            if let (1, Some(h)) = (phase, halo) {
+                // refresh w1 ghosts (RK_1 wrote owned rows only)
+                h.record_exchange(&mut chain, "halo[w1]", &w1s, 4, 1);
+            }
             {
                 let efs = &efs;
                 chain.record_simd(
@@ -731,10 +743,25 @@ fn fused_chain_step<R: Real, const L: usize>(
                         );
                     },
                 );
+                if let Some(h) = halo {
+                    chain.mark_boundary(h.edge_halo);
+                }
             }
             if phase == 0 {
                 {
                     let (efs, dts) = (&efs, &dts);
+                    // one edge of `numerical_flux`, folding its CFL candidate
+                    // into `$dt`; a macro because a closure with a call site
+                    // in each recording below stays out of line
+                    macro_rules! flux_edge {
+                        ($e:expr, $dt:expr) => {{
+                            let c = mesh.edge2cell.row($e);
+                            let ge: [R; 4] = egv.load_row(&egeom.data, $e);
+                            let ef: [R; 4] = efv.load_row(efs.as_slice(), $e);
+                            let (al, ar) = (area.row(c[0] as usize)[0], area.row(c[1] as usize)[0]);
+                            numerical_flux(&ge, &ef, al, ar, $dt, cfl);
+                        }};
+                    }
                     // Δt partials land in one slot per block; `min` is
                     // exact in any order, and both recordings below fold
                     // identically
@@ -746,21 +773,8 @@ fn fused_chain_step<R: Real, const L: usize>(
                             desc("numerical_flux", ne),
                             vec![],
                             L,
-                            move |e| {
-                                let c = mesh.edge2cell.row(e);
-                                unsafe {
-                                    let slot = &mut dts.slice_mut(e / block_size, 1)[0];
-                                    let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                                    let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
-                                    numerical_flux(
-                                        &ge,
-                                        &ef,
-                                        area.row(c[0] as usize)[0],
-                                        area.row(c[1] as usize)[0],
-                                        slot,
-                                        cfl,
-                                    );
-                                }
+                            move |e| unsafe {
+                                flux_edge!(e, &mut dts.slice_mut(e / block_size, 1)[0]);
                             },
                             move |es| unsafe {
                                 let mut dt_v = VecR::<R, L>::splat(R::INFINITY);
@@ -783,30 +797,30 @@ fn fused_chain_step<R: Real, const L: usize>(
                         chain.record_blocks(desc("numerical_flux", ne), vec![], move |b, range| {
                             let mut local = R::INFINITY;
                             for e in range.start as usize..range.end as usize {
-                                let c = mesh.edge2cell.row(e);
-                                unsafe {
-                                    let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                                    let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
-                                    numerical_flux(
-                                        &ge,
-                                        &ef,
-                                        area.row(c[0] as usize)[0],
-                                        area.row(c[1] as usize)[0],
-                                        &mut local,
-                                        cfl,
-                                    );
-                                }
+                                unsafe { flux_edge!(e, &mut local) };
                             }
                             unsafe { dts.slice_mut(b, 1)[0] = local };
                         });
                     }
+                    // numerical_flux reads edge-local flux and the local
+                    // cell areas — no halo data
+                    if halo.is_some() {
+                        chain.mark_interior();
+                    }
                 }
                 {
+                    // fold the Δt partials; across ranks the global CFL
+                    // agreement is the rank-ordered min-allreduce — the
+                    // step's implicit synchronization point (exact
+                    // through f64 at either precision)
                     let (dts, dtf) = (&dts, &dtf);
                     chain.epilogue(move || unsafe {
                         let mut merged = R::INFINITY;
                         for &v in dts.slice(0, dts.len()) {
                             merged = if v < merged { v } else { merged };
+                        }
+                        if let Some(h) = halo {
+                            merged = R::from_f64(h.comm.allreduce_min(merged.to_f64()));
                         }
                         dtf.slice_mut(0, 1)[0] = merged;
                     });
@@ -858,6 +872,9 @@ fn fused_chain_step<R: Real, const L: usize>(
                         );
                     },
                 );
+                if let Some(h) = halo {
+                    chain.mark_boundary(h.edge_halo);
+                }
             }
             {
                 let ress = &ress;
@@ -874,6 +891,10 @@ fn fused_chain_step<R: Real, const L: usize>(
                         }
                     }
                 });
+                // bedges map to owned cells only
+                if halo.is_some() {
+                    chain.mark_interior();
+                }
             }
             if phase == 0 {
                 let (wolds, w1s, ress, dtf) = (&wolds, &w1s, &ress, &dtf);
@@ -948,8 +969,28 @@ fn fused_chain_step<R: Real, const L: usize>(
                     },
                 );
             }
+            if halo.is_some() {
+                chain.mark_interior();
+                // discard ghost increments (owners recompute them)
+                let ress = &ress;
+                chain.epilogue(move || unsafe {
+                    for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
+                        *v = R::ZERO;
+                    }
+                });
+            }
         }
-        chain.execute(pool, cache, shape, n_threads, block_size, R::BYTES, rec);
+        let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
+        chain.execute_policy(
+            pool,
+            cache,
+            shape,
+            n_threads,
+            block_size,
+            R::BYTES,
+            rec,
+            policy,
+        );
     }
     dt_slot[0].to_f64()
 }
@@ -1042,19 +1083,6 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
         let w1d = chain.register_dat("w1", "cells", 4, &mut w1.data);
         let resd = chain.register_dat("res", "cells", 4, &mut res.data);
         let efd = chain.register_dat("eflux", "edges", 4, &mut eflux.data);
-        // the phase-1 gathers read w1, not w — same rename as the fused
-        // chain's state_desc, so the cone tracks what bodies actually read
-        let state_desc = |name: &str, n: usize, phase: usize| {
-            let mut p = profile(name);
-            if phase == 1 {
-                for a in &mut p.args {
-                    if a.dat == "w" {
-                        a.dat = "w1".into();
-                    }
-                }
-            }
-            LoopDesc::new(p, n)
-        };
         for s in 0..steps {
             chain.begin_step();
             chain.record_vec(
@@ -1086,7 +1114,7 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
             );
             for phase in 0..2 {
                 let sd = if phase == 0 { wd } else { w1d };
-                chain.record(state_desc("compute_flux", ne, phase), move |ctx, e| {
+                chain.record(phase_desc("compute_flux", ne, phase), move |ctx, e| {
                     let c = mesh.edge2cell.row(e);
                     let state = ctx.dat(sd);
                     let eflux = unsafe { ctx.dat_mut(efd) };
@@ -1133,7 +1161,7 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
                         dtm.slice_mut(s, 1)[0] = merged;
                     });
                 }
-                chain.record(state_desc("space_disc", ne, phase), move |ctx, e| {
+                chain.record(phase_desc("space_disc", ne, phase), move |ctx, e| {
                     let c = mesh.edge2cell.row(e);
                     let (c0, c1) = (c[0] as usize, c[1] as usize);
                     let state = ctx.dat(sd);
@@ -1150,7 +1178,7 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
                         g,
                     );
                 });
-                chain.record(state_desc("bc_flux", nb, phase), move |ctx, be| {
+                chain.record(phase_desc("bc_flux", nb, phase), move |ctx, be| {
                     let c0 = mesh.bedge2cell.at(be, 0);
                     let state = ctx.dat(sd);
                     let res = unsafe { ctx.dat_mut(resd) };
@@ -1200,33 +1228,6 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
     (dt_merged.iter().map(|v| v.to_f64()).collect(), report)
 }
 
-/// One RK2 step through the tiled executor (a 1-step super-chain) — the
-/// registry dispatcher's `tiled` arm. Multi-step harnesses call
-/// [`run_tiled_on`] directly.
-pub fn step_tiled_on<R: Real>(
-    sim: &mut Volna<R>,
-    pool: &ExecPool,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
-    run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-}
-
-/// The `tiled_simd{L}` arm: tiled sweep with `L`-lane run bodies on the
-/// direct copy loops.
-pub fn step_tiled_simd_on<R: Real, const L: usize>(
-    sim: &mut Volna<R>,
-    pool: &ExecPool,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
-    run_tiled_on::<R, L>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-}
-
 // ---------------------------------------------------------------------------
 // the unified dispatcher — one entry point per execution shape
 // ---------------------------------------------------------------------------
@@ -1269,64 +1270,43 @@ pub fn step_on<R: Real>(
             _ => no_lane_instantiation(backend),
         };
     }
+    // the recorded chains: the shape a registry row executes them in;
+    // scalar shapes ride on the L = 4 instantiation
+    let shape = match backend {
+        Backend::FusedSimt => Shape::Simt {
+            width: DISPATCH_SIMT_WIDTH,
+            sched_overhead_ns: 0,
+        },
+        Backend::FusedSimd { lanes } | Backend::MpiFusedSimd { lanes } => Shape::Simd { lanes },
+        _ => Shape::Threaded,
+    };
+    let (ranks, tile_cells) = (backend.ranks(), DISPATCH_TILE_BLOCKS * block_size);
     match backend {
         Backend::Seq => step_seq(sim, rec),
-        Backend::Fused => step_fused_on(
-            pool,
-            sim,
-            cache,
-            Shape::Threaded,
-            n_threads,
-            block_size,
-            rec,
-        ),
-        Backend::FusedSimt => step_fused_on(
-            pool,
-            sim,
-            cache,
-            Shape::Simt {
-                width: DISPATCH_SIMT_WIDTH,
-                sched_overhead_ns: 0,
-            },
-            n_threads,
-            block_size,
-            rec,
-        ),
-        Backend::FusedSimd { lanes: 4 } => {
-            step_fused_simd_on::<R, 4>(pool, sim, cache, n_threads, block_size, rec)
+        Backend::Fused | Backend::FusedSimt | Backend::FusedSimd { lanes: 4 } => {
+            step_fused::<R, 4>(pool, sim, cache, shape, n_threads, block_size, rec)
         }
         Backend::FusedSimd { lanes: 8 } => {
-            step_fused_simd_on::<R, 8>(pool, sim, cache, n_threads, block_size, rec)
+            step_fused::<R, 8>(pool, sim, cache, shape, n_threads, block_size, rec)
         }
         // distributed backends: ranks own their pools; the caller's pool
         // and n_threads are unused (needs_pool() is false)
-        Backend::MpiFused => super::mpi::step_mpi_fused::<R, 4>(
-            sim,
-            backend.ranks(),
-            block_size,
-            Shape::Threaded,
-            rec,
-        ),
-        Backend::MpiFusedSimd { lanes: 4 } => super::mpi::step_mpi_fused::<R, 4>(
-            sim,
-            backend.ranks(),
-            block_size,
-            Shape::Simd { lanes: 4 },
-            rec,
-        ),
-        Backend::MpiFusedSimd { lanes: 8 } => super::mpi::step_mpi_fused::<R, 8>(
-            sim,
-            backend.ranks(),
-            block_size,
-            Shape::Simd { lanes: 8 },
-            rec,
-        ),
-        Backend::Tiled => step_tiled_on(sim, pool, n_threads, block_size, rec),
+        Backend::MpiFused | Backend::MpiFusedSimd { lanes: 4 } => {
+            step_mpi_fused::<RankState<R>, 4>(sim, ranks, block_size, shape, rec)
+        }
+        Backend::MpiFusedSimd { lanes: 8 } => {
+            step_mpi_fused::<RankState<R>, 8>(sim, ranks, block_size, shape, rec)
+        }
+        // the tiled executor as a 1-step super-chain; multi-step
+        // harnesses call `run_tiled_on` directly
+        Backend::Tiled => {
+            run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
+        }
         Backend::TiledSimd { lanes: 4 } => {
-            step_tiled_simd_on::<R, 4>(sim, pool, n_threads, block_size, rec)
+            run_tiled_on::<R, 4>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
         }
         Backend::TiledSimd { lanes: 8 } => {
-            step_tiled_simd_on::<R, 8>(sim, pool, n_threads, block_size, rec)
+            run_tiled_on::<R, 8>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
         }
         other => no_lane_instantiation(other),
     }

@@ -318,6 +318,23 @@ pub fn profile(name: &str) -> LoopProfile {
     find_profile(name).unwrap_or_else(|| panic!("unknown volna kernel {name}"))
 }
 
+/// The recorded descriptor of a state-gathering loop (`compute_flux`,
+/// `space_disc`, `bc_flux`) in RK phase `phase`: the dat those loops
+/// gather switches from `w` to `w1` in the second phase, and the
+/// dependency analysis of the fused and tiled recordings must see what
+/// the body actually reads.
+pub(crate) fn phase_desc(name: &str, n_elems: usize, phase: usize) -> ump_lazy::LoopDesc {
+    let mut p = profile(name);
+    if phase == 1 {
+        for a in &mut p.args {
+            if a.dat == "w" {
+                a.dat = "w1".into();
+            }
+        }
+    }
+    ump_lazy::LoopDesc::new(p, n_elems)
+}
+
 /// [`profile`], or `None` when `name` is not one of this application's
 /// kernels.
 pub(crate) fn find_profile(name: &str) -> Option<LoopProfile> {

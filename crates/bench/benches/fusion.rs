@@ -1,7 +1,7 @@
 //! Fused vs unfused timestep (the motivation for `ump-lazy`): the same
 //! physics executed as independent `op_par_loop`s with a pool barrier
 //! between each (the `threaded` backend) versus recorded into a chain
-//! and dispatched one colored round per fused group (`step_fused_on`).
+//! and dispatched one colored round per fused group (`step_fused`).
 //!
 //! Measured on the 300×150 Airfoil mesh (the pool bench's baseline mesh)
 //! and a comparable Volna coastal mesh, with the dispatch rounds per
@@ -50,7 +50,15 @@ fn main() {
         let (nc, ne) = (sim.case.mesh.n_cells(), sim.case.mesh.n_edges());
         // warm plans so the measurement is pure execution
         airfoil::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None);
-        airfoil::drivers::step_fused_on(&pool, &mut sim, &cache, Shape::Threaded, 0, BLOCK, None);
+        airfoil::drivers::step_fused::<_, 4>(
+            &pool,
+            &mut sim,
+            &cache,
+            Shape::Threaded,
+            0,
+            BLOCK,
+            None,
+        );
 
         let mut group = criterion.benchmark_group("airfoil_step");
         group.sample_size(15);
@@ -69,7 +77,7 @@ fn main() {
         });
         group.bench_function("fused", |b| {
             b.iter(|| {
-                airfoil::drivers::step_fused_on(
+                airfoil::drivers::step_fused::<_, 4>(
                     &pool,
                     &mut sim,
                     &cache,
@@ -87,7 +95,7 @@ fn main() {
         let rounds_unfused = pool.dispatch_rounds() - r0;
         let rec = Recorder::new();
         let r1 = pool.dispatch_rounds();
-        airfoil::drivers::step_fused_on(
+        airfoil::drivers::step_fused::<_, 4>(
             &pool,
             &mut sim,
             &cache,
@@ -116,7 +124,15 @@ fn main() {
         let mut sim = volna::Volna::<f32>::new(150, 150);
         let (nc, ne) = (sim.case.mesh.n_cells(), sim.case.mesh.n_edges());
         volna::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None);
-        volna::drivers::step_fused_on(&pool, &mut sim, &cache, Shape::Threaded, 0, BLOCK, None);
+        volna::drivers::step_fused::<_, 4>(
+            &pool,
+            &mut sim,
+            &cache,
+            Shape::Threaded,
+            0,
+            BLOCK,
+            None,
+        );
 
         let mut group = criterion.benchmark_group("volna_step");
         group.sample_size(15);
@@ -127,7 +143,7 @@ fn main() {
         });
         group.bench_function("fused", |b| {
             b.iter(|| {
-                volna::drivers::step_fused_on(
+                volna::drivers::step_fused::<_, 4>(
                     &pool,
                     &mut sim,
                     &cache,
@@ -145,7 +161,7 @@ fn main() {
         let rounds_unfused = pool.dispatch_rounds() - r0;
         let rec = Recorder::new();
         let r1 = pool.dispatch_rounds();
-        volna::drivers::step_fused_on(
+        volna::drivers::step_fused::<_, 4>(
             &pool,
             &mut sim,
             &cache,
@@ -188,7 +204,7 @@ fn main() {
         let (fused_ns, fused_simd_ns) = paired_medians(
             SIMD_PAIRS,
             || {
-                airfoil::drivers::step_fused_on(
+                airfoil::drivers::step_fused::<_, 4>(
                     &pool,
                     &mut sim.borrow_mut(),
                     &cache,
@@ -199,10 +215,11 @@ fn main() {
                 );
             },
             || {
-                airfoil::drivers::step_fused_simd_on::<f64, 4>(
+                airfoil::drivers::step_fused::<f64, 4>(
                     &pool,
                     &mut sim.borrow_mut(),
                     &cache,
+                    Shape::Simd { lanes: 4 },
                     0,
                     BLOCK,
                     None,
@@ -215,7 +232,7 @@ fn main() {
         println!("bench: airfoil_fused_simd/fused_simd4 median_ns_per_iter={fused_simd_ns:.1} paired={SIMD_PAIRS}");
 
         let r0 = pool.dispatch_rounds();
-        airfoil::drivers::step_fused_on(
+        airfoil::drivers::step_fused::<_, 4>(
             &pool,
             &mut sim.borrow_mut(),
             &cache,
@@ -226,10 +243,11 @@ fn main() {
         );
         let rounds_fused = pool.dispatch_rounds() - r0;
         let r1 = pool.dispatch_rounds();
-        airfoil::drivers::step_fused_simd_on::<f64, 4>(
+        airfoil::drivers::step_fused::<f64, 4>(
             &pool,
             &mut sim.borrow_mut(),
             &cache,
+            Shape::Simd { lanes: 4 },
             0,
             BLOCK,
             None,
@@ -257,7 +275,7 @@ fn main() {
         let (fused_ns, fused_simd_ns) = paired_medians(
             SIMD_PAIRS,
             || {
-                volna::drivers::step_fused_on(
+                volna::drivers::step_fused::<_, 4>(
                     &pool,
                     &mut sim.borrow_mut(),
                     &cache,
@@ -268,10 +286,11 @@ fn main() {
                 );
             },
             || {
-                volna::drivers::step_fused_simd_on::<f32, 8>(
+                volna::drivers::step_fused::<f32, 8>(
                     &pool,
                     &mut sim.borrow_mut(),
                     &cache,
+                    Shape::Simd { lanes: 8 },
                     0,
                     BLOCK,
                     None,
@@ -284,7 +303,7 @@ fn main() {
         println!("bench: volna_fused_simd/fused_simd8 median_ns_per_iter={fused_simd_ns:.1} paired={SIMD_PAIRS}");
 
         let r0 = pool.dispatch_rounds();
-        volna::drivers::step_fused_on(
+        volna::drivers::step_fused::<_, 4>(
             &pool,
             &mut sim.borrow_mut(),
             &cache,
@@ -295,10 +314,11 @@ fn main() {
         );
         let rounds_fused = pool.dispatch_rounds() - r0;
         let r1 = pool.dispatch_rounds();
-        volna::drivers::step_fused_simd_on::<f32, 8>(
+        volna::drivers::step_fused::<f32, 8>(
             &pool,
             &mut sim.borrow_mut(),
             &cache,
+            Shape::Simd { lanes: 8 },
             0,
             BLOCK,
             None,

@@ -1,7 +1,7 @@
 //! Cross-timestep sparse tiling vs the fused-threaded baseline: N
 //! recorded timesteps swept tile-by-tile (each tile's working set stays
 //! cache-resident across all N steps, at the price of redundant fringe
-//! compute) against the same N steps through `step_fused_on`.
+//! compute) against the same N steps through `step_fused`.
 //!
 //! Both variants run on SoA storage — the layout the fused chains
 //! execute natively, which the tiled executor shims through AoS like
@@ -69,7 +69,7 @@ fn main() {
             PAIRS,
             || {
                 for _ in 0..STEPS {
-                    airfoil::drivers::step_fused_on(
+                    airfoil::drivers::step_fused::<_, 4>(
                         &pool,
                         &mut sim.borrow_mut(),
                         &cache,
@@ -97,7 +97,7 @@ fn main() {
 
         let r0 = pool.dispatch_rounds();
         for _ in 0..STEPS {
-            airfoil::drivers::step_fused_on(
+            airfoil::drivers::step_fused::<_, 4>(
                 &pool,
                 &mut sim.borrow_mut(),
                 &cache,
@@ -148,7 +148,7 @@ fn main() {
             PAIRS,
             || {
                 for _ in 0..STEPS {
-                    volna::drivers::step_fused_on(
+                    volna::drivers::step_fused::<_, 4>(
                         &pool,
                         &mut sim.borrow_mut(),
                         &cache,
@@ -176,7 +176,7 @@ fn main() {
 
         let r0 = pool.dispatch_rounds();
         for _ in 0..STEPS {
-            volna::drivers::step_fused_on(
+            volna::drivers::step_fused::<_, 4>(
                 &pool,
                 &mut sim.borrow_mut(),
                 &cache,

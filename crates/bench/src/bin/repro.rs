@@ -899,7 +899,7 @@ fn fusion(scale: Scale) {
         let mut sim = ump_apps::airfoil::Airfoil::<f64>::new(nx, ny);
         // warm plans, then measure
         if fused {
-            ump_apps::airfoil::drivers::step_fused_on(
+            ump_apps::airfoil::drivers::step_fused::<_, 4>(
                 &pool,
                 &mut sim,
                 &cache,
@@ -923,7 +923,7 @@ fn fusion(scale: Scale) {
         let t0 = std::time::Instant::now();
         for _ in 0..iters {
             if fused {
-                ump_apps::airfoil::drivers::step_fused_on(
+                ump_apps::airfoil::drivers::step_fused::<_, 4>(
                     &pool,
                     &mut sim,
                     &cache,

@@ -95,8 +95,8 @@ pub enum Backend {
     /// group, interior blocks executed while messages are in flight,
     /// boundary blocks after the exchange completes (paper §2, §6.5
     /// composed with the lazy runtime). Registry entries run at
-    /// [`ranks`](Backend::ranks) ranks; the `run_mpi_fused` drivers take
-    /// any rank count.
+    /// [`ranks`](Backend::ranks) ranks; `ump_apps::dist::run_mpi_fused`
+    /// takes any rank count.
     MpiFused,
     /// Distributed fused execution with vectorized lane bodies — the
     /// full composition: ranks × fusion × explicit SIMD.
@@ -269,9 +269,9 @@ impl Backend {
     }
 
     /// Rank count a registry entry runs at in the conformance matrix and
-    /// the smoke sweep (1 for every shared-memory shape). The `run_mpi_*`
-    /// drivers accept any rank count; 2 is the smallest configuration
-    /// that exercises real halo traffic.
+    /// the smoke sweep (1 for every shared-memory shape). The
+    /// `ump_apps::dist::run_mpi_fused*` drivers accept any rank count; 2
+    /// is the smallest configuration that exercises real halo traffic.
     pub fn ranks(self) -> usize {
         if self.is_distributed() {
             2

@@ -103,6 +103,11 @@ impl DatView {
     #[inline(always)]
     pub fn load_row<R: Real, const D: usize>(&self, data: &[R], e: usize) -> [R; D] {
         debug_assert_eq!(D, self.dim);
+        if self.layout == Layout::Aos {
+            // a row is one contiguous run: one bounds check, constant width
+            let row: &[R; D] = data[e * D..][..D].try_into().expect("row width");
+            return *row;
+        }
         std::array::from_fn(|c| data[self.idx(e, c)])
     }
 
@@ -110,6 +115,10 @@ impl DatView {
     #[inline(always)]
     pub fn store_row<R: Real, const D: usize>(&self, data: &mut [R], e: usize, row: &[R; D]) {
         debug_assert_eq!(D, self.dim);
+        if self.layout == Layout::Aos {
+            data[e * D..][..D].copy_from_slice(row);
+            return;
+        }
         for (c, &v) in row.iter().enumerate() {
             data[self.idx(e, c)] = v;
         }
@@ -120,6 +129,12 @@ impl DatView {
     #[inline(always)]
     pub fn add_row<R: Real, const D: usize>(&self, data: &mut [R], e: usize, row: &[R; D]) {
         debug_assert_eq!(D, self.dim);
+        if self.layout == Layout::Aos {
+            for (dst, &v) in data[e * D..][..D].iter_mut().zip(row) {
+                *dst += v;
+            }
+            return;
+        }
         for (c, &v) in row.iter().enumerate() {
             let i = self.idx(e, c);
             // `Real` has no `AddAssign` bound, so no `+=` here.

@@ -1,6 +1,6 @@
 //! Cross-loop fusion end-to-end: run the Airfoil and Volna timesteps
 //! unfused (the `threaded` backend, one pool dispatch per loop) and
-//! fused (`step_fused_on`, one colored dispatch per fusable group via
+//! fused (`step_fused`, one colored dispatch per fusable group via
 //! the `ump_lazy` chain runtime), print the timing, dispatch rounds and the
 //! re-streamed bytes fusion avoided.
 //!
@@ -47,7 +47,7 @@ fn main() {
 
     let rec = Recorder::new();
     let mut sim = ump::apps::airfoil::Airfoil::<f64>::new(nx, ny);
-    ump::apps::airfoil::drivers::step_fused_on(
+    ump::apps::airfoil::drivers::step_fused::<_, 4>(
         &pool,
         &mut sim,
         &cache,
@@ -59,7 +59,7 @@ fn main() {
     let r1 = pool.dispatch_rounds();
     let t1 = std::time::Instant::now();
     for _ in 0..iters {
-        ump::apps::airfoil::drivers::step_fused_on(
+        ump::apps::airfoil::drivers::step_fused::<_, 4>(
             &pool,
             &mut sim,
             &cache,
@@ -110,7 +110,7 @@ fn main() {
 
     let rec = Recorder::new();
     let mut sim = ump::apps::volna::Volna::<f32>::new(vx, vy);
-    ump::apps::volna::drivers::step_fused_on(
+    ump::apps::volna::drivers::step_fused::<_, 4>(
         &pool,
         &mut sim,
         &cache,
@@ -122,7 +122,7 @@ fn main() {
     let r1 = pool.dispatch_rounds();
     let t1 = std::time::Instant::now();
     for _ in 0..iters {
-        ump::apps::volna::drivers::step_fused_on(
+        ump::apps::volna::drivers::step_fused::<_, 4>(
             &pool,
             &mut sim,
             &cache,

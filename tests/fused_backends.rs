@@ -29,7 +29,8 @@ fn fused_airfoil_matches_sequential_within_1e12() {
         let cache = PlanCache::new();
         let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
         for (i, &r) in ref_hist.iter().enumerate() {
-            let rms = airfoil::drivers::step_fused_on(&pool, &mut sim, &cache, shape, 0, 32, None);
+            let rms =
+                airfoil::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, shape, 0, 32, None);
             assert!(
                 (rms - r).abs() < 1e-12 * (1.0 + r),
                 "{shape:?} iter {i}: rms {rms} vs {r}"
@@ -52,7 +53,8 @@ fn fused_volna_matches_sequential_within_1e12() {
         let cache = PlanCache::new();
         let mut sim = volna::Volna::<f64>::new(NX, NY);
         for (i, &r) in ref_hist.iter().enumerate() {
-            let dt = volna::drivers::step_fused_on(&pool, &mut sim, &cache, shape, 0, 32, None);
+            let dt =
+                volna::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, shape, 0, 32, None);
             // the Δt reduction is an exact min of its inputs; the inputs
             // themselves carry ULP-level reassociation differences
             assert!(
@@ -86,7 +88,7 @@ fn fused_airfoil_issues_strictly_fewer_dispatch_rounds() {
         block_size,
         None,
     );
-    airfoil::drivers::step_fused_on(
+    airfoil::drivers::step_fused::<_, 4>(
         &pool,
         &mut sim,
         &cache,
@@ -110,7 +112,7 @@ fn fused_airfoil_issues_strictly_fewer_dispatch_rounds() {
 
     let rec = Recorder::new();
     let r1 = pool.dispatch_rounds();
-    airfoil::drivers::step_fused_on(
+    airfoil::drivers::step_fused::<_, 4>(
         &pool,
         &mut sim,
         &cache,
@@ -159,7 +161,7 @@ fn fused_volna_issues_strictly_fewer_dispatch_rounds() {
         block_size,
         None,
     );
-    volna::drivers::step_fused_on(
+    volna::drivers::step_fused::<_, 4>(
         &pool,
         &mut sim,
         &cache,
@@ -183,7 +185,7 @@ fn fused_volna_issues_strictly_fewer_dispatch_rounds() {
 
     let rec = Recorder::new();
     let r1 = pool.dispatch_rounds();
-    volna::drivers::step_fused_on(
+    volna::drivers::step_fused::<_, 4>(
         &pool,
         &mut sim,
         &cache,
@@ -216,7 +218,7 @@ fn simt_fused_records_fusion_stats_matching_pool_counter() {
     let rec = Recorder::new();
     let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
     let r0 = pool.dispatch_rounds();
-    airfoil::drivers::step_fused_on(&pool, &mut sim, &cache, SIMT, 0, 32, Some(&rec));
+    airfoil::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, SIMT, 0, 32, Some(&rec));
     let simt_rounds = pool.dispatch_rounds() - r0;
     let stats = rec.fusion("airfoil_step").expect("SIMT-fused chain stats");
     assert_eq!(stats.fused_rounds as u64, simt_rounds, "counter mismatch");
@@ -229,7 +231,7 @@ fn simt_fused_records_fusion_stats_matching_pool_counter() {
     let rec = Recorder::new();
     let mut sim = volna::Volna::<f64>::new(NX, NY);
     let r0 = pool.dispatch_rounds();
-    volna::drivers::step_fused_on(&pool, &mut sim, &cache, SIMT, 0, 32, Some(&rec));
+    volna::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, SIMT, 0, 32, Some(&rec));
     let simt_rounds = pool.dispatch_rounds() - r0;
     let stats = rec.fusion("volna_step").expect("SIMT-fused chain stats");
     assert_eq!(stats.fused_rounds as u64, simt_rounds, "counter mismatch");
@@ -257,9 +259,9 @@ fn fused_simd_matches_sequential_and_saves_the_same_rounds() {
 
     // baseline: fused threaded rounds per step (plans warmed first)
     let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
-    airfoil::drivers::step_fused_on(&pool, &mut sim, &cache, Shape::Threaded, 0, 32, None);
+    airfoil::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, Shape::Threaded, 0, 32, None);
     let r0 = pool.dispatch_rounds();
-    airfoil::drivers::step_fused_on(&pool, &mut sim, &cache, Shape::Threaded, 0, 32, None);
+    airfoil::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, Shape::Threaded, 0, 32, None);
     let fused_threaded_rounds = pool.dispatch_rounds() - r0;
 
     fn check_airfoil<const L: usize>(
@@ -273,10 +275,11 @@ fn fused_simd_matches_sequential_and_saves_the_same_rounds() {
         let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
         let r0 = pool.dispatch_rounds();
         for (i, &r) in hist.iter().enumerate() {
-            let rms = airfoil::drivers::step_fused_simd_on::<f64, L>(
+            let rms = airfoil::drivers::step_fused::<f64, L>(
                 pool,
                 &mut sim,
                 cache,
+                Shape::Simd { lanes: L },
                 0,
                 32,
                 Some(&rec),
@@ -328,10 +331,11 @@ fn fused_simd_matches_sequential_and_saves_the_same_rounds() {
         let rec = Recorder::new();
         let mut sim = volna::Volna::<f64>::new(NX, NY);
         for (i, &r) in hist.iter().enumerate() {
-            let dt = volna::drivers::step_fused_simd_on::<f64, L>(
+            let dt = volna::drivers::step_fused::<f64, L>(
                 pool,
                 &mut sim,
                 cache,
+                Shape::Simd { lanes: L },
                 0,
                 32,
                 Some(&rec),
@@ -360,7 +364,15 @@ fn fused_is_robust_across_block_sizes_and_teams() {
         let cache = PlanCache::new();
         let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
         for _ in 0..3 {
-            airfoil::drivers::step_fused_on(&pool, &mut sim, &cache, Shape::Threaded, 0, bs, None);
+            airfoil::drivers::step_fused::<_, 4>(
+                &pool,
+                &mut sim,
+                &cache,
+                Shape::Threaded,
+                0,
+                bs,
+                None,
+            );
         }
         let d = sim.q.max_abs_diff(&reference.q);
         assert!(d <= 1e-12, "team {team} block {bs}: {d:e}");

@@ -12,8 +12,13 @@
 //!   that is pure fringe (zero interior edge blocks).
 
 use ump::lazy::{ExchangePolicy, Shape};
+use ump::minimpi::Universe;
+use ump_apps::dist::{self, RankApp};
 use ump_apps::{airfoil, volna};
+use ump_core::dist::assemble_owned;
+use ump_core::{distribute, Backend, ExecPool, OpDat, PlanCache};
 use ump_part::Partition;
+use ump_simd::Real;
 
 const BLOCK: usize = 48;
 const TEAM: usize = 2;
@@ -48,7 +53,7 @@ fn mpi_fused_matches_seq_on_2_to_8_ranks() {
             } else {
                 Shape::Threaded
             };
-            let (q, hist) = airfoil::mpi::run_mpi_fused::<f64, 4>(
+            let (q, hist) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
                 &aref.case,
                 ranks,
                 TEAM,
@@ -66,7 +71,7 @@ fn mpi_fused_matches_seq_on_2_to_8_ranks() {
                 );
             }
 
-            let (w, dts) = volna::mpi::run_mpi_fused::<f64, 4>(
+            let (w, dts) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
                 &vref.case,
                 ranks,
                 TEAM,
@@ -94,7 +99,7 @@ fn mpi_fused_matches_seq_on_2_to_8_ranks() {
 fn overlap_and_blocking_are_bit_identical() {
     let iters = 4;
     let acase = airfoil::Airfoil::<f64>::new(30, 18).case;
-    let (q_o, h_o) = airfoil::mpi::run_mpi_fused::<f64, 4>(
+    let (q_o, h_o) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
         &acase,
         3,
         TEAM,
@@ -103,7 +108,7 @@ fn overlap_and_blocking_are_bit_identical() {
         Shape::Threaded,
         ExchangePolicy::Overlap,
     );
-    let (q_b, h_b) = airfoil::mpi::run_mpi_fused::<f64, 4>(
+    let (q_b, h_b) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
         &acase,
         3,
         TEAM,
@@ -122,7 +127,7 @@ fn overlap_and_blocking_are_bit_identical() {
     assert_eq!(h_o, h_b, "airfoil rms histories must be bit-equal");
 
     let vcase = volna::Volna::<f64>::new(14, 10).case;
-    let (w_o, d_o) = volna::mpi::run_mpi_fused::<f64, 4>(
+    let (w_o, d_o) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
         &vcase,
         4,
         TEAM,
@@ -131,7 +136,7 @@ fn overlap_and_blocking_are_bit_identical() {
         Shape::Simd { lanes: 4 },
         ExchangePolicy::Overlap,
     );
-    let (w_b, d_b) = volna::mpi::run_mpi_fused::<f64, 4>(
+    let (w_b, d_b) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
         &vcase,
         4,
         TEAM,
@@ -150,13 +155,88 @@ fn overlap_and_blocking_are_bit_identical() {
     assert_eq!(d_o, d_b, "volna Δt histories must be bit-equal");
 }
 
+/// One rank of `S` stepped directly on a one-part "partition": the cell
+/// dats back in global order, the reduction history and the pool rounds
+/// issued.
+fn one_rank<S: RankApp>(
+    case: &S::Case,
+    shape: Shape,
+    iters: usize,
+) -> (Vec<Vec<S::R>>, Vec<f64>, u64) {
+    let mesh = S::mesh(case);
+    let total = mesh.n_cells();
+    let partition = Partition {
+        part: vec![0; total],
+        n_parts: 1,
+    };
+    let locals = distribute(mesh, &partition);
+    Universe::new(1)
+        .run(|comm| {
+            let (cache, pool) = (PlanCache::new(), ExecPool::new(TEAM));
+            let mut st = S::new(case, locals[0].clone());
+            let policy = ExchangePolicy::Overlap;
+            let hist = (0..iters)
+                .map(|_| st.step::<4>(comm, &cache, &pool, shape, BLOCK, total, policy, None, None))
+                .collect();
+            let ids = &st.local().cell_global;
+            let dats = st.evolving()[..S::CELL_DATS]
+                .iter()
+                .map(|d| assemble_owned(&[(&d.data[..], &ids[..], total)], total, d.dim))
+                .collect();
+            (dats, hist, pool.dispatch_rounds())
+        })
+        .remove(0)
+}
+
+fn bits<R: Real>(data: &[R]) -> Vec<u64> {
+    data.iter().map(|v| v.to_f64().to_bits()).collect()
+}
+
 /// A single rank has empty exchange plans and no boundary blocks at all:
-/// the "distributed" chain degrades to the shared-memory fused step.
+/// the distributed chain *is* the shared-memory recording, so state,
+/// history and pool rounds equal the fused backends' to the bit.
 #[test]
 fn single_rank_runs_with_empty_halos() {
     let iters = 4;
+    for (shape, backend) in [
+        (Shape::Threaded, Backend::Fused),
+        (Shape::Simd { lanes: 4 }, Backend::FusedSimd { lanes: 4 }),
+    ] {
+        let (pool, cache) = (ExecPool::new(TEAM), PlanCache::new());
+        let mut sim = airfoil::Airfoil::<f64>::new(24, 12);
+        let hist: Vec<f64> = (0..iters)
+            .map(|_| airfoil::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None))
+            .collect();
+        let (dats, rank_hist, rounds) =
+            one_rank::<airfoil::mpi::RankState<f64>>(&sim.case, shape, iters);
+        for (got, want) in dats.iter().zip([&sim.q, &sim.qold, &sim.adt, &sim.res]) {
+            assert_eq!(
+                bits(got),
+                bits(&want.data),
+                "airfoil {shape:?} {}",
+                want.name
+            );
+        }
+        assert_eq!(bits(&rank_hist), bits(&hist), "airfoil {shape:?} history");
+        assert_eq!(rounds, pool.dispatch_rounds(), "airfoil {shape:?} rounds");
+
+        let (pool, cache) = (ExecPool::new(TEAM), PlanCache::new());
+        let mut sim = volna::Volna::<f64>::new(10, 8);
+        let hist: Vec<f64> = (0..iters)
+            .map(|_| volna::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None))
+            .collect();
+        let (dats, rank_hist, rounds) =
+            one_rank::<volna::mpi::RankState<f64>>(&sim.case, shape, iters);
+        for (got, want) in dats.iter().zip([&sim.w, &sim.w_old, &sim.w1, &sim.res]) {
+            assert_eq!(bits(got), bits(&want.data), "volna {shape:?} {}", want.name);
+        }
+        assert_eq!(bits(&rank_hist), bits(&hist), "volna {shape:?} history");
+        assert_eq!(rounds, pool.dispatch_rounds(), "volna {shape:?} rounds");
+    }
+
+    // and through the driver, against the sequential reference
     let (aref, _) = airfoil_reference(24, 12, iters);
-    let (q, _) = airfoil::mpi::run_mpi_fused::<f64, 4>(
+    let (q, _) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
         &aref.case,
         1,
         TEAM,
@@ -169,7 +249,7 @@ fn single_rank_runs_with_empty_halos() {
     assert!(d <= 1e-12, "single-rank airfoil: |Δq| {d:e}");
 
     let (vref, _) = volna_reference(10, 8, iters);
-    let (w, _) = volna::mpi::run_mpi_fused::<f64, 4>(
+    let (w, _) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
         &vref.case,
         1,
         TEAM,
@@ -180,6 +260,41 @@ fn single_rank_runs_with_empty_halos() {
     );
     let d = w.max_abs_diff(&vref.w);
     assert!(d <= 1e-12, "single-rank volna: |Δw| {d:e}");
+}
+
+/// After one step on `partition`, is every ghost row of every rank's
+/// `res` exactly zero (and does some rank have ghosts at all)? The ghost
+/// increments `res_calc` / `space_disc` make must be discarded by the
+/// recording's zeroing epilogue.
+fn ghost_res_is_zero<S: RankApp>(
+    case: &S::Case,
+    partition: &Partition,
+    res: impl Fn(&S) -> &OpDat<S::R> + Sync,
+) -> bool {
+    let mesh = S::mesh(case);
+    let locals = distribute(mesh, partition);
+    let per_rank = Universe::new(locals.len()).run(|comm| {
+        let (cache, pool) = (PlanCache::new(), ExecPool::new(TEAM));
+        let mut st = S::new(case, locals[comm.rank()].clone());
+        let (total, policy) = (mesh.n_cells(), ExchangePolicy::Overlap);
+        st.step::<4>(
+            comm,
+            &cache,
+            &pool,
+            Shape::Threaded,
+            BLOCK,
+            total,
+            policy,
+            None,
+            None,
+        );
+        let ghosts = &res(&st).data[st.local().n_owned_cells * 4..];
+        (
+            ghosts.len(),
+            ghosts.iter().all(|v| v.to_f64().to_bits() == 0),
+        )
+    });
+    per_rank.iter().any(|&(n, _)| n > 0) && per_rank.iter().all(|&(_, zero)| zero)
 }
 
 /// Ragged ownership: rank 1 owns a single cell column — at BLOCK = 48
@@ -199,7 +314,7 @@ fn ragged_partition_with_a_pure_fringe_rank() {
     let partition = Partition { part, n_parts: 2 };
     partition.validate().unwrap();
     for policy in [ExchangePolicy::Overlap, ExchangePolicy::Blocking] {
-        let (q, _) = airfoil::mpi::run_mpi_fused_with_partition::<f64, 4>(
+        let (q, _) = dist::run_mpi_fused_with_partition::<airfoil::mpi::RankState<f64>, 4>(
             &aref.case,
             &partition,
             TEAM,
@@ -211,6 +326,10 @@ fn ragged_partition_with_a_pure_fringe_rank() {
         let d = q.max_abs_diff(&aref.q);
         assert!(d <= 1e-12, "ragged airfoil ({policy:?}): |Δq| {d:e}");
     }
+    assert!(
+        ghost_res_is_zero::<airfoil::mpi::RankState<f64>>(&aref.case, &partition, |st| &st.res),
+        "airfoil ghost res rows must be re-zeroed after a step"
+    );
 
     // volna on a three-way ragged split: two slivers and a bulk rank
     let (vx, vy) = (14usize, 10usize);
@@ -229,7 +348,7 @@ fn ragged_partition_with_a_pure_fringe_rank() {
         .collect();
     let partition = Partition { part, n_parts: 3 };
     partition.validate().unwrap();
-    let (w, _) = volna::mpi::run_mpi_fused_with_partition::<f64, 4>(
+    let (w, _) = dist::run_mpi_fused_with_partition::<volna::mpi::RankState<f64>, 4>(
         &vref.case,
         &partition,
         TEAM,
@@ -240,6 +359,10 @@ fn ragged_partition_with_a_pure_fringe_rank() {
     );
     let d = w.max_abs_diff(&vref.w);
     assert!(d <= 1e-12, "ragged volna: |Δw| {d:e}");
+    assert!(
+        ghost_res_is_zero::<volna::mpi::RankState<f64>>(&vref.case, &partition, |st| &st.res),
+        "volna ghost res rows must be re-zeroed after a step"
+    );
 }
 
 /// The README's backend table is generated from the registry — every

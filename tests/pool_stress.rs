@@ -6,6 +6,7 @@
 //! scheduling-sensitive by design; CI exercises both).
 
 use ump::apps::airfoil::{drivers as airfoil_drivers, Airfoil};
+use ump::apps::dist;
 use ump::apps::volna::{drivers as volna_drivers, mpi as volna_mpi, Volna};
 use ump::color::{PlanInputs, TwoLevelPlan};
 use ump::core::{Backend, ExecPool, PlanCache, SharedDat};
@@ -130,7 +131,7 @@ fn volna_mpi_threaded_matches_sequential() {
     for _ in 0..STEPS {
         hist.push(volna_drivers::step_seq(&mut reference, None));
     }
-    let (w, mpi_hist) = volna_mpi::run_mpi_fused::<f64, 4>(
+    let (w, mpi_hist) = dist::run_mpi_fused::<volna_mpi::RankState<f64>, 4>(
         &reference.case,
         2,
         2,

@@ -46,7 +46,7 @@ fn fused_airfoil(
     let r0 = pool.dispatch_rounds();
     let hist = (0..steps)
         .map(|_| {
-            airfoil::drivers::step_fused_on(
+            airfoil::drivers::step_fused::<_, 4>(
                 &pool,
                 &mut sim,
                 &cache,
@@ -112,7 +112,15 @@ fn fused_volna(
     let r0 = pool.dispatch_rounds();
     let hist = (0..steps)
         .map(|_| {
-            volna::drivers::step_fused_on(&pool, &mut sim, &cache, Shape::Threaded, 0, block, None)
+            volna::drivers::step_fused::<_, 4>(
+                &pool,
+                &mut sim,
+                &cache,
+                Shape::Threaded,
+                0,
+                block,
+                None,
+            )
         })
         .collect();
     let rounds = pool.dispatch_rounds() - r0;

@@ -161,7 +161,7 @@ fn wider_lanes_agree() {
 #[test]
 fn mpi_backend_matches_sequential() {
     use ump::lazy::{ExchangePolicy, Shape};
-    use ump_apps::volna::mpi;
+    use ump_apps::{dist, volna::mpi::RankState};
     let mut reference = Volna::<f64>::new(NX, NY);
     let case = reference.case.clone();
     let mut ref_hist = Vec::new();
@@ -169,7 +169,7 @@ fn mpi_backend_matches_sequential() {
         ref_hist.push(drivers::step_seq(&mut reference, None));
     }
     for ranks in [2usize, 3] {
-        let (w, hist) = mpi::run_mpi_fused::<f64, 4>(
+        let (w, hist) = dist::run_mpi_fused::<RankState<f64>, 4>(
             &case,
             ranks,
             1,
