@@ -7,27 +7,27 @@
 //!
 //! * [`step_seq`] — the hand-written scalar reference (paper Fig. 2b's
 //!   per-rank loop); the oracle every other path is tested against,
-//! * [`step_shape`] — the per-loop timestep, declared once (scalar body,
-//!   `L`-lane chunk body and reduction per loop) and executed by a
-//!   [`LoopShape`]: colored-block threading (OpenMP), explicit SIMD with
-//!   gathers, serialized scatters and the three-sweep structure (Fig.
-//!   3b), threads × vectors, the permute coloring schemes (Fig. 8a) and
-//!   the OpenCL-on-CPU SIMT emulation (Fig. 3a) are shapes, not copies,
-//! * [`step_fused`] — the timestep recorded once as an `ump_lazy` chain
-//!   and executed with cross-loop fusion; a rank of the distributed
-//!   backend executes the same recording with its halo hooks
-//!   ([`RankHalo`]) switched on,
+//! * [`step_chain`] — the timestep recorded once as an `ump_lazy` chain
+//!   (scalar element body, `L`-lane chunk body and reduction per loop)
+//!   and executed in a [`Shape`] under a [`Fusion`] policy: colored-block
+//!   threading (OpenMP), explicit SIMD with gathers, serialized scatters
+//!   and the three-sweep structure (Fig. 3b), threads × vectors and the
+//!   OpenCL-on-CPU SIMT emulation (Fig. 3a), loop by loop or with
+//!   cross-loop fusion, are executions of the one recording, in whatever
+//!   layout the state is stored in; a rank of the distributed backend
+//!   executes it with its halo hooks ([`RankHalo`]) switched on,
 //! * [`run_tiled_on`] — cross-timestep sparse tiling,
 //! * [`step_on`] — the registry dispatcher over all of the above.
 //!
 //! All drivers compute identical physics; integration tests pin them to
 //! the sequential reference within floating-point reassociation bounds.
 
+use ump_color::PlanInputs;
 use ump_core::{
-    seq_loop, two_rows_mut, Backend, ExecPool, Layout, LoopShape, OpDat, PlanCache, Recorder,
-    SharedDat, DISPATCH_SIMT_WIDTH,
+    seq_loop, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache, Recorder, Scheme,
+    SharedDat,
 };
-use ump_lazy::{Chain, ExchangePolicy, LoopDesc, Shape, TileReport, TiledChain};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain};
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
@@ -36,7 +36,10 @@ use super::kernels_vec::{adt_calc_vec, res_calc_vec, update_vec};
 use super::mpi::RankState;
 use super::{profile, Airfoil, Consts};
 use crate::dist::{step_mpi_fused, RankHalo};
-use crate::{lane_hint, maybe_time, no_lane_instantiation, DISPATCH_TILE_BLOCKS};
+use crate::{
+    chain_exec, lane_hint, maybe_time, no_lane_instantiation, ChainExec, Lanes,
+    DISPATCH_TILE_BLOCKS,
+};
 
 // ---------------------------------------------------------------------------
 // sequential reference
@@ -131,17 +134,14 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// lane-chunk bodies (paper Fig. 3b), shared by the per-loop declaration
-// and the fused / distributed chains
+// lane-chunk bodies (paper Fig. 3b) of the recorded chain
 // ---------------------------------------------------------------------------
 
 /// One lane-aligned chunk of vectorized `adt_calc`: gather node
 /// coordinates through `cell2node`, load q through its layout view,
 /// store adt contiguously (dim-1 dats index identically in every
-/// layout). Raw-slice + [`DatView`] signature so the per-loop sweeps
-/// (`OpDat` storage) and the fused-chain vector bodies (`SharedDat`
-/// views) share one copy of the index arithmetic, and one copy serves
-/// AoS, SoA and AoSoA storage.
+/// layout). Raw-slice + [`DatView`] signature: one copy of the index
+/// arithmetic serves AoS, SoA and AoSoA storage.
 #[inline(always)]
 pub(crate) fn adt_chunk<R: Real, const L: usize>(
     cs: usize,
@@ -161,12 +161,14 @@ pub(crate) fn adt_chunk<R: Real, const L: usize>(
     a.store(adt, cs);
 }
 
-/// One lane-aligned chunk of vectorized `res_calc` with *serialized*
-/// lane scatter (ascending lane order — the scalar accumulation order).
+/// `L` edges of vectorized `res_calc` — a lane-aligned chunk or a
+/// color-permuted group — with *serialized* lane scatter (ascending lane
+/// order: the scalar accumulation order; a permuted group shares no
+/// target cell, which makes it §4's true vector scatter).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn res_chunk<R: Real, const L: usize>(
-    es: usize,
+    lanes: Lanes<'_>,
     e2n: &[i32],
     e2c: &[i32],
     x: &[R],
@@ -178,10 +180,10 @@ pub(crate) fn res_chunk<R: Real, const L: usize>(
     resv: DatView,
     consts: &super::Consts<R>,
 ) {
-    let n0 = IdxVec::<L>::load_strided(e2n, es * 2, 2);
-    let n1 = IdxVec::<L>::load_strided(e2n, es * 2 + 1, 2);
-    let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
-    let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
+    let n0 = lanes.mapped::<L>(e2n, 2, 0);
+    let n1 = lanes.mapped::<L>(e2n, 2, 1);
+    let c0 = lanes.mapped::<L>(e2c, 2, 0);
+    let c1 = lanes.mapped::<L>(e2c, 2, 1);
     let x1 = [xv.gatherv(x, n0, 0), xv.gatherv(x, n0, 1)];
     let x2 = [xv.gatherv(x, n1, 0), xv.gatherv(x, n1, 1)];
     let q1: [VecR<R, L>; 4] = std::array::from_fn(|d| qv.gatherv(q, c0, d));
@@ -223,231 +225,8 @@ pub(crate) fn update_chunk<R: Real, const L: usize>(
     }
 }
 
-/// `L` color-permuted edges of vectorized `res_calc`: everything —
-/// including formerly-direct data — is gathered through the
-/// permutation, and because a color group shares no target cell the
-/// increments land with true vector scatters (§4's permute schemes).
-/// Defined on AoS storage.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn res_chunk_permuted<R: Real, const L: usize>(
-    ids: &[u32],
-    e2n: &[i32],
-    e2c: &[i32],
-    x: &[R],
-    q: &[R],
-    adt: &[R],
-    res: &mut [R],
-    consts: &super::Consts<R>,
-) {
-    let ids: [usize; L] = std::array::from_fn(|l| ids[l] as usize);
-    let n0 = IdxVec::<L>::from_array(ids.map(|e| e2n[e * 2]));
-    let n1 = IdxVec::<L>::from_array(ids.map(|e| e2n[e * 2 + 1]));
-    let c0 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2]));
-    let c1 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2 + 1]));
-    let x1 = [VecR::gather(x, n0, 2, 0), VecR::gather(x, n0, 2, 1)];
-    let x2 = [VecR::gather(x, n1, 2, 0), VecR::gather(x, n1, 2, 1)];
-    let q1: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(q, c0, 4, d));
-    let q2: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(q, c1, 4, d));
-    let a1 = VecR::gather(adt, c0, 1, 0);
-    let a2 = VecR::gather(adt, c1, 1, 0);
-    let mut r1 = [VecR::<R, L>::zero(); 4];
-    let mut r2 = [VecR::<R, L>::zero(); 4];
-    res_calc_vec(&x1, &x2, &q1, &q2, a1, a2, &mut r1, &mut r2, consts);
-    for d in 0..4 {
-        r1[d].scatter_add(res, c0, 4, d);
-        r2[d].scatter_add(res, c1, 4, d);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// the per-loop timestep, declared once
-// ---------------------------------------------------------------------------
-
-/// One iteration with every loop executed separately in `shape` — the
-/// single per-loop declaration behind `threaded`, `simd{L}`,
-/// `simd_threaded{L}`, `simd_scheme_*` and `simt`. Each loop states its
-/// scalar element body, its `L`-lane chunk body and its reduction once;
-/// [`LoopShape`] supplies the ranges (whole set or colored blocks), the
-/// sweep (scalar or three-sweep) and the way `res_calc`'s increments
-/// land. `shape.lanes` must be `0` or `L`. Defined on AoS storage
-/// ([`step_on`] converts around it).
-pub fn step_shape<R: Real, const L: usize>(
-    shape: &LoopShape<'_>,
-    sim: &mut Airfoil<R>,
-    cache: &PlanCache,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    assert!(
-        shape.lanes == 0 || shape.lanes == L,
-        "shape sweeps {} lanes, chunk bodies are {L} wide",
-        shape.lanes
-    );
-    let wb = R::BYTES;
-    let Airfoil {
-        case,
-        consts,
-        x,
-        q,
-        qold,
-        adt,
-        res,
-    } = sim;
-    let mesh = &case.mesh;
-    let (x, consts) = (&*x, &*consts);
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-    let cells = shape.direct_set(cache, nc, block_size);
-    let edges = shape.inc_set(cache, &mesh.edge2cell, block_size);
-
-    maybe_time(rec, "save_soln", wb, nc, || {
-        cells.direct(
-            qold,
-            |qold, c| save_soln(&q.data[c * 4..c * 4 + 4], &mut qold.data[c * 4..c * 4 + 4]),
-            // L cells are 4·L contiguous values: a straight vector copy
-            |qold, cs| {
-                for i in 0..4 {
-                    VecR::<R, L>::load(&q.data, cs * 4 + i * L)
-                        .store(&mut qold.data, cs * 4 + i * L);
-                }
-            },
-        );
-    });
-
-    let mut rms = R::ZERO;
-    for _phase in 0..2 {
-        maybe_time(rec, "adt_calc", wb, nc, || {
-            cells.direct(
-                adt,
-                |adt, c| {
-                    let n = mesh.cell2node.row(c);
-                    adt_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        x.row(n[2] as usize),
-                        x.row(n[3] as usize),
-                        q.row(c),
-                        &mut adt.data[c],
-                        consts,
-                    );
-                },
-                |adt, cs| {
-                    adt_chunk::<R, L>(
-                        cs,
-                        &mesh.cell2node.data,
-                        &x.data,
-                        x.view(),
-                        &q.data,
-                        q.view(),
-                        &mut adt.data,
-                        consts,
-                    );
-                },
-            );
-        });
-        maybe_time(rec, "res_calc", wb, ne, || {
-            let resv = res.view();
-            edges.inc::<R, 4>(
-                &mut res.data,
-                |e, r1, r2| {
-                    let n = mesh.edge2node.row(e);
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    res_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        q.row(c0),
-                        q.row(c1),
-                        adt.data[c0],
-                        adt.data[c1],
-                        r1,
-                        r2,
-                        consts,
-                    );
-                },
-                |es, res| {
-                    res_chunk::<R, L>(
-                        es,
-                        &mesh.edge2node.data,
-                        &mesh.edge2cell.data,
-                        &x.data,
-                        x.view(),
-                        &q.data,
-                        q.view(),
-                        &adt.data,
-                        res,
-                        resv,
-                        consts,
-                    );
-                },
-                |ids, res| {
-                    res_chunk_permuted::<R, L>(
-                        ids,
-                        &mesh.edge2node.data,
-                        &mesh.edge2cell.data,
-                        &x.data,
-                        &q.data,
-                        &adt.data,
-                        res,
-                        consts,
-                    );
-                },
-            );
-        });
-        // boundary set is tiny (paper drops it from analysis): always
-        // scalar on the calling thread
-        maybe_time(rec, "bres_calc", wb, nb, || {
-            seq_loop(0..nb, |be| {
-                let n = mesh.bedge2node.row(be);
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bres_calc(
-                    x.row(n[0] as usize),
-                    x.row(n[1] as usize),
-                    q.row(c0),
-                    adt.data[c0],
-                    res.row_mut(c0),
-                    case.bound[be],
-                    consts,
-                );
-            });
-        });
-        maybe_time(rec, "update", wb, nc, || {
-            let (qoldv, qv, resv) = (qold.view(), q.view(), res.view());
-            cells.direct_reduce(
-                &mut (&mut *q, &mut *res),
-                (R::ZERO, VecR::<R, L>::zero()),
-                |(q, res), rms, c| {
-                    update(
-                        qold.row(c),
-                        &mut q.data[c * 4..c * 4 + 4],
-                        &mut res.data[c * 4..c * 4 + 4],
-                        adt.data[c],
-                        &mut rms.0,
-                    );
-                },
-                |(q, res), rms, cs| {
-                    update_chunk::<R, L>(
-                        cs,
-                        &qold.data,
-                        qoldv,
-                        &mut q.data,
-                        qv,
-                        &mut res.data,
-                        resv,
-                        &adt.data,
-                        &mut rms.1,
-                    );
-                },
-                |(scalar, lanes)| scalar + lanes.reduce_sum(),
-                |block| rms += block,
-            );
-        });
-    }
-    sim.normalize_rms(rms.to_f64())
-}
-
-// ---------------------------------------------------------------------------
-// fused loop chains — the ump_lazy deferred-execution backend
+// the recorded timestep — one ump_lazy chain, every shared-memory shape
 // ---------------------------------------------------------------------------
 
 /// The dats of one Airfoil timestep, borrowed from a global [`Airfoil`]
@@ -463,29 +242,45 @@ pub(crate) struct StepDats<'a, R: Real> {
     pub res: &'a mut OpDat<R>,
 }
 
-/// One iteration recorded as an `ump_lazy` loop chain and executed with
-/// cross-loop fusion on `pool` — the shared-memory fused backends. One
-/// recorded chain carries both scalar and `L`-lane vector bodies, so it
-/// serves every fused shape: scalar bodies under [`Shape::Threaded`] and
-/// the SIMT emulation [`Shape::Simt`], and under
-/// [`Shape::Simd`]`{ lanes: L }` gathers through the mesh maps,
+/// One iteration recorded as an `ump_lazy` loop chain and executed on
+/// `pool` in `shape`, grouped per `fusion` — the direct entry to what
+/// every shared-memory registry row runs. One recorded chain carries
+/// both scalar and `L`-lane vector bodies, so it serves every shape:
+/// scalar bodies under [`Shape::Threaded`] and the SIMT emulation
+/// [`Shape::Simt`], and under [`Shape::Simd`]`{ lanes: L }` (any other
+/// lane count panics before a loop runs) gathers through the mesh maps,
 /// serialized lane scatters for the colored increment and the
-/// three-sweep alignment handling — the paper's headline explicit
-/// vectorization composed with cross-loop fusion on one dispatch path,
-/// issuing exactly as many pool rounds as the threaded shape (the plans
-/// are shared).
+/// three-sweep alignment handling.
 ///
-/// The nine-loop timestep fuses into seven groups — `save_soln+adt_calc`
-/// and `update+adt_calc` share one colored dispatch each (all direct
-/// dependencies), `res_calc` stays alone (indirect increment), and the
-/// tiny `bres_calc` runs serially — so every step issues two dispatch
-/// rounds fewer than the per-loop `threaded` shape while computing
-/// identical physics.
-pub fn step_fused<R: Real, const L: usize>(
+/// Under [`Fusion::PerLoop`] the seven pooled loops of the nine-loop
+/// timestep are dispatched one by one (`threaded`, `simd_threaded{L}`,
+/// `simt`). Under [`Fusion::Groups`] they fuse into five groups —
+/// `save_soln+adt_calc` and `update+adt_calc` share one colored dispatch
+/// each (all direct dependencies), `res_calc` stays alone (indirect
+/// increment) — so every step issues two dispatch rounds fewer while
+/// computing identical physics on the same plans. The tiny `bres_calc`
+/// runs serially under both.
+#[allow(clippy::too_many_arguments)]
+pub fn step_chain<R: Real, const L: usize>(
     pool: &ExecPool,
     sim: &mut Airfoil<R>,
     cache: &PlanCache,
     shape: Shape,
+    fusion: Fusion,
+    n_threads: usize,
+    block_size: usize,
+    rec: Option<&Recorder>,
+) -> f64 {
+    let exec = ChainExec::on_pool(shape, fusion);
+    step_exec::<R, L>(exec, pool, sim, cache, n_threads, block_size, rec)
+}
+
+/// [`step_chain`] as a registry row executes it.
+fn step_exec<R: Real, const L: usize>(
+    exec: ChainExec,
+    pool: &ExecPool,
+    sim: &mut Airfoil<R>,
+    cache: &PlanCache,
     n_threads: usize,
     block_size: usize,
     rec: Option<&Recorder>,
@@ -500,12 +295,12 @@ pub fn step_fused<R: Real, const L: usize>(
         adt: &mut sim.adt,
         res: &mut sim.res,
     };
-    let rms = fused_chain::<R, L>(dats, None, pool, cache, shape, n_threads, block_size, rec);
+    let rms = recorded_step::<R, L>(dats, None, pool, cache, exec, n_threads, block_size, rec);
     sim.normalize_rms(rms)
 }
 
-/// The one recording of the fused timestep, executed: the nine loops
-/// with their scalar and `L`-lane bodies, over a global state
+/// The one recording of the timestep, executed as `exec` says: the nine
+/// loops with their scalar and `L`-lane bodies, over a global state
 /// (`halo: None`) or a rank's piece of one. A rank's [`RankHalo`] adds
 /// what paper Fig. 2b's `op_mpi_halo_exchanges` adds around unchanged
 /// loops:
@@ -529,16 +324,23 @@ pub fn step_fused<R: Real, const L: usize>(
 /// Returns Σ del² over the executed cells (the caller normalizes, a
 /// rank after the allreduce).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_chain<R: Real, const L: usize>(
+pub(crate) fn recorded_step<R: Real, const L: usize>(
     dats: StepDats<'_, R>,
     halo: Option<&RankHalo<'_>>,
     pool: &ExecPool,
     cache: &PlanCache,
-    shape: Shape,
+    exec: ChainExec,
     n_threads: usize,
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
+    let shape = exec.shape;
+    if let Shape::Simd { lanes } = shape {
+        assert_eq!(
+            lanes, L,
+            "shape sweeps {lanes} lanes, the recorded chunk bodies are {L} wide"
+        );
+    }
     let StepDats {
         mesh,
         bound,
@@ -557,10 +359,13 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
     let (xv, qv, qoldv, resv) = (x.view(), q.view(), qold.view(), res.view());
     let nc = halo.map_or(mesh.n_cells(), |h| h.n_owned);
     let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
-    let n_cell_blocks = nc.div_ceil(block_size);
+    // the chain's own blocks may span whole sets; the permute plans keep
+    // the caller's block size
+    let chain_block = exec.chain_block(block_size);
+    let n_cell_blocks = nc.div_ceil(chain_block);
     // rms partials: one slot per (phase, cell block), merged in block
-    // order after the chain runs — the same deterministic reduction as
-    // the per-loop shapes'
+    // order after the chain runs — a reduction that does not depend on
+    // the team size or the grouping
     let mut rms_blocks = vec![R::ZERO; 2 * n_cell_blocks];
     {
         let qs = SharedDat::new(&mut q.data);
@@ -642,63 +447,81 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
             }
             {
                 let (qs, adts, ress) = (&qs, &adts, &ress);
-                chain.record_simd_two_phase(
-                    desc("res_calc", ne),
-                    vec![&mesh.edge2cell],
-                    L,
-                    move |e| {
-                        let n = mesh.edge2node.row(e);
-                        let c = mesh.edge2cell.row(e);
-                        let (c0, c1) = (c[0] as usize, c[1] as usize);
-                        let xa: [R; 2] = xv.load_row(&x.data, n[0] as usize);
-                        let xb: [R; 2] = xv.load_row(&x.data, n[1] as usize);
-                        let mut r1 = [R::ZERO; 4];
-                        let mut r2 = [R::ZERO; 4];
-                        unsafe {
-                            let q1: [R; 4] = qv.load_row(qs.as_slice(), c0);
-                            let q2: [R; 4] = qv.load_row(qs.as_slice(), c1);
-                            res_calc(
-                                &xa,
-                                &xb,
-                                &q1,
-                                &q2,
-                                adts.slice(c0, 1)[0],
-                                adts.slice(c1, 1)[0],
-                                &mut r1,
-                                &mut r2,
-                                consts,
-                            );
-                        }
-                        (c0, r1, c1, r2)
-                    },
-                    move |_e, inc| unsafe {
-                        // same accumulation order as apply_edge_inc (c0's
-                        // row then c1's, components ascending), through
-                        // the layout view
-                        let r = ress.slice_mut(0, ress.len());
-                        let (c0, r1, c1, r2) = inc;
-                        resv.add_row(r, *c0, r1);
-                        resv.add_row(r, *c1, r2);
-                    },
-                    move |es| unsafe {
-                        // one aligned chunk: gather, vector flux kernel,
-                        // serialized lane scatter (block-exclusive under
-                        // the group plan's coloring)
-                        res_chunk::<R, L>(
-                            es,
-                            &mesh.edge2node.data,
-                            &mesh.edge2cell.data,
-                            &x.data,
-                            xv,
-                            qs.as_slice(),
-                            qv,
-                            adts.as_slice(),
-                            ress.slice_mut(0, ress.len()),
-                            resv,
+                let compute = move |e: usize| {
+                    let n = mesh.edge2node.row(e);
+                    let c = mesh.edge2cell.row(e);
+                    let (c0, c1) = (c[0] as usize, c[1] as usize);
+                    let xa: [R; 2] = xv.load_row(&x.data, n[0] as usize);
+                    let xb: [R; 2] = xv.load_row(&x.data, n[1] as usize);
+                    let mut r1 = [R::ZERO; 4];
+                    let mut r2 = [R::ZERO; 4];
+                    unsafe {
+                        let q1: [R; 4] = qv.load_row(qs.as_slice(), c0);
+                        let q2: [R; 4] = qv.load_row(qs.as_slice(), c1);
+                        res_calc(
+                            &xa,
+                            &xb,
+                            &q1,
+                            &q2,
+                            adts.slice(c0, 1)[0],
+                            adts.slice(c1, 1)[0],
+                            &mut r1,
+                            &mut r2,
                             consts,
                         );
-                    },
-                );
+                    }
+                    (c0, r1, c1, r2)
+                };
+                // c0's row then c1's, components ascending, through the
+                // layout view
+                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
+                    let r = ress.slice_mut(0, ress.len());
+                    let (c0, r1, c1, r2) = inc;
+                    resv.add_row(r, *c0, r1);
+                    resv.add_row(r, *c1, r2);
+                };
+                // gather, vector flux kernel, lane scatter (block-exclusive
+                // under the plan's coloring)
+                let chunk = move |lanes: Lanes<'_>| unsafe {
+                    res_chunk::<R, L>(
+                        lanes,
+                        &mesh.edge2node.data,
+                        &mesh.edge2cell.data,
+                        &x.data,
+                        xv,
+                        qs.as_slice(),
+                        qv,
+                        adts.as_slice(),
+                        ress.slice_mut(0, ress.len()),
+                        resv,
+                        consts,
+                    );
+                };
+                match exec.scheme {
+                    Scheme::TwoLevel => {
+                        chain.record_simd_two_phase(
+                            desc("res_calc", ne),
+                            vec![&mesh.edge2cell],
+                            L,
+                            compute,
+                            apply,
+                            move |es| chunk(Lanes::Aligned(es)),
+                        );
+                    }
+                    permute => {
+                        // Fig. 8a's schemes: the calling thread walks the
+                        // permute plan's conflict-free color groups
+                        let inputs = PlanInputs::new(ne, vec![&mesh.edge2cell], block_size);
+                        let plan = cache.get(permute, &[&mesh.edge2cell.name], &inputs);
+                        chain.record_seq(desc("res_calc", ne), move || {
+                            plan.for_each_color_group(
+                                L,
+                                |ids| chunk(Lanes::Permuted(ids)),
+                                |e| apply(e, &compute(e)),
+                            );
+                        });
+                    }
+                }
                 if let Some(h) = halo {
                     chain.mark_boundary(h.edge_halo);
                 }
@@ -752,7 +575,7 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
                 }
                 // rms partials land in one (phase, block) slot each; both
                 // recordings below produce the same deterministic
-                // block-order reduction as the per-loop shapes
+                // block-order reduction
                 if let Shape::Simd { .. } = shape {
                     // SIMD shape: per-chunk fold into the block slot (a
                     // block executes on one thread, so the in-place `+=`
@@ -765,7 +588,7 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
                         move |c| unsafe {
                             let mut local = R::ZERO;
                             update_cell!(c, &mut local);
-                            let slot = phase * n_cell_blocks + c / block_size;
+                            let slot = phase * n_cell_blocks + c / chain_block;
                             rmss.slice_mut(slot, 1)[0] += local;
                         },
                         move |cs| unsafe {
@@ -781,7 +604,7 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
                                 adts.as_slice(),
                                 &mut local_v,
                             );
-                            let slot = phase * n_cell_blocks + cs / block_size;
+                            let slot = phase * n_cell_blocks + cs / chain_block;
                             rmss.slice_mut(slot, 1)[0] += local_v.reduce_sum();
                         },
                     );
@@ -811,10 +634,10 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
             }
         }
         let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
-        chain.execute_policy(
+        exec.execute(
+            &chain,
             pool,
             cache,
-            shape,
             n_threads,
             block_size,
             R::BYTES,
@@ -1049,15 +872,16 @@ pub fn step_on<R: Real>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    // the fused chain executes natively in any layout; every other
-    // backend is written against the canonical AoS storage — convert,
-    // run, convert back (a pure index permutation, bit-exact at any
-    // precision, so the conformance bounds are unchanged)
+    // the recorded chain executes natively in any layout (and the tiled
+    // entry point converts for itself); only the rows that are AoS by
+    // definition — the oracle, and the ranks' row extraction from the
+    // global state — convert around the step (a pure index permutation,
+    // bit-exact at any precision)
     let layout = sim.layout();
     if layout != Layout::Aos
-        && !matches!(
+        && matches!(
             backend,
-            Backend::Fused | Backend::FusedSimt | Backend::FusedSimd { .. }
+            Backend::Seq | Backend::MpiFused | Backend::MpiFusedSimd { .. }
         )
     {
         sim.set_layout(Layout::Aos);
@@ -1065,52 +889,35 @@ pub fn step_on<R: Real>(
         sim.set_layout(layout);
         return out;
     }
-    if let Some(shape) = backend.loop_shape(pool, n_threads) {
-        return match shape.lanes {
-            0 => step_shape::<R, 1>(&shape, sim, cache, block_size, rec),
-            4 => step_shape::<R, 4>(&shape, sim, cache, block_size, rec),
-            8 => step_shape::<R, 8>(&shape, sim, cache, block_size, rec),
-            _ => no_lane_instantiation(backend),
+    let Some(exec) = chain_exec(backend) else {
+        let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
+        return match backend {
+            Backend::Seq => step_seq(sim, rec),
+            // the tiled executor as a 1-step super-chain; multi-step
+            // harnesses call `run_tiled_on` directly
+            Backend::Tiled => {
+                run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
+            }
+            Backend::TiledSimd { lanes: 4 } => {
+                run_tiled_on::<R, 4>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
+            }
+            Backend::TiledSimd { lanes: 8 } => {
+                run_tiled_on::<R, 8>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
+            }
+            other => no_lane_instantiation(other),
         };
-    }
-    // the recorded chains: the shape a registry row executes them in;
-    // scalar shapes ride on the L = 4 instantiation
-    let shape = match backend {
-        Backend::FusedSimt => Shape::Simt {
-            width: DISPATCH_SIMT_WIDTH,
-            sched_overhead_ns: 0,
-        },
-        Backend::FusedSimd { lanes } | Backend::MpiFusedSimd { lanes } => Shape::Simd { lanes },
-        _ => Shape::Threaded,
     };
-    let (ranks, tile_cells) = (backend.ranks(), DISPATCH_TILE_BLOCKS * block_size);
-    match backend {
-        Backend::Seq => step_seq(sim, rec),
-        Backend::Fused | Backend::FusedSimt | Backend::FusedSimd { lanes: 4 } => {
-            step_fused::<R, 4>(pool, sim, cache, shape, n_threads, block_size, rec)
+    // scalar shapes ride on the L = 4 instantiation; distributed rows
+    // give every rank its own pool and never touch the caller's
+    match (backend.is_distributed(), backend.lanes()) {
+        (false, 1 | 4) => step_exec::<R, 4>(exec, pool, sim, cache, n_threads, block_size, rec),
+        (false, 8) => step_exec::<R, 8>(exec, pool, sim, cache, n_threads, block_size, rec),
+        (true, 1 | 4) => {
+            step_mpi_fused::<RankState<R>, 4>(sim, backend.ranks(), block_size, exec.shape, rec)
         }
-        Backend::FusedSimd { lanes: 8 } => {
-            step_fused::<R, 8>(pool, sim, cache, shape, n_threads, block_size, rec)
+        (true, 8) => {
+            step_mpi_fused::<RankState<R>, 8>(sim, backend.ranks(), block_size, exec.shape, rec)
         }
-        // distributed backends: ranks own their pools; the caller's pool
-        // and n_threads are unused (needs_pool() is false)
-        Backend::MpiFused | Backend::MpiFusedSimd { lanes: 4 } => {
-            step_mpi_fused::<RankState<R>, 4>(sim, ranks, block_size, shape, rec)
-        }
-        Backend::MpiFusedSimd { lanes: 8 } => {
-            step_mpi_fused::<RankState<R>, 8>(sim, ranks, block_size, shape, rec)
-        }
-        // the tiled executor as a 1-step super-chain; multi-step
-        // harnesses call `run_tiled_on` directly
-        Backend::Tiled => {
-            run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-        }
-        Backend::TiledSimd { lanes: 4 } => {
-            run_tiled_on::<R, 4>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-        }
-        Backend::TiledSimd { lanes: 8 } => {
-            run_tiled_on::<R, 8>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-        }
-        other => no_lane_instantiation(other),
+        _ => no_lane_instantiation(backend),
     }
 }

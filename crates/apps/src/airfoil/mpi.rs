@@ -12,15 +12,16 @@
 //! [`crate::dist`], which this state joins by implementing [`RankApp`].
 
 use ump_core::{ExecPool, LocalMesh, OpDat, PlanCache, Recorder};
-use ump_lazy::{ExchangePolicy, Shape};
+use ump_lazy::{ExchangePolicy, Fusion, Shape};
 use ump_mesh::generators::AirfoilCase;
 use ump_mesh::Mesh2d;
 use ump_minimpi::{Comm, ExchangeGuard};
 use ump_simd::Real;
 
-use super::drivers::{fused_chain, StepDats};
+use super::drivers::{recorded_step, StepDats};
 use super::{Airfoil, Consts};
 use crate::dist::{self, RankApp, RankHalo};
+use crate::ChainExec;
 
 /// A rank-local Airfoil state.
 pub struct RankState<R: Real> {
@@ -127,7 +128,8 @@ impl<R: Real> RankState<R> {
             adt: &mut self.adt,
             res: &mut self.res,
         };
-        let rms = fused_chain::<R, L>(dats, Some(&halo), pool, cache, shape, 0, block_size, rec);
+        let exec = ChainExec::on_pool(shape, Fusion::Groups);
+        let rms = recorded_step::<R, L>(dats, Some(&halo), pool, cache, exec, 0, block_size, rec);
         (comm.allreduce_sum(rms) / total_cells as f64).sqrt()
     }
 }

@@ -7,8 +7,8 @@
 //! An application takes part by implementing [`RankApp`] for its
 //! rank-local state: how to build a rank from the case and its
 //! [`LocalMesh`], which dats evolve, and how to step once. The step is
-//! not a second copy of the timestep — each app records its fused chain
-//! once (`drivers::fused_chain`) and a rank passes that recording a
+//! not a second copy of the timestep — each app records its chain
+//! once (`drivers::recorded_step`) and a rank passes that recording a
 //! [`RankHalo`], the hooks a rank adds around the unchanged loops (paper
 //! Fig. 2b's `op_mpi_halo_exchanges`): ghost refreshes as non-blocking
 //! chain entries, the interior/boundary classification that lets

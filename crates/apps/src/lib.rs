@@ -13,14 +13,17 @@
 //! generic over `VecR<R, LANES>`, mirroring `res_calc` / `res_calc_vec`
 //! in paper Fig. 3b) and *drivers* — what OP2's code generator would
 //! emit (Figs 2b/3a/3b): a hand-written sequential reference, one
-//! per-loop declaration of the timestep that
-//! [`ump_core::LoopShape`] executes as threaded colored blocks,
-//! explicit SIMD with gather/scatter and the three-sweep structure, or
-//! the SIMT emulation, and the fused and tiled `ump_lazy` recordings.
-//! The message-passing backend does not restate the timestep: a rank
-//! executes the fused recording with its halo hooks on, and [`dist`]
-//! drives any [`dist::RankApp`] end to end (halo exchanges, redundant
-//! exec-halo execution, checkpoints, assembly).
+//! recording of the timestep as an `ump_lazy` chain (scalar body,
+//! `L`-lane chunk body and reduction per loop), and the tiled
+//! recording. Every shared-memory row of the registry executes that one
+//! recording: threaded colored blocks, explicit SIMD with
+//! gather/scatter and the three-sweep structure, the SIMT emulation —
+//! loop by loop or fused — are the [`Shape`] and [`Fusion`] it is
+//! executed under (`chain_exec` maps a row to them). The message-passing
+//! backend does not restate the timestep either: a rank executes the
+//! recording with its halo hooks on, and [`dist`] drives any
+//! [`dist::RankApp`] end to end (halo exchanges, redundant exec-halo
+//! execution, checkpoints, assembly).
 
 #![deny(missing_docs)]
 
@@ -31,8 +34,9 @@ pub mod volna;
 
 pub use resilience::{resilient_loop, ResilientReport};
 
-use ump_core::{Backend, Layout, Recorder};
-use ump_lazy::{LoopDesc, VecHint};
+use ump_core::{Backend, ExecPool, Layout, PlanCache, Recorder, Scheme, DISPATCH_SIMT_WIDTH};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, VecHint};
+use ump_simd::{DatView, IdxVec, Real, VecR};
 
 /// Default anchor-blocks-per-tile of the registry dispatchers' tiled
 /// arms: `tile_cells = DISPATCH_TILE_BLOCKS × block_size`.
@@ -73,6 +77,153 @@ pub(crate) fn lane_hint(desc: LoopDesc, layout: Layout) -> LoopDesc {
         VecHint::Vector
     };
     desc.with_hint(hint)
+}
+
+/// The `L` elements one vector chunk body covers.
+#[derive(Clone, Copy)]
+pub(crate) enum Lanes<'a> {
+    /// The lane-aligned run `es..es + L`.
+    Aligned(usize),
+    /// `L` elements of one color group of a permute plan: no two of them
+    /// write a common target (paper §4), so a serialized lane scatter
+    /// over them is a true vector scatter.
+    Permuted(&'a [u32]),
+}
+
+impl Lanes<'_> {
+    /// Slot `j` of the elements' rows in the arity-`dim` map table `map`.
+    #[inline(always)]
+    pub(crate) fn mapped<const L: usize>(self, map: &[i32], dim: usize, j: usize) -> IdxVec<L> {
+        match self {
+            Lanes::Aligned(es) => IdxVec::load_strided(map, es * dim + j, dim),
+            Lanes::Permuted(ids) => {
+                IdxVec::from_array(std::array::from_fn(|l| map[ids[l] as usize * dim + j]))
+            }
+        }
+    }
+
+    /// Component `c` of the elements' own rows of `data`.
+    #[inline(always)]
+    pub(crate) fn direct<R: Real, const L: usize>(
+        self,
+        view: DatView,
+        data: &[R],
+        c: usize,
+    ) -> VecR<R, L> {
+        match self {
+            Lanes::Aligned(es) => view.loadv(data, es, c),
+            Lanes::Permuted(ids) => {
+                let own = IdxVec::from_array(std::array::from_fn(|l| ids[l] as i32));
+                view.gatherv(data, own, c)
+            }
+        }
+    }
+}
+
+/// How an application's recorded chain is executed — what a registry
+/// row *is*, for every row that executes the recording.
+#[derive(Clone, Copy)]
+pub(crate) struct ChainExec {
+    /// Block bodies: scalar, SIMT lock-step, or `L`-lane three-sweep.
+    pub shape: Shape,
+    /// One dispatch per fusable group, or per loop.
+    pub fusion: Fusion,
+    /// How the indirect-increment loop lands: the recording's colored
+    /// loop ([`Scheme::TwoLevel`]), or a calling-thread walk of a permute
+    /// plan's color groups with true vector scatters.
+    pub scheme: Scheme,
+    /// The paper's pure-MPI shape: no coloring, no team. The chain runs
+    /// on a workerless one-member pool with one block spanning each set,
+    /// so every loop sweeps its set in sequential order.
+    pub calling_thread: bool,
+}
+
+/// The execution of `backend`'s row; `None` for the rows that execute
+/// no chain recording (`seq`, `tiled*`).
+pub(crate) fn chain_exec(backend: Backend) -> Option<ChainExec> {
+    let shape = match backend {
+        Backend::Seq | Backend::Tiled | Backend::TiledSimd { .. } => return None,
+        Backend::Threaded | Backend::Fused | Backend::MpiFused => Shape::Threaded,
+        Backend::Simt | Backend::FusedSimt => Shape::Simt {
+            width: DISPATCH_SIMT_WIDTH,
+            sched_overhead_ns: 0,
+        },
+        Backend::Simd { .. }
+        | Backend::SimdThreaded { .. }
+        | Backend::SimdScheme { .. }
+        | Backend::FusedSimd { .. }
+        | Backend::MpiFusedSimd { .. } => Shape::Simd {
+            lanes: backend.lanes(),
+        },
+    };
+    let fusion = if backend.is_fused() {
+        Fusion::Groups
+    } else {
+        Fusion::PerLoop
+    };
+    Some(ChainExec {
+        shape,
+        fusion,
+        scheme: backend.scheme(),
+        calling_thread: matches!(backend, Backend::Simd { .. } | Backend::SimdScheme { .. }),
+    })
+}
+
+impl ChainExec {
+    /// The chain as recorded (colored increment loop), on the caller's
+    /// pool at the caller's block size.
+    pub(crate) fn on_pool(shape: Shape, fusion: Fusion) -> ChainExec {
+        ChainExec {
+            shape,
+            fusion,
+            scheme: Scheme::TwoLevel,
+            calling_thread: false,
+        }
+    }
+
+    /// Block size the chain's plans (and per-block reduction partials)
+    /// are built at, given the caller's.
+    pub(crate) fn chain_block(&self, block_size: usize) -> usize {
+        if self.calling_thread {
+            usize::MAX
+        } else {
+            block_size
+        }
+    }
+
+    /// Execute `chain` as this row does, on the caller's pool or — for
+    /// the calling-thread rows — on a one-member pool of its own.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn execute(
+        &self,
+        chain: &Chain<'_>,
+        pool: &ExecPool,
+        cache: &PlanCache,
+        n_threads: usize,
+        block_size: usize,
+        word_bytes: usize,
+        rec: Option<&Recorder>,
+        policy: ExchangePolicy,
+    ) {
+        let own_pool;
+        let (pool, n_threads) = if self.calling_thread {
+            own_pool = ExecPool::new(1);
+            (&own_pool, 1)
+        } else {
+            (pool, n_threads)
+        };
+        chain.execute_policy(
+            pool,
+            cache,
+            self.shape,
+            n_threads,
+            self.chain_block(block_size),
+            word_bytes,
+            rec,
+            policy,
+            self.fusion,
+        );
+    }
 }
 
 /// The `step_on` dispatchers' answer to a lane width the registry lists

@@ -1,18 +1,20 @@
 //! The Volna loop drivers (one step = one RK2 time step; returns the CFL
 //! Δt used). Same structure as the Airfoil drivers — the hand-written
-//! [`step_seq`] oracle, the per-loop step declared once in
-//! [`step_shape`] and executed by a [`LoopShape`], the fused recording
-//! ([`step_fused`]; a rank of the distributed backend executes the same
-//! recording with its [`RankHalo`] hooks switched on), the tiled
-//! recording, and the [`step_on`] registry dispatcher; the
-//! paper benchmarks Volna in single precision through the same MPI /
-//! OpenMP / OpenCL / intrinsics configurations.
+//! [`step_seq`] oracle, the one recording of the step as an `ump_lazy`
+//! chain ([`step_chain`]: every shared-memory registry row is an
+//! execution of it, in a [`Shape`] under a [`Fusion`] policy and in
+//! whatever layout the state is stored in; a rank of the distributed
+//! backend executes it with its [`RankHalo`] hooks switched on), the
+//! tiled recording, and the [`step_on`] registry dispatcher; the paper
+//! benchmarks Volna in single precision through the same MPI / OpenMP /
+//! OpenCL / intrinsics configurations.
 
+use ump_color::PlanInputs;
 use ump_core::{
-    seq_loop, two_rows_mut, Backend, ExecPool, Layout, LoopShape, OpDat, PlanCache, Recorder,
-    SharedDat, DISPATCH_SIMT_WIDTH,
+    seq_loop, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache, Recorder, Scheme,
+    SharedDat,
 };
-use ump_lazy::{Chain, ExchangePolicy, LoopDesc, Shape, TileReport, TiledChain};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain};
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
@@ -23,7 +25,10 @@ use super::kernels_vec::{
 use super::mpi::RankState;
 use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
 use crate::dist::{step_mpi_fused, RankHalo};
-use crate::{lane_hint, maybe_time, no_lane_instantiation, DISPATCH_TILE_BLOCKS};
+use crate::{
+    chain_exec, lane_hint, maybe_time, no_lane_instantiation, ChainExec, Lanes,
+    DISPATCH_TILE_BLOCKS,
+};
 
 // ---------------------------------------------------------------------------
 // sequential reference
@@ -133,15 +138,12 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// lane-chunk bodies, shared by the per-loop declaration and the fused /
-// distributed chains
+// lane-chunk bodies of the recorded chain
 // ---------------------------------------------------------------------------
 
 /// One lane-aligned chunk of vectorized `compute_flux`. Raw-slice +
-/// [`DatView`] signature so the per-loop sweeps (`OpDat` storage) and the
-/// fused-chain vector bodies (`SharedDat` views) share one copy of the
-/// layout-aware index arithmetic; under AoS every view op lowers to the
-/// historical strided/gather form.
+/// [`DatView`] signature: one copy of the layout-aware index arithmetic;
+/// under AoS every view op lowers to the strided/gather form.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn compute_flux_chunk<R: Real, const L: usize>(
@@ -189,12 +191,14 @@ pub(crate) fn numerical_flux_chunk<R: Real, const L: usize>(
     numerical_flux_vec(lam, al, ar, dt_acc, cfl);
 }
 
-/// One lane-aligned chunk of vectorized `space_disc` with *serialized*
-/// lane scatter (ascending lane order — the scalar accumulation order).
+/// `L` edges of vectorized `space_disc` — a lane-aligned chunk or a
+/// color-permuted group — with *serialized* lane scatter (ascending lane
+/// order: the scalar accumulation order; a permuted group shares no
+/// target cell, which makes it §4's true vector scatter).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn space_disc_chunk<R: Real, const L: usize>(
-    es: usize,
+    lanes: Lanes<'_>,
     e2c: &[i32],
     egeom: &[R],
     egv: DatView,
@@ -206,10 +210,10 @@ pub(crate) fn space_disc_chunk<R: Real, const L: usize>(
     resv: DatView,
     g: R,
 ) {
-    let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
-    let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-    let geom: [VecR<R, L>; 4] = std::array::from_fn(|d| egv.loadv(egeom, es, d));
-    let ef: [VecR<R, L>; 4] = std::array::from_fn(|d| efv.loadv(eflux, es, d));
+    let c0 = lanes.mapped::<L>(e2c, 2, 0);
+    let c1 = lanes.mapped::<L>(e2c, 2, 1);
+    let geom: [VecR<R, L>; 4] = std::array::from_fn(|d| lanes.direct(egv, egeom, d));
+    let ef: [VecR<R, L>; 4] = std::array::from_fn(|d| lanes.direct(efv, eflux, d));
     let wl: [VecR<R, L>; 4] = std::array::from_fn(|d| sv.gatherv(state, c0, d));
     let wr: [VecR<R, L>; 4] = std::array::from_fn(|d| sv.gatherv(state, c1, d));
     let (rl, rr) = space_disc_vec(&geom, &ef, &wl, &wr, g);
@@ -272,281 +276,8 @@ pub(crate) fn rk2_chunk<R: Real, const L: usize>(
     }
 }
 
-/// `L` color-permuted edges of vectorized `space_disc`: everything is
-/// gathered through the permutation, and because a color group shares no
-/// target cell the increments land with true vector scatter-adds (§4's
-/// permute schemes). Defined on AoS storage.
-#[inline(always)]
-pub(crate) fn space_disc_chunk_permuted<R: Real, const L: usize>(
-    ids: &[u32],
-    e2c: &[i32],
-    egeom: &[R],
-    eflux: &[R],
-    state: &[R],
-    res: &mut [R],
-    g: R,
-) {
-    let ids: [usize; L] = std::array::from_fn(|l| ids[l] as usize);
-    let eidx = IdxVec::<L>::from_array(ids.map(|e| e as i32));
-    let c0 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2]));
-    let c1 = IdxVec::<L>::from_array(ids.map(|e| e2c[e * 2 + 1]));
-    let geom: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(egeom, eidx, 4, d));
-    let ef: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(eflux, eidx, 4, d));
-    let wl: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(state, c0, 4, d));
-    let wr: [VecR<R, L>; 4] = std::array::from_fn(|d| VecR::gather(state, c1, 4, d));
-    let (rl, rr) = space_disc_vec(&geom, &ef, &wl, &wr, g);
-    for d in 0..3 {
-        rl[d].scatter_add(res, c0, 4, d);
-        rr[d].scatter_add(res, c1, 4, d);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// the per-loop RK2 step, declared once
-// ---------------------------------------------------------------------------
-
-/// One RK2 step with every loop executed separately in `shape` — the
-/// single per-loop declaration behind `threaded`, `simd{L}`,
-/// `simd_threaded{L}`, `simd_scheme_*` and `simt` (mirrors
-/// [`airfoil::drivers::step_shape`](crate::airfoil::drivers::step_shape)).
-/// `shape.lanes` must be `0` or `L`. Defined on AoS storage ([`step_on`]
-/// converts around it). Returns Δt.
-pub fn step_shape<R: Real, const L: usize>(
-    shape: &LoopShape<'_>,
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    assert!(
-        shape.lanes == 0 || shape.lanes == L,
-        "shape sweeps {} lanes, chunk bodies are {L} wide",
-        shape.lanes
-    );
-    let wb = R::BYTES;
-    let g = R::from_f64(GRAVITY);
-    let h_min = R::from_f64(H_MIN);
-    let cfl = R::from_f64(CFL);
-    let Volna {
-        case,
-        w,
-        w_old,
-        w1,
-        res,
-        area,
-        egeom,
-        eflux,
-        bgeom,
-    } = sim;
-    let mesh = &case.mesh;
-    let (area, egeom, bgeom) = (&*area, &*egeom, &*bgeom);
-    let e2c = &mesh.edge2cell;
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-    let cells = shape.direct_set(cache, nc, block_size);
-    let edges = shape.direct_set(cache, ne, block_size);
-    let edges_inc = shape.inc_set(cache, e2c, block_size);
-
-    maybe_time(rec, "sim_1", wb, nc, || {
-        cells.direct(
-            w_old,
-            |w_old, c| sim_1(w.row(c), &mut w_old.data[c * 4..c * 4 + 4]),
-            // L cells are 4·L contiguous values: a straight vector copy
-            |w_old, cs| {
-                for i in 0..4 {
-                    VecR::<R, L>::load(&w.data, cs * 4 + i * L)
-                        .store(&mut w_old.data, cs * 4 + i * L);
-                }
-            },
-        );
-    });
-
-    let mut dt = R::INFINITY;
-    for phase in 0..2 {
-        let state: &OpDat<R> = if phase == 0 { w } else { w1 };
-        maybe_time(rec, "compute_flux", wb, ne, || {
-            let efv = eflux.view();
-            edges.direct(
-                eflux,
-                |eflux, e| {
-                    let c = e2c.row(e);
-                    compute_flux(
-                        egeom.row(e),
-                        state.row(c[0] as usize),
-                        state.row(c[1] as usize),
-                        &mut eflux.data[e * 4..e * 4 + 4],
-                        g,
-                        h_min,
-                    );
-                },
-                |eflux, es| {
-                    compute_flux_chunk::<R, L>(
-                        es,
-                        &e2c.data,
-                        &egeom.data,
-                        egeom.view(),
-                        &state.data,
-                        state.view(),
-                        &mut eflux.data,
-                        efv,
-                        g,
-                        h_min,
-                    );
-                },
-            );
-        });
-        if phase == 0 {
-            maybe_time(rec, "numerical_flux", wb, ne, || {
-                let eflux = &*eflux;
-                edges.direct_reduce(
-                    &mut (),
-                    (R::INFINITY, VecR::<R, L>::splat(R::INFINITY)),
-                    |_, dt, e| {
-                        let c = e2c.row(e);
-                        numerical_flux(
-                            egeom.row(e),
-                            eflux.row(e),
-                            area.data[c[0] as usize],
-                            area.data[c[1] as usize],
-                            &mut dt.0,
-                            cfl,
-                        );
-                    },
-                    |_, dt, es| {
-                        numerical_flux_chunk::<R, L>(
-                            es,
-                            &e2c.data,
-                            &eflux.data,
-                            eflux.view(),
-                            &area.data,
-                            &mut dt.1,
-                            cfl,
-                        );
-                    },
-                    |(scalar, lanes)| scalar.min(lanes.reduce_min()),
-                    // `min` is exact in any order
-                    |block| dt = dt.min(block),
-                );
-            });
-        }
-        maybe_time(rec, "space_disc", wb, ne, || {
-            let resv = res.view();
-            edges_inc.inc::<R, 4>(
-                &mut res.data,
-                |e, rl, rr| {
-                    let c = e2c.row(e);
-                    space_disc(
-                        egeom.row(e),
-                        eflux.row(e),
-                        state.row(c[0] as usize),
-                        state.row(c[1] as usize),
-                        rl,
-                        rr,
-                        g,
-                    );
-                },
-                |es, res| {
-                    space_disc_chunk::<R, L>(
-                        es,
-                        &e2c.data,
-                        &egeom.data,
-                        egeom.view(),
-                        &eflux.data,
-                        eflux.view(),
-                        &state.data,
-                        state.view(),
-                        res,
-                        resv,
-                        g,
-                    );
-                },
-                |ids, res| {
-                    space_disc_chunk_permuted::<R, L>(
-                        ids,
-                        &e2c.data,
-                        &egeom.data,
-                        &eflux.data,
-                        &state.data,
-                        res,
-                        g,
-                    );
-                },
-            );
-        });
-        // boundary set is tiny: always scalar on the calling thread
-        maybe_time(rec, "bc_flux", wb, nb, || {
-            seq_loop(0..nb, |be| {
-                let c0 = mesh.bedge2cell.at(be, 0);
-                bc_flux(bgeom.row(be), state.row(c0), res.row_mut(c0), g);
-            });
-        });
-        if phase == 0 {
-            maybe_time(rec, "RK_1", wb, nc, || {
-                let (w_old, resv, w1v) = (&*w_old, res.view(), w1.view());
-                cells.direct(
-                    &mut (&mut *res, &mut *w1),
-                    |(res, w1), c| {
-                        rk_1(
-                            w_old.row(c),
-                            &mut res.data[c * 4..c * 4 + 4],
-                            &mut w1.data[c * 4..c * 4 + 4],
-                            area.data[c],
-                            dt,
-                        );
-                    },
-                    |(res, w1), cs| {
-                        rk1_chunk::<R, L>(
-                            cs,
-                            &w_old.data,
-                            w_old.view(),
-                            &mut res.data,
-                            resv,
-                            &mut w1.data,
-                            w1v,
-                            &area.data,
-                            dt,
-                        );
-                    },
-                );
-            });
-        } else {
-            maybe_time(rec, "RK_2", wb, nc, || {
-                let (w_old, w1, resv, wv) = (&*w_old, &*w1, res.view(), w.view());
-                cells.direct(
-                    &mut (&mut *res, &mut *w),
-                    |(res, w), c| {
-                        rk_2(
-                            w_old.row(c),
-                            w1.row(c),
-                            &mut res.data[c * 4..c * 4 + 4],
-                            &mut w.data[c * 4..c * 4 + 4],
-                            area.data[c],
-                            dt,
-                        );
-                    },
-                    |(res, w), cs| {
-                        rk2_chunk::<R, L>(
-                            cs,
-                            &w_old.data,
-                            w_old.view(),
-                            &w1.data,
-                            w1.view(),
-                            &mut res.data,
-                            resv,
-                            &mut w.data,
-                            wv,
-                            &area.data,
-                            dt,
-                        );
-                    },
-                );
-            });
-        }
-    }
-    dt.to_f64()
-}
-
-// ---------------------------------------------------------------------------
-// fused loop chains — the ump_lazy deferred-execution backend
+// the recorded RK2 step — one ump_lazy chain, every shared-memory shape
 // ---------------------------------------------------------------------------
 
 /// The dats of one Volna step, borrowed from a global [`Volna`] or from
@@ -563,25 +294,43 @@ pub(crate) struct StepDats<'a, R: Real> {
     pub bgeom: &'a OpDat<R>,
 }
 
-/// One RK2 step recorded as an `ump_lazy` loop chain and executed with
-/// cross-loop fusion on `pool` — the shared-memory fused backends. One
-/// recorded chain carries scalar and `L`-lane vector bodies, so it
+/// One RK2 step recorded as an `ump_lazy` loop chain and executed on
+/// `pool` in `shape`, grouped per `fusion` — the direct entry to what
+/// every shared-memory registry row runs (mirrors
+/// [`airfoil::drivers::step_chain`](crate::airfoil::drivers::step_chain)).
+/// One recorded chain carries scalar and `L`-lane vector bodies, so it
 /// serves [`Shape::Threaded`], [`Shape::Simt`] and
-/// [`Shape::Simd`]`{ lanes: L }` on the same union-write-set plans and
-/// pool rounds. Returns Δt.
+/// [`Shape::Simd`]`{ lanes: L }` on the same plans. Returns Δt.
 ///
-/// The three edge loops of phase 0 (`compute_flux`, `numerical_flux`,
-/// `space_disc`) fuse into a single colored dispatch — their
-/// dependencies are direct (the per-edge flux pack) — and phase 1 fuses
-/// `compute_flux+space_disc`; the Δt reduction is merged by an epilogue
-/// before `RK_1` consumes it. Three dispatch rounds fewer per step than
-/// the per-loop `threaded` shape, with the edge working set streamed
-/// once per group.
-pub fn step_fused<R: Real, const L: usize>(
+/// Under [`Fusion::PerLoop`] the eight pooled loops are dispatched one
+/// by one. Under [`Fusion::Groups`] the three edge loops of phase 0
+/// (`compute_flux`, `numerical_flux`, `space_disc`) fuse into a single
+/// colored dispatch — their dependencies are direct (the per-edge flux
+/// pack) — and phase 1 fuses `compute_flux+space_disc`: three dispatch
+/// rounds fewer per step, with the edge working set streamed once per
+/// group. Under both, the Δt reduction is merged by an epilogue before
+/// `RK_1` consumes it.
+#[allow(clippy::too_many_arguments)]
+pub fn step_chain<R: Real, const L: usize>(
     pool: &ExecPool,
     sim: &mut Volna<R>,
     cache: &PlanCache,
     shape: Shape,
+    fusion: Fusion,
+    n_threads: usize,
+    block_size: usize,
+    rec: Option<&Recorder>,
+) -> f64 {
+    let exec = ChainExec::on_pool(shape, fusion);
+    step_exec::<R, L>(exec, pool, sim, cache, n_threads, block_size, rec)
+}
+
+/// [`step_chain`] as a registry row executes it.
+fn step_exec<R: Real, const L: usize>(
+    exec: ChainExec,
+    pool: &ExecPool,
+    sim: &mut Volna<R>,
+    cache: &PlanCache,
     n_threads: usize,
     block_size: usize,
     rec: Option<&Recorder>,
@@ -597,11 +346,11 @@ pub fn step_fused<R: Real, const L: usize>(
         eflux: &mut sim.eflux,
         bgeom: &sim.bgeom,
     };
-    fused_chain::<R, L>(dats, None, pool, cache, shape, n_threads, block_size, rec)
+    recorded_step::<R, L>(dats, None, pool, cache, exec, n_threads, block_size, rec)
 }
 
-/// The one recording of the fused RK2 step, executed: over a global
-/// state (`halo: None`) or a rank's piece of one. A rank's [`RankHalo`]
+/// The one recording of the RK2 step, executed as `exec` says: over a
+/// global state (`halo: None`) or a rank's piece of one. A rank's [`RankHalo`]
 /// adds what `op_mpi_halo_exchanges` adds around unchanged loops:
 ///
 /// ```text
@@ -623,16 +372,23 @@ pub fn step_fused<R: Real, const L: usize>(
 /// `mark_boundary` forces the interior → finish → boundary split, which
 /// a single process must not pay. Returns the (globally agreed) Δt.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_chain<R: Real, const L: usize>(
+pub(crate) fn recorded_step<R: Real, const L: usize>(
     dats: StepDats<'_, R>,
     halo: Option<&RankHalo<'_>>,
     pool: &ExecPool,
     cache: &PlanCache,
-    shape: Shape,
+    exec: ChainExec,
     n_threads: usize,
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
+    let shape = exec.shape;
+    if let Shape::Simd { lanes } = shape {
+        assert_eq!(
+            lanes, L,
+            "shape sweeps {lanes} lanes, the recorded chunk bodies are {L} wide"
+        );
+    }
     let g = R::from_f64(GRAVITY);
     let h_min = R::from_f64(H_MIN);
     let cfl = R::from_f64(CFL);
@@ -647,15 +403,18 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
         eflux,
         bgeom,
     } = dats;
-    // layout views, captured before the SharedDat borrows below: the
-    // fused chain is the one driver family that runs *natively* on
-    // SoA/AoSoA storage (every other backend is shimmed to AoS);
-    // rank-local dats are always AoS
+    // layout views, captured before the SharedDat borrows below: every
+    // access in the recorded bodies goes through them, so the one chain
+    // runs natively on AoS, SoA or AoSoA storage; rank-local dats are
+    // always AoS
     let (wv, woldv, w1v, resv) = (w.view(), w_old.view(), w1.view(), res.view());
     let (egv, efv, bgv) = (egeom.view(), eflux.view(), bgeom.view());
     let nc = halo.map_or(mesh.n_cells(), |h| h.n_owned);
     let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
-    let n_edge_blocks = ne.div_ceil(block_size);
+    // the chain's own blocks may span whole sets; the permute plans keep
+    // the caller's block size
+    let chain_block = exec.chain_block(block_size);
+    let n_edge_blocks = ne.div_ceil(chain_block);
     // Δt partials: one slot per edge block, folded by an epilogue into
     // `dt_slot` before RK_1 (a later loop of the same chain) reads it
     let mut dt_blocks = vec![R::INFINITY; n_edge_blocks];
@@ -774,7 +533,7 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
                             vec![],
                             L,
                             move |e| unsafe {
-                                flux_edge!(e, &mut dts.slice_mut(e / block_size, 1)[0]);
+                                flux_edge!(e, &mut dts.slice_mut(e / chain_block, 1)[0]);
                             },
                             move |es| unsafe {
                                 let mut dt_v = VecR::<R, L>::splat(R::INFINITY);
@@ -787,7 +546,7 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
                                     &mut dt_v,
                                     cfl,
                                 );
-                                let slot = &mut dts.slice_mut(es / block_size, 1)[0];
+                                let slot = &mut dts.slice_mut(es / chain_block, 1)[0];
                                 *slot = slot.min(dt_v.reduce_min());
                             },
                         );
@@ -828,50 +587,70 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
             }
             {
                 let (efs, ress) = (&efs, &ress);
-                chain.record_simd_two_phase(
-                    state_desc("space_disc", ne, phase),
-                    vec![&mesh.edge2cell],
-                    L,
-                    move |e| {
-                        let c = mesh.edge2cell.row(e);
-                        let (c0, c1) = (c[0] as usize, c[1] as usize);
-                        let mut rl = [R::ZERO; 4];
-                        let mut rr = [R::ZERO; 4];
-                        unsafe {
-                            let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                            let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
-                            let s = state.as_slice();
-                            let wl: [R; 4] = sv.load_row(s, c0);
-                            let wr: [R; 4] = sv.load_row(s, c1);
-                            space_disc(&ge, &ef, &wl, &wr, &mut rl, &mut rr, g);
-                        }
-                        (c0, rl, c1, rr)
-                    },
-                    // layout-aware apply, matching apply_edge_inc's
-                    // accumulation order exactly (left row, then right,
-                    // components ascending)
-                    move |_e, inc| unsafe {
-                        let r = ress.slice_mut(0, ress.len());
-                        let (c0, rl, c1, rr) = inc;
-                        resv.add_row(r, *c0, rl);
-                        resv.add_row(r, *c1, rr);
-                    },
-                    move |es| unsafe {
-                        space_disc_chunk::<R, L>(
-                            es,
-                            &mesh.edge2cell.data,
-                            &egeom.data,
-                            egv,
-                            efs.as_slice(),
-                            efv,
-                            state.as_slice(),
-                            sv,
-                            ress.slice_mut(0, ress.len()),
-                            resv,
-                            g,
+                let compute = move |e: usize| {
+                    let c = mesh.edge2cell.row(e);
+                    let (c0, c1) = (c[0] as usize, c[1] as usize);
+                    let mut rl = [R::ZERO; 4];
+                    let mut rr = [R::ZERO; 4];
+                    unsafe {
+                        let ge: [R; 4] = egv.load_row(&egeom.data, e);
+                        let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
+                        let s = state.as_slice();
+                        let wl: [R; 4] = sv.load_row(s, c0);
+                        let wr: [R; 4] = sv.load_row(s, c1);
+                        space_disc(&ge, &ef, &wl, &wr, &mut rl, &mut rr, g);
+                    }
+                    (c0, rl, c1, rr)
+                };
+                // left row, then right, components ascending, through the
+                // layout view
+                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
+                    let r = ress.slice_mut(0, ress.len());
+                    let (c0, rl, c1, rr) = inc;
+                    resv.add_row(r, *c0, rl);
+                    resv.add_row(r, *c1, rr);
+                };
+                let space_disc_desc = state_desc("space_disc", ne, phase);
+                let chunk = move |lanes: Lanes<'_>| unsafe {
+                    space_disc_chunk::<R, L>(
+                        lanes,
+                        &mesh.edge2cell.data,
+                        &egeom.data,
+                        egv,
+                        efs.as_slice(),
+                        efv,
+                        state.as_slice(),
+                        sv,
+                        ress.slice_mut(0, ress.len()),
+                        resv,
+                        g,
+                    );
+                };
+                match exec.scheme {
+                    Scheme::TwoLevel => {
+                        chain.record_simd_two_phase(
+                            space_disc_desc,
+                            vec![&mesh.edge2cell],
+                            L,
+                            compute,
+                            apply,
+                            move |es| chunk(Lanes::Aligned(es)),
                         );
-                    },
-                );
+                    }
+                    permute => {
+                        // Fig. 8a's schemes: the calling thread walks the
+                        // permute plan's conflict-free color groups
+                        let inputs = PlanInputs::new(ne, vec![&mesh.edge2cell], block_size);
+                        let plan = cache.get(permute, &[&mesh.edge2cell.name], &inputs);
+                        chain.record_seq(space_disc_desc, move || {
+                            plan.for_each_color_group(
+                                L,
+                                |ids| chunk(Lanes::Permuted(ids)),
+                                |e| apply(e, &compute(e)),
+                            );
+                        });
+                    }
+                }
                 if let Some(h) = halo {
                     chain.mark_boundary(h.edge_halo);
                 }
@@ -981,10 +760,10 @@ pub(crate) fn fused_chain<R: Real, const L: usize>(
             }
         }
         let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
-        chain.execute_policy(
+        exec.execute(
+            &chain,
             pool,
             cache,
-            shape,
             n_threads,
             block_size,
             R::BYTES,
@@ -1247,14 +1026,16 @@ pub fn step_on<R: Real>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    // only the fused chain runs natively on SoA/AoSoA storage; every
-    // other backend computes in AoS, so convert around the step (pure
-    // permutation — results are bit-identical to an all-AoS run)
+    // the recorded chain runs natively on SoA/AoSoA storage (and the
+    // tiled entry point converts for itself); only the rows that are AoS
+    // by definition — the oracle, and the ranks' row extraction from the
+    // global state — convert around the step (pure permutation: results
+    // are bit-identical to an all-AoS run)
     let layout = sim.layout();
     if layout != Layout::Aos
-        && !matches!(
+        && matches!(
             backend,
-            Backend::Fused | Backend::FusedSimt | Backend::FusedSimd { .. }
+            Backend::Seq | Backend::MpiFused | Backend::MpiFusedSimd { .. }
         )
     {
         sim.set_layout(Layout::Aos);
@@ -1262,52 +1043,35 @@ pub fn step_on<R: Real>(
         sim.set_layout(layout);
         return out;
     }
-    if let Some(shape) = backend.loop_shape(pool, n_threads) {
-        return match shape.lanes {
-            0 => step_shape::<R, 1>(&shape, sim, cache, block_size, rec),
-            4 => step_shape::<R, 4>(&shape, sim, cache, block_size, rec),
-            8 => step_shape::<R, 8>(&shape, sim, cache, block_size, rec),
-            _ => no_lane_instantiation(backend),
+    let Some(exec) = chain_exec(backend) else {
+        let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
+        return match backend {
+            Backend::Seq => step_seq(sim, rec),
+            // the tiled executor as a 1-step super-chain; multi-step
+            // harnesses call `run_tiled_on` directly
+            Backend::Tiled => {
+                run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
+            }
+            Backend::TiledSimd { lanes: 4 } => {
+                run_tiled_on::<R, 4>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
+            }
+            Backend::TiledSimd { lanes: 8 } => {
+                run_tiled_on::<R, 8>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
+            }
+            other => no_lane_instantiation(other),
         };
-    }
-    // the recorded chains: the shape a registry row executes them in;
-    // scalar shapes ride on the L = 4 instantiation
-    let shape = match backend {
-        Backend::FusedSimt => Shape::Simt {
-            width: DISPATCH_SIMT_WIDTH,
-            sched_overhead_ns: 0,
-        },
-        Backend::FusedSimd { lanes } | Backend::MpiFusedSimd { lanes } => Shape::Simd { lanes },
-        _ => Shape::Threaded,
     };
-    let (ranks, tile_cells) = (backend.ranks(), DISPATCH_TILE_BLOCKS * block_size);
-    match backend {
-        Backend::Seq => step_seq(sim, rec),
-        Backend::Fused | Backend::FusedSimt | Backend::FusedSimd { lanes: 4 } => {
-            step_fused::<R, 4>(pool, sim, cache, shape, n_threads, block_size, rec)
+    // scalar shapes ride on the L = 4 instantiation; distributed rows
+    // give every rank its own pool and never touch the caller's
+    match (backend.is_distributed(), backend.lanes()) {
+        (false, 1 | 4) => step_exec::<R, 4>(exec, pool, sim, cache, n_threads, block_size, rec),
+        (false, 8) => step_exec::<R, 8>(exec, pool, sim, cache, n_threads, block_size, rec),
+        (true, 1 | 4) => {
+            step_mpi_fused::<RankState<R>, 4>(sim, backend.ranks(), block_size, exec.shape, rec)
         }
-        Backend::FusedSimd { lanes: 8 } => {
-            step_fused::<R, 8>(pool, sim, cache, shape, n_threads, block_size, rec)
+        (true, 8) => {
+            step_mpi_fused::<RankState<R>, 8>(sim, backend.ranks(), block_size, exec.shape, rec)
         }
-        // distributed backends: ranks own their pools; the caller's pool
-        // and n_threads are unused (needs_pool() is false)
-        Backend::MpiFused | Backend::MpiFusedSimd { lanes: 4 } => {
-            step_mpi_fused::<RankState<R>, 4>(sim, ranks, block_size, shape, rec)
-        }
-        Backend::MpiFusedSimd { lanes: 8 } => {
-            step_mpi_fused::<RankState<R>, 8>(sim, ranks, block_size, shape, rec)
-        }
-        // the tiled executor as a 1-step super-chain; multi-step
-        // harnesses call `run_tiled_on` directly
-        Backend::Tiled => {
-            run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-        }
-        Backend::TiledSimd { lanes: 4 } => {
-            run_tiled_on::<R, 4>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-        }
-        Backend::TiledSimd { lanes: 8 } => {
-            run_tiled_on::<R, 8>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-        }
-        other => no_lane_instantiation(other),
+        _ => no_lane_instantiation(backend),
     }
 }

@@ -12,15 +12,16 @@
 //! which this state joins by implementing [`RankApp`].
 
 use ump_core::{ExecPool, LocalMesh, OpDat, PlanCache, Recorder};
-use ump_lazy::{ExchangePolicy, Shape};
+use ump_lazy::{ExchangePolicy, Fusion, Shape};
 use ump_mesh::generators::CoastalCase;
 use ump_mesh::Mesh2d;
 use ump_minimpi::{Comm, ExchangeGuard};
 use ump_simd::Real;
 
-use super::drivers::{fused_chain, StepDats};
+use super::drivers::{recorded_step, StepDats};
 use super::Volna;
 use crate::dist::{RankApp, RankHalo};
+use crate::ChainExec;
 
 /// A rank-local Volna state (geometry-derived dats rebuilt from the
 /// local mesh; cell state extracted from the global case).
@@ -135,7 +136,8 @@ impl<R: Real> RankState<R> {
             eflux: &mut self.eflux,
             bgeom: &self.bgeom,
         };
-        fused_chain::<R, L>(dats, Some(&halo), pool, cache, shape, 0, block_size, rec)
+        let exec = ChainExec::on_pool(shape, Fusion::Groups);
+        recorded_step::<R, L>(dats, Some(&halo), pool, cache, exec, 0, block_size, rec)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Fused vs unfused timestep (the motivation for `ump-lazy`): the same
 //! physics executed as independent `op_par_loop`s with a pool barrier
 //! between each (the `threaded` backend) versus recorded into a chain
-//! and dispatched one colored round per fused group (`step_fused`).
+//! and dispatched one colored round per fused group (`step_chain` under `Fusion::Groups`).
 //!
 //! Measured on the 300×150 Airfoil mesh (the pool bench's baseline mesh)
 //! and a comparable Volna coastal mesh, with the dispatch rounds per
@@ -14,7 +14,7 @@
 use criterion::Criterion;
 use ump_apps::{airfoil, volna};
 use ump_core::{Backend, ExecPool, Layout, PlanCache, Recorder};
-use ump_lazy::Shape;
+use ump_lazy::{Fusion, Shape};
 use ump_simd::isa_name;
 use ump_tune::HostProbe;
 
@@ -50,11 +50,12 @@ fn main() {
         let (nc, ne) = (sim.case.mesh.n_cells(), sim.case.mesh.n_edges());
         // warm plans so the measurement is pure execution
         airfoil::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None);
-        airfoil::drivers::step_fused::<_, 4>(
+        airfoil::drivers::step_chain::<_, 4>(
             &pool,
             &mut sim,
             &cache,
             Shape::Threaded,
+            Fusion::Groups,
             0,
             BLOCK,
             None,
@@ -77,11 +78,12 @@ fn main() {
         });
         group.bench_function("fused", |b| {
             b.iter(|| {
-                airfoil::drivers::step_fused::<_, 4>(
+                airfoil::drivers::step_chain::<_, 4>(
                     &pool,
                     &mut sim,
                     &cache,
                     Shape::Threaded,
+                    Fusion::Groups,
                     0,
                     BLOCK,
                     None,
@@ -95,11 +97,12 @@ fn main() {
         let rounds_unfused = pool.dispatch_rounds() - r0;
         let rec = Recorder::new();
         let r1 = pool.dispatch_rounds();
-        airfoil::drivers::step_fused::<_, 4>(
+        airfoil::drivers::step_chain::<_, 4>(
             &pool,
             &mut sim,
             &cache,
             Shape::Threaded,
+            Fusion::Groups,
             0,
             BLOCK,
             Some(&rec),
@@ -124,11 +127,12 @@ fn main() {
         let mut sim = volna::Volna::<f32>::new(150, 150);
         let (nc, ne) = (sim.case.mesh.n_cells(), sim.case.mesh.n_edges());
         volna::drivers::step_on(Backend::Threaded, &mut sim, &pool, &cache, 0, BLOCK, None);
-        volna::drivers::step_fused::<_, 4>(
+        volna::drivers::step_chain::<_, 4>(
             &pool,
             &mut sim,
             &cache,
             Shape::Threaded,
+            Fusion::Groups,
             0,
             BLOCK,
             None,
@@ -143,11 +147,12 @@ fn main() {
         });
         group.bench_function("fused", |b| {
             b.iter(|| {
-                volna::drivers::step_fused::<_, 4>(
+                volna::drivers::step_chain::<_, 4>(
                     &pool,
                     &mut sim,
                     &cache,
                     Shape::Threaded,
+                    Fusion::Groups,
                     0,
                     BLOCK,
                     None,
@@ -161,11 +166,12 @@ fn main() {
         let rounds_unfused = pool.dispatch_rounds() - r0;
         let rec = Recorder::new();
         let r1 = pool.dispatch_rounds();
-        volna::drivers::step_fused::<_, 4>(
+        volna::drivers::step_chain::<_, 4>(
             &pool,
             &mut sim,
             &cache,
             Shape::Threaded,
+            Fusion::Groups,
             0,
             BLOCK,
             Some(&rec),
@@ -204,22 +210,24 @@ fn main() {
         let (fused_ns, fused_simd_ns) = paired_medians(
             SIMD_PAIRS,
             || {
-                airfoil::drivers::step_fused::<_, 4>(
+                airfoil::drivers::step_chain::<_, 4>(
                     &pool,
                     &mut sim.borrow_mut(),
                     &cache,
                     Shape::Threaded,
+                    Fusion::Groups,
                     0,
                     BLOCK,
                     None,
                 );
             },
             || {
-                airfoil::drivers::step_fused::<f64, 4>(
+                airfoil::drivers::step_chain::<f64, 4>(
                     &pool,
                     &mut sim.borrow_mut(),
                     &cache,
                     Shape::Simd { lanes: 4 },
+                    Fusion::Groups,
                     0,
                     BLOCK,
                     None,
@@ -232,22 +240,24 @@ fn main() {
         println!("bench: airfoil_fused_simd/fused_simd4 median_ns_per_iter={fused_simd_ns:.1} paired={SIMD_PAIRS}");
 
         let r0 = pool.dispatch_rounds();
-        airfoil::drivers::step_fused::<_, 4>(
+        airfoil::drivers::step_chain::<_, 4>(
             &pool,
             &mut sim.borrow_mut(),
             &cache,
             Shape::Threaded,
+            Fusion::Groups,
             0,
             BLOCK,
             None,
         );
         let rounds_fused = pool.dispatch_rounds() - r0;
         let r1 = pool.dispatch_rounds();
-        airfoil::drivers::step_fused::<f64, 4>(
+        airfoil::drivers::step_chain::<f64, 4>(
             &pool,
             &mut sim.borrow_mut(),
             &cache,
             Shape::Simd { lanes: 4 },
+            Fusion::Groups,
             0,
             BLOCK,
             None,
@@ -275,22 +285,24 @@ fn main() {
         let (fused_ns, fused_simd_ns) = paired_medians(
             SIMD_PAIRS,
             || {
-                volna::drivers::step_fused::<_, 4>(
+                volna::drivers::step_chain::<_, 4>(
                     &pool,
                     &mut sim.borrow_mut(),
                     &cache,
                     Shape::Threaded,
+                    Fusion::Groups,
                     0,
                     BLOCK,
                     None,
                 );
             },
             || {
-                volna::drivers::step_fused::<f32, 8>(
+                volna::drivers::step_chain::<f32, 8>(
                     &pool,
                     &mut sim.borrow_mut(),
                     &cache,
                     Shape::Simd { lanes: 8 },
+                    Fusion::Groups,
                     0,
                     BLOCK,
                     None,
@@ -303,22 +315,24 @@ fn main() {
         println!("bench: volna_fused_simd/fused_simd8 median_ns_per_iter={fused_simd_ns:.1} paired={SIMD_PAIRS}");
 
         let r0 = pool.dispatch_rounds();
-        volna::drivers::step_fused::<_, 4>(
+        volna::drivers::step_chain::<_, 4>(
             &pool,
             &mut sim.borrow_mut(),
             &cache,
             Shape::Threaded,
+            Fusion::Groups,
             0,
             BLOCK,
             None,
         );
         let rounds_fused = pool.dispatch_rounds() - r0;
         let r1 = pool.dispatch_rounds();
-        volna::drivers::step_fused::<f32, 8>(
+        volna::drivers::step_chain::<f32, 8>(
             &pool,
             &mut sim.borrow_mut(),
             &cache,
             Shape::Simd { lanes: 8 },
+            Fusion::Groups,
             0,
             BLOCK,
             None,

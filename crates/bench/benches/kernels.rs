@@ -4,18 +4,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ump_apps::airfoil::{drivers, Airfoil};
 use ump_apps::volna::{self, Volna};
-use ump_core::{Backend, ExecPool, IncMode, LoopShape, PlanCache};
-
-/// `lanes`-wide explicit SIMD on the calling thread (the `simd{L}` shape).
-fn simd(lanes: usize) -> LoopShape<'static> {
-    LoopShape::calling_thread().with_lanes(lanes)
-}
+use ump_core::{Backend, ExecPool, PlanCache, Scheme};
+use ump_lazy::{Fusion, Shape};
 
 fn airfoil_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("airfoil_step");
     group.sample_size(10);
     let (nx, ny) = (300, 150);
-    // one persistent team shared by every threaded benchmark below
+    // one persistent team shared by every threaded benchmark below; the
+    // calling-thread rows (`simd{L}`) ignore it
     let pool = ExecPool::new(0);
 
     group.bench_function("scalar_dp", |b| {
@@ -25,12 +22,14 @@ fn airfoil_steps(c: &mut Criterion) {
     group.bench_function("simd_dp_l4", |b| {
         let mut sim = Airfoil::<f64>::new(nx, ny);
         let cache = PlanCache::new();
-        b.iter(|| drivers::step_shape::<f64, 4>(&simd(4), &mut sim, &cache, 1024, None));
+        let simd = Backend::Simd { lanes: 4 };
+        b.iter(|| drivers::step_on(simd, &mut sim, &pool, &cache, 0, 1024, None));
     });
     group.bench_function("simd_dp_l8", |b| {
         let mut sim = Airfoil::<f64>::new(nx, ny);
         let cache = PlanCache::new();
-        b.iter(|| drivers::step_shape::<f64, 8>(&simd(8), &mut sim, &cache, 1024, None));
+        let simd = Backend::Simd { lanes: 8 };
+        b.iter(|| drivers::step_on(simd, &mut sim, &pool, &cache, 0, 1024, None));
     });
     group.bench_function("scalar_sp", |b| {
         let mut sim = Airfoil::<f32>::new(nx, ny);
@@ -39,7 +38,8 @@ fn airfoil_steps(c: &mut Criterion) {
     group.bench_function("simd_sp_l8", |b| {
         let mut sim = Airfoil::<f32>::new(nx, ny);
         let cache = PlanCache::new();
-        b.iter(|| drivers::step_shape::<f32, 8>(&simd(8), &mut sim, &cache, 1024, None));
+        let simd = Backend::Simd { lanes: 8 };
+        b.iter(|| drivers::step_on(simd, &mut sim, &pool, &cache, 0, 1024, None));
     });
     group.bench_function("threaded_dp", |b| {
         let mut sim = Airfoil::<f64>::new(nx, ny);
@@ -65,16 +65,17 @@ fn coloring_schemes(c: &mut Criterion) {
     let mut group = c.benchmark_group("res_calc_scheme");
     group.sample_size(10);
     let (nx, ny) = (300, 150);
-    for (name, inc) in [
-        ("original", IncMode::InPlace),
-        ("full_permute", IncMode::FullPermute),
-        ("block_permute", IncMode::BlockPermute),
+    let pool = ExecPool::new(1);
+    for (name, scheme) in [
+        ("original", Scheme::TwoLevel),
+        ("full_permute", Scheme::FullPermute),
+        ("block_permute", Scheme::BlockPermute),
     ] {
         group.bench_function(name, |b| {
             let mut sim = Airfoil::<f64>::new(nx, ny);
             let cache = PlanCache::new();
-            let shape = LoopShape::calling_thread().with_lanes(4).with_inc(inc);
-            b.iter(|| drivers::step_shape::<f64, 4>(&shape, &mut sim, &cache, 1024, None));
+            let row = Backend::SimdScheme { scheme };
+            b.iter(|| drivers::step_on(row, &mut sim, &pool, &cache, 0, 1024, None));
         });
     }
     group.finish();
@@ -84,19 +85,33 @@ fn volna_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("volna_step");
     group.sample_size(10);
     let (nx, ny) = (150, 150);
+    let pool = ExecPool::new(1);
     group.bench_function("scalar_sp", |b| {
         let mut sim = Volna::<f32>::new(nx, ny);
         b.iter(|| volna::drivers::step_seq(&mut sim, None));
     });
     group.bench_function("simd_sp_l8", |b| {
         let mut sim = Volna::<f32>::new(nx, ny);
-        let cache = PlanCache::new();
-        b.iter(|| volna::drivers::step_shape::<f32, 8>(&simd(8), &mut sim, &cache, 1024, None));
+        let (cache, simd) = (PlanCache::new(), Backend::Simd { lanes: 8 });
+        b.iter(|| volna::drivers::step_on(simd, &mut sim, &pool, &cache, 0, 1024, None));
     });
     group.bench_function("simd_sp_l16", |b| {
         let mut sim = Volna::<f32>::new(nx, ny);
-        let cache = PlanCache::new();
-        b.iter(|| volna::drivers::step_shape::<f32, 16>(&simd(16), &mut sim, &cache, 1024, None));
+        // 16 lanes is not a registry width: execute the recording
+        // directly, loop by loop on the one-member team
+        let (cache, simd) = (PlanCache::new(), Shape::Simd { lanes: 16 });
+        b.iter(|| {
+            volna::drivers::step_chain::<f32, 16>(
+                &pool,
+                &mut sim,
+                &cache,
+                simd,
+                Fusion::PerLoop,
+                0,
+                1024,
+                None,
+            )
+        });
     });
     group.finish();
 }

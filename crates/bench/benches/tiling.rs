@@ -1,7 +1,7 @@
 //! Cross-timestep sparse tiling vs the fused-threaded baseline: N
 //! recorded timesteps swept tile-by-tile (each tile's working set stays
 //! cache-resident across all N steps, at the price of redundant fringe
-//! compute) against the same N steps through `step_fused`.
+//! compute) against the same N steps through `step_chain` (fused groups).
 //!
 //! Both variants run on SoA storage — the layout the fused chains
 //! execute natively, which the tiled executor shims through AoS like
@@ -23,7 +23,7 @@
 use std::cell::RefCell;
 use ump_apps::{airfoil, volna};
 use ump_core::{ExecPool, Layout, PlanCache};
-use ump_lazy::{Shape, TileReport};
+use ump_lazy::{Fusion, Shape, TileReport};
 use ump_simd::isa_name;
 use ump_tune::HostProbe;
 
@@ -69,11 +69,12 @@ fn main() {
             PAIRS,
             || {
                 for _ in 0..STEPS {
-                    airfoil::drivers::step_fused::<_, 4>(
+                    airfoil::drivers::step_chain::<_, 4>(
                         &pool,
                         &mut sim.borrow_mut(),
                         &cache,
                         Shape::Threaded,
+                        Fusion::Groups,
                         0,
                         BLOCK,
                         None,
@@ -97,11 +98,12 @@ fn main() {
 
         let r0 = pool.dispatch_rounds();
         for _ in 0..STEPS {
-            airfoil::drivers::step_fused::<_, 4>(
+            airfoil::drivers::step_chain::<_, 4>(
                 &pool,
                 &mut sim.borrow_mut(),
                 &cache,
                 Shape::Threaded,
+                Fusion::Groups,
                 0,
                 BLOCK,
                 None,
@@ -148,11 +150,12 @@ fn main() {
             PAIRS,
             || {
                 for _ in 0..STEPS {
-                    volna::drivers::step_fused::<_, 4>(
+                    volna::drivers::step_chain::<_, 4>(
                         &pool,
                         &mut sim.borrow_mut(),
                         &cache,
                         Shape::Threaded,
+                        Fusion::Groups,
                         0,
                         BLOCK,
                         None,
@@ -176,11 +179,12 @@ fn main() {
 
         let r0 = pool.dispatch_rounds();
         for _ in 0..STEPS {
-            volna::drivers::step_fused::<_, 4>(
+            volna::drivers::step_chain::<_, 4>(
                 &pool,
                 &mut sim.borrow_mut(),
                 &cache,
                 Shape::Threaded,
+                Fusion::Groups,
                 0,
                 BLOCK,
                 None,

@@ -20,7 +20,8 @@
 use ump_apps::{airfoil, volna};
 use ump_archsim::{machines, predict, Backend, Machine};
 use ump_bench::{fmt_s, measure_indirect, work_for, MeasuredLoop, Scale};
-use ump_core::{Backend as ExecBackend, ExecPool, IncMode, LoopShape, PlanCache, Recorder};
+use ump_core::{Backend as ExecBackend, ExecPool, PlanCache, Recorder, Scheme};
+use ump_lazy::{Fusion, Shape};
 use ump_mesh::MeshStats;
 
 /// Every experiment the CLI accepts, in `all` execution order.
@@ -682,26 +683,35 @@ fn fig6(scale: Scale) {
             ExecPool::new(1)
         };
         let mut sim = ump_apps::airfoil::Airfoil::<R>::new(nx, ny);
+        // every row but the scalar one executes the app's one recorded
+        // chain loop by loop: as a registry row on the calling thread, or
+        // in a shape on the pool
+        let simd = ExecBackend::Simd { lanes: L };
         let (block, shape) = match which {
-            "MPI(scalar)" => (1024, None),
-            "MPI vectorized" => (1024, Some(LoopShape::calling_thread().with_lanes(L))),
-            "OpenMP" => (1024, Some(LoopShape::on_pool(&pool, 0))),
-            "OpenMP vectorized" => (1024, Some(LoopShape::on_pool(&pool, 0).with_lanes(L))),
-            _ => (
+            "OpenMP" => (1024, Shape::Threaded),
+            "OpenCL(SIMT emu)" => (
                 256,
-                Some(LoopShape::on_pool(&pool, 0).with_inc(IncMode::Simt {
+                Shape::Simt {
                     width: L,
                     sched_overhead_ns: 200,
-                })),
+                },
             ),
+            _ => (1024, Shape::Simd { lanes: L }),
         };
         for _ in 0..iters {
-            match &shape {
-                None => ump_apps::airfoil::drivers::step_seq(&mut sim, Some(&rec)),
-                Some(shape) => ump_apps::airfoil::drivers::step_shape::<R, L>(
-                    shape,
+            use ump_apps::airfoil::drivers;
+            match which {
+                "MPI(scalar)" => drivers::step_seq(&mut sim, Some(&rec)),
+                "MPI vectorized" => {
+                    drivers::step_on(simd, &mut sim, &pool, &cache, 0, block, Some(&rec))
+                }
+                _ => drivers::step_chain::<R, L>(
+                    &pool,
                     &mut sim,
                     &cache,
+                    shape,
+                    Fusion::PerLoop,
+                    0,
                     block,
                     Some(&rec),
                 ),
@@ -741,11 +751,14 @@ fn fig6(scale: Scale) {
     let vec_t = {
         let rec = Recorder::new();
         let mut sim = ump_apps::volna::Volna::<f32>::new(vx, vy);
+        let pool = ExecPool::new(1);
         for _ in 0..iters {
-            ump_apps::volna::drivers::step_shape::<f32, 8>(
-                &LoopShape::calling_thread().with_lanes(8),
+            ump_apps::volna::drivers::step_on(
+                ExecBackend::Simd { lanes: 8 },
                 &mut sim,
+                &pool,
                 &cache,
+                0,
                 1024,
                 Some(&rec),
             );
@@ -757,10 +770,12 @@ fn fig6(scale: Scale) {
         let pool = ExecPool::new(threads);
         let mut sim = ump_apps::volna::Volna::<f32>::new(vx, vy);
         for _ in 0..iters {
-            ump_apps::volna::drivers::step_shape::<f32, 1>(
-                &LoopShape::on_pool(&pool, 0),
+            ump_apps::volna::drivers::step_on(
+                ExecBackend::Threaded,
                 &mut sim,
+                &pool,
                 &cache,
+                0,
                 1024,
                 Some(&rec),
             );
@@ -804,41 +819,31 @@ fn fig8a(scale: Scale) {
     let (nx, ny) = scale.airfoil_dims();
     let iters = scale.iters();
     println!("{:<16} {:>12} {:>12}", "scheme", "DP total s", "SP total s");
-    for (name, inc) in [
-        ("Original", IncMode::InPlace),
-        ("FullPermute", IncMode::FullPermute),
-        ("BlockPermute", IncMode::BlockPermute),
+    // the `simd_scheme_*` registry rows: 4-lane SIMD on the calling
+    // thread, at either precision
+    fn run<R: ump_simd::Real>(nx: usize, ny: usize, iters: usize, scheme: Scheme) -> f64 {
+        let (pool, cache, rec) = (ExecPool::new(1), PlanCache::new(), Recorder::new());
+        let mut sim = ump_apps::airfoil::Airfoil::<R>::new(nx, ny);
+        for _ in 0..iters {
+            ump_apps::airfoil::drivers::step_on(
+                ExecBackend::SimdScheme { scheme },
+                &mut sim,
+                &pool,
+                &cache,
+                0,
+                1024,
+                Some(&rec),
+            );
+        }
+        rec.total_seconds()
+    }
+    for (name, scheme) in [
+        ("Original", Scheme::TwoLevel),
+        ("FullPermute", Scheme::FullPermute),
+        ("BlockPermute", Scheme::BlockPermute),
     ] {
-        let run_dp = {
-            let cache = PlanCache::new();
-            let rec = Recorder::new();
-            let mut sim = ump_apps::airfoil::Airfoil::<f64>::new(nx, ny);
-            for _ in 0..iters {
-                ump_apps::airfoil::drivers::step_shape::<f64, 4>(
-                    &LoopShape::calling_thread().with_lanes(4).with_inc(inc),
-                    &mut sim,
-                    &cache,
-                    1024,
-                    Some(&rec),
-                );
-            }
-            rec.total_seconds()
-        };
-        let run_sp = {
-            let cache = PlanCache::new();
-            let rec = Recorder::new();
-            let mut sim = ump_apps::airfoil::Airfoil::<f32>::new(nx, ny);
-            for _ in 0..iters {
-                ump_apps::airfoil::drivers::step_shape::<f32, 8>(
-                    &LoopShape::calling_thread().with_lanes(8).with_inc(inc),
-                    &mut sim,
-                    &cache,
-                    1024,
-                    Some(&rec),
-                );
-            }
-            rec.total_seconds()
-        };
+        let run_dp = run::<f64>(nx, ny, iters, scheme);
+        let run_sp = run::<f32>(nx, ny, iters, scheme);
         println!("{name:<16} {run_dp:>12.2} {run_sp:>12.2}");
     }
     println!("paper shape (Phi/K40): Original wins; permute schemes lose to locality/gather cost");
@@ -867,10 +872,12 @@ fn fig8b(scale: Scale) {
             let rec = Recorder::new();
             let mut sim = ump_apps::airfoil::Airfoil::<f64>::new(nx, ny);
             for _ in 0..iters {
-                ump_apps::airfoil::drivers::step_shape::<f64, 4>(
-                    &LoopShape::on_pool(pool, 0).with_lanes(4),
+                ump_apps::airfoil::drivers::step_on(
+                    ExecBackend::SimdThreaded { lanes: 4 },
                     &mut sim,
+                    pool,
                     &cache,
+                    0,
                     block,
                     Some(&rec),
                 );
@@ -899,11 +906,12 @@ fn fusion(scale: Scale) {
         let mut sim = ump_apps::airfoil::Airfoil::<f64>::new(nx, ny);
         // warm plans, then measure
         if fused {
-            ump_apps::airfoil::drivers::step_fused::<_, 4>(
+            ump_apps::airfoil::drivers::step_chain::<_, 4>(
                 &pool,
                 &mut sim,
                 &cache,
-                ump_lazy::Shape::Threaded,
+                Shape::Threaded,
+                Fusion::Groups,
                 0,
                 1024,
                 None,
@@ -923,11 +931,12 @@ fn fusion(scale: Scale) {
         let t0 = std::time::Instant::now();
         for _ in 0..iters {
             if fused {
-                ump_apps::airfoil::drivers::step_fused::<_, 4>(
+                ump_apps::airfoil::drivers::step_chain::<_, 4>(
                     &pool,
                     &mut sim,
                     &cache,
-                    ump_lazy::Shape::Threaded,
+                    Shape::Threaded,
+                    Fusion::Groups,
                     0,
                     1024,
                     Some(&rec),

@@ -30,9 +30,7 @@
 //! [`is_fused`]: Backend::is_fused
 //! [`scheme`]: Backend::scheme
 
-use crate::par_loop::{IncMode, LoopShape};
 use crate::plan::Scheme;
-use crate::pool::ExecPool;
 
 /// SIMT lock-step width of the registry's SIMT rows (`simt`,
 /// `fused_simt`); the paper's OpenCL work-group sub-width.
@@ -150,33 +148,6 @@ impl Backend {
             Backend::TiledSimd { lanes: 4 },
             Backend::TiledSimd { lanes: 8 },
         ]
-    }
-
-    /// The [`LoopShape`] a per-loop row executes the applications' loop
-    /// declarations in — `threaded`, `simd{L}`, `simd_threaded{L}`,
-    /// `simd_scheme_*` and `simt` differ only here. `None` for `seq` and
-    /// the backends that execute a recorded chain.
-    pub fn loop_shape(self, pool: &ExecPool, n_threads: usize) -> Option<LoopShape<'_>> {
-        let pooled = LoopShape::on_pool(pool, n_threads);
-        Some(match self {
-            Backend::Threaded => pooled,
-            Backend::Simd { lanes } => LoopShape::calling_thread().with_lanes(lanes),
-            Backend::SimdThreaded { lanes } => pooled.with_lanes(lanes),
-            Backend::SimdScheme { scheme } => {
-                LoopShape::calling_thread()
-                    .with_lanes(4)
-                    .with_inc(match scheme {
-                        Scheme::TwoLevel => IncMode::InPlace,
-                        Scheme::FullPermute => IncMode::FullPermute,
-                        Scheme::BlockPermute => IncMode::BlockPermute,
-                    })
-            }
-            Backend::Simt => pooled.with_inc(IncMode::Simt {
-                width: DISPATCH_SIMT_WIDTH,
-                sched_overhead_ns: 0,
-            }),
-            _ => return None,
-        })
     }
 
     /// Canonical CLI spelling; [`parse`](Backend::parse) round-trips it.

@@ -18,8 +18,8 @@
 //!
 //! Every parallel dispatch names the [`ExecPool`](crate::pool::ExecPool)
 //! it runs on — there is no process-wide team. Applications do not call
-//! the engines per kernel: they declare each loop once and a
-//! [`LoopShape`](crate::par_loop::LoopShape) drives it through them.
+//! the engines per kernel: they record each loop once on an `ump_lazy`
+//! chain, whose executor drives it through them.
 //!
 //! Mutation from multiple threads is funnelled through [`SharedDat`], a
 //! raw-pointer wrapper whose safety contract is the coloring invariant:
@@ -98,70 +98,6 @@ impl<'a, R> SharedDat<'a, R> {
     pub unsafe fn slice(&self, start: usize, len: usize) -> &[R] {
         debug_assert!(start + len <= self.len, "SharedDat range out of bounds");
         unsafe { std::slice::from_raw_parts(self.ptr.add(start), len) }
-    }
-}
-
-/// The private increment record of a two-sided edge kernel: the two
-/// target rows and their per-component increments — the `arg_l` buffers
-/// of paper Fig. 3a for kernels like Airfoil's `res_calc` and Volna's
-/// `space_disc` that increment both cells of an edge.
-pub type EdgeInc<R, const D: usize> = (usize, [R; D], usize, [R; D]);
-
-/// Apply a two-sided increment to `dat` (rows of width `D`). The shared
-/// colored-increment applier both applications' SIMT drivers and the
-/// fused executors use instead of open-coding the two-row add.
-///
-/// # Safety
-/// The caller must hold the coloring invariant for both target rows: no
-/// other thread may touch rows `c0`/`c1` during the current color round
-/// (two-level plans guarantee it for the increment phase).
-#[inline(always)]
-pub unsafe fn apply_edge_inc<R, const D: usize>(dat: &SharedDat<'_, R>, inc: &EdgeInc<R, D>)
-where
-    R: Copy + std::ops::AddAssign,
-{
-    let (c0, r0, c1, r1) = inc;
-    let d0 = unsafe { dat.slice_mut(c0 * D, D) };
-    for d in 0..D {
-        d0[d] += r0[d];
-    }
-    let d1 = unsafe { dat.slice_mut(c1 * D, D) };
-    for d in 0..D {
-        d1[d] += r1[d];
-    }
-}
-
-/// A shared mutable handle to an arbitrary value for colored concurrency,
-/// when a whole structure (not just a flat slice) must be reachable from
-/// block bodies. Same safety contract as [`SharedDat`]: bodies may only
-/// touch parts of the value that the plan proves conflict-free for the
-/// current color round.
-pub struct SharedMut<'a, T> {
-    ptr: *mut T,
-    _marker: PhantomData<&'a mut T>,
-}
-
-unsafe impl<T: Send> Send for SharedMut<'_, T> {}
-unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
-
-impl<'a, T> SharedMut<'a, T> {
-    /// Wrap an exclusive reference.
-    pub fn new(value: &'a mut T) -> SharedMut<'a, T> {
-        SharedMut {
-            ptr: value,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Reborrow mutably.
-    ///
-    /// # Safety
-    /// Concurrent callers must touch disjoint parts of the value, per the
-    /// active plan's coloring invariant.
-    #[inline(always)]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self) -> &mut T {
-        unsafe { &mut *self.ptr }
     }
 }
 
@@ -280,19 +216,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn edge_inc_applies_both_rows() {
-        let mut data = vec![0.0f64; 12];
-        let shared = SharedDat::new(&mut data);
-        let inc: EdgeInc<f64, 4> = (0, [1.0, 2.0, 3.0, 4.0], 2, [-1.0, -2.0, -3.0, -4.0]);
-        unsafe {
-            apply_edge_inc(&shared, &inc);
-            apply_edge_inc(&shared, &inc);
-        }
-        assert_eq!(&data[0..4], &[2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(&data[4..8], &[0.0; 4]);
-        assert_eq!(&data[8..12], &[-2.0, -4.0, -6.0, -8.0]);
     }
 }

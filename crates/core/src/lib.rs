@@ -12,14 +12,14 @@
 //!   than hard-coded,
 //! * [`plan::PlanCache`] — `op_plan_get`: coloring plans computed once per
 //!   (loop shape, block size, scheme) and reused,
-//! * [`exec`] — the execution engines shared by every "generated" loop
-//!   driver: sequential, colored-blocks threaded (the OpenMP analogue),
-//!   lock-step SIMT emulation (the OpenCL analogue), plus the raw-pointer
-//!   wrappers that let colored concurrency mutate dats race-free,
-//! * [`pool`] — the persistent worker-pool runtime ([`pool::ExecPool`])
-//!   behind both parallel engines: a fixed team of parked threads
-//!   dispatched per color round, mirroring the persistent OpenMP
-//!   `parallel` region the paper's threading measurements assume,
+//! * [`exec`] — the sequential reference loop and [`SharedDat`], the
+//!   raw-pointer view that lets colored concurrency mutate dats
+//!   race-free,
+//! * [`pool`] — the persistent worker-pool runtime ([`pool::ExecPool`]):
+//!   a fixed team of parked threads dispatched per color round,
+//!   mirroring the persistent OpenMP `parallel` region the paper's
+//!   threading measurements assume, plus the per-block sweeps of the
+//!   SIMT (OpenCL analogue) and explicit-SIMD shapes,
 //! * [`dist`] — mesh distribution for the message-passing backend:
 //!   owner-compute cells, redundantly executed boundary edges (OP2's
 //!   import-exec halo), ghost-cell exchange plans,
@@ -40,7 +40,6 @@ pub mod dat;
 pub mod dist;
 pub mod exec;
 pub mod instrument;
-pub mod par_loop;
 pub mod plan;
 pub mod pool;
 pub mod profile;
@@ -49,9 +48,8 @@ pub use arg::{Access, ArgInfo, Indirection};
 pub use backend::{Backend, DISPATCH_SIMT_WIDTH};
 pub use dat::{OpDat, DAT_SNAPSHOT_MAGIC, DAT_SNAPSHOT_VERSION};
 pub use dist::{assemble_owned, distribute, extract_rows, LocalMesh};
-pub use exec::{apply_edge_inc, seq_loop, two_rows_mut, EdgeInc, SharedDat, SharedMut};
+pub use exec::{seq_loop, two_rows_mut, SharedDat};
 pub use instrument::{FusionStats, LoopStats, Recorder};
-pub use par_loop::{IncMode, IterSet, LoopShape};
 pub use plan::{PlanCache, Scheme};
 pub use pool::{simd_block_sweep, simt_block_sweep, ExecPool, PoolPanic};
 pub use profile::LoopProfile;

@@ -58,6 +58,37 @@ impl AnyPlan {
             _ => panic!("expected a block-permute plan"),
         }
     }
+
+    /// Walk a permute plan's color groups on the calling thread, in
+    /// execution order: a full-permute plan's global groups in color
+    /// order; a block-permute plan's blocks in block-color order, each
+    /// block's groups in color order. No two elements of a group write
+    /// a common target (paper §4), so whole `lanes`-wide pieces of a
+    /// group go to `piece`, which may land its increments with true
+    /// vector scatters; the sub-lane tail goes element by element to
+    /// `tail`.
+    pub fn for_each_color_group(
+        &self,
+        lanes: usize,
+        mut piece: impl FnMut(&[u32]),
+        mut tail: impl FnMut(usize),
+    ) {
+        assert!(lanes >= 1, "lanes must be >= 1");
+        let mut run_group = |ids: &[u32]| {
+            let (vector, rest) = ids.split_at(ids.len() / lanes * lanes);
+            vector.chunks_exact(lanes).for_each(&mut piece);
+            rest.iter().for_each(|&e| tail(e as usize));
+        };
+        match self {
+            AnyPlan::Full(p) => p.color_groups().for_each(run_group),
+            AnyPlan::Block(p) => {
+                for &b in p.blocks_by_color.iter().flatten() {
+                    p.block_groups(b as usize).for_each(&mut run_group);
+                }
+            }
+            AnyPlan::TwoLevel(_) => panic!("expected a permute plan"),
+        }
+    }
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]

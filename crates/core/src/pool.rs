@@ -54,8 +54,8 @@
 //! # Safety argument (coloring invariant)
 //!
 //! `run_round` executes `body(i)` concurrently on many threads while the
-//! closure borrows the caller's data through [`SharedDat`]/[`SharedMut`]
-//! (raw-pointer views). Soundness rests on the same contract the old
+//! closure borrows the caller's data through [`SharedDat`] (a
+//! raw-pointer view). Soundness rests on the same contract the old
 //! scoped implementation had: **within one color round, no two block
 //! bodies touch the same element** — guaranteed by the two-level plan,
 //! which assigns conflicting blocks different colors, and validated by
@@ -71,7 +71,6 @@
 //! an OpenMP `for`.
 //!
 //! [`SharedDat`]: crate::exec::SharedDat
-//! [`SharedMut`]: crate::exec::SharedMut
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -493,10 +492,9 @@ pub fn spin_ns(ns: u64) {
 /// One work-group of the SIMT emulation: the work-items of `range`
 /// advance in lock-step chunks of `simt_width`, buffering their private
 /// increments and applying them serialized by element color (paper
-/// Fig. 3a). The shared inner loop of the per-loop SIMT shape
-/// ([`IncMode::Simt`](crate::par_loop::IncMode::Simt)) and of the fused
-/// SIMT-shape executors in `ump-lazy` — callers supply the block's plan
-/// (for element colors) and the two kernel phases. Increments are
+/// Fig. 3a). The inner loop of the SIMT shape of the `ump-lazy` chain
+/// executor — callers supply the block's plan (for element colors) and
+/// the two kernel phases. Increments are
 /// bucketed by element color during the compute phase, so the apply
 /// phase visits each item once instead of rescanning the chunk per
 /// color.

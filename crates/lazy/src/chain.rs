@@ -7,20 +7,36 @@
 //! shared [`PlanCache`], and dispatches each group as a single colored
 //! run on an [`ExecPool`] — the member loops execute back-to-back on
 //! each block while the block's working set is cache-resident.
+//! Grouping is a policy of this one executor ([`Fusion`]): under
+//! [`Fusion::PerLoop`] every recorded loop is dispatched alone, which is
+//! what the per-loop backends (`threaded`, `simd*`, `simt`) are.
 //!
 //! Bodies are *block-level* closures. Within a color round a block's
 //! bodies run in recorded loop order, and the group plan is colored by
-//! the union of the members' written maps, so the same coloring
-//! invariant the unfused engines rely on holds for every member's
-//! writes. Mutation from bodies goes through
-//! [`SharedDat`](ump_core::SharedDat) views exactly as in the generated
-//! drivers.
+//! the union of the members' written maps, so the coloring invariant
+//! holds for every member's writes.
+//!
+//! # The shared-write contract
+//!
+//! Bodies run concurrently on pool threads and mutate the loop's dats
+//! through [`SharedDat`](ump_core::SharedDat) views. A recording must
+//! honor what the plans are colored for: a **direct** body writes only
+//! its own element's rows (a vector body only rows `cs..cs + lanes`) —
+//! blocks are disjoint element ranges, so concurrent blocks never touch
+//! one row; an **increment** body writes only the rows its element
+//! reaches through the loop's written maps — conflicting blocks get
+//! different colors; and a dat a group writes is *read* only at those
+//! same rows. The executor then guarantees that no two concurrent bodies
+//! overlap and that every write happens-before `execute` returns (each
+//! pool round ends in a barrier).
 
 use std::collections::HashSet;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ump_color::PlanInputs;
+use ump_core::plan::AnyPlan;
 use ump_core::pool::{simd_block_sweep, simt_block_sweep};
 use ump_core::{ExecPool, FusionStats, Indirection, PlanCache, Recorder, Scheme};
 use ump_mesh::MapTable;
@@ -86,9 +102,8 @@ enum HaloClass<'a> {
 }
 
 /// Charge the SIMT shape's work-group scheduling cost for one
-/// (block, loop) dispatch — every pooled loop of a fused group pays it
-/// (two-phase loops pay it inside [`simt_block_sweep`], exactly like the
-/// per-loop [`IncMode::Simt`](ump_core::IncMode::Simt) shape).
+/// (block, loop) dispatch — every pooled loop of a group pays it, direct
+/// loops included (two-phase loops pay it inside [`simt_block_sweep`]).
 fn sched_spin(shape: Shape) {
     if let Shape::Simt {
         sched_overhead_ns, ..
@@ -252,8 +267,7 @@ impl<'a> Chain<'a> {
     /// Record a two-phase (compute → increment) loop — the indirect-
     /// increment kernels. The threaded shape applies each element's
     /// increment immediately; the SIMT shape runs lock-step chunks with
-    /// color-bucketed increments, exactly like the per-loop
-    /// [`IncMode::Simt`](ump_core::IncMode::Simt) shape.
+    /// color-bucketed increments ([`simt_block_sweep`]).
     pub fn record_two_phase<I: Send>(
         &mut self,
         desc: LoopDesc,
@@ -514,17 +528,28 @@ impl<'a> Chain<'a> {
     /// tests and diagnostics; `execute` computes the same). Serial loops
     /// and exchanges are singleton groups.
     pub fn groups(&self) -> Vec<GroupSpec> {
-        let entries: Vec<(&LoopDesc, bool)> = self
-            .loops
-            .iter()
-            .map(|l| {
-                (
-                    &l.desc,
-                    matches!(l.body, Body::Seq(_) | Body::Exchange { .. }),
-                )
-            })
-            .collect();
-        fuse_groups(&entries)
+        self.partition(Fusion::Groups)
+    }
+
+    /// The dispatch groups of the recorded chain under `fusion`.
+    fn partition(&self, fusion: Fusion) -> Vec<GroupSpec> {
+        let seq = |l: &RecordedLoop<'_>| matches!(l.body, Body::Seq(_) | Body::Exchange { .. });
+        match fusion {
+            Fusion::Groups => {
+                let entries: Vec<(&LoopDesc, bool)> =
+                    self.loops.iter().map(|l| (&l.desc, seq(l))).collect();
+                fuse_groups(&entries)
+            }
+            Fusion::PerLoop => self
+                .loops
+                .iter()
+                .enumerate()
+                .map(|(i, l)| GroupSpec {
+                    loops: i..i + 1,
+                    seq: seq(l),
+                })
+                .collect(),
+        }
     }
 
     /// Execute the chain: one colored dispatch per fused group on
@@ -537,10 +562,9 @@ impl<'a> Chain<'a> {
     ///
     /// The returned [`ChainReport`] (including the unfused-rounds
     /// baseline and the bytes-saved estimate) is always computed —
-    /// callers without a recorder still get it; the cost is one
-    /// plan-cache *hit* per loop (the per-loop plans are the ones the
-    /// unfused drivers build and share through the same cache) plus a
-    /// small per-group set walk.
+    /// callers without a recorder still get it. One execution asks the
+    /// cache for each distinct plan shape (set size × written maps)
+    /// once, however many groups and baseline counts use it.
     pub fn execute(
         &self,
         pool: &ExecPool,
@@ -560,16 +584,18 @@ impl<'a> Chain<'a> {
             word_bytes,
             rec,
             ExchangePolicy::Overlap,
+            Fusion::Groups,
         )
     }
 
     /// As [`execute`](Chain::execute) with an explicit halo-exchange
-    /// policy. Chains without recorded exchanges behave identically
-    /// under both policies; chains with exchanges compute in the **same
-    /// order** under both (groups with boundary markings always run the
-    /// interior → boundary split), so overlap and blocking runs are
-    /// bit-identical — only the placement of the exchange `finish`
-    /// differs, which is what the halo bench isolates.
+    /// policy and grouping ([`Fusion`]). Chains without recorded
+    /// exchanges behave identically under both exchange policies; chains
+    /// with exchanges compute in the **same order** under both (groups
+    /// with boundary markings always run the interior → boundary split),
+    /// so overlap and blocking runs are bit-identical — only the
+    /// placement of the exchange `finish` differs, which is what the halo
+    /// bench isolates.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_policy(
         &self,
@@ -581,8 +607,14 @@ impl<'a> Chain<'a> {
         word_bytes: usize,
         rec: Option<&Recorder>,
         policy: ExchangePolicy,
+        fusion: Fusion,
     ) -> ChainReport {
-        let groups = self.groups();
+        let groups = self.partition(fusion);
+        let mut plans = PlanMemo {
+            cache,
+            block_size,
+            fetched: Vec::new(),
+        };
         let mut report = ChainReport {
             loops: self.loops.len(),
             groups: groups.len(),
@@ -645,18 +677,10 @@ impl<'a> Chain<'a> {
                     Body::Blocks(_) => unreachable!("seq group with pooled body"),
                 }
             } else {
-                let n_elems = members[0].desc.n_elems;
-                let inputs = PlanInputs::merged(
-                    n_elems,
+                let plan = plans.get(
+                    members[0].desc.n_elems,
                     members.iter().flat_map(|l| l.written.iter().copied()),
-                    block_size,
                 );
-                let names: Vec<&str> = inputs
-                    .written_maps
-                    .iter()
-                    .map(|m| m.name.as_str())
-                    .collect();
-                let plan = cache.get(Scheme::TwoLevel, &names, &inputs);
                 let plan = plan.two_level();
                 let body = |b: usize, range: Range<u32>| {
                     for l in members {
@@ -727,14 +751,24 @@ impl<'a> Chain<'a> {
                     }
                 }
             }
-            report.unfused_rounds += members
-                .iter()
-                .map(|l| self.unfused_rounds_of(l, cache, block_size))
-                .sum::<usize>();
-            report.bytes_saved += group_bytes_saved(members, word_bytes);
+            if fusion == Fusion::Groups {
+                // what each member would issue dispatched alone, on its
+                // own plan from its own written maps
+                for l in members {
+                    if let Body::Blocks(_) = l.body {
+                        let own = plans.get(l.desc.n_elems, l.written.iter().copied());
+                        report.unfused_rounds += active_rounds(own.two_level());
+                    }
+                }
+                report.bytes_saved += group_bytes_saved(members, word_bytes);
+            }
         }
         // a trailing exchange with no consumer still completes
         flush(&mut pending, &mut report);
+        if fusion == Fusion::PerLoop {
+            // the chain ran loop by loop: it is its own baseline
+            report.unfused_rounds = report.fused_rounds;
+        }
         if let Some(r) = rec {
             r.record_fusion(
                 &self.name,
@@ -752,29 +786,56 @@ impl<'a> Chain<'a> {
         }
         report
     }
+}
 
-    /// Rounds this loop issues when dispatched alone — its own plan from
-    /// its own written maps, the unfused drivers' cost.
-    fn unfused_rounds_of(
-        &self,
-        l: &RecordedLoop<'_>,
-        cache: &PlanCache,
-        block_size: usize,
-    ) -> usize {
-        match l.body {
-            Body::Seq(_) | Body::Exchange { .. } => 0,
-            Body::Blocks(_) => {
-                let inputs =
-                    PlanInputs::merged(l.desc.n_elems, l.written.iter().copied(), block_size);
-                let names: Vec<&str> = inputs
-                    .written_maps
-                    .iter()
-                    .map(|m| m.name.as_str())
-                    .collect();
-                let plan = cache.get(Scheme::TwoLevel, &names, &inputs);
-                active_rounds(plan.two_level())
-            }
+/// How [`Chain::execute_policy`] groups the recorded loops into pool
+/// dispatches. Bodies, plans' block structure and reductions are the
+/// same under both, so an execution differs only in how many colored
+/// rounds it issues and in what a block's working set is reused for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fusion {
+    /// Maximal fusable groups ([`fuse_groups`]): one colored dispatch
+    /// per group, on the union-write-set plan.
+    Groups,
+    /// Every recorded loop is its own group, dispatched on its own plan
+    /// — the per-loop backends. Serial loops and exchanges are singleton
+    /// groups under either policy.
+    PerLoop,
+}
+
+/// The plans one chain execution has fetched, by plan shape. A
+/// timestep's loops share a handful of shapes; each
+/// [`PlanCache::get`] allocates its key and takes the cache lock.
+struct PlanMemo<'c, 'm> {
+    cache: &'c PlanCache,
+    block_size: usize,
+    fetched: Vec<(usize, Vec<&'m str>, Arc<AnyPlan>)>,
+}
+
+impl<'m> PlanMemo<'_, 'm> {
+    /// The two-level plan of `n_elems` elements writing through the
+    /// union of `written`.
+    fn get(
+        &mut self,
+        n_elems: usize,
+        written: impl IntoIterator<Item = &'m MapTable>,
+    ) -> Arc<AnyPlan> {
+        let inputs = PlanInputs::merged(n_elems, written, self.block_size);
+        let names: Vec<&str> = inputs
+            .written_maps
+            .iter()
+            .map(|m| m.name.as_str())
+            .collect();
+        if let Some((_, _, plan)) = self
+            .fetched
+            .iter()
+            .find(|(n, maps, _)| *n == n_elems && *maps == names)
+        {
+            return Arc::clone(plan);
         }
+        let plan = self.cache.get(Scheme::TwoLevel, &names, &inputs);
+        self.fetched.push((n_elems, names, Arc::clone(&plan)));
+        plan
     }
 }
 
@@ -911,6 +972,15 @@ mod tests {
             },
             n,
         )
+    }
+
+    /// Land a two-sided one-component increment: `c0`'s row, then `c1`'s.
+    unsafe fn apply_inc(acc: &SharedDat<'_, f64>, inc: &(usize, [f64; 1], usize, [f64; 1])) {
+        let (c0, r0, c1, r1) = inc;
+        unsafe {
+            acc.slice_mut(*c0, 1)[0] += r0[0];
+            acc.slice_mut(*c1, 1)[0] += r1[0];
+        }
     }
 
     /// A direct chain (fill → scale → combine) must fuse into one group
@@ -1081,7 +1151,7 @@ mod tests {
                             let v = unsafe { av.slice(e, 1)[0] };
                             (c[0] as usize, [v], c[1] as usize, [-2.0])
                         },
-                        move |_e, inc| unsafe { ump_core::apply_edge_inc(accv, inc) },
+                        move |_e, inc| unsafe { apply_inc(accv, inc) },
                     );
                 }
                 {
@@ -1260,7 +1330,7 @@ mod tests {
                             let v = unsafe { av.slice(e, 1)[0] };
                             (c[0] as usize, [v], c[1] as usize, [-3.0])
                         },
-                        move |_e, inc| unsafe { ump_core::apply_edge_inc(accv, inc) },
+                        move |_e, inc| unsafe { apply_inc(accv, inc) },
                         move |cs| {
                             vc.fetch_add(1, Ordering::Relaxed);
                             // serialized lane scatter in ascending order —
@@ -1373,8 +1443,17 @@ mod tests {
                     |b, _range| log(format!("block{b}")),
                 );
                 chain.mark_boundary(&flags);
-                report =
-                    chain.execute_policy(&pool, &cache, Shape::Threaded, 0, block, 8, None, policy);
+                report = chain.execute_policy(
+                    &pool,
+                    &cache,
+                    Shape::Threaded,
+                    0,
+                    block,
+                    8,
+                    None,
+                    policy,
+                    Fusion::Groups,
+                );
             }
             assert_eq!(report.exchanges, 1);
             assert_eq!(report.split_groups, 1);
@@ -1470,12 +1549,21 @@ mod tests {
                             let v = 1.0 / (e as f64 + 1.0);
                             (c[0] as usize, [v], c[1] as usize, [-v * 0.5])
                         },
-                        move |_e, inc| unsafe { ump_core::apply_edge_inc(accv, inc) },
+                        move |_e, inc| unsafe { apply_inc(accv, inc) },
                     );
                     chain.mark_boundary(&flags);
                 }
-                let report =
-                    chain.execute_policy(&pool, &cache, Shape::Threaded, 0, 16, 8, None, policy);
+                let report = chain.execute_policy(
+                    &pool,
+                    &cache,
+                    Shape::Threaded,
+                    0,
+                    16,
+                    8,
+                    None,
+                    policy,
+                    Fusion::Groups,
+                );
                 assert_eq!(report.split_groups, 1);
             }
             acc

@@ -176,6 +176,6 @@ pub mod chain;
 pub mod desc;
 pub mod tile;
 
-pub use chain::{Chain, ChainReport, ExchangePolicy, Shape};
+pub use chain::{Chain, ChainReport, ExchangePolicy, Fusion, Shape};
 pub use desc::{conflict, fuse_groups, global_barrier, GroupSpec, LoopDesc, VecHint};
 pub use tile::{DatId, TileCtx, TileReport, TileSchedule, TiledChain};

@@ -1,6 +1,6 @@
 //! Cross-loop fusion end-to-end: run the Airfoil and Volna timesteps
 //! unfused (the `threaded` backend, one pool dispatch per loop) and
-//! fused (`step_fused`, one colored dispatch per fusable group via
+//! fused (`step_chain` under `Fusion::Groups`, one colored dispatch per fusable group via
 //! the `ump_lazy` chain runtime), print the timing, dispatch rounds and the
 //! re-streamed bytes fusion avoided.
 //!
@@ -9,7 +9,7 @@
 //! ```
 
 use ump::core::{Backend, ExecPool, PlanCache, Recorder};
-use ump::lazy::Shape;
+use ump::lazy::{Fusion, Shape};
 
 fn main() {
     let args: Vec<usize> = std::env::args()
@@ -47,11 +47,12 @@ fn main() {
 
     let rec = Recorder::new();
     let mut sim = ump::apps::airfoil::Airfoil::<f64>::new(nx, ny);
-    ump::apps::airfoil::drivers::step_fused::<_, 4>(
+    ump::apps::airfoil::drivers::step_chain::<_, 4>(
         &pool,
         &mut sim,
         &cache,
         Shape::Threaded,
+        Fusion::Groups,
         0,
         1024,
         None,
@@ -59,11 +60,12 @@ fn main() {
     let r1 = pool.dispatch_rounds();
     let t1 = std::time::Instant::now();
     for _ in 0..iters {
-        ump::apps::airfoil::drivers::step_fused::<_, 4>(
+        ump::apps::airfoil::drivers::step_chain::<_, 4>(
             &pool,
             &mut sim,
             &cache,
             Shape::Threaded,
+            Fusion::Groups,
             0,
             1024,
             Some(&rec),
@@ -110,11 +112,12 @@ fn main() {
 
     let rec = Recorder::new();
     let mut sim = ump::apps::volna::Volna::<f32>::new(vx, vy);
-    ump::apps::volna::drivers::step_fused::<_, 4>(
+    ump::apps::volna::drivers::step_chain::<_, 4>(
         &pool,
         &mut sim,
         &cache,
         Shape::Threaded,
+        Fusion::Groups,
         0,
         1024,
         None,
@@ -122,11 +125,12 @@ fn main() {
     let r1 = pool.dispatch_rounds();
     let t1 = std::time::Instant::now();
     for _ in 0..iters {
-        ump::apps::volna::drivers::step_fused::<_, 4>(
+        ump::apps::volna::drivers::step_chain::<_, 4>(
             &pool,
             &mut sim,
             &cache,
             Shape::Threaded,
+            Fusion::Groups,
             0,
             1024,
             Some(&rec),

@@ -6,7 +6,7 @@
 use ump::lazy::{ExchangePolicy, Shape};
 use ump_apps::airfoil::{drivers, mpi::RankState, Airfoil};
 use ump_apps::dist;
-use ump_core::{Backend, ExecPool, LoopShape, OpDat, PlanCache, Scheme};
+use ump_core::{Backend, ExecPool, OpDat, PlanCache, Scheme};
 
 const NX: usize = 24;
 const NY: usize = 16;
@@ -195,11 +195,18 @@ fn single_precision_tracks_double_precision() {
 fn simd_single_precision_matches_scalar_single_precision() {
     let mut a = Airfoil::<f32>::new(NX, NY);
     let mut b = Airfoil::<f32>::new(NX, NY);
-    let simd8 = LoopShape::calling_thread().with_lanes(8);
-    let cache = PlanCache::new();
+    let (pool, cache) = (ExecPool::new(1), PlanCache::new());
     for _ in 0..ITERS {
         drivers::step_seq(&mut a, None);
-        drivers::step_shape::<f32, 8>(&simd8, &mut b, &cache, 32, None);
+        drivers::step_on(
+            Backend::Simd { lanes: 8 },
+            &mut b,
+            &pool,
+            &cache,
+            0,
+            32,
+            None,
+        );
     }
     let d = a.q.max_abs_diff(&b.q);
     assert!(d < 1e-3, "f32 simd diverged from f32 scalar: {d}");

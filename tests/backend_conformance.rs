@@ -8,7 +8,7 @@
 //! automatically swept here, on CI, against both applications.
 
 use ump_apps::{airfoil, volna};
-use ump_core::{Backend, ExecPool, Layout, PlanCache};
+use ump_core::{Backend, ExecPool, Layout, OpDat, PlanCache};
 
 const ITERS: usize = 10;
 const BLOCK: usize = 48;
@@ -18,9 +18,19 @@ const TEAM: usize = 4;
 const MESHES: [(usize, usize); 2] = [(12, 8), (60, 30)];
 
 fn run_airfoil(backend: Backend, nx: usize, ny: usize) -> (airfoil::Airfoil<f64>, Vec<f64>, u64) {
+    run_airfoil_in(Layout::Aos, backend, nx, ny)
+}
+
+fn run_airfoil_in(
+    layout: Layout,
+    backend: Backend,
+    nx: usize,
+    ny: usize,
+) -> (airfoil::Airfoil<f64>, Vec<f64>, u64) {
     let pool = ExecPool::new(TEAM);
     let cache = PlanCache::new();
     let mut sim = airfoil::Airfoil::<f64>::new(nx, ny);
+    sim.set_layout(layout);
     let r0 = pool.dispatch_rounds();
     let hist = (0..ITERS)
         .map(|_| airfoil::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None))
@@ -30,9 +40,19 @@ fn run_airfoil(backend: Backend, nx: usize, ny: usize) -> (airfoil::Airfoil<f64>
 }
 
 fn run_volna(backend: Backend, nx: usize, ny: usize) -> (volna::Volna<f64>, Vec<f64>, u64) {
+    run_volna_in(Layout::Aos, backend, nx, ny)
+}
+
+fn run_volna_in(
+    layout: Layout,
+    backend: Backend,
+    nx: usize,
+    ny: usize,
+) -> (volna::Volna<f64>, Vec<f64>, u64) {
     let pool = ExecPool::new(TEAM);
     let cache = PlanCache::new();
     let mut sim = volna::Volna::<f64>::new(nx, ny);
+    sim.set_layout(layout);
     let r0 = pool.dispatch_rounds();
     let hist = (0..ITERS)
         .map(|_| volna::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None))
@@ -97,16 +117,31 @@ fn every_backend_matches_sequential_on_volna() {
     }
 }
 
+/// The rows that execute the one recorded chain loop by loop, on the
+/// caller's pool or on the calling thread.
+fn per_loop_rows() -> Vec<Backend> {
+    let all = Backend::all();
+    let rows: Vec<Backend> = all
+        .into_iter()
+        .filter(|b| !b.is_fused() && *b != Backend::Seq)
+        .collect();
+    assert_eq!(rows.len(), 9);
+    rows
+}
+
 /// The layout half of the matrix: every backend × both apps must
 /// compute the sequential (AoS) reference's physics when the simulation
-/// state lives in SoA or AoSoA storage. The fused backends execute
-/// natively on the converted layout; the rest convert around each step —
-/// both paths must be within 1e-12 of an all-AoS run. The AoSoA block of
-/// 6 does not divide either mesh's set sizes, so the packed ragged tail
-/// is exercised too.
+/// state lives in SoA or AoSoA storage. Every row that executes the
+/// recorded chain — per-loop or fused — runs natively on the converted
+/// layout (the per-loop rows are checked not to reallocate the state:
+/// no conversion happened); `seq`, `mpi_*` and `tiled*` convert around
+/// the step — all must be within 1e-12 of an all-AoS run. The AoSoA
+/// block of 6 does not divide either mesh's set sizes, so the packed
+/// ragged tail is exercised too.
 #[test]
 fn every_backend_matches_sequential_under_soa_and_aosoa() {
     let layouts = [Layout::Soa, Layout::AoSoA { block: 6 }];
+    let native = per_loop_rows();
     let (nx, ny) = (12, 8);
     let (ref_air, ref_air_hist, _) = run_airfoil(Backend::Seq, nx, ny);
     let (ref_vol, ref_vol_hist, _) = run_volna(Backend::Seq, nx, ny);
@@ -118,11 +153,15 @@ fn every_backend_matches_sequential_under_soa_and_aosoa() {
                 let cache = PlanCache::new();
                 let mut sim = airfoil::Airfoil::<f64>::new(nx, ny);
                 sim.set_layout(layout);
+                let storage = sim.q.data.as_ptr();
                 let hist: Vec<f64> = (0..ITERS)
                     .map(|_| {
                         airfoil::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None)
                     })
                     .collect();
+                if native.contains(&backend) {
+                    assert_eq!(sim.q.data.as_ptr(), storage, "{backend} converted q");
+                }
                 for (i, (&rms, &r)) in hist.iter().zip(&ref_air_hist).enumerate() {
                     assert!(
                         (rms - r).abs() <= 1e-12 * (1.0 + r),
@@ -144,11 +183,15 @@ fn every_backend_matches_sequential_under_soa_and_aosoa() {
                 let cache = PlanCache::new();
                 let mut sim = volna::Volna::<f64>::new(nx, ny);
                 sim.set_layout(layout);
+                let storage = sim.w.data.as_ptr();
                 let hist: Vec<f64> = (0..ITERS)
                     .map(|_| {
                         volna::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None)
                     })
                     .collect();
+                if native.contains(&backend) {
+                    assert_eq!(sim.w.data.as_ptr(), storage, "{backend} converted w");
+                }
                 for (i, (&dt, &r)) in hist.iter().zip(&ref_vol_hist).enumerate() {
                     assert!(
                         (dt - r).abs() <= 1e-12 * r,
@@ -163,6 +206,56 @@ fn every_backend_matches_sequential_under_soa_and_aosoa() {
                     "{backend} volna {}: max |Δw| = {d:e} > 1e-12",
                     layout.name()
                 );
+            }
+        }
+    }
+}
+
+/// Grouping is the only difference between a per-loop pool row and its
+/// fused twin: same recording, same shape, same plans' blocks. So the
+/// two must agree bit for bit — every dat, every returned reduction — in
+/// every layout, while the per-loop row issues strictly more rounds.
+#[test]
+fn per_loop_pool_rows_bit_match_their_fused_twins() {
+    fn bits(dats: &[&OpDat<f64>]) -> Vec<Vec<u64>> {
+        let of = |d: &&OpDat<f64>| d.data.iter().map(|v| v.to_bits()).collect();
+        dats.iter().map(of).collect()
+    }
+    let twins = [
+        (Backend::Threaded, Backend::Fused),
+        (Backend::Simt, Backend::FusedSimt),
+        (
+            Backend::SimdThreaded { lanes: 4 },
+            Backend::FusedSimd { lanes: 4 },
+        ),
+        (
+            Backend::SimdThreaded { lanes: 8 },
+            Backend::FusedSimd { lanes: 8 },
+        ),
+    ];
+    for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 6 }] {
+        for (nx, ny) in MESHES {
+            for (per_loop, fused) in twins {
+                let what = format!("{per_loop} vs {fused} {nx}x{ny} {}", layout.name());
+                let (a, a_hist, a_rounds) = run_airfoil_in(layout, per_loop, nx, ny);
+                let (b, b_hist, b_rounds) = run_airfoil_in(layout, fused, nx, ny);
+                assert_eq!(a_hist, b_hist, "airfoil rms: {what}");
+                assert_eq!(
+                    bits(&[&a.q, &a.qold, &a.adt, &a.res]),
+                    bits(&[&b.q, &b.qold, &b.adt, &b.res]),
+                    "airfoil dats: {what}"
+                );
+                assert!(a_rounds > b_rounds, "airfoil rounds: {what}");
+
+                let (a, a_hist, a_rounds) = run_volna_in(layout, per_loop, nx, ny);
+                let (b, b_hist, b_rounds) = run_volna_in(layout, fused, nx, ny);
+                assert_eq!(a_hist, b_hist, "volna dt: {what}");
+                assert_eq!(
+                    bits(&[&a.w, &a.w_old, &a.w1, &a.res, &a.eflux]),
+                    bits(&[&b.w, &b.w_old, &b.w1, &b.res, &b.eflux]),
+                    "volna dats: {what}"
+                );
+                assert!(a_rounds > b_rounds, "volna rounds: {what}");
             }
         }
     }

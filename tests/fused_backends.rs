@@ -6,7 +6,7 @@
 
 use ump_apps::{airfoil, volna};
 use ump_core::{Backend, ExecPool, PlanCache, Recorder};
-use ump_lazy::Shape;
+use ump_lazy::{Fusion, Shape};
 
 const NX: usize = 24;
 const NY: usize = 16;
@@ -29,8 +29,16 @@ fn fused_airfoil_matches_sequential_within_1e12() {
         let cache = PlanCache::new();
         let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
         for (i, &r) in ref_hist.iter().enumerate() {
-            let rms =
-                airfoil::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, shape, 0, 32, None);
+            let rms = airfoil::drivers::step_chain::<_, 4>(
+                &pool,
+                &mut sim,
+                &cache,
+                shape,
+                Fusion::Groups,
+                0,
+                32,
+                None,
+            );
             assert!(
                 (rms - r).abs() < 1e-12 * (1.0 + r),
                 "{shape:?} iter {i}: rms {rms} vs {r}"
@@ -53,8 +61,16 @@ fn fused_volna_matches_sequential_within_1e12() {
         let cache = PlanCache::new();
         let mut sim = volna::Volna::<f64>::new(NX, NY);
         for (i, &r) in ref_hist.iter().enumerate() {
-            let dt =
-                volna::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, shape, 0, 32, None);
+            let dt = volna::drivers::step_chain::<_, 4>(
+                &pool,
+                &mut sim,
+                &cache,
+                shape,
+                Fusion::Groups,
+                0,
+                32,
+                None,
+            );
             // the Δt reduction is an exact min of its inputs; the inputs
             // themselves carry ULP-level reassociation differences
             assert!(
@@ -88,11 +104,12 @@ fn fused_airfoil_issues_strictly_fewer_dispatch_rounds() {
         block_size,
         None,
     );
-    airfoil::drivers::step_fused::<_, 4>(
+    airfoil::drivers::step_chain::<_, 4>(
         &pool,
         &mut sim,
         &cache,
         Shape::Threaded,
+        Fusion::Groups,
         0,
         block_size,
         None,
@@ -112,11 +129,12 @@ fn fused_airfoil_issues_strictly_fewer_dispatch_rounds() {
 
     let rec = Recorder::new();
     let r1 = pool.dispatch_rounds();
-    airfoil::drivers::step_fused::<_, 4>(
+    airfoil::drivers::step_chain::<_, 4>(
         &pool,
         &mut sim,
         &cache,
         Shape::Threaded,
+        Fusion::Groups,
         0,
         block_size,
         Some(&rec),
@@ -161,11 +179,12 @@ fn fused_volna_issues_strictly_fewer_dispatch_rounds() {
         block_size,
         None,
     );
-    volna::drivers::step_fused::<_, 4>(
+    volna::drivers::step_chain::<_, 4>(
         &pool,
         &mut sim,
         &cache,
         Shape::Threaded,
+        Fusion::Groups,
         0,
         block_size,
         None,
@@ -185,11 +204,12 @@ fn fused_volna_issues_strictly_fewer_dispatch_rounds() {
 
     let rec = Recorder::new();
     let r1 = pool.dispatch_rounds();
-    volna::drivers::step_fused::<_, 4>(
+    volna::drivers::step_chain::<_, 4>(
         &pool,
         &mut sim,
         &cache,
         Shape::Threaded,
+        Fusion::Groups,
         0,
         block_size,
         Some(&rec),
@@ -218,7 +238,16 @@ fn simt_fused_records_fusion_stats_matching_pool_counter() {
     let rec = Recorder::new();
     let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
     let r0 = pool.dispatch_rounds();
-    airfoil::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, SIMT, 0, 32, Some(&rec));
+    airfoil::drivers::step_chain::<_, 4>(
+        &pool,
+        &mut sim,
+        &cache,
+        SIMT,
+        Fusion::Groups,
+        0,
+        32,
+        Some(&rec),
+    );
     let simt_rounds = pool.dispatch_rounds() - r0;
     let stats = rec.fusion("airfoil_step").expect("SIMT-fused chain stats");
     assert_eq!(stats.fused_rounds as u64, simt_rounds, "counter mismatch");
@@ -231,7 +260,16 @@ fn simt_fused_records_fusion_stats_matching_pool_counter() {
     let rec = Recorder::new();
     let mut sim = volna::Volna::<f64>::new(NX, NY);
     let r0 = pool.dispatch_rounds();
-    volna::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, SIMT, 0, 32, Some(&rec));
+    volna::drivers::step_chain::<_, 4>(
+        &pool,
+        &mut sim,
+        &cache,
+        SIMT,
+        Fusion::Groups,
+        0,
+        32,
+        Some(&rec),
+    );
     let simt_rounds = pool.dispatch_rounds() - r0;
     let stats = rec.fusion("volna_step").expect("SIMT-fused chain stats");
     assert_eq!(stats.fused_rounds as u64, simt_rounds, "counter mismatch");
@@ -259,9 +297,27 @@ fn fused_simd_matches_sequential_and_saves_the_same_rounds() {
 
     // baseline: fused threaded rounds per step (plans warmed first)
     let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
-    airfoil::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, Shape::Threaded, 0, 32, None);
+    airfoil::drivers::step_chain::<_, 4>(
+        &pool,
+        &mut sim,
+        &cache,
+        Shape::Threaded,
+        Fusion::Groups,
+        0,
+        32,
+        None,
+    );
     let r0 = pool.dispatch_rounds();
-    airfoil::drivers::step_fused::<_, 4>(&pool, &mut sim, &cache, Shape::Threaded, 0, 32, None);
+    airfoil::drivers::step_chain::<_, 4>(
+        &pool,
+        &mut sim,
+        &cache,
+        Shape::Threaded,
+        Fusion::Groups,
+        0,
+        32,
+        None,
+    );
     let fused_threaded_rounds = pool.dispatch_rounds() - r0;
 
     fn check_airfoil<const L: usize>(
@@ -275,11 +331,12 @@ fn fused_simd_matches_sequential_and_saves_the_same_rounds() {
         let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
         let r0 = pool.dispatch_rounds();
         for (i, &r) in hist.iter().enumerate() {
-            let rms = airfoil::drivers::step_fused::<f64, L>(
+            let rms = airfoil::drivers::step_chain::<f64, L>(
                 pool,
                 &mut sim,
                 cache,
                 Shape::Simd { lanes: L },
+                Fusion::Groups,
                 0,
                 32,
                 Some(&rec),
@@ -331,11 +388,12 @@ fn fused_simd_matches_sequential_and_saves_the_same_rounds() {
         let rec = Recorder::new();
         let mut sim = volna::Volna::<f64>::new(NX, NY);
         for (i, &r) in hist.iter().enumerate() {
-            let dt = volna::drivers::step_fused::<f64, L>(
+            let dt = volna::drivers::step_chain::<f64, L>(
                 pool,
                 &mut sim,
                 cache,
                 Shape::Simd { lanes: L },
+                Fusion::Groups,
                 0,
                 32,
                 Some(&rec),
@@ -364,11 +422,12 @@ fn fused_is_robust_across_block_sizes_and_teams() {
         let cache = PlanCache::new();
         let mut sim = airfoil::Airfoil::<f64>::new(NX, NY);
         for _ in 0..3 {
-            airfoil::drivers::step_fused::<_, 4>(
+            airfoil::drivers::step_chain::<_, 4>(
                 &pool,
                 &mut sim,
                 &cache,
                 Shape::Threaded,
+                Fusion::Groups,
                 0,
                 bs,
                 None,
@@ -377,4 +436,25 @@ fn fused_is_robust_across_block_sizes_and_teams() {
         let d = sim.q.max_abs_diff(&reference.q);
         assert!(d <= 1e-12, "team {team} block {bs}: {d:e}");
     }
+}
+
+/// A lane count the recorded chunk bodies were not compiled for is
+/// refused on the calling thread, before any loop runs — not by a pool
+/// worker halfway through a color round.
+#[test]
+#[should_panic(expected = "shape sweeps 8 lanes, the recorded chunk bodies are 4 wide")]
+fn lane_mismatch_fails_before_any_loop_runs() {
+    let (pool, cache) = (ExecPool::new(2), PlanCache::new());
+    let mut sim = volna::Volna::<f64>::new(NX, NY);
+    let wide = Shape::Simd { lanes: 8 };
+    volna::drivers::step_chain::<f64, 4>(
+        &pool,
+        &mut sim,
+        &cache,
+        wide,
+        Fusion::PerLoop,
+        0,
+        32,
+        None,
+    );
 }

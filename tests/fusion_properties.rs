@@ -4,12 +4,17 @@
 //! sequential loop-by-loop reference in both execution shapes — integer
 //! arithmetic in f64 is exact, so any reordering bug, dropped loop, or
 //! illegal fusion shows up as a hard mismatch, not a tolerance question.
+//! The same holds for one recording executed in every way the executor
+//! can run it: fused or loop by loop × every shape × team sizes × block
+//! sizes, and with the increment loop walked through a permute plan.
 
 use proptest::prelude::*;
-use ump_core::{apply_edge_inc, Access, ArgInfo, ExecPool, LoopProfile, PlanCache, SharedDat};
-use ump_lazy::{Chain, LoopDesc, Shape};
+use ump_color::PlanInputs;
+use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache, Scheme, SharedDat};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, VecHint};
 use ump_mesh::generators::perturbed_quads;
 use ump_mesh::Mesh2d;
+use ump_simd::{IdxVec, VecR};
 
 /// The loop vocabulary chains are drawn from. All bodies are
 /// integer-valued so f64 execution is exact in any order the legality
@@ -189,7 +194,11 @@ fn run_fused(
                         let v = unsafe { av.slice(e, 1)[0] };
                         (c[0] as usize, [v], c[1] as usize, [-2.0])
                     },
-                    move |_e, inc| unsafe { apply_edge_inc(accv, inc) },
+                    move |_e, inc| unsafe {
+                        let (c0, r0, c1, r1) = inc;
+                        accv.slice_mut(*c0, 1)[0] += r0[0];
+                        accv.slice_mut(*c1, 1)[0] += r1[0];
+                    },
                 );
             }
             Kind::Gather => {
@@ -213,8 +222,249 @@ fn run_fused(
     chain.execute(&pool, &cache, shape, 0, block_size, 8, None)
 }
 
+/// What the four loops of [`run_recorded`] leave behind: the direct
+/// fill, the two-sided increments, the sum and the min.
+type LoopResults = (Vec<f64>, Vec<f64>, f64, f64);
+
+/// Four loops over edges, recorded once the way an application records
+/// them (scalar body, `L`-lane chunk body, per-block reduction slots),
+/// over integer-valued data: a direct fill of `a`, a gather of `a` and
+/// the cell weights with a two-sided increment of `acc` (2 components)
+/// through `edge2cell`, a sum and a min. With `permute: Some(scheme)`
+/// the increment loop is instead a serial walk of that permute plan's
+/// color groups — `L`-wide pieces with true vector scatters (which
+/// assert lane independence in debug builds), the tail through the
+/// scalar compute + apply.
+fn run_recorded<const L: usize>(
+    mesh: &Mesh2d,
+    pool: &ExecPool,
+    shape: Shape,
+    fusion: Fusion,
+    permute: Option<Scheme>,
+    block_size: usize,
+) -> LoopResults {
+    let (ne, nc) = (mesh.n_edges(), mesh.n_cells());
+    let e2c = &mesh.edge2cell.data;
+    let weight: Vec<f64> = (0..nc).map(|c| (c % 5) as f64).collect();
+    let cache = PlanCache::new();
+    let desc = |name: &str, args: Vec<ArgInfo>| {
+        let profile = LoopProfile {
+            name: name.into(),
+            set: "edges".into(),
+            args,
+            flops_per_elem: 1.0,
+            transcendentals_per_elem: 0.0,
+            description: String::new(),
+        };
+        LoopDesc::new(profile, ne).with_hint(VecHint::Vector)
+    };
+    let fill = |e: usize| (e % 11 + 1) as f64;
+    let cand = |e: usize| ((e * 7 + 3) % 13) as f64;
+
+    let n_blocks = ne.div_ceil(block_size);
+    let (mut a, mut acc) = (vec![0.0f64; ne], vec![0.0f64; nc * 2]);
+    let (mut sums, mut mins) = (vec![0.0f64; n_blocks], vec![f64::INFINITY; n_blocks]);
+    {
+        let (av, accv) = (SharedDat::new(&mut a), SharedDat::new(&mut acc));
+        let (sumv, minv) = (SharedDat::new(&mut sums), SharedDat::new(&mut mins));
+        let (av, accv, sumv, minv, weight) = (&av, &accv, &sumv, &minv, &weight);
+        let mut chain = Chain::new("recorded");
+        chain.record_simd(
+            desc("fill", vec![ArgInfo::direct("a", 1, Access::Write)]),
+            vec![],
+            L,
+            move |e| unsafe { av.slice_mut(e, 1)[0] = fill(e) },
+            move |es| unsafe {
+                VecR::<f64, L>::from_fn(|k| fill(es + k)).store(av.slice_mut(0, av.len()), es)
+            },
+        );
+
+        let inc_desc = desc(
+            "inc",
+            vec![
+                ArgInfo::direct("a", 1, Access::Read),
+                ArgInfo::indirect("acc", 2, Access::Inc, "edge2cell", 0),
+                ArgInfo::indirect("acc", 2, Access::Inc, "edge2cell", 1),
+            ],
+        );
+        let compute = move |e: usize| unsafe {
+            let (c0, c1) = (e2c[2 * e] as usize, e2c[2 * e + 1] as usize);
+            let v = av.slice(e, 1)[0];
+            (c0, [3.0 * v + weight[c1], 1.0], c1, [-v, weight[c0]])
+        };
+        let apply = move |_e: usize, inc: &(usize, [f64; 2], usize, [f64; 2])| unsafe {
+            let (c0, r0, c1, r1) = inc;
+            for d in 0..2 {
+                accv.slice_mut(c0 * 2, 2)[d] += r0[d];
+                accv.slice_mut(c1 * 2, 2)[d] += r1[d];
+            }
+        };
+        // `L` edges at once; `scatter` is the serialized or the true
+        // vector scatter-add
+        type Scatter<const L: usize> = fn(VecR<f64, L>, &mut [f64], IdxVec<L>, usize, usize);
+        let lanes = move |scatter: Scatter<L>, c0: IdxVec<L>, c1: IdxVec<L>, v: VecR<f64, L>| unsafe {
+            let acc = accv.slice_mut(0, accv.len());
+            let (w0, w1) = (
+                VecR::gather(weight, c0, 1, 0),
+                VecR::gather(weight, c1, 1, 0),
+            );
+            scatter(v * 3.0 + w1, acc, c0, 2, 0);
+            scatter(VecR::splat(1.0), acc, c0, 2, 1);
+            scatter(-v, acc, c1, 2, 0);
+            scatter(w0, acc, c1, 2, 1);
+        };
+        match permute {
+            None => {
+                chain.record_simd_two_phase(
+                    inc_desc,
+                    vec![&mesh.edge2cell],
+                    L,
+                    compute,
+                    apply,
+                    move |es| unsafe {
+                        let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
+                        let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
+                        let v = VecR::<f64, L>::load(av.as_slice(), es);
+                        lanes(VecR::scatter_add_serial, c0, c1, v);
+                    },
+                );
+            }
+            Some(scheme) => {
+                let inputs = PlanInputs::new(ne, vec![&mesh.edge2cell], block_size);
+                let plan = cache.get(scheme, &["edge2cell"], &inputs);
+                chain.record_seq(inc_desc, move || {
+                    plan.for_each_color_group(
+                        L,
+                        |ids| unsafe {
+                            let ids: [usize; L] = std::array::from_fn(|l| ids[l] as usize);
+                            let c0 = IdxVec::<L>::from_array(ids.map(|e| e2c[2 * e]));
+                            let c1 = IdxVec::<L>::from_array(ids.map(|e| e2c[2 * e + 1]));
+                            let v = VecR::<f64, L>::from_fn(|l| av.slice(ids[l], 1)[0]);
+                            lanes(VecR::scatter_add, c0, c1, v);
+                        },
+                        |e| apply(e, &compute(e)),
+                    );
+                });
+            }
+        }
+
+        // reductions: one slot per block, touched only by the thread
+        // that runs the block
+        let term = move |e: usize| unsafe { av.slice(e, 1)[0] * (e % 3) as f64 };
+        chain.record_simd(
+            desc(
+                "sum",
+                vec![
+                    ArgInfo::direct("a", 1, Access::Read),
+                    ArgInfo::global("sum", 1, Access::Inc),
+                ],
+            ),
+            vec![],
+            L,
+            move |e| unsafe { sumv.slice_mut(e / block_size, 1)[0] += term(e) },
+            move |es| unsafe {
+                let chunk = VecR::<f64, L>::from_fn(|k| term(es + k)).reduce_sum();
+                sumv.slice_mut(es / block_size, 1)[0] += chunk;
+            },
+        );
+        chain.record_simd(
+            desc("min", vec![ArgInfo::global("min", 1, Access::Rw)]),
+            vec![],
+            L,
+            move |e| unsafe {
+                let slot = &mut minv.slice_mut(e / block_size, 1)[0];
+                *slot = slot.min(cand(e));
+            },
+            move |es| unsafe {
+                let slot = &mut minv.slice_mut(es / block_size, 1)[0];
+                *slot = slot.min(VecR::<f64, L>::from_fn(|k| cand(es + k)).reduce_min());
+            },
+        );
+        let overlap = ExchangePolicy::Overlap;
+        chain.execute_policy(pool, &cache, shape, 0, block_size, 8, None, overlap, fusion);
+    }
+    let min = mins.iter().copied().fold(f64::INFINITY, f64::min);
+    (a, acc, sums.iter().sum(), min)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // One recording, every execution: the same four recorded loops give
+    // the hand-written sequential loops' bits fused or loop by loop ×
+    // threaded, SIMT and `L`-lane three-sweep blocks (L = 1, 4, 8) ×
+    // teams of 1 and 2, and with the increment loop walked through
+    // either permute plan. Meshes go down to 1×1 (one cell, *no*
+    // interior edges: every loop iterates an empty set) and 1×2 (a
+    // single edge: set size < L), and the largest block size makes the
+    // set a single block.
+    #[test]
+    fn one_recording_bit_matches_scalar_in_every_execution(
+        nx in 1usize..9,
+        ny in 1usize..7,
+        seed in any::<u64>(),
+        bs_sel in 0usize..4,
+    ) {
+        let mesh = perturbed_quads(nx, ny, 0.25, seed);
+        let block_size = [3usize, 7, 16, 512][bs_sel];
+        let (ne, nc) = (mesh.n_edges(), mesh.n_cells());
+        let mut acc = vec![0.0f64; nc * 2];
+        for e in 0..ne {
+            let c = mesh.edge2cell.row(e);
+            let (c0, c1) = (c[0] as usize, c[1] as usize);
+            let v = (e % 11 + 1) as f64;
+            acc[c0 * 2] += 3.0 * v + (c1 % 5) as f64;
+            acc[c0 * 2 + 1] += 1.0;
+            acc[c1 * 2] -= v;
+            acc[c1 * 2 + 1] += (c0 % 5) as f64;
+        }
+        let expect: LoopResults = (
+            (0..ne).map(|e| (e % 11 + 1) as f64).collect(),
+            acc,
+            (0..ne).map(|e| ((e % 11 + 1) * (e % 3)) as f64).sum(),
+            (0..ne).map(|e| ((e * 7 + 3) % 13) as f64).fold(f64::INFINITY, f64::min),
+        );
+
+        let simt = Shape::Simt { width: 4, sched_overhead_ns: 0 };
+        for pool in [ExecPool::new(1), ExecPool::new(2)] {
+            for fusion in [Fusion::Groups, Fusion::PerLoop] {
+                let run = |shape: Shape| match shape {
+                    Shape::Simd { lanes: 1 } => {
+                        run_recorded::<1>(&mesh, &pool, shape, fusion, None, block_size)
+                    }
+                    Shape::Simd { lanes: 8 } => {
+                        run_recorded::<8>(&mesh, &pool, shape, fusion, None, block_size)
+                    }
+                    _ => run_recorded::<4>(&mesh, &pool, shape, fusion, None, block_size),
+                };
+                for shape in [
+                    Shape::Threaded,
+                    simt,
+                    Shape::Simd { lanes: 1 },
+                    Shape::Simd { lanes: 4 },
+                    Shape::Simd { lanes: 8 },
+                ] {
+                    prop_assert_eq!(
+                        &run(shape), &expect,
+                        "{:?} {:?} team {} on {}x{} block {}",
+                        shape, fusion, pool.n_threads(), nx, ny, block_size
+                    );
+                }
+            }
+        }
+        let pool = ExecPool::new(1);
+        for scheme in [Scheme::FullPermute, Scheme::BlockPermute] {
+            let per_loop = Fusion::PerLoop;
+            let got = [
+                run_recorded::<1>(&mesh, &pool, Shape::Simd { lanes: 1 }, per_loop, Some(scheme), block_size),
+                run_recorded::<4>(&mesh, &pool, Shape::Simd { lanes: 4 }, per_loop, Some(scheme), block_size),
+                run_recorded::<8>(&mesh, &pool, Shape::Simd { lanes: 8 }, per_loop, Some(scheme), block_size),
+            ];
+            for got in &got {
+                prop_assert_eq!(got, &expect, "{:?} on {}x{} block {}", scheme, nx, ny, block_size);
+            }
+        }
+    }
 
     // Fused execution of a random legal chain on a random perturbed
     // mesh bit-matches the sequential reference — threaded and SIMT

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use ump_apps::{airfoil, volna};
 use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache};
-use ump_lazy::{LoopDesc, Shape, TiledChain};
+use ump_lazy::{Fusion, LoopDesc, Shape, TiledChain};
 use ump_mesh::MapTable;
 
 const TEAM: usize = 4;
@@ -46,11 +46,12 @@ fn fused_airfoil(
     let r0 = pool.dispatch_rounds();
     let hist = (0..steps)
         .map(|_| {
-            airfoil::drivers::step_fused::<_, 4>(
+            airfoil::drivers::step_chain::<_, 4>(
                 &pool,
                 &mut sim,
                 &cache,
                 Shape::Threaded,
+                Fusion::Groups,
                 0,
                 block,
                 None,
@@ -112,11 +113,12 @@ fn fused_volna(
     let r0 = pool.dispatch_rounds();
     let hist = (0..steps)
         .map(|_| {
-            volna::drivers::step_fused::<_, 4>(
+            volna::drivers::step_chain::<_, 4>(
                 &pool,
                 &mut sim,
                 &cache,
                 Shape::Threaded,
+                Fusion::Groups,
                 0,
                 block,
                 None,

@@ -1,7 +1,8 @@
 //! Integration: Volna backend equivalence and conservation properties.
 
 use ump_apps::volna::{drivers, Volna};
-use ump_core::{Backend, ExecPool, LoopShape, PlanCache};
+use ump_core::{Backend, ExecPool, PlanCache};
+use ump_lazy::{Fusion, Shape};
 
 const NX: usize = 20;
 const NY: usize = 14;
@@ -12,10 +13,11 @@ fn step(backend: Backend, sim: &mut Volna<f64>, pool: &ExecPool, cache: &PlanCac
     drivers::step_on(backend, sim, pool, cache, 0, 32, None)
 }
 
-/// One single-precision RK2 step, `L`-lane SIMD on the calling thread.
+/// One single-precision RK2 step, `L`-lane SIMD loop by loop on a
+/// one-member team.
 fn step_simd_f32<const L: usize>(sim: &mut Volna<f32>, cache: &PlanCache) -> f64 {
-    let shape = LoopShape::calling_thread().with_lanes(L);
-    drivers::step_shape::<f32, L>(&shape, sim, cache, 32, None)
+    let (pool, shape) = (ExecPool::new(1), Shape::Simd { lanes: L });
+    drivers::step_chain::<f32, L>(&pool, sim, cache, shape, Fusion::PerLoop, 0, 32, None)
 }
 
 #[test]
