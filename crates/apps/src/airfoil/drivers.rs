@@ -24,10 +24,10 @@
 
 use ump_color::PlanInputs;
 use ump_core::{
-    seq_loop, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache, Recorder, Scheme,
-    SharedDat,
+    seq_loop, simd_block_sweep, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache,
+    Recorder, Scheme, SharedDat,
 };
-use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain, VecHint};
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
@@ -37,8 +37,7 @@ use super::mpi::RankState;
 use super::{profile, Airfoil, Consts};
 use crate::dist::{step_mpi_fused, RankHalo};
 use crate::{
-    chain_exec, lane_hint, maybe_time, no_lane_instantiation, ChainExec, Lanes,
-    DISPATCH_TILE_BLOCKS,
+    chain_exec, maybe_time, no_lane_instantiation, ChainExec, Lanes, DISPATCH_TILE_BLOCKS,
 };
 
 // ---------------------------------------------------------------------------
@@ -137,11 +136,11 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
 // lane-chunk bodies (paper Fig. 3b) of the recorded chain
 // ---------------------------------------------------------------------------
 
-/// One lane-aligned chunk of vectorized `adt_calc`: gather node
-/// coordinates through `cell2node`, load q through its layout view,
-/// store adt contiguously (dim-1 dats index identically in every
-/// layout). Raw-slice + [`DatView`] signature: one copy of the index
-/// arithmetic serves AoS, SoA and AoSoA storage.
+/// One lane-aligned chunk of vectorized `adt_calc`: gather the node
+/// coordinate rows through `cell2node`, load the q rows through their
+/// layout view, store adt contiguously (dim-1 dats index identically in
+/// every layout). Raw-slice + [`DatView`] signature: the chunk bodies
+/// have one form, and the view's row accessors branch on the layout.
 #[inline(always)]
 pub(crate) fn adt_chunk<R: Real, const L: usize>(
     cs: usize,
@@ -153,18 +152,20 @@ pub(crate) fn adt_chunk<R: Real, const L: usize>(
     adt: &mut [R],
     consts: &super::Consts<R>,
 ) {
-    let nodes: [IdxVec<L>; 4] = std::array::from_fn(|j| IdxVec::load_strided(c2n, cs * 4 + j, 4));
-    let xp: [[VecR<R, L>; 2]; 4] =
-        std::array::from_fn(|j| [xv.gatherv(x, nodes[j], 0), xv.gatherv(x, nodes[j], 1)]);
-    let q_p: [VecR<R, L>; 4] = std::array::from_fn(|d| qv.loadv(q, cs, d));
-    let a = adt_calc_vec(&xp[0], &xp[1], &xp[2], &xp[3], &q_p, consts);
+    let x1: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4, 4));
+    let x2: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4 + 1, 4));
+    let x3: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4 + 2, 4));
+    let x4: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4 + 3, 4));
+    let q_p: [VecR<R, L>; 4] = qv.load_rows(q, cs);
+    let a = adt_calc_vec(&x1, &x2, &x3, &x4, &q_p, consts);
     a.store(adt, cs);
 }
 
 /// `L` edges of vectorized `res_calc` — a lane-aligned chunk or a
-/// color-permuted group — with *serialized* lane scatter (ascending lane
-/// order: the scalar accumulation order; a permuted group shares no
-/// target cell, which makes it §4's true vector scatter).
+/// color-permuted group — with *serialized* row scatter (lane by lane,
+/// `c0`'s row then `c1`'s: the order of the recording's scalar `apply`;
+/// a permuted group shares no target cell, which makes it §4's true
+/// vector scatter).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn res_chunk<R: Real, const L: usize>(
@@ -184,23 +185,20 @@ pub(crate) fn res_chunk<R: Real, const L: usize>(
     let n1 = lanes.mapped::<L>(e2n, 2, 1);
     let c0 = lanes.mapped::<L>(e2c, 2, 0);
     let c1 = lanes.mapped::<L>(e2c, 2, 1);
-    let x1 = [xv.gatherv(x, n0, 0), xv.gatherv(x, n0, 1)];
-    let x2 = [xv.gatherv(x, n1, 0), xv.gatherv(x, n1, 1)];
-    let q1: [VecR<R, L>; 4] = std::array::from_fn(|d| qv.gatherv(q, c0, d));
-    let q2: [VecR<R, L>; 4] = std::array::from_fn(|d| qv.gatherv(q, c1, d));
+    let x1: [VecR<R, L>; 2] = xv.gather_rows(x, n0);
+    let x2: [VecR<R, L>; 2] = xv.gather_rows(x, n1);
+    let q1: [VecR<R, L>; 4] = qv.gather_rows(q, c0);
+    let q2: [VecR<R, L>; 4] = qv.gather_rows(q, c1);
     let a1 = VecR::gather(adt, c0, 1, 0);
     let a2 = VecR::gather(adt, c1, 1, 0);
     let mut r1 = [VecR::<R, L>::zero(); 4];
     let mut r2 = [VecR::<R, L>::zero(); 4];
     res_calc_vec(&x1, &x2, &q1, &q2, a1, a2, &mut r1, &mut r2, consts);
-    for d in 0..4 {
-        resv.scatter_add_serialv(r1[d], res, c0, d);
-        resv.scatter_add_serialv(r2[d], res, c1, d);
-    }
+    resv.scatter_add_rows_serial([(&r1, c0), (&r2, c1)], res);
 }
 
 /// One lane-aligned chunk of vectorized `update`, folding the residual
-/// into `rms` (caller reduces the accumulator once per sweep or block).
+/// into `rms` (the caller reduces the accumulator once per block).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_chunk<R: Real, const L: usize>(
@@ -214,15 +212,13 @@ pub(crate) fn update_chunk<R: Real, const L: usize>(
     adt: &[R],
     rms: &mut VecR<R, L>,
 ) {
-    let qold_p: [VecR<R, L>; 4] = std::array::from_fn(|d| qoldv.loadv(qold, cs, d));
+    let qold_p: [VecR<R, L>; 4] = qoldv.load_rows(qold, cs);
     let mut q_p = [VecR::<R, L>::zero(); 4];
-    let mut res_p: [VecR<R, L>; 4] = std::array::from_fn(|d| resv.loadv(res, cs, d));
+    let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
     let adt_p = VecR::<R, L>::load(adt, cs);
     update_vec(&qold_p, &mut q_p, &mut res_p, adt_p, rms);
-    for d in 0..4 {
-        qv.storev(q_p[d], q, cs, d);
-        resv.storev(res_p[d], res, cs, d);
-    }
+    qv.store_rows(&q_p, q, cs);
+    resv.store_rows(&res_p, res, cs);
 }
 
 // ---------------------------------------------------------------------------
@@ -373,8 +369,13 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
         let adts = SharedDat::new(&mut adt.data);
         let ress = SharedDat::new(&mut res.data);
         let rmss = SharedDat::new(&mut rms_blocks);
-        let layout = xv.layout;
-        let desc = move |name: &str, n: usize| lane_hint(LoopDesc::new(profile(name), n), layout);
+        // every recorded vector body runs under `Shape::Simd`: moving
+        // whole rows it wins or ties its scalar body on every kernel of
+        // both apps, in AoS and in SoA (docs/ARCHITECTURE.md §8), where
+        // the profile-driven `Auto` would keep the low-intensity kernels
+        // (`save_soln`; most of Volna) on their scalar bodies
+        let desc =
+            |name: &str, n: usize| LoopDesc::new(profile(name), n).with_hint(VecHint::Vector);
 
         let mut chain = Chain::new("airfoil_step");
         {
@@ -388,13 +389,8 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                     qoldv.store_row(qolds.slice_mut(0, qolds.len()), c, &row);
                 },
                 move |cs| unsafe {
-                    // per-component vector copy of L cells (contiguous
-                    // moves under SoA / within AoSoA tiles)
-                    let src = qs.as_slice();
-                    let dst = qolds.slice_mut(0, qolds.len());
-                    for d in 0..4 {
-                        qoldv.storev(qv.loadv::<R, L>(src, cs, d), dst, cs, d);
-                    }
+                    let rows: [VecR<R, L>; 4] = qv.load_rows(qs.as_slice(), cs);
+                    qoldv.store_rows(&rows, qolds.slice_mut(0, qolds.len()), cs);
                 },
             );
             if halo.is_some() {
@@ -559,8 +555,8 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
             {
                 let (qs, qolds, adts, ress, rmss) = (&qs, &qolds, &adts, &ress, &rmss);
                 // one cell of `update`, folding its residual into `$rms`; a
-                // macro because a closure with a call site in each recording
-                // below stays out of line (a call per cell, sum via memory)
+                // macro because a closure with two call sites below stays
+                // out of line (a call per cell, sum via memory)
                 macro_rules! update_cell {
                     ($c:expr, $rms:expr) => {{
                         let qold_row: [R; 4] = qoldv.load_row(qolds.as_slice(), $c);
@@ -573,53 +569,42 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                         resv.store_row(r, $c, &res_row);
                     }};
                 }
-                // rms partials land in one (phase, block) slot each; both
-                // recordings below produce the same deterministic
-                // block-order reduction
-                if let Shape::Simd { .. } = shape {
-                    // SIMD shape: per-chunk fold into the block slot (a
-                    // block executes on one thread, so the in-place `+=`
-                    // through the shared view is race-free; the slot is
-                    // touched once per chunk, not once per element)
-                    chain.record_simd(
-                        desc("update", nc),
-                        vec![],
-                        L,
-                        move |c| unsafe {
-                            let mut local = R::ZERO;
-                            update_cell!(c, &mut local);
-                            let slot = phase * n_cell_blocks + c / chain_block;
-                            rmss.slice_mut(slot, 1)[0] += local;
-                        },
-                        move |cs| unsafe {
-                            let mut local_v = VecR::<R, L>::zero();
-                            update_chunk::<R, L>(
-                                cs,
-                                qolds.as_slice(),
-                                qoldv,
-                                qs.slice_mut(0, qs.len()),
-                                qv,
-                                ress.slice_mut(0, ress.len()),
-                                resv,
-                                adts.as_slice(),
-                                &mut local_v,
-                            );
-                            let slot = phase * n_cell_blocks + cs / chain_block;
-                            rmss.slice_mut(slot, 1)[0] += local_v.reduce_sum();
-                        },
-                    );
-                } else {
-                    // scalar shapes: accumulate in a register over the
-                    // whole block, one store per block (the hot fused-
-                    // threaded path measured in BENCH_fusion.json)
-                    chain.record_blocks(desc("update", nc), vec![], move |b, range| {
-                        let mut local = R::ZERO;
+                // the block's residual folds in registers — one scalar,
+                // and under the SIMD shape one vector accumulator — and
+                // lands in its (phase, block) slot with one store: a
+                // deterministic block-order reduction
+                let update_desc = desc("update", nc);
+                let vector = matches!(shape, Shape::Simd { .. }) && update_desc.vectorize();
+                chain.record_blocks(update_desc, vec![], move |b, range| {
+                    let mut local = R::ZERO;
+                    if vector {
+                        let mut local_v = VecR::<R, L>::zero();
+                        simd_block_sweep(
+                            range,
+                            L,
+                            |c| unsafe { update_cell!(c, &mut local) },
+                            |cs| unsafe {
+                                update_chunk::<R, L>(
+                                    cs,
+                                    qolds.as_slice(),
+                                    qoldv,
+                                    qs.slice_mut(0, qs.len()),
+                                    qv,
+                                    ress.slice_mut(0, ress.len()),
+                                    resv,
+                                    adts.as_slice(),
+                                    &mut local_v,
+                                );
+                            },
+                        );
+                        local += local_v.reduce_sum();
+                    } else {
                         for c in range.start as usize..range.end as usize {
                             unsafe { update_cell!(c, &mut local) };
                         }
-                        unsafe { rmss.slice_mut(phase * n_cell_blocks + b, 1)[0] = local };
-                    });
-                }
+                    }
+                    unsafe { rmss.slice_mut(phase * n_cell_blocks + b, 1)[0] = local };
+                });
             }
             if halo.is_some() {
                 chain.mark_interior();

@@ -34,8 +34,8 @@ pub mod volna;
 
 pub use resilience::{resilient_loop, ResilientReport};
 
-use ump_core::{Backend, ExecPool, Layout, PlanCache, Recorder, Scheme, DISPATCH_SIMT_WIDTH};
-use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, VecHint};
+use ump_core::{Backend, ExecPool, PlanCache, Recorder, Scheme, DISPATCH_SIMT_WIDTH};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
 /// Default anchor-blocks-per-tile of the registry dispatchers' tiled
@@ -59,26 +59,6 @@ pub(crate) fn maybe_time<T>(
     rec.time(&profile, word_bytes, n_elems, f)
 }
 
-/// Per-kernel lane selection of the fused recordings, measured on the
-/// bench host (docs/ARCHITECTURE.md §8): once storage is lane-friendly
-/// (SoA/AoSoA) every kernel *without* a serialized indirect scatter runs
-/// faster vectorized, while the scatter kernels (`res_calc`,
-/// `bres_calc`; `space_disc`, `bc_flux`) stay scalar — their chunks end
-/// in per-lane serial increments that never amortize the gathers. Under
-/// AoS the vector bodies pay strided loads everywhere, so the
-/// profile-driven Auto decision stands.
-pub(crate) fn lane_hint(desc: LoopDesc, layout: Layout) -> LoopDesc {
-    if layout == Layout::Aos {
-        return desc;
-    }
-    let hint = if desc.has_indirect_write() {
-        VecHint::Scalar
-    } else {
-        VecHint::Vector
-    };
-    desc.with_hint(hint)
-}
-
 /// The `L` elements one vector chunk body covers.
 #[derive(Clone, Copy)]
 pub(crate) enum Lanes<'a> {
@@ -97,24 +77,30 @@ impl Lanes<'_> {
         match self {
             Lanes::Aligned(es) => IdxVec::load_strided(map, es * dim + j, dim),
             Lanes::Permuted(ids) => {
-                IdxVec::from_array(std::array::from_fn(|l| map[ids[l] as usize * dim + j]))
+                let mut idx = [0i32; L];
+                for l in 0..L {
+                    idx[l] = map[ids[l] as usize * dim + j];
+                }
+                IdxVec::from_array(idx)
             }
         }
     }
 
-    /// Component `c` of the elements' own rows of `data`.
+    /// Components `0..K` of the elements' own rows of `data`.
     #[inline(always)]
-    pub(crate) fn direct<R: Real, const L: usize>(
+    pub(crate) fn rows<R: Real, const L: usize, const K: usize>(
         self,
         view: DatView,
         data: &[R],
-        c: usize,
-    ) -> VecR<R, L> {
+    ) -> [VecR<R, L>; K] {
         match self {
-            Lanes::Aligned(es) => view.loadv(data, es, c),
+            Lanes::Aligned(es) => view.load_rows(data, es),
             Lanes::Permuted(ids) => {
-                let own = IdxVec::from_array(std::array::from_fn(|l| ids[l] as i32));
-                view.gatherv(data, own, c)
+                let mut own = [0i32; L];
+                for l in 0..L {
+                    own[l] = ids[l] as i32;
+                }
+                view.gather_rows(data, IdxVec::from_array(own))
             }
         }
     }

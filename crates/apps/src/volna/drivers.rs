@@ -11,10 +11,10 @@
 
 use ump_color::PlanInputs;
 use ump_core::{
-    seq_loop, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache, Recorder, Scheme,
-    SharedDat,
+    seq_loop, simd_block_sweep, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache,
+    Recorder, Scheme, SharedDat,
 };
-use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain, VecHint};
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
@@ -26,8 +26,7 @@ use super::mpi::RankState;
 use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
 use crate::dist::{step_mpi_fused, RankHalo};
 use crate::{
-    chain_exec, lane_hint, maybe_time, no_lane_instantiation, ChainExec, Lanes,
-    DISPATCH_TILE_BLOCKS,
+    chain_exec, maybe_time, no_lane_instantiation, ChainExec, Lanes, DISPATCH_TILE_BLOCKS,
 };
 
 // ---------------------------------------------------------------------------
@@ -142,8 +141,8 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// One lane-aligned chunk of vectorized `compute_flux`. Raw-slice +
-/// [`DatView`] signature: one copy of the layout-aware index arithmetic;
-/// under AoS every view op lowers to the strided/gather form.
+/// [`DatView`] signature: the chunk bodies have one form, and the view's
+/// row accessors branch on the layout.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn compute_flux_chunk<R: Real, const L: usize>(
@@ -160,13 +159,11 @@ pub(crate) fn compute_flux_chunk<R: Real, const L: usize>(
 ) {
     let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
     let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-    let geom: [VecR<R, L>; 4] = std::array::from_fn(|d| egv.loadv(egeom, es, d));
-    let wl: [VecR<R, L>; 4] = std::array::from_fn(|d| sv.gatherv(state, c0, d));
-    let wr: [VecR<R, L>; 4] = std::array::from_fn(|d| sv.gatherv(state, c1, d));
+    let geom: [VecR<R, L>; 4] = egv.load_rows(egeom, es);
+    let wl: [VecR<R, L>; 4] = sv.gather_rows(state, c0);
+    let wr: [VecR<R, L>; 4] = sv.gather_rows(state, c1);
     let f = compute_flux_vec(&geom, &wl, &wr, g, h_min);
-    for d in 0..4 {
-        efv.storev(f[d], eflux, es, d);
-    }
+    efv.store_rows(&f, eflux, es);
 }
 
 /// One lane-aligned chunk of vectorized `numerical_flux`: folds the
@@ -192,9 +189,10 @@ pub(crate) fn numerical_flux_chunk<R: Real, const L: usize>(
 }
 
 /// `L` edges of vectorized `space_disc` — a lane-aligned chunk or a
-/// color-permuted group — with *serialized* lane scatter (ascending lane
-/// order: the scalar accumulation order; a permuted group shares no
-/// target cell, which makes it §4's true vector scatter).
+/// color-permuted group — with *serialized* row scatter (lane by lane,
+/// the left cell's row then the right's: the order of the recording's
+/// scalar `apply`; a permuted group shares no target cell, which makes
+/// it §4's true vector scatter).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn space_disc_chunk<R: Real, const L: usize>(
@@ -212,15 +210,13 @@ pub(crate) fn space_disc_chunk<R: Real, const L: usize>(
 ) {
     let c0 = lanes.mapped::<L>(e2c, 2, 0);
     let c1 = lanes.mapped::<L>(e2c, 2, 1);
-    let geom: [VecR<R, L>; 4] = std::array::from_fn(|d| lanes.direct(egv, egeom, d));
-    let ef: [VecR<R, L>; 4] = std::array::from_fn(|d| lanes.direct(efv, eflux, d));
-    let wl: [VecR<R, L>; 4] = std::array::from_fn(|d| sv.gatherv(state, c0, d));
-    let wr: [VecR<R, L>; 4] = std::array::from_fn(|d| sv.gatherv(state, c1, d));
-    let (rl, rr) = space_disc_vec(&geom, &ef, &wl, &wr, g);
-    for d in 0..3 {
-        resv.scatter_add_serialv(rl[d], res, c0, d);
-        resv.scatter_add_serialv(rr[d], res, c1, d);
-    }
+    let geom: [VecR<R, L>; 4] = lanes.rows(egv, egeom);
+    let ef: [VecR<R, L>; 4] = lanes.rows(efv, eflux);
+    let wl: [VecR<R, L>; 4] = sv.gather_rows(state, c0);
+    let wr: [VecR<R, L>; 4] = sv.gather_rows(state, c1);
+    // slot 3 (bathymetry) carries no increment: three of four components land
+    let ([l0, l1, l2, _], [r0, r1, r2, _]) = space_disc_vec(&geom, &ef, &wl, &wr, g);
+    resv.scatter_add_rows_serial([(&[l0, l1, l2], c0), (&[r0, r1, r2], c1)], res);
 }
 
 /// One lane-aligned chunk of vectorized `RK_1`.
@@ -237,15 +233,13 @@ pub(crate) fn rk1_chunk<R: Real, const L: usize>(
     area: &[R],
     dt: R,
 ) {
-    let w_old_p: [VecR<R, L>; 4] = std::array::from_fn(|d| woldv.loadv(w_old, cs, d));
-    let mut res_p: [VecR<R, L>; 4] = std::array::from_fn(|d| resv.loadv(res, cs, d));
+    let w_old_p: [VecR<R, L>; 4] = woldv.load_rows(w_old, cs);
+    let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
     let area_p = VecR::<R, L>::load(area, cs);
     let mut w1_p = [VecR::<R, L>::zero(); 4];
     rk_1_vec(&w_old_p, &mut res_p, &mut w1_p, area_p, dt);
-    for d in 0..4 {
-        w1v.storev(w1_p[d], w1, cs, d);
-        resv.storev(res_p[d], res, cs, d);
-    }
+    w1v.store_rows(&w1_p, w1, cs);
+    resv.store_rows(&res_p, res, cs);
 }
 
 /// One lane-aligned chunk of vectorized `RK_2`.
@@ -264,16 +258,14 @@ pub(crate) fn rk2_chunk<R: Real, const L: usize>(
     area: &[R],
     dt: R,
 ) {
-    let w_old_p: [VecR<R, L>; 4] = std::array::from_fn(|d| woldv.loadv(w_old, cs, d));
-    let w1_p: [VecR<R, L>; 4] = std::array::from_fn(|d| w1v.loadv(w1, cs, d));
-    let mut res_p: [VecR<R, L>; 4] = std::array::from_fn(|d| resv.loadv(res, cs, d));
+    let w_old_p: [VecR<R, L>; 4] = woldv.load_rows(w_old, cs);
+    let w1_p: [VecR<R, L>; 4] = w1v.load_rows(w1, cs);
+    let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
     let area_p = VecR::<R, L>::load(area, cs);
     let mut w_p = [VecR::<R, L>::zero(); 4];
     rk_2_vec(&w_old_p, &w1_p, &mut res_p, &mut w_p, area_p, dt);
-    for d in 0..4 {
-        wv.storev(w_p[d], w, cs, d);
-        resv.storev(res_p[d], res, cs, d);
-    }
+    wv.store_rows(&w_p, w, cs);
+    resv.store_rows(&res_p, res, cs);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,10 +419,13 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
         let efs = SharedDat::new(&mut eflux.data);
         let dts = SharedDat::new(&mut dt_blocks);
         let dtf = SharedDat::new(&mut dt_slot);
-        let layout = wv.layout;
-        let desc = move |name: &str, n: usize| lane_hint(LoopDesc::new(profile(name), n), layout);
-        let state_desc =
-            move |name: &str, n: usize, phase: usize| lane_hint(phase_desc(name, n, phase), layout);
+        // every recorded vector body runs under `Shape::Simd` (measured:
+        // see the Airfoil recording and docs/ARCHITECTURE.md §8)
+        let desc =
+            |name: &str, n: usize| LoopDesc::new(profile(name), n).with_hint(VecHint::Vector);
+        let state_desc = |name: &str, n: usize, phase: usize| {
+            phase_desc(name, n, phase).with_hint(VecHint::Vector)
+        };
 
         let mut chain = Chain::new("volna_step");
         if let Some(h) = halo {
@@ -451,11 +446,8 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                     woldv.store_row(wolds.slice_mut(0, wolds.len()), c, &old);
                 },
                 move |cs| unsafe {
-                    let src = ws.as_slice();
-                    let dst = wolds.slice_mut(0, wolds.len());
-                    for d in 0..4 {
-                        woldv.storev(wv.loadv::<R, L>(src, cs, d), dst, cs, d);
-                    }
+                    let rows: [VecR<R, L>; 4] = wv.load_rows(ws.as_slice(), cs);
+                    woldv.store_rows(&rows, wolds.slice_mut(0, wolds.len()), cs);
                 },
             );
             if halo.is_some() {
@@ -510,8 +502,8 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                 {
                     let (efs, dts) = (&efs, &dts);
                     // one edge of `numerical_flux`, folding its CFL candidate
-                    // into `$dt`; a macro because a closure with a call site
-                    // in each recording below stays out of line
+                    // into `$dt`; a macro because a closure with two call
+                    // sites below stays out of line
                     macro_rules! flux_edge {
                         ($e:expr, $dt:expr) => {{
                             let c = mesh.edge2cell.row($e);
@@ -521,46 +513,40 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                             numerical_flux(&ge, &ef, al, ar, $dt, cfl);
                         }};
                     }
-                    // Δt partials land in one slot per block; `min` is
-                    // exact in any order, and both recordings below fold
-                    // identically
-                    if let Shape::Simd { .. } = shape {
-                        // SIMD shape: per-chunk fold into the block slot
-                        // (one thread per block, so the in-place min
-                        // through the shared view is race-free)
-                        chain.record_simd(
-                            desc("numerical_flux", ne),
-                            vec![],
-                            L,
-                            move |e| unsafe {
-                                flux_edge!(e, &mut dts.slice_mut(e / chain_block, 1)[0]);
-                            },
-                            move |es| unsafe {
-                                let mut dt_v = VecR::<R, L>::splat(R::INFINITY);
-                                numerical_flux_chunk::<R, L>(
-                                    es,
-                                    &mesh.edge2cell.data,
-                                    efs.as_slice(),
-                                    efv,
-                                    &area.data,
-                                    &mut dt_v,
-                                    cfl,
-                                );
-                                let slot = &mut dts.slice_mut(es / chain_block, 1)[0];
-                                *slot = slot.min(dt_v.reduce_min());
-                            },
-                        );
-                    } else {
-                        // scalar shapes: fold in a register over the
-                        // whole block, one store per block
-                        chain.record_blocks(desc("numerical_flux", ne), vec![], move |b, range| {
-                            let mut local = R::INFINITY;
+                    // the block's Δt folds in registers — one scalar, and
+                    // under the SIMD shape one vector accumulator — and
+                    // lands in its block slot with one store (`min` is
+                    // exact in any order)
+                    let flux_desc = desc("numerical_flux", ne);
+                    let vector = matches!(shape, Shape::Simd { .. }) && flux_desc.vectorize();
+                    chain.record_blocks(flux_desc, vec![], move |b, range| {
+                        let mut local = R::INFINITY;
+                        if vector {
+                            let mut local_v = VecR::<R, L>::splat(R::INFINITY);
+                            simd_block_sweep(
+                                range,
+                                L,
+                                |e| unsafe { flux_edge!(e, &mut local) },
+                                |es| unsafe {
+                                    numerical_flux_chunk::<R, L>(
+                                        es,
+                                        &mesh.edge2cell.data,
+                                        efs.as_slice(),
+                                        efv,
+                                        &area.data,
+                                        &mut local_v,
+                                        cfl,
+                                    );
+                                },
+                            );
+                            local = local.min(local_v.reduce_min());
+                        } else {
                             for e in range.start as usize..range.end as usize {
                                 unsafe { flux_edge!(e, &mut local) };
                             }
-                            unsafe { dts.slice_mut(b, 1)[0] = local };
-                        });
-                    }
+                        }
+                        unsafe { dts.slice_mut(b, 1)[0] = local };
+                    });
                     // numerical_flux reads edge-local flux and the local
                     // cell areas — no halo data
                     if halo.is_some() {

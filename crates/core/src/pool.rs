@@ -559,11 +559,16 @@ pub fn simt_block_sweep<I>(
 /// block boundary, and a block executes on one thread — so serialized
 /// lane scatters inside `vector` are race-free under the same coloring
 /// invariant every other engine relies on.
+///
+/// The bodies are `FnMut`, so a reduction loop can fold into locals it
+/// captures (one scalar, one vector accumulator) and store once per
+/// block; a shared `Fn` body passes as `&f`.
+#[inline]
 pub fn simd_block_sweep(
     range: Range<u32>,
     lanes: usize,
-    scalar: &(impl Fn(usize) + ?Sized),
-    vector: &(impl Fn(usize) + ?Sized),
+    mut scalar: impl FnMut(usize),
+    mut vector: impl FnMut(usize),
 ) {
     assert!(lanes >= 1, "lanes must be >= 1");
     let (start, end) = (range.start as usize, range.end as usize);

@@ -76,18 +76,6 @@ impl LoopDesc {
         }
     }
 
-    /// Does any argument scatter through a map (indirect write or
-    /// increment)? Under `Shape::Simd` such a loop ends every chunk in a
-    /// serialized lane scatter, the one part of the vector body that
-    /// never amortizes — callers that know the storage is lane-friendly
-    /// use this to pin scatter kernels to their scalar bodies.
-    pub fn has_indirect_write(&self) -> bool {
-        self.profile
-            .args
-            .iter()
-            .any(|a| a.is_indirect() && a.access.writes())
-    }
-
     /// Kernel name (diagnostics, instrumentation keys).
     pub fn name(&self) -> &str {
         &self.profile.name

@@ -15,10 +15,14 @@
 //!   no change to byte accounting or serialization sizes).
 //!
 //! [`DatView`] carries `(n, dim, layout)` and exposes scalar row and
-//! vector lane accessors that the fused drivers use for *every* dat
-//! access, so one kernel body serves all layouts. Under `Aos` the view
-//! degenerates to the classic strided forms; under `Soa`/`AoSoA` the
-//! direct vector paths become contiguous [`VecR::load`]/[`VecR::store`].
+//! vector lane accessors that the recorded drivers use for *every* dat
+//! access, so one kernel body serves all layouts. The vector bodies move
+//! whole rows of `L` elements at once ([`DatView::load_rows`] and its
+//! three siblings): under `Aos` an element's components are one
+//! contiguous run, so a row block is `L` row moves and an in-register
+//! transpose (the paper's AVX back end keeps AoS for exactly that
+//! reason); under `Soa`/`AoSoA` it is one contiguous
+//! [`VecR::load`]/[`VecR::store`] per component.
 
 use crate::{IdxVec, Real, VecR};
 
@@ -165,6 +169,7 @@ impl DatView {
     #[inline(always)]
     pub fn loadv<R: Real, const L: usize>(&self, data: &[R], e0: usize, c: usize) -> VecR<R, L> {
         match self.layout {
+            Layout::Aos if self.dim == 1 => VecR::load(data, e0),
             Layout::Aos => VecR::load_strided(data, e0 * self.dim + c, self.dim),
             Layout::Soa => VecR::load(data, c * self.n + e0),
             Layout::AoSoA { .. } => {
@@ -187,6 +192,7 @@ impl DatView {
         c: usize,
     ) {
         match self.layout {
+            Layout::Aos if self.dim == 1 => v.store(data, e0),
             Layout::Aos => v.store_strided(data, e0 * self.dim + c, self.dim),
             Layout::Soa => v.store(data, c * self.n + e0),
             Layout::AoSoA { .. } => {
@@ -257,11 +263,160 @@ impl DatView {
                     _ => v.scatter_add_serial(col, idx, 1, 0),
                 }
             }
-            Layout::AoSoA { .. } => {
+            Layout::AoSoA { .. } =>
+            {
                 #[allow(clippy::assign_op_pattern)]
                 for k in 0..L {
                     let i = self.idx(idx.lane(k) as usize, c);
                     data[i] = data[i] + v.lane(k);
+                }
+            }
+        }
+    }
+
+    /// Components `0..K` of element `e`'s row in `Aos` storage — one
+    /// contiguous run, one bounds check, constant width.
+    #[inline(always)]
+    fn aos_row<'d, R: Real, const K: usize>(&self, data: &'d [R], e: usize) -> &'d [R; K] {
+        data[e * self.dim..][..K].try_into().expect("row width")
+    }
+
+    /// Mutable [`aos_row`](DatView::aos_row).
+    #[inline(always)]
+    fn aos_row_mut<'d, R: Real, const K: usize>(
+        &self,
+        data: &'d mut [R],
+        e: usize,
+    ) -> &'d mut [R; K] {
+        (&mut data[e * self.dim..][..K])
+            .try_into()
+            .expect("row width")
+    }
+
+    /// Components `0..K` of elements `e0..e0+L`, one vector per
+    /// component (`K ≤ dim`). Under `Aos` that is `L` row loads and a
+    /// transpose that stays in registers.
+    #[inline(always)]
+    pub fn load_rows<R: Real, const L: usize, const K: usize>(
+        &self,
+        data: &[R],
+        e0: usize,
+    ) -> [VecR<R, L>; K] {
+        debug_assert!(K <= self.dim);
+        let mut out = [VecR::<R, L>::zero(); K];
+        match self.layout {
+            Layout::Aos => {
+                for l in 0..L {
+                    let row: &[R; K] = self.aos_row(data, e0 + l);
+                    for c in 0..K {
+                        out[c].0[l] = row[c];
+                    }
+                }
+            }
+            _ => {
+                for c in 0..K {
+                    out[c] = self.loadv(data, e0, c);
+                }
+            }
+        }
+        out
+    }
+
+    /// Store `vals` as components `0..K` of elements `e0..e0+L` (the
+    /// inverse of [`load_rows`](DatView::load_rows)).
+    #[inline(always)]
+    pub fn store_rows<R: Real, const L: usize, const K: usize>(
+        &self,
+        vals: &[VecR<R, L>; K],
+        data: &mut [R],
+        e0: usize,
+    ) {
+        debug_assert!(K <= self.dim);
+        match self.layout {
+            Layout::Aos => {
+                for l in 0..L {
+                    let row: &mut [R; K] = self.aos_row_mut(data, e0 + l);
+                    for c in 0..K {
+                        row[c] = vals[c].0[l];
+                    }
+                }
+            }
+            _ => {
+                for c in 0..K {
+                    self.storev(vals[c], data, e0, c);
+                }
+            }
+        }
+    }
+
+    /// Map-driven row gather: lane `l` of vector `c` is component `c` of
+    /// element `idx[l]` (`K ≤ dim`). Under `Aos` each lane is one row
+    /// load.
+    #[inline(always)]
+    pub fn gather_rows<R: Real, const L: usize, const K: usize>(
+        &self,
+        data: &[R],
+        idx: IdxVec<L>,
+    ) -> [VecR<R, L>; K] {
+        debug_assert!(K <= self.dim);
+        let mut out = [VecR::<R, L>::zero(); K];
+        match self.layout {
+            Layout::Aos => {
+                for l in 0..L {
+                    let row: &[R; K] = self.aos_row(data, idx.lane(l) as usize);
+                    for c in 0..K {
+                        out[c].0[l] = row[c];
+                    }
+                }
+            }
+            _ => {
+                for c in 0..K {
+                    out[c] = self.gatherv(data, idx, c);
+                }
+            }
+        }
+        out
+    }
+
+    /// Serialized accumulating row scatter of `T` increments per lane —
+    /// the colored increment of an element that reaches `T` targets
+    /// (`res_calc`'s two cells): increment `t` adds lane `l` of its
+    /// vectors to components `0..K` of element `idx_t[l]`.
+    ///
+    /// Under `Aos` the rows land lane by lane ascending, within a lane
+    /// target by target — the order in which the scalar loop applies
+    /// elements `l = 0..L`, so colliding lanes accumulate exactly like
+    /// it, one row read-modify-write each. Under `Soa`/`AoSoA` each
+    /// target's components go through
+    /// [`scatter_add_serialv`](DatView::scatter_add_serialv) (ascending
+    /// lanes per target, consecutive-run fast path included), which
+    /// orders two targets' hits on one element by target instead of by
+    /// lane: the same sum up to reassociation.
+    #[inline(always)]
+    pub fn scatter_add_rows_serial<R: Real, const L: usize, const K: usize, const T: usize>(
+        &self,
+        incs: [(&[VecR<R, L>; K], IdxVec<L>); T],
+        data: &mut [R],
+    ) {
+        debug_assert!(K <= self.dim);
+        match self.layout {
+            Layout::Aos => {
+                for l in 0..L {
+                    for t in 0..T {
+                        let (vals, idx) = incs[t];
+                        let row: &mut [R; K] = self.aos_row_mut(data, idx.lane(l) as usize);
+                        for c in 0..K {
+                            row[c] += vals[c].0[l];
+                        }
+                    }
+                }
+            }
+            _ => {
+                for t in 0..T {
+                    let (vals, idx) = incs[t];
+                    for c in 0..K {
+                        self.scatter_add_serialv(vals[c], data, idx, c);
+                    }
                 }
             }
         }
@@ -455,6 +610,130 @@ mod tests {
                     assert_eq!(d2[view.idx(e, 2)], (e * 10 + 2) as f64 + 0.25, "{layout:?}");
                 }
             }
+        }
+    }
+
+    /// Every row accessor against the per-component accessor it replaces
+    /// (and both against plain `idx` indexing), at one `(R, L, K)`.
+    fn check_row_accessors<R: Real, const L: usize, const K: usize>(layout: Layout, dim: usize) {
+        let n = 22; // AoSoA-6: tiles 6, 6, 6 and a ragged 4
+        let view = DatView::new(n, dim, layout);
+        let tag = format!("{layout:?} dim={dim} K={K} L={L}");
+        let mut data = vec![R::ZERO; n * dim];
+        for e in 0..n {
+            for c in 0..dim {
+                data[view.idx(e, c)] = R::from_f64((e * 10 + c) as f64 + 0.5);
+            }
+        }
+        let vals: [VecR<R, L>; K] =
+            std::array::from_fn(|c| VecR::from_fn(|l| R::from_f64(1e-3 * (1 + l + 10 * c) as f64)));
+        for e0 in 0..=n - L {
+            let rows: [VecR<R, L>; K] = view.load_rows(&data, e0);
+            let (mut by_rows, mut by_comp) = (data.clone(), data.clone());
+            view.store_rows(&vals, &mut by_rows, e0);
+            for c in 0..K {
+                let want: VecR<R, L> = VecR::from_fn(|l| data[view.idx(e0 + l, c)]);
+                assert_eq!(rows[c], want, "{tag} load e0={e0} c={c}");
+                assert_eq!(
+                    view.loadv::<R, L>(&data, e0, c),
+                    want,
+                    "{tag} loadv e0={e0}"
+                );
+                view.storev(vals[c], &mut by_comp, e0, c);
+            }
+            assert_eq!(by_rows, by_comp, "{tag} store e0={e0}");
+        }
+        // scattered, repeated (colliding) and consecutive index lanes
+        let patterns: [[usize; 8]; 3] = [
+            [21, 3, 3, 17, 0, 3, 12, 21],
+            [5, 6, 7, 8, 9, 10, 11, 12],
+            [14, 15, 16, 17, 18, 19, 20, 21],
+        ];
+        for pat in patterns {
+            let idx = IdxVec::<L>::from_array(std::array::from_fn(|l| pat[l] as i32));
+            let rows: [VecR<R, L>; K] = view.gather_rows(&data, idx);
+            let (mut by_rows, mut by_comp) = (data.clone(), data.clone());
+            view.scatter_add_rows_serial([(&vals, idx)], &mut by_rows);
+            for c in 0..K {
+                let want: VecR<R, L> = VecR::from_fn(|l| data[view.idx(pat[l], c)]);
+                assert_eq!(rows[c], want, "{tag} gather {pat:?} c={c}");
+                assert_eq!(view.gatherv::<R, L>(&data, idx, c), want, "{tag} gatherv");
+                view.scatter_add_serialv(vals[c], &mut by_comp, idx, c);
+            }
+            assert_eq!(by_rows, by_comp, "{tag} scatter {pat:?}");
+        }
+    }
+
+    #[test]
+    fn row_accessors_equal_the_per_component_accessors() {
+        macro_rules! check {
+            ($layout:expr, $dim:expr, $($k:literal),+) => {$(
+                check_row_accessors::<f64, 4, $k>($layout, $dim);
+                check_row_accessors::<f64, 8, $k>($layout, $dim);
+                check_row_accessors::<f32, 4, $k>($layout, $dim);
+                check_row_accessors::<f32, 8, $k>($layout, $dim);
+            )+};
+        }
+        for layout in [
+            Layout::Aos,
+            Layout::Soa,
+            Layout::AoSoA { block: 4 },
+            Layout::AoSoA { block: 6 },
+        ] {
+            check!(layout, 1, 1);
+            check!(layout, 2, 1, 2);
+            check!(layout, 4, 1, 2, 3, 4);
+        }
+    }
+
+    #[test]
+    fn aos_row_scatter_lands_in_the_scalar_loops_order() {
+        // two targets per lane, lanes colliding across targets: element 1
+        // is lane 0's second target and lane 1's first. The scalar loop
+        // lands lane 0 whole, then lane 1; magnitudes are chosen so any
+        // other order rounds differently.
+        let view = DatView::new(4, 2, Layout::Aos);
+        let (i0, i1) = (
+            IdxVec::<4>::from_array([0, 1, 2, 1]),
+            IdxVec::<4>::from_array([1, 2, 3, 3]),
+        );
+        let v0 = [VecR::<f64, 4>::from_array([1.0, 1e16, 3.0, 1.0]); 2];
+        let v1 = [VecR::<f64, 4>::from_array([-1e16, 1.0, 1.0, 2.0]); 2];
+        let mut got = vec![1.0f64; 8];
+        view.scatter_add_rows_serial([(&v0, i0), (&v1, i1)], &mut got);
+        let mut want = vec![1.0f64; 8];
+        for l in 0..4 {
+            for (v, i) in [(&v0, i0), (&v1, i1)] {
+                for c in 0..2 {
+                    want[i.lane(l) as usize * 2 + c] += v[c].lane(l);
+                }
+            }
+        }
+        assert_eq!(got, want);
+        // target-major order (all of i0, then all of i1) would differ
+        assert_eq!(got[2], ((1.0 - 1e16) + 1e16) + 1.0);
+        assert_ne!(got[2], ((1.0 + 1e16) + 1.0) - 1e16);
+    }
+
+    #[test]
+    fn row_accessors_panic_on_an_out_of_range_index() {
+        use std::panic::catch_unwind;
+        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }] {
+            let view = DatView::new(6, 4, layout);
+            let data = vec![0.0f64; 24];
+            for bad in [6, -1] {
+                let idx = IdxVec::<4>::from_array([0, 5, bad, 1]);
+                let gathered =
+                    catch_unwind(|| -> [VecR<f64, 4>; 4] { view.gather_rows(&data, idx) });
+                assert!(gathered.is_err(), "{layout:?} gather of {bad}");
+                let scattered = catch_unwind(|| {
+                    let mut d = data.clone();
+                    view.scatter_add_rows_serial([(&[VecR::<f64, 4>::zero(); 4], idx)], &mut d);
+                });
+                assert!(scattered.is_err(), "{layout:?} scatter to {bad}");
+            }
+            let past_end = catch_unwind(|| -> [VecR<f64, 4>; 4] { view.load_rows(&data, 3) });
+            assert!(past_end.is_err(), "{layout:?} load past the end");
         }
     }
 

@@ -14,6 +14,20 @@
 //! | map-driven scatter (permute schemes, lanes distinct)| [`VecR::scatter`] |
 //! | serialized colored increment (original scheme)    | [`VecR::scatter_add_serial`] |
 //! | masked scatter-add (measured slower in the paper) | [`VecR::scatter_add_masked`] |
+//!
+//! Those move one component of `L` elements. The chunk bodies of the
+//! applications move whole rows — all components of `L` elements at
+//! once — through the layout view, which under AoS (the layout the
+//! paper's AVX back end keeps) turns each operation into `L` contiguous
+//! row moves and an in-register transpose, and otherwise loops the
+//! per-component operations above:
+//!
+//! | paper operation, all components of a row          | method |
+//! |---------------------------------------------------|--------|
+//! | vector load of direct rows `e0..e0+L`             | [`DatView::load_rows`](crate::DatView::load_rows) |
+//! | vector store of direct rows                       | [`DatView::store_rows`](crate::DatView::store_rows) |
+//! | map-driven row gather (`data[map[n]*dim..]`)      | [`DatView::gather_rows`](crate::DatView::gather_rows) |
+//! | serialized colored increment of whole rows, in the scalar loop's order | [`DatView::scatter_add_rows_serial`](crate::DatView::scatter_add_rows_serial) |
 
 use crate::{IdxVec, Mask, Real, VecR};
 

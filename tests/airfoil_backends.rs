@@ -211,3 +211,41 @@ fn simd_single_precision_matches_scalar_single_precision() {
     let d = a.q.max_abs_diff(&b.q);
     assert!(d < 1e-3, "f32 simd diverged from f32 scalar: {d}");
 }
+
+/// The vector bodies must not lose to the scalar ones they replace: on
+/// one thread, from the same 300×150 AoS state, a `simd4` step takes at
+/// most 1.25 × a `seq` step (measured ≈ 0.7–0.9). A ratio of interleaved
+/// steps of one process, so the speed of the host cancels; what moves it
+/// is the code — an out-of-line closure per component in a chunk body
+/// measured 2.05. Timing test: run in release, `-- --ignored`.
+#[test]
+#[ignore = "timing: the simd CI job runs it in release"]
+fn simd4_step_is_not_slower_than_seq() {
+    use std::time::Instant;
+    let base = Airfoil::<f64>::seeded(300, 150, 1);
+    let (pool, cache) = (ExecPool::new(1), PlanCache::new());
+    let rows = [Backend::Seq, Backend::Simd { lanes: 4 }];
+    let mut sims = [base.clone(), base];
+    let mut times = [Vec::new(), Vec::new()];
+    for i in 0..16 {
+        for (k, &row) in rows.iter().enumerate() {
+            let t = Instant::now();
+            drivers::step_on(row, &mut sims[k], &pool, &cache, 1, 1024, None);
+            // the first round builds the plans
+            if i > 0 {
+                times[k].push(t.elapsed().as_secs_f64());
+            }
+        }
+    }
+    let [seq, simd] = times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    });
+    assert!(
+        simd <= 1.25 * seq,
+        "simd4 {:.2} ms vs seq {:.2} ms per step: ratio {:.2} > 1.25",
+        simd * 1e3,
+        seq * 1e3,
+        simd / seq
+    );
+}

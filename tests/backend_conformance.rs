@@ -117,6 +117,39 @@ fn every_backend_matches_sequential_on_volna() {
     }
 }
 
+/// The headline shape against its scalar twin, directly: one step of
+/// `simd_threaded4` from a seeded AoS state lands within 1e-12 of
+/// `threaded`'s. The matrix above implies it; here a slip in the row
+/// scatter's order or a lane mix-up in a row transpose names the row.
+#[test]
+fn simd_threaded_matches_threaded_after_one_aos_step() {
+    let (scalar, vector) = (Backend::Threaded, Backend::SimdThreaded { lanes: 4 });
+    let pool = ExecPool::new(TEAM);
+    for (nx, ny) in MESHES {
+        let cache = PlanCache::new();
+        let mut a = airfoil::Airfoil::<f64>::seeded(nx, ny, 19);
+        let mut b = a.clone();
+        airfoil::drivers::step_on(scalar, &mut a, &pool, &cache, 0, BLOCK, None);
+        airfoil::drivers::step_on(vector, &mut b, &pool, &cache, 0, BLOCK, None);
+        let d = b.q.max_abs_diff(&a.q);
+        assert!(
+            d <= 1e-12,
+            "airfoil {nx}x{ny}: {vector} vs {scalar} |Δq| = {d:e}"
+        );
+
+        let cache = PlanCache::new();
+        let mut a = volna::Volna::<f64>::seeded(nx, ny, 19);
+        let mut b = a.clone();
+        volna::drivers::step_on(scalar, &mut a, &pool, &cache, 0, BLOCK, None);
+        volna::drivers::step_on(vector, &mut b, &pool, &cache, 0, BLOCK, None);
+        let d = b.w.max_abs_diff(&a.w);
+        assert!(
+            d <= 1e-12,
+            "volna {nx}x{ny}: {vector} vs {scalar} |Δw| = {d:e}"
+        );
+    }
+}
+
 /// The rows that execute the one recorded chain loop by loop, on the
 /// caller's pool or on the calling thread.
 fn per_loop_rows() -> Vec<Backend> {

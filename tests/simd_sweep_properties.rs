@@ -4,7 +4,11 @@
 //! visited twice or skipped), agree with each other, and a fused-SIMD
 //! gather/scatter chain over integer-valued data must **bit-match** the
 //! scalar sweep — integer arithmetic in f64 is exact, so any
-//! lane-coverage or scatter-ordering bug is a hard mismatch. (The
+//! lane-coverage or scatter-ordering bug is a hard mismatch. The same
+//! chain lands a dim-4 dat through the row scatter with two
+//! rounding-sensitive components, which must bit-match the *threaded*
+//! execution of the chain: the row scatter's order contract (lane by
+//! lane, `c0`'s row then `c1`'s — the scalar `apply` order). (The
 //! product of executions of one recording lives in
 //! `tests/fusion_properties.rs`.)
 
@@ -12,9 +16,9 @@ use std::cell::RefCell;
 
 use proptest::prelude::*;
 use ump_core::{simd_block_sweep, Access, ArgInfo, ExecPool, LoopProfile, PlanCache, SharedDat};
-use ump_lazy::{Chain, LoopDesc, Shape};
+use ump_lazy::{Chain, LoopDesc, Shape, VecHint};
 use ump_mesh::generators::perturbed_quads;
-use ump_simd::{split_sweep, IdxVec, VecR};
+use ump_simd::{split_sweep, DatView, IdxVec, Layout, VecR};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -80,7 +84,8 @@ proptest! {
     // Fused-SIMD legality end-to-end: a recorded chain (direct fill +
     // indirect gather/scatter through edge2cell) over integer-valued
     // data executed under Shape::Simd at L = 4 and 8, with random block
-    // sizes, bit-matches the scalar loop-by-loop reference.
+    // sizes, bit-matches the scalar loop-by-loop reference; its dim-4
+    // row scatter bit-matches the threaded execution of the same chain.
     #[test]
     fn fused_simd_gather_scatter_bit_matches_scalar(
         nx in 3usize..12,
@@ -95,6 +100,7 @@ proptest! {
         // scalar reference
         let mut ra = vec![0.0f64; ne];
         let mut racc = vec![0.0f64; nc];
+        let mut racc4 = vec![0.0f64; nc * 4];
         for e in 0..ne {
             ra[e] = (e % 11 + 1) as f64;
         }
@@ -102,20 +108,36 @@ proptest! {
             let c = mesh.edge2cell.row(e);
             racc[c[0] as usize] += 3.0 * ra[e];
             racc[c[1] as usize] -= ra[e];
+            // the integer components of the dim-4 rows (0 and 3)
+            racc4[c[0] as usize * 4] += 3.0 * ra[e];
+            racc4[c[0] as usize * 4 + 3] += ra[e];
+            racc4[c[1] as usize * 4] -= ra[e];
+            racc4[c[1] as usize * 4 + 3] -= ra[e];
+        }
+
+        // the rows of edge value `v`: components 0 and 3 are integers
+        // (exact in any order), 1 and 2 are full-mantissa fractions, so
+        // their sums round differently in any other order
+        fn rows(v: f64) -> ([f64; 4], [f64; 4]) {
+            ([3.0 * v, v / 3.0, v * 0.1, v], [-v, v / 7.0, -(v / 9.0), -v])
         }
 
         fn run_lanes<const L: usize>(
             mesh: &ump_mesh::Mesh2d,
             block_size: usize,
-        ) -> (Vec<f64>, Vec<f64>) {
+            shape: Shape,
+        ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
             let (ne, nc) = (mesh.n_edges(), mesh.n_cells());
             let pool = ExecPool::new(3);
             let cache = PlanCache::new();
             let mut a = vec![0.0f64; ne];
             let mut acc = vec![0.0f64; nc];
+            let mut acc4 = vec![0.0f64; nc * 4];
+            let view4 = DatView::new(nc, 4, Layout::Aos);
             {
                 let av = SharedDat::new(&mut a);
                 let accv = SharedDat::new(&mut acc);
+                let acc4v = SharedDat::new(&mut acc4);
                 let desc = |name: &str, n: usize, args: Vec<ArgInfo>| {
                     LoopDesc::new(
                         LoopProfile {
@@ -144,7 +166,7 @@ proptest! {
                     );
                 }
                 {
-                    let (av, accv, m) = (&av, &accv, mesh);
+                    let (av, accv, acc4v, m) = (&av, &accv, &acc4v, mesh);
                     chain.record_simd_two_phase(
                         desc(
                             "scatter",
@@ -153,19 +175,28 @@ proptest! {
                                 ArgInfo::direct("a", 1, Access::Read),
                                 ArgInfo::indirect("acc", 1, Access::Inc, "edge2cell", 0),
                                 ArgInfo::indirect("acc", 1, Access::Inc, "edge2cell", 1),
+                                ArgInfo::indirect("acc4", 4, Access::Inc, "edge2cell", 0),
+                                ArgInfo::indirect("acc4", 4, Access::Inc, "edge2cell", 1),
                             ],
-                        ),
+                        )
+                        // 1 flop against 21 words: Auto would keep the
+                        // scalar body and never run the lane scatter
+                        .with_hint(VecHint::Vector),
                         vec![&m.edge2cell],
                         L,
                         move |e| {
                             let c = m.edge2cell.row(e);
                             let v = unsafe { av.slice(e, 1)[0] };
-                            (c[0] as usize, [3.0 * v], c[1] as usize, [-v])
+                            (c[0] as usize, c[1] as usize, v)
                         },
                         move |_e, inc| unsafe {
-                            let (c0, r0, c1, r1) = inc;
-                            accv.slice_mut(*c0, 1)[0] += r0[0];
-                            accv.slice_mut(*c1, 1)[0] += r1[0];
+                            let (c0, c1, v) = *inc;
+                            accv.slice_mut(c0, 1)[0] += 3.0 * v;
+                            accv.slice_mut(c1, 1)[0] -= v;
+                            let (r0, r1) = rows(v);
+                            let acc4d = acc4v.slice_mut(0, acc4v.len());
+                            view4.add_row(acc4d, c0, &r0);
+                            view4.add_row(acc4d, c1, &r1);
                         },
                         move |es| unsafe {
                             // lane gather of a, serialized lane scatter
@@ -178,27 +209,31 @@ proptest! {
                             let v = VecR::<f64, L>::load(ad, es);
                             (v * 3.0).scatter_add_serial(accd, c0, 1, 0);
                             (-v).scatter_add_serial(accd, c1, 1, 0);
+                            // the dim-4 rows, `c0`'s then `c1`'s per lane
+                            let r0 = [v * 3.0, v / 3.0, v * 0.1, v];
+                            let r1 = [-v, v / 7.0, -(v / 9.0), -v];
+                            let acc4d = acc4v.slice_mut(0, acc4v.len());
+                            view4.scatter_add_rows_serial([(&r0, c0), (&r1, c1)], acc4d);
                         },
                     );
                 }
-                chain.execute(
-                    &pool,
-                    &cache,
-                    Shape::Simd { lanes: L },
-                    0,
-                    block_size,
-                    8,
-                    None,
-                );
+                chain.execute(&pool, &cache, shape, 0, block_size, 8, None);
             }
-            (a, acc)
+            (a, acc, acc4)
         }
 
-        let (a4, acc4) = run_lanes::<4>(&mesh, block_size);
+        let (_, _, rows_threaded) = run_lanes::<4>(&mesh, block_size, Shape::Threaded);
+        for c in 0..nc {
+            prop_assert_eq!(rows_threaded[c * 4], racc4[c * 4], "threaded rows diverged");
+            prop_assert_eq!(rows_threaded[c * 4 + 3], racc4[c * 4 + 3], "threaded rows diverged");
+        }
+        let (a4, acc4, rows4) = run_lanes::<4>(&mesh, block_size, Shape::Simd { lanes: 4 });
         prop_assert_eq!(&a4, &ra, "L=4 fill diverged");
         prop_assert_eq!(&acc4, &racc, "L=4 scatter diverged");
-        let (a8, acc8) = run_lanes::<8>(&mesh, block_size);
+        prop_assert_eq!(&rows4, &rows_threaded, "L=4 row scatter left the scalar order");
+        let (a8, acc8, rows8) = run_lanes::<8>(&mesh, block_size, Shape::Simd { lanes: 8 });
         prop_assert_eq!(&a8, &ra, "L=8 fill diverged");
         prop_assert_eq!(&acc8, &racc, "L=8 scatter diverged");
+        prop_assert_eq!(&rows8, &rows_threaded, "L=8 row scatter left the scalar order");
     }
 }
