@@ -55,6 +55,7 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
         qold,
         adt,
         res,
+        ..
     } = sim;
     let mesh = &case.mesh;
     let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
@@ -654,8 +655,13 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
 /// `(step, phase, cell-block)` partials (ownership is block-aligned, so
 /// each slot belongs to one tile) folded in slot order — the same
 /// block-ordered fold as the fused drivers. Tiled execution is defined
-/// on AoS rows; other layouts are shimmed through AoS like the rest of
-/// the non-fused backends.
+/// on AoS rows: a state in another layout is converted to AoS and back
+/// around the call (a pure index permutation, bit-exact).
+///
+/// The cone schedule is inspected once and kept, with the executor's
+/// buffers, in `sim.tiles`: a repeated `(steps, tile_cells,
+/// block_size)` only executes. `steps == 0` returns an empty history
+/// and leaves the state and the cache untouched.
 pub fn run_tiled_on<R: Real, const L: usize>(
     sim: &mut Airfoil<R>,
     pool: &ExecPool,
@@ -696,6 +702,7 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
         qold,
         adt,
         res,
+        tiles,
     } = sim;
     let mesh = &case.mesh;
     let bound = &case.bound;
@@ -823,8 +830,16 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
                 });
             }
         }
-        let sched = chain.schedule(tile_cells, block_size);
-        report = chain.execute(pool, &sched, n_threads, L, R::BYTES, rec);
+        report = chain.execute(
+            pool,
+            tiles,
+            tile_cells,
+            block_size,
+            n_threads,
+            L,
+            R::BYTES,
+            rec,
+        );
     }
     let hist = (0..steps)
         .map(|s| {

@@ -19,6 +19,7 @@ pub mod kernels_vec;
 pub mod mpi;
 
 use ump_core::{Access, ArgInfo, Layout, LoopProfile, OpDat};
+use ump_lazy::TileCache;
 use ump_mesh::generators::{quad_channel, AirfoilCase};
 use ump_simd::Real;
 
@@ -78,6 +79,10 @@ pub struct Airfoil<R: Real> {
     pub adt: OpDat<R>,
     /// Residuals (cells × 4).
     pub res: OpDat<R>,
+    /// The tiled executor's schedule and buffers, reused by every
+    /// [`run_tiled_on`](drivers::run_tiled_on) call on this state (empty
+    /// until the first; a clone shares the schedule, not the buffers).
+    pub tiles: TileCache<R>,
 }
 
 impl<R: Real> Airfoil<R> {
@@ -135,6 +140,7 @@ impl<R: Real> Airfoil<R> {
             qold,
             adt,
             res,
+            tiles: TileCache::default(),
         }
     }
 
@@ -145,8 +151,9 @@ impl<R: Real> Airfoil<R> {
     }
 
     /// Convert every dat to `to`. A pure index permutation (bit-exact);
-    /// the fused backends execute natively in any layout, the remaining
-    /// backends convert back to AoS around each step.
+    /// the recorded chain executes natively in any layout, the AoS-defined
+    /// paths (`step_seq`, the distributed rows, the tiled executor)
+    /// convert around their calls.
     pub fn set_layout(&mut self, to: Layout) {
         self.x.set_layout(to);
         self.q.set_layout(to);

@@ -778,7 +778,14 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
 /// in per-`(step, edge-block)` slots (block-aligned ownership keeps the
 /// slots tile-exclusive) merged in block order by an epoch epilogue —
 /// and `min` is exact in any order, so Δt equals every other backend's
-/// bit-for-bit.
+/// bit-for-bit. Tiled execution is defined on AoS rows: a state in
+/// another layout is converted to AoS and back around the call (a pure
+/// index permutation, bit-exact).
+///
+/// The cone schedule is inspected once and kept, with the executor's
+/// buffers, in `sim.tiles`: a repeated `(steps, tile_cells,
+/// block_size)` only executes. `steps == 0` returns an empty history
+/// and leaves the state and the cache untouched.
 pub fn run_tiled_on<R: Real, const L: usize>(
     sim: &mut Volna<R>,
     pool: &ExecPool,
@@ -824,6 +831,7 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
         egeom,
         eflux,
         bgeom,
+        tiles,
     } = sim;
     let mesh = &case.mesh;
     let (area, egeom, bgeom) = (&*area, &*egeom, &*bgeom);
@@ -987,8 +995,16 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
                 }
             }
         }
-        let sched = chain.schedule(tile_cells, block_size);
-        report = chain.execute(pool, &sched, n_threads, L, R::BYTES, rec);
+        report = chain.execute(
+            pool,
+            tiles,
+            tile_cells,
+            block_size,
+            n_threads,
+            L,
+            R::BYTES,
+            rec,
+        );
     }
     (dt_merged.iter().map(|v| v.to_f64()).collect(), report)
 }

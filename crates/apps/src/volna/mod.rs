@@ -30,6 +30,7 @@ pub mod kernels_vec;
 pub mod mpi;
 
 use ump_core::{Access, ArgInfo, Layout, LoopProfile, OpDat};
+use ump_lazy::TileCache;
 use ump_mesh::generators::{tri_coastal, CoastalCase};
 use ump_simd::Real;
 
@@ -63,6 +64,10 @@ pub struct Volna<R: Real> {
     /// Boundary-edge geometry (nx·len, ny·len): outward normal of the
     /// boundary cell scaled by edge length, consumed by `bc_flux`.
     pub bgeom: OpDat<R>,
+    /// The tiled executor's schedule and buffers, reused by every
+    /// [`run_tiled_on`](drivers::run_tiled_on) call on this state (empty
+    /// until the first; a clone shares the schedule, not the buffers).
+    pub tiles: TileCache<R>,
 }
 
 impl<R: Real> Volna<R> {
@@ -155,6 +160,7 @@ impl<R: Real> Volna<R> {
             egeom,
             bgeom,
             case,
+            tiles: TileCache::default(),
         }
     }
 
@@ -165,8 +171,9 @@ impl<R: Real> Volna<R> {
     }
 
     /// Convert every dat to `to`. A pure index permutation (bit-exact);
-    /// the fused backends execute natively in any layout, the remaining
-    /// backends convert back to AoS around each step.
+    /// the recorded chain executes natively in any layout, the AoS-defined
+    /// paths (`step_seq`, the distributed rows, the tiled executor)
+    /// convert around their calls.
     pub fn set_layout(&mut self, to: Layout) {
         self.w.set_layout(to);
         self.w_old.set_layout(to);

@@ -178,4 +178,4 @@ pub mod tile;
 
 pub use chain::{Chain, ChainReport, ExchangePolicy, Fusion, Shape};
 pub use desc::{conflict, fuse_groups, global_barrier, GroupSpec, LoopDesc, VecHint};
-pub use tile::{DatId, TileCtx, TileReport, TileSchedule, TiledChain};
+pub use tile::{DatId, TileCache, TileCtx, TileReport, TileSchedule, TiledChain};

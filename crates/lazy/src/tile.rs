@@ -44,6 +44,11 @@
 //!   the rounds is what keeps copy-in reads (pre-epoch state) and
 //!   owned-row write-back race-free. Loop epilogues (reduction merges)
 //!   run after write-back, in recorded order.
+//! * [`TileCache`] — inspector–executor reuse. The executor takes the
+//!   schedule from a cache keyed by the chain's structure and the tiling
+//!   configuration: the first call inspects, later calls with the same
+//!   key only execute. The cache also keeps the worker shadows and the
+//!   staging buffer between calls, so a hit allocates nothing.
 //!
 //! # Determinism
 //!
@@ -58,10 +63,12 @@
 //! fused and distributed paths, making reduction histories independent
 //! of the tiling configuration.
 
+use std::fmt;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-use ump_core::{Access, ExecPool, FusionStats, Recorder, SharedDat};
+use ump_core::{Access, ArgInfo, ExecPool, FusionStats, Recorder, SharedDat};
 use ump_mesh::{Csr, MapTable};
 
 use crate::desc::{global_barrier, LoopDesc};
@@ -173,6 +180,19 @@ struct TArg {
     access: Access,
 }
 
+/// A body over one contiguous element run `(ctx, start, len)`.
+type RunBody<'a, T> = Box<dyn Fn(&TileCtx<'_, T>, usize, usize) + Sync + 'a>;
+
+/// Wrap an element body in a run loop monomorphized over it, so the
+/// executor makes one dynamic call per run instead of one per element.
+fn element_run<'a, T: 'a>(body: impl Fn(&TileCtx<'_, T>, usize) + Sync + 'a) -> RunBody<'a, T> {
+    Box::new(move |ctx, start, len| {
+        for e in start..start + len {
+            body(ctx, e);
+        }
+    })
+}
+
 struct TLoop<'a, T> {
     desc: LoopDesc,
     set: usize,
@@ -182,10 +202,8 @@ struct TLoop<'a, T> {
     // execute (each tile contributes exactly its own partials), even
     // when no registered dat pulls them into the cone
     global_write: bool,
-    #[allow(clippy::type_complexity)]
-    body: Box<dyn Fn(&TileCtx<'_, T>, usize) + Sync + 'a>,
-    #[allow(clippy::type_complexity)]
-    run_body: Option<Box<dyn Fn(&TileCtx<'_, T>, usize, usize) + Sync + 'a>>,
+    run: RunBody<'a, T>,
+    vec_run: Option<RunBody<'a, T>>,
     epilogue: Option<Box<dyn Fn() + Sync + 'a>>,
 }
 
@@ -311,7 +329,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
     /// Record one loop: descriptor plus an element-level body
     /// `body(ctx, e)` that accesses evolving dats through `ctx` only.
     pub fn record(&mut self, desc: LoopDesc, body: impl Fn(&TileCtx<'_, T>, usize) + Sync + 'a) {
-        self.push(desc, Box::new(body), None);
+        self.push(desc, element_run(body), None);
     }
 
     /// [`record`](TiledChain::record) with an additional vector run body
@@ -326,16 +344,10 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
         body: impl Fn(&TileCtx<'_, T>, usize) + Sync + 'a,
         run_body: impl Fn(&TileCtx<'_, T>, usize, usize) + Sync + 'a,
     ) {
-        self.push(desc, Box::new(body), Some(Box::new(run_body)));
+        self.push(desc, element_run(body), Some(Box::new(run_body)));
     }
 
-    #[allow(clippy::type_complexity)]
-    fn push(
-        &mut self,
-        desc: LoopDesc,
-        body: Box<dyn Fn(&TileCtx<'_, T>, usize) + Sync + 'a>,
-        run_body: Option<Box<dyn Fn(&TileCtx<'_, T>, usize, usize) + Sync + 'a>>,
-    ) {
+    fn push(&mut self, desc: LoopDesc, run: RunBody<'a, T>, vec_run: Option<RunBody<'a, T>>) {
         let set = self.set_index(&desc.profile.set);
         assert_eq!(
             self.sets[set].1, desc.n_elems,
@@ -365,11 +377,9 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                             desc.profile.name
                         );
                         assert_eq!(
-                            self.maps[m].to_size,
-                            self.sets[self.dats[d].set].1,
+                            self.maps[m].to_size, self.sets[self.dats[d].set].1,
                             "loop {}: map '{map}' target-size mismatch with dat '{}'",
-                            desc.profile.name,
-                            a.dat
+                            desc.profile.name, a.dat
                         );
                     }
                     (m, dat)
@@ -408,8 +418,8 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             step: self.n_steps.saturating_sub(1),
             args,
             global_write,
-            body,
-            run_body,
+            run,
+            vec_run,
             epilogue: None,
         });
     }
@@ -534,17 +544,21 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                     if l.global_write {
                         e.insert_range(owned[l.set][t].clone());
                     }
+                    // one inverse image per map, of the union of the
+                    // needs of every dat the loop writes through it
+                    let mut through: Vec<Option<RowSet>> = vec![None; self.maps.len()];
                     for a in l.args.iter().filter(|a| a.access.writes()) {
                         let Some(d) = a.dat else { continue };
                         let Some(nd) = &needed[d] else { continue };
                         match a.map {
                             None => e.or(nd),
-                            Some(m) => {
-                                for row in nd.iter() {
-                                    for &s in inv[m].row(row) {
-                                        e.set(s as usize);
-                                    }
-                                }
+                            Some(m) => through[m].get_or_insert_with(|| RowSet::new(nd.n)).or(nd),
+                        }
+                    }
+                    for (m, rows) in through.iter().enumerate() {
+                        for row in rows.iter().flat_map(RowSet::iter) {
+                            for &s in inv[m].row(row) {
+                                e.set(s as usize);
                             }
                         }
                     }
@@ -561,20 +575,25 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                     }
                     // reads of evolving dats by executed iterations
                     // become needed one loop earlier (Inc reads the
-                    // prior value, so it needs its target rows too)
+                    // prior value, so it needs its target rows too); one
+                    // forward image per map, shared by every dat it reads
+                    let mut image: Vec<Option<RowSet>> = vec![None; self.maps.len()];
                     for a in l.args.iter().filter(|a| a.access.reads()) {
                         let Some(d) = a.dat else { continue };
                         let nd = needed[d]
                             .get_or_insert_with(|| RowSet::new(self.sets[self.dats[d].set].1));
                         match a.map {
                             None => nd.or(&e),
-                            Some(m) => {
+                            Some(m) => nd.or(image[m].get_or_insert_with(|| {
+                                let map = self.maps[m];
+                                let mut img = RowSet::new(map.to_size);
                                 for it in e.iter() {
-                                    for &r in self.maps[m].row(it) {
-                                        nd.set(r as usize);
+                                    for &r in map.row(it) {
+                                        img.set(r as usize);
                                     }
                                 }
-                            }
+                                img
+                            })),
                         }
                     }
                     iters_rev.push(e.runs());
@@ -655,55 +674,143 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
     // executor
     // -----------------------------------------------------------------
 
-    /// Execute the recorded super-chain under `sched` on `pool`: two
-    /// dispatch rounds per epoch (tile sweep, then owned-row
-    /// write-back), epilogues at each epoch barrier. `lanes > 1` runs
-    /// [`record_vec`](TiledChain::record_vec) run bodies on contiguous
-    /// runs at least one vector wide. `word_bytes` scales the byte
-    /// metrics of the returned [`TileReport`], which is also reported to
-    /// `rec` under this chain's name via
-    /// [`Recorder::record_fusion`].
+    /// Everything [`schedule`](TiledChain::schedule) reads except the map
+    /// contents, which are fixed for the cache owner's life.
+    fn cache_key(&self, tile_elems: usize, block_size: usize) -> TileKey {
+        TileKey {
+            sets: self.sets.clone(),
+            maps: self
+                .maps
+                .iter()
+                .map(|m| (m.name.clone(), m.from_size, m.to_size, m.dim))
+                .collect(),
+            dats: self
+                .dats
+                .iter()
+                .map(|d| (d.name.clone(), d.set, d.dim))
+                .collect(),
+            loops: self
+                .loops
+                .iter()
+                .map(|l| {
+                    let p = &l.desc.profile;
+                    (p.name.clone(), l.set, l.step, p.args.clone())
+                })
+                .collect(),
+            tile_elems,
+            block_size,
+        }
+    }
+
+    /// The schedule for `(tile_elems, block_size)`: `cache`'s when its
+    /// key matches, else a fresh inspection that replaces the entry.
+    fn cached_schedule(
+        &self,
+        cache: &mut TileCache<T>,
+        tile_elems: usize,
+        block_size: usize,
+    ) -> Arc<TileSchedule> {
+        let key = self.cache_key(tile_elems, block_size);
+        if let Some((k, sched)) = &cache.entry {
+            if *k == key {
+                cache.hits += 1;
+                debug_assert_eq!(
+                    **sched,
+                    self.schedule(tile_elems, block_size),
+                    "stale tile-cache key"
+                );
+                return Arc::clone(sched);
+            }
+        }
+        cache.builds += 1;
+        let sched = Arc::new(self.schedule(tile_elems, block_size));
+        cache.entry = Some((key, Arc::clone(&sched)));
+        sched
+    }
+
+    /// Execute the recorded super-chain on `pool` under the schedule for
+    /// `(tile_elems, block_size)`, taken from `cache` (the inspector runs
+    /// only when the cache's key misses): two dispatch rounds per epoch
+    /// (tile sweep, then owned-row write-back), epilogues at each epoch
+    /// barrier. `lanes > 1` runs [`record_vec`](TiledChain::record_vec)
+    /// run bodies on contiguous runs at least one vector wide.
+    /// `word_bytes` scales the byte metrics of the returned
+    /// [`TileReport`], which is also reported to `rec` under this chain's
+    /// name via [`Recorder::record_fusion`]. With `rec`, each tile also
+    /// times its loops: round 1's wall time is split across the epoch's
+    /// loops in proportion to their summed per-tile time (the copy-in and
+    /// staging share stays unattributed) and recorded under each loop's
+    /// profile name, with profile bytes and flops × executed iterations.
+    /// An empty chain does nothing and leaves `cache` untouched.
+    #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &self,
         pool: &ExecPool,
-        sched: &TileSchedule,
+        cache: &mut TileCache<T>,
+        tile_elems: usize,
+        block_size: usize,
         n_threads: usize,
         lanes: usize,
         word_bytes: usize,
         rec: Option<&Recorder>,
     ) -> TileReport {
+        if self.loops.is_empty() {
+            return TileReport::default();
+        }
+        let sched = self.cached_schedule(cache, tile_elems, block_size);
         let dims: Vec<usize> = self.dats.iter().map(|d| d.dim).collect();
+        // staging words of one tile's owned rows in one epoch
+        let out_words = |tp: &TilePlan| -> usize {
+            tp.copy_out
+                .iter()
+                .map(|(d, r)| (r.end - r.start) as usize * dims[*d])
+                .sum()
+        };
+        let staging_words = sched
+            .epochs
+            .iter()
+            .map(|ep| ep.tiles.iter().map(out_words).sum::<usize>())
+            .max()
+            .unwrap_or(0);
+        if cache.staging.len() < staging_words {
+            cache.staging.resize(staging_words, T::default());
+        }
         // worker-recycled full-size shadow sets: at most `team` live at
         // once, far fewer than one per tile
-        let shadow_pool: Mutex<Vec<Vec<Vec<T>>>> = Mutex::new(Vec::new());
+        let shadows = &cache.shadows;
+        let staging = SharedDat::new(&mut cache.staging);
         let mut rounds = 0usize;
 
         for ep in &sched.epochs {
             let eloops = &self.loops[ep.loops.clone()];
-            // per-tile staging buffers for the owned rows (written back
-            // in round 2, after every tile has read pre-epoch state)
-            let mut out_bufs: Vec<Vec<Vec<T>>> = ep
+            // tile t stages its owned rows at base[t].. (written back in
+            // round 2, after every tile has read pre-epoch state)
+            let base: Vec<usize> = ep
                 .tiles
                 .iter()
-                .map(|tp| {
-                    tp.copy_out
-                        .iter()
-                        .map(|(d, r)| {
-                            vec![T::default(); (r.end - r.start) as usize * self.dats[*d].dim]
-                        })
-                        .collect()
+                .scan(0, |off, tp| {
+                    let at = *off;
+                    *off += out_words(tp);
+                    Some(at)
                 })
                 .collect();
-            let out_shared: Vec<Vec<SharedDat<'_, T>>> = out_bufs
-                .iter_mut()
-                .map(|per_tile| per_tile.iter_mut().map(|b| SharedDat::new(b)).collect())
-                .collect();
+            // with `rec`: per-loop seconds and whole-task seconds, summed
+            // over tiles
+            let clocks = rec.map(|_| Mutex::new((vec![0.0f64; eloops.len()], 0.0f64)));
+            let round_start = rec.map(|_| Instant::now());
 
             // round 1: sweep every tile through the epoch's loops
             pool.run_round(ep.tiles.len(), n_threads, 1, &|t| {
+                let task_start = clocks.as_ref().map(|_| Instant::now());
+                let mut loop_s = vec![0.0f64; if clocks.is_some() { eloops.len() } else { 0 }];
                 let tp = &ep.tiles[t];
-                let mut shadow = shadow_pool.lock().unwrap().pop().unwrap_or_default();
-                if shadow.len() != self.dats.len() {
+                let mut shadow = lock(shadows).pop().unwrap_or_default();
+                let fits = shadow.len() == self.dats.len()
+                    && shadow
+                        .iter()
+                        .zip(&self.dats)
+                        .all(|(s, d)| s.len() == d.data.len());
+                if !fits {
                     shadow = self
                         .dats
                         .iter()
@@ -724,48 +831,85 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                     let views: Vec<SharedDat<'_, T>> =
                         shadow.iter_mut().map(|s| SharedDat::new(s)).collect();
                     for (li, l) in eloops.iter().enumerate() {
+                        let loop_start = clocks.as_ref().map(|_| Instant::now());
                         let or = &sched.owned[l.set][t];
                         let ctx = TileCtx {
                             dats: &views,
                             dims: &dims,
                             owned: or.start as usize..or.end as usize,
                         };
-                        let vector = lanes > 1 && l.run_body.is_some();
+                        let vec_run = l.vec_run.as_ref().filter(|_| lanes > 1);
                         for r in &tp.iters[li] {
-                            let (s, e) = (r.start as usize, r.end as usize);
-                            if vector && e - s >= lanes {
-                                (l.run_body.as_ref().unwrap())(&ctx, s, e - s);
-                            } else {
-                                for i in s..e {
-                                    (l.body)(&ctx, i);
-                                }
+                            let (s, n) = (r.start as usize, (r.end - r.start) as usize);
+                            match vec_run {
+                                Some(run) if n >= lanes => run(&ctx, s, n),
+                                _ => (l.run)(&ctx, s, n),
                             }
                         }
+                        if let Some(t0) = loop_start {
+                            loop_s[li] = t0.elapsed().as_secs_f64();
+                        }
                     }
-                    for (k, (d, r)) in tp.copy_out.iter().enumerate() {
+                    let mut off = base[t];
+                    for (d, r) in &tp.copy_out {
                         let dim = dims[*d];
                         let n = (r.end - r.start) as usize * dim;
-                        // SAFETY: this tile's staging buffer, exclusively
-                        let dst = unsafe { out_shared[t][k].slice_mut(0, n) };
+                        // SAFETY: this tile's staging range, exclusively
+                        let dst = unsafe { staging.slice_mut(off, n) };
                         // SAFETY: this worker's shadow
                         let src = unsafe { views[*d].slice(r.start as usize * dim, n) };
                         dst.copy_from_slice(src);
+                        off += n;
                     }
                 }
-                shadow_pool.lock().unwrap().push(shadow);
+                lock(shadows).push(shadow);
+                if let (Some(c), Some(t0)) = (&clocks, task_start) {
+                    let mut c = lock(c);
+                    c.0.iter_mut().zip(&loop_s).for_each(|(a, s)| *a += s);
+                    c.1 += t0.elapsed().as_secs_f64();
+                }
             });
             rounds += 1;
+            if let (Some(r), Some(c), Some(t0)) = (rec, clocks, round_start) {
+                // round 1's wall time, split across the loops in
+                // proportion to their summed per-tile time; the copy-in
+                // and staging share stays unattributed
+                let wall = t0.elapsed().as_secs_f64();
+                let (loop_s, task_s) = c.into_inner().unwrap_or_else(PoisonError::into_inner);
+                for (li, l) in eloops.iter().enumerate() {
+                    let iters: usize = ep
+                        .tiles
+                        .iter()
+                        .flat_map(|tp| &tp.iters[li])
+                        .map(|r| (r.end - r.start) as usize)
+                        .sum();
+                    let p = &l.desc.profile;
+                    let share = if task_s > 0.0 {
+                        loop_s[li] / task_s
+                    } else {
+                        0.0
+                    };
+                    r.record(
+                        &p.name,
+                        wall * share,
+                        p.bytes_per_elem(word_bytes) * iters as f64,
+                        p.flops_per_elem * iters as f64,
+                    );
+                }
+            }
 
             // round 2: write owned rows back (disjoint per tile)
             pool.run_round(ep.tiles.len(), n_threads, 1, &|t| {
-                for (k, (d, r)) in ep.tiles[t].copy_out.iter().enumerate() {
+                let mut off = base[t];
+                for (d, r) in &ep.tiles[t].copy_out {
                     let dim = dims[*d];
                     let n = (r.end - r.start) as usize * dim;
                     // SAFETY: ownership ranges partition the set
                     let dst = unsafe { self.dats[*d].data.slice_mut(r.start as usize * dim, n) };
-                    // SAFETY: round 1 completed; buffers are read-only now
-                    let src = unsafe { out_shared[t][k].slice(0, n) };
+                    // SAFETY: round 1 completed; staging is read-only now
+                    let src = unsafe { staging.slice(off, n) };
                     dst.copy_from_slice(src);
+                    off += n;
                 }
             });
             rounds += 1;
@@ -814,6 +958,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
 
 /// One epoch of a [`TileSchedule`]: the member loops and the per-tile
 /// cone plans.
+#[derive(Debug, PartialEq, Eq)]
 pub struct EpochPlan {
     /// Member loop indices into the recorded super-chain (contiguous).
     pub loops: Range<usize>,
@@ -824,6 +969,7 @@ pub struct EpochPlan {
 /// One tile's plan for one epoch: which iterations of each member loop
 /// it executes (its dependency cone), which rows it snapshots in, and
 /// which rows it owns and writes back.
+#[derive(Debug, PartialEq, Eq)]
 pub struct TilePlan {
     /// Per member loop (in epoch order): the executed iterations as
     /// maximal ascending runs. Everything beyond the tile's owned range
@@ -837,6 +983,7 @@ pub struct TilePlan {
 }
 
 /// The complete tiled schedule of a recorded super-chain.
+#[derive(Debug, PartialEq, Eq)]
 pub struct TileSchedule {
     /// Number of tiles (contiguous block-aligned partitions of the
     /// anchor set).
@@ -877,8 +1024,9 @@ impl TileSchedule {
 }
 
 /// What one tiled execution did — the tiling counterpart of
-/// [`ChainReport`](crate::chain::ChainReport).
-#[derive(Clone, Copy, Debug)]
+/// [`ChainReport`](crate::chain::ChainReport). All zero for an empty
+/// chain.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TileReport {
     /// Timesteps the super-chain covered.
     pub steps: usize,
@@ -910,6 +1058,114 @@ impl TileReport {
         } else {
             self.executed_iters as f64 / self.essential_iters as f64 - 1.0
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// schedule reuse
+// ---------------------------------------------------------------------------
+
+/// Lock `m`, recovering it from a panicked holder: every critical section
+/// on these locks is one push, pop or sum, which leaves the data valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The structural fingerprint a [`TileCache`] is keyed on.
+#[derive(Clone, PartialEq, Eq)]
+struct TileKey {
+    sets: Vec<(String, usize)>,
+    maps: Vec<(String, usize, usize, usize)>,
+    dats: Vec<(String, usize, usize)>,
+    loops: Vec<(String, usize, usize, Vec<ArgInfo>)>,
+    tile_elems: usize,
+    block_size: usize,
+}
+
+/// The inspector–executor split of [`TiledChain::execute`]: one cached
+/// schedule plus the executor's buffers, owned by whatever outlives the
+/// calls (the applications keep one in their simulation state, next to
+/// the mesh the schedule describes).
+///
+/// * **One entry.** The key is a structural fingerprint of the recorded
+///   chain — set sizes, registered map names and sizes, registered dats,
+///   each loop's profile name, set, step and arguments — plus
+///   `tile_elems` and `block_size`. A matching call reuses the
+///   `Arc<TileSchedule>` ([`hits`](TileCache::hits)); any other call
+///   runs the inspector and replaces the entry
+///   ([`builds`](TileCache::builds)). Map *contents* are not part of the
+///   key: like [`PlanCache`](ump_core::PlanCache), the cache assumes the
+///   topology is fixed for its owner's life. Debug builds re-derive the
+///   schedule on every hit and assert it equals the cached one.
+/// * **Buffers.** The worker-recycled shadow sets (one full-size copy of
+///   every registered dat per concurrently running worker) and the
+///   staging buffer for owned rows (the largest epoch's write-back) are
+///   allocated by the first call and reused, unzeroed, by later ones —
+///   safe because each tile copies in every row its cone reads before
+///   reading it. [`held_bytes`](TileCache::held_bytes) reports them.
+/// * **Clone** shares the schedule but not the buffers: the clone
+///   allocates its own on its first call.
+pub struct TileCache<T> {
+    entry: Option<(TileKey, Arc<TileSchedule>)>,
+    shadows: Mutex<Vec<Vec<Vec<T>>>>,
+    staging: Vec<T>,
+    builds: usize,
+    hits: usize,
+}
+
+impl<T> TileCache<T> {
+    /// Empty cache: the next execution inspects.
+    pub fn new() -> TileCache<T> {
+        TileCache {
+            entry: None,
+            shadows: Mutex::new(Vec::new()),
+            staging: Vec::new(),
+            builds: 0,
+            hits: 0,
+        }
+    }
+
+    /// Inspector runs (cache misses).
+    pub fn builds(&self) -> usize {
+        self.builds
+    }
+
+    /// Executions that reused the cached schedule.
+    pub fn hits(&self) -> usize {
+        self.hits
+    }
+
+    /// Bytes of executor buffers held between calls (shadows + staging).
+    pub fn held_bytes(&self) -> usize {
+        let shadows = lock(&self.shadows);
+        let words: usize = shadows.iter().flatten().map(Vec::len).sum();
+        (words + self.staging.len()) * std::mem::size_of::<T>()
+    }
+}
+
+impl<T> Default for TileCache<T> {
+    fn default() -> TileCache<T> {
+        TileCache::new()
+    }
+}
+
+impl<T> Clone for TileCache<T> {
+    fn clone(&self) -> TileCache<T> {
+        TileCache {
+            entry: self.entry.clone(),
+            builds: self.builds,
+            hits: self.hits,
+            ..TileCache::new()
+        }
+    }
+}
+
+impl<T> fmt::Debug for TileCache<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TileCache")
+            .field("builds", &self.builds)
+            .field("hits", &self.hits)
+            .finish_non_exhaustive()
     }
 }
 

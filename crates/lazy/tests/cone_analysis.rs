@@ -9,7 +9,7 @@
 #![allow(clippy::single_range_in_vec_init)]
 
 use ump_core::{Access, ArgInfo, ExecPool, LoopProfile};
-use ump_lazy::{LoopDesc, TiledChain};
+use ump_lazy::{LoopDesc, TileCache, TiledChain};
 use ump_mesh::MapTable;
 
 fn desc(name: &str, set: &str, n: usize, args: Vec<ArgInfo>) -> LoopDesc {
@@ -203,8 +203,8 @@ fn tiled_execution_is_bit_identical_to_sequential() {
             let mut u = expect.clone();
             let mut f = vec![0i64; n_cells - 1];
             let chain = record_path(&map, &mut u, &mut f, steps);
-            let sched = chain.schedule(tile_elems, 4);
-            let report = chain.execute(&pool, &sched, 2, 1, 8, None);
+            let mut cache = TileCache::new();
+            let report = chain.execute(&pool, &mut cache, tile_elems, 4, 2, 1, 8, None);
             assert_eq!(report.rounds, 2, "one epoch → two pool rounds");
             assert_eq!(report.steps, steps);
             drop(chain);

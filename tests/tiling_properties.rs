@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use ump_apps::{airfoil, volna};
 use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache};
-use ump_lazy::{Fusion, LoopDesc, Shape, TiledChain};
+use ump_lazy::{Fusion, LoopDesc, Shape, TileCache, TileReport, TiledChain};
 use ump_mesh::MapTable;
 
 const TEAM: usize = 4;
@@ -240,8 +240,16 @@ fn run_tiled_path(
             u[e + 1] += v;
         });
     }
-    let sched = chain.schedule(tile_elems, block);
-    chain.execute(&pool, &sched, 2, 1, 8, None);
+    chain.execute(
+        &pool,
+        &mut TileCache::new(),
+        tile_elems,
+        block,
+        2,
+        1,
+        8,
+        None,
+    );
 }
 
 /// The same computation, straight-line sequential.
@@ -478,4 +486,234 @@ fn tiled_issues_fewer_rounds_than_n_fused_steps() {
         tiled_rounds < fused_rounds,
         "volna: tiled {tiled_rounds} rounds vs {STEPS}-step fused {fused_rounds}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// schedule reuse: the tile cache each simulation state owns
+// ---------------------------------------------------------------------------
+
+/// Both apps behind one interface, so each cache property is stated once.
+trait TiledApp: Clone {
+    fn seeded(seed: u64) -> Self;
+    fn tiled(
+        &mut self,
+        pool: &ExecPool,
+        steps: usize,
+        tile: usize,
+        block: usize,
+    ) -> (Vec<f64>, TileReport);
+    fn step_seq(&mut self);
+    /// Bits of every evolving dat; the first is the cell state.
+    fn state(&self) -> Vec<Vec<u64>>;
+    /// Scale the first component of every fifth cell from `call` on.
+    fn perturb(&mut self, call: usize);
+    fn tiles(&self) -> &TileCache<f64>;
+    fn tiles_mut(&mut self) -> &mut TileCache<f64>;
+}
+
+fn dat_bits(dats: &[&ump_core::OpDat<f64>]) -> Vec<Vec<u64>> {
+    dats.iter()
+        .map(|d| d.data.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+impl TiledApp for airfoil::Airfoil<f64> {
+    fn seeded(seed: u64) -> Self {
+        airfoil::Airfoil::seeded(12, 8, seed)
+    }
+    fn tiled(
+        &mut self,
+        pool: &ExecPool,
+        steps: usize,
+        tile: usize,
+        block: usize,
+    ) -> (Vec<f64>, TileReport) {
+        airfoil::drivers::run_tiled_report_on::<f64, 1>(self, pool, 0, steps, tile, block, None)
+    }
+    fn step_seq(&mut self) {
+        airfoil::drivers::step_seq(self, None);
+    }
+    fn state(&self) -> Vec<Vec<u64>> {
+        dat_bits(&[&self.q, &self.qold, &self.adt, &self.res])
+    }
+    fn perturb(&mut self, call: usize) {
+        for c in (call..self.q.set_size).step_by(5) {
+            self.q.row_mut(c)[0] *= 1.0 + 1.0e-3 * call as f64;
+        }
+    }
+    fn tiles(&self) -> &TileCache<f64> {
+        &self.tiles
+    }
+    fn tiles_mut(&mut self) -> &mut TileCache<f64> {
+        &mut self.tiles
+    }
+}
+
+impl TiledApp for volna::Volna<f64> {
+    fn seeded(seed: u64) -> Self {
+        volna::Volna::seeded(12, 8, seed)
+    }
+    fn tiled(
+        &mut self,
+        pool: &ExecPool,
+        steps: usize,
+        tile: usize,
+        block: usize,
+    ) -> (Vec<f64>, TileReport) {
+        volna::drivers::run_tiled_report_on::<f64, 1>(self, pool, 0, steps, tile, block, None)
+    }
+    fn step_seq(&mut self) {
+        volna::drivers::step_seq(self, None);
+    }
+    fn state(&self) -> Vec<Vec<u64>> {
+        dat_bits(&[&self.w, &self.w_old, &self.w1, &self.res, &self.eflux])
+    }
+    fn perturb(&mut self, call: usize) {
+        for c in (call..self.w.set_size).step_by(5) {
+            self.w.row_mut(c)[0] *= 1.0 + 1.0e-3 * call as f64;
+        }
+    }
+    fn tiles(&self) -> &TileCache<f64> {
+        &self.tiles
+    }
+    fn tiles_mut(&mut self) -> &mut TileCache<f64> {
+        &mut self.tiles
+    }
+}
+
+/// `calls` calls of `(steps, tile, block)` on one state, with
+/// `perturb(call)` applied before each, against the same calls from an
+/// empty cache each time and against `step_seq` from the same states:
+/// the first call inspects, every later one hits, and cell state,
+/// history and every evolving dat stay bit-equal.
+fn repeated_calls_reuse_one_schedule<A: TiledApp>(perturb: bool) {
+    const BLOCK: usize = 48;
+    let (calls, steps, tile) = (4, 3, 2 * BLOCK);
+    let pool = ExecPool::new(TEAM);
+    let mut cached = A::seeded(5);
+    let (mut fresh, mut seq) = (cached.clone(), cached.clone());
+    for call in 0..calls {
+        if perturb {
+            for s in [&mut cached, &mut fresh, &mut seq] {
+                s.perturb(call);
+            }
+        }
+        let h = cached.tiled(&pool, steps, tile, BLOCK).0;
+        *fresh.tiles_mut() = TileCache::new();
+        let hf = fresh.tiled(&pool, steps, tile, BLOCK).0;
+        assert_eq!(bits(&h), bits(&hf), "call {call}: history");
+        assert_eq!(cached.state(), fresh.state(), "call {call}: state");
+        for _ in 0..steps {
+            seq.step_seq();
+        }
+        assert_eq!(
+            cached.state()[0],
+            seq.state()[0],
+            "call {call}: vs step_seq"
+        );
+    }
+    assert_eq!(cached.tiles().builds(), 1);
+    assert_eq!(cached.tiles().hits(), calls - 1);
+}
+
+/// The key covers the configuration: another step count, tile size or
+/// block size inspects again, and so does returning to an earlier
+/// configuration (one entry); state keeps matching `step_seq`.
+fn configuration_changes_rebuild<A: TiledApp>() {
+    // (steps, tile_cells, block, builds after the call)
+    let calls = [
+        (2, 96, 48, 1),
+        (2, 96, 48, 1),
+        (3, 96, 48, 2),
+        (3, 144, 48, 3),
+        (3, 144, 16, 4),
+        (3, 144, 16, 4),
+        (2, 96, 48, 5),
+    ];
+    let pool = ExecPool::new(TEAM);
+    let mut sim = A::seeded(2);
+    let mut seq = sim.clone();
+    for (i, &(steps, tile, block, builds)) in calls.iter().enumerate() {
+        sim.tiled(&pool, steps, tile, block);
+        for _ in 0..steps {
+            seq.step_seq();
+        }
+        assert_eq!(sim.tiles().builds(), builds, "call {i}");
+        assert_eq!(sim.tiles().hits(), i + 1 - builds, "call {i}");
+        assert_eq!(sim.state()[0], seq.state()[0], "call {i}");
+    }
+}
+
+/// A cloned state reuses the schedule without inspecting but owns its
+/// buffers: it starts with none, and allocating them leaves the
+/// original's alone.
+fn clones_share_the_schedule_not_the_buffers<A: TiledApp>() {
+    let pool = ExecPool::new(TEAM);
+    let mut a = A::seeded(9);
+    a.tiled(&pool, 2, 96, 48);
+    let held = a.tiles().held_bytes();
+    assert!(held > 0, "buffers are kept after a call");
+    let mut b = a.clone();
+    assert_eq!(b.tiles().held_bytes(), 0, "a clone shares no buffers");
+    let hb = b.tiled(&pool, 2, 96, 48).0;
+    assert_eq!((b.tiles().builds(), b.tiles().hits()), (1, 1));
+    assert!(b.tiles().held_bytes() > 0);
+    assert_eq!(
+        a.tiles().held_bytes(),
+        held,
+        "the original's buffers are untouched"
+    );
+    let ha = a.tiled(&pool, 2, 96, 48).0;
+    assert_eq!(bits(&ha), bits(&hb));
+    assert_eq!(a.state(), b.state());
+}
+
+/// Zero steps is an empty call: empty history, an all-zero report, and
+/// neither the state nor the cache changes.
+fn zero_steps_is_a_no_op<A: TiledApp>() {
+    let pool = ExecPool::new(2);
+    let mut sim = A::seeded(3);
+    let before = sim.state();
+    let (hist, report) = sim.tiled(&pool, 0, 96, 48);
+    assert!(hist.is_empty());
+    assert_eq!(report, TileReport::default());
+    assert_eq!(sim.state(), before);
+    assert_eq!((sim.tiles().builds(), sim.tiles().hits()), (0, 0));
+    assert_eq!(sim.tiles().held_bytes(), 0);
+}
+
+#[test]
+fn repeated_calls_inspect_once_and_match_fresh_caches() {
+    repeated_calls_reuse_one_schedule::<airfoil::Airfoil<f64>>(false);
+    repeated_calls_reuse_one_schedule::<volna::Volna<f64>>(false);
+}
+
+/// Reused shadows are not zeroed between calls: a state changed between
+/// calls must still bit-match, so no value of an earlier call leaks.
+#[test]
+fn perturbed_state_between_cached_calls_still_matches_sequential() {
+    repeated_calls_reuse_one_schedule::<airfoil::Airfoil<f64>>(true);
+    repeated_calls_reuse_one_schedule::<volna::Volna<f64>>(true);
+}
+
+#[test]
+fn changing_steps_tile_or_block_rebuilds_the_schedule() {
+    configuration_changes_rebuild::<airfoil::Airfoil<f64>>();
+    configuration_changes_rebuild::<volna::Volna<f64>>();
+}
+
+#[test]
+fn a_clone_hits_without_building_and_owns_its_buffers() {
+    clones_share_the_schedule_not_the_buffers::<airfoil::Airfoil<f64>>();
+    clones_share_the_schedule_not_the_buffers::<volna::Volna<f64>>();
+}
+
+#[test]
+fn zero_steps_is_a_no_op_on_airfoil() {
+    zero_steps_is_a_no_op::<airfoil::Airfoil<f64>>();
+}
+
+#[test]
+fn zero_steps_is_a_no_op_on_volna() {
+    zero_steps_is_a_no_op::<volna::Volna<f64>>();
 }
