@@ -92,25 +92,31 @@ impl<R: Real> Airfoil<R> {
         Self::from_case(quad_channel(nx, ny))
     }
 
-    /// Like [`new`](Airfoil::new), with the freestream deterministically
-    /// perturbed from `seed` — the per-job initial conditions of the
-    /// service layer, where thousands of concurrent simulations must
-    /// each be reproducible from their spec alone. Seed 0 is the
-    /// pristine case. Density and energy are scaled together by
-    /// ±5·10⁻⁵ per cell (SplitMix64 stream), small enough to keep the
-    /// solver in its stable regime at any mesh size.
+    /// [`new`](Airfoil::new) followed by [`perturb`](Airfoil::perturb).
     pub fn seeded(nx: usize, ny: usize, seed: u64) -> Airfoil<R> {
         let mut sim = Self::new(nx, ny);
-        if seed != 0 {
-            let mut rng = ump_mesh::SplitMix64::new(seed);
-            for c in 0..sim.q.set_size {
-                let f = R::from_f64(1.0 + 1.0e-4 * (rng.next_f64() - 0.5));
-                let row = sim.q.row_mut(c);
-                row[0] *= f;
-                row[3] *= f;
-            }
-        }
+        sim.perturb(seed);
         sim
+    }
+
+    /// Perturb the freestream deterministically from `seed` — the
+    /// per-job initial conditions of the service layer, where thousands
+    /// of concurrent simulations must each be reproducible from their
+    /// spec alone. Seed 0 leaves the pristine case. Density and energy
+    /// are scaled together by ±5·10⁻⁵ per cell (SplitMix64 stream),
+    /// small enough to keep the solver in its stable regime at any mesh
+    /// size.
+    pub fn perturb(&mut self, seed: u64) {
+        if seed == 0 {
+            return;
+        }
+        let mut rng = ump_mesh::SplitMix64::new(seed);
+        for c in 0..self.q.set_size {
+            let f = R::from_f64(1.0 + 1.0e-4 * (rng.next_f64() - 0.5));
+            let row = self.q.row_mut(c);
+            row[0] *= f;
+            row[3] *= f;
+        }
     }
 
     /// Set up on a prebuilt case. Runs the lane-locality edge pass

@@ -77,27 +77,32 @@ impl<R: Real> Volna<R> {
         Self::from_case(tri_coastal(nx, ny))
     }
 
-    /// Like [`new`](Volna::new), with the initial free-surface
-    /// displacement deterministically rescaled from `seed` — the
-    /// per-job initial conditions of the service layer. Seed 0 is the
-    /// pristine case. Each cell's surface elevation η is scaled by
-    /// ±5 % (SplitMix64 stream); the water column stays at least the
-    /// still-water depth minus 5 % of the source amplitude, so every
-    /// seeded case remains wet and stable.
+    /// [`new`](Volna::new) followed by [`perturb`](Volna::perturb).
     pub fn seeded(nx: usize, ny: usize, seed: u64) -> Volna<R> {
         let mut sim = Self::new(nx, ny);
-        if seed != 0 {
-            let mut rng = ump_mesh::SplitMix64::new(seed);
-            for c in 0..sim.w.set_size {
-                let scale = R::from_f64(1.0 + 0.1 * (rng.next_f64() - 0.5));
-                let row = sim.w.row_mut(c);
-                let b = row[3];
-                // h = depth + η·scale, with depth = −b and η = h + b
-                let eta = row[0] + b;
-                row[0] = -b + eta * scale;
-            }
-        }
+        sim.perturb(seed);
         sim
+    }
+
+    /// Rescale the initial free-surface displacement deterministically
+    /// from `seed` — the per-job initial conditions of the service
+    /// layer. Seed 0 leaves the pristine case. Each cell's surface
+    /// elevation η is scaled by ±5 % (SplitMix64 stream); the water
+    /// column stays at least the still-water depth minus 5 % of the
+    /// source amplitude, so every seeded case remains wet and stable.
+    pub fn perturb(&mut self, seed: u64) {
+        if seed == 0 {
+            return;
+        }
+        let mut rng = ump_mesh::SplitMix64::new(seed);
+        for c in 0..self.w.set_size {
+            let scale = R::from_f64(1.0 + 0.1 * (rng.next_f64() - 0.5));
+            let row = self.w.row_mut(c);
+            let b = row[3];
+            // h = depth + η·scale, with depth = −b and η = h + b
+            let eta = row[0] + b;
+            row[0] = -b + eta * scale;
+        }
     }
 
     /// Set up on a prebuilt case: still water plus the tsunami source.

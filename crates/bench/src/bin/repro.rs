@@ -1327,9 +1327,15 @@ fn serve_smoke(inject: Option<u64>) {
         stats.plan_hits,
         stats.plan_builds
     );
+    assert!(
+        stats.mesh_hits > 0,
+        "jobs in flight on one mesh must share its build (hits {}, builds {})",
+        stats.mesh_hits,
+        stats.mesh_builds
+    );
     println!(
-        "service: {} completed, plan cache {} hits / {} builds",
-        stats.completed, stats.plan_hits, stats.plan_builds
+        "service: {} completed, plan cache {} hits / {} builds, meshes {} hits / {} builds",
+        stats.completed, stats.plan_hits, stats.plan_builds, stats.mesh_hits, stats.mesh_builds
     );
 
     // auto-backend jobs: the service consults its tuner, the admitted

@@ -77,12 +77,13 @@ pub struct JobSpec {
     /// Total timesteps the job runs.
     pub steps: u64,
     /// Initial-condition seed (0 = pristine case); see
-    /// `Airfoil::seeded` / `Volna::seeded`.
+    /// `Airfoil::perturb` / `Volna::perturb`.
     pub seed: u64,
     /// Colored-block size for pool backends.
     pub block_size: usize,
-    /// Snapshot cadence in steps (0 = no periodic checkpoints; the
-    /// final state is always available from the job outcome).
+    /// Snapshot cadence in steps (0 = no periodic checkpoints). The
+    /// service holds only the latest one, and only while the job is in
+    /// flight; the final state travels in the job outcome.
     pub checkpoint_every: u64,
 }
 
@@ -167,10 +168,25 @@ impl JobSpec {
 }
 
 /// The live simulation behind a job (boxed: an `Airfoil`/`Volna` value
-/// is several mesh-sized vectors).
-enum Sim {
+/// is several mesh-sized vectors). A clone is exact, so the service
+/// builds each mesh identity's [`pristine`](Sim::pristine) simulation
+/// once and starts every job of that identity from a clone of it.
+#[derive(Clone)]
+pub(crate) enum Sim {
     Airfoil(Box<airfoil::Airfoil<f64>>),
     Volna(Box<volna::Volna<f64>>),
+}
+
+impl Sim {
+    /// The seed-0 simulation of the spec's mesh identity
+    /// ([`JobSpec::cache_scope`]): mesh, geometry and the unperturbed
+    /// initial conditions — everything of a job but its seed.
+    pub(crate) fn pristine(spec: &JobSpec) -> Sim {
+        match spec.app {
+            App::Airfoil => Sim::Airfoil(Box::new(airfoil::Airfoil::new(spec.nx, spec.ny))),
+            App::Volna => Sim::Volna(Box::new(volna::Volna::new(spec.nx, spec.ny))),
+        }
+    }
 }
 
 /// A resumable in-flight simulation: spec, step counter, per-step
@@ -187,12 +203,16 @@ impl JobState {
     /// geometry, and seeded initial conditions are all functions of the
     /// spec).
     pub fn new(spec: JobSpec) -> JobState {
-        let sim = match spec.app {
-            App::Airfoil => Sim::Airfoil(Box::new(airfoil::Airfoil::seeded(
-                spec.nx, spec.ny, spec.seed,
-            ))),
-            App::Volna => Sim::Volna(Box::new(volna::Volna::seeded(spec.nx, spec.ny, spec.seed))),
-        };
+        JobState::fresh(spec, Sim::pristine(&spec))
+    }
+
+    /// A job at step 0 on `sim`, the [`Sim::pristine`] simulation of
+    /// the spec's mesh identity: only the seed is left to apply.
+    pub(crate) fn fresh(spec: JobSpec, mut sim: Sim) -> JobState {
+        match &mut sim {
+            Sim::Airfoil(sim) => sim.perturb(spec.seed),
+            Sim::Volna(sim) => sim.perturb(spec.seed),
+        }
         JobState {
             spec,
             steps_done: 0,
@@ -286,15 +306,41 @@ impl JobState {
         )
     }
 
-    /// Rebuild a job from a snapshot: reconstruct mesh/geometry/initial
-    /// conditions from the embedded spec, then overwrite the evolving
-    /// dats — bit-identical continuation is asserted by the golden
-    /// tests.
+    /// Rebuild a job from a snapshot: reconstruct mesh/geometry from
+    /// the embedded spec, then overwrite the evolving dats —
+    /// bit-identical continuation is asserted by the golden tests.
     pub fn restore(bytes: &[u8]) -> io::Result<JobState> {
         let decoded = crate::snapshot::decode(bytes)?;
-        let mut state = JobState::new(decoded.spec);
-        state.steps_done = decoded.steps_done;
-        state.history = decoded.history;
+        let sim = Sim::pristine(&decoded.spec);
+        JobState::resumed(decoded, sim)
+    }
+
+    /// [`restore`](JobState::restore) onto a clone of `template`, the
+    /// [`Sim::pristine`] simulation of `spec`'s mesh identity. A
+    /// snapshot of any other spec is rejected.
+    pub(crate) fn restore_onto(
+        bytes: &[u8],
+        spec: &JobSpec,
+        template: &Sim,
+    ) -> io::Result<JobState> {
+        let decoded = crate::snapshot::decode(bytes)?;
+        if decoded.spec != *spec {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("snapshot is of {:?}, expected {spec:?}", decoded.spec),
+            ));
+        }
+        JobState::resumed(decoded, template.clone())
+    }
+
+    /// A decoded snapshot's progress and evolving dats on `sim`.
+    fn resumed(decoded: crate::snapshot::Decoded, sim: Sim) -> io::Result<JobState> {
+        let mut state = JobState {
+            spec: decoded.spec,
+            steps_done: decoded.steps_done,
+            history: decoded.history,
+            sim,
+        };
         let mut incoming = decoded.dats;
         let targets = state.evolving_dats_mut();
         if incoming.len() != targets.len() {

@@ -32,21 +32,32 @@
 //! contention. The checkpoint/restart tests assert the strongest form:
 //! a job cancelled mid-flight and resumed from its snapshot finishes
 //! bit-identical to an uninterrupted run.
+//!
+//! # What the service holds
+//!
+//! Held memory grows with the jobs in flight, not with the jobs ever
+//! served: the live state of each admitted job, the latest periodic
+//! checkpoint of each running one, and one built mesh per distinct
+//! in-flight mesh identity ([`JobSpec::cache_scope`]) — a pristine,
+//! seed-0 simulation built at the identity's first lease, cloned into
+//! every job of that identity, and freed when the last one ends. A
+//! finished job leaves nothing behind: [`JobOutcome::snapshot`] is the
+//! only copy of its final state.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use ump_core::{ExecPool, PlanCache};
+use ump_core::{Backend, ExecPool, PlanCache};
 use ump_fault::{FaultInjector, JobFault};
 
 use ump_tune::Tuner;
 
-use crate::job::{App, JobSpec, JobState};
+use crate::job::{App, JobSpec, JobState, Sim};
 
 /// Bounded retry-with-backoff for failed or stuck jobs.
 ///
@@ -192,9 +203,10 @@ pub struct JobOutcome {
     pub history: Vec<f64>,
     /// Final state in the versioned snapshot format — decode with
     /// [`JobState::restore`], or feed to [`Service::resume`] to
-    /// continue a cancelled job.
+    /// continue a cancelled job. The service keeps no copy.
     pub snapshot: Vec<u8>,
-    /// Pool-seconds spent executing this job's slices.
+    /// Pool-seconds this job's leases held a pool: state
+    /// materialization (mesh clone, snapshot restore) and its slices.
     pub busy_seconds: f64,
     /// Recovery attempts consumed (0 = the job never failed a slice).
     pub attempts: u32,
@@ -236,24 +248,19 @@ impl JobHandle {
     }
 }
 
-/// How a queued entry materializes its state at first lease. Building
-/// meshes on the worker keeps `submit` cheap (admission is a queue
-/// push) and overlaps setup with other jobs' execution.
-enum Init {
-    Fresh(JobSpec),
-    Snapshot(Vec<u8>),
-}
-
 /// A job owned by the ready queue or a worker.
 struct Active {
     id: u64,
     spec: JobSpec,
-    /// Kept for the job's whole life (not consumed at first lease): the
-    /// retry path falls back to it when no periodic checkpoint is
-    /// decodable — a resumed job restarts from its submitted snapshot,
-    /// a fresh job from its spec, either way deterministically.
-    init: Init,
+    /// The snapshot a resumed job was submitted with (`None`: a fresh
+    /// job). Kept for the job's whole life: the retry path falls back to
+    /// it — or to the spec — when no periodic checkpoint decodes.
+    resumed_from: Option<Vec<u8>>,
     state: Option<JobState>,
+    /// The pristine simulation of the job's mesh identity, built by the
+    /// identity's first lease; holding it keeps it alive while the job
+    /// is in flight.
+    template: Arc<OnceLock<Sim>>,
     /// Scoped view of the shared plan cache (`JobSpec::cache_scope`).
     cache: PlanCache,
     frames: Sender<Frame>,
@@ -288,13 +295,17 @@ struct Counters {
     tune_store_misses: u64,
     /// Leased right now (≤ pools).
     running: usize,
-    /// name → (steps, busy seconds) per backend.
-    per_backend: HashMap<String, (u64, f64)>,
+    /// Materializations that built their mesh identity's template.
+    mesh_builds: usize,
+    /// Materializations that cloned an already built template.
+    mesh_hits: usize,
+    /// (steps, busy seconds) per backend.
+    per_backend: HashMap<Backend, (u64, f64)>,
 }
 
-/// A point-in-time view of service health (the `ServiceStats` snapshot
-/// of the issue): queue depths, terminal counts, per-backend step
-/// throughput, and the shared plan cache's hit/build counters.
+/// A point-in-time view of service health: queue depths, terminal
+/// counts, per-backend step throughput, and the hit/build counters of
+/// the shared plan cache and of the mesh templates.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceStats {
     /// Jobs admitted so far.
@@ -329,6 +340,12 @@ pub struct ServiceStats {
     pub plan_hits: usize,
     /// Plans actually built across all jobs.
     pub plan_builds: usize,
+    /// Job states materialized from an already built mesh (a clone of
+    /// the identity's template).
+    pub mesh_hits: usize,
+    /// Meshes actually built: one per mesh identity each time it goes
+    /// from no job in flight to one.
+    pub mesh_builds: usize,
     /// Per-backend execution totals.
     pub per_backend: Vec<BackendThroughput>,
 }
@@ -340,7 +357,8 @@ pub struct BackendThroughput {
     pub backend: String,
     /// Timesteps executed on this backend.
     pub steps: u64,
-    /// Pool-seconds spent on those steps.
+    /// Pool-seconds of the leases that ran those steps, state
+    /// materialization included.
     pub seconds: f64,
 }
 
@@ -372,9 +390,12 @@ struct Shared {
     retry: RetryPolicy,
     lease_timeout: Duration,
     fault: Option<Arc<FaultInjector>>,
-    /// Latest periodic checkpoint per job id (also the final snapshot
-    /// once the job ends), kept after completion for resume/forensics.
+    /// Latest periodic checkpoint per in-flight job id — the retry
+    /// path's restore point; removed when the job ends.
     checkpoints: Mutex<HashMap<u64, Vec<u8>>>,
+    /// The template of every mesh identity (`JobSpec::cache_scope`)
+    /// with a job in flight; dead entries are pruned on insert.
+    templates: Mutex<HashMap<String, Weak<OnceLock<Sim>>>>,
     /// Cancellation flags for every in-flight job.
     cancels: Mutex<HashMap<u64, Arc<AtomicBool>>>,
     /// Active leases, keyed by job id (the watchdog's scan set).
@@ -427,6 +448,7 @@ impl Service {
             lease_timeout: config.lease_timeout,
             fault: config.fault.clone(),
             checkpoints: Mutex::new(HashMap::new()),
+            templates: Mutex::new(HashMap::new()),
             cancels: Mutex::new(HashMap::new()),
             leases: Mutex::new(HashMap::new()),
         });
@@ -476,7 +498,7 @@ impl Service {
             self.shared.counters.lock().rejected += 1;
             return Err(Rejection::Invalid(why));
         }
-        self.admit(spec, Init::Fresh(spec))
+        self.admit(spec, None)
     }
 
     /// Submit a job whose backend (and block size) the tuner chooses:
@@ -524,10 +546,10 @@ impl Service {
                 spec.steps
             )));
         }
-        self.admit(spec, Init::Snapshot(snapshot.to_vec()))
+        self.admit(spec, Some(snapshot.to_vec()))
     }
 
-    fn admit(&self, spec: JobSpec, init: Init) -> Result<JobHandle, Rejection> {
+    fn admit(&self, spec: JobSpec, resumed_from: Option<Vec<u8>>) -> Result<JobHandle, Rejection> {
         // reserve an in-flight slot or reject; CAS so concurrent
         // submitters cannot overshoot the bound
         let mut current = self.shared.in_flight.load(Ordering::Relaxed);
@@ -550,6 +572,17 @@ impl Service {
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let scope = spec.cache_scope();
+        let template = {
+            let mut templates = self.shared.templates.lock();
+            let live = templates.get(&scope).and_then(Weak::upgrade);
+            live.unwrap_or_else(|| {
+                templates.retain(|_, t| t.strong_count() > 0);
+                let template = Arc::new(OnceLock::new());
+                templates.insert(scope.clone(), Arc::downgrade(&template));
+                template
+            })
+        };
         let (frame_tx, frame_rx) = channel();
         let (outcome_tx, outcome_rx) = channel();
         let cancel = Arc::new(AtomicBool::new(false));
@@ -557,9 +590,10 @@ impl Service {
         let job = Active {
             id,
             spec,
-            init,
+            resumed_from,
             state: None,
-            cache: self.shared.cache.scoped(&spec.cache_scope()),
+            template,
+            cache: self.shared.cache.scoped(&scope),
             frames: frame_tx,
             outcome: outcome_tx,
             cancel,
@@ -595,9 +629,9 @@ impl Service {
         }
     }
 
-    /// The latest stored snapshot of a job: periodic checkpoints while
-    /// it runs (cadence `spec.checkpoint_every`), the final state once
-    /// it ends.
+    /// The latest periodic checkpoint of an in-flight job (cadence
+    /// `spec.checkpoint_every`); `None` before the first one and after
+    /// the job ends — its final state is in [`JobOutcome::snapshot`].
     pub fn checkpoint(&self, id: u64) -> Option<Vec<u8>> {
         self.shared.checkpoints.lock().get(&id).cloned()
     }
@@ -609,8 +643,8 @@ impl Service {
         let mut per_backend: Vec<BackendThroughput> = counters
             .per_backend
             .iter()
-            .map(|(name, &(steps, seconds))| BackendThroughput {
-                backend: name.clone(),
+            .map(|(backend, &(steps, seconds))| BackendThroughput {
+                backend: backend.name(),
                 steps,
                 seconds,
             })
@@ -632,6 +666,8 @@ impl Service {
             tune_store_misses: counters.tune_store_misses,
             plan_hits: self.shared.cache.hits(),
             plan_builds: self.shared.cache.builds(),
+            mesh_hits: counters.mesh_hits,
+            mesh_builds: counters.mesh_builds,
             per_backend,
         }
     }
@@ -755,23 +791,16 @@ fn worker_loop(shared: &Shared, team: usize) {
     }
 }
 
-/// Recover a failed job: restore from its last periodic checkpoint
-/// (fall back to a from-scratch rebuild when none is decodable — the
-/// job's `init` is kept for exactly this), apply the linear backoff,
-/// and requeue. Determinism makes either restore point bit-safe; the
-/// checkpoint just resumes closer to the failure.
+/// Recover a failed job: drop its state, apply the linear backoff, and
+/// requeue. The next lease rematerializes it from its last periodic
+/// checkpoint, or as at its first lease when none decodes. Determinism makes
+/// either restore point bit-safe; the checkpoint just resumes closer to
+/// the failure.
 fn retry(shared: &Shared, mut job: Active) {
     job.attempts += 1;
     shared.counters.lock().retried += 1;
     job.abort.store(false, Ordering::Release);
-    let checkpoint = shared.checkpoints.lock().get(&job.id).cloned();
-    // a corrupt checkpoint must surface as a typed decode error and
-    // fall through to the fresh rebuild, never take down the worker
-    job.state = checkpoint.and_then(|bytes| {
-        std::panic::catch_unwind(|| JobState::restore(&bytes))
-            .ok()
-            .and_then(|r| r.ok())
-    });
+    job.state = None;
     let backoff = shared.retry.backoff * job.attempts;
     job.not_before = (backoff > Duration::ZERO).then(|| Instant::now() + backoff);
     shared.ready.lock().push_back(job);
@@ -783,27 +812,91 @@ enum Disposition {
     Finished(JobStatus),
 }
 
-/// Run one lease: materialize the state if needed, then up to
-/// `slice_steps` timesteps with frame streaming, periodic
-/// checkpointing, and cancellation checks at step boundaries.
+/// Run one lease: materialize the state if needed, then
+/// [`run_steps`]. The lease clock starts before materialization: a mesh
+/// clone or snapshot restore holds the pool as surely as a step does.
 fn run_slice(shared: &Shared, pool: &ExecPool, job: &mut Active) -> Disposition {
-    // first lease (or retry with no usable checkpoint): build from the
-    // spec or decode the resume snapshot — `init` is kept, not consumed
-    if job.state.is_none() {
-        let init = &job.init;
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match init {
-            Init::Fresh(spec) => Ok(JobState::new(*spec)),
-            Init::Snapshot(bytes) => JobState::restore(bytes),
-        }));
-        match built {
-            Ok(Ok(state)) => job.state = Some(state),
-            Ok(Err(e)) => return Disposition::Finished(JobStatus::Failed(e.to_string())),
-            Err(p) => return Disposition::Finished(JobStatus::Failed(panic_msg(&p))),
-        }
-    }
-    let state = job.state.as_mut().expect("state just materialized");
-    let spec = *state.spec();
     let t0 = Instant::now();
+    let (steps, status) = match materialize(shared, job) {
+        Ok(()) => run_steps(shared, pool, job),
+        Err(why) => (0, Some(JobStatus::Failed(why))),
+    };
+    let busy = t0.elapsed().as_secs_f64();
+    job.busy_seconds += busy;
+    {
+        let mut counters = shared.counters.lock();
+        let entry = counters
+            .per_backend
+            .entry(job.spec.backend)
+            .or_insert((0, 0.0));
+        entry.0 += steps;
+        entry.1 += busy;
+    }
+    match status {
+        None => Disposition::Requeue,
+        Some(s) => Disposition::Finished(s),
+    }
+}
+
+/// Give a job without a state (first lease, or the lease after a failed
+/// slice) one: from its last periodic checkpoint when one decodes, else
+/// from its submitted snapshot or its spec — either way on a clone of
+/// its mesh identity's template, which the identity's first
+/// materialization builds. Doing this on the worker keeps `submit`
+/// cheap (admission is a queue push).
+fn materialize(shared: &Shared, job: &mut Active) -> Result<(), String> {
+    if job.state.is_some() {
+        return Ok(());
+    }
+    let (id, spec, template) = (job.id, job.spec, &job.template);
+    let resumed_from = job.resumed_from.as_deref();
+    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut first = false;
+        let template = template.get_or_init(|| {
+            first = true;
+            Sim::pristine(&spec)
+        });
+        {
+            let mut counters = shared.counters.lock();
+            if first {
+                counters.mesh_builds += 1;
+            } else {
+                counters.mesh_hits += 1;
+            }
+        }
+        // a corrupt checkpoint must surface as a typed decode error and
+        // fall through, never take down the worker
+        let checkpoint = shared.checkpoints.lock().get(&id).cloned();
+        let resumed = checkpoint.and_then(|bytes| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                JobState::restore_onto(&bytes, &spec, template)
+            }))
+            .ok()
+            .and_then(Result::ok)
+        });
+        match (resumed, resumed_from) {
+            (Some(state), _) => Ok(state),
+            (None, None) => Ok(JobState::fresh(spec, template.clone())),
+            (None, Some(bytes)) => JobState::restore_onto(bytes, &spec, template),
+        }
+    }));
+    match built {
+        Ok(Ok(state)) => {
+            job.state = Some(state);
+            Ok(())
+        }
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(p) => Err(panic_msg(&p)),
+    }
+}
+
+/// Up to `slice_steps` timesteps of a materialized job, with frame
+/// streaming, periodic checkpointing, and cancellation checks at step
+/// boundaries. Returns the steps run and the terminal status, if the
+/// job reached one.
+fn run_steps(shared: &Shared, pool: &ExecPool, job: &mut Active) -> (u64, Option<JobStatus>) {
+    let state = job.state.as_mut().expect("state materialized");
+    let spec = job.spec;
     let mut steps_this_slice = 0u64;
     let status = loop {
         if job.cancel.load(Ordering::Acquire) {
@@ -881,27 +974,25 @@ fn run_slice(shared: &Shared, pool: &ExecPool, job: &mut Active) -> Disposition 
             break Some(JobStatus::Completed);
         }
     };
-    let busy = t0.elapsed().as_secs_f64();
-    job.busy_seconds += busy;
-    {
-        let mut counters = shared.counters.lock();
-        let entry = counters
-            .per_backend
-            .entry(spec.backend.name())
-            .or_insert((0, 0.0));
-        entry.0 += steps_this_slice;
-        entry.1 += busy;
-    }
-    match status {
-        None => Disposition::Requeue,
-        Some(s) => Disposition::Finished(s),
-    }
+    (steps_this_slice, status)
 }
 
-/// Record the terminal state, store the final snapshot, release the
-/// admission slot, and deliver the outcome.
+/// Record the terminal state, release everything the service held for
+/// the job — its checkpoint, its live state, its hold on the mesh
+/// template, its admission slot — and deliver the outcome, which
+/// carries the only copy of the final snapshot.
 fn finalize(shared: &Shared, job: Active, status: JobStatus) {
-    let (steps_done, history, snapshot) = match &job.state {
+    let Active {
+        id,
+        spec,
+        state,
+        template,
+        outcome,
+        busy_seconds,
+        attempts,
+        ..
+    } = job;
+    let (steps_done, history, snapshot) = match state {
         Some(state) => (
             state.steps_done(),
             state.history().to_vec(),
@@ -910,6 +1001,9 @@ fn finalize(shared: &Shared, job: Active, status: JobStatus) {
         // failed before materializing: nothing to snapshot
         None => (0, Vec::new(), Vec::new()),
     };
+    // released before the outcome is sent, so a client that resubmits on
+    // receipt finds this job's template already gone if it was the last
+    drop(template);
     {
         let mut counters = shared.counters.lock();
         match &status {
@@ -918,20 +1012,18 @@ fn finalize(shared: &Shared, job: Active, status: JobStatus) {
             JobStatus::Failed(_) => counters.failed += 1,
         }
     }
-    if !snapshot.is_empty() {
-        shared.checkpoints.lock().insert(job.id, snapshot.clone());
-    }
-    shared.cancels.lock().remove(&job.id);
+    shared.checkpoints.lock().remove(&id);
+    shared.cancels.lock().remove(&id);
     shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-    let _ = job.outcome.send(JobOutcome {
-        id: job.id,
-        spec: job.spec,
+    let _ = outcome.send(JobOutcome {
+        id,
+        spec,
         status,
         steps_done,
         history,
         snapshot,
-        busy_seconds: job.busy_seconds,
-        attempts: job.attempts,
+        busy_seconds,
+        attempts,
     });
 }
 

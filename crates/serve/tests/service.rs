@@ -1,11 +1,30 @@
 //! Service-level acceptance tests: N jobs over M shared pools with
 //! conformance against the sequential reference, bounded admission,
-//! plan-cache sharing, and cancel → resume bit-identity.
+//! plan-cache sharing, cancel → resume bit-identity, and a held
+//! footprint that ends with the jobs in flight.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use ump_core::Backend;
-use ump_serve::{App, JobSpec, JobState, JobStatus, Rejection, Service, ServiceConfig};
+use ump_fault::FaultPlan;
+use ump_serve::{
+    App, JobSpec, JobState, JobStatus, Rejection, RetryPolicy, Service, ServiceConfig,
+};
 
 const TOL: f64 = 1e-12;
+
+/// `JobState::new` stepped `steps` times on a `team`-thread pool — the
+/// direct run a served job must match to the bit.
+fn direct_run(spec: JobSpec, steps: u64, team: usize) -> JobState {
+    let pool = ump_core::ExecPool::new(team);
+    let cache = ump_core::PlanCache::new();
+    let mut state = JobState::new(spec);
+    for _ in 0..steps {
+        state.step(&pool, &cache, None);
+    }
+    state
+}
 
 /// The issue's headline acceptance run: 16 concurrent jobs — mixed
 /// apps, seeds, and backends from every family — multiplexed over 4
@@ -59,15 +78,11 @@ fn sixteen_mixed_jobs_over_four_pools_match_step_seq() {
         // conformance vs the sequential reference driver
         let final_state = out.final_state();
         let spec = out.spec;
-        let mut reference = JobState::new(JobSpec {
+        let seq = JobSpec {
             backend: Backend::Seq,
             ..spec
-        });
-        let pool = ump_core::ExecPool::new(1);
-        let cache = ump_core::PlanCache::new();
-        for _ in 0..steps {
-            reference.step(&pool, &cache, None);
-        }
+        };
+        let reference = direct_run(seq, steps, 1);
         let diff = final_state.max_abs_diff(&reference);
         assert!(
             diff <= TOL,
@@ -195,12 +210,7 @@ fn cancelled_job_resumes_bit_identically() {
     let spec = JobSpec::new(App::Volna, 16, 12, Backend::Threaded, steps).with_seed(42);
 
     // the uninterrupted reference, same team size as the service pools
-    let pool = ump_core::ExecPool::new(team);
-    let cache = ump_core::PlanCache::new();
-    let mut uninterrupted = JobState::new(spec);
-    for _ in 0..steps {
-        uninterrupted.step(&pool, &cache, None);
-    }
+    let uninterrupted = direct_run(spec, steps, team);
 
     let service = Service::new(ServiceConfig {
         pools: 2,
@@ -257,17 +267,8 @@ fn snapshot_resumed_on_the_service_is_bit_identical() {
     let steps = 20u64;
     let spec = JobSpec::new(App::Airfoil, 20, 10, Backend::Fused, steps).with_seed(9);
 
-    let pool = ump_core::ExecPool::new(team);
-    let cache = ump_core::PlanCache::new();
-    let mut uninterrupted = JobState::new(spec);
-    for _ in 0..steps {
-        uninterrupted.step(&pool, &cache, None);
-    }
-
-    let mut front = JobState::new(spec);
-    for _ in 0..7 {
-        front.step(&pool, &cache, None);
-    }
+    let uninterrupted = direct_run(spec, steps, team);
+    let front = direct_run(spec, 7, team);
     let service = Service::new(ServiceConfig {
         pools: 2,
         team,
@@ -286,26 +287,172 @@ fn snapshot_resumed_on_the_service_is_bit_identical() {
 }
 
 /// Periodic checkpoints land at the configured cadence and are
-/// themselves resumable.
+/// resumable while the job runs; once it ends the service holds none,
+/// and the outcome carries the final snapshot.
 #[test]
 fn periodic_checkpoints_are_resumable() {
+    let spec = JobSpec::new(App::Airfoil, 16, 8, Backend::Seq, 10)
+        .with_seed(5)
+        .with_checkpoint_every(4);
+    // hold job 1 at step 6, past its step-4 checkpoint
     let service = Service::new(ServiceConfig {
         pools: 1,
         team: 1,
         slice_steps: 4,
+        fault: Some(Arc::new(
+            FaultPlan::new().with_stall_step(1, 6, 1000).injector(),
+        )),
         ..ServiceConfig::default()
     });
-    let spec = JobSpec::new(App::Airfoil, 16, 8, Backend::Seq, 10)
-        .with_seed(5)
-        .with_checkpoint_every(4);
     let h = service.submit(spec).unwrap();
+    // frame 5 is sent after the step-4 checkpoint is stored
+    while h.frames().recv().expect("frames until step 5").step < 5 {}
+    let mid = service
+        .checkpoint(h.id)
+        .expect("checkpoint while in flight");
+    assert_eq!(JobState::peek(&mid).unwrap(), (spec, 4));
+    assert!(
+        JobState::restore(&mid)
+            .unwrap()
+            .bits_eq(&direct_run(spec, 4, 1)),
+        "the step-4 checkpoint must restore bit-identically"
+    );
+
     let out = h.wait();
     assert_eq!(out.status, JobStatus::Completed);
-    // the final snapshot is stored under the job id after completion
-    let stored = service.checkpoint(h.id).expect("final snapshot stored");
-    let (peeked, done) = JobState::peek(&stored).unwrap();
-    assert_eq!(peeked, spec);
-    assert_eq!(done, 10);
+    assert!(
+        service.checkpoint(h.id).is_none(),
+        "a finished job's checkpoint must be released"
+    );
+    assert_eq!(JobState::peek(&out.snapshot).unwrap(), (spec, 10));
+    assert!(out.final_state().bits_eq(&direct_run(spec, 10, 1)));
+}
+
+/// A drained batch leaves no checkpoint behind: what the service holds
+/// ends with the jobs in flight.
+#[test]
+fn drained_batch_leaves_no_checkpoints() {
+    let service = Service::new(ServiceConfig {
+        pools: 2,
+        team: 1,
+        slice_steps: 2,
+        ..ServiceConfig::default()
+    });
+    let handles: Vec<_> = (0..6u64)
+        .map(|j| {
+            let spec = if j % 2 == 0 {
+                JobSpec::new(App::Airfoil, 16, 8, Backend::Seq, 6)
+            } else {
+                JobSpec::new(App::Volna, 12, 10, Backend::Seq, 6)
+            };
+            service
+                .submit(spec.with_seed(j).with_checkpoint_every(2))
+                .unwrap()
+        })
+        .collect();
+    for h in &handles {
+        assert_eq!(h.wait().status, JobStatus::Completed);
+    }
+    for h in &handles {
+        assert!(service.checkpoint(h.id).is_none(), "job {} held", h.id);
+    }
+}
+
+/// Jobs of one mesh identity in flight together build the mesh once;
+/// the template is freed with the last of them, so a job submitted
+/// after the drain builds it again.
+#[test]
+fn jobs_in_flight_on_one_mesh_build_it_once() {
+    let n = 4usize;
+    // job 1 stalls at its first step until it is cancelled, which keeps
+    // it in flight while the others are admitted
+    let service = Service::new(ServiceConfig {
+        pools: 1,
+        team: 1,
+        fault: Some(Arc::new(
+            FaultPlan::new().with_stall_step(1, 1, 60_000).injector(),
+        )),
+        ..ServiceConfig::default()
+    });
+    let spec = JobSpec::new(App::Volna, 12, 10, Backend::Seq, 3);
+    let handles: Vec<_> = (0..n as u64)
+        .map(|j| service.submit(spec.with_seed(j)).unwrap())
+        .collect();
+    assert!(service.cancel(handles[0].id));
+    assert_eq!(handles[0].wait().status, JobStatus::Cancelled);
+    for h in &handles[1..] {
+        assert_eq!(h.wait().status, JobStatus::Completed);
+    }
+    let stats = service.stats();
+    assert_eq!((stats.mesh_builds, stats.mesh_hits), (1, n - 1));
+
+    assert_eq!(
+        service.submit(spec).unwrap().wait().status,
+        JobStatus::Completed
+    );
+    let stats = service.stats();
+    assert_eq!((stats.mesh_builds, stats.mesh_hits), (2, n - 1));
+}
+
+/// Every way the service materializes a job starts from a clone of the
+/// shared template — fresh, `resume`, a retry from a good checkpoint and
+/// a retry whose checkpoint is corrupt — and each finishes bit-identical
+/// to `JobState::new` stepped directly, on both apps, pristine and
+/// seeded.
+#[test]
+fn template_clones_match_direct_runs_on_every_path() {
+    let team = 2;
+    let steps = 8u64;
+    for app in [App::Airfoil, App::Volna] {
+        for seed in [0u64, 13] {
+            let (nx, ny) = match app {
+                App::Airfoil => (16, 8),
+                App::Volna => (12, 10),
+            };
+            let spec = JobSpec::new(app, nx, ny, Backend::Fused, steps)
+                .with_seed(seed)
+                .with_checkpoint_every(3);
+            let golden = direct_run(spec, steps, team);
+            // jobs 3 and 4 are killed at step 6, past their step-3
+            // checkpoint; job 4's is corrupt, so it retries from `init`
+            let plan = FaultPlan::new()
+                .with_kill_job(3, 6)
+                .with_corrupt_checkpoint(4, 0)
+                .with_kill_job(4, 6);
+            let service = Service::new(ServiceConfig {
+                pools: 1,
+                team,
+                retry: RetryPolicy {
+                    max_attempts: 1,
+                    backoff: Duration::ZERO,
+                },
+                fault: Some(Arc::new(plan.injector())),
+                ..ServiceConfig::default()
+            });
+            let paths = [
+                ("fresh", service.submit(spec)),
+                (
+                    "resume",
+                    service.resume(&direct_run(spec, 3, team).snapshot()),
+                ),
+                ("retry from checkpoint", service.submit(spec)),
+                ("retry from a corrupt checkpoint", service.submit(spec)),
+            ];
+            for (path, h) in paths {
+                let out = h.expect("admitted").wait();
+                assert_eq!(
+                    out.status,
+                    JobStatus::Completed,
+                    "{app} seed {seed}: {path}"
+                );
+                assert!(
+                    out.final_state().bits_eq(&golden),
+                    "{app} seed {seed}: {path} diverged from the direct run"
+                );
+            }
+            assert_eq!(service.stats().retried, 2, "{app} seed {seed}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
