@@ -16,16 +16,19 @@
 //!   cross-loop fusion, are executions of the one recording, in whatever
 //!   layout the state is stored in; a rank of the distributed backend
 //!   executes it with its halo hooks ([`RankHalo`]) switched on,
-//! * [`run_tiled_on`] — cross-timestep sparse tiling,
+//! * [`run_tiled_on`] — cross-timestep sparse tiling: N iterations of
+//!   the same recording executed tile by tile,
 //! * [`step_on`] — the registry dispatcher over all of the above.
 //!
 //! All drivers compute identical physics; integration tests pin them to
 //! the sequential reference within floating-point reassociation bounds.
 
-use ump_color::PlanInputs;
+use std::sync::Arc;
+
+use ump_core::plan::AnyPlan;
 use ump_core::{
     seq_loop, simd_block_sweep, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache,
-    Recorder, Scheme, SharedDat,
+    Recorder, SharedDat,
 };
 use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain, VecHint};
 use ump_mesh::Mesh2d;
@@ -37,7 +40,8 @@ use super::mpi::RankState;
 use super::{profile, Airfoil, Consts};
 use crate::dist::{step_mpi_fused, RankHalo};
 use crate::{
-    chain_exec, maybe_time, no_lane_instantiation, ChainExec, Lanes, DISPATCH_TILE_BLOCKS,
+    chain_exec, maybe_time, no_lane_instantiation, tile_shape, ChainExec, Lanes,
+    DISPATCH_TILE_BLOCKS,
 };
 
 // ---------------------------------------------------------------------------
@@ -296,30 +300,10 @@ fn step_exec<R: Real, const L: usize>(
     sim.normalize_rms(rms)
 }
 
-/// The one recording of the timestep, executed as `exec` says: the nine
-/// loops with their scalar and `L`-lane bodies, over a global state
-/// (`halo: None`) or a rank's piece of one. A rank's [`RankHalo`] adds
-/// what paper Fig. 2b's `op_mpi_halo_exchanges` adds around unchanged
-/// loops:
-///
-/// ```text
-/// [save_soln + adt_calc]        owned cells, interior
-/// exch(q), exch(adt)            sends posted, finish deferred
-/// res_calc                      interior blocks → finish → boundary blocks
-/// bres_calc                     serial, owned cells only
-/// [update + adt_calc']          owned cells, interior; ghost res zeroed
-/// exch(q), exch(adt) … phase 2 … update
-/// ```
-///
-/// Cell loops cover the owned cells only, `res_calc` all local edges
-/// (owned + redundantly executed); increments into ghost cells are
-/// discarded — the owner computes them via its own copy of the edge —
-/// by re-zeroing ghost `res` rows after each phase. The halo markings
-/// are applied only for a rank: `mark_boundary` forces the interior →
-/// finish → boundary split, which a single process must not pay.
-///
-/// Returns Σ del² over the executed cells (the caller normalizes, a
-/// rank after the allreduce).
+/// One iteration of the one recording, executed as `exec` says, over a
+/// global state (`halo: None`) or a rank's piece of one. Returns Σ del²
+/// over the executed cells (the caller normalizes, a rank after the
+/// allreduce).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn recorded_step<R: Real, const L: usize>(
     dats: StepDats<'_, R>,
@@ -331,294 +315,34 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
-    let shape = exec.shape;
-    if let Shape::Simd { lanes } = shape {
+    if let Shape::Simd { lanes } = exec.shape {
         assert_eq!(
             lanes, L,
             "shape sweeps {lanes} lanes, the recorded chunk bodies are {L} wide"
         );
     }
-    let StepDats {
-        mesh,
-        bound,
-        consts,
-        x,
-        q,
-        qold,
-        adt,
-        res,
-    } = dats;
-    // layout-aware accessor views: every x/q/qold/res access in the
-    // recorded bodies goes through these, so the one recorded chain
-    // executes natively in AoS, SoA or AoSoA storage (dim-1 adt indexes
-    // identically in every layout and keeps its direct indexing);
-    // rank-local dats are always AoS
-    let (xv, qv, qoldv, resv) = (x.view(), q.view(), qold.view(), res.view());
-    let nc = halo.map_or(mesh.n_cells(), |h| h.n_owned);
-    let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
+    let n_cells = halo.map_or(dats.mesh.n_cells(), |h| h.n_owned);
     // the chain's own blocks may span whole sets; the permute plans keep
     // the caller's block size
-    let chain_block = exec.chain_block(block_size);
-    let n_cell_blocks = nc.div_ceil(chain_block);
+    let permute = exec.permute_plan(cache, &dats.mesh.edge2cell, block_size);
+    let inputs = StepInputs::new(
+        &dats,
+        n_cells,
+        exec.chain_block(block_size),
+        exec.shape,
+        permute,
+    );
     // rms partials: one slot per (phase, cell block), merged in block
     // order after the chain runs — a reduction that does not depend on
     // the team size or the grouping
-    let mut rms_blocks = vec![R::ZERO; 2 * n_cell_blocks];
+    let mut rms_blocks = vec![R::ZERO; 2 * inputs.cell_blocks];
     {
-        let qs = SharedDat::new(&mut q.data);
-        let qolds = SharedDat::new(&mut qold.data);
-        let adts = SharedDat::new(&mut adt.data);
-        let ress = SharedDat::new(&mut res.data);
-        let rmss = SharedDat::new(&mut rms_blocks);
-        // every recorded vector body runs under `Shape::Simd`: moving
-        // whole rows it wins or ties its scalar body on every kernel of
-        // both apps, in AoS and in SoA (docs/ARCHITECTURE.md §8), where
-        // the profile-driven `Auto` would keep the low-intensity kernels
-        // (`save_soln`; most of Volna) on their scalar bodies
-        let desc =
-            |name: &str, n: usize| LoopDesc::new(profile(name), n).with_hint(VecHint::Vector);
-
-        let mut chain = Chain::new("airfoil_step");
-        {
-            let (qs, qolds) = (&qs, &qolds);
-            chain.record_simd(
-                desc("save_soln", nc),
-                vec![],
-                L,
-                move |c| unsafe {
-                    let row: [R; 4] = qv.load_row(qs.as_slice(), c);
-                    qoldv.store_row(qolds.slice_mut(0, qolds.len()), c, &row);
-                },
-                move |cs| unsafe {
-                    let rows: [VecR<R, L>; 4] = qv.load_rows(qs.as_slice(), cs);
-                    qoldv.store_rows(&rows, qolds.slice_mut(0, qolds.len()), cs);
-                },
-            );
-            if halo.is_some() {
-                chain.mark_interior();
-            }
-        }
-        for phase in 0..2 {
-            {
-                let (qs, adts) = (&qs, &adts);
-                chain.record_simd(
-                    desc("adt_calc", nc),
-                    vec![],
-                    L,
-                    move |c| {
-                        let n = mesh.cell2node.row(c);
-                        // four loads written out: a nested `array::from_fn`
-                        // over the nodes measured 2x on this group
-                        let x0: [R; 2] = xv.load_row(&x.data, n[0] as usize);
-                        let x1: [R; 2] = xv.load_row(&x.data, n[1] as usize);
-                        let x2: [R; 2] = xv.load_row(&x.data, n[2] as usize);
-                        let x3: [R; 2] = xv.load_row(&x.data, n[3] as usize);
-                        let mut a = R::ZERO;
-                        unsafe {
-                            let qrow: [R; 4] = qv.load_row(qs.as_slice(), c);
-                            adt_calc(&x0, &x1, &x2, &x3, &qrow, &mut a, consts);
-                            adts.slice_mut(c, 1)[0] = a;
-                        }
-                    },
-                    move |cs| unsafe {
-                        adt_chunk::<R, L>(
-                            cs,
-                            &mesh.cell2node.data,
-                            &x.data,
-                            xv,
-                            qs.as_slice(),
-                            qv,
-                            adts.slice_mut(0, adts.len()),
-                            consts,
-                        );
-                    },
-                );
-            }
-            if let Some(h) = halo {
-                chain.mark_interior();
-                // ghosts of q and adt are stale (update / adt_calc ran on
-                // owned cells only): post the sends; the receives finish
-                // between res_calc's interior and boundary passes
-                h.record_exchange(&mut chain, "halo[q]", &qs, 4, phase as u64 * 2);
-                h.record_exchange(&mut chain, "halo[adt]", &adts, 1, phase as u64 * 2 + 1);
-            }
-            {
-                let (qs, adts, ress) = (&qs, &adts, &ress);
-                let compute = move |e: usize| {
-                    let n = mesh.edge2node.row(e);
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let xa: [R; 2] = xv.load_row(&x.data, n[0] as usize);
-                    let xb: [R; 2] = xv.load_row(&x.data, n[1] as usize);
-                    let mut r1 = [R::ZERO; 4];
-                    let mut r2 = [R::ZERO; 4];
-                    unsafe {
-                        let q1: [R; 4] = qv.load_row(qs.as_slice(), c0);
-                        let q2: [R; 4] = qv.load_row(qs.as_slice(), c1);
-                        res_calc(
-                            &xa,
-                            &xb,
-                            &q1,
-                            &q2,
-                            adts.slice(c0, 1)[0],
-                            adts.slice(c1, 1)[0],
-                            &mut r1,
-                            &mut r2,
-                            consts,
-                        );
-                    }
-                    (c0, r1, c1, r2)
-                };
-                // c0's row then c1's, components ascending, through the
-                // layout view
-                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
-                    let r = ress.slice_mut(0, ress.len());
-                    let (c0, r1, c1, r2) = inc;
-                    resv.add_row(r, *c0, r1);
-                    resv.add_row(r, *c1, r2);
-                };
-                // gather, vector flux kernel, lane scatter (block-exclusive
-                // under the plan's coloring)
-                let chunk = move |lanes: Lanes<'_>| unsafe {
-                    res_chunk::<R, L>(
-                        lanes,
-                        &mesh.edge2node.data,
-                        &mesh.edge2cell.data,
-                        &x.data,
-                        xv,
-                        qs.as_slice(),
-                        qv,
-                        adts.as_slice(),
-                        ress.slice_mut(0, ress.len()),
-                        resv,
-                        consts,
-                    );
-                };
-                match exec.scheme {
-                    Scheme::TwoLevel => {
-                        chain.record_simd_two_phase(
-                            desc("res_calc", ne),
-                            vec![&mesh.edge2cell],
-                            L,
-                            compute,
-                            apply,
-                            move |es| chunk(Lanes::Aligned(es)),
-                        );
-                    }
-                    permute => {
-                        // Fig. 8a's schemes: the calling thread walks the
-                        // permute plan's conflict-free color groups
-                        let inputs = PlanInputs::new(ne, vec![&mesh.edge2cell], block_size);
-                        let plan = cache.get(permute, &[&mesh.edge2cell.name], &inputs);
-                        chain.record_seq(desc("res_calc", ne), move || {
-                            plan.for_each_color_group(
-                                L,
-                                |ids| chunk(Lanes::Permuted(ids)),
-                                |e| apply(e, &compute(e)),
-                            );
-                        });
-                    }
-                }
-                if let Some(h) = halo {
-                    chain.mark_boundary(h.edge_halo);
-                }
-            }
-            {
-                let (qs, adts, ress) = (&qs, &adts, &ress);
-                chain.record_seq(desc("bres_calc", nb), move || {
-                    for be in 0..nb {
-                        let n = mesh.bedge2node.row(be);
-                        let c0 = mesh.bedge2cell.at(be, 0);
-                        let xa: [R; 2] = xv.load_row(&x.data, n[0] as usize);
-                        let xb: [R; 2] = xv.load_row(&x.data, n[1] as usize);
-                        unsafe {
-                            let qrow: [R; 4] = qv.load_row(qs.as_slice(), c0);
-                            let r = ress.slice_mut(0, ress.len());
-                            let mut rrow: [R; 4] = resv.load_row(r, c0);
-                            bres_calc(
-                                &xa,
-                                &xb,
-                                &qrow,
-                                adts.slice(c0, 1)[0],
-                                &mut rrow,
-                                bound[be],
-                                consts,
-                            );
-                            resv.store_row(r, c0, &rrow);
-                        }
-                    }
-                });
-                // bedges map to owned cells only — never to ghosts
-                if halo.is_some() {
-                    chain.mark_interior();
-                }
-            }
-            {
-                let (qs, qolds, adts, ress, rmss) = (&qs, &qolds, &adts, &ress, &rmss);
-                // one cell of `update`, folding its residual into `$rms`; a
-                // macro because a closure with two call sites below stays
-                // out of line (a call per cell, sum via memory)
-                macro_rules! update_cell {
-                    ($c:expr, $rms:expr) => {{
-                        let qold_row: [R; 4] = qoldv.load_row(qolds.as_slice(), $c);
-                        let mut q_row = [R::ZERO; 4];
-                        let r = ress.slice_mut(0, ress.len());
-                        let mut res_row: [R; 4] = resv.load_row(r, $c);
-                        let adt = adts.slice($c, 1)[0];
-                        update(&qold_row, &mut q_row, &mut res_row, adt, $rms);
-                        qv.store_row(qs.slice_mut(0, qs.len()), $c, &q_row);
-                        resv.store_row(r, $c, &res_row);
-                    }};
-                }
-                // the block's residual folds in registers — one scalar,
-                // and under the SIMD shape one vector accumulator — and
-                // lands in its (phase, block) slot with one store: a
-                // deterministic block-order reduction
-                let update_desc = desc("update", nc);
-                let vector = matches!(shape, Shape::Simd { .. }) && update_desc.vectorize();
-                chain.record_blocks(update_desc, vec![], move |b, range| {
-                    let mut local = R::ZERO;
-                    if vector {
-                        let mut local_v = VecR::<R, L>::zero();
-                        simd_block_sweep(
-                            range,
-                            L,
-                            |c| unsafe { update_cell!(c, &mut local) },
-                            |cs| unsafe {
-                                update_chunk::<R, L>(
-                                    cs,
-                                    qolds.as_slice(),
-                                    qoldv,
-                                    qs.slice_mut(0, qs.len()),
-                                    qv,
-                                    ress.slice_mut(0, ress.len()),
-                                    resv,
-                                    adts.as_slice(),
-                                    &mut local_v,
-                                );
-                            },
-                        );
-                        local += local_v.reduce_sum();
-                    } else {
-                        for c in range.start as usize..range.end as usize {
-                            unsafe { update_cell!(c, &mut local) };
-                        }
-                    }
-                    unsafe { rmss.slice_mut(phase * n_cell_blocks + b, 1)[0] = local };
-                });
-            }
-            if halo.is_some() {
-                chain.mark_interior();
-                // discard ghost increments (owners recompute them via
-                // their redundant boundary edges)
-                let ress = &ress;
-                chain.epilogue(move || unsafe {
-                    for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
-                        *v = R::ZERO;
-                    }
-                });
-            }
-        }
+        let StepDats {
+            q, qold, adt, res, ..
+        } = dats;
+        let evolving = [q, qold, adt, res].map(|d| SharedDat::new(&mut d.data));
+        let rms = SharedDat::new(&mut rms_blocks);
+        let chain = record_steps::<R, L>(&inputs, &evolving, &rms, 1, halo);
         let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
         exec.execute(
             &chain,
@@ -638,21 +362,356 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
     rms.to_f64()
 }
 
+/// What a recording of Airfoil iterations reads besides the evolving
+/// dats and the reduction slots.
+pub(crate) struct StepInputs<'a, R: Real> {
+    mesh: &'a Mesh2d,
+    bound: &'a [i32],
+    consts: &'a Consts<R>,
+    x: &'a OpDat<R>,
+    /// Layouts of q, qold and res: every access of the recorded bodies
+    /// goes through them, so the one recording executes natively in AoS,
+    /// SoA or AoSoA storage (dim-1 adt indexes identically in every
+    /// layout); rank-local dats are always AoS.
+    views: [DatView; 3],
+    /// Cells the cell loops cover: all, or a rank's owned ones.
+    n_cells: usize,
+    /// rms slots per (iteration, phase): the cell loops' block count.
+    cell_blocks: usize,
+    /// The shape the recording executes in.
+    shape: Shape,
+    /// Fig. 8a's rows: the permute plan `res_calc` walks instead of its
+    /// colored loop.
+    permute: Option<Arc<AnyPlan>>,
+}
+
+impl<'a, R: Real> StepInputs<'a, R> {
+    /// The inputs of a recording over `dats` with cell loops over
+    /// `n_cells` cells, in blocks of `block`.
+    fn new(
+        dats: &StepDats<'a, R>,
+        n_cells: usize,
+        block: usize,
+        shape: Shape,
+        permute: Option<Arc<AnyPlan>>,
+    ) -> StepInputs<'a, R> {
+        StepInputs {
+            mesh: dats.mesh,
+            bound: dats.bound,
+            consts: dats.consts,
+            x: dats.x,
+            views: [dats.q.view(), dats.qold.view(), dats.res.view()],
+            n_cells,
+            cell_blocks: n_cells.div_ceil(block),
+            shape,
+            permute,
+        }
+    }
+}
+
+/// The one recording of the timestep: `steps` iterations of the nine
+/// loops with their scalar and `L`-lane bodies, over the evolving dats
+/// `[q, qold, adt, res]` — a global state's, a rank's, or a tile's
+/// shadow copies. Each `update` block stores its residual in rms slot
+/// `(iteration × 2 + phase) × cell_blocks + block`. A rank's
+/// [`RankHalo`] adds what paper Fig. 2b's `op_mpi_halo_exchanges` adds
+/// around unchanged loops:
+///
+/// ```text
+/// [save_soln + adt_calc]        owned cells, interior
+/// exch(q), exch(adt)            sends posted, finish deferred
+/// res_calc                      interior blocks → finish → boundary blocks
+/// bres_calc                     serial, owned cells only
+/// [update + adt_calc']          owned cells, interior; ghost res zeroed
+/// exch(q), exch(adt) … phase 2 … update
+/// ```
+///
+/// Cell loops cover the owned cells only, `res_calc` all local edges
+/// (owned + redundantly executed); increments into ghost cells are
+/// discarded — the owner computes them via its own copy of the edge —
+/// by re-zeroing ghost `res` rows after each phase. The halo markings
+/// are applied only for a rank: `mark_boundary` forces the interior →
+/// finish → boundary split, which a single process must not pay.
+pub(crate) fn record_steps<'s, R: Real, const L: usize>(
+    inputs: &'s StepInputs<'_, R>,
+    evolving: &'s [SharedDat<'s, R>],
+    rms: &'s SharedDat<'s, R>,
+    steps: usize,
+    halo: Option<&'s RankHalo<'s>>,
+) -> Chain<'s> {
+    let StepInputs {
+        mesh,
+        bound,
+        consts,
+        x,
+        views: [qv, qoldv, resv],
+        n_cells: nc,
+        cell_blocks,
+        shape,
+        ref permute,
+    } = *inputs;
+    let [qs, qolds, adts, ress] = evolving else {
+        panic!("airfoil records over [q, qold, adt, res]")
+    };
+    let xv = x.view();
+    let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
+    // every recorded vector body runs under `Shape::Simd`: moving whole
+    // rows it wins or ties its scalar body on every kernel of both apps,
+    // in AoS and in SoA (docs/ARCHITECTURE.md §8), where the
+    // profile-driven `Auto` would keep the low-intensity kernels
+    // (`save_soln`; most of Volna) on their scalar bodies
+    let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n).with_hint(VecHint::Vector);
+
+    let mut chain = Chain::new("airfoil_step");
+    for step in 0..steps {
+        chain.record_simd(
+            desc("save_soln", nc),
+            vec![],
+            L,
+            move |c| unsafe {
+                let row: [R; 4] = qv.load_row(qs.as_slice(), c);
+                let mut old = [R::ZERO; 4];
+                save_soln(&row, &mut old);
+                qoldv.store_row(qolds.slice_mut(0, qolds.len()), c, &old);
+            },
+            move |cs| unsafe {
+                let rows: [VecR<R, L>; 4] = qv.load_rows(qs.as_slice(), cs);
+                qoldv.store_rows(&rows, qolds.slice_mut(0, qolds.len()), cs);
+            },
+        );
+        if halo.is_some() {
+            chain.mark_interior();
+        }
+        for phase in 0..2 {
+            chain.record_simd(
+                desc("adt_calc", nc),
+                vec![],
+                L,
+                move |c| {
+                    let n = mesh.cell2node.row(c);
+                    // four loads written out: a nested `array::from_fn`
+                    // over the nodes measured 2x on this group
+                    let x0: [R; 2] = xv.load_row(&x.data, n[0] as usize);
+                    let x1: [R; 2] = xv.load_row(&x.data, n[1] as usize);
+                    let x2: [R; 2] = xv.load_row(&x.data, n[2] as usize);
+                    let x3: [R; 2] = xv.load_row(&x.data, n[3] as usize);
+                    let mut a = R::ZERO;
+                    unsafe {
+                        let qrow: [R; 4] = qv.load_row(qs.as_slice(), c);
+                        adt_calc(&x0, &x1, &x2, &x3, &qrow, &mut a, consts);
+                        adts.slice_mut(c, 1)[0] = a;
+                    }
+                },
+                move |cs| unsafe {
+                    adt_chunk::<R, L>(
+                        cs,
+                        &mesh.cell2node.data,
+                        &x.data,
+                        xv,
+                        qs.as_slice(),
+                        qv,
+                        adts.slice_mut(0, adts.len()),
+                        consts,
+                    );
+                },
+            );
+            if let Some(h) = halo {
+                chain.mark_interior();
+                // ghosts of q and adt are stale (update / adt_calc ran on
+                // owned cells only): post the sends; the receives finish
+                // between res_calc's interior and boundary passes
+                let tag = (step * 2 + phase) as u64 * 2;
+                h.record_exchange(&mut chain, "halo[q]", qs, 4, tag);
+                h.record_exchange(&mut chain, "halo[adt]", adts, 1, tag + 1);
+            }
+            let compute = move |e: usize| {
+                let n = mesh.edge2node.row(e);
+                let c = mesh.edge2cell.row(e);
+                let (c0, c1) = (c[0] as usize, c[1] as usize);
+                let xa: [R; 2] = xv.load_row(&x.data, n[0] as usize);
+                let xb: [R; 2] = xv.load_row(&x.data, n[1] as usize);
+                let mut r1 = [R::ZERO; 4];
+                let mut r2 = [R::ZERO; 4];
+                unsafe {
+                    let q1: [R; 4] = qv.load_row(qs.as_slice(), c0);
+                    let q2: [R; 4] = qv.load_row(qs.as_slice(), c1);
+                    res_calc(
+                        &xa,
+                        &xb,
+                        &q1,
+                        &q2,
+                        adts.slice(c0, 1)[0],
+                        adts.slice(c1, 1)[0],
+                        &mut r1,
+                        &mut r2,
+                        consts,
+                    );
+                }
+                (c0, r1, c1, r2)
+            };
+            // c0's row then c1's, components ascending, through the
+            // layout view
+            let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
+                let r = ress.slice_mut(0, ress.len());
+                let (c0, r1, c1, r2) = inc;
+                resv.add_row(r, *c0, r1);
+                resv.add_row(r, *c1, r2);
+            };
+            // gather, vector flux kernel, lane scatter (block-exclusive
+            // under the plan's coloring)
+            let chunk = move |lanes: Lanes<'_>| unsafe {
+                res_chunk::<R, L>(
+                    lanes,
+                    &mesh.edge2node.data,
+                    &mesh.edge2cell.data,
+                    &x.data,
+                    xv,
+                    qs.as_slice(),
+                    qv,
+                    adts.as_slice(),
+                    ress.slice_mut(0, ress.len()),
+                    resv,
+                    consts,
+                );
+            };
+            match permute {
+                None => {
+                    chain.record_simd_two_phase(
+                        desc("res_calc", ne),
+                        vec![&mesh.edge2cell],
+                        L,
+                        compute,
+                        apply,
+                        move |es| chunk(Lanes::Aligned(es)),
+                    );
+                }
+                // Fig. 8a's schemes: the calling thread walks the permute
+                // plan's conflict-free color groups
+                Some(plan) => {
+                    chain.record_seq(desc("res_calc", ne), move || {
+                        plan.for_each_color_group(
+                            L,
+                            |ids| chunk(Lanes::Permuted(ids)),
+                            |e| apply(e, &compute(e)),
+                        );
+                    });
+                }
+            }
+            if let Some(h) = halo {
+                chain.mark_boundary(h.edge_halo);
+            }
+            chain.record_serial(desc("bres_calc", nb), move |be| {
+                let n = mesh.bedge2node.row(be);
+                let c0 = mesh.bedge2cell.at(be, 0);
+                let xa: [R; 2] = xv.load_row(&x.data, n[0] as usize);
+                let xb: [R; 2] = xv.load_row(&x.data, n[1] as usize);
+                unsafe {
+                    let qrow: [R; 4] = qv.load_row(qs.as_slice(), c0);
+                    let r = ress.slice_mut(0, ress.len());
+                    let mut rrow: [R; 4] = resv.load_row(r, c0);
+                    bres_calc(
+                        &xa,
+                        &xb,
+                        &qrow,
+                        adts.slice(c0, 1)[0],
+                        &mut rrow,
+                        bound[be],
+                        consts,
+                    );
+                    resv.store_row(r, c0, &rrow);
+                }
+            });
+            // bedges map to owned cells only — never to ghosts
+            if halo.is_some() {
+                chain.mark_interior();
+            }
+            // one cell of `update`, folding its residual into `$rms`; a
+            // macro because a closure with two call sites below stays
+            // out of line (a call per cell, sum via memory)
+            macro_rules! update_cell {
+                ($c:expr, $rms:expr) => {{
+                    let qold_row: [R; 4] = qoldv.load_row(qolds.as_slice(), $c);
+                    let mut q_row = [R::ZERO; 4];
+                    let r = ress.slice_mut(0, ress.len());
+                    let mut res_row: [R; 4] = resv.load_row(r, $c);
+                    let adt = adts.slice($c, 1)[0];
+                    update(&qold_row, &mut q_row, &mut res_row, adt, $rms);
+                    qv.store_row(qs.slice_mut(0, qs.len()), $c, &q_row);
+                    resv.store_row(r, $c, &res_row);
+                }};
+            }
+            // the block's residual folds in registers — one scalar, and
+            // under the SIMD shape one vector accumulator — and lands in
+            // its (iteration, phase, block) slot with one store: a
+            // deterministic block-order reduction; a tile's fringe run
+            // has no slot (its owner contributes those cells)
+            let update_desc = desc("update", nc);
+            let vector = matches!(shape, Shape::Simd { .. }) && update_desc.vectorize();
+            let slots = (step * 2 + phase) * cell_blocks;
+            chain.record_blocks(update_desc, vec![], move |slot, range| {
+                let mut local = R::ZERO;
+                if vector {
+                    let mut local_v = VecR::<R, L>::zero();
+                    simd_block_sweep(
+                        range,
+                        L,
+                        |c| unsafe { update_cell!(c, &mut local) },
+                        |cs| unsafe {
+                            update_chunk::<R, L>(
+                                cs,
+                                qolds.as_slice(),
+                                qoldv,
+                                qs.slice_mut(0, qs.len()),
+                                qv,
+                                ress.slice_mut(0, ress.len()),
+                                resv,
+                                adts.as_slice(),
+                                &mut local_v,
+                            );
+                        },
+                    );
+                    local += local_v.reduce_sum();
+                } else {
+                    for c in range.start as usize..range.end as usize {
+                        unsafe { update_cell!(c, &mut local) };
+                    }
+                }
+                if let Some(b) = slot {
+                    unsafe { rms.slice_mut(slots + b, 1)[0] = local };
+                }
+            });
+            if halo.is_some() {
+                chain.mark_interior();
+                // discard ghost increments (owners recompute them via
+                // their redundant boundary edges)
+                chain.epilogue(move || unsafe {
+                    for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
+                        *v = R::ZERO;
+                    }
+                });
+            }
+        }
+    }
+    chain
+}
+
 // ---------------------------------------------------------------------------
 // cross-timestep sparse tiling
 // ---------------------------------------------------------------------------
 
-/// Record `steps` outer iterations as one tiled super-chain
-/// ([`ump_lazy::TiledChain`]) and sweep it tile-by-tile: every tile of
-/// `tile_cells` cells executes all loops of all `steps` — with the
-/// dependency-cone fringe computed redundantly — before the next tile
-/// starts, so its working set stays cache-resident across timesteps.
-/// Returns the per-step normalized RMS residuals.
+/// Record `steps` outer iterations with the one recording (the one
+/// [`step_chain`] executes) and execute them tile by tile
+/// ([`ump_lazy::TiledChain`]): every tile of `tile_cells` cells runs the
+/// loops' own bodies — scalar for `L = 1`, the `L`-lane three-sweep
+/// otherwise — for all `steps`, with the dependency-cone fringe computed
+/// redundantly, before the next tile starts, so its working set stays
+/// cache-resident across timesteps. Returns the per-step normalized RMS
+/// residuals.
 ///
 /// Determinism: each tile runs its cone in ascending element order, so
-/// cell state is bit-identical to [`step_seq`] for any `tile_cells`,
-/// `steps` or team size; the rms reduction accumulates per
-/// `(step, phase, cell-block)` partials (ownership is block-aligned, so
+/// with `L = 1` cell state is bit-identical to [`step_seq`] for any
+/// `tile_cells`, `steps` or team size; the rms reduction lands in
+/// per-`(step, phase, cell-block)` slots (ownership is block-aligned, so
 /// each slot belongs to one tile) folded in slot order — the same
 /// block-ordered fold as the fused drivers. Tiled execution is defined
 /// on AoS rows: a state in another layout is converted to AoS and back
@@ -705,146 +764,53 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
         tiles,
     } = sim;
     let mesh = &case.mesh;
-    let bound = &case.bound;
-    let (x, consts) = (&*x, &*consts);
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-    let ncb = nc.div_ceil(block_size);
-    // rms partials: one slot per (step, phase, cell block), written only
-    // for owned cells, folded per step after the sweep
+    let dats = StepDats {
+        mesh,
+        bound: &case.bound,
+        consts,
+        x,
+        q,
+        qold,
+        adt,
+        res,
+    };
+    let shape = tile_shape::<L>();
+    let inputs = StepInputs::new(&dats, mesh.n_cells(), block_size, shape, None);
+    let ncb = inputs.cell_blocks;
     let mut rms_parts = vec![R::ZERO; steps * 2 * ncb];
     let report;
     {
-        let rmss = SharedDat::new(&mut rms_parts);
-        let rmss = &rmss;
-        let mut chain = TiledChain::new("airfoil_tiled");
-        chain.register_set("cells", nc);
-        chain.register_set("edges", ne);
-        chain.register_set("bedges", nb);
-        chain.register_map(&mesh.edge2cell);
-        chain.register_map(&mesh.bedge2cell);
-        let qd = chain.register_dat("q", "cells", 4, &mut q.data);
-        let qod = chain.register_dat("qold", "cells", 4, &mut qold.data);
-        let ad = chain.register_dat("adt", "cells", 1, &mut adt.data);
-        let rd = chain.register_dat("res", "cells", 4, &mut res.data);
-        for s in 0..steps {
-            chain.begin_step();
-            chain.record_vec(
-                LoopDesc::new(profile("save_soln"), nc),
-                move |ctx, c| {
-                    let q = ctx.dat(qd);
-                    let qold = unsafe { ctx.dat_mut(qod) };
-                    save_soln(&q[c * 4..c * 4 + 4], &mut qold[c * 4..c * 4 + 4]);
-                },
-                move |ctx, start, len| {
-                    // per-component lane moves over the run, scalar tail
-                    // (a pure copy: bit-identical to the scalar body)
-                    let q = ctx.dat(qd);
-                    let qold = unsafe { ctx.dat_mut(qod) };
-                    let (mut c, end) = (start, start + len);
-                    while c + L <= end {
-                        for j in 0..4 {
-                            let v = VecR::<R, L>::from_fn(|l| q[(c + l) * 4 + j]);
-                            for l in 0..L {
-                                qold[(c + l) * 4 + j] = v.lane(l);
-                            }
-                        }
-                        c += L;
-                    }
-                    while c < end {
-                        save_soln(&q[c * 4..c * 4 + 4], &mut qold[c * 4..c * 4 + 4]);
-                        c += 1;
-                    }
-                },
-            );
-            for phase in 0..2 {
-                chain.record(LoopDesc::new(profile("adt_calc"), nc), move |ctx, c| {
-                    let n = mesh.cell2node.row(c);
-                    let q = ctx.dat(qd);
-                    let mut a = R::ZERO;
-                    adt_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        x.row(n[2] as usize),
-                        x.row(n[3] as usize),
-                        &q[c * 4..c * 4 + 4],
-                        &mut a,
-                        consts,
-                    );
-                    unsafe { ctx.dat_mut(ad)[c] = a };
-                });
-                chain.record(LoopDesc::new(profile("res_calc"), ne), move |ctx, e| {
-                    let n = mesh.edge2node.row(e);
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let q = ctx.dat(qd);
-                    let adt = ctx.dat(ad);
-                    let res = unsafe { ctx.dat_mut(rd) };
-                    let (r1, r2) = two_rows_mut(res, 4, c0, c1);
-                    res_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        &q[c0 * 4..c0 * 4 + 4],
-                        &q[c1 * 4..c1 * 4 + 4],
-                        adt[c0],
-                        adt[c1],
-                        r1,
-                        r2,
-                        consts,
-                    );
-                });
-                chain.record(LoopDesc::new(profile("bres_calc"), nb), move |ctx, be| {
-                    let n = mesh.bedge2node.row(be);
-                    let c0 = mesh.bedge2cell.at(be, 0);
-                    let q = ctx.dat(qd);
-                    let adt = ctx.dat(ad);
-                    let res = unsafe { ctx.dat_mut(rd) };
-                    bres_calc(
-                        x.row(n[0] as usize),
-                        x.row(n[1] as usize),
-                        &q[c0 * 4..c0 * 4 + 4],
-                        adt[c0],
-                        &mut res[c0 * 4..c0 * 4 + 4],
-                        bound[be],
-                        consts,
-                    );
-                });
-                chain.record(LoopDesc::new(profile("update"), nc), move |ctx, c| {
-                    let qold = ctx.dat(qod);
-                    let adt = ctx.dat(ad);
-                    let q = unsafe { ctx.dat_mut(qd) };
-                    let res = unsafe { ctx.dat_mut(rd) };
-                    let mut local = R::ZERO;
-                    update(
-                        &qold[c * 4..c * 4 + 4],
-                        &mut q[c * 4..c * 4 + 4],
-                        &mut res[c * 4..c * 4 + 4],
-                        adt[c],
-                        &mut local,
-                    );
-                    // fringe cells recompute state but their owner tile
-                    // contributes their rms partial
-                    if ctx.owned(c) {
-                        let slot = (s * 2 + phase) * ncb + c / block_size;
-                        unsafe { rmss.slice_mut(slot, 1)[0] += local };
-                    }
-                });
-            }
+        let rms = SharedDat::new(&mut rms_parts);
+        let mut tiled = TiledChain::new("airfoil_tiled");
+        tiled.register_set("cells", mesh.n_cells());
+        tiled.register_set("edges", mesh.n_edges());
+        tiled.register_set("bedges", mesh.n_bedges());
+        tiled.register_map(&mesh.edge2cell);
+        tiled.register_map(&mesh.bedge2cell);
+        let StepDats {
+            q, qold, adt, res, ..
+        } = dats;
+        for d in [q, qold, adt, res] {
+            tiled.register_dat(&d.name, "cells", d.dim, &mut d.data);
         }
-        report = chain.execute(
+        report = tiled.execute(
+            |dats| record_steps::<R, L>(&inputs, dats, &rms, steps, None),
             pool,
             tiles,
+            steps,
             tile_cells,
             block_size,
             n_threads,
-            L,
+            shape,
             R::BYTES,
             rec,
         );
     }
-    let hist = (0..steps)
-        .map(|s| {
+    let hist = rms_parts
+        .chunks(2 * ncb)
+        .map(|step| {
             let mut rms = R::ZERO;
-            for v in &rms_parts[s * 2 * ncb..(s + 1) * 2 * ncb] {
+            for v in step {
                 rms += *v;
             }
             sim.normalize_rms(rms.to_f64())
@@ -893,7 +859,7 @@ pub fn step_on<R: Real>(
         let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
         return match backend {
             Backend::Seq => step_seq(sim, rec),
-            // the tiled executor as a 1-step super-chain; multi-step
+            // the tiled executor over a 1-step recording; multi-step
             // harnesses call `run_tiled_on` directly
             Backend::Tiled => {
                 run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]

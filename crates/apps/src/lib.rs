@@ -12,18 +12,19 @@
 //! abstraction — a scalar form generic over `R: Real` and a vector form
 //! generic over `VecR<R, LANES>`, mirroring `res_calc` / `res_calc_vec`
 //! in paper Fig. 3b) and *drivers* — what OP2's code generator would
-//! emit (Figs 2b/3a/3b): a hand-written sequential reference, one
-//! recording of the timestep as an `ump_lazy` chain (scalar body,
-//! `L`-lane chunk body and reduction per loop), and the tiled
-//! recording. Every shared-memory row of the registry executes that one
-//! recording: threaded colored blocks, explicit SIMD with
-//! gather/scatter and the three-sweep structure, the SIMT emulation —
-//! loop by loop or fused — are the [`Shape`] and [`Fusion`] it is
-//! executed under (`chain_exec` maps a row to them). The message-passing
-//! backend does not restate the timestep either: a rank executes the
-//! recording with its halo hooks on, and [`dist`] drives any
-//! [`dist::RankApp`] end to end (halo exchanges, redundant exec-halo
-//! execution, checkpoints, assembly).
+//! emit (Figs 2b/3a/3b): a hand-written sequential reference and one
+//! recording of N timesteps as an `ump_lazy` chain (scalar body,
+//! `L`-lane chunk body and reduction per loop). Every other row of the
+//! registry executes that one recording: threaded colored blocks,
+//! explicit SIMD with gather/scatter and the three-sweep structure, the
+//! SIMT emulation — loop by loop or fused — are the [`Shape`] and
+//! [`Fusion`] it is executed under (`chain_exec` maps a row to them),
+//! and cross-timestep tiling runs its bodies tile by tile
+//! ([`ump_lazy::TiledChain`]). The message-passing backend does not
+//! restate the timestep either: a rank executes the recording with its
+//! halo hooks on, and [`dist`] drives any [`dist::RankApp`] end to end
+//! (halo exchanges, redundant exec-halo execution, checkpoints,
+//! assembly).
 
 #![deny(missing_docs)]
 
@@ -34,8 +35,13 @@ pub mod volna;
 
 pub use resilience::{resilient_loop, ResilientReport};
 
+use std::sync::Arc;
+
+use ump_color::PlanInputs;
+use ump_core::plan::AnyPlan;
 use ump_core::{Backend, ExecPool, PlanCache, Recorder, Scheme, DISPATCH_SIMT_WIDTH};
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
+use ump_mesh::MapTable;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
 /// Default anchor-blocks-per-tile of the registry dispatchers' tiled
@@ -177,6 +183,21 @@ impl ChainExec {
         }
     }
 
+    /// The permute plan whose conflict-free color groups the
+    /// indirect-increment loop through `edge2cell` walks on the calling
+    /// thread (Fig. 8a's rows); `None` for the recording's colored loop.
+    pub(crate) fn permute_plan(
+        &self,
+        cache: &PlanCache,
+        edge2cell: &MapTable,
+        block_size: usize,
+    ) -> Option<Arc<AnyPlan>> {
+        (self.scheme != Scheme::TwoLevel).then(|| {
+            let inputs = PlanInputs::new(edge2cell.from_size, vec![edge2cell], block_size);
+            cache.get(self.scheme, &[&edge2cell.name], &inputs)
+        })
+    }
+
     /// Execute `chain` as this row does, on the caller's pool or — for
     /// the calling-thread rows — on a one-member pool of its own.
     #[allow(clippy::too_many_arguments)]
@@ -209,6 +230,16 @@ impl ChainExec {
             policy,
             self.fusion,
         );
+    }
+}
+
+/// The shape tiles run an `L`-lane recording in: its scalar bodies for
+/// `L = 1`, the three-sweep vector bodies otherwise.
+pub(crate) fn tile_shape<const L: usize>() -> Shape {
+    if L == 1 {
+        Shape::Threaded
+    } else {
+        Shape::Simd { lanes: L }
     }
 }
 

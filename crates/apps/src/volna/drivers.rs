@@ -4,15 +4,18 @@
 //! chain ([`step_chain`]: every shared-memory registry row is an
 //! execution of it, in a [`Shape`] under a [`Fusion`] policy and in
 //! whatever layout the state is stored in; a rank of the distributed
-//! backend executes it with its [`RankHalo`] hooks switched on), the
-//! tiled recording, and the [`step_on`] registry dispatcher; the paper
+//! backend executes it with its [`RankHalo`] hooks switched on, and
+//! [`run_tiled_on`] executes N steps of it tile by tile), and the
+//! [`step_on`] registry dispatcher; the paper
 //! benchmarks Volna in single precision through the same MPI / OpenMP /
 //! OpenCL / intrinsics configurations.
 
-use ump_color::PlanInputs;
+use std::sync::Arc;
+
+use ump_core::plan::AnyPlan;
 use ump_core::{
     seq_loop, simd_block_sweep, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache,
-    Recorder, Scheme, SharedDat,
+    Recorder, SharedDat,
 };
 use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain, VecHint};
 use ump_mesh::Mesh2d;
@@ -26,7 +29,8 @@ use super::mpi::RankState;
 use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
 use crate::dist::{step_mpi_fused, RankHalo};
 use crate::{
-    chain_exec, maybe_time, no_lane_instantiation, ChainExec, Lanes, DISPATCH_TILE_BLOCKS,
+    chain_exec, maybe_time, no_lane_instantiation, tile_shape, ChainExec, Lanes,
+    DISPATCH_TILE_BLOCKS,
 };
 
 // ---------------------------------------------------------------------------
@@ -341,9 +345,121 @@ fn step_exec<R: Real, const L: usize>(
     recorded_step::<R, L>(dats, None, pool, cache, exec, n_threads, block_size, rec)
 }
 
-/// The one recording of the RK2 step, executed as `exec` says: over a
-/// global state (`halo: None`) or a rank's piece of one. A rank's [`RankHalo`]
-/// adds what `op_mpi_halo_exchanges` adds around unchanged loops:
+/// One RK2 step of the one recording, executed as `exec` says, over a
+/// global state (`halo: None`) or a rank's piece of one. Returns the
+/// (globally agreed) Δt.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn recorded_step<R: Real, const L: usize>(
+    dats: StepDats<'_, R>,
+    halo: Option<&RankHalo<'_>>,
+    pool: &ExecPool,
+    cache: &PlanCache,
+    exec: ChainExec,
+    n_threads: usize,
+    block_size: usize,
+    rec: Option<&Recorder>,
+) -> f64 {
+    if let Shape::Simd { lanes } = exec.shape {
+        assert_eq!(
+            lanes, L,
+            "shape sweeps {lanes} lanes, the recorded chunk bodies are {L} wide"
+        );
+    }
+    let n_cells = halo.map_or(dats.mesh.n_cells(), |h| h.n_owned);
+    // the chain's own blocks may span whole sets; the permute plans keep
+    // the caller's block size
+    let permute = exec.permute_plan(cache, &dats.mesh.edge2cell, block_size);
+    let inputs = StepInputs::new(
+        &dats,
+        n_cells,
+        exec.chain_block(block_size),
+        exec.shape,
+        permute,
+    );
+    let mut dt_blocks = vec![R::INFINITY; inputs.edge_blocks];
+    let mut dt = vec![R::INFINITY; 1];
+    {
+        let StepDats {
+            w,
+            w_old,
+            w1,
+            res,
+            eflux,
+            ..
+        } = dats;
+        let evolving = [w, w_old, w1, res, eflux].map(|d| SharedDat::new(&mut d.data));
+        let (dts, dtf) = (SharedDat::new(&mut dt_blocks), SharedDat::new(&mut dt));
+        let chain = record_steps::<R, L>(&inputs, &evolving, &dts, &dtf, 1, halo);
+        let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
+        exec.execute(
+            &chain,
+            pool,
+            cache,
+            n_threads,
+            block_size,
+            R::BYTES,
+            rec,
+            policy,
+        );
+    }
+    dt[0].to_f64()
+}
+
+/// What a recording of Volna steps reads besides the evolving dats and
+/// the reduction slots.
+pub(crate) struct StepInputs<'a, R: Real> {
+    mesh: &'a Mesh2d,
+    area: &'a OpDat<R>,
+    egeom: &'a OpDat<R>,
+    bgeom: &'a OpDat<R>,
+    /// Layouts of w, w_old, w1, res, egeom, eflux and bgeom: every access
+    /// of the recorded bodies goes through them, so the one recording
+    /// runs natively on AoS, SoA or AoSoA storage (dim-1 area indexes
+    /// identically in every layout); rank-local dats are always AoS.
+    views: [DatView; 7],
+    /// Cells the cell loops cover: all, or a rank's owned ones.
+    n_cells: usize,
+    /// Δt slots per step: the edge loops' block count.
+    edge_blocks: usize,
+    /// The shape the recording executes in.
+    shape: Shape,
+    /// Fig. 8a's rows: the permute plan `space_disc` walks instead of its
+    /// colored loop.
+    permute: Option<Arc<AnyPlan>>,
+}
+
+impl<'a, R: Real> StepInputs<'a, R> {
+    /// The inputs of a recording over `dats` with cell loops over
+    /// `n_cells` cells, and edge loops in blocks of `block`.
+    fn new(
+        dats: &StepDats<'a, R>,
+        n_cells: usize,
+        block: usize,
+        shape: Shape,
+        permute: Option<Arc<AnyPlan>>,
+    ) -> StepInputs<'a, R> {
+        let d = dats;
+        StepInputs {
+            mesh: d.mesh,
+            area: d.area,
+            egeom: d.egeom,
+            bgeom: d.bgeom,
+            views: [d.w, d.w_old, d.w1, d.res, d.egeom, d.eflux, d.bgeom].map(|d| d.view()),
+            n_cells,
+            edge_blocks: d.mesh.n_edges().div_ceil(block),
+            shape,
+            permute,
+        }
+    }
+}
+
+/// The one recording of the RK2 step: `steps` steps over the evolving
+/// dats `[w, w_old, w1, res, eflux]` — a global state's, a rank's, or a
+/// tile's shadow copies. Step `s`'s `numerical_flux` blocks store their
+/// Δt candidates in `dt_blocks` slot `s × edge_blocks + block`, its
+/// epilogue folds them into `dt[s]`, and that step's `RK` loops read it.
+/// A rank's [`RankHalo`] adds what `op_mpi_halo_exchanges` adds around
+/// unchanged loops:
 ///
 /// ```text
 /// exch(w)                            sends posted immediately
@@ -362,313 +478,261 @@ fn step_exec<R: Real, const L: usize>(
 /// order across ranks) inside the flux group's epilogue, before `RK_1`
 /// consumes it. The halo markings are applied only for a rank:
 /// `mark_boundary` forces the interior → finish → boundary split, which
-/// a single process must not pay. Returns the (globally agreed) Δt.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn recorded_step<R: Real, const L: usize>(
-    dats: StepDats<'_, R>,
-    halo: Option<&RankHalo<'_>>,
-    pool: &ExecPool,
-    cache: &PlanCache,
-    exec: ChainExec,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let shape = exec.shape;
-    if let Shape::Simd { lanes } = shape {
-        assert_eq!(
-            lanes, L,
-            "shape sweeps {lanes} lanes, the recorded chunk bodies are {L} wide"
-        );
-    }
+/// a single process must not pay.
+pub(crate) fn record_steps<'s, R: Real, const L: usize>(
+    inputs: &'s StepInputs<'_, R>,
+    evolving: &'s [SharedDat<'s, R>],
+    dt_blocks: &'s SharedDat<'s, R>,
+    dt: &'s SharedDat<'s, R>,
+    steps: usize,
+    halo: Option<&'s RankHalo<'s>>,
+) -> Chain<'s> {
+    let StepInputs {
+        mesh,
+        area,
+        egeom,
+        bgeom,
+        views: [wv, woldv, w1v, resv, egv, efv, bgv],
+        n_cells: nc,
+        edge_blocks,
+        shape,
+        ref permute,
+    } = *inputs;
+    let [ws, wolds, w1s, ress, efs] = evolving else {
+        panic!("volna records over [w, w_old, w1, res, eflux]")
+    };
     let g = R::from_f64(GRAVITY);
     let h_min = R::from_f64(H_MIN);
     let cfl = R::from_f64(CFL);
-    let StepDats {
-        mesh,
-        w,
-        w_old,
-        w1,
-        res,
-        area,
-        egeom,
-        eflux,
-        bgeom,
-    } = dats;
-    // layout views, captured before the SharedDat borrows below: every
-    // access in the recorded bodies goes through them, so the one chain
-    // runs natively on AoS, SoA or AoSoA storage; rank-local dats are
-    // always AoS
-    let (wv, woldv, w1v, resv) = (w.view(), w_old.view(), w1.view(), res.view());
-    let (egv, efv, bgv) = (egeom.view(), eflux.view(), bgeom.view());
-    let nc = halo.map_or(mesh.n_cells(), |h| h.n_owned);
     let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
-    // the chain's own blocks may span whole sets; the permute plans keep
-    // the caller's block size
-    let chain_block = exec.chain_block(block_size);
-    let n_edge_blocks = ne.div_ceil(chain_block);
-    // Δt partials: one slot per edge block, folded by an epilogue into
-    // `dt_slot` before RK_1 (a later loop of the same chain) reads it
-    let mut dt_blocks = vec![R::INFINITY; n_edge_blocks];
-    let mut dt_slot = vec![R::INFINITY; 1];
-    {
-        let ws = SharedDat::new(&mut w.data);
-        let wolds = SharedDat::new(&mut w_old.data);
-        let w1s = SharedDat::new(&mut w1.data);
-        let ress = SharedDat::new(&mut res.data);
-        let efs = SharedDat::new(&mut eflux.data);
-        let dts = SharedDat::new(&mut dt_blocks);
-        let dtf = SharedDat::new(&mut dt_slot);
-        // every recorded vector body runs under `Shape::Simd` (measured:
-        // see the Airfoil recording and docs/ARCHITECTURE.md §8)
-        let desc =
-            |name: &str, n: usize| LoopDesc::new(profile(name), n).with_hint(VecHint::Vector);
-        let state_desc = |name: &str, n: usize, phase: usize| {
-            phase_desc(name, n, phase).with_hint(VecHint::Vector)
-        };
+    // every recorded vector body runs under `Shape::Simd` (measured: see
+    // the Airfoil recording and docs/ARCHITECTURE.md §8)
+    let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n).with_hint(VecHint::Vector);
+    let state_desc =
+        |name: &str, n: usize, phase: usize| phase_desc(name, n, phase).with_hint(VecHint::Vector);
 
-        let mut chain = Chain::new("volna_step");
+    let mut chain = Chain::new("volna_step");
+    for step in 0..steps {
         if let Some(h) = halo {
             // refresh w ghosts for phase 0: posted before sim_1 so the
             // copy loop also hides message latency
-            h.record_exchange(&mut chain, "halo[w]", &ws, 4, 0);
+            h.record_exchange(&mut chain, "halo[w]", ws, 4, step as u64 * 2);
         }
-        {
-            let (ws, wolds) = (&ws, &wolds);
-            chain.record_simd(
-                desc("sim_1", nc),
-                vec![],
-                L,
-                move |c| unsafe {
-                    let row: [R; 4] = wv.load_row(ws.as_slice(), c);
-                    let mut old = [R::ZERO; 4];
-                    sim_1(&row, &mut old);
-                    woldv.store_row(wolds.slice_mut(0, wolds.len()), c, &old);
-                },
-                move |cs| unsafe {
-                    let rows: [VecR<R, L>; 4] = wv.load_rows(ws.as_slice(), cs);
-                    woldv.store_rows(&rows, wolds.slice_mut(0, wolds.len()), cs);
-                },
-            );
-            if halo.is_some() {
-                chain.mark_interior();
-            }
+        chain.record_simd(
+            desc("sim_1", nc),
+            vec![],
+            L,
+            move |c| unsafe {
+                let row: [R; 4] = wv.load_row(ws.as_slice(), c);
+                let mut old = [R::ZERO; 4];
+                sim_1(&row, &mut old);
+                woldv.store_row(wolds.slice_mut(0, wolds.len()), c, &old);
+            },
+            move |cs| unsafe {
+                let rows: [VecR<R, L>; 4] = wv.load_rows(ws.as_slice(), cs);
+                woldv.store_rows(&rows, wolds.slice_mut(0, wolds.len()), cs);
+            },
+        );
+        if halo.is_some() {
+            chain.mark_interior();
         }
+        // this step's Δt: folded by numerical_flux's epilogue, read by RK
+        let dt_slots = step * edge_blocks;
         for phase in 0..2 {
-            let state = if phase == 0 { &ws } else { &w1s };
-            let sv = if phase == 0 { wv } else { w1v };
+            let (state, sv) = if phase == 0 { (ws, wv) } else { (w1s, w1v) };
             if let (1, Some(h)) = (phase, halo) {
                 // refresh w1 ghosts (RK_1 wrote owned rows only)
-                h.record_exchange(&mut chain, "halo[w1]", &w1s, 4, 1);
+                h.record_exchange(&mut chain, "halo[w1]", w1s, 4, step as u64 * 2 + 1);
             }
-            {
-                let efs = &efs;
-                chain.record_simd(
-                    state_desc("compute_flux", ne, phase),
-                    vec![],
-                    L,
-                    move |e| {
-                        let c = mesh.edge2cell.row(e);
-                        unsafe {
-                            let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                            let s = state.as_slice();
-                            let wl: [R; 4] = sv.load_row(s, c[0] as usize);
-                            let wr: [R; 4] = sv.load_row(s, c[1] as usize);
-                            let mut f = [R::ZERO; 4];
-                            compute_flux(&ge, &wl, &wr, &mut f, g, h_min);
-                            efv.store_row(efs.slice_mut(0, efs.len()), e, &f);
-                        }
-                    },
-                    move |es| unsafe {
-                        compute_flux_chunk::<R, L>(
-                            es,
-                            &mesh.edge2cell.data,
-                            &egeom.data,
-                            egv,
-                            state.as_slice(),
-                            sv,
-                            efs.slice_mut(0, efs.len()),
-                            efv,
-                            g,
-                            h_min,
-                        );
-                    },
-                );
-                if let Some(h) = halo {
-                    chain.mark_boundary(h.edge_halo);
-                }
-            }
-            if phase == 0 {
-                {
-                    let (efs, dts) = (&efs, &dts);
-                    // one edge of `numerical_flux`, folding its CFL candidate
-                    // into `$dt`; a macro because a closure with two call
-                    // sites below stays out of line
-                    macro_rules! flux_edge {
-                        ($e:expr, $dt:expr) => {{
-                            let c = mesh.edge2cell.row($e);
-                            let ge: [R; 4] = egv.load_row(&egeom.data, $e);
-                            let ef: [R; 4] = efv.load_row(efs.as_slice(), $e);
-                            let (al, ar) = (area.row(c[0] as usize)[0], area.row(c[1] as usize)[0]);
-                            numerical_flux(&ge, &ef, al, ar, $dt, cfl);
-                        }};
-                    }
-                    // the block's Δt folds in registers — one scalar, and
-                    // under the SIMD shape one vector accumulator — and
-                    // lands in its block slot with one store (`min` is
-                    // exact in any order)
-                    let flux_desc = desc("numerical_flux", ne);
-                    let vector = matches!(shape, Shape::Simd { .. }) && flux_desc.vectorize();
-                    chain.record_blocks(flux_desc, vec![], move |b, range| {
-                        let mut local = R::INFINITY;
-                        if vector {
-                            let mut local_v = VecR::<R, L>::splat(R::INFINITY);
-                            simd_block_sweep(
-                                range,
-                                L,
-                                |e| unsafe { flux_edge!(e, &mut local) },
-                                |es| unsafe {
-                                    numerical_flux_chunk::<R, L>(
-                                        es,
-                                        &mesh.edge2cell.data,
-                                        efs.as_slice(),
-                                        efv,
-                                        &area.data,
-                                        &mut local_v,
-                                        cfl,
-                                    );
-                                },
-                            );
-                            local = local.min(local_v.reduce_min());
-                        } else {
-                            for e in range.start as usize..range.end as usize {
-                                unsafe { flux_edge!(e, &mut local) };
-                            }
-                        }
-                        unsafe { dts.slice_mut(b, 1)[0] = local };
-                    });
-                    // numerical_flux reads edge-local flux and the local
-                    // cell areas — no halo data
-                    if halo.is_some() {
-                        chain.mark_interior();
-                    }
-                }
-                {
-                    // fold the Δt partials; across ranks the global CFL
-                    // agreement is the rank-ordered min-allreduce — the
-                    // step's implicit synchronization point (exact
-                    // through f64 at either precision)
-                    let (dts, dtf) = (&dts, &dtf);
-                    chain.epilogue(move || unsafe {
-                        let mut merged = R::INFINITY;
-                        for &v in dts.slice(0, dts.len()) {
-                            merged = if v < merged { v } else { merged };
-                        }
-                        if let Some(h) = halo {
-                            merged = R::from_f64(h.comm.allreduce_min(merged.to_f64()));
-                        }
-                        dtf.slice_mut(0, 1)[0] = merged;
-                    });
-                }
-            }
-            {
-                let (efs, ress) = (&efs, &ress);
-                let compute = move |e: usize| {
+            chain.record_simd(
+                state_desc("compute_flux", ne, phase),
+                vec![],
+                L,
+                move |e| {
                     let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let mut rl = [R::ZERO; 4];
-                    let mut rr = [R::ZERO; 4];
                     unsafe {
                         let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                        let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
                         let s = state.as_slice();
-                        let wl: [R; 4] = sv.load_row(s, c0);
-                        let wr: [R; 4] = sv.load_row(s, c1);
-                        space_disc(&ge, &ef, &wl, &wr, &mut rl, &mut rr, g);
+                        let wl: [R; 4] = sv.load_row(s, c[0] as usize);
+                        let wr: [R; 4] = sv.load_row(s, c[1] as usize);
+                        let mut f = [R::ZERO; 4];
+                        compute_flux(&ge, &wl, &wr, &mut f, g, h_min);
+                        efv.store_row(efs.slice_mut(0, efs.len()), e, &f);
                     }
-                    (c0, rl, c1, rr)
-                };
-                // left row, then right, components ascending, through the
-                // layout view
-                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
-                    let r = ress.slice_mut(0, ress.len());
-                    let (c0, rl, c1, rr) = inc;
-                    resv.add_row(r, *c0, rl);
-                    resv.add_row(r, *c1, rr);
-                };
-                let space_disc_desc = state_desc("space_disc", ne, phase);
-                let chunk = move |lanes: Lanes<'_>| unsafe {
-                    space_disc_chunk::<R, L>(
-                        lanes,
+                },
+                move |es| unsafe {
+                    compute_flux_chunk::<R, L>(
+                        es,
                         &mesh.edge2cell.data,
                         &egeom.data,
                         egv,
-                        efs.as_slice(),
-                        efv,
                         state.as_slice(),
                         sv,
-                        ress.slice_mut(0, ress.len()),
-                        resv,
+                        efs.slice_mut(0, efs.len()),
+                        efv,
                         g,
+                        h_min,
                     );
-                };
-                match exec.scheme {
-                    Scheme::TwoLevel => {
-                        chain.record_simd_two_phase(
-                            space_disc_desc,
-                            vec![&mesh.edge2cell],
-                            L,
-                            compute,
-                            apply,
-                            move |es| chunk(Lanes::Aligned(es)),
-                        );
-                    }
-                    permute => {
-                        // Fig. 8a's schemes: the calling thread walks the
-                        // permute plan's conflict-free color groups
-                        let inputs = PlanInputs::new(ne, vec![&mesh.edge2cell], block_size);
-                        let plan = cache.get(permute, &[&mesh.edge2cell.name], &inputs);
-                        chain.record_seq(space_disc_desc, move || {
-                            plan.for_each_color_group(
-                                L,
-                                |ids| chunk(Lanes::Permuted(ids)),
-                                |e| apply(e, &compute(e)),
-                            );
-                        });
-                    }
-                }
-                if let Some(h) = halo {
-                    chain.mark_boundary(h.edge_halo);
-                }
+                },
+            );
+            if let Some(h) = halo {
+                chain.mark_boundary(h.edge_halo);
             }
-            {
-                let ress = &ress;
-                chain.record_seq(state_desc("bc_flux", nb, phase), move || {
-                    for be in 0..nb {
-                        let c0 = mesh.bedge2cell.at(be, 0);
-                        unsafe {
-                            let bg: [R; 2] = bgv.load_row(&bgeom.data, be);
-                            let wrow: [R; 4] = sv.load_row(state.as_slice(), c0);
-                            let r = ress.slice_mut(0, ress.len());
-                            let mut rrow: [R; 4] = resv.load_row(r, c0);
-                            bc_flux(&bg, &wrow, &mut rrow, g);
-                            resv.store_row(r, c0, &rrow);
+            if phase == 0 {
+                // one edge of `numerical_flux`, folding its CFL candidate
+                // into `$dt`; a macro because a closure with two call
+                // sites below stays out of line
+                macro_rules! flux_edge {
+                    ($e:expr, $dt:expr) => {{
+                        let c = mesh.edge2cell.row($e);
+                        let ge: [R; 4] = egv.load_row(&egeom.data, $e);
+                        let ef: [R; 4] = efv.load_row(efs.as_slice(), $e);
+                        let (al, ar) = (area.row(c[0] as usize)[0], area.row(c[1] as usize)[0]);
+                        numerical_flux(&ge, &ef, al, ar, $dt, cfl);
+                    }};
+                }
+                // the block's Δt folds in registers — one scalar, and
+                // under the SIMD shape one vector accumulator — and lands
+                // in its block slot with one store (`min` is exact in any
+                // order); a tile's fringe run has no slot
+                let flux_desc = desc("numerical_flux", ne);
+                let vector = matches!(shape, Shape::Simd { .. }) && flux_desc.vectorize();
+                chain.record_blocks(flux_desc, vec![], move |slot, range| {
+                    let Some(b) = slot else { return };
+                    let mut local = R::INFINITY;
+                    if vector {
+                        let mut local_v = VecR::<R, L>::splat(R::INFINITY);
+                        simd_block_sweep(
+                            range,
+                            L,
+                            |e| unsafe { flux_edge!(e, &mut local) },
+                            |es| unsafe {
+                                numerical_flux_chunk::<R, L>(
+                                    es,
+                                    &mesh.edge2cell.data,
+                                    efs.as_slice(),
+                                    efv,
+                                    &area.data,
+                                    &mut local_v,
+                                    cfl,
+                                );
+                            },
+                        );
+                        local = local.min(local_v.reduce_min());
+                    } else {
+                        for e in range.start as usize..range.end as usize {
+                            unsafe { flux_edge!(e, &mut local) };
                         }
                     }
+                    unsafe { dt_blocks.slice_mut(dt_slots + b, 1)[0] = local };
                 });
-                // bedges map to owned cells only
+                // numerical_flux reads edge-local flux and the local cell
+                // areas — no halo data
                 if halo.is_some() {
                     chain.mark_interior();
                 }
+                // fold the Δt partials; across ranks the global CFL
+                // agreement is the rank-ordered min-allreduce — the step's
+                // implicit synchronization point (exact through f64 at
+                // either precision)
+                chain.epilogue(move || unsafe {
+                    let mut merged = R::INFINITY;
+                    for &v in dt_blocks.slice(dt_slots, edge_blocks) {
+                        merged = if v < merged { v } else { merged };
+                    }
+                    if let Some(h) = halo {
+                        merged = R::from_f64(h.comm.allreduce_min(merged.to_f64()));
+                    }
+                    dt.slice_mut(step, 1)[0] = merged;
+                });
+            }
+            let compute = move |e: usize| {
+                let c = mesh.edge2cell.row(e);
+                let (c0, c1) = (c[0] as usize, c[1] as usize);
+                let mut rl = [R::ZERO; 4];
+                let mut rr = [R::ZERO; 4];
+                unsafe {
+                    let ge: [R; 4] = egv.load_row(&egeom.data, e);
+                    let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
+                    let s = state.as_slice();
+                    let wl: [R; 4] = sv.load_row(s, c0);
+                    let wr: [R; 4] = sv.load_row(s, c1);
+                    space_disc(&ge, &ef, &wl, &wr, &mut rl, &mut rr, g);
+                }
+                (c0, rl, c1, rr)
+            };
+            // left row, then right, components ascending, through the
+            // layout view
+            let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
+                let r = ress.slice_mut(0, ress.len());
+                let (c0, rl, c1, rr) = inc;
+                resv.add_row(r, *c0, rl);
+                resv.add_row(r, *c1, rr);
+            };
+            let space_disc_desc = state_desc("space_disc", ne, phase);
+            let chunk = move |lanes: Lanes<'_>| unsafe {
+                space_disc_chunk::<R, L>(
+                    lanes,
+                    &mesh.edge2cell.data,
+                    &egeom.data,
+                    egv,
+                    efs.as_slice(),
+                    efv,
+                    state.as_slice(),
+                    sv,
+                    ress.slice_mut(0, ress.len()),
+                    resv,
+                    g,
+                );
+            };
+            match permute {
+                None => {
+                    chain.record_simd_two_phase(
+                        space_disc_desc,
+                        vec![&mesh.edge2cell],
+                        L,
+                        compute,
+                        apply,
+                        move |es| chunk(Lanes::Aligned(es)),
+                    );
+                }
+                // Fig. 8a's schemes: the calling thread walks the permute
+                // plan's conflict-free color groups
+                Some(plan) => {
+                    chain.record_seq(space_disc_desc, move || {
+                        plan.for_each_color_group(
+                            L,
+                            |ids| chunk(Lanes::Permuted(ids)),
+                            |e| apply(e, &compute(e)),
+                        );
+                    });
+                }
+            }
+            if let Some(h) = halo {
+                chain.mark_boundary(h.edge_halo);
+            }
+            chain.record_serial(state_desc("bc_flux", nb, phase), move |be| {
+                let c0 = mesh.bedge2cell.at(be, 0);
+                unsafe {
+                    let bg: [R; 2] = bgv.load_row(&bgeom.data, be);
+                    let wrow: [R; 4] = sv.load_row(state.as_slice(), c0);
+                    let r = ress.slice_mut(0, ress.len());
+                    let mut rrow: [R; 4] = resv.load_row(r, c0);
+                    bc_flux(&bg, &wrow, &mut rrow, g);
+                    resv.store_row(r, c0, &rrow);
+                }
+            });
+            // bedges map to owned cells only
+            if halo.is_some() {
+                chain.mark_interior();
             }
             if phase == 0 {
-                let (wolds, w1s, ress, dtf) = (&wolds, &w1s, &ress, &dtf);
                 chain.record_simd(
                     desc("RK_1", nc),
                     vec![],
                     L,
                     move |c| unsafe {
-                        let dt = dtf.slice(0, 1)[0];
+                        let dt = dt.slice(step, 1)[0];
                         let w_old_row: [R; 4] = woldv.load_row(wolds.as_slice(), c);
                         let r = ress.slice_mut(0, ress.len());
                         let mut res_row: [R; 4] = resv.load_row(r, c);
@@ -678,7 +742,6 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                         resv.store_row(r, c, &res_row);
                     },
                     move |cs| unsafe {
-                        let dt = dtf.slice(0, 1)[0];
                         rk1_chunk::<R, L>(
                             cs,
                             wolds.as_slice(),
@@ -688,18 +751,17 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                             w1s.slice_mut(0, w1s.len()),
                             w1v,
                             &area.data,
-                            dt,
+                            dt.slice(step, 1)[0],
                         );
                     },
                 );
             } else {
-                let (wolds, w1s, ress, ws, dtf) = (&wolds, &w1s, &ress, &ws, &dtf);
                 chain.record_simd(
                     desc("RK_2", nc),
                     vec![],
                     L,
                     move |c| unsafe {
-                        let dt = dtf.slice(0, 1)[0];
+                        let dt = dt.slice(step, 1)[0];
                         let w_old_row: [R; 4] = woldv.load_row(wolds.as_slice(), c);
                         let w1_row: [R; 4] = w1v.load_row(w1s.as_slice(), c);
                         let r = ress.slice_mut(0, ress.len());
@@ -717,7 +779,6 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                         resv.store_row(r, c, &res_row);
                     },
                     move |cs| unsafe {
-                        let dt = dtf.slice(0, 1)[0];
                         rk2_chunk::<R, L>(
                             cs,
                             wolds.as_slice(),
@@ -729,7 +790,7 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                             ws.slice_mut(0, ws.len()),
                             wv,
                             &area.data,
-                            dt,
+                            dt.slice(step, 1)[0],
                         );
                     },
                 );
@@ -737,7 +798,6 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
             if halo.is_some() {
                 chain.mark_interior();
                 // discard ghost increments (owners recompute them)
-                let ress = &ress;
                 chain.epilogue(move || unsafe {
                     for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
                         *v = R::ZERO;
@@ -745,42 +805,30 @@ pub(crate) fn recorded_step<R: Real, const L: usize>(
                 });
             }
         }
-        let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
-        exec.execute(
-            &chain,
-            pool,
-            cache,
-            n_threads,
-            block_size,
-            R::BYTES,
-            rec,
-            policy,
-        );
     }
-    dt_slot[0].to_f64()
+    chain
 }
 
 // ---------------------------------------------------------------------------
 // cross-timestep sparse tiling
 // ---------------------------------------------------------------------------
 
-/// Record `steps` RK2 steps as one tiled super-chain
-/// ([`ump_lazy::TiledChain`]) and sweep it tile-by-tile. Unlike
+/// Record `steps` RK2 steps with the one recording (the one
+/// [`step_chain`] executes) and execute them tile by tile ([`ump_lazy::TiledChain`]). Unlike
 /// Airfoil's single-epoch chain, Volna's CFL Δt is *consumed* in-chain
 /// (`RK_1`/`RK_2` read what `numerical_flux` reduced), so the scheduler
-/// cuts the super-chain into two epochs per step at those global
-/// barriers — the cross-step cones span the `RK_1 … compute_flux'`
-/// epoch that straddles the step boundary. Returns the per-step Δt
-/// values.
+/// cuts the recording into two epochs per step at those global barriers
+/// — the cross-step cones span the `RK_1 … compute_flux'` epoch that
+/// straddles the step boundary. Returns the per-step Δt values.
 ///
 /// Determinism mirrors the Airfoil driver: ascending per-tile execution
-/// makes cell/edge state bit-identical to [`step_seq`]; Δt partials land
-/// in per-`(step, edge-block)` slots (block-aligned ownership keeps the
-/// slots tile-exclusive) merged in block order by an epoch epilogue —
-/// and `min` is exact in any order, so Δt equals every other backend's
-/// bit-for-bit. Tiled execution is defined on AoS rows: a state in
-/// another layout is converted to AoS and back around the call (a pure
-/// index permutation, bit-exact).
+/// makes cell/edge state with `L = 1` bit-identical to [`step_seq`]; Δt
+/// partials land in per-`(step, edge-block)` slots (block-aligned
+/// ownership keeps the slots tile-exclusive) merged in block order by an
+/// epoch epilogue — and `min` is exact in any order, so Δt equals every
+/// other backend's bit-for-bit. Tiled execution is defined on AoS rows:
+/// a state in another layout is converted to AoS and back around the
+/// call (a pure index permutation, bit-exact).
 ///
 /// The cone schedule is inspected once and kept, with the executor's
 /// buffers, in `sim.tiles`: a repeated `(steps, tile_cells,
@@ -818,9 +866,6 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
         sim.set_layout(layout);
         return out;
     }
-    let g = R::from_f64(GRAVITY);
-    let h_min = R::from_f64(H_MIN);
-    let cfl = R::from_f64(CFL);
     let Volna {
         case,
         w,
@@ -834,179 +879,63 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
         tiles,
     } = sim;
     let mesh = &case.mesh;
-    let (area, egeom, bgeom) = (&*area, &*egeom, &*bgeom);
-    let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
-    let neb = ne.div_ceil(block_size);
-    // Δt partials per (step, edge block) + the per-step merged minima
-    let mut dt_parts = vec![R::INFINITY; steps * neb];
-    let mut dt_merged = vec![R::INFINITY; steps];
+    let dats = StepDats {
+        mesh,
+        w,
+        w_old,
+        w1,
+        res,
+        area,
+        egeom,
+        eflux,
+        bgeom,
+    };
+    let shape = tile_shape::<L>();
+    let inputs = StepInputs::new(&dats, mesh.n_cells(), block_size, shape, None);
+    let mut dt_blocks = vec![R::INFINITY; steps * inputs.edge_blocks];
+    let mut dt = vec![R::INFINITY; steps];
     let report;
     {
-        let dts = SharedDat::new(&mut dt_parts);
-        let dtm = SharedDat::new(&mut dt_merged);
-        let (dts, dtm) = (&dts, &dtm);
-        let mut chain = TiledChain::new("volna_tiled");
-        chain.register_set("cells", nc);
-        chain.register_set("edges", ne);
-        chain.register_set("bedges", nb);
-        chain.register_map(&mesh.edge2cell);
-        chain.register_map(&mesh.bedge2cell);
-        let wd = chain.register_dat("w", "cells", 4, &mut w.data);
-        let wod = chain.register_dat("w_old", "cells", 4, &mut w_old.data);
-        let w1d = chain.register_dat("w1", "cells", 4, &mut w1.data);
-        let resd = chain.register_dat("res", "cells", 4, &mut res.data);
-        let efd = chain.register_dat("eflux", "edges", 4, &mut eflux.data);
-        for s in 0..steps {
-            chain.begin_step();
-            chain.record_vec(
-                LoopDesc::new(profile("sim_1"), nc),
-                move |ctx, c| {
-                    let w = ctx.dat(wd);
-                    let w_old = unsafe { ctx.dat_mut(wod) };
-                    sim_1(&w[c * 4..c * 4 + 4], &mut w_old[c * 4..c * 4 + 4]);
-                },
-                move |ctx, start, len| {
-                    // pure copy: lane moves over the run, scalar tail
-                    let w = ctx.dat(wd);
-                    let w_old = unsafe { ctx.dat_mut(wod) };
-                    let (mut c, end) = (start, start + len);
-                    while c + L <= end {
-                        for j in 0..4 {
-                            let v = VecR::<R, L>::from_fn(|l| w[(c + l) * 4 + j]);
-                            for l in 0..L {
-                                w_old[(c + l) * 4 + j] = v.lane(l);
-                            }
-                        }
-                        c += L;
-                    }
-                    while c < end {
-                        sim_1(&w[c * 4..c * 4 + 4], &mut w_old[c * 4..c * 4 + 4]);
-                        c += 1;
-                    }
-                },
-            );
-            for phase in 0..2 {
-                let sd = if phase == 0 { wd } else { w1d };
-                chain.record(phase_desc("compute_flux", ne, phase), move |ctx, e| {
-                    let c = mesh.edge2cell.row(e);
-                    let state = ctx.dat(sd);
-                    let eflux = unsafe { ctx.dat_mut(efd) };
-                    compute_flux(
-                        egeom.row(e),
-                        &state[c[0] as usize * 4..c[0] as usize * 4 + 4],
-                        &state[c[1] as usize * 4..c[1] as usize * 4 + 4],
-                        &mut eflux[e * 4..e * 4 + 4],
-                        g,
-                        h_min,
-                    );
-                });
-                if phase == 0 {
-                    chain.record(
-                        LoopDesc::new(profile("numerical_flux"), ne),
-                        move |ctx, e| {
-                            // the cone schedules exactly the owned
-                            // iterations of a pure-reduction loop, so the
-                            // block slot is tile-exclusive
-                            debug_assert!(ctx.owned(e));
-                            let c = mesh.edge2cell.row(e);
-                            let eflux = ctx.dat(efd);
-                            let slot =
-                                unsafe { &mut dts.slice_mut(s * neb + e / block_size, 1)[0] };
-                            numerical_flux(
-                                egeom.row(e),
-                                &eflux[e * 4..e * 4 + 4],
-                                area.row(c[0] as usize)[0],
-                                area.row(c[1] as usize)[0],
-                                slot,
-                                cfl,
-                            );
-                        },
-                    );
-                    // merged at this epoch's barrier, before the next
-                    // epoch's RK_1 reads it — block-ascending fold, same
-                    // as the fused chain's epilogue (min is exact in any
-                    // order, so Δt matches every backend bit-for-bit)
-                    chain.epilogue(move || unsafe {
-                        let mut merged = R::INFINITY;
-                        for &v in dts.slice(s * neb, neb) {
-                            merged = if v < merged { v } else { merged };
-                        }
-                        dtm.slice_mut(s, 1)[0] = merged;
-                    });
-                }
-                chain.record(phase_desc("space_disc", ne, phase), move |ctx, e| {
-                    let c = mesh.edge2cell.row(e);
-                    let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let state = ctx.dat(sd);
-                    let eflux = ctx.dat(efd);
-                    let res = unsafe { ctx.dat_mut(resd) };
-                    let (rl, rr) = two_rows_mut(res, 4, c0, c1);
-                    space_disc(
-                        egeom.row(e),
-                        &eflux[e * 4..e * 4 + 4],
-                        &state[c0 * 4..c0 * 4 + 4],
-                        &state[c1 * 4..c1 * 4 + 4],
-                        rl,
-                        rr,
-                        g,
-                    );
-                });
-                chain.record(phase_desc("bc_flux", nb, phase), move |ctx, be| {
-                    let c0 = mesh.bedge2cell.at(be, 0);
-                    let state = ctx.dat(sd);
-                    let res = unsafe { ctx.dat_mut(resd) };
-                    bc_flux(
-                        bgeom.row(be),
-                        &state[c0 * 4..c0 * 4 + 4],
-                        &mut res[c0 * 4..c0 * 4 + 4],
-                        g,
-                    );
-                });
-                if phase == 0 {
-                    chain.record(LoopDesc::new(profile("RK_1"), nc), move |ctx, c| {
-                        let dt = unsafe { dtm.slice(s, 1)[0] };
-                        let w_old = ctx.dat(wod);
-                        let res = unsafe { ctx.dat_mut(resd) };
-                        let w1 = unsafe { ctx.dat_mut(w1d) };
-                        rk_1(
-                            &w_old[c * 4..c * 4 + 4],
-                            &mut res[c * 4..c * 4 + 4],
-                            &mut w1[c * 4..c * 4 + 4],
-                            area.row(c)[0],
-                            dt,
-                        );
-                    });
-                } else {
-                    chain.record(LoopDesc::new(profile("RK_2"), nc), move |ctx, c| {
-                        let dt = unsafe { dtm.slice(s, 1)[0] };
-                        let w_old = ctx.dat(wod);
-                        let w1 = ctx.dat(w1d);
-                        let res = unsafe { ctx.dat_mut(resd) };
-                        let w = unsafe { ctx.dat_mut(wd) };
-                        rk_2(
-                            &w_old[c * 4..c * 4 + 4],
-                            &w1[c * 4..c * 4 + 4],
-                            &mut res[c * 4..c * 4 + 4],
-                            &mut w[c * 4..c * 4 + 4],
-                            area.row(c)[0],
-                            dt,
-                        );
-                    });
-                }
-            }
+        let (dts, dtf) = (SharedDat::new(&mut dt_blocks), SharedDat::new(&mut dt));
+        let mut tiled = TiledChain::new("volna_tiled");
+        tiled.register_set("cells", mesh.n_cells());
+        tiled.register_set("edges", mesh.n_edges());
+        tiled.register_set("bedges", mesh.n_bedges());
+        tiled.register_map(&mesh.edge2cell);
+        tiled.register_map(&mesh.bedge2cell);
+        let StepDats {
+            w,
+            w_old,
+            w1,
+            res,
+            eflux,
+            ..
+        } = dats;
+        for (d, set) in [
+            (w, "cells"),
+            (w_old, "cells"),
+            (w1, "cells"),
+            (res, "cells"),
+        ]
+        .into_iter()
+        .chain([(eflux, "edges")])
+        {
+            tiled.register_dat(&d.name, set, d.dim, &mut d.data);
         }
-        report = chain.execute(
+        report = tiled.execute(
+            |dats| record_steps::<R, L>(&inputs, dats, &dts, &dtf, steps, None),
             pool,
             tiles,
+            steps,
             tile_cells,
             block_size,
             n_threads,
-            L,
+            shape,
             R::BYTES,
             rec,
         );
     }
-    (dt_merged.iter().map(|v| v.to_f64()).collect(), report)
+    (dt.iter().map(|v| v.to_f64()).collect(), report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,7 +978,7 @@ pub fn step_on<R: Real>(
         let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
         return match backend {
             Backend::Seq => step_seq(sim, rec),
-            // the tiled executor as a 1-step super-chain; multi-step
+            // the tiled executor over a 1-step recording; multi-step
             // harnesses call `run_tiled_on` directly
             Backend::Tiled => {
                 run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]

@@ -86,21 +86,19 @@ pub fn space_disc<R: Real>(
     g: R,
 ) {
     let (nx, ny, len) = (geom[0], geom[1], geom[2]);
-    res_l[0] += eflux[0];
-    res_r[0] -= eflux[0];
-    res_l[1] += eflux[1];
-    res_r[1] -= eflux[1];
-    res_l[2] += eflux[2];
-    res_r[2] -= eflux[2];
-
     // Green-Gauss bed-slope source: res_hu += g·h_cell·b_face·n·len
     let b_face = R::HALF * (wl[3] + wr[3]);
     let sl = g * wl[0] * b_face * len;
     let sr = g * wr[0] * b_face * len;
-    res_l[1] += sl * nx;
-    res_l[2] += sl * ny;
-    res_r[1] -= sr * nx;
-    res_r[2] -= sr * ny;
+    // one update per component, as `space_disc_vec` sums it: applied in
+    // place (`step_seq`) or staged in zeroed increments (the recording),
+    // the residual gets the same bits
+    res_l[0] += eflux[0];
+    res_r[0] -= eflux[0];
+    res_l[1] += eflux[1] + sl * nx;
+    res_r[1] -= eflux[1] + sr * nx;
+    res_l[2] += eflux[2] + sl * ny;
+    res_r[2] -= eflux[2] + sr * ny;
 }
 
 /// `bc_flux`: reflective-wall boundary flux. A wall face carries no mass

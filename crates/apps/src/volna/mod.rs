@@ -333,8 +333,8 @@ pub fn profile(name: &str) -> LoopProfile {
 /// The recorded descriptor of a state-gathering loop (`compute_flux`,
 /// `space_disc`, `bc_flux`) in RK phase `phase`: the dat those loops
 /// gather switches from `w` to `w1` in the second phase, and the
-/// dependency analysis of the fused and tiled recordings must see what
-/// the body actually reads.
+/// dependency analysis of the recording (fusion groups, tile cones)
+/// must see what the body actually reads.
 pub(crate) fn phase_desc(name: &str, n_elems: usize, phase: usize) -> ump_lazy::LoopDesc {
     let mut p = profile(name);
     if phase == 1 {

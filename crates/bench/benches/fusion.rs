@@ -3,12 +3,11 @@
 //! between each (the `threaded` backend) versus recorded into a chain
 //! and dispatched one colored round per fused group (`step_chain` under `Fusion::Groups`).
 //!
-//! Measured on the 300×150 Airfoil mesh (the pool bench's baseline mesh)
-//! and a comparable Volna coastal mesh, with the dispatch rounds per
-//! step counted from the pool's own round counter and the chain's
-//! saved-bytes estimate taken from the fusion instrumentation. Results
-//! land in `BENCH_fusion.json` at the repo root, next to
-//! `BENCH_pool.json`. (Scalar vs vector bodies of the same chains are
+//! Measured on the 300×150 Airfoil mesh and a comparable Volna coastal
+//! mesh, with the dispatch rounds per step counted from the pool's own
+//! round counter and the chain's saved-bytes estimate taken from the
+//! fusion instrumentation. Results land in `BENCH_fusion.json` at the
+//! repo root. (Scalar vs vector bodies of the same chains are
 //! measured by the reference benchmark's `airfoil_fused_simd_soa` and
 //! `airfoil_simd_threaded` workloads, not here.)
 

@@ -2,9 +2,11 @@
 //!
 //! The `repro` binary regenerates every table and figure of the paper's
 //! evaluation section (see DESIGN.md's per-experiment index); the
-//! Criterion benches (`kernels`, `simd_ops`, `plans`) provide
-//! microbenchmarks and the DESIGN.md ablations (scatter modes, AoS vs
-//! SoA gathers, plan construction cost).
+//! Criterion benches (`kernels`, `fusion`, `halo`, `resilience`, `tune`)
+//! measure one subsystem each. Layer probes — pool dispatch, SIMD
+//! gather/scatter, plan construction — are per-layer rows of the
+//! reference benchmark (`benchmark/`: `core.empty_round_us`,
+//! `simd.gather_ns_per_elem`, `color.plan_build_ms`, …).
 //!
 //! This library holds the shared plumbing: building [`KernelWork`] model
 //! inputs from *measured* plan statistics on real meshes, and running the

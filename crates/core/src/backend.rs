@@ -102,15 +102,17 @@ pub enum Backend {
         /// Vector width of the fused lane bodies inside each rank.
         lanes: usize,
     },
-    /// Cross-timestep sparse tiling (`ump_lazy::TiledChain`): N recorded
-    /// timesteps swept tile-by-tile through per-tile dependency cones
-    /// with redundant fringe compute — bandwidth elimination on top of
-    /// fusion's barrier reduction.
+    /// Cross-timestep sparse tiling (`ump_lazy::TiledChain`): N
+    /// timesteps of the app's one recording swept tile-by-tile through
+    /// per-tile dependency cones with redundant fringe compute —
+    /// bandwidth elimination on top of fusion's barrier reduction. Tiles
+    /// run every loop's scalar body.
     Tiled,
-    /// Cross-timestep tiling with vectorized run bodies on the direct
-    /// cell loops (indirect loops stay scalar inside the tile sweep).
+    /// Cross-timestep tiling running every loop's `lanes`-wide chunk
+    /// body (gathers, serialized lane scatters, the three-sweep
+    /// alignment) on the cone runs inside each tile.
     TiledSimd {
-        /// Vector width of the tiled run bodies.
+        /// Vector width of the recorded chunk bodies.
         lanes: usize,
     },
 }

@@ -80,8 +80,12 @@ pub enum Shape {
     },
 }
 
-/// Block-level execution closure of a recorded loop.
-type BlockBody<'a> = Box<dyn Fn(&ump_color::TwoLevelPlan, Shape, usize, Range<u32>) + Sync + 'a>;
+/// Block-level execution closure of a recorded loop: `(plan, shape,
+/// slot, range)`. A colored dispatch passes its plan and `Some(block)`;
+/// the tiled executor passes no plan, and `slot` as
+/// [`record_blocks`](Chain::record_blocks) documents it.
+type BlockBody<'a> =
+    Box<dyn Fn(Option<&ump_color::TwoLevelPlan>, Shape, Option<usize>, Range<u32>) + Sync + 'a>;
 
 /// Halo classification of a recorded loop — what the distributed
 /// executor may do with the loop while halo exchanges are in flight.
@@ -116,8 +120,14 @@ fn sched_spin(shape: Shape) {
 enum Body<'a> {
     /// Dispatched through the pool, block by block.
     Blocks(BlockBody<'a>),
-    /// Run serially on the dispatching thread (tiny sets).
-    Seq(Box<dyn Fn() + Sync + 'a>),
+    /// Run serially on the dispatching thread (tiny sets), over the
+    /// whole set. `elements`: the body runs any element range in
+    /// ascending order, so the tiled executor may run it on cone runs; a
+    /// whole-set walk with no element order ignores its range.
+    Seq {
+        body: Box<dyn Fn(Range<u32>) + Sync + 'a>,
+        elements: bool,
+    },
     /// A halo exchange: `start` posts the non-blocking sends, `finish`
     /// receives and unpacks. Between the two the executor runs interior
     /// work — the latency-hiding schedule of the distributed backend.
@@ -233,7 +243,7 @@ impl<'a> Chain<'a> {
         self.push_blocks(
             desc,
             written,
-            Box::new(move |_plan, shape, _b, range| {
+            Box::new(move |_plan, shape, _slot, range| {
                 sched_spin(shape);
                 for e in range {
                     body(e as usize);
@@ -243,22 +253,27 @@ impl<'a> Chain<'a> {
         self
     }
 
-    /// Record a loop whose body sees the whole block (`block id`,
-    /// element range) — for per-block reduction partials sized by
-    /// `n_elems.div_ceil(block_size)`, the block count every two-level
-    /// plan of this set uses.
+    /// Record a loop whose body sees the whole block — for per-block
+    /// reduction partials sized by `n_elems.div_ceil(block_size)`, the
+    /// block count every two-level plan of this set uses. `body(slot,
+    /// range)` gets `Some(b)` when `range` lies in block `b`, whose
+    /// reduction slot the body then owns exclusively (a colored block,
+    /// or an owned block of a tile), and `None` for a redundant fringe
+    /// run of a tiled execution: the body still computes the run's
+    /// element state but must drop its reduction contribution, which
+    /// the owning tile makes.
     pub fn record_blocks(
         &mut self,
         desc: LoopDesc,
         written: Vec<&'a MapTable>,
-        body: impl Fn(usize, Range<u32>) + Sync + 'a,
+        body: impl Fn(Option<usize>, Range<u32>) + Sync + 'a,
     ) -> &mut Self {
         self.push_blocks(
             desc,
             written,
-            Box::new(move |_plan, shape, b, range| {
+            Box::new(move |_plan, shape, slot, range| {
                 sched_spin(shape);
-                body(b, range)
+                body(slot, range)
             }),
         );
         self
@@ -278,7 +293,7 @@ impl<'a> Chain<'a> {
         self.push_blocks(
             desc,
             written,
-            Box::new(move |plan, shape, b, range| match shape {
+            Box::new(move |plan, shape, slot, range| match shape {
                 // without a recorded vector body the SIMD shape degrades
                 // to the threaded element loop (still correct: one
                 // thread per block, increments applied immediately)
@@ -292,7 +307,10 @@ impl<'a> Chain<'a> {
                 Shape::Simt {
                     width,
                     sched_overhead_ns,
-                } => simt_block_sweep(plan, b, range, width, sched_overhead_ns, &compute, &apply),
+                } => {
+                    let (plan, b) = plan.zip(slot).expect("SIMT sweeps a plan's blocks");
+                    simt_block_sweep(plan, b, range, width, sched_overhead_ns, &compute, &apply)
+                }
             }),
         );
         self
@@ -323,7 +341,7 @@ impl<'a> Chain<'a> {
         self.push_blocks(
             desc,
             written,
-            Box::new(move |_plan, shape, _b, range| match shape {
+            Box::new(move |_plan, shape, _slot, range| match shape {
                 Shape::Simd { lanes: l } => {
                     assert_eq!(
                         l, lanes,
@@ -369,7 +387,7 @@ impl<'a> Chain<'a> {
         self.push_blocks(
             desc,
             written,
-            Box::new(move |plan, shape, b, range| match shape {
+            Box::new(move |plan, shape, slot, range| match shape {
                 Shape::Threaded => {
                     for e in range {
                         let e = e as usize;
@@ -380,7 +398,10 @@ impl<'a> Chain<'a> {
                 Shape::Simt {
                     width,
                     sched_overhead_ns,
-                } => simt_block_sweep(plan, b, range, width, sched_overhead_ns, &compute, &apply),
+                } => {
+                    let (plan, b) = plan.zip(slot).expect("SIMT sweeps a plan's blocks");
+                    simt_block_sweep(plan, b, range, width, sched_overhead_ns, &compute, &apply)
+                }
                 Shape::Simd { lanes: l } => {
                     assert_eq!(
                         l, lanes,
@@ -404,13 +425,34 @@ impl<'a> Chain<'a> {
     }
 
     /// Record a loop executed serially on the dispatching thread between
-    /// groups — the tiny boundary sets the paper drops from analysis. A
-    /// serial loop never fuses and issues no pool rounds.
+    /// groups — the tiny boundary sets the paper drops from analysis —
+    /// as an element body run over the set in ascending order (the tiled
+    /// executor runs it on cone runs). A serial loop never fuses and
+    /// issues no pool rounds.
+    pub fn record_serial(&mut self, desc: LoopDesc, body: impl Fn(usize) + Sync + 'a) -> &mut Self {
+        let body = move |range: Range<u32>| range.for_each(|e| body(e as usize));
+        self.push_seq(desc, Box::new(body), true)
+    }
+
+    /// Record a serial loop whose body walks the whole set in an order
+    /// of its own (a permute plan's color groups): like
+    /// [`record_serial`](Chain::record_serial), but with no element
+    /// order a tiled execution could follow, so the tiled executor
+    /// refuses the chain.
     pub fn record_seq(&mut self, desc: LoopDesc, body: impl Fn() + Sync + 'a) -> &mut Self {
+        self.push_seq(desc, Box::new(move |_| body()), false)
+    }
+
+    fn push_seq(
+        &mut self,
+        desc: LoopDesc,
+        body: Box<dyn Fn(Range<u32>) + Sync + 'a>,
+        elements: bool,
+    ) -> &mut Self {
         self.loops.push(RecordedLoop {
             desc,
             written: Vec::new(),
-            body: Body::Seq(Box::new(body)),
+            body: Body::Seq { body, elements },
             halo: HaloClass::Unknown,
             epilogue: None,
         });
@@ -533,7 +575,7 @@ impl<'a> Chain<'a> {
 
     /// The dispatch groups of the recorded chain under `fusion`.
     fn partition(&self, fusion: Fusion) -> Vec<GroupSpec> {
-        let seq = |l: &RecordedLoop<'_>| matches!(l.body, Body::Seq(_) | Body::Exchange { .. });
+        let seq = |l: &RecordedLoop<'_>| matches!(l.body, Body::Seq { .. } | Body::Exchange { .. });
         match fusion {
             Fusion::Groups => {
                 let entries: Vec<(&LoopDesc, bool)> =
@@ -648,13 +690,13 @@ impl<'a> Chain<'a> {
             let mut waited_in_group = 0.0;
             if group.seq {
                 match &members[0].body {
-                    Body::Seq(f) => {
+                    Body::Seq { body, .. } => {
                         // serial loops without an interior marking may
                         // read halo data: complete pending exchanges
                         if !matches!(members[0].halo, HaloClass::Interior) {
                             waited_in_group += flush(&mut pending, &mut report);
                         }
-                        f();
+                        body(0..members[0].desc.n_elems as u32);
                     }
                     Body::Exchange { start, finish } => {
                         report.exchanges += 1;
@@ -685,7 +727,7 @@ impl<'a> Chain<'a> {
                 let body = |b: usize, range: Range<u32>| {
                     for l in members {
                         if let Body::Blocks(f) = &l.body {
-                            f(plan, shape, b, range.clone());
+                            f(Some(plan), shape, Some(b), range.clone());
                         }
                     }
                 };
@@ -785,6 +827,40 @@ impl<'a> Chain<'a> {
             );
         }
         report
+    }
+
+    /// Loop `i`'s descriptor.
+    pub(crate) fn desc(&self, i: usize) -> &LoopDesc {
+        &self.loops[i].desc
+    }
+
+    /// Can loop `i` run on an arbitrary ascending element range — what
+    /// the tiled executor does with each cone run? Pooled and serial
+    /// element bodies can; whole-set walks and exchanges cannot.
+    pub(crate) fn runs_on_ranges(&self, i: usize) -> bool {
+        match self.loops[i].body {
+            Body::Blocks(_) => true,
+            Body::Seq { elements, .. } => elements,
+            Body::Exchange { .. } => false,
+        }
+    }
+
+    /// Run loop `i`'s body on `range` outside any plan, in `shape`
+    /// (never SIMT, which sweeps a plan's blocks); `slot` as for
+    /// [`record_blocks`](Chain::record_blocks).
+    pub(crate) fn run_range(&self, i: usize, shape: Shape, slot: Option<usize>, range: Range<u32>) {
+        match &self.loops[i].body {
+            Body::Blocks(f) => f(None, shape, slot, range),
+            Body::Seq { body, .. } => body(range),
+            Body::Exchange { .. } => unreachable!("exchanges have no element range"),
+        }
+    }
+
+    /// Run loop `i`'s epilogue, if it has one.
+    pub(crate) fn run_epilogue(&self, i: usize) {
+        if let Some(e) = &self.loops[i].epilogue {
+            e();
+        }
     }
 }
 
@@ -1221,6 +1297,7 @@ mod tests {
                         for e in range {
                             local += e as f64;
                         }
+                        let b = b.expect("a colored block owns its slot");
                         unsafe { pv.slice_mut(b, 1)[0] = local };
                     },
                 );
@@ -1234,8 +1311,8 @@ mod tests {
             }
             {
                 let (tv, cv) = (&tv, &cv);
-                chain.record_seq(desc("consume", "bedges", 1, vec![]), move || unsafe {
-                    cv.slice_mut(0, 1)[0] = tv.slice(0, 1)[0] * 2.0;
+                chain.record_serial(desc("consume", "bedges", 1, vec![]), move |e| unsafe {
+                    cv.slice_mut(e, 1)[0] = tv.slice(0, 1)[0] * 2.0;
                 });
             }
             let r0 = pool.dispatch_rounds();
@@ -1440,7 +1517,7 @@ mod tests {
                         vec![ArgInfo::direct("a", 1, Access::Rw)],
                     ),
                     vec![],
-                    |b, _range| log(format!("block{b}")),
+                    |b, _range| log(format!("block{}", b.unwrap())),
                 );
                 chain.mark_boundary(&flags);
                 report = chain.execute_policy(

@@ -124,7 +124,7 @@ pub fn conflict(first: &LoopDesc, second: &LoopDesc) -> Option<String> {
 /// Why `second` needs a *global synchronization point* after `first`
 /// when the two loops share a cross-timestep tiled epoch (`None` = they
 /// may share one). This is the epoch-cut rule of the tiling scheduler
-/// ([`TiledChain::epoch_ranges`](crate::tile::TiledChain::epoch_ranges)):
+/// ([`epoch_ranges`](crate::tile::epoch_ranges)):
 /// tiles execute an epoch independently, so a globally-reduced value can
 /// only be *consumed* after every tile's partial has been merged at an
 /// epoch barrier.
@@ -167,6 +167,7 @@ pub struct GroupSpec {
     /// Indices of the member loops (contiguous in recorded order).
     pub loops: Range<usize>,
     /// `true`: the member runs serially on the dispatching thread (a
+    /// [`record_serial`](crate::chain::Chain::record_serial) or
     /// [`record_seq`](crate::chain::Chain::record_seq) loop, never
     /// fused). `false`: one colored dispatch for the whole group.
     pub seq: bool,

@@ -72,8 +72,9 @@
 //! respects every member's write conflicts and is still computed once
 //! per shape and reused across the time loop.
 //!
-//! Loops recorded with [`Chain::record_seq`] (tiny boundary sets the
-//! paper drops from analysis) run serially on the dispatching thread
+//! Loops recorded with [`Chain::record_serial`] (tiny boundary sets the
+//! paper drops from analysis) or [`Chain::record_seq`] (a whole-set walk
+//! in an order of its own) run serially on the dispatching thread
 //! between groups and never fuse.
 //!
 //! # Distributed chains: halo/compute overlap
@@ -98,12 +99,16 @@
 //!
 //! # Cross-timestep sparse tiling
 //!
-//! [`tile::TiledChain`] records **N timesteps** as one super-chain and
-//! turns the runtime from barrier-reducing into bandwidth-eliminating:
-//! the mesh is partitioned into tiles, each tile's dependency cone is
-//! grown backward through the maps one halo layer per loop, and the
-//! executor sweeps every tile through all member loops — across
-//! timestep boundaries — while its working set stays cache-resident.
+//! [`tile::TiledChain`] executes a chain recording **N timesteps** tile
+//! by tile and turns the runtime from barrier-reducing into
+//! bandwidth-eliminating: the mesh is partitioned into tiles, each
+//! tile's dependency cone is grown backward through the maps one halo
+//! layer per loop (from the recorded [`LoopDesc`]s), and the executor
+//! sweeps every tile through all member loops — across timestep
+//! boundaries — while its working set stays cache-resident. It runs the
+//! loops' own recorded bodies on each cone's ascending runs, over the
+//! tile's shadow copies of the evolving dats: tiling is an execution
+//! policy of the one recording, like fusion and the SIMD shape.
 //! Fringe iterations shared by neighboring cones are computed
 //! redundantly by each tile that needs them, so tiles never synchronize
 //! inside an *epoch*; epochs are cut exactly at global-reduction
@@ -160,6 +165,7 @@
 //!
 //! [`Chain::execute`]: chain::Chain::execute
 //! [`Chain::record_seq`]: chain::Chain::record_seq
+//! [`Chain::record_serial`]: chain::Chain::record_serial
 //! [`Chain::record_simd`]: chain::Chain::record_simd
 //! [`Chain::record_simd_two_phase`]: chain::Chain::record_simd_two_phase
 //! [`Chain::record_exchange`]: chain::Chain::record_exchange
@@ -178,4 +184,4 @@ pub mod tile;
 
 pub use chain::{Chain, ChainReport, ExchangePolicy, Fusion, Shape};
 pub use desc::{conflict, fuse_groups, global_barrier, GroupSpec, LoopDesc, VecHint};
-pub use tile::{DatId, TileCache, TileCtx, TileReport, TileSchedule, TiledChain};
+pub use tile::{epoch_ranges, TileCache, TileDats, TileReport, TileSchedule, TiledChain};

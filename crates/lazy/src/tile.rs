@@ -1,49 +1,51 @@
-//! Cross-timestep sparse tiling: record N timesteps as one super-chain,
-//! compute per-tile dependency cones through the indirection maps, and
-//! sweep each tile through all N steps while its working set stays in
-//! cache.
+//! Cross-timestep sparse tiling: execute N recorded timesteps of one
+//! [`Chain`] tile by tile, each tile through all N steps while its
+//! working set stays in cache.
 //!
-//! Within-step fusion ([`Chain`](crate::chain::Chain)) removes dispatch
-//! rounds but still re-streams every dat from memory once per timestep.
-//! The OP2 sparse-tiling lineage goes further: partition the mesh into
-//! *tiles*, grow each tile's footprint **backward** one halo layer per
-//! dependence through the maps (the *dependency cone*), and execute each
-//! tile through many loops — and many *steps* — before touching the next
+//! Within-step fusion ([`Chain`]) removes dispatch rounds but still
+//! re-streams every dat from memory once per timestep. The OP2
+//! sparse-tiling lineage goes further: partition the mesh into *tiles*,
+//! grow each tile's footprint **backward** one halo layer per dependence
+//! through the maps (the *dependency cone*), and execute each tile
+//! through many loops — and many *steps* — before touching the next
 //! tile. Fringe iterations shared by neighboring cones are computed
 //! redundantly by every tile that needs them, which is what makes tiles
 //! independent: no inter-tile synchronization inside an epoch.
 //!
-//! The pieces:
+//! Tiling is one more execution policy of the recording every other
+//! shared-memory path runs — there is no tiled copy of a loop body. The
+//! pieces:
 //!
-//! * [`TiledChain`] — the recorder. Sets, maps and the *evolving* dats
-//!   (anything some recorded loop writes) are registered up front; each
-//!   loop is recorded with its [`LoopDesc`] and an element-level body
-//!   that reaches evolving dats **only** through a [`TileCtx`] (the
-//!   executor redirects those accesses into tile-private shadow
-//!   storage). Read-only data (coordinates, geometry, maps) is captured
-//!   by the bodies directly — it is never written, so tiles may share it.
-//! * **Epochs** — the super-chain is cut at global-reduction
-//!   synchronization points ([`global_barrier`]): a loop that consumes a
-//!   global value produced earlier in the chain (Volna's CFL Δt) starts
-//!   a new epoch, because every tile's partial must be merged before any
-//!   tile may read the result. Airfoil's RMS is produced but never
-//!   consumed in-chain, so its whole N-step super-chain is one epoch.
-//! * [`TiledChain::schedule`] — the cone analysis. Ownership of every
-//!   set is a contiguous, block-aligned partition into `n_tiles` ranges.
-//!   Per epoch and tile, a backward walk over the loop descriptors
-//!   computes the exact iteration subsets: a loop executes every
-//!   iteration that writes a *needed* row; reads of evolving dats by
-//!   those iterations become needed one loop earlier; a direct `Write`
-//!   satisfies (removes) needs. What survives to the epoch start is the
-//!   tile's copy-in footprint.
+//! * [`TiledChain`] — the cone walk's inputs: the sets, maps and
+//!   *evolving* dats (anything some recorded loop writes). A recording
+//!   reaches the evolving dats only through the [`TileDats`] it is
+//!   given, so the executor can hand each tile its private shadow copies
+//!   instead; read-only data (coordinates, geometry, maps) is captured
+//!   directly — it is never written, so tiles may share it.
+//! * **Epochs** ([`epoch_ranges`]) — the recording is cut at
+//!   global-reduction synchronization points ([`global_barrier`]): a loop
+//!   that consumes a global value produced earlier in the chain (Volna's
+//!   CFL Δt) starts a new epoch, because every tile's partial must be
+//!   merged before any tile may read the result. Airfoil's RMS is
+//!   produced but never consumed in-chain, so its whole N-step recording
+//!   is one epoch.
+//! * [`TiledChain::schedule`] — the inspector, over the recorded loops'
+//!   [`LoopDesc`]s. Ownership of every set is a contiguous, block-aligned
+//!   partition into `n_tiles` ranges. Per epoch and tile, a backward walk
+//!   over the descriptors computes the exact iteration subsets: a loop
+//!   executes every iteration that writes a *needed* row; reads of
+//!   evolving dats by those iterations become needed one loop earlier; a
+//!   direct `Write` satisfies (removes) needs. What survives to the epoch
+//!   start is the tile's copy-in footprint.
 //! * [`TiledChain::execute`] — the executor. Two pool rounds per epoch:
 //!   round 1 runs one task per tile (copy the footprint into a
-//!   worker-recycled shadow, run the cone's iterations for every loop in
-//!   ascending element order, stage owned rows into a per-tile out
-//!   buffer); round 2 writes the staged rows back. The barrier between
-//!   the rounds is what keeps copy-in reads (pre-epoch state) and
-//!   owned-row write-back race-free. Loop epilogues (reduction merges)
-//!   run after write-back, in recorded order.
+//!   worker-recycled shadow, record the chain again over it, run each
+//!   loop's own scalar or vector body on the cone's ascending runs, stage
+//!   owned rows into a per-tile out buffer); round 2 writes the staged
+//!   rows back. The barrier between the rounds is what keeps copy-in
+//!   reads (pre-epoch state) and owned-row write-back race-free. Loop
+//!   epilogues (reduction merges) run after write-back, in recorded
+//!   order.
 //! * [`TileCache`] — inspector–executor reuse. The executor takes the
 //!   schedule from a cache keyed by the chain's structure and the tiling
 //!   configuration: the first call inspects, later calls with the same
@@ -54,23 +56,25 @@
 //!
 //! Each tile executes its iterations in ascending element order, so for
 //! every *owned* row the increment accumulation order equals the
-//! sequential reference's — tiled element state is **bit-identical to
-//! `step_seq`** for any tile size, step count, or team size. Reduction
-//! contributions are only accumulated for owned iterations into
-//! per-block partial slots (ownership is block-aligned, so each slot
-//! belongs to exactly one tile), and the partials are folded in slot
-//! order at the epoch barrier — the same ordered-fold discipline as the
-//! fused and distributed paths, making reduction histories independent
-//! of the tiling configuration.
+//! sequential reference's — tiled element state under scalar bodies is
+//! **bit-identical to `step_seq`** for any tile size, step count, or
+//! team size. Reduction contributions come only from owned blocks, each
+//! into its own partial slot (ownership is block-aligned, so each slot
+//! belongs to exactly one tile; fringe runs drop theirs), and the
+//! partials are folded in slot order — the same ordered-fold discipline
+//! as the fused and distributed paths, making reduction histories
+//! independent of the tiling configuration.
 
 use std::fmt;
-use std::ops::Range;
+use std::marker::PhantomData;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use ump_core::{Access, ArgInfo, ExecPool, FusionStats, Recorder, SharedDat};
+use ump_core::{Access, ArgInfo, ExecPool, FusionStats, Indirection, Recorder, SharedDat};
 use ump_mesh::{Csr, MapTable};
 
+use crate::chain::{Chain, Shape};
 use crate::desc::{global_barrier, LoopDesc};
 
 // ---------------------------------------------------------------------------
@@ -163,13 +167,8 @@ impl RowSet {
 }
 
 // ---------------------------------------------------------------------------
-// recorder
+// the cone walk's inputs
 // ---------------------------------------------------------------------------
-
-/// Handle to a registered evolving dat — the key bodies pass to
-/// [`TileCtx::dat`] / [`TileCtx::dat_mut`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DatId(usize);
 
 /// One resolved (non-global) argument of a recorded loop: which
 /// registered dat it touches (if any — read-only dats are unregistered
@@ -180,66 +179,60 @@ struct TArg {
     access: Access,
 }
 
-/// A body over one contiguous element run `(ctx, start, len)`.
-type RunBody<'a, T> = Box<dyn Fn(&TileCtx<'_, T>, usize, usize) + Sync + 'a>;
-
-/// Wrap an element body in a run loop monomorphized over it, so the
-/// executor makes one dynamic call per run instead of one per element.
-fn element_run<'a, T: 'a>(body: impl Fn(&TileCtx<'_, T>, usize) + Sync + 'a) -> RunBody<'a, T> {
-    Box::new(move |ctx, start, len| {
-        for e in start..start + len {
-            body(ctx, e);
-        }
-    })
-}
-
-struct TLoop<'a, T> {
-    desc: LoopDesc,
+/// A recorded loop as the cone walk sees it.
+struct TLoop {
     set: usize,
     step: usize,
+    n_elems: usize,
     args: Vec<TArg>,
     // the loop reduces into a global: its owned iterations must always
     // execute (each tile contributes exactly its own partials), even
     // when no registered dat pulls them into the cone
     global_write: bool,
-    run: RunBody<'a, T>,
-    vec_run: Option<RunBody<'a, T>>,
-    epilogue: Option<Box<dyn Fn() + Sync + 'a>>,
 }
 
-struct DatReg<'a, T> {
-    name: String,
-    set: usize,
-    dim: usize,
-    data: SharedDat<'a, T>,
+/// The evolving dats a recording runs over, in registration order: the
+/// registered storage, or one tile worker's shadow copy of it. `'a` is
+/// the [`TiledChain`]'s, so a recording over a worker's short-lived
+/// shadows may still capture anything that outlives the tiled chain.
+pub struct TileDats<'s, 'a, T> {
+    dats: &'s [SharedDat<'s, T>],
+    _chain: PhantomData<&'a ()>,
 }
 
-/// The cross-timestep recorder: N timesteps of loops registered as one
-/// super-chain over declared sets, maps, and evolving dats. See the
-/// module docs for the execution model; `crates/apps` records both
-/// applications through this (the `run_tiled[_on]` drivers), and the
-/// property-test harness records synthetic integer chains to pin
-/// bit-exactness.
+impl<'s, T> Deref for TileDats<'s, '_, T> {
+    type Target = [SharedDat<'s, T>];
+
+    fn deref(&self) -> &[SharedDat<'s, T>] {
+        self.dats
+    }
+}
+
+/// Cross-timestep tiling of a recorded [`Chain`]: the sets, maps and
+/// *evolving* dats (the ones some loop writes) its cone walk needs. See
+/// the module docs for the execution model; `crates/apps` tiles both
+/// applications' one recording through this (the `run_tiled[_on]`
+/// drivers), and the property-test harness tiles synthetic integer
+/// chains to pin bit-exactness.
 pub struct TiledChain<'a, T: Copy + Default + Send + Sync> {
     name: String,
     sets: Vec<(String, usize)>,
     maps: Vec<&'a MapTable>,
-    dats: Vec<DatReg<'a, T>>,
-    loops: Vec<TLoop<'a, T>>,
-    n_steps: usize,
+    /// Name, set and dim of each registered dat, in registration order.
+    regs: Vec<(String, usize, usize)>,
+    dats: Vec<SharedDat<'a, T>>,
 }
 
 impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
-    /// New empty super-chain named `name` (the fusion-stats key under
-    /// which [`execute`](TiledChain::execute) reports).
+    /// New tiling named `name` (the fusion-stats key under which
+    /// [`execute`](TiledChain::execute) reports).
     pub fn new(name: impl Into<String>) -> TiledChain<'a, T> {
         TiledChain {
             name: name.into(),
             sets: Vec::new(),
             maps: Vec::new(),
+            regs: Vec::new(),
             dats: Vec::new(),
-            loops: Vec::new(),
-            n_steps: 0,
         }
     }
 
@@ -268,15 +261,15 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
 
     /// Declare an evolving dat (one some recorded loop writes) living on
     /// `set` with `dim` components per element, backed by `data` in AoS
-    /// order. Bodies reach it only through the returned [`DatId`]; the
-    /// executor redirects those accesses into tile-private shadows.
+    /// order. Recordings reach it as the next slot of [`TileDats`]; the
+    /// executor hands tiles shadow copies in its place.
     pub fn register_dat(
         &mut self,
         name: impl Into<String>,
         set: &str,
         dim: usize,
         data: &'a mut [T],
-    ) -> DatId {
+    ) {
         let name = name.into();
         let set_idx = self.set_index(set);
         assert_eq!(
@@ -285,38 +278,19 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             "dat '{name}': storage is not set_size x dim"
         );
         assert!(
-            self.dats.iter().all(|d| d.name != name),
+            self.regs.iter().all(|(d, ..)| *d != name),
             "dat '{name}' registered twice"
         );
-        self.dats.push(DatReg {
-            name,
-            set: set_idx,
-            dim,
-            data: SharedDat::new(data),
-        });
-        DatId(self.dats.len() - 1)
+        self.regs.push((name, set_idx, dim));
+        self.dats.push(SharedDat::new(data));
     }
 
-    /// Mark the start of the next recorded timestep (stats only — the
-    /// cone analysis needs no step boundaries, but the cross-step
-    /// traffic estimate groups loops by step).
-    pub fn begin_step(&mut self) {
-        self.n_steps += 1;
-    }
-
-    /// Timesteps recorded so far (at least 1 once a loop is recorded).
-    pub fn steps(&self) -> usize {
-        self.n_steps.max(1)
-    }
-
-    /// Loops recorded so far.
-    pub fn len(&self) -> usize {
-        self.loops.len()
-    }
-
-    /// `true` before the first recorded loop.
-    pub fn is_empty(&self) -> bool {
-        self.loops.is_empty()
+    /// The registered storage, as recordings see it.
+    pub fn dats(&self) -> TileDats<'_, 'a, T> {
+        TileDats {
+            dats: &self.dats,
+            _chain: PhantomData,
+        }
     }
 
     fn set_index(&self, name: &str) -> usize {
@@ -326,43 +300,41 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             .unwrap_or_else(|| panic!("set '{name}' not registered"))
     }
 
-    /// Record one loop: descriptor plus an element-level body
-    /// `body(ctx, e)` that accesses evolving dats through `ctx` only.
-    pub fn record(&mut self, desc: LoopDesc, body: impl Fn(&TileCtx<'_, T>, usize) + Sync + 'a) {
-        self.push(desc, element_run(body), None);
+    /// Resolve every loop of `chain`, a recording of `steps` equal
+    /// timesteps, against the registered sets, maps and dats.
+    fn resolve(&self, chain: &Chain<'_>, steps: usize) -> Vec<TLoop> {
+        let n = chain.len();
+        assert!(
+            steps > 0 && n.is_multiple_of(steps),
+            "{n} loops are not {steps} equal steps"
+        );
+        (0..n)
+            .map(|i| {
+                assert!(
+                    chain.runs_on_ranges(i),
+                    "loop {}: no element order to tile",
+                    chain.desc(i).name()
+                );
+                self.resolve_loop(chain.desc(i), i / (n / steps))
+            })
+            .collect()
     }
 
-    /// [`record`](TiledChain::record) with an additional vector run body
-    /// `run_body(ctx, start, len)` covering the whole contiguous element
-    /// run `[start, start + len)` — used instead of the scalar body when
-    /// [`execute`](TiledChain::execute) runs with `lanes > 1` and the
-    /// run is at least one vector wide. The run body owns its tail
-    /// handling.
-    pub fn record_vec(
-        &mut self,
-        desc: LoopDesc,
-        body: impl Fn(&TileCtx<'_, T>, usize) + Sync + 'a,
-        run_body: impl Fn(&TileCtx<'_, T>, usize, usize) + Sync + 'a,
-    ) {
-        self.push(desc, element_run(body), Some(Box::new(run_body)));
-    }
-
-    fn push(&mut self, desc: LoopDesc, run: RunBody<'a, T>, vec_run: Option<RunBody<'a, T>>) {
+    fn resolve_loop(&self, desc: &LoopDesc, step: usize) -> TLoop {
         let set = self.set_index(&desc.profile.set);
         assert_eq!(
             self.sets[set].1, desc.n_elems,
             "loop {}: n_elems disagrees with set '{}'",
             desc.profile.name, desc.profile.set
         );
+        let dat_index = |name: &str| self.regs.iter().position(|(d, ..)| d == name);
         let mut args = Vec::new();
         for a in &desc.profile.args {
             let (map, dat) = match &a.ind {
-                ump_core::Indirection::Global => continue,
-                ump_core::Indirection::Direct => {
-                    (None, self.dats.iter().position(|d| d.name == a.dat))
-                }
-                ump_core::Indirection::Indirect { map, .. } => {
-                    let dat = self.dats.iter().position(|d| d.name == a.dat);
+                Indirection::Global => continue,
+                Indirection::Direct => (None, dat_index(&a.dat)),
+                Indirection::Indirect { map, .. } => {
+                    let dat = dat_index(&a.dat);
                     let m = self.maps.iter().position(|m| m.name == *map);
                     if let Some(d) = dat {
                         let m = m.unwrap_or_else(|| {
@@ -377,7 +349,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                             desc.profile.name
                         );
                         assert_eq!(
-                            self.maps[m].to_size, self.sets[self.dats[d].set].1,
+                            self.maps[m].to_size, self.sets[self.regs[d].1].1,
                             "loop {}: map '{map}' target-size mismatch with dat '{}'",
                             desc.profile.name, a.dat
                         );
@@ -388,7 +360,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             if let Some(d) = dat {
                 if map.is_none() {
                     assert_eq!(
-                        self.dats[d].set, set,
+                        self.regs[d].1, set,
                         "loop {}: direct arg '{}' lives on another set",
                         desc.profile.name, a.dat
                     );
@@ -411,75 +383,37 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             .profile
             .args
             .iter()
-            .any(|a| a.ind == ump_core::Indirection::Global && a.access.writes());
-        self.loops.push(TLoop {
-            desc,
+            .any(|a| a.ind == Indirection::Global && a.access.writes());
+        TLoop {
             set,
-            step: self.n_steps.saturating_sub(1),
+            step,
+            n_elems: desc.n_elems,
             args,
             global_write,
-            run,
-            vec_run,
-            epilogue: None,
-        });
-    }
-
-    /// Attach an epilogue to the last recorded loop: runs once, on the
-    /// dispatching thread, after the epoch containing that loop has
-    /// completed (all tiles computed and written back). This is where
-    /// per-block reduction partials are merged in slot order — the
-    /// ordered-fold discipline that keeps reduction histories
-    /// independent of the tiling configuration.
-    pub fn epilogue(&mut self, f: impl Fn() + Sync + 'a) {
-        let l = self
-            .loops
-            .last_mut()
-            .expect("epilogue before any recorded loop");
-        assert!(
-            l.epilogue.is_none(),
-            "loop {} has an epilogue",
-            l.desc.name()
-        );
-        l.epilogue = Some(Box::new(f));
+        }
     }
 
     // -----------------------------------------------------------------
     // schedule: epochs + dependency cones
     // -----------------------------------------------------------------
 
-    /// Cut the recorded super-chain at global synchronization points
-    /// ([`global_barrier`]): a new epoch starts at every loop whose
-    /// global arguments conflict with a global already touched in the
-    /// current epoch (read-after-reduce, reduce-after-read). Returns the
-    /// loop-index range of each epoch, in order.
-    pub fn epoch_ranges(&self) -> Vec<Range<usize>> {
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        for i in 1..self.loops.len() {
-            let barrier = self.loops[start..i]
-                .iter()
-                .any(|prev| global_barrier(&prev.desc, &self.loops[i].desc).is_some());
-            if barrier {
-                out.push(start..i);
-                start = i;
-            }
-        }
-        if start < self.loops.len() {
-            out.push(start..self.loops.len());
-        }
-        out
-    }
-
-    /// Compute the tiled schedule: ownership partitions, epochs, and per
-    /// epoch × tile the dependency-cone iteration runs, copy-in
-    /// footprints and owned write-back ranges. `tile_elems` sizes tiles
-    /// on the *anchor set* (the last recorded loop's set); ownership of
-    /// every set is block-aligned so reduction partial slots are
-    /// tile-exclusive.
-    pub fn schedule(&self, tile_elems: usize, block_size: usize) -> TileSchedule {
-        assert!(!self.loops.is_empty(), "schedule of an empty chain");
+    /// Compute the tiled schedule of `chain`, a recording of `steps`
+    /// equal timesteps: ownership partitions, epochs, and per epoch ×
+    /// tile the dependency-cone iteration runs, copy-in footprints and
+    /// owned write-back ranges. `tile_elems` sizes tiles on the *anchor
+    /// set* (the last recorded loop's set); ownership of every set is
+    /// block-aligned so reduction partial slots are tile-exclusive.
+    pub fn schedule(
+        &self,
+        chain: &Chain<'_>,
+        steps: usize,
+        tile_elems: usize,
+        block_size: usize,
+    ) -> TileSchedule {
+        assert!(!chain.is_empty(), "schedule of an empty chain");
+        let loops = self.resolve(chain, steps);
         let block_size = block_size.max(1);
-        let anchor = self.loops.last().unwrap().set;
+        let anchor = loops.last().unwrap().set;
         let n_anchor = self.sets[anchor].1;
         let blocks_per_tile = tile_elems.max(1).div_ceil(block_size).max(1);
         let anchor_blocks = n_anchor.div_ceil(block_size).max(1);
@@ -503,15 +437,16 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
 
         // map inverses (target row -> source iterations), built once
         let inv: Vec<Csr> = self.maps.iter().map(|m| m.invert()).collect();
+        let set_len = |d: usize| self.sets[self.regs[d].1].1;
 
         let mut executed_iters = 0usize;
-        let essential_iters: usize = self.loops.iter().map(|l| l.desc.n_elems).sum();
+        let essential_iters: usize = loops.iter().map(|l| l.n_elems).sum();
         let mut copy_in_words = 0usize;
         let mut copy_out_words = 0usize;
 
         let mut epochs = Vec::new();
-        for range in self.epoch_ranges() {
-            let eloops = &self.loops[range.clone()];
+        for range in epoch_ranges(chain) {
+            let eloops = &loops[range.clone()];
             // evolving dats written anywhere in this epoch
             let mut written: Vec<usize> = eloops
                 .iter()
@@ -529,10 +464,10 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             for t in 0..n_tiles {
                 // backward needed-row closure, seeded with the owned rows
                 // of every dat the epoch writes
-                let mut needed: Vec<Option<RowSet>> = vec![None; self.dats.len()];
+                let mut needed: Vec<Option<RowSet>> = vec![None; self.regs.len()];
                 for &d in &written {
-                    let mut rs = RowSet::new(self.sets[self.dats[d].set].1);
-                    rs.insert_range(owned[self.dats[d].set][t].clone());
+                    let mut rs = RowSet::new(set_len(d));
+                    rs.insert_range(owned[self.regs[d].1][t].clone());
                     needed[d] = Some(rs);
                 }
                 let mut iters_rev: Vec<Vec<Range<u32>>> = Vec::with_capacity(eloops.len());
@@ -580,8 +515,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                     let mut image: Vec<Option<RowSet>> = vec![None; self.maps.len()];
                     for a in l.args.iter().filter(|a| a.access.reads()) {
                         let Some(d) = a.dat else { continue };
-                        let nd = needed[d]
-                            .get_or_insert_with(|| RowSet::new(self.sets[self.dats[d].set].1));
+                        let nd = needed[d].get_or_insert_with(|| RowSet::new(set_len(d)));
                         match a.map {
                             None => nd.or(&e),
                             Some(m) => nd.or(image[m].get_or_insert_with(|| {
@@ -607,15 +541,15 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                         if !nd.any() {
                             return None;
                         }
-                        copy_in_words += nd.count() * self.dats[d].dim;
+                        copy_in_words += nd.count() * self.regs[d].2;
                         Some((d, nd.runs()))
                     })
                     .collect();
                 let copy_out: Vec<(usize, Range<u32>)> = written
                     .iter()
                     .map(|&d| {
-                        let r = owned[self.dats[d].set][t].clone();
-                        copy_out_words += (r.end - r.start) as usize * self.dats[d].dim;
+                        let r = owned[self.regs[d].1][t].clone();
+                        copy_out_words += (r.end - r.start) as usize * self.regs[d].2;
                         (d, r)
                     })
                     .collect();
@@ -636,21 +570,21 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
         // stay tile-resident instead of making a round trip to memory
         let mut cross_step_words = 0usize;
         for ep in &epochs {
-            let eloops = &self.loops[ep.loops.clone()];
+            let eloops = &loops[ep.loops.clone()];
             let steps: Vec<usize> = {
                 let mut s: Vec<usize> = eloops.iter().map(|l| l.step).collect();
                 s.dedup();
                 s
             };
             for pair in steps.windows(2) {
-                for (d, reg) in self.dats.iter().enumerate() {
+                for (d, (_, set, dim)) in self.regs.iter().enumerate() {
                     let touched = |step: usize| {
                         eloops
                             .iter()
                             .any(|l| l.step == step && l.args.iter().any(|a| a.dat == Some(d)))
                     };
                     if touched(pair[0]) && touched(pair[1]) {
-                        cross_step_words += self.sets[reg.set].1 * reg.dim;
+                        cross_step_words += self.sets[*set].1 * dim;
                     }
                 }
             }
@@ -674,9 +608,15 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
     // executor
     // -----------------------------------------------------------------
 
-    /// Everything [`schedule`](TiledChain::schedule) reads except the map
-    /// contents, which are fixed for the cache owner's life.
-    fn cache_key(&self, tile_elems: usize, block_size: usize) -> TileKey {
+    /// Everything the inspector reads except the map contents, which are
+    /// fixed for the cache owner's life.
+    fn cache_key(
+        &self,
+        chain: &Chain<'_>,
+        loops: &[TLoop],
+        tile_elems: usize,
+        block_size: usize,
+    ) -> TileKey {
         TileKey {
             sets: self.sets.clone(),
             maps: self
@@ -684,16 +624,12 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                 .iter()
                 .map(|m| (m.name.clone(), m.from_size, m.to_size, m.dim))
                 .collect(),
-            dats: self
-                .dats
+            dats: self.regs.clone(),
+            loops: loops
                 .iter()
-                .map(|d| (d.name.clone(), d.set, d.dim))
-                .collect(),
-            loops: self
-                .loops
-                .iter()
-                .map(|l| {
-                    let p = &l.desc.profile;
+                .enumerate()
+                .map(|(i, l)| {
+                    let p = &chain.desc(i).profile;
                     (p.name.clone(), l.set, l.step, p.args.clone())
                 })
                 .collect(),
@@ -702,63 +638,76 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
         }
     }
 
-    /// The schedule for `(tile_elems, block_size)`: `cache`'s when its
-    /// key matches, else a fresh inspection that replaces the entry.
-    fn cached_schedule(
-        &self,
-        cache: &mut TileCache<T>,
-        tile_elems: usize,
-        block_size: usize,
-    ) -> Arc<TileSchedule> {
-        let key = self.cache_key(tile_elems, block_size);
-        if let Some((k, sched)) = &cache.entry {
-            if *k == key {
-                cache.hits += 1;
-                debug_assert_eq!(
-                    **sched,
-                    self.schedule(tile_elems, block_size),
-                    "stale tile-cache key"
-                );
-                return Arc::clone(sched);
-            }
-        }
-        cache.builds += 1;
-        let sched = Arc::new(self.schedule(tile_elems, block_size));
-        cache.entry = Some((key, Arc::clone(&sched)));
-        sched
-    }
-
-    /// Execute the recorded super-chain on `pool` under the schedule for
-    /// `(tile_elems, block_size)`, taken from `cache` (the inspector runs
-    /// only when the cache's key misses): two dispatch rounds per epoch
-    /// (tile sweep, then owned-row write-back), epilogues at each epoch
-    /// barrier. `lanes > 1` runs [`record_vec`](TiledChain::record_vec)
-    /// run bodies on contiguous runs at least one vector wide.
-    /// `word_bytes` scales the byte metrics of the returned
-    /// [`TileReport`], which is also reported to `rec` under this chain's
-    /// name via [`Recorder::record_fusion`]. With `rec`, each tile also
-    /// times its loops: round 1's wall time is split across the epoch's
-    /// loops in proportion to their summed per-tile time (the copy-in and
-    /// staging share stays unattributed) and recorded under each loop's
-    /// profile name, with profile bytes and flops × executed iterations.
-    /// An empty chain does nothing and leaves `cache` untouched.
+    /// Execute `steps` timesteps of a recording tile by tile on `pool`,
+    /// under the schedule for `(tile_elems, block_size)`, taken from
+    /// `cache` (the inspector runs only when the cache's key misses).
+    ///
+    /// `record` records the `steps` timesteps over the dats it is given
+    /// (the registered ones, in registration order). Its recording over
+    /// the registered storage supplies the loop descriptors the
+    /// inspector walks and the epilogues; each tile task records again
+    /// over its worker's shadow copies and runs every loop's own body —
+    /// scalar, or the `L`-lane three-sweep under `shape` =
+    /// [`Shape::Simd`] — on the cone's ascending runs, split at the
+    /// tile's owned range: owned blocks run with `Some(block)` reduction
+    /// slots, fringe runs with `None` (see
+    /// [`Chain::record_blocks`](crate::Chain::record_blocks)).
+    ///
+    /// Two dispatch rounds per epoch (tile sweep, then owned-row
+    /// write-back), epilogues at each epoch barrier. `word_bytes` scales
+    /// the byte metrics of the returned [`TileReport`], which is also
+    /// reported to `rec` under this chain's name via
+    /// [`Recorder::record_fusion`]. With `rec`, each tile also times its
+    /// loops: round 1's wall time is split across the epoch's loops in
+    /// proportion to their summed per-tile time (the copy-in and staging
+    /// share stays unattributed) and recorded under each loop's profile
+    /// name, with profile bytes and flops × executed iterations. An empty
+    /// recording does nothing and leaves `cache` untouched.
     #[allow(clippy::too_many_arguments)]
-    pub fn execute(
+    pub fn execute<F>(
         &self,
+        record: F,
         pool: &ExecPool,
         cache: &mut TileCache<T>,
+        steps: usize,
         tile_elems: usize,
         block_size: usize,
         n_threads: usize,
-        lanes: usize,
+        shape: Shape,
         word_bytes: usize,
         rec: Option<&Recorder>,
-    ) -> TileReport {
-        if self.loops.is_empty() {
+    ) -> TileReport
+    where
+        F: for<'s> Fn(&'s TileDats<'s, 'a, T>) -> Chain<'s> + Sync,
+    {
+        assert!(
+            !matches!(shape, Shape::Simt { .. }),
+            "tiles run scalar or SIMD bodies"
+        );
+        let registered = self.dats();
+        let global = record(&registered);
+        if global.is_empty() {
             return TileReport::default();
         }
-        let sched = self.cached_schedule(cache, tile_elems, block_size);
-        let dims: Vec<usize> = self.dats.iter().map(|d| d.dim).collect();
+        let loops = self.resolve(&global, steps);
+        let sched = {
+            let key = self.cache_key(&global, &loops, tile_elems, block_size);
+            let inspect = || self.schedule(&global, steps, tile_elems, block_size);
+            match &cache.entry {
+                Some((k, sched)) if *k == key => {
+                    cache.hits += 1;
+                    debug_assert_eq!(**sched, inspect(), "stale tile-cache key");
+                    Arc::clone(sched)
+                }
+                _ => {
+                    cache.builds += 1;
+                    let sched = Arc::new(inspect());
+                    cache.entry = Some((key, Arc::clone(&sched)));
+                    sched
+                }
+            }
+        };
+        let dims: Vec<usize> = self.regs.iter().map(|r| r.2).collect();
         // staging words of one tile's owned rows in one epoch
         let out_words = |tp: &TilePlan| -> usize {
             tp.copy_out
@@ -782,7 +731,6 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
         let mut rounds = 0usize;
 
         for ep in &sched.epochs {
-            let eloops = &self.loops[ep.loops.clone()];
             // tile t stages its owned rows at base[t].. (written back in
             // round 2, after every tile has read pre-epoch state)
             let base: Vec<usize> = ep
@@ -796,31 +744,31 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                 .collect();
             // with `rec`: per-loop seconds and whole-task seconds, summed
             // over tiles
-            let clocks = rec.map(|_| Mutex::new((vec![0.0f64; eloops.len()], 0.0f64)));
+            let clocks = rec.map(|_| Mutex::new((vec![0.0f64; ep.loops.len()], 0.0f64)));
             let round_start = rec.map(|_| Instant::now());
 
             // round 1: sweep every tile through the epoch's loops
             pool.run_round(ep.tiles.len(), n_threads, 1, &|t| {
                 let task_start = clocks.as_ref().map(|_| Instant::now());
-                let mut loop_s = vec![0.0f64; if clocks.is_some() { eloops.len() } else { 0 }];
+                let mut loop_s = vec![0.0f64; if clocks.is_some() { ep.loops.len() } else { 0 }];
                 let tp = &ep.tiles[t];
                 let mut shadow = lock(shadows).pop().unwrap_or_default();
                 let fits = shadow.len() == self.dats.len()
                     && shadow
                         .iter()
                         .zip(&self.dats)
-                        .all(|(s, d)| s.len() == d.data.len());
+                        .all(|(s, d)| s.len() == d.len());
                 if !fits {
                     shadow = self
                         .dats
                         .iter()
-                        .map(|d| vec![T::default(); d.data.len()])
+                        .map(|d| vec![T::default(); d.len()])
                         .collect();
                 }
                 for (d, runs) in &tp.copy_in {
                     let dim = dims[*d];
                     // SAFETY: round 1 only reads the global storage
-                    let global = unsafe { self.dats[*d].data.as_slice() };
+                    let global = unsafe { self.dats[*d].as_slice() };
                     let sh = &mut shadow[*d];
                     for r in runs {
                         let (a, b) = (r.start as usize * dim, r.end as usize * dim);
@@ -830,20 +778,17 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                 {
                     let views: Vec<SharedDat<'_, T>> =
                         shadow.iter_mut().map(|s| SharedDat::new(s)).collect();
-                    for (li, l) in eloops.iter().enumerate() {
+                    let dats = TileDats {
+                        dats: &views,
+                        _chain: PhantomData,
+                    };
+                    let chain = record(&dats);
+                    for (li, i) in ep.loops.clone().enumerate() {
                         let loop_start = clocks.as_ref().map(|_| Instant::now());
-                        let or = &sched.owned[l.set][t];
-                        let ctx = TileCtx {
-                            dats: &views,
-                            dims: &dims,
-                            owned: or.start as usize..or.end as usize,
-                        };
-                        let vec_run = l.vec_run.as_ref().filter(|_| lanes > 1);
+                        let owned = &sched.owned[loops[i].set][t];
                         for r in &tp.iters[li] {
-                            let (s, n) = (r.start as usize, (r.end - r.start) as usize);
-                            match vec_run {
-                                Some(run) if n >= lanes => run(&ctx, s, n),
-                                _ => (l.run)(&ctx, s, n),
+                            for (slot, piece) in owned_split(r, owned, sched.block_size) {
+                                chain.run_range(i, shape, slot, piece);
                             }
                         }
                         if let Some(t0) = loop_start {
@@ -876,14 +821,14 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                 // and staging share stays unattributed
                 let wall = t0.elapsed().as_secs_f64();
                 let (loop_s, task_s) = c.into_inner().unwrap_or_else(PoisonError::into_inner);
-                for (li, l) in eloops.iter().enumerate() {
+                for (li, i) in ep.loops.clone().enumerate() {
                     let iters: usize = ep
                         .tiles
                         .iter()
                         .flat_map(|tp| &tp.iters[li])
                         .map(|r| (r.end - r.start) as usize)
                         .sum();
-                    let p = &l.desc.profile;
+                    let p = &global.desc(i).profile;
                     let share = if task_s > 0.0 {
                         loop_s[li] / task_s
                     } else {
@@ -905,7 +850,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                     let dim = dims[*d];
                     let n = (r.end - r.start) as usize * dim;
                     // SAFETY: ownership ranges partition the set
-                    let dst = unsafe { self.dats[*d].data.slice_mut(r.start as usize * dim, n) };
+                    let dst = unsafe { self.dats[*d].slice_mut(r.start as usize * dim, n) };
                     // SAFETY: round 1 completed; staging is read-only now
                     let src = unsafe { staging.slice(off, n) };
                     dst.copy_from_slice(src);
@@ -914,16 +859,14 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             });
             rounds += 1;
 
-            for l in eloops {
-                if let Some(epi) = &l.epilogue {
-                    epi();
-                }
+            for i in ep.loops.clone() {
+                global.run_epilogue(i);
             }
         }
 
         let report = TileReport {
-            steps: self.steps(),
-            loops: self.loops.len(),
+            steps,
+            loops: global.len(),
             epochs: sched.epochs.len(),
             tiles: sched.n_tiles,
             rounds,
@@ -952,6 +895,49 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
     }
 }
 
+/// Cut a recorded chain at global synchronization points
+/// ([`global_barrier`]): a new epoch starts at every loop whose global
+/// arguments conflict with a global already touched in the current epoch
+/// (read-after-reduce, reduce-after-read). Returns the loop-index range
+/// of each epoch, in order.
+pub fn epoch_ranges(chain: &Chain<'_>) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    for i in 1..chain.len() {
+        let barrier =
+            (start..i).any(|prev| global_barrier(chain.desc(prev), chain.desc(i)).is_some());
+        if barrier {
+            out.push(start..i);
+            start = i;
+        }
+    }
+    if start < chain.len() {
+        out.push(start..chain.len());
+    }
+    out
+}
+
+/// Split a cone run at the tile's `owned` range: the fringe before and
+/// after it runs with no reduction slot, the owned part block by block,
+/// each block with its own slot.
+fn owned_split(
+    run: &Range<u32>,
+    owned: &Range<u32>,
+    block_size: usize,
+) -> Vec<(Option<usize>, Range<u32>)> {
+    let bs = block_size as u32;
+    let lo = run.start.clamp(owned.start, owned.end);
+    let hi = run.end.clamp(owned.start, owned.end);
+    let mut out = vec![(None, run.start..lo.min(run.end))];
+    out.extend((lo / bs..hi.div_ceil(bs)).map(|b| {
+        let piece = (b * bs).max(lo)..((b + 1) * bs).min(hi);
+        (Some(b as usize), piece)
+    }));
+    out.push((None, hi.max(run.start)..run.end));
+    out.retain(|(_, r)| !r.is_empty());
+    out
+}
+
 // ---------------------------------------------------------------------------
 // schedule + report types
 // ---------------------------------------------------------------------------
@@ -960,7 +946,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
 /// cone plans.
 #[derive(Debug, PartialEq, Eq)]
 pub struct EpochPlan {
-    /// Member loop indices into the recorded super-chain (contiguous).
+    /// Member loop indices into the recorded chain (contiguous).
     pub loops: Range<usize>,
     /// One plan per tile.
     pub tiles: Vec<TilePlan>,
@@ -982,7 +968,7 @@ pub struct TilePlan {
     pub copy_out: Vec<(usize, Range<u32>)>,
 }
 
-/// The complete tiled schedule of a recorded super-chain.
+/// The complete tiled schedule of a recorded chain.
 #[derive(Debug, PartialEq, Eq)]
 pub struct TileSchedule {
     /// Number of tiles (contiguous block-aligned partitions of the
@@ -1025,10 +1011,10 @@ impl TileSchedule {
 
 /// What one tiled execution did — the tiling counterpart of
 /// [`ChainReport`](crate::chain::ChainReport). All zero for an empty
-/// chain.
+/// recording.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TileReport {
-    /// Timesteps the super-chain covered.
+    /// Timesteps the recording covered.
     pub steps: usize,
     /// Loops recorded.
     pub loops: usize,
@@ -1087,9 +1073,9 @@ struct TileKey {
 /// calls (the applications keep one in their simulation state, next to
 /// the mesh the schedule describes).
 ///
-/// * **One entry.** The key is a structural fingerprint of the recorded
-///   chain — set sizes, registered map names and sizes, registered dats,
-///   each loop's profile name, set, step and arguments — plus
+/// * **One entry.** The key is a structural fingerprint of the tiling —
+///   set sizes, registered map names and sizes, registered dats, each
+///   recorded loop's profile name, set, step and arguments — plus
 ///   `tile_elems` and `block_size`. A matching call reuses the
 ///   `Arc<TileSchedule>` ([`hits`](TileCache::hits)); any other call
 ///   runs the inspector and replaces the entry
@@ -1166,55 +1152,5 @@ impl<T> fmt::Debug for TileCache<T> {
             .field("builds", &self.builds)
             .field("hits", &self.hits)
             .finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// tile execution context
-// ---------------------------------------------------------------------------
-
-/// The view a loop body gets of the evolving dats while its tile is
-/// being swept: accesses resolve into the tile's private shadow storage,
-/// and [`owned`](TileCtx::owned) tells reduction code whether the
-/// current iteration belongs to this tile (fringe iterations must not
-/// contribute to reduction partials — their owner contributes them).
-pub struct TileCtx<'c, T> {
-    dats: &'c [SharedDat<'c, T>],
-    dims: &'c [usize],
-    owned: Range<usize>,
-}
-
-impl<T: Copy> TileCtx<'_, T> {
-    /// Shared view of an evolving dat's shadow (AoS: row `e` at
-    /// `e * dim`).
-    #[inline(always)]
-    pub fn dat(&self, d: DatId) -> &[T] {
-        // SAFETY: one worker owns this tile's shadow for the whole sweep
-        unsafe { self.dats[d.0].as_slice() }
-    }
-
-    /// Mutable view of an evolving dat's shadow.
-    ///
-    /// # Safety
-    /// The caller must not hold another view of the *same* dat while
-    /// mutating (views of different dats may coexist — they alias
-    /// distinct buffers).
-    #[inline(always)]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn dat_mut(&self, d: DatId) -> &mut [T] {
-        unsafe { self.dats[d.0].slice_mut(0, self.dats[d.0].len()) }
-    }
-
-    /// Components per element of `d`.
-    #[inline(always)]
-    pub fn dim(&self, d: DatId) -> usize {
-        self.dims[d.0]
-    }
-
-    /// Does the current tile own iteration `e` of the running loop's
-    /// set? Reduction contributions must be gated on this.
-    #[inline(always)]
-    pub fn owned(&self, e: usize) -> bool {
-        self.owned.contains(&e)
     }
 }

@@ -8,8 +8,8 @@
 // `vec![0..9]` are exactly what we assert against.
 #![allow(clippy::single_range_in_vec_init)]
 
-use ump_core::{Access, ArgInfo, ExecPool, LoopProfile};
-use ump_lazy::{LoopDesc, TileCache, TiledChain};
+use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, SharedDat};
+use ump_lazy::{epoch_ranges, Chain, LoopDesc, Shape, TileCache, TiledChain};
 use ump_mesh::MapTable;
 
 fn desc(name: &str, set: &str, n: usize, args: Vec<ArgInfo>) -> LoopDesc {
@@ -61,37 +61,49 @@ fn scatter_desc(n_edges: usize) -> LoopDesc {
     )
 }
 
-/// Record `steps` gather/scatter steps of the path mesh into a chain
-/// over the given backing storage.
-fn record_path<'a>(
-    map: &'a MapTable,
-    u: &'a mut [i64],
-    f: &'a mut [i64],
-    steps: usize,
-) -> TiledChain<'a, i64> {
-    let n_cells = map.to_size;
+/// The path mesh's sets, map and evolving dats `u` (cells) and `f`
+/// (edges), over the given backing storage.
+fn path_tiling<'a>(map: &'a MapTable, u: &'a mut [i64], f: &'a mut [i64]) -> TiledChain<'a, i64> {
+    let mut tiled = TiledChain::new("path");
+    tiled.register_set("cells", map.to_size);
+    tiled.register_set("edges", map.from_size);
+    tiled.register_map(map);
+    tiled.register_dat("u", "cells", 1, u);
+    tiled.register_dat("f", "edges", 1, f);
+    tiled
+}
+
+/// Record `steps` gather/scatter steps of the path mesh over `[u, f]`.
+fn record_path<'s>(map: &'s MapTable, dats: &'s [SharedDat<'s, i64>], steps: usize) -> Chain<'s> {
+    let [u, f] = dats else { panic!("[u, f]") };
     let n_edges = map.from_size;
-    let mut chain = TiledChain::new("path");
-    chain.register_set("cells", n_cells);
-    chain.register_set("edges", n_edges);
-    chain.register_map(map);
-    let u_id = chain.register_dat("u", "cells", 1, u);
-    let f_id = chain.register_dat("f", "edges", 1, f);
+    let mut chain = Chain::new("path");
     for _ in 0..steps {
-        chain.begin_step();
-        chain.record(gather_desc(n_edges), move |ctx, e| {
-            let u = ctx.dat(u_id);
-            let v = u[e] + u[e + 1];
-            unsafe { ctx.dat_mut(f_id)[e] = v };
+        chain.record(gather_desc(n_edges), vec![], move |e| unsafe {
+            f.slice_mut(e, 1)[0] = u.slice(e, 1)[0] + u.slice(e + 1, 1)[0];
         });
-        chain.record(scatter_desc(n_edges), move |ctx, e| {
-            let v = ctx.dat(f_id)[e];
-            let u = unsafe { ctx.dat_mut(u_id) };
-            u[e] += v;
-            u[e + 1] += v;
+        chain.record(scatter_desc(n_edges), vec![map], move |e| unsafe {
+            let v = f.slice(e, 1)[0];
+            u.slice_mut(e, 1)[0] += v;
+            u.slice_mut(e + 1, 1)[0] += v;
         });
     }
     chain
+}
+
+/// The tiled schedule of `steps` path-mesh steps.
+fn path_schedule(
+    n_cells: usize,
+    steps: usize,
+    tile_elems: usize,
+    block: usize,
+) -> ump_lazy::TileSchedule {
+    let map = path_edge2cell(n_cells);
+    let (mut u, mut f) = (vec![0i64; n_cells], vec![0i64; n_cells - 1]);
+    let tiled = path_tiling(&map, &mut u, &mut f);
+    let dats = tiled.dats();
+    let sched = tiled.schedule(&record_path(&map, &dats, steps), steps, tile_elems, block);
+    sched
 }
 
 /// The same computation, straight-line sequential.
@@ -109,7 +121,7 @@ fn reference(n_cells: usize, u: &mut [i64], steps: usize) {
     }
 }
 
-// dat registration order in record_path: u = 0, f = 1
+// dat registration order in path_tiling: u = 0, f = 1
 const U: usize = 0;
 const F: usize = 1;
 
@@ -117,10 +129,7 @@ const F: usize = 1;
 fn one_step_cone_footprints_are_exact() {
     // 16 cells, 15 edges, block 4, 2 blocks/tile → 2 tiles:
     // tile 0 owns edges [0,8) and cells [0,8); tile 1 the rest
-    let map = path_edge2cell(16);
-    let (mut u, mut f) = (vec![0i64; 16], vec![0i64; 15]);
-    let chain = record_path(&map, &mut u, &mut f, 1);
-    let sched = chain.schedule(8, 4);
+    let sched = path_schedule(16, 1, 8, 4);
     assert_eq!(sched.n_tiles, 2);
     assert_eq!(sched.epochs.len(), 1, "no globals: one epoch");
     assert_eq!(sched.owned[1], vec![0..8, 8..15], "edge ownership");
@@ -157,10 +166,7 @@ fn one_step_cone_footprints_are_exact() {
 
 #[test]
 fn cone_grows_one_halo_layer_per_step() {
-    let map = path_edge2cell(16);
-    let (mut u, mut f) = (vec![0i64; 16], vec![0i64; 15]);
-    let chain = record_path(&map, &mut u, &mut f, 2);
-    let sched = chain.schedule(8, 4);
+    let sched = path_schedule(16, 2, 8, 4);
     assert_eq!(sched.epochs.len(), 1, "two steps, no globals: one epoch");
     let t1 = &sched.epochs[0].tiles[1];
     // step-2 loops need edges [7,15); one step further back the cone
@@ -182,11 +188,8 @@ fn cone_grows_one_halo_layer_per_step() {
 
 #[test]
 fn single_tile_has_no_fringe() {
-    let map = path_edge2cell(16);
-    let (mut u, mut f) = (vec![0i64; 16], vec![0i64; 15]);
-    let chain = record_path(&map, &mut u, &mut f, 3);
     // tile ≥ mesh → one tile, zero redundancy
-    let sched = chain.schedule(1000, 4);
+    let sched = path_schedule(16, 3, 1000, 4);
     assert_eq!(sched.n_tiles, 1);
     assert_eq!(sched.executed_iters, sched.essential_iters);
     assert_eq!(sched.redundant_fraction(), 0.0);
@@ -202,12 +205,23 @@ fn tiled_execution_is_bit_identical_to_sequential() {
         for tile_elems in [4usize, 8, 1000] {
             let mut u = expect.clone();
             let mut f = vec![0i64; n_cells - 1];
-            let chain = record_path(&map, &mut u, &mut f, steps);
+            let tiled = path_tiling(&map, &mut u, &mut f);
             let mut cache = TileCache::new();
-            let report = chain.execute(&pool, &mut cache, tile_elems, 4, 2, 1, 8, None);
+            let report = tiled.execute(
+                |dats| record_path(&map, dats, steps),
+                &pool,
+                &mut cache,
+                steps,
+                tile_elems,
+                4,
+                2,
+                Shape::Threaded,
+                8,
+                None,
+            );
             assert_eq!(report.rounds, 2, "one epoch → two pool rounds");
             assert_eq!(report.steps, steps);
-            drop(chain);
+            drop(tiled);
             let mut seq = expect.clone();
             reference(n_cells, &mut seq, steps);
             assert_eq!(u, seq, "steps={steps} tile_elems={tile_elems}");
@@ -221,15 +235,10 @@ fn global_reuse_cuts_epochs() {
     // Volna's shape: reduce a global, then consume it — every
     // consumption is an epoch barrier, so 2 epochs per recorded step
     let map = path_edge2cell(8);
-    let n_edges = 7;
-    let mut u = vec![0i64; 8];
-    let mut f = vec![0i64; 7];
-    let mut chain = TiledChain::new("epochs");
-    chain.register_set("cells", 8);
-    chain.register_set("edges", n_edges);
-    chain.register_map(&map);
-    let _u = chain.register_dat("u", "cells", 1, &mut u);
-    let f_id = chain.register_dat("f", "edges", 1, &mut f);
+    let n_edges = map.from_size;
+    let (mut f, mut dt) = (vec![0i64; n_edges], vec![0i64; 1]);
+    let (f, dt) = (SharedDat::new(&mut f), SharedDat::new(&mut dt));
+    let (f, dt) = (&f, &dt);
     let reduce = desc(
         "reduce",
         "edges",
@@ -248,31 +257,28 @@ fn global_reuse_cuts_epochs() {
             ArgInfo::global("dt", 1, Access::Read),
         ],
     );
+    let mut chain = Chain::new("epochs");
     for _ in 0..3 {
-        chain.begin_step();
-        chain.record(reduce.clone(), move |ctx, e| unsafe {
-            ctx.dat_mut(f_id)[e] = e as i64;
+        chain.record(reduce.clone(), vec![], move |e| unsafe {
+            f.slice_mut(e, 1)[0] = e as i64;
+            dt.slice_mut(0, 1)[0] += 1;
         });
-        chain.record(consume.clone(), move |ctx, e| unsafe {
-            ctx.dat_mut(f_id)[e] += 1;
+        chain.record(consume.clone(), vec![], move |e| unsafe {
+            f.slice_mut(e, 1)[0] += dt.slice(0, 1)[0];
         });
     }
     // cut before every consume (read-after-Inc) and before the next
     // step's reduce (Inc-after-read): 2 epochs per step
-    let ranges = chain.epoch_ranges();
+    let ranges = epoch_ranges(&chain);
     assert_eq!(ranges, vec![0..1, 1..2, 2..3, 3..4, 4..5, 5..6]);
 
     // airfoil's shape — the global is reduced (Inc) but never consumed
     // in-chain — needs no cuts at all
-    let mut f2 = vec![0i64; 7];
-    let mut rms_only = TiledChain::<i64>::new("rms");
-    rms_only.register_set("edges", n_edges);
-    let g = rms_only.register_dat("f", "edges", 1, &mut f2);
+    let mut rms_only = Chain::new("rms");
     for _ in 0..3 {
-        rms_only.begin_step();
-        rms_only.record(reduce.clone(), move |ctx, e| unsafe {
-            ctx.dat_mut(g)[e] = e as i64;
+        rms_only.record(reduce.clone(), vec![], move |e| unsafe {
+            f.slice_mut(e, 1)[0] = e as i64;
         });
     }
-    assert_eq!(rms_only.epoch_ranges(), vec![0..3]);
+    assert_eq!(epoch_ranges(&rms_only), vec![0..3]);
 }

@@ -181,12 +181,6 @@ pub fn tsunami_source(x: f64, y: f64) -> f64 {
     0.5 * (-(dx * dx + dy * dy) / (2.0 * 36.0)).exp()
 }
 
-/// Unit-square quad grid (tests and the quickstart example).
-pub fn unit_square_quads(n: usize) -> Mesh2d {
-    let case = quad_channel(n, n);
-    case.mesh
-}
-
 /// Quad grid with nodes perturbed by up to `amplitude` of the cell pitch —
 /// genuinely irregular geometry over the same topology, used by property
 /// tests (coloring and partitioning must not depend on mesh regularity).

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use ump_apps::{airfoil, volna};
 use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache};
-use ump_lazy::{Fusion, LoopDesc, Shape, TileCache, TileReport, TiledChain};
+use ump_lazy::{Chain, Fusion, LoopDesc, Shape, TileCache, TileReport, TiledChain};
 use ump_mesh::MapTable;
 
 const TEAM: usize = 4;
@@ -188,7 +188,8 @@ fn path_edge2cell(n_cells: usize) -> MapTable {
 }
 
 /// Tiled: `steps` rounds of `f[e] = u[e] + u[e+1]` then
-/// `u[e] += f[e]; u[e+1] += f[e]`, executed through the cone schedule.
+/// `u[e] += f[e]; u[e+1] += f[e]`, recorded as a chain and executed
+/// through the cone schedule.
 fn run_tiled_path(
     map: &MapTable,
     u: &mut [i64],
@@ -200,12 +201,12 @@ fn run_tiled_path(
     let n_cells = map.to_size;
     let n_edges = map.from_size;
     let pool = ExecPool::new(2);
-    let mut chain = TiledChain::new("path");
-    chain.register_set("cells", n_cells);
-    chain.register_set("edges", n_edges);
-    chain.register_map(map);
-    let u_id = chain.register_dat("u", "cells", 1, u);
-    let f_id = chain.register_dat("f", "edges", 1, f);
+    let mut tiled = TiledChain::new("path");
+    tiled.register_set("cells", n_cells);
+    tiled.register_set("edges", n_edges);
+    tiled.register_map(map);
+    tiled.register_dat("u", "cells", 1, u);
+    tiled.register_dat("f", "edges", 1, f);
     let gather = desc(
         "gather",
         "edges",
@@ -226,27 +227,29 @@ fn run_tiled_path(
             ArgInfo::indirect("u", 1, Access::Inc, "edge2cell", 1),
         ],
     );
-    for _ in 0..steps {
-        chain.begin_step();
-        chain.record(gather.clone(), move |ctx, e| {
-            let u = ctx.dat(u_id);
-            let v = u[e] + u[e + 1];
-            unsafe { ctx.dat_mut(f_id)[e] = v };
-        });
-        chain.record(scatter.clone(), move |ctx, e| {
-            let v = ctx.dat(f_id)[e];
-            let u = unsafe { ctx.dat_mut(u_id) };
-            u[e] += v;
-            u[e + 1] += v;
-        });
-    }
-    chain.execute(
+    tiled.execute(
+        |dats| {
+            let [u, f] = &dats[..] else { panic!("[u, f]") };
+            let mut chain = Chain::new("path");
+            for _ in 0..steps {
+                chain.record(gather.clone(), vec![], move |e| unsafe {
+                    f.slice_mut(e, 1)[0] = u.slice(e, 1)[0] + u.slice(e + 1, 1)[0];
+                });
+                chain.record(scatter.clone(), vec![map], move |e| unsafe {
+                    let v = f.slice(e, 1)[0];
+                    u.slice_mut(e, 1)[0] += v;
+                    u.slice_mut(e + 1, 1)[0] += v;
+                });
+            }
+            chain
+        },
         &pool,
         &mut TileCache::new(),
+        steps,
         tile_elems,
         block,
         2,
-        1,
+        Shape::Threaded,
         8,
         None,
     );
@@ -486,6 +489,50 @@ fn tiled_issues_fewer_rounds_than_n_fused_steps() {
         tiled_rounds < fused_rounds,
         "volna: tiled {tiled_rounds} rounds vs {STEPS}-step fused {fused_rounds}"
     );
+}
+
+/// Tiles run every loop's `L`-lane chunk bodies under the SIMD shape
+/// (`tiled_simd4`): four steps on both apps, two tile sizes, histories
+/// and state within 1e-12 of fused-threaded.
+#[test]
+fn tiled_vector_bodies_match_fused() {
+    const STEPS: usize = 4;
+    const BLOCK: usize = 48;
+    let (nx, ny) = (60, 30);
+    let pool = ExecPool::new(TEAM);
+    let (fused_a, fused_ah, _) = fused_airfoil(nx, ny, 0, STEPS, BLOCK);
+    let (fused_v, fused_vh, _) = fused_volna(nx, ny, 0, STEPS, BLOCK);
+    for tile in [BLOCK, 7 * BLOCK] {
+        let mut sim = airfoil::Airfoil::<f64>::seeded(nx, ny, 0);
+        let hist =
+            airfoil::drivers::run_tiled_on::<f64, 4>(&mut sim, &pool, 0, STEPS, tile, BLOCK, None);
+        assert_eq!(hist.len(), STEPS);
+        for (i, (&rms, &r)) in hist.iter().zip(&fused_ah).enumerate() {
+            assert!(
+                (rms - r).abs() <= 1e-12 * (1.0 + r),
+                "airfoil tile={tile} step {i}: tiled rms {rms} vs fused {r}"
+            );
+        }
+        assert!(
+            sim.q.max_abs_diff(&fused_a.q) <= 1e-12,
+            "airfoil tile={tile} vs fused"
+        );
+
+        let mut sim = volna::Volna::<f64>::seeded(nx, ny, 0);
+        let hist =
+            volna::drivers::run_tiled_on::<f64, 4>(&mut sim, &pool, 0, STEPS, tile, BLOCK, None);
+        assert_eq!(hist.len(), STEPS);
+        for (i, (&dt, &r)) in hist.iter().zip(&fused_vh).enumerate() {
+            assert!(
+                (dt - r).abs() <= 1e-12 * r,
+                "volna tile={tile} step {i}: tiled dt {dt} vs fused {r}"
+            );
+        }
+        assert!(
+            sim.w.max_abs_diff(&fused_v.w) <= 1e-12,
+            "volna tile={tile} vs fused"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
