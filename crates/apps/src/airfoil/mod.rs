@@ -13,6 +13,14 @@
 //! }
 //! ```
 
+/// The evolving dats of an Airfoil state or rank, in snapshot order:
+/// `evolving!(s)` borrows them shared, `evolving!(s, mut)` exclusively.
+macro_rules! evolving {
+    ($s:expr $(, $m:tt)?) => {
+        vec![&$($m)? $s.q, &$($m)? $s.qold, &$($m)? $s.adt, &$($m)? $s.res]
+    };
+}
+
 pub mod drivers;
 pub mod kernels;
 pub mod kernels_vec;

@@ -2,26 +2,27 @@
 //! distribute → SPMD ranks with halo exchanges and redundant exec-halo
 //! execution (paper §3, §6.5's MPI and MPI+OpenMP configurations).
 //!
-//! A rank does not restate the timestep. [`RankState::step_fused_chain`]
-//! hands its dats and a [`RankHalo`] to the one recording in
-//! [`drivers`](super::drivers) — the generated code of paper Fig. 2b,
-//! where `op_mpi_halo_exchanges` is placed around an unchanged loop —
-//! and merges the residual through the rank-ordered bit-reproducible
-//! allreduce. Everything around the step (partitioning, the universe,
-//! per-rank pools, checkpoints, assembly) is the generic driver in
-//! [`crate::dist`], which this state joins by implementing [`RankApp`].
+//! A rank does not restate the timestep. Its [`RankApp::step`], written
+//! once for both applications, hands the rank's dats and a halo to the
+//! one recording in [`drivers`](super::drivers) — the generated code of
+//! paper Fig. 2b, where `op_mpi_halo_exchanges` is placed around an
+//! unchanged loop — and merges the residual through the rank-ordered
+//! bit-reproducible allreduce. Everything around the step (partitioning,
+//! the universe, per-rank pools, checkpoints, assembly) is the generic
+//! driver in [`crate::dist`], which this state joins by implementing
+//! [`RankApp`].
 
 use ump_core::{ExecPool, LocalMesh, OpDat, PlanCache, Recorder};
-use ump_lazy::{ExchangePolicy, Fusion, Shape};
+use ump_lazy::{ExchangePolicy, Shape};
 use ump_mesh::generators::AirfoilCase;
 use ump_mesh::Mesh2d;
 use ump_minimpi::{Comm, ExchangeGuard};
 use ump_simd::Real;
 
-use super::drivers::{recorded_step, StepDats};
+use super::drivers::StepInputs;
 use super::{Airfoil, Consts};
-use crate::dist::{self, RankApp, RankHalo};
-use crate::ChainExec;
+use crate::dist::{self, RankApp};
+use crate::Split;
 
 /// A rank-local Airfoil state.
 pub struct RankState<R: Real> {
@@ -77,25 +78,9 @@ impl<R: Real> RankState<R> {
 }
 
 impl<R: Real> RankState<R> {
-    /// One iteration as a rank-local **fused chain with halo/compute
-    /// overlap** — the distributed production path: the shared-memory
-    /// recording over the rank's owned cells and all its local edges,
-    /// with the `q`/`adt` ghost refreshes as non-blocking chain entries
-    /// (`res_calc`'s interior blocks run while the messages fly, only
-    /// the ghost-reading boundary blocks wait).
-    ///
-    /// `shape` selects threaded or `L`-lane vectorized block bodies
-    /// (pass [`Shape::Simd`] with `lanes == L`); `policy` selects
-    /// overlapped or blocking exchanges — both compute in the same
-    /// order, so their results are bit-identical. Returns the global
-    /// normalized RMS via the rank-ordered (bit-reproducible) allreduce.
-    ///
-    /// With `guard: Some(_)` the exchange finishes route through the
-    /// [`ExchangeGuard`]: a halo receive that misses the guard's deadline
-    /// latches a typed timeout and the step completes on stale ghost
-    /// data instead of blocking forever — the resilient driver rolls the
-    /// step back at the next health vote. With `None`, a missing packet
-    /// panics after the universe watchdog (the fail-fast default).
+    /// One iteration as a rank-local fused chain with halo/compute
+    /// overlap: [`RankApp::step`], whose value is the global normalized
+    /// RMS.
     #[allow(clippy::too_many_arguments)]
     pub fn step_fused_chain<const L: usize>(
         &mut self,
@@ -109,28 +94,17 @@ impl<R: Real> RankState<R> {
         rec: Option<&Recorder>,
         guard: Option<&ExchangeGuard>,
     ) -> f64 {
-        let local = &self.local;
-        let halo = RankHalo {
+        self.step::<L>(
             comm,
-            plan: &local.cell_halo,
-            guard,
-            edge_halo: &self.edge_halo,
-            n_owned: local.n_owned_cells,
+            cache,
+            pool,
+            shape,
+            block_size,
+            total_cells,
             policy,
-        };
-        let dats = StepDats {
-            mesh: &local.mesh,
-            bound: &self.bound,
-            consts: &self.consts,
-            x: &self.x,
-            q: &mut self.q,
-            qold: &mut self.qold,
-            adt: &mut self.adt,
-            res: &mut self.res,
-        };
-        let exec = ChainExec::on_pool(shape, Fusion::Groups);
-        let rms = recorded_step::<R, L>(dats, Some(&halo), pool, cache, exec, 0, block_size, rec);
-        (comm.allreduce_sum(rms) / total_cells as f64).sqrt()
+            rec,
+            guard,
+        )
     }
 }
 
@@ -138,7 +112,6 @@ impl<R: Real> RankApp for RankState<R> {
     type R = R;
     type Case = AirfoilCase;
     type Global = Airfoil<R>;
-    const CELL_DATS: usize = 4;
 
     fn new(case: &AirfoilCase, local: LocalMesh) -> Self {
         RankState::new(case, local)
@@ -150,46 +123,22 @@ impl<R: Real> RankApp for RankState<R> {
         &self.local
     }
     fn evolving(&self) -> Vec<&OpDat<R>> {
-        vec![&self.q, &self.qold, &self.adt, &self.res]
+        evolving!(self)
     }
-    fn evolving_mut(&mut self) -> Vec<&mut OpDat<R>> {
-        vec![&mut self.q, &mut self.qold, &mut self.adt, &mut self.res]
+    fn split(&mut self) -> (Split<'_, Airfoil<R>>, &LocalMesh, &[bool]) {
+        let split = Split {
+            mesh: &self.local.mesh,
+            inputs: StepInputs {
+                bound: &self.bound,
+                consts: &self.consts,
+                x: &self.x,
+            },
+            evolving: evolving!(self, mut),
+        };
+        (split, &self.local, &self.edge_halo)
     }
     fn global_case(global: &Airfoil<R>) -> &AirfoilCase {
         &global.case
-    }
-    fn global_cell_dats(global: &Airfoil<R>) -> Vec<&OpDat<R>> {
-        vec![&global.q, &global.qold, &global.adt, &global.res]
-    }
-    fn global_cell_dats_mut(global: &mut Airfoil<R>) -> Vec<&mut OpDat<R>> {
-        let Airfoil {
-            q, qold, adt, res, ..
-        } = global;
-        vec![q, qold, adt, res]
-    }
-    fn step<const L: usize>(
-        &mut self,
-        comm: &Comm,
-        cache: &PlanCache,
-        pool: &ExecPool,
-        shape: Shape,
-        block_size: usize,
-        total_cells: usize,
-        policy: ExchangePolicy,
-        rec: Option<&Recorder>,
-        guard: Option<&ExchangeGuard>,
-    ) -> f64 {
-        self.step_fused_chain::<L>(
-            comm,
-            cache,
-            pool,
-            shape,
-            block_size,
-            total_cells,
-            policy,
-            rec,
-            guard,
-        )
     }
 }
 

@@ -6,9 +6,10 @@
 //!
 //! An application takes part by implementing [`RankApp`] for its
 //! rank-local state: how to build a rank from the case and its
-//! [`LocalMesh`], which dats evolve, and how to step once. The step is
-//! not a second copy of the timestep — each app records its chain
-//! once (`drivers::recorded_step`) and a rank passes that recording a
+//! [`LocalMesh`], and which dats it holds. The step is written once,
+//! here, for both applications, and is not a second copy of the
+//! timestep: [`RankApp::step`] runs the app's one recording
+//! ([`Simulation::record_steps`]) over the rank's dats and passes it a
 //! [`RankHalo`], the hooks a rank adds around the unchanged loops (paper
 //! Fig. 2b's `op_mpi_halo_exchanges`): ghost refreshes as non-blocking
 //! chain entries, the interior/boundary classification that lets
@@ -28,13 +29,15 @@ use ump_core::{
     distribute, extract_rows, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder, SharedDat,
 };
 use ump_fault::FaultInjector;
-use ump_lazy::{Chain, ExchangePolicy, Shape};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
 use ump_mesh::Mesh2d;
 use ump_minimpi::{Comm, ExchangeGuard, ExchangePlan, Universe};
 use ump_part::{rcb, Partition};
 use ump_simd::Real;
 
 use crate::resilience::{resilient_loop, ResilientReport};
+use crate::simulation::recorded_step;
+use crate::{ChainExec, Simulation, Split};
 
 /// What a rank adds to an application's recorded chain.
 #[derive(Clone, Copy)]
@@ -113,11 +116,11 @@ pub trait RankApp: Sized + Send {
     /// The global case a run starts from.
     type Case: Sync;
     /// The single-process state a rank holds a piece of.
-    type Global: Sync;
+    type Global: Simulation<R = Self::R>;
     /// How many leading entries of [`evolving`](RankApp::evolving) live
     /// on the cell set — the dats that distribute from and assemble
     /// into a [`Global`](RankApp::Global).
-    const CELL_DATS: usize;
+    const CELL_DATS: usize = <Self::Global as Simulation>::CELL_DATS;
 
     /// Build a rank's state from the global case and its mesh piece.
     fn new(case: &Self::Case, local: LocalMesh) -> Self;
@@ -125,22 +128,58 @@ pub trait RankApp: Sized + Send {
     fn mesh(case: &Self::Case) -> &Mesh2d;
     /// The rank's mesh piece.
     fn local(&self) -> &LocalMesh;
-    /// The dats a step changes, primary state first, cell dats before
-    /// the rest. Everything else is a deterministic function of the case
-    /// and the partition and is rebuilt, not stored.
+    /// The dats a step changes, in the global state's
+    /// [`evolving`](Simulation::evolving) order. Everything else is a
+    /// deterministic function of the case and the partition and is
+    /// rebuilt, not stored.
     fn evolving(&self) -> Vec<&OpDat<Self::R>>;
-    /// [`evolving`](RankApp::evolving), mutably and in the same order.
-    fn evolving_mut(&mut self) -> Vec<&mut OpDat<Self::R>>;
+    /// The rank's dats as its step borrows them — the app's
+    /// [`Split`] over the rank's mesh piece — with the piece itself and
+    /// the halo classification of its executed edges (`true` for edges
+    /// reading a ghost cell, deferred until the exchange finishes in the
+    /// overlap schedule).
+    fn split(&mut self) -> (Split<'_, Self::Global>, &LocalMesh, &[bool]);
     /// The case of a global state.
     fn global_case(global: &Self::Global) -> &Self::Case;
+
+    /// [`evolving`](RankApp::evolving), mutably and in the same order.
+    fn evolving_mut(&mut self) -> Vec<&mut OpDat<Self::R>> {
+        self.split().0.evolving
+    }
+
     /// The global counterparts of the first
     /// [`CELL_DATS`](RankApp::CELL_DATS) evolving dats.
-    fn global_cell_dats(global: &Self::Global) -> Vec<&OpDat<Self::R>>;
+    fn global_cell_dats(global: &Self::Global) -> Vec<&OpDat<Self::R>> {
+        let mut dats = global.evolving();
+        dats.truncate(Self::CELL_DATS);
+        dats
+    }
+
     /// [`global_cell_dats`](RankApp::global_cell_dats), mutably.
-    fn global_cell_dats_mut(global: &mut Self::Global) -> Vec<&mut OpDat<Self::R>>;
-    /// One step of the rank's fused chain; returns the step's global
-    /// reduction (identical on every rank). `total_cells` is the global
-    /// cell count.
+    fn global_cell_dats_mut(global: &mut Self::Global) -> Vec<&mut OpDat<Self::R>> {
+        let mut dats = global.evolving_mut();
+        dats.truncate(Self::CELL_DATS);
+        dats
+    }
+
+    /// One step of the rank's fused chain — the distributed production
+    /// path: the app's one recording over the rank's owned cells and all
+    /// its local edges, with the ghost refreshes as non-blocking chain
+    /// entries (the interior blocks run while the messages fly, only the
+    /// ghost-reading boundary blocks wait). Returns the step's global
+    /// reduction through the rank-ordered, bit-reproducible allreduce
+    /// (identical on every rank). `total_cells` is the global cell count.
+    ///
+    /// `shape` selects threaded or `L`-lane vectorized block bodies
+    /// (pass [`Shape::Simd`] with `lanes == L`); `policy` overlapped or
+    /// blocking exchanges — both compute in the same order, so their
+    /// results are bit-identical. With `guard: Some(_)` the exchange
+    /// finishes route through the [`ExchangeGuard`]: a halo receive that
+    /// misses the guard's deadline latches a typed timeout and the step
+    /// completes on stale ghost data instead of blocking forever — the
+    /// resilient driver rolls the step back at the next health vote.
+    /// With `None`, a missing packet panics after the universe watchdog
+    /// (the fail-fast default).
     #[allow(clippy::too_many_arguments)]
     fn step<const L: usize>(
         &mut self,
@@ -153,7 +192,29 @@ pub trait RankApp: Sized + Send {
         policy: ExchangePolicy,
         rec: Option<&Recorder>,
         guard: Option<&ExchangeGuard>,
-    ) -> f64;
+    ) -> f64 {
+        let (split, local, edge_halo) = self.split();
+        let halo = RankHalo {
+            comm,
+            plan: &local.cell_halo,
+            guard,
+            edge_halo,
+            n_owned: local.n_owned_cells,
+            policy,
+        };
+        let exec = ChainExec::on_pool(shape, Fusion::Groups);
+        recorded_step::<Self::Global, L>(
+            split,
+            Some(&halo),
+            total_cells,
+            pool,
+            cache,
+            exec,
+            0,
+            block_size,
+            rec,
+        )
+    }
 }
 
 /// Serialize the rank's evolving dats as exact bit patterns — the

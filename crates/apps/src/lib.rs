@@ -11,29 +11,36 @@
 //! Each application provides *kernels* (the "user code" of the OP2
 //! abstraction — a scalar form generic over `R: Real` and a vector form
 //! generic over `VecR<R, LANES>`, mirroring `res_calc` / `res_calc_vec`
-//! in paper Fig. 3b) and *drivers* — what OP2's code generator would
-//! emit (Figs 2b/3a/3b): a hand-written sequential reference and one
-//! recording of N timesteps as an `ump_lazy` chain (scalar body,
-//! `L`-lane chunk body and reduction per loop). Every other row of the
-//! registry executes that one recording: threaded colored blocks,
-//! explicit SIMD with gather/scatter and the three-sweep structure, the
-//! SIMT emulation — loop by loop or fused — are the [`Shape`] and
-//! [`Fusion`] it is executed under (`chain_exec` maps a row to them),
-//! and cross-timestep tiling runs its bodies tile by tile
-//! ([`ump_lazy::TiledChain`]). The message-passing backend does not
-//! restate the timestep either: a rank executes the recording with its
-//! halo hooks on, and [`dist`] drives any [`dist::RankApp`] end to end
-//! (halo exchanges, redundant exec-halo execution, checkpoints,
-//! assembly).
+//! in paper Fig. 3b) and what is its own of the *drivers* OP2's code
+//! generator would emit (Figs 2b/3a/3b): a hand-written sequential
+//! reference and one recording of N timesteps as an `ump_lazy` chain
+//! (scalar body, `L`-lane chunk body and reduction per loop). Both state
+//! it by implementing one trait, [`Simulation`]; everything that executes
+//! the recording is written once, generic over it. Every row of the
+//! registry other than `seq` executes that one recording: threaded
+//! colored blocks, explicit SIMD with gather/scatter and the three-sweep
+//! structure, the SIMT emulation — loop by loop or fused — are the
+//! [`Shape`] and [`Fusion`] it is executed under ([`step_chain`]), and
+//! cross-timestep tiling runs its bodies tile by tile ([`run_tiled_on`],
+//! through [`ump_lazy::TiledChain`]); [`step_on`] dispatches a registry
+//! row to them. The message-passing backend does not restate the
+//! timestep either: a rank executes the recording with its halo hooks
+//! on ([`dist::RankApp::step`]), and [`dist`] drives any
+//! [`dist::RankApp`] end to end (halo exchanges, redundant exec-halo
+//! execution, checkpoints, assembly).
 
 #![deny(missing_docs)]
 
 pub mod airfoil;
 pub mod dist;
 pub mod resilience;
+mod simulation;
 pub mod volna;
 
 pub use resilience::{resilient_loop, ResilientReport};
+pub use simulation::{
+    run_tiled_on, run_tiled_report_on, step_chain, step_on, Simulation, Split, Sweep,
+};
 
 use std::sync::Arc;
 
@@ -44,7 +51,7 @@ use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
 use ump_mesh::MapTable;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
-/// Default anchor-blocks-per-tile of the registry dispatchers' tiled
+/// Default anchor-blocks-per-tile of the registry dispatcher's tiled
 /// arms: `tile_cells = DISPATCH_TILE_BLOCKS × block_size`.
 pub const DISPATCH_TILE_BLOCKS: usize = 4;
 
@@ -231,23 +238,4 @@ impl ChainExec {
             self.fusion,
         );
     }
-}
-
-/// The shape tiles run an `L`-lane recording in: its scalar bodies for
-/// `L = 1`, the three-sweep vector bodies otherwise.
-pub(crate) fn tile_shape<const L: usize>() -> Shape {
-    if L == 1 {
-        Shape::Threaded
-    } else {
-        Shape::Simd { lanes: L }
-    }
-}
-
-/// The `step_on` dispatchers' answer to a lane width the registry lists
-/// but the drivers have no const instantiation for.
-pub(crate) fn no_lane_instantiation(backend: Backend) -> ! {
-    panic!(
-        "backend {} has no compiled lane instantiation — add it to step_on",
-        backend.name()
-    )
 }

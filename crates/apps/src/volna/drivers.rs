@@ -1,23 +1,19 @@
-//! The Volna loop drivers (one step = one RK2 time step; returns the CFL
-//! Δt used). Same structure as the Airfoil drivers — the hand-written
-//! [`step_seq`] oracle, the one recording of the step as an `ump_lazy`
-//! chain ([`step_chain`]: every shared-memory registry row is an
-//! execution of it, in a [`Shape`] under a [`Fusion`] policy and in
-//! whatever layout the state is stored in; a rank of the distributed
-//! backend executes it with its [`RankHalo`] hooks switched on, and
-//! [`run_tiled_on`] executes N steps of it tile by tile), and the
-//! [`step_on`] registry dispatcher; the paper
-//! benchmarks Volna in single precision through the same MPI / OpenMP /
-//! OpenCL / intrinsics configurations.
+//! The Volna loop drivers (one step = one RK2 time step; its value is
+//! the CFL Δt used). Same structure as the Airfoil drivers: what is
+//! Volna's own lives here — the hand-written [`step_seq`] oracle, the
+//! `L`-lane chunk bodies, and the one recording of N steps as an
+//! `ump_lazy` chain with its Δt slots in the [`Simulation`] impl — and
+//! the executors written once for both applications are re-exported:
+//! [`step_chain`] (every shared-memory registry row, in a [`Shape`]
+//! under a [`Fusion`](ump_lazy::Fusion) policy and in whatever layout
+//! the state is stored in), [`run_tiled_on`] (N steps tile by tile) and
+//! the [`step_on`] registry dispatcher; a rank of the distributed
+//! backend executes the recording with its [`RankHalo`] hooks switched
+//! on. The paper benchmarks Volna in single precision through the same
+//! MPI / OpenMP / OpenCL / intrinsics configurations.
 
-use std::sync::Arc;
-
-use ump_core::plan::AnyPlan;
-use ump_core::{
-    seq_loop, simd_block_sweep, two_rows_mut, Backend, ExecPool, Layout, OpDat, PlanCache,
-    Recorder, SharedDat,
-};
-use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, TileReport, TiledChain, VecHint};
+use ump_core::{seq_loop, simd_block_sweep, two_rows_mut, Layout, OpDat, Recorder, SharedDat};
+use ump_lazy::{Chain, LoopDesc, Shape, TileCache};
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
@@ -27,11 +23,10 @@ use super::kernels_vec::{
 };
 use super::mpi::RankState;
 use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
-use crate::dist::{step_mpi_fused, RankHalo};
-use crate::{
-    chain_exec, maybe_time, no_lane_instantiation, tile_shape, ChainExec, Lanes,
-    DISPATCH_TILE_BLOCKS,
-};
+use crate::dist::RankHalo;
+use crate::{maybe_time, Lanes, Simulation, Split, Sweep};
+
+pub use crate::{run_tiled_on, run_tiled_report_on, step_chain, step_on};
 
 // ---------------------------------------------------------------------------
 // sequential reference
@@ -273,736 +268,441 @@ pub(crate) fn rk2_chunk<R: Real, const L: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// the recorded RK2 step — one ump_lazy chain, every shared-memory shape
+// the recorded RK2 step — one ump_lazy chain, every executor
 // ---------------------------------------------------------------------------
 
-/// The dats of one Volna step, borrowed from a global [`Volna`] or from
-/// a rank's piece of one (`mpi::RankState`).
-pub(crate) struct StepDats<'a, R: Real> {
-    pub mesh: &'a Mesh2d,
-    pub w: &'a mut OpDat<R>,
-    pub w_old: &'a mut OpDat<R>,
-    pub w1: &'a mut OpDat<R>,
-    pub res: &'a mut OpDat<R>,
-    pub area: &'a OpDat<R>,
-    pub egeom: &'a OpDat<R>,
-    pub eflux: &'a mut OpDat<R>,
-    pub bgeom: &'a OpDat<R>,
+/// What a recording of Volna steps reads besides the mesh, the evolving
+/// dats and the reduction slots.
+pub struct StepInputs<'a, R: Real> {
+    pub(crate) area: &'a OpDat<R>,
+    pub(crate) egeom: &'a OpDat<R>,
+    pub(crate) bgeom: &'a OpDat<R>,
 }
 
-/// One RK2 step recorded as an `ump_lazy` loop chain and executed on
-/// `pool` in `shape`, grouped per `fusion` — the direct entry to what
-/// every shared-memory registry row runs (mirrors
-/// [`airfoil::drivers::step_chain`](crate::airfoil::drivers::step_chain)).
-/// One recorded chain carries scalar and `L`-lane vector bodies, so it
-/// serves [`Shape::Threaded`], [`Shape::Simt`] and
-/// [`Shape::Simd`]`{ lanes: L }` on the same plans. Returns Δt.
-///
-/// Under [`Fusion::PerLoop`] the eight pooled loops are dispatched one
-/// by one. Under [`Fusion::Groups`] the three edge loops of phase 0
-/// (`compute_flux`, `numerical_flux`, `space_disc`) fuse into a single
-/// colored dispatch — their dependencies are direct (the per-edge flux
-/// pack) — and phase 1 fuses `compute_flux+space_disc`: three dispatch
-/// rounds fewer per step, with the edge working set streamed once per
-/// group. Under both, the Δt reduction is merged by an epilogue before
-/// `RK_1` consumes it.
-#[allow(clippy::too_many_arguments)]
-pub fn step_chain<R: Real, const L: usize>(
-    pool: &ExecPool,
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    shape: Shape,
-    fusion: Fusion,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let exec = ChainExec::on_pool(shape, fusion);
-    step_exec::<R, L>(exec, pool, sim, cache, n_threads, block_size, rec)
+/// Δt slots per step: the edge loops' block count.
+fn edge_blocks(sweep: &Sweep<'_>) -> usize {
+    sweep.mesh.n_edges().div_ceil(sweep.block)
 }
 
-/// [`step_chain`] as a registry row executes it.
-fn step_exec<R: Real, const L: usize>(
-    exec: ChainExec,
-    pool: &ExecPool,
-    sim: &mut Volna<R>,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let dats = StepDats {
-        mesh: &sim.case.mesh,
-        w: &mut sim.w,
-        w_old: &mut sim.w_old,
-        w1: &mut sim.w1,
-        res: &mut sim.res,
-        area: &sim.area,
-        egeom: &sim.egeom,
-        eflux: &mut sim.eflux,
-        bgeom: &sim.bgeom,
-    };
-    recorded_step::<R, L>(dats, None, pool, cache, exec, n_threads, block_size, rec)
-}
+impl<R: Real> Simulation for Volna<R> {
+    type R = R;
+    type Rank = RankState<R>;
+    type Inputs<'a> = StepInputs<'a, R>;
+    const NAME: &'static str = "volna";
+    const CELL_DATS: usize = 4;
 
-/// One RK2 step of the one recording, executed as `exec` says, over a
-/// global state (`halo: None`) or a rank's piece of one. Returns the
-/// (globally agreed) Δt.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn recorded_step<R: Real, const L: usize>(
-    dats: StepDats<'_, R>,
-    halo: Option<&RankHalo<'_>>,
-    pool: &ExecPool,
-    cache: &PlanCache,
-    exec: ChainExec,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    if let Shape::Simd { lanes } = exec.shape {
-        assert_eq!(
-            lanes, L,
-            "shape sweeps {lanes} lanes, the recorded chunk bodies are {L} wide"
-        );
+    fn evolving(&self) -> Vec<&OpDat<R>> {
+        evolving!(self)
     }
-    let n_cells = halo.map_or(dats.mesh.n_cells(), |h| h.n_owned);
-    // the chain's own blocks may span whole sets; the permute plans keep
-    // the caller's block size
-    let permute = exec.permute_plan(cache, &dats.mesh.edge2cell, block_size);
-    let inputs = StepInputs::new(
-        &dats,
-        n_cells,
-        exec.chain_block(block_size),
-        exec.shape,
-        permute,
-    );
-    let mut dt_blocks = vec![R::INFINITY; inputs.edge_blocks];
-    let mut dt = vec![R::INFINITY; 1];
-    {
-        let StepDats {
-            w,
-            w_old,
-            w1,
-            res,
-            eflux,
-            ..
-        } = dats;
-        let evolving = [w, w_old, w1, res, eflux].map(|d| SharedDat::new(&mut d.data));
-        let (dts, dtf) = (SharedDat::new(&mut dt_blocks), SharedDat::new(&mut dt));
-        let chain = record_steps::<R, L>(&inputs, &evolving, &dts, &dtf, 1, halo);
-        let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
-        exec.execute(
-            &chain,
-            pool,
-            cache,
-            n_threads,
-            block_size,
-            R::BYTES,
-            rec,
-            policy,
-        );
+
+    fn split(&mut self) -> Split<'_, Self> {
+        Split {
+            mesh: &self.case.mesh,
+            inputs: StepInputs {
+                area: &self.area,
+                egeom: &self.egeom,
+                bgeom: &self.bgeom,
+            },
+            evolving: evolving!(self, mut),
+        }
     }
-    dt[0].to_f64()
-}
 
-/// What a recording of Volna steps reads besides the evolving dats and
-/// the reduction slots.
-pub(crate) struct StepInputs<'a, R: Real> {
-    mesh: &'a Mesh2d,
-    area: &'a OpDat<R>,
-    egeom: &'a OpDat<R>,
-    bgeom: &'a OpDat<R>,
-    /// Layouts of w, w_old, w1, res, egeom, eflux and bgeom: every access
-    /// of the recorded bodies goes through them, so the one recording
-    /// runs natively on AoS, SoA or AoSoA storage (dim-1 area indexes
-    /// identically in every layout); rank-local dats are always AoS.
-    views: [DatView; 7],
-    /// Cells the cell loops cover: all, or a rank's owned ones.
-    n_cells: usize,
-    /// Δt slots per step: the edge loops' block count.
-    edge_blocks: usize,
-    /// The shape the recording executes in.
-    shape: Shape,
-    /// Fig. 8a's rows: the permute plan `space_disc` walks instead of its
-    /// colored loop.
-    permute: Option<Arc<AnyPlan>>,
-}
+    fn mesh(&self) -> &Mesh2d {
+        &self.case.mesh
+    }
 
-impl<'a, R: Real> StepInputs<'a, R> {
-    /// The inputs of a recording over `dats` with cell loops over
-    /// `n_cells` cells, and edge loops in blocks of `block`.
-    fn new(
-        dats: &StepDats<'a, R>,
-        n_cells: usize,
-        block: usize,
-        shape: Shape,
-        permute: Option<Arc<AnyPlan>>,
-    ) -> StepInputs<'a, R> {
-        let d = dats;
-        StepInputs {
-            mesh: d.mesh,
-            area: d.area,
-            egeom: d.egeom,
-            bgeom: d.bgeom,
-            views: [d.w, d.w_old, d.w1, d.res, d.egeom, d.eflux, d.bgeom].map(|d| d.view()),
-            n_cells,
-            edge_blocks: d.mesh.n_edges().div_ceil(block),
+    fn layout(&self) -> Layout {
+        Volna::layout(self)
+    }
+
+    fn set_layout(&mut self, to: Layout) {
+        Volna::set_layout(self, to);
+    }
+
+    fn tiles(&self) -> &TileCache<R> {
+        &self.tiles
+    }
+
+    fn tiles_mut(&mut self) -> &mut TileCache<R> {
+        &mut self.tiles
+    }
+
+    fn step_seq(&mut self, rec: Option<&Recorder>) -> f64 {
+        step_seq(self, rec)
+    }
+
+    /// Step `s`'s Δt in slot `s`, then one slot per (step, edge block).
+    fn slots(sweep: &Sweep<'_>, steps: usize) -> Vec<R> {
+        vec![R::INFINITY; steps * (1 + edge_blocks(sweep))]
+    }
+
+    /// Each step's Δt, as its epilogue folded it (across ranks already
+    /// the min-allreduce).
+    fn fold(
+        _sweep: &Sweep<'_>,
+        slots: &[R],
+        steps: usize,
+        _halo: Option<&RankHalo<'_>>,
+        _total_cells: usize,
+    ) -> Vec<f64> {
+        slots[..steps].iter().map(|v| v.to_f64()).collect()
+    }
+
+    /// The one recording of the RK2 step: `steps` steps over the evolving
+    /// dats `[w, w_old, w1, res, eflux]` — a global state's, a rank's, or
+    /// a tile's shadow copies. Step `s`'s `numerical_flux` blocks store
+    /// their Δt candidates in slot `steps + s × edge_blocks + block`, its
+    /// epilogue folds them into slot `s`, and that step's `RK` loops read
+    /// it. Where Airfoil's chain is a single epoch, Volna's Δt is
+    /// *consumed* in-chain, so the tiled executor cuts the recording into
+    /// two epochs per step at those global barriers — the cross-step
+    /// cones span the `RK_1 … compute_flux'` epoch that straddles the
+    /// step boundary. A rank's [`RankHalo`] adds what
+    /// `op_mpi_halo_exchanges` adds around unchanged loops:
+    ///
+    /// ```text
+    /// exch(w)                            sends posted immediately
+    /// sim_1                              owned cells, interior (overlapped)
+    /// [compute_flux+numerical_flux+space_disc]
+    ///                                    interior blocks → finish(w) → boundary
+    ///                                    epilogue: fold Δt blocks, allreduce_min
+    /// bc_flux                            serial, owned cells only
+    /// RK_1                               owned cells; ghost res zeroed
+    /// exch(w1) → [compute_flux+space_disc] → bc_flux → RK_2
+    /// ```
+    ///
+    /// Cell loops cover the owned cells only, edge loops all local edges.
+    /// The CFL Δt is the implicit synchronization point §6.5 charges the
+    /// Phi for: it merges deterministically (block order within the
+    /// rank, rank order across ranks) inside the flux group's epilogue,
+    /// before `RK_1` consumes it — and `min` is exact in any order, so Δt
+    /// equals every executor's bit-for-bit. The halo markings are applied
+    /// only for a rank: `mark_boundary` forces the interior → finish →
+    /// boundary split, which a single process must not pay.
+    fn record_steps<'s, 'a: 's, const L: usize>(
+        inputs: &'s StepInputs<'a, R>,
+        sweep: &'s Sweep<'a>,
+        evolving: &'s [SharedDat<'s, R>],
+        dt: &'s SharedDat<'s, R>,
+        steps: usize,
+        halo: Option<&'s RankHalo<'s>>,
+    ) -> Chain<'s> {
+        let StepInputs { area, egeom, bgeom } = *inputs;
+        let Sweep {
+            mesh,
+            n_cells: nc,
             shape,
-            permute,
-        }
-    }
-}
+            ref permute,
+            ..
+        } = *sweep;
+        let edge_blocks = edge_blocks(sweep);
+        let ([ws, wolds, w1s, ress, efs], &[wv, woldv, w1v, resv, efv]) =
+            (evolving, &sweep.views[..])
+        else {
+            panic!("volna records over [w, w_old, w1, res, eflux]")
+        };
+        let (egv, bgv) = (egeom.view(), bgeom.view());
+        let g = R::from_f64(GRAVITY);
+        let h_min = R::from_f64(H_MIN);
+        let cfl = R::from_f64(CFL);
+        let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
+        let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n);
 
-/// The one recording of the RK2 step: `steps` steps over the evolving
-/// dats `[w, w_old, w1, res, eflux]` — a global state's, a rank's, or a
-/// tile's shadow copies. Step `s`'s `numerical_flux` blocks store their
-/// Δt candidates in `dt_blocks` slot `s × edge_blocks + block`, its
-/// epilogue folds them into `dt[s]`, and that step's `RK` loops read it.
-/// A rank's [`RankHalo`] adds what `op_mpi_halo_exchanges` adds around
-/// unchanged loops:
-///
-/// ```text
-/// exch(w)                            sends posted immediately
-/// sim_1                              owned cells, interior (overlapped)
-/// [compute_flux+numerical_flux+space_disc]
-///                                    interior blocks → finish(w) → boundary
-///                                    epilogue: fold Δt blocks, allreduce_min
-/// bc_flux                            serial, owned cells only
-/// RK_1                               owned cells; ghost res zeroed
-/// exch(w1) → [compute_flux+space_disc] → bc_flux → RK_2
-/// ```
-///
-/// Cell loops cover the owned cells only, edge loops all local edges.
-/// The CFL Δt is the implicit synchronization point §6.5 charges the Phi
-/// for: it merges deterministically (block order within the rank, rank
-/// order across ranks) inside the flux group's epilogue, before `RK_1`
-/// consumes it. The halo markings are applied only for a rank:
-/// `mark_boundary` forces the interior → finish → boundary split, which
-/// a single process must not pay.
-pub(crate) fn record_steps<'s, R: Real, const L: usize>(
-    inputs: &'s StepInputs<'_, R>,
-    evolving: &'s [SharedDat<'s, R>],
-    dt_blocks: &'s SharedDat<'s, R>,
-    dt: &'s SharedDat<'s, R>,
-    steps: usize,
-    halo: Option<&'s RankHalo<'s>>,
-) -> Chain<'s> {
-    let StepInputs {
-        mesh,
-        area,
-        egeom,
-        bgeom,
-        views: [wv, woldv, w1v, resv, egv, efv, bgv],
-        n_cells: nc,
-        edge_blocks,
-        shape,
-        ref permute,
-    } = *inputs;
-    let [ws, wolds, w1s, ress, efs] = evolving else {
-        panic!("volna records over [w, w_old, w1, res, eflux]")
-    };
-    let g = R::from_f64(GRAVITY);
-    let h_min = R::from_f64(H_MIN);
-    let cfl = R::from_f64(CFL);
-    let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
-    // every recorded vector body runs under `Shape::Simd` (measured: see
-    // the Airfoil recording and docs/ARCHITECTURE.md §8)
-    let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n).with_hint(VecHint::Vector);
-    let state_desc =
-        |name: &str, n: usize, phase: usize| phase_desc(name, n, phase).with_hint(VecHint::Vector);
-
-    let mut chain = Chain::new("volna_step");
-    for step in 0..steps {
-        if let Some(h) = halo {
-            // refresh w ghosts for phase 0: posted before sim_1 so the
-            // copy loop also hides message latency
-            h.record_exchange(&mut chain, "halo[w]", ws, 4, step as u64 * 2);
-        }
-        chain.record_simd(
-            desc("sim_1", nc),
-            vec![],
-            L,
-            move |c| unsafe {
-                let row: [R; 4] = wv.load_row(ws.as_slice(), c);
-                let mut old = [R::ZERO; 4];
-                sim_1(&row, &mut old);
-                woldv.store_row(wolds.slice_mut(0, wolds.len()), c, &old);
-            },
-            move |cs| unsafe {
-                let rows: [VecR<R, L>; 4] = wv.load_rows(ws.as_slice(), cs);
-                woldv.store_rows(&rows, wolds.slice_mut(0, wolds.len()), cs);
-            },
-        );
-        if halo.is_some() {
-            chain.mark_interior();
-        }
-        // this step's Δt: folded by numerical_flux's epilogue, read by RK
-        let dt_slots = step * edge_blocks;
-        for phase in 0..2 {
-            let (state, sv) = if phase == 0 { (ws, wv) } else { (w1s, w1v) };
-            if let (1, Some(h)) = (phase, halo) {
-                // refresh w1 ghosts (RK_1 wrote owned rows only)
-                h.record_exchange(&mut chain, "halo[w1]", w1s, 4, step as u64 * 2 + 1);
+        let mut chain = Chain::new("volna_step");
+        for step in 0..steps {
+            if let Some(h) = halo {
+                // refresh w ghosts for phase 0: posted before sim_1 so the
+                // copy loop also hides message latency
+                h.record_exchange(&mut chain, "halo[w]", ws, 4, step as u64 * 2);
             }
             chain.record_simd(
-                state_desc("compute_flux", ne, phase),
+                desc("sim_1", nc),
                 vec![],
                 L,
-                move |e| {
+                move |c| unsafe {
+                    let row: [R; 4] = wv.load_row(ws.as_slice(), c);
+                    let mut old = [R::ZERO; 4];
+                    sim_1(&row, &mut old);
+                    woldv.store_row(wolds.slice_mut(0, wolds.len()), c, &old);
+                },
+                move |cs| unsafe {
+                    let rows: [VecR<R, L>; 4] = wv.load_rows(ws.as_slice(), cs);
+                    woldv.store_rows(&rows, wolds.slice_mut(0, wolds.len()), cs);
+                },
+            );
+            if halo.is_some() {
+                chain.mark_interior();
+            }
+            // this step's Δt: folded by numerical_flux's epilogue from its
+            // block slots, read by RK
+            let dt_slots = steps + step * edge_blocks;
+            for phase in 0..2 {
+                let (state, sv) = if phase == 0 { (ws, wv) } else { (w1s, w1v) };
+                if let (1, Some(h)) = (phase, halo) {
+                    // refresh w1 ghosts (RK_1 wrote owned rows only)
+                    h.record_exchange(&mut chain, "halo[w1]", w1s, 4, step as u64 * 2 + 1);
+                }
+                chain.record_simd(
+                    phase_desc("compute_flux", ne, phase),
+                    vec![],
+                    L,
+                    move |e| {
+                        let c = mesh.edge2cell.row(e);
+                        unsafe {
+                            let ge: [R; 4] = egv.load_row(&egeom.data, e);
+                            let s = state.as_slice();
+                            let wl: [R; 4] = sv.load_row(s, c[0] as usize);
+                            let wr: [R; 4] = sv.load_row(s, c[1] as usize);
+                            let mut f = [R::ZERO; 4];
+                            compute_flux(&ge, &wl, &wr, &mut f, g, h_min);
+                            efv.store_row(efs.slice_mut(0, efs.len()), e, &f);
+                        }
+                    },
+                    move |es| unsafe {
+                        compute_flux_chunk::<R, L>(
+                            es,
+                            &mesh.edge2cell.data,
+                            &egeom.data,
+                            egv,
+                            state.as_slice(),
+                            sv,
+                            efs.slice_mut(0, efs.len()),
+                            efv,
+                            g,
+                            h_min,
+                        );
+                    },
+                );
+                if let Some(h) = halo {
+                    chain.mark_boundary(h.edge_halo);
+                }
+                if phase == 0 {
+                    // one edge of `numerical_flux`, folding its CFL candidate
+                    // into `$dt`; a macro because a closure with two call
+                    // sites below stays out of line
+                    macro_rules! flux_edge {
+                        ($e:expr, $dt:expr) => {{
+                            let c = mesh.edge2cell.row($e);
+                            let ge: [R; 4] = egv.load_row(&egeom.data, $e);
+                            let ef: [R; 4] = efv.load_row(efs.as_slice(), $e);
+                            let (al, ar) = (area.row(c[0] as usize)[0], area.row(c[1] as usize)[0]);
+                            numerical_flux(&ge, &ef, al, ar, $dt, cfl);
+                        }};
+                    }
+                    // the block's Δt folds in registers — one scalar, and
+                    // under the SIMD shape one vector accumulator — and lands
+                    // in its block slot with one store (`min` is exact in any
+                    // order); a tile's fringe run has no slot
+                    let vector = matches!(shape, Shape::Simd { .. });
+                    chain.record_blocks(desc("numerical_flux", ne), vec![], move |slot, range| {
+                        let Some(b) = slot else { return };
+                        let mut local = R::INFINITY;
+                        if vector {
+                            let mut local_v = VecR::<R, L>::splat(R::INFINITY);
+                            simd_block_sweep(
+                                range,
+                                L,
+                                |e| unsafe { flux_edge!(e, &mut local) },
+                                |es| unsafe {
+                                    numerical_flux_chunk::<R, L>(
+                                        es,
+                                        &mesh.edge2cell.data,
+                                        efs.as_slice(),
+                                        efv,
+                                        &area.data,
+                                        &mut local_v,
+                                        cfl,
+                                    );
+                                },
+                            );
+                            local = local.min(local_v.reduce_min());
+                        } else {
+                            for e in range.start as usize..range.end as usize {
+                                unsafe { flux_edge!(e, &mut local) };
+                            }
+                        }
+                        unsafe { dt.slice_mut(dt_slots + b, 1)[0] = local };
+                    });
+                    // numerical_flux reads edge-local flux and the local cell
+                    // areas — no halo data
+                    if halo.is_some() {
+                        chain.mark_interior();
+                    }
+                    // fold the Δt partials; across ranks the global CFL
+                    // agreement is the rank-ordered min-allreduce — the step's
+                    // implicit synchronization point (exact through f64 at
+                    // either precision)
+                    chain.epilogue(move || unsafe {
+                        let mut merged = R::INFINITY;
+                        for &v in dt.slice(dt_slots, edge_blocks) {
+                            merged = if v < merged { v } else { merged };
+                        }
+                        if let Some(h) = halo {
+                            merged = R::from_f64(h.comm.allreduce_min(merged.to_f64()));
+                        }
+                        dt.slice_mut(step, 1)[0] = merged;
+                    });
+                }
+                let compute = move |e: usize| {
                     let c = mesh.edge2cell.row(e);
+                    let (c0, c1) = (c[0] as usize, c[1] as usize);
+                    let mut rl = [R::ZERO; 4];
+                    let mut rr = [R::ZERO; 4];
                     unsafe {
                         let ge: [R; 4] = egv.load_row(&egeom.data, e);
+                        let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
                         let s = state.as_slice();
-                        let wl: [R; 4] = sv.load_row(s, c[0] as usize);
-                        let wr: [R; 4] = sv.load_row(s, c[1] as usize);
-                        let mut f = [R::ZERO; 4];
-                        compute_flux(&ge, &wl, &wr, &mut f, g, h_min);
-                        efv.store_row(efs.slice_mut(0, efs.len()), e, &f);
+                        let wl: [R; 4] = sv.load_row(s, c0);
+                        let wr: [R; 4] = sv.load_row(s, c1);
+                        space_disc(&ge, &ef, &wl, &wr, &mut rl, &mut rr, g);
                     }
-                },
-                move |es| unsafe {
-                    compute_flux_chunk::<R, L>(
-                        es,
+                    (c0, rl, c1, rr)
+                };
+                // left row, then right, components ascending, through the
+                // layout view
+                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
+                    let r = ress.slice_mut(0, ress.len());
+                    let (c0, rl, c1, rr) = inc;
+                    resv.add_row(r, *c0, rl);
+                    resv.add_row(r, *c1, rr);
+                };
+                let space_disc_desc = phase_desc("space_disc", ne, phase);
+                let chunk = move |lanes: Lanes<'_>| unsafe {
+                    space_disc_chunk::<R, L>(
+                        lanes,
                         &mesh.edge2cell.data,
                         &egeom.data,
                         egv,
+                        efs.as_slice(),
+                        efv,
                         state.as_slice(),
                         sv,
-                        efs.slice_mut(0, efs.len()),
-                        efv,
+                        ress.slice_mut(0, ress.len()),
+                        resv,
                         g,
-                        h_min,
                     );
-                },
-            );
-            if let Some(h) = halo {
-                chain.mark_boundary(h.edge_halo);
-            }
-            if phase == 0 {
-                // one edge of `numerical_flux`, folding its CFL candidate
-                // into `$dt`; a macro because a closure with two call
-                // sites below stays out of line
-                macro_rules! flux_edge {
-                    ($e:expr, $dt:expr) => {{
-                        let c = mesh.edge2cell.row($e);
-                        let ge: [R; 4] = egv.load_row(&egeom.data, $e);
-                        let ef: [R; 4] = efv.load_row(efs.as_slice(), $e);
-                        let (al, ar) = (area.row(c[0] as usize)[0], area.row(c[1] as usize)[0]);
-                        numerical_flux(&ge, &ef, al, ar, $dt, cfl);
-                    }};
-                }
-                // the block's Δt folds in registers — one scalar, and
-                // under the SIMD shape one vector accumulator — and lands
-                // in its block slot with one store (`min` is exact in any
-                // order); a tile's fringe run has no slot
-                let flux_desc = desc("numerical_flux", ne);
-                let vector = matches!(shape, Shape::Simd { .. }) && flux_desc.vectorize();
-                chain.record_blocks(flux_desc, vec![], move |slot, range| {
-                    let Some(b) = slot else { return };
-                    let mut local = R::INFINITY;
-                    if vector {
-                        let mut local_v = VecR::<R, L>::splat(R::INFINITY);
-                        simd_block_sweep(
-                            range,
+                };
+                match permute {
+                    None => {
+                        chain.record_simd_two_phase(
+                            space_disc_desc,
+                            vec![&mesh.edge2cell],
                             L,
-                            |e| unsafe { flux_edge!(e, &mut local) },
-                            |es| unsafe {
-                                numerical_flux_chunk::<R, L>(
-                                    es,
-                                    &mesh.edge2cell.data,
-                                    efs.as_slice(),
-                                    efv,
-                                    &area.data,
-                                    &mut local_v,
-                                    cfl,
-                                );
-                            },
+                            compute,
+                            apply,
+                            move |es| chunk(Lanes::Aligned(es)),
                         );
-                        local = local.min(local_v.reduce_min());
-                    } else {
-                        for e in range.start as usize..range.end as usize {
-                            unsafe { flux_edge!(e, &mut local) };
-                        }
                     }
-                    unsafe { dt_blocks.slice_mut(dt_slots + b, 1)[0] = local };
+                    // Fig. 8a's schemes: the calling thread walks the permute
+                    // plan's conflict-free color groups
+                    Some(plan) => {
+                        chain.record_seq(space_disc_desc, move || {
+                            plan.for_each_color_group(
+                                L,
+                                |ids| chunk(Lanes::Permuted(ids)),
+                                |e| apply(e, &compute(e)),
+                            );
+                        });
+                    }
+                }
+                if let Some(h) = halo {
+                    chain.mark_boundary(h.edge_halo);
+                }
+                chain.record_serial(phase_desc("bc_flux", nb, phase), move |be| {
+                    let c0 = mesh.bedge2cell.at(be, 0);
+                    unsafe {
+                        let bg: [R; 2] = bgv.load_row(&bgeom.data, be);
+                        let wrow: [R; 4] = sv.load_row(state.as_slice(), c0);
+                        let r = ress.slice_mut(0, ress.len());
+                        let mut rrow: [R; 4] = resv.load_row(r, c0);
+                        bc_flux(&bg, &wrow, &mut rrow, g);
+                        resv.store_row(r, c0, &rrow);
+                    }
                 });
-                // numerical_flux reads edge-local flux and the local cell
-                // areas — no halo data
+                // bedges map to owned cells only
                 if halo.is_some() {
                     chain.mark_interior();
                 }
-                // fold the Δt partials; across ranks the global CFL
-                // agreement is the rank-ordered min-allreduce — the step's
-                // implicit synchronization point (exact through f64 at
-                // either precision)
-                chain.epilogue(move || unsafe {
-                    let mut merged = R::INFINITY;
-                    for &v in dt_blocks.slice(dt_slots, edge_blocks) {
-                        merged = if v < merged { v } else { merged };
-                    }
-                    if let Some(h) = halo {
-                        merged = R::from_f64(h.comm.allreduce_min(merged.to_f64()));
-                    }
-                    dt.slice_mut(step, 1)[0] = merged;
-                });
-            }
-            let compute = move |e: usize| {
-                let c = mesh.edge2cell.row(e);
-                let (c0, c1) = (c[0] as usize, c[1] as usize);
-                let mut rl = [R::ZERO; 4];
-                let mut rr = [R::ZERO; 4];
-                unsafe {
-                    let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                    let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
-                    let s = state.as_slice();
-                    let wl: [R; 4] = sv.load_row(s, c0);
-                    let wr: [R; 4] = sv.load_row(s, c1);
-                    space_disc(&ge, &ef, &wl, &wr, &mut rl, &mut rr, g);
-                }
-                (c0, rl, c1, rr)
-            };
-            // left row, then right, components ascending, through the
-            // layout view
-            let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
-                let r = ress.slice_mut(0, ress.len());
-                let (c0, rl, c1, rr) = inc;
-                resv.add_row(r, *c0, rl);
-                resv.add_row(r, *c1, rr);
-            };
-            let space_disc_desc = state_desc("space_disc", ne, phase);
-            let chunk = move |lanes: Lanes<'_>| unsafe {
-                space_disc_chunk::<R, L>(
-                    lanes,
-                    &mesh.edge2cell.data,
-                    &egeom.data,
-                    egv,
-                    efs.as_slice(),
-                    efv,
-                    state.as_slice(),
-                    sv,
-                    ress.slice_mut(0, ress.len()),
-                    resv,
-                    g,
-                );
-            };
-            match permute {
-                None => {
-                    chain.record_simd_two_phase(
-                        space_disc_desc,
-                        vec![&mesh.edge2cell],
+                if phase == 0 {
+                    chain.record_simd(
+                        desc("RK_1", nc),
+                        vec![],
                         L,
-                        compute,
-                        apply,
-                        move |es| chunk(Lanes::Aligned(es)),
+                        move |c| unsafe {
+                            let dt = dt.slice(step, 1)[0];
+                            let w_old_row: [R; 4] = woldv.load_row(wolds.as_slice(), c);
+                            let r = ress.slice_mut(0, ress.len());
+                            let mut res_row: [R; 4] = resv.load_row(r, c);
+                            let mut w1_row = [R::ZERO; 4];
+                            rk_1(&w_old_row, &mut res_row, &mut w1_row, area.row(c)[0], dt);
+                            w1v.store_row(w1s.slice_mut(0, w1s.len()), c, &w1_row);
+                            resv.store_row(r, c, &res_row);
+                        },
+                        move |cs| unsafe {
+                            rk1_chunk::<R, L>(
+                                cs,
+                                wolds.as_slice(),
+                                woldv,
+                                ress.slice_mut(0, ress.len()),
+                                resv,
+                                w1s.slice_mut(0, w1s.len()),
+                                w1v,
+                                &area.data,
+                                dt.slice(step, 1)[0],
+                            );
+                        },
+                    );
+                } else {
+                    chain.record_simd(
+                        desc("RK_2", nc),
+                        vec![],
+                        L,
+                        move |c| unsafe {
+                            let dt = dt.slice(step, 1)[0];
+                            let w_old_row: [R; 4] = woldv.load_row(wolds.as_slice(), c);
+                            let w1_row: [R; 4] = w1v.load_row(w1s.as_slice(), c);
+                            let r = ress.slice_mut(0, ress.len());
+                            let mut res_row: [R; 4] = resv.load_row(r, c);
+                            let mut w_row = [R::ZERO; 4];
+                            rk_2(
+                                &w_old_row,
+                                &w1_row,
+                                &mut res_row,
+                                &mut w_row,
+                                area.row(c)[0],
+                                dt,
+                            );
+                            wv.store_row(ws.slice_mut(0, ws.len()), c, &w_row);
+                            resv.store_row(r, c, &res_row);
+                        },
+                        move |cs| unsafe {
+                            rk2_chunk::<R, L>(
+                                cs,
+                                wolds.as_slice(),
+                                woldv,
+                                w1s.as_slice(),
+                                w1v,
+                                ress.slice_mut(0, ress.len()),
+                                resv,
+                                ws.slice_mut(0, ws.len()),
+                                wv,
+                                &area.data,
+                                dt.slice(step, 1)[0],
+                            );
+                        },
                     );
                 }
-                // Fig. 8a's schemes: the calling thread walks the permute
-                // plan's conflict-free color groups
-                Some(plan) => {
-                    chain.record_seq(space_disc_desc, move || {
-                        plan.for_each_color_group(
-                            L,
-                            |ids| chunk(Lanes::Permuted(ids)),
-                            |e| apply(e, &compute(e)),
-                        );
+                if halo.is_some() {
+                    chain.mark_interior();
+                    // discard ghost increments (owners recompute them)
+                    chain.epilogue(move || unsafe {
+                        for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
+                            *v = R::ZERO;
+                        }
                     });
                 }
             }
-            if let Some(h) = halo {
-                chain.mark_boundary(h.edge_halo);
-            }
-            chain.record_serial(state_desc("bc_flux", nb, phase), move |be| {
-                let c0 = mesh.bedge2cell.at(be, 0);
-                unsafe {
-                    let bg: [R; 2] = bgv.load_row(&bgeom.data, be);
-                    let wrow: [R; 4] = sv.load_row(state.as_slice(), c0);
-                    let r = ress.slice_mut(0, ress.len());
-                    let mut rrow: [R; 4] = resv.load_row(r, c0);
-                    bc_flux(&bg, &wrow, &mut rrow, g);
-                    resv.store_row(r, c0, &rrow);
-                }
-            });
-            // bedges map to owned cells only
-            if halo.is_some() {
-                chain.mark_interior();
-            }
-            if phase == 0 {
-                chain.record_simd(
-                    desc("RK_1", nc),
-                    vec![],
-                    L,
-                    move |c| unsafe {
-                        let dt = dt.slice(step, 1)[0];
-                        let w_old_row: [R; 4] = woldv.load_row(wolds.as_slice(), c);
-                        let r = ress.slice_mut(0, ress.len());
-                        let mut res_row: [R; 4] = resv.load_row(r, c);
-                        let mut w1_row = [R::ZERO; 4];
-                        rk_1(&w_old_row, &mut res_row, &mut w1_row, area.row(c)[0], dt);
-                        w1v.store_row(w1s.slice_mut(0, w1s.len()), c, &w1_row);
-                        resv.store_row(r, c, &res_row);
-                    },
-                    move |cs| unsafe {
-                        rk1_chunk::<R, L>(
-                            cs,
-                            wolds.as_slice(),
-                            woldv,
-                            ress.slice_mut(0, ress.len()),
-                            resv,
-                            w1s.slice_mut(0, w1s.len()),
-                            w1v,
-                            &area.data,
-                            dt.slice(step, 1)[0],
-                        );
-                    },
-                );
-            } else {
-                chain.record_simd(
-                    desc("RK_2", nc),
-                    vec![],
-                    L,
-                    move |c| unsafe {
-                        let dt = dt.slice(step, 1)[0];
-                        let w_old_row: [R; 4] = woldv.load_row(wolds.as_slice(), c);
-                        let w1_row: [R; 4] = w1v.load_row(w1s.as_slice(), c);
-                        let r = ress.slice_mut(0, ress.len());
-                        let mut res_row: [R; 4] = resv.load_row(r, c);
-                        let mut w_row = [R::ZERO; 4];
-                        rk_2(
-                            &w_old_row,
-                            &w1_row,
-                            &mut res_row,
-                            &mut w_row,
-                            area.row(c)[0],
-                            dt,
-                        );
-                        wv.store_row(ws.slice_mut(0, ws.len()), c, &w_row);
-                        resv.store_row(r, c, &res_row);
-                    },
-                    move |cs| unsafe {
-                        rk2_chunk::<R, L>(
-                            cs,
-                            wolds.as_slice(),
-                            woldv,
-                            w1s.as_slice(),
-                            w1v,
-                            ress.slice_mut(0, ress.len()),
-                            resv,
-                            ws.slice_mut(0, ws.len()),
-                            wv,
-                            &area.data,
-                            dt.slice(step, 1)[0],
-                        );
-                    },
-                );
-            }
-            if halo.is_some() {
-                chain.mark_interior();
-                // discard ghost increments (owners recompute them)
-                chain.epilogue(move || unsafe {
-                    for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
-                        *v = R::ZERO;
-                    }
-                });
-            }
         }
-    }
-    chain
-}
-
-// ---------------------------------------------------------------------------
-// cross-timestep sparse tiling
-// ---------------------------------------------------------------------------
-
-/// Record `steps` RK2 steps with the one recording (the one
-/// [`step_chain`] executes) and execute them tile by tile ([`ump_lazy::TiledChain`]). Unlike
-/// Airfoil's single-epoch chain, Volna's CFL Δt is *consumed* in-chain
-/// (`RK_1`/`RK_2` read what `numerical_flux` reduced), so the scheduler
-/// cuts the recording into two epochs per step at those global barriers
-/// — the cross-step cones span the `RK_1 … compute_flux'` epoch that
-/// straddles the step boundary. Returns the per-step Δt values.
-///
-/// Determinism mirrors the Airfoil driver: ascending per-tile execution
-/// makes cell/edge state with `L = 1` bit-identical to [`step_seq`]; Δt
-/// partials land in per-`(step, edge-block)` slots (block-aligned
-/// ownership keeps the slots tile-exclusive) merged in block order by an
-/// epoch epilogue — and `min` is exact in any order, so Δt equals every
-/// other backend's bit-for-bit. Tiled execution is defined on AoS rows:
-/// a state in another layout is converted to AoS and back around the
-/// call (a pure index permutation, bit-exact).
-///
-/// The cone schedule is inspected once and kept, with the executor's
-/// buffers, in `sim.tiles`: a repeated `(steps, tile_cells,
-/// block_size)` only executes. `steps == 0` returns an empty history
-/// and leaves the state and the cache untouched.
-pub fn run_tiled_on<R: Real, const L: usize>(
-    sim: &mut Volna<R>,
-    pool: &ExecPool,
-    n_threads: usize,
-    steps: usize,
-    tile_cells: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> Vec<f64> {
-    run_tiled_report_on::<R, L>(sim, pool, n_threads, steps, tile_cells, block_size, rec).0
-}
-
-/// [`run_tiled_on`] returning the executor's [`TileReport`] alongside
-/// the history — the bench harness reads the measured redundant-compute
-/// fraction and copy traffic from it.
-pub fn run_tiled_report_on<R: Real, const L: usize>(
-    sim: &mut Volna<R>,
-    pool: &ExecPool,
-    n_threads: usize,
-    steps: usize,
-    tile_cells: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> (Vec<f64>, TileReport) {
-    let layout = sim.layout();
-    if layout != Layout::Aos {
-        sim.set_layout(Layout::Aos);
-        let out =
-            run_tiled_report_on::<R, L>(sim, pool, n_threads, steps, tile_cells, block_size, rec);
-        sim.set_layout(layout);
-        return out;
-    }
-    let Volna {
-        case,
-        w,
-        w_old,
-        w1,
-        res,
-        area,
-        egeom,
-        eflux,
-        bgeom,
-        tiles,
-    } = sim;
-    let mesh = &case.mesh;
-    let dats = StepDats {
-        mesh,
-        w,
-        w_old,
-        w1,
-        res,
-        area,
-        egeom,
-        eflux,
-        bgeom,
-    };
-    let shape = tile_shape::<L>();
-    let inputs = StepInputs::new(&dats, mesh.n_cells(), block_size, shape, None);
-    let mut dt_blocks = vec![R::INFINITY; steps * inputs.edge_blocks];
-    let mut dt = vec![R::INFINITY; steps];
-    let report;
-    {
-        let (dts, dtf) = (SharedDat::new(&mut dt_blocks), SharedDat::new(&mut dt));
-        let mut tiled = TiledChain::new("volna_tiled");
-        tiled.register_set("cells", mesh.n_cells());
-        tiled.register_set("edges", mesh.n_edges());
-        tiled.register_set("bedges", mesh.n_bedges());
-        tiled.register_map(&mesh.edge2cell);
-        tiled.register_map(&mesh.bedge2cell);
-        let StepDats {
-            w,
-            w_old,
-            w1,
-            res,
-            eflux,
-            ..
-        } = dats;
-        for (d, set) in [
-            (w, "cells"),
-            (w_old, "cells"),
-            (w1, "cells"),
-            (res, "cells"),
-        ]
-        .into_iter()
-        .chain([(eflux, "edges")])
-        {
-            tiled.register_dat(&d.name, set, d.dim, &mut d.data);
-        }
-        report = tiled.execute(
-            |dats| record_steps::<R, L>(&inputs, dats, &dts, &dtf, steps, None),
-            pool,
-            tiles,
-            steps,
-            tile_cells,
-            block_size,
-            n_threads,
-            shape,
-            R::BYTES,
-            rec,
-        );
-    }
-    (dt.iter().map(|v| v.to_f64()).collect(), report)
-}
-
-// ---------------------------------------------------------------------------
-// the unified dispatcher — one entry point per execution shape
-// ---------------------------------------------------------------------------
-
-/// One RK2 step through any registered [`Backend`], on an explicit pool
-/// — the Volna half of the conformance matrix. Mirrors
-/// [`airfoil::drivers::step_on`](crate::airfoil::drivers::step_on):
-/// pool-free backends ignore `pool`/`n_threads`, lane-carrying backends
-/// dispatch to the L = 4 / 8 const instantiations and panic, naming the
-/// backend, for unregistered widths.
-pub fn step_on<R: Real>(
-    backend: Backend,
-    sim: &mut Volna<R>,
-    pool: &ExecPool,
-    cache: &PlanCache,
-    n_threads: usize,
-    block_size: usize,
-    rec: Option<&Recorder>,
-) -> f64 {
-    // the recorded chain runs natively on SoA/AoSoA storage (and the
-    // tiled entry point converts for itself); only the rows that are AoS
-    // by definition — the oracle, and the ranks' row extraction from the
-    // global state — convert around the step (pure permutation: results
-    // are bit-identical to an all-AoS run)
-    let layout = sim.layout();
-    if layout != Layout::Aos
-        && matches!(
-            backend,
-            Backend::Seq | Backend::MpiFused | Backend::MpiFusedSimd { .. }
-        )
-    {
-        sim.set_layout(Layout::Aos);
-        let out = step_on(backend, sim, pool, cache, n_threads, block_size, rec);
-        sim.set_layout(layout);
-        return out;
-    }
-    let Some(exec) = chain_exec(backend) else {
-        let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
-        return match backend {
-            Backend::Seq => step_seq(sim, rec),
-            // the tiled executor over a 1-step recording; multi-step
-            // harnesses call `run_tiled_on` directly
-            Backend::Tiled => {
-                run_tiled_on::<R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-            }
-            Backend::TiledSimd { lanes: 4 } => {
-                run_tiled_on::<R, 4>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-            }
-            Backend::TiledSimd { lanes: 8 } => {
-                run_tiled_on::<R, 8>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-            }
-            other => no_lane_instantiation(other),
-        };
-    };
-    // scalar shapes ride on the L = 4 instantiation; distributed rows
-    // give every rank its own pool and never touch the caller's
-    match (backend.is_distributed(), backend.lanes()) {
-        (false, 1 | 4) => step_exec::<R, 4>(exec, pool, sim, cache, n_threads, block_size, rec),
-        (false, 8) => step_exec::<R, 8>(exec, pool, sim, cache, n_threads, block_size, rec),
-        (true, 1 | 4) => {
-            step_mpi_fused::<RankState<R>, 4>(sim, backend.ranks(), block_size, exec.shape, rec)
-        }
-        (true, 8) => {
-            step_mpi_fused::<RankState<R>, 8>(sim, backend.ranks(), block_size, exec.shape, rec)
-        }
-        _ => no_lane_instantiation(backend),
+        chain
     }
 }

@@ -24,6 +24,20 @@
 //! single precision; kernels stay generic over `R` so tests can pin the
 //! f32 backends against an f64 reference.
 
+/// The evolving dats of a Volna state or rank, in snapshot order:
+/// `evolving!(s)` borrows them shared, `evolving!(s, mut)` exclusively.
+macro_rules! evolving {
+    ($s:expr $(, $m:tt)?) => {
+        vec![
+            &$($m)? $s.w,
+            &$($m)? $s.w_old,
+            &$($m)? $s.w1,
+            &$($m)? $s.res,
+            &$($m)? $s.eflux,
+        ]
+    };
+}
+
 pub mod drivers;
 pub mod kernels;
 pub mod kernels_vec;

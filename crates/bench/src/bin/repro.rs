@@ -7,7 +7,7 @@
 //!
 //! `repro --smoke [--backends all|name,name,…]` is the tiny-mesh
 //! end-to-end sweep of the whole backend registry (distributed shapes
-//! included) on both apps via the `step_on` dispatchers; it asserts
+//! included) on both apps via the `step_on` dispatcher; it asserts
 //! consistency against the sequential reference plus the fused
 //! runtime's round savings, and exits non-zero on divergence.
 //!
@@ -983,8 +983,8 @@ fn fusion(scale: Scale) {
 
 /// Tiny-mesh end-to-end sweep of the backend registry on both apps —
 /// the declarative scenario sweep the registry exists for. Every
-/// requested backend runs 3 steps through the apps' `step_on`
-/// dispatchers and is checked against the sequential reference; fused
+/// requested backend runs 3 steps through the `step_on` dispatcher
+/// and is checked against the sequential reference; fused
 /// backends additionally assert their round savings through the
 /// `Recorder` fusion counters. Fast enough for CI; any divergence or
 /// NaN panics (non-zero exit).

@@ -3,27 +3,25 @@
 //!
 //! The paper evaluates vectorization and execution-shape choices as
 //! separate axes (threads, SIMT emulation, explicit SIMD, coloring
-//! schemes); this reproduction adds cross-loop fusion on top. Before this
-//! module those shapes existed only as ~10 ad-hoc `step_*` driver
-//! functions per application — nothing could *enumerate* them, so every
-//! cross-backend test had to be written by hand per backend.
+//! schemes); this reproduction adds cross-loop fusion on top.
 //!
 //! [`Backend`] names each shape as data. [`Backend::all`] enumerates the
 //! registry, [`Backend::parse`]/[`Backend::name`] round-trip CLI
 //! spellings, and the capability accessors ([`needs_pool`], [`lanes`],
 //! [`is_fused`], [`scheme`]) tell harnesses what a backend requires
-//! without hard-coding its identity. The applications expose a single
-//! `step_on(backend, …)` dispatcher keyed on this enum, so a backend
-//! added here is automatically reachable from the conformance matrix
-//! (`tests/backend_conformance.rs`), the `repro --smoke --backends …`
-//! sweep, and any future harness that iterates [`Backend::all`].
+//! without hard-coding its identity. One generic dispatcher,
+//! `ump_apps::step_on(backend, …)`, serves both applications, so a
+//! backend added here is automatically reachable from the conformance
+//! matrix (`tests/backend_conformance.rs`), the `repro --smoke
+//! --backends …` sweep, and any future harness that iterates
+//! [`Backend::all`].
 //!
 //! Lane counts are *data* here but *const generics* in the drivers, so
 //! the registry only lists widths the applications actually instantiate:
 //! 4 (the AVX double-precision shape) and 8 (IMCI/AVX-512). A request
 //! for a width outside the registry panics in the dispatcher with the
-//! backend's name — add the instantiation to `step_on` alongside the
-//! registry entry.
+//! backend's name — add the instantiation to `ump_apps::step_on`
+//! alongside the registry entry.
 //!
 //! [`needs_pool`]: Backend::needs_pool
 //! [`lanes`]: Backend::lanes
@@ -37,8 +35,7 @@ use crate::plan::Scheme;
 pub const DISPATCH_SIMT_WIDTH: usize = 8;
 
 /// One execution shape of the runtime — the unified registry the
-/// applications' `step_on` dispatchers and the conformance harness
-/// enumerate. See the module docs for how to add a backend.
+/// `step_on` dispatcher and the conformance harness enumerate. See the module docs for how to add a backend.
 ///
 /// ```
 /// use ump_core::Backend;

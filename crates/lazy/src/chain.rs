@@ -334,10 +334,6 @@ impl<'a> Chain<'a> {
         scalar: impl Fn(usize) + Sync + 'a,
         vector: impl Fn(usize) + Sync + 'a,
     ) -> &mut Self {
-        // per-kernel lane selection: memory-bound kernels keep the
-        // scalar element loop even under Shape::Simd (bit-identical —
-        // the hint only skips vector-body overhead, never changes math)
-        let use_vector = desc.vectorize();
         self.push_blocks(
             desc,
             written,
@@ -347,13 +343,7 @@ impl<'a> Chain<'a> {
                         l, lanes,
                         "chain recorded {lanes}-lane bodies but executes at {l} lanes"
                     );
-                    if use_vector {
-                        simd_block_sweep(range, lanes, &scalar, &vector);
-                    } else {
-                        for e in range {
-                            scalar(e as usize);
-                        }
-                    }
+                    simd_block_sweep(range, lanes, &scalar, &vector);
                 }
                 _ => {
                     sched_spin(shape);
@@ -383,7 +373,6 @@ impl<'a> Chain<'a> {
         apply: impl Fn(usize, &I) + Sync + 'a,
         vector: impl Fn(usize) + Sync + 'a,
     ) -> &mut Self {
-        let use_vector = desc.vectorize();
         self.push_blocks(
             desc,
             written,
@@ -411,13 +400,7 @@ impl<'a> Chain<'a> {
                         let inc = compute(e);
                         apply(e, &inc);
                     };
-                    if use_vector {
-                        simd_block_sweep(range, lanes, &scalar, &vector);
-                    } else {
-                        for e in range {
-                            scalar(e as usize);
-                        }
-                    }
+                    simd_block_sweep(range, lanes, &scalar, &vector);
                 }
             }),
         );

@@ -12,26 +12,6 @@ use std::ops::Range;
 
 use ump_core::{Access, Indirection, LoopProfile};
 
-/// Per-kernel lane selection under `Shape::Simd`.
-///
-/// Vectorization is not free: gathers, lane packing and the split sweep
-/// all cost instructions that only pay off when there is arithmetic to
-/// amortize them. Memory-bound kernels (plain copies like `save_soln`)
-/// are better off as the scalar element loop the compiler can turn into
-/// straight `memcpy`-like moves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum VecHint {
-    /// Decide from the profile's arithmetic intensity (the default):
-    /// vectorize when the kernel does at least one flop per word moved,
-    /// or uses transcendentals (sqrt chains dominate those kernels).
-    #[default]
-    Auto,
-    /// Force the scalar element loop.
-    Scalar,
-    /// Force the vector body.
-    Vector,
-}
-
 /// The declarative description of one recorded loop: set identity plus
 /// per-argument access descriptors.
 #[derive(Clone, Debug)]
@@ -42,38 +22,13 @@ pub struct LoopDesc {
     /// Iteration-set size (the set *identity* together with
     /// `profile.set`).
     pub n_elems: usize,
-    /// Lane selection under `Shape::Simd` (ignored by other shapes).
-    pub vec_hint: VecHint,
 }
 
 impl LoopDesc {
     /// Describe a loop of `n_elems` iterations with `profile`'s
     /// signature.
     pub fn new(profile: LoopProfile, n_elems: usize) -> LoopDesc {
-        LoopDesc {
-            profile,
-            n_elems,
-            vec_hint: VecHint::Auto,
-        }
-    }
-
-    /// Same, with an explicit lane-selection override.
-    pub fn with_hint(mut self, hint: VecHint) -> LoopDesc {
-        self.vec_hint = hint;
-        self
-    }
-
-    /// Should this loop run its vector body under `Shape::Simd`?
-    pub fn vectorize(&self) -> bool {
-        match self.vec_hint {
-            VecHint::Vector => true,
-            VecHint::Scalar => false,
-            VecHint::Auto => {
-                let words = self.profile.transfers().total_words();
-                self.profile.transcendentals_per_elem > 0.0
-                    || self.profile.flops_per_elem >= words as f64
-            }
-        }
+        LoopDesc { profile, n_elems }
     }
 
     /// Kernel name (diagnostics, instrumentation keys).
@@ -242,31 +197,6 @@ mod tests {
     fn groups_of(descs: &[LoopDesc]) -> Vec<GroupSpec> {
         let entries: Vec<(&LoopDesc, bool)> = descs.iter().map(|d| (d, false)).collect();
         fuse_groups(&entries)
-    }
-
-    #[test]
-    fn vec_hint_auto_tracks_arithmetic_intensity() {
-        // a pure copy: 8 words moved, 4 flops — memory-bound, scalar
-        let mut copy = desc(
-            "save",
-            "cells",
-            100,
-            vec![
-                ArgInfo::direct("q", 4, Access::Read),
-                ArgInfo::direct("qold", 4, Access::Write),
-            ],
-        );
-        copy.profile.flops_per_elem = 4.0;
-        assert!(!copy.vectorize());
-        // transcendentals force vectorization regardless of word count
-        copy.profile.transcendentals_per_elem = 2.0;
-        assert!(copy.vectorize());
-        copy.profile.transcendentals_per_elem = 0.0;
-        // explicit overrides win over Auto
-        assert!(copy.clone().with_hint(VecHint::Vector).vectorize());
-        copy.profile.flops_per_elem = 100.0;
-        assert!(copy.vectorize());
-        assert!(!copy.clone().with_hint(VecHint::Scalar).vectorize());
     }
 
     #[test]

@@ -183,5 +183,5 @@ pub mod desc;
 pub mod tile;
 
 pub use chain::{Chain, ChainReport, ExchangePolicy, Fusion, Shape};
-pub use desc::{conflict, fuse_groups, global_barrier, GroupSpec, LoopDesc, VecHint};
+pub use desc::{conflict, fuse_groups, global_barrier, GroupSpec, LoopDesc};
 pub use tile::{epoch_ranges, TileCache, TileDats, TileReport, TileSchedule, TiledChain};

@@ -14,43 +14,14 @@
 
 use std::io;
 
-use ump_apps::{airfoil, volna};
+use ump_apps::{airfoil, step_on, volna, Simulation};
 use ump_core::{Backend, ExecPool, OpDat, PlanCache, Recorder};
 
-/// Which benchmark application a job runs. Both run at `f64` in the
-/// service (the precision every backend is conformance-tested at).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum App {
-    /// The Airfoil inviscid Euler solver (per-step value: RMS residual).
-    Airfoil,
-    /// The Volna shallow-water solver (per-step value: Δt).
-    Volna,
-}
-
-impl App {
-    /// Canonical CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            App::Airfoil => "airfoil",
-            App::Volna => "volna",
-        }
-    }
-
-    /// Parse the canonical spelling back.
-    pub fn parse(s: &str) -> Option<App> {
-        match s {
-            "airfoil" => Some(App::Airfoil),
-            "volna" => Some(App::Volna),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for App {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// Which benchmark application a job runs — the tuner's app enum. Both
+/// run at `f64` in the service (the precision every backend is
+/// conformance-tested at); the per-step value is Airfoil's RMS residual
+/// or Volna's Δt.
+pub use ump_tune::App;
 
 /// A complete, self-describing simulation request.
 ///
@@ -177,6 +148,17 @@ pub(crate) enum Sim {
     Volna(Box<volna::Volna<f64>>),
 }
 
+/// `$body` with `$s` bound to the simulation behind `$sim`, whichever
+/// app it runs.
+macro_rules! with_sim {
+    ($sim:expr, $s:ident => $body:expr) => {
+        match $sim {
+            Sim::Airfoil($s) => $body,
+            Sim::Volna($s) => $body,
+        }
+    };
+}
+
 impl Sim {
     /// The seed-0 simulation of the spec's mesh identity
     /// ([`JobSpec::cache_scope`]): mesh, geometry and the unperturbed
@@ -209,10 +191,7 @@ impl JobState {
     /// A job at step 0 on `sim`, the [`Sim::pristine`] simulation of
     /// the spec's mesh identity: only the seed is left to apply.
     pub(crate) fn fresh(spec: JobSpec, mut sim: Sim) -> JobState {
-        match &mut sim {
-            Sim::Airfoil(sim) => sim.perturb(spec.seed),
-            Sim::Volna(sim) => sim.perturb(spec.seed),
-        }
+        with_sim!(&mut sim, s => s.perturb(spec.seed));
         JobState {
             spec,
             steps_done: 0,
@@ -249,14 +228,9 @@ impl JobState {
     /// when plans are shared across jobs.
     pub fn step(&mut self, pool: &ExecPool, cache: &PlanCache, rec: Option<&Recorder>) -> f64 {
         let spec = self.spec;
-        let v = match &mut self.sim {
-            Sim::Airfoil(sim) => {
-                airfoil::drivers::step_on(spec.backend, sim, pool, cache, 0, spec.block_size, rec)
-            }
-            Sim::Volna(sim) => {
-                volna::drivers::step_on(spec.backend, sim, pool, cache, 0, spec.block_size, rec)
-            }
-        };
+        let v = with_sim!(&mut self.sim, s => {
+            step_on(spec.backend, &mut **s, pool, cache, 0, spec.block_size, rec)
+        });
         self.history.push(v);
         self.steps_done += 1;
         v
@@ -266,33 +240,18 @@ impl JobState {
     /// field conformance checks compare against the sequential
     /// reference.
     pub fn primary(&self) -> &OpDat<f64> {
-        match &self.sim {
-            Sim::Airfoil(sim) => &sim.q,
-            Sim::Volna(sim) => &sim.w,
-        }
+        with_sim!(&self.sim, s => s.primary())
     }
 
     /// Every dat that evolves over a step, in snapshot order. Geometry
     /// (`x`, `area`, `egeom`, `bgeom`) is rebuilt from the spec on
     /// restore and deliberately not serialized.
     fn evolving_dats(&self) -> Vec<&OpDat<f64>> {
-        match &self.sim {
-            Sim::Airfoil(sim) => vec![&sim.q, &sim.qold, &sim.adt, &sim.res],
-            Sim::Volna(sim) => vec![&sim.w, &sim.w_old, &sim.w1, &sim.res, &sim.eflux],
-        }
+        with_sim!(&self.sim, s => s.evolving())
     }
 
     fn evolving_dats_mut(&mut self) -> Vec<&mut OpDat<f64>> {
-        match &mut self.sim {
-            Sim::Airfoil(sim) => vec![&mut sim.q, &mut sim.qold, &mut sim.adt, &mut sim.res],
-            Sim::Volna(sim) => vec![
-                &mut sim.w,
-                &mut sim.w_old,
-                &mut sim.w1,
-                &mut sim.res,
-                &mut sim.eflux,
-            ],
-        }
+        with_sim!(&mut self.sim, s => s.evolving_mut())
     }
 
     /// Serialize the job to the versioned snapshot format (see

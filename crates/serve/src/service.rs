@@ -57,7 +57,7 @@ use ump_fault::{FaultInjector, JobFault};
 
 use ump_tune::Tuner;
 
-use crate::job::{App, JobSpec, JobState, Sim};
+use crate::job::{JobSpec, JobState, Sim};
 
 /// Bounded retry-with-backoff for failed or stuck jobs.
 ///
@@ -509,11 +509,7 @@ impl Service {
     /// Tuning activity is surfaced through [`ServiceStats`]: `tuned`,
     /// `tune_trials`, `tune_store_hits`, `tune_store_misses`.
     pub fn submit_auto(&self, spec: JobSpec) -> Result<JobHandle, Rejection> {
-        let app = match spec.app {
-            App::Airfoil => ump_tune::App::Airfoil,
-            App::Volna => ump_tune::App::Volna,
-        };
-        let choice = self.tuner().pick(app, spec.nx, spec.ny);
+        let choice = self.tuner().pick(spec.app, spec.nx, spec.ny);
         {
             let mut c = self.shared.counters.lock();
             c.tuned += 1;

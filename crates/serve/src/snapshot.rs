@@ -61,10 +61,7 @@ pub fn encode(spec: &JobSpec, steps_done: u64, history: &[f64], dats: &[&OpDat<f
         Vec::with_capacity(128 + dats.iter().map(|d| d.data.len() * 8 + 64).sum::<usize>());
     out.extend_from_slice(&JOB_SNAPSHOT_MAGIC);
     out.extend_from_slice(&JOB_SNAPSHOT_VERSION.to_le_bytes());
-    out.push(match spec.app {
-        App::Airfoil => 0,
-        App::Volna => 1,
-    });
+    out.push(spec.app.tag());
     out.extend_from_slice(&(spec.nx as u64).to_le_bytes());
     out.extend_from_slice(&(spec.ny as u64).to_le_bytes());
     let backend = spec.backend.name();
@@ -113,11 +110,7 @@ fn decode_header(r: &mut impl Read) -> io::Result<(JobSpec, u64)> {
     }
     let mut app = [0u8; 1];
     r.read_exact(&mut app)?;
-    let app = match app[0] {
-        0 => App::Airfoil,
-        1 => App::Volna,
-        other => return Err(bad(format!("unknown app tag {other}"))),
-    };
+    let app = App::from_tag(app[0]).ok_or_else(|| bad(format!("unknown app tag {}", app[0])))?;
     let nx = read_u64(r)? as usize;
     let ny = read_u64(r)? as usize;
     let name_len = read_u32(r)? as usize;

@@ -52,9 +52,9 @@ pub use tuner::{step_auto_airfoil_on, step_auto_volna_on, Choice, Tuner, TunerSt
 
 use ump_core::Backend;
 
-/// The two applications the tuner knows how to drive; mirrors
-/// `ump_serve::App` without depending on the service layer (serve
-/// depends on tune, not the other way around).
+/// The two applications the tuner knows how to drive — also the
+/// service's `ump_serve::App` (serve depends on tune, not the other way
+/// around).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum App {
     /// The 2D Euler airfoil benchmark (5 kernels).
@@ -81,8 +81,9 @@ impl App {
         }
     }
 
-    /// One-byte store tag.
-    pub(crate) fn tag(self) -> u8 {
+    /// One-byte tag, stable across versions: the tuning store's and the
+    /// service's job-snapshot encoding of the app.
+    pub fn tag(self) -> u8 {
         match self {
             App::Airfoil => 0,
             App::Volna => 1,
@@ -90,7 +91,7 @@ impl App {
     }
 
     /// Inverse of [`tag`](App::tag).
-    pub(crate) fn from_tag(t: u8) -> Option<App> {
+    pub fn from_tag(t: u8) -> Option<App> {
         match t {
             0 => Some(App::Airfoil),
             1 => Some(App::Volna),

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-use ump_apps::{airfoil, volna};
+use ump_apps::{airfoil, step_on, volna, Simulation};
 use ump_archsim::{machines, Machine};
 use ump_core::{Backend, ExecPool, PlanCache, Recorder};
 
@@ -235,69 +235,42 @@ impl Tuner {
 
     fn search(&self, app: App, nx: usize, ny: usize) -> Choice {
         match app {
-            App::Airfoil => {
-                let pristine = ump_apps::airfoil::Airfoil::<f64>::seeded(nx, ny, 0);
-                let shape = MeshShape::of(&pristine.case.mesh, 256);
-                self.run_trials(app, &shape, |cand, rec| {
-                    let mut sim = pristine.clone();
-                    let pool = self.pool();
-                    let cache = PlanCache::new();
-                    airfoil::drivers::step_on(
-                        cand.backend,
-                        &mut sim,
-                        pool,
-                        &cache,
-                        0,
-                        cand.block_size,
-                        None,
-                    );
-                    let t0 = Instant::now();
-                    for _ in 0..self.trial_steps {
-                        airfoil::drivers::step_on(
-                            cand.backend,
-                            &mut sim,
-                            pool,
-                            &cache,
-                            0,
-                            cand.block_size,
-                            Some(rec),
-                        );
-                    }
-                    t0.elapsed().as_secs_f64() / self.trial_steps as f64
-                })
-            }
-            App::Volna => {
-                let pristine = ump_apps::volna::Volna::<f64>::seeded(nx, ny, 0);
-                let shape = MeshShape::of(&pristine.case.mesh, 256);
-                self.run_trials(app, &shape, |cand, rec| {
-                    let mut sim = pristine.clone();
-                    let pool = self.pool();
-                    let cache = PlanCache::new();
-                    volna::drivers::step_on(
-                        cand.backend,
-                        &mut sim,
-                        pool,
-                        &cache,
-                        0,
-                        cand.block_size,
-                        None,
-                    );
-                    let t0 = Instant::now();
-                    for _ in 0..self.trial_steps {
-                        volna::drivers::step_on(
-                            cand.backend,
-                            &mut sim,
-                            pool,
-                            &cache,
-                            0,
-                            cand.block_size,
-                            Some(rec),
-                        );
-                    }
-                    t0.elapsed().as_secs_f64() / self.trial_steps as f64
-                })
-            }
+            App::Airfoil => self.search_on(app, airfoil::Airfoil::<f64>::seeded(nx, ny, 0)),
+            App::Volna => self.search_on(app, volna::Volna::<f64>::seeded(nx, ny, 0)),
         }
+    }
+
+    /// The trial search on `pristine`: every trial steps a clone of it
+    /// through the registry's `step_on`, once to plan, then timed.
+    fn search_on<S: Simulation + Clone>(&self, app: App, pristine: S) -> Choice {
+        let shape = MeshShape::of(pristine.mesh(), 256);
+        self.run_trials(app, &shape, |cand, rec| {
+            let mut sim = pristine.clone();
+            let pool = self.pool();
+            let cache = PlanCache::new();
+            step_on(
+                cand.backend,
+                &mut sim,
+                pool,
+                &cache,
+                0,
+                cand.block_size,
+                None,
+            );
+            let t0 = Instant::now();
+            for _ in 0..self.trial_steps {
+                step_on(
+                    cand.backend,
+                    &mut sim,
+                    pool,
+                    &cache,
+                    0,
+                    cand.block_size,
+                    Some(rec),
+                );
+            }
+            t0.elapsed().as_secs_f64() / self.trial_steps as f64
+        })
     }
 
     /// Run one warmed, timed trial per shortlisted candidate and keep

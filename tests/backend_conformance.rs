@@ -4,10 +4,10 @@
 //!
 //! The point of the registry is that this file never has to change when
 //! a backend is added — a new `Backend` variant registered in
-//! `ump_core::backend` and wired into the apps' `step_on` dispatchers is
+//! `ump_core::backend` and wired into the one `step_on` dispatcher is
 //! automatically swept here, on CI, against both applications.
 
-use ump_apps::{airfoil, volna};
+use ump_apps::{airfoil, step_on, volna, Simulation};
 use ump_core::{Backend, ExecPool, Layout, OpDat, PlanCache};
 
 const ITERS: usize = 10;
@@ -115,6 +115,54 @@ fn every_backend_matches_sequential_on_volna() {
             );
         }
     }
+}
+
+/// The f32 bound, fixed before the sweep below first ran: the reference
+/// benchmark's f32 check bound. It applies to the primary field relative
+/// to the reference field's largest magnitude (at least 1), and to each
+/// step's value relative to 1 + |value|.
+const F32_TOL: f64 = 1e-4;
+
+/// Every row of the registry on `fresh`, an f32 state, in AoS and SoA:
+/// `ITERS` steps through `step_on` against as many f32 `step_seq` steps.
+fn sweep_at_f32<S: Simulation<R = f32> + Clone>(app: &str, fresh: &S) {
+    let mut reference = fresh.clone();
+    let ref_hist: Vec<f64> = (0..ITERS).map(|_| reference.step_seq(None)).collect();
+    let scale = reference
+        .primary()
+        .data
+        .iter()
+        .fold(1.0f64, |m, v| m.max(v.abs() as f64));
+    for layout in [Layout::Aos, Layout::Soa] {
+        for backend in Backend::all() {
+            let (pool, cache) = (ExecPool::new(TEAM), PlanCache::new());
+            let mut sim = fresh.clone();
+            sim.set_layout(layout);
+            let hist: Vec<f64> = (0..ITERS)
+                .map(|_| step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None))
+                .collect();
+            let at = format!("{backend} {app} f32 {}", layout.name());
+            for (i, (&v, &r)) in hist.iter().zip(&ref_hist).enumerate() {
+                assert!(
+                    (v - r).abs() <= F32_TOL * (1.0 + r.abs()),
+                    "{at} iter {i}: {v} vs {r}"
+                );
+            }
+            let d = sim.primary().max_abs_diff(reference.primary());
+            assert!(d <= F32_TOL * scale, "{at}: max |Δ| = {d:e}, scale {scale}");
+            assert!(sim.primary().all_finite(), "{at}: NaN/Inf");
+        }
+    }
+}
+
+/// f32 through the whole registry (the precision of the paper's Volna
+/// runs and of two benchmark workloads): every row × both apps × {AoS,
+/// SoA}, 10 steps on 12×8, within [`F32_TOL`] of the f32 sequential
+/// reference.
+#[test]
+fn every_backend_matches_sequential_at_f32() {
+    sweep_at_f32("airfoil", &airfoil::Airfoil::<f32>::new(12, 8));
+    sweep_at_f32("volna", &volna::Volna::<f32>::new(12, 8));
 }
 
 /// The headline shape against its scalar twin, directly: one step of

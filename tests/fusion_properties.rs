@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use ump_color::PlanInputs;
 use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache, Scheme, SharedDat};
-use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape, VecHint};
+use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape};
 use ump_mesh::generators::perturbed_quads;
 use ump_mesh::Mesh2d;
 use ump_simd::{IdxVec, VecR};
@@ -256,7 +256,7 @@ fn run_recorded<const L: usize>(
             transcendentals_per_elem: 0.0,
             description: String::new(),
         };
-        LoopDesc::new(profile, ne).with_hint(VecHint::Vector)
+        LoopDesc::new(profile, ne)
     };
     let fill = |e: usize| (e % 11 + 1) as f64;
     let cand = |e: usize| ((e * 7 + 3) % 13) as f64;

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 
 use proptest::prelude::*;
 use ump_core::{simd_block_sweep, Access, ArgInfo, ExecPool, LoopProfile, PlanCache, SharedDat};
-use ump_lazy::{Chain, LoopDesc, Shape, VecHint};
+use ump_lazy::{Chain, LoopDesc, Shape};
 use ump_mesh::generators::perturbed_quads;
 use ump_simd::{split_sweep, DatView, IdxVec, Layout, VecR};
 
@@ -178,10 +178,7 @@ proptest! {
                                 ArgInfo::indirect("acc4", 4, Access::Inc, "edge2cell", 0),
                                 ArgInfo::indirect("acc4", 4, Access::Inc, "edge2cell", 1),
                             ],
-                        )
-                        // 1 flop against 21 words: Auto would keep the
-                        // scalar body and never run the lane scatter
-                        .with_hint(VecHint::Vector),
+                        ),
                         vec![&m.edge2cell],
                         L,
                         move |e| {

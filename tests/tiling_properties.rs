@@ -14,7 +14,7 @@
 //! rounds < N × fused rounds).
 
 use proptest::prelude::*;
-use ump_apps::{airfoil, volna};
+use ump_apps::{airfoil, run_tiled_report_on, volna, Simulation};
 use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache};
 use ump_lazy::{Chain, Fusion, LoopDesc, Shape, TileCache, TileReport, TiledChain};
 use ump_mesh::MapTable;
@@ -539,27 +539,28 @@ fn tiled_vector_bodies_match_fused() {
 // schedule reuse: the tile cache each simulation state owns
 // ---------------------------------------------------------------------------
 
-/// Both apps behind one interface, so each cache property is stated once.
-trait TiledApp: Clone {
+/// What these tests need of an app beyond the library's [`Simulation`],
+/// so each cache property is stated once for both.
+trait TiledApp: Simulation<R = f64> + Clone {
     fn seeded(seed: u64) -> Self;
-    fn tiled(
-        &mut self,
-        pool: &ExecPool,
-        steps: usize,
-        tile: usize,
-        block: usize,
-    ) -> (Vec<f64>, TileReport);
-    fn step_seq(&mut self);
-    /// Bits of every evolving dat; the first is the cell state.
-    fn state(&self) -> Vec<Vec<u64>>;
     /// Scale the first component of every fifth cell from `call` on.
     fn perturb(&mut self, call: usize);
-    fn tiles(&self) -> &TileCache<f64>;
-    fn tiles_mut(&mut self) -> &mut TileCache<f64>;
 }
 
-fn dat_bits(dats: &[&ump_core::OpDat<f64>]) -> Vec<Vec<u64>> {
-    dats.iter()
+fn tiled<A: TiledApp>(
+    sim: &mut A,
+    pool: &ExecPool,
+    steps: usize,
+    tile: usize,
+    block: usize,
+) -> (Vec<f64>, TileReport) {
+    run_tiled_report_on::<f64, 1>(sim, pool, 0, steps, tile, block, None)
+}
+
+/// Bits of every evolving dat; the first is the cell state.
+fn state<A: TiledApp>(sim: &A) -> Vec<Vec<u64>> {
+    sim.evolving()
+        .iter()
         .map(|d| d.data.iter().map(|v| v.to_bits()).collect())
         .collect()
 }
@@ -568,31 +569,10 @@ impl TiledApp for airfoil::Airfoil<f64> {
     fn seeded(seed: u64) -> Self {
         airfoil::Airfoil::seeded(12, 8, seed)
     }
-    fn tiled(
-        &mut self,
-        pool: &ExecPool,
-        steps: usize,
-        tile: usize,
-        block: usize,
-    ) -> (Vec<f64>, TileReport) {
-        airfoil::drivers::run_tiled_report_on::<f64, 1>(self, pool, 0, steps, tile, block, None)
-    }
-    fn step_seq(&mut self) {
-        airfoil::drivers::step_seq(self, None);
-    }
-    fn state(&self) -> Vec<Vec<u64>> {
-        dat_bits(&[&self.q, &self.qold, &self.adt, &self.res])
-    }
     fn perturb(&mut self, call: usize) {
         for c in (call..self.q.set_size).step_by(5) {
             self.q.row_mut(c)[0] *= 1.0 + 1.0e-3 * call as f64;
         }
-    }
-    fn tiles(&self) -> &TileCache<f64> {
-        &self.tiles
-    }
-    fn tiles_mut(&mut self) -> &mut TileCache<f64> {
-        &mut self.tiles
     }
 }
 
@@ -600,31 +580,10 @@ impl TiledApp for volna::Volna<f64> {
     fn seeded(seed: u64) -> Self {
         volna::Volna::seeded(12, 8, seed)
     }
-    fn tiled(
-        &mut self,
-        pool: &ExecPool,
-        steps: usize,
-        tile: usize,
-        block: usize,
-    ) -> (Vec<f64>, TileReport) {
-        volna::drivers::run_tiled_report_on::<f64, 1>(self, pool, 0, steps, tile, block, None)
-    }
-    fn step_seq(&mut self) {
-        volna::drivers::step_seq(self, None);
-    }
-    fn state(&self) -> Vec<Vec<u64>> {
-        dat_bits(&[&self.w, &self.w_old, &self.w1, &self.res, &self.eflux])
-    }
     fn perturb(&mut self, call: usize) {
         for c in (call..self.w.set_size).step_by(5) {
             self.w.row_mut(c)[0] *= 1.0 + 1.0e-3 * call as f64;
         }
-    }
-    fn tiles(&self) -> &TileCache<f64> {
-        &self.tiles
-    }
-    fn tiles_mut(&mut self) -> &mut TileCache<f64> {
-        &mut self.tiles
     }
 }
 
@@ -645,17 +604,17 @@ fn repeated_calls_reuse_one_schedule<A: TiledApp>(perturb: bool) {
                 s.perturb(call);
             }
         }
-        let h = cached.tiled(&pool, steps, tile, BLOCK).0;
+        let h = tiled(&mut cached, &pool, steps, tile, BLOCK).0;
         *fresh.tiles_mut() = TileCache::new();
-        let hf = fresh.tiled(&pool, steps, tile, BLOCK).0;
+        let hf = tiled(&mut fresh, &pool, steps, tile, BLOCK).0;
         assert_eq!(bits(&h), bits(&hf), "call {call}: history");
-        assert_eq!(cached.state(), fresh.state(), "call {call}: state");
+        assert_eq!(state(&cached), state(&fresh), "call {call}: state");
         for _ in 0..steps {
-            seq.step_seq();
+            seq.step_seq(None);
         }
         assert_eq!(
-            cached.state()[0],
-            seq.state()[0],
+            state(&cached)[0],
+            state(&seq)[0],
             "call {call}: vs step_seq"
         );
     }
@@ -681,13 +640,13 @@ fn configuration_changes_rebuild<A: TiledApp>() {
     let mut sim = A::seeded(2);
     let mut seq = sim.clone();
     for (i, &(steps, tile, block, builds)) in calls.iter().enumerate() {
-        sim.tiled(&pool, steps, tile, block);
+        tiled(&mut sim, &pool, steps, tile, block);
         for _ in 0..steps {
-            seq.step_seq();
+            seq.step_seq(None);
         }
         assert_eq!(sim.tiles().builds(), builds, "call {i}");
         assert_eq!(sim.tiles().hits(), i + 1 - builds, "call {i}");
-        assert_eq!(sim.state()[0], seq.state()[0], "call {i}");
+        assert_eq!(state(&sim)[0], state(&seq)[0], "call {i}");
     }
 }
 
@@ -697,12 +656,12 @@ fn configuration_changes_rebuild<A: TiledApp>() {
 fn clones_share_the_schedule_not_the_buffers<A: TiledApp>() {
     let pool = ExecPool::new(TEAM);
     let mut a = A::seeded(9);
-    a.tiled(&pool, 2, 96, 48);
+    tiled(&mut a, &pool, 2, 96, 48);
     let held = a.tiles().held_bytes();
     assert!(held > 0, "buffers are kept after a call");
     let mut b = a.clone();
     assert_eq!(b.tiles().held_bytes(), 0, "a clone shares no buffers");
-    let hb = b.tiled(&pool, 2, 96, 48).0;
+    let hb = tiled(&mut b, &pool, 2, 96, 48).0;
     assert_eq!((b.tiles().builds(), b.tiles().hits()), (1, 1));
     assert!(b.tiles().held_bytes() > 0);
     assert_eq!(
@@ -710,9 +669,9 @@ fn clones_share_the_schedule_not_the_buffers<A: TiledApp>() {
         held,
         "the original's buffers are untouched"
     );
-    let ha = a.tiled(&pool, 2, 96, 48).0;
+    let ha = tiled(&mut a, &pool, 2, 96, 48).0;
     assert_eq!(bits(&ha), bits(&hb));
-    assert_eq!(a.state(), b.state());
+    assert_eq!(state(&a), state(&b));
 }
 
 /// Zero steps is an empty call: empty history, an all-zero report, and
@@ -720,11 +679,11 @@ fn clones_share_the_schedule_not_the_buffers<A: TiledApp>() {
 fn zero_steps_is_a_no_op<A: TiledApp>() {
     let pool = ExecPool::new(2);
     let mut sim = A::seeded(3);
-    let before = sim.state();
-    let (hist, report) = sim.tiled(&pool, 0, 96, 48);
+    let before = state(&sim);
+    let (hist, report) = tiled(&mut sim, &pool, 0, 96, 48);
     assert!(hist.is_empty());
     assert_eq!(report, TileReport::default());
-    assert_eq!(sim.state(), before);
+    assert_eq!(state(&sim), before);
     assert_eq!((sim.tiles().builds(), sim.tiles().hits()), (0, 0));
     assert_eq!(sim.tiles().held_bytes(), 0);
 }
