@@ -19,14 +19,16 @@
 //! All drivers compute identical physics; integration tests pin them to
 //! the sequential reference within floating-point reassociation bounds.
 
-use ump_core::{seq_loop, simd_block_sweep, two_rows_mut, Layout, OpDat, Recorder, SharedDat};
+use ump_core::{
+    seq_loop, simd_block_sweep, two_rows_mut, Layout, LocalMesh, OpDat, Recorder, SharedDat,
+};
 use ump_lazy::{Chain, LoopDesc, Shape, TileCache};
+use ump_mesh::generators::AirfoilCase;
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
 use super::kernels::{adt_calc, bres_calc, res_calc, save_soln, update};
 use super::kernels_vec::{adt_calc_vec, res_calc_vec, update_vec};
-use super::mpi::RankState;
 use super::{profile, Airfoil, Consts};
 use crate::dist::RankHalo;
 use crate::{maybe_time, Lanes, Simulation, Split, Sweep};
@@ -234,10 +236,29 @@ fn cell_blocks(sweep: &Sweep<'_>) -> usize {
 
 impl<R: Real> Simulation for Airfoil<R> {
     type R = R;
-    type Rank = RankState<R>;
+    type Case = AirfoilCase;
     type Inputs<'a> = StepInputs<'a, R>;
     const NAME: &'static str = "airfoil";
     const CELL_DATS: usize = 4;
+
+    /// Freestream data on the piece, with the boundary tags of its
+    /// bedges.
+    fn on_rank(case: &AirfoilCase, mesh: Mesh2d, local: &LocalMesh) -> Self {
+        let bound = local
+            .bedge_global
+            .iter()
+            .map(|&g| case.bound[g as usize])
+            .collect();
+        Airfoil::preordered(AirfoilCase { mesh, bound })
+    }
+
+    fn case(&self) -> &AirfoilCase {
+        &self.case
+    }
+
+    fn case_mesh(case: &AirfoilCase) -> &Mesh2d {
+        &case.mesh
+    }
 
     fn evolving(&self) -> Vec<&OpDat<R>> {
         evolving!(self)
@@ -253,10 +274,6 @@ impl<R: Real> Simulation for Airfoil<R> {
             },
             evolving: evolving!(self, mut),
         }
-    }
-
-    fn mesh(&self) -> &Mesh2d {
-        &self.case.mesh
     }
 
     fn layout(&self) -> Layout {

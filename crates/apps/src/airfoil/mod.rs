@@ -13,7 +13,7 @@
 //! }
 //! ```
 
-/// The evolving dats of an Airfoil state or rank, in snapshot order:
+/// The evolving dats of an Airfoil state, in snapshot order:
 /// `evolving!(s)` borrows them shared, `evolving!(s, mut)` exclusively.
 macro_rules! evolving {
     ($s:expr $(, $m:tt)?) => {
@@ -135,6 +135,13 @@ impl<R: Real> Airfoil<R> {
     /// hurts the scalar backends (which are order-insensitive).
     pub fn from_case(mut case: AirfoilCase) -> Airfoil<R> {
         ump_mesh::renumber::lane_localize_edges(&mut case.mesh);
+        Self::preordered(case)
+    }
+
+    /// [`from_case`](Airfoil::from_case) without the lane-locality pass:
+    /// freestream data on the case's mesh in its own edge order — also
+    /// the state of a distributed rank, on its mesh piece.
+    pub(crate) fn preordered(case: AirfoilCase) -> Airfoil<R> {
         let consts = Consts::<R>::default();
         let n_nodes = case.mesh.n_nodes();
         let n_cells = case.mesh.n_cells();

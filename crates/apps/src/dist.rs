@@ -4,11 +4,12 @@
 //! checkpoint/rollback protocol of [`resilient_loop`]) → owned rows
 //! assembled back into global dats.
 //!
-//! An application takes part by implementing [`RankApp`] for its
-//! rank-local state: how to build a rank from the case and its
-//! [`LocalMesh`], and which dats it holds. The step is written once,
-//! here, for both applications, and is not a second copy of the
-//! timestep: [`RankApp::step`] runs the app's one recording
+//! A rank is the application's own state on its mesh piece: a
+//! [`Rank`] holds the piece's [`LocalMesh`] numbering, its edge-halo
+//! flags and an `S: Simulation` built by [`Simulation::on_rank`], so an
+//! app needs no rank type of its own. The step is written once, here,
+//! and is not a second copy of the timestep:
+//! [`Rank::step_fused_chain`] runs the app's one recording
 //! ([`Simulation::record_steps`]) over the rank's dats and passes it a
 //! [`RankHalo`], the hooks a rank adds around the unchanged loops (paper
 //! Fig. 2b's `op_mpi_halo_exchanges`): ghost refreshes as non-blocking
@@ -21,6 +22,7 @@
 //! halo bench compares wall time).
 
 use std::io;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -37,7 +39,7 @@ use ump_simd::Real;
 
 use crate::resilience::{resilient_loop, ResilientReport};
 use crate::simulation::recorded_step;
-use crate::{ChainExec, Simulation, Split};
+use crate::{ChainExec, Simulation};
 
 /// What a rank adds to an application's recorded chain.
 #[derive(Clone, Copy)]
@@ -109,57 +111,34 @@ impl<'a> RankHalo<'a> {
     }
 }
 
-/// A rank-local application state the distributed driver can run.
-pub trait RankApp: Sized + Send {
-    /// Working precision.
-    type R: Real;
-    /// The global case a run starts from.
-    type Case: Sync;
-    /// The single-process state a rank holds a piece of.
-    type Global: Simulation<R = Self::R>;
-    /// How many leading entries of [`evolving`](RankApp::evolving) live
-    /// on the cell set — the dats that distribute from and assemble
-    /// into a [`Global`](RankApp::Global).
-    const CELL_DATS: usize = <Self::Global as Simulation>::CELL_DATS;
+/// One rank of a distributed run: the app's own state on the rank's
+/// mesh piece, with the piece's numbering and halo classification.
+pub struct Rank<S: Simulation> {
+    /// The rank's mesh piece: ownership counts, global ids and the ghost
+    /// refresh plan. Its localized mesh is moved into `sim` (the rank
+    /// holds it once), so `local.mesh` is empty — read it through
+    /// [`Simulation::mesh`].
+    pub local: LocalMesh,
+    /// Halo classification of the rank's executed edges: `true` for
+    /// edges reading a ghost cell, deferred until the exchange finishes
+    /// in the overlap schedule.
+    pub edge_halo: Vec<bool>,
+    /// The app's state on the piece ([`Simulation::on_rank`]): owned and
+    /// ghost cells, owned and redundantly executed edges.
+    pub sim: S,
+}
 
+impl<S: Simulation> Rank<S> {
     /// Build a rank's state from the global case and its mesh piece.
-    fn new(case: &Self::Case, local: LocalMesh) -> Self;
-    /// The mesh of a case.
-    fn mesh(case: &Self::Case) -> &Mesh2d;
-    /// The rank's mesh piece.
-    fn local(&self) -> &LocalMesh;
-    /// The dats a step changes, in the global state's
-    /// [`evolving`](Simulation::evolving) order. Everything else is a
-    /// deterministic function of the case and the partition and is
-    /// rebuilt, not stored.
-    fn evolving(&self) -> Vec<&OpDat<Self::R>>;
-    /// The rank's dats as its step borrows them — the app's
-    /// [`Split`] over the rank's mesh piece — with the piece itself and
-    /// the halo classification of its executed edges (`true` for edges
-    /// reading a ghost cell, deferred until the exchange finishes in the
-    /// overlap schedule).
-    fn split(&mut self) -> (Split<'_, Self::Global>, &LocalMesh, &[bool]);
-    /// The case of a global state.
-    fn global_case(global: &Self::Global) -> &Self::Case;
-
-    /// [`evolving`](RankApp::evolving), mutably and in the same order.
-    fn evolving_mut(&mut self) -> Vec<&mut OpDat<Self::R>> {
-        self.split().0.evolving
-    }
-
-    /// The global counterparts of the first
-    /// [`CELL_DATS`](RankApp::CELL_DATS) evolving dats.
-    fn global_cell_dats(global: &Self::Global) -> Vec<&OpDat<Self::R>> {
-        let mut dats = global.evolving();
-        dats.truncate(Self::CELL_DATS);
-        dats
-    }
-
-    /// [`global_cell_dats`](RankApp::global_cell_dats), mutably.
-    fn global_cell_dats_mut(global: &mut Self::Global) -> Vec<&mut OpDat<Self::R>> {
-        let mut dats = global.evolving_mut();
-        dats.truncate(Self::CELL_DATS);
-        dats
+    pub fn new(case: &S::Case, mut local: LocalMesh) -> Rank<S> {
+        let edge_halo = local.boundary_edges();
+        let mesh = std::mem::take(&mut local.mesh);
+        let sim = S::on_rank(case, mesh, &local);
+        Rank {
+            local,
+            edge_halo,
+            sim,
+        }
     }
 
     /// One step of the rank's fused chain — the distributed production
@@ -181,7 +160,7 @@ pub trait RankApp: Sized + Send {
     /// With `None`, a missing packet panics after the universe watchdog
     /// (the fail-fast default).
     #[allow(clippy::too_many_arguments)]
-    fn step<const L: usize>(
+    pub fn step_fused_chain<const L: usize>(
         &mut self,
         comm: &Comm,
         cache: &PlanCache,
@@ -193,18 +172,17 @@ pub trait RankApp: Sized + Send {
         rec: Option<&Recorder>,
         guard: Option<&ExchangeGuard>,
     ) -> f64 {
-        let (split, local, edge_halo) = self.split();
         let halo = RankHalo {
             comm,
-            plan: &local.cell_halo,
+            plan: &self.local.cell_halo,
             guard,
-            edge_halo,
-            n_owned: local.n_owned_cells,
+            edge_halo: &self.edge_halo,
+            n_owned: self.local.n_owned_cells,
             policy,
         };
         let exec = ChainExec::on_pool(shape, Fusion::Groups);
-        recorded_step::<Self::Global, L>(
-            split,
+        recorded_step::<S, L>(
+            self.sim.split(),
             Some(&halo),
             total_cells,
             pool,
@@ -217,10 +195,24 @@ pub trait RankApp: Sized + Send {
     }
 }
 
-/// Serialize the rank's evolving dats as exact bit patterns — the
+impl<S: Simulation> Deref for Rank<S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.sim
+    }
+}
+
+impl<S: Simulation> DerefMut for Rank<S> {
+    fn deref_mut(&mut self) -> &mut S {
+        &mut self.sim
+    }
+}
+
+/// Serialize the state's evolving dats as exact bit patterns — the
 /// rank-level coordinated-checkpoint payload.
-pub fn snapshot<S: RankApp>(state: &S) -> Vec<u8> {
-    let dats = state.evolving();
+pub fn snapshot<S: Simulation>(sim: &S) -> Vec<u8> {
+    let dats = sim.evolving();
     // payload plus room for each dat's header
     let mut out = Vec::with_capacity(dats.iter().map(|d| d.bytes() + 64).sum());
     for dat in dats {
@@ -231,11 +223,11 @@ pub fn snapshot<S: RankApp>(state: &S) -> Vec<u8> {
 
 /// Restore the evolving dats from [`snapshot`] bytes. All-or-nothing:
 /// the state is untouched unless every dat decodes and matches this
-/// rank's shape (typed error, never a panic).
-pub fn restore<S: RankApp>(state: &mut S, bytes: &[u8]) -> io::Result<()> {
+/// state's shape (typed error, never a panic).
+pub fn restore<S: Simulation>(sim: &mut S, bytes: &[u8]) -> io::Result<()> {
     let mut r = bytes;
     let mut loaded = Vec::new();
-    for dat in state.evolving() {
+    for dat in sim.evolving() {
         let got = OpDat::<S::R>::load(&mut r)?;
         if got.set_size != dat.set_size || got.dim != dat.dim {
             return Err(io::Error::new(
@@ -248,7 +240,7 @@ pub fn restore<S: RankApp>(state: &mut S, bytes: &[u8]) -> io::Result<()> {
         }
         loaded.push(got.data);
     }
-    for (dat, data) in state.evolving_mut().into_iter().zip(loaded) {
+    for (dat, data) in sim.evolving_mut().into_iter().zip(loaded) {
         dat.data = data;
     }
     Ok(())
@@ -257,8 +249,8 @@ pub fn restore<S: RankApp>(state: &mut S, bytes: &[u8]) -> io::Result<()> {
 /// The cell dats of `global`, checked to be in AoS storage: `caller`
 /// slices rows out of them by index, which would silently scramble any
 /// other layout.
-fn aos_cell_dats<'g, S: RankApp>(global: &'g S::Global, caller: &str) -> Vec<&'g OpDat<S::R>> {
-    let dats = S::global_cell_dats(global);
+fn aos_cell_dats<'g, S: Simulation>(global: &'g S, caller: &str) -> Vec<&'g OpDat<S::R>> {
+    let dats: Vec<_> = global.evolving().into_iter().take(S::CELL_DATS).collect();
     for g in &dats {
         assert!(
             g.layout == Layout::Aos,
@@ -270,20 +262,20 @@ fn aos_cell_dats<'g, S: RankApp>(global: &'g S::Global, caller: &str) -> Vec<&'g
     dats
 }
 
-/// Initialize a rank state from a *mid-simulation* global state (the
-/// inverse of the owned-row assembly). `global` must be in AoS storage.
-pub fn rank_state_from_global<S: RankApp>(
+/// Initialize a rank from a *mid-simulation* global state (the inverse
+/// of the owned-row assembly). `global` must be in AoS storage.
+pub fn rank_state_from_global<S: Simulation>(
     case: &S::Case,
     local: LocalMesh,
-    global: &S::Global,
-) -> S {
-    let globals = aos_cell_dats::<S>(global, "rank_state_from_global");
-    let mut st = S::new(case, local);
-    let ids = st.local().cell_global.clone();
-    for (dat, g) in st.evolving_mut().into_iter().zip(globals) {
-        dat.data = extract_rows(&g.data, g.dim, &ids);
+    global: &S,
+) -> Rank<S> {
+    let globals = aos_cell_dats(global, "rank_state_from_global");
+    let mut rank = Rank::<S>::new(case, local);
+    let ids = &rank.local.cell_global;
+    for (dat, g) in rank.sim.evolving_mut().into_iter().zip(globals) {
+        dat.data = extract_rows(&g.data, g.dim, ids);
     }
-    st
+    rank
 }
 
 fn rcb_partition(mesh: &Mesh2d, n_ranks: usize) -> Partition {
@@ -296,20 +288,20 @@ fn rcb_partition(mesh: &Mesh2d, n_ranks: usize) -> Partition {
 /// cache and `threads_per_rank`-wide pool, then assemble the owned rows
 /// of the first `n_dats` evolving dats of the states the ranks return.
 /// Returns the assembled dats and the ranks' other results in rank order.
-fn on_ranks<S: RankApp, T: Send>(
+fn on_ranks<S: Simulation, T: Send>(
     mesh: &Mesh2d,
     partition: &Partition,
     threads_per_rank: usize,
     injector: Option<Arc<FaultInjector>>,
     n_dats: usize,
-    body: impl Fn(&Comm, LocalMesh, &PlanCache, &ExecPool) -> (S, T) + Sync,
+    body: impl Fn(&Comm, LocalMesh, &PlanCache, &ExecPool) -> (Rank<S>, T) + Sync,
 ) -> (Vec<OpDat<S::R>>, Vec<T>) {
     let locals = distribute(mesh, partition);
     let mut universe = Universe::new(partition.n_parts as usize);
     if let Some(inj) = injector {
         universe = universe.with_fault(inj);
     }
-    let (states, outs): (Vec<S>, Vec<T>) = universe
+    let (ranks, outs): (Vec<Rank<S>>, Vec<T>) = universe
         .run(|comm| {
             let cache = PlanCache::new();
             let pool = ExecPool::new(threads_per_rank);
@@ -320,18 +312,17 @@ fn on_ranks<S: RankApp, T: Send>(
     let total = mesh.n_cells();
     let dats = (0..n_dats)
         .map(|i| {
-            let parts: Vec<_> = states
+            let parts: Vec<_> = ranks
                 .iter()
-                .map(|st| {
-                    let local = st.local();
+                .map(|rank| {
                     (
-                        st.evolving()[i].data.as_slice(),
-                        local.cell_global.as_slice(),
-                        local.n_owned_cells,
+                        rank.evolving()[i].data.as_slice(),
+                        rank.local.cell_global.as_slice(),
+                        rank.local.n_owned_cells,
                     )
                 })
                 .collect();
-            let like = states[0].evolving()[i];
+            let like = ranks[0].evolving()[i];
             let data = assemble_owned(&parts, total, like.dim);
             OpDat::from_vec(like.name.clone(), total, like.dim, data)
         })
@@ -347,7 +338,7 @@ fn on_ranks<S: RankApp, T: Send>(
 /// lanes: L }` for the vectorized composition. Returns the assembled
 /// primary state and the reduction history.
 #[allow(clippy::too_many_arguments)]
-pub fn run_mpi_fused<S: RankApp, const L: usize>(
+pub fn run_mpi_fused<S: Simulation, const L: usize>(
     case: &S::Case,
     n_ranks: usize,
     threads_per_rank: usize,
@@ -356,7 +347,7 @@ pub fn run_mpi_fused<S: RankApp, const L: usize>(
     shape: Shape,
     policy: ExchangePolicy,
 ) -> (OpDat<S::R>, Vec<f64>) {
-    let partition = rcb_partition(S::mesh(case), n_ranks);
+    let partition = rcb_partition(S::case_mesh(case), n_ranks);
     run_mpi_fused_with_partition::<S, L>(
         case,
         &partition,
@@ -372,7 +363,7 @@ pub fn run_mpi_fused<S: RankApp, const L: usize>(
 /// stress ragged ownership (a rank with almost no interior, a rank with
 /// a huge fringe).
 #[allow(clippy::too_many_arguments)]
-pub fn run_mpi_fused_with_partition<S: RankApp, const L: usize>(
+pub fn run_mpi_fused_with_partition<S: Simulation, const L: usize>(
     case: &S::Case,
     partition: &Partition,
     threads_per_rank: usize,
@@ -381,7 +372,7 @@ pub fn run_mpi_fused_with_partition<S: RankApp, const L: usize>(
     shape: Shape,
     policy: ExchangePolicy,
 ) -> (OpDat<S::R>, Vec<f64>) {
-    let mesh = S::mesh(case);
+    let mesh = S::case_mesh(case);
     let total_cells = mesh.n_cells();
     let (mut dats, mut histories) = on_ranks(
         mesh,
@@ -390,10 +381,10 @@ pub fn run_mpi_fused_with_partition<S: RankApp, const L: usize>(
         None,
         1,
         |comm, local, cache, pool| {
-            let mut state = S::new(case, local);
+            let mut rank = Rank::<S>::new(case, local);
             let history: Vec<f64> = (0..iters)
                 .map(|_| {
-                    state.step::<L>(
+                    rank.step_fused_chain::<L>(
                         comm,
                         cache,
                         pool,
@@ -406,7 +397,7 @@ pub fn run_mpi_fused_with_partition<S: RankApp, const L: usize>(
                     )
                 })
                 .collect();
-            (state, history)
+            (rank, history)
         },
     );
     (dats.swap_remove(0), histories.swap_remove(0))
@@ -421,7 +412,7 @@ pub fn run_mpi_fused_with_partition<S: RankApp, const L: usize>(
 /// typed timeout and a rollback rather than a hang. Under any such plan
 /// the returned state and history are bit-identical to a fault-free run.
 #[allow(clippy::too_many_arguments)]
-pub fn run_mpi_fused_resilient<S: RankApp, const L: usize>(
+pub fn run_mpi_fused_resilient<S: Simulation, const L: usize>(
     case: &S::Case,
     n_ranks: usize,
     threads_per_rank: usize,
@@ -433,7 +424,7 @@ pub fn run_mpi_fused_resilient<S: RankApp, const L: usize>(
     injector: Option<Arc<FaultInjector>>,
     io_timeout: Duration,
 ) -> (OpDat<S::R>, Vec<f64>, ResilientReport) {
-    let mesh = S::mesh(case);
+    let mesh = S::case_mesh(case);
     let total_cells = mesh.n_cells();
     let (mut dats, mut outs) = on_ranks(
         mesh,
@@ -443,19 +434,19 @@ pub fn run_mpi_fused_resilient<S: RankApp, const L: usize>(
         1,
         |comm, local, cache, pool| {
             let guard = ExchangeGuard::new(io_timeout);
-            let mut state = S::new(case, local.clone());
+            let mut rank = Rank::<S>::new(case, local.clone());
             let out = resilient_loop(
                 comm,
                 &guard,
                 injector.as_ref(),
                 iters,
                 checkpoint_every,
-                &mut state,
-                || S::new(case, local.clone()),
-                snapshot,
-                |st, bytes| restore(st, bytes).expect("rank checkpoint restore"),
-                |st, g| {
-                    st.step::<L>(
+                &mut rank,
+                || Rank::new(case, local.clone()),
+                |rank| snapshot(&rank.sim),
+                |rank, bytes| restore(&mut rank.sim, bytes).expect("rank checkpoint restore"),
+                |rank, g| {
+                    rank.step_fused_chain::<L>(
                         comm,
                         cache,
                         pool,
@@ -468,7 +459,7 @@ pub fn run_mpi_fused_resilient<S: RankApp, const L: usize>(
                     )
                 },
             );
-            (state, out)
+            (rank, out)
         },
     );
     let mut report = ResilientReport::default();
@@ -486,18 +477,18 @@ pub fn run_mpi_fused_resilient<S: RankApp, const L: usize>(
 /// persistent universe (ghost values are refreshed from owners each step
 /// either way). `sim` must be in AoS storage. Returns the step's global
 /// reduction.
-pub fn step_mpi_fused<S: RankApp, const L: usize>(
-    sim: &mut S::Global,
+pub fn step_mpi_fused<S: Simulation, const L: usize>(
+    sim: &mut S,
     n_ranks: usize,
     block_size: usize,
     shape: Shape,
     rec: Option<&Recorder>,
 ) -> f64 {
-    aos_cell_dats::<S>(sim, "step_mpi_fused");
+    aos_cell_dats(sim, "step_mpi_fused");
     let (dats, reductions) = {
         let sim = &*sim;
-        let case = S::global_case(sim);
-        let mesh = S::mesh(case);
+        let case = sim.case();
+        let mesh = sim.mesh();
         let total_cells = mesh.n_cells();
         on_ranks(
             mesh,
@@ -506,8 +497,8 @@ pub fn step_mpi_fused<S: RankApp, const L: usize>(
             None,
             S::CELL_DATS,
             |comm, local, cache, pool| {
-                let mut st: S = rank_state_from_global(case, local, sim);
-                let reduction = st.step::<L>(
+                let mut rank = rank_state_from_global(case, local, sim);
+                let reduction = rank.step_fused_chain::<L>(
                     comm,
                     cache,
                     pool,
@@ -518,11 +509,11 @@ pub fn step_mpi_fused<S: RankApp, const L: usize>(
                     rec,
                     None,
                 );
-                (st, reduction)
+                (rank, reduction)
             },
         )
     };
-    for (global, dat) in S::global_cell_dats_mut(sim).into_iter().zip(dats) {
+    for (global, dat) in sim.evolving_mut().into_iter().zip(dats) {
         global.data = dat.data;
     }
     reductions[0]
@@ -531,26 +522,27 @@ pub fn step_mpi_fused<S: RankApp, const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{airfoil, volna};
+    use crate::airfoil::Airfoil;
+    use crate::volna::Volna;
 
-    /// One piece of a 2-rank split of `case`, as the given rank state.
-    fn rank_of<S: RankApp>(case: &S::Case) -> S {
-        let mesh = S::mesh(case);
+    /// One piece of a 2-rank split of `case`.
+    fn rank_of<S: Simulation>(case: &S::Case) -> Rank<S> {
+        let mesh = S::case_mesh(case);
         let locals = distribute(mesh, &rcb_partition(mesh, 2));
-        S::new(case, locals[1].clone())
+        Rank::new(case, locals[1].clone())
     }
 
-    fn snapshot_round_trips<S: RankApp>(case: &S::Case, n_evolving: usize) {
-        let mut a: S = rank_of(case);
+    fn snapshot_round_trips<S: Simulation>(case: &S::Case, n_evolving: usize) {
+        let mut a = rank_of::<S>(case);
         assert_eq!(a.evolving().len(), n_evolving);
         for (i, dat) in a.evolving_mut().into_iter().enumerate() {
             for (j, v) in dat.data.iter_mut().enumerate() {
                 *v = S::R::from_f64((i * 1000 + j) as f64 + 0.25);
             }
         }
-        let bytes = snapshot(&a);
-        let mut b: S = rank_of(case);
-        restore(&mut b, &bytes).unwrap();
+        let bytes = snapshot(&a.sim);
+        let mut b = rank_of::<S>(case);
+        restore(&mut b.sim, &bytes).unwrap();
         for (x, y) in a.evolving().into_iter().zip(b.evolving()) {
             assert_eq!(x.name, y.name);
             assert!(
@@ -565,30 +557,27 @@ mod tests {
 
         // a dat of the wrong shape is a typed error and leaves the state
         // untouched
-        let mut wrong: S = rank_of(case);
+        let mut wrong = rank_of::<S>(case);
         let last = wrong.evolving_mut().pop().unwrap();
         *last = OpDat::zeros(last.name.clone(), last.set_size + 1, last.dim);
-        let err = restore(&mut b, &snapshot(&wrong)).unwrap_err();
+        let err = restore(&mut b.sim, &snapshot(&wrong.sim)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(snapshot(&b), bytes);
+        assert_eq!(snapshot(&b.sim), bytes);
     }
 
     #[test]
     fn snapshot_restore_round_trips_both_apps() {
-        let acase = airfoil::Airfoil::<f64>::new(10, 6).case;
-        snapshot_round_trips::<airfoil::mpi::RankState<f64>>(&acase, 4);
-        let vcase = volna::Volna::<f32>::new(8, 6).case;
-        snapshot_round_trips::<volna::mpi::RankState<f32>>(&vcase, 5);
+        snapshot_round_trips::<Airfoil<f64>>(&Airfoil::<f64>::new(10, 6).case, 4);
+        snapshot_round_trips::<Volna<f32>>(&Volna::<f32>::new(8, 6).case, 5);
     }
 
     #[test]
     #[should_panic(expected = "dist::rank_state_from_global slices AoS rows, but global dat q")]
     fn rank_state_from_global_rejects_non_aos_state() {
-        let mut sim = airfoil::Airfoil::<f64>::new(10, 6);
+        let mut sim = Airfoil::<f64>::new(10, 6);
         sim.set_layout(Layout::Soa);
         let mesh = &sim.case.mesh;
         let locals = distribute(mesh, &rcb_partition(mesh, 2));
-        let _: airfoil::mpi::RankState<f64> =
-            rank_state_from_global(&sim.case, locals[0].clone(), &sim);
+        rank_state_from_global(&sim.case, locals[0].clone(), &sim);
     }
 }

@@ -23,10 +23,12 @@
 //! [`Shape`] and [`Fusion`] it is executed under ([`step_chain`]), and
 //! cross-timestep tiling runs its bodies tile by tile ([`run_tiled_on`],
 //! through [`ump_lazy::TiledChain`]); [`step_on`] dispatches a registry
-//! row to them. The message-passing backend does not restate the
-//! timestep either: a rank executes the recording with its halo hooks
-//! on ([`dist::RankApp::step`]), and [`dist`] drives any
-//! [`dist::RankApp`] end to end (halo exchanges, redundant exec-halo
+//! row to them. The message-passing backend declares nothing of its
+//! own either: a rank is the app's own [`Simulation`] state built on its
+//! mesh piece ([`Simulation::on_rank`], held by a [`dist::Rank`]), it
+//! executes the one recording with its halo hooks on
+//! ([`dist::Rank::step_fused_chain`]), and [`dist`] drives any
+//! [`Simulation`] end to end (halo exchanges, redundant exec-halo
 //! execution, checkpoints, assembly).
 
 #![deny(missing_docs)]

@@ -9,19 +9,22 @@
 //! reduction slots and how they fold into the per-step value, and its
 //! `step_seq` oracle — and everything that executes the recording is
 //! generic over it: [`step_chain`] (every shared-memory registry row),
-//! the rank step behind [`RankApp::step`], [`run_tiled_on`] /
-//! [`run_tiled_report_on`] (cross-timestep tiling) and the registry
-//! dispatcher [`step_on`].
+//! the rank step [`Rank::step_fused_chain`](crate::dist::Rank::step_fused_chain)
+//! with the rest of the distributed driver in [`crate::dist`],
+//! [`run_tiled_on`] / [`run_tiled_report_on`] (cross-timestep tiling)
+//! and the registry dispatcher [`step_on`]. A rank of the distributed
+//! run is the same state built on its mesh piece
+//! ([`Simulation::on_rank`]), so an app declares its dats once.
 
 use std::sync::Arc;
 
 use ump_core::plan::AnyPlan;
-use ump_core::{Backend, ExecPool, Layout, OpDat, PlanCache, Recorder, SharedDat};
+use ump_core::{Backend, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder, SharedDat};
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape, TileCache, TileReport, TiledChain};
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, Real};
 
-use crate::dist::{step_mpi_fused, RankApp, RankHalo};
+use crate::dist::{step_mpi_fused, RankHalo};
 use crate::{chain_exec, ChainExec, DISPATCH_TILE_BLOCKS};
 
 /// One of the paper's applications as the executors around its
@@ -30,8 +33,9 @@ use crate::{chain_exec, ChainExec, DISPATCH_TILE_BLOCKS};
 pub trait Simulation: Send + Sync + Sized + 'static {
     /// Working precision.
     type R: Real;
-    /// A rank's piece of the state, stepped by the message-passing rows.
-    type Rank: RankApp<R = Self::R, Global = Self>;
+    /// What a state is built from: the mesh and the app's per-element
+    /// inputs.
+    type Case: Sync;
     /// What a recording reads besides the mesh, the evolving dats and
     /// the reduction slots: the app's geometry and constants.
     type Inputs<'a>: Sync;
@@ -41,13 +45,23 @@ pub trait Simulation: Send + Sync + Sized + 'static {
     /// the cell set; the rest live on the edge set.
     const CELL_DATS: usize;
 
+    /// The state of one rank of a distributed run on `mesh`, the
+    /// localized mesh of the rank's piece `local` (moved out of it): the
+    /// case's per-cell and per-bedge data gathered through
+    /// `local.cell_global` / `local.bedge_global`. The lane-locality
+    /// edge pass of the global constructors is skipped — `edge_global`,
+    /// `n_owned_edges` and the halo flags mirror the piece's edge order,
+    /// which inherits the globally localized one anyway.
+    fn on_rank(case: &Self::Case, mesh: Mesh2d, local: &LocalMesh) -> Self;
+    /// The case this state was built from.
+    fn case(&self) -> &Self::Case;
+    /// The mesh of a case.
+    fn case_mesh(case: &Self::Case) -> &Mesh2d;
     /// The dats a step changes, in snapshot order, primary state first.
     /// Everything else is a deterministic function of the case.
     fn evolving(&self) -> Vec<&OpDat<Self::R>>;
     /// The state as one recording borrows it.
     fn split(&mut self) -> Split<'_, Self>;
-    /// The mesh.
-    fn mesh(&self) -> &Mesh2d;
     /// Storage layout of the dats (uniform across them).
     fn layout(&self) -> Layout;
     /// Convert every dat to `to` (a pure index permutation, bit-exact).
@@ -89,6 +103,11 @@ pub trait Simulation: Send + Sync + Sized + 'static {
         total_cells: usize,
     ) -> Vec<f64>;
 
+    /// The mesh (a rank's: its piece).
+    fn mesh(&self) -> &Mesh2d {
+        Self::case_mesh(self.case())
+    }
+
     /// [`evolving`](Simulation::evolving), mutably and in the same order.
     fn evolving_mut(&mut self) -> Vec<&mut OpDat<Self::R>> {
         self.split().evolving
@@ -100,9 +119,8 @@ pub trait Simulation: Send + Sync + Sized + 'static {
     }
 }
 
-/// A state's dats as one recording borrows them: a global state's
-/// ([`Simulation::split`]) or a rank's piece of one
-/// ([`RankApp::split`]).
+/// A state's dats as one recording borrows them ([`Simulation::split`]):
+/// a global state's or a rank's.
 pub struct Split<'a, S: Simulation> {
     /// The mesh (a rank's: its piece).
     pub mesh: &'a Mesh2d,
@@ -119,7 +137,7 @@ pub struct Sweep<'a> {
     pub(crate) mesh: &'a Mesh2d,
     /// Layouts of the evolving dats, in order: every access of the
     /// recorded bodies goes through them, so the one recording executes
-    /// natively in AoS, SoA or AoSoA storage.
+    /// natively in AoS or SoA storage.
     pub(crate) views: Vec<DatView>,
     /// Cells the cell loops cover: all, or a rank's owned ones.
     pub(crate) n_cells: usize,
@@ -457,10 +475,10 @@ pub fn step_on<S: Simulation>(
         (false, 1 | 4) => step_exec::<S, 4>(exec, pool, sim, cache, n_threads, block_size, rec),
         (false, 8) => step_exec::<S, 8>(exec, pool, sim, cache, n_threads, block_size, rec),
         (true, 1 | 4) => in_aos(sim, |sim| {
-            step_mpi_fused::<S::Rank, 4>(sim, ranks, block_size, shape, rec)
+            step_mpi_fused::<S, 4>(sim, ranks, block_size, shape, rec)
         }),
         (true, 8) => in_aos(sim, |sim| {
-            step_mpi_fused::<S::Rank, 8>(sim, ranks, block_size, shape, rec)
+            step_mpi_fused::<S, 8>(sim, ranks, block_size, shape, rec)
         }),
         _ => no_lane_instantiation(backend),
     }

@@ -12,8 +12,11 @@
 //! on. The paper benchmarks Volna in single precision through the same
 //! MPI / OpenMP / OpenCL / intrinsics configurations.
 
-use ump_core::{seq_loop, simd_block_sweep, two_rows_mut, Layout, OpDat, Recorder, SharedDat};
+use ump_core::{
+    seq_loop, simd_block_sweep, two_rows_mut, Layout, LocalMesh, OpDat, Recorder, SharedDat,
+};
 use ump_lazy::{Chain, LoopDesc, Shape, TileCache};
+use ump_mesh::generators::CoastalCase;
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, IdxVec, Real, VecR};
 
@@ -21,7 +24,6 @@ use super::kernels::{bc_flux, compute_flux, numerical_flux, rk_1, rk_2, sim_1, s
 use super::kernels_vec::{
     compute_flux_vec, numerical_flux_vec, rk_1_vec, rk_2_vec, space_disc_vec,
 };
-use super::mpi::RankState;
 use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
 use crate::dist::RankHalo;
 use crate::{maybe_time, Lanes, Simulation, Split, Sweep};
@@ -286,10 +288,35 @@ fn edge_blocks(sweep: &Sweep<'_>) -> usize {
 
 impl<R: Real> Simulation for Volna<R> {
     type R = R;
-    type Rank = RankState<R>;
+    type Case = CoastalCase;
     type Inputs<'a> = StepInputs<'a, R>;
     const NAME: &'static str = "volna";
     const CELL_DATS: usize = 4;
+
+    /// The global initial condition on the piece's cells; geometry from
+    /// the piece itself.
+    fn on_rank(case: &CoastalCase, mesh: Mesh2d, local: &LocalMesh) -> Self {
+        let gather = |per_cell: &[f64]| {
+            local
+                .cell_global
+                .iter()
+                .map(|&g| per_cell[g as usize])
+                .collect()
+        };
+        Volna::preordered(CoastalCase {
+            mesh,
+            bathy_cell: gather(&case.bathy_cell),
+            eta0_cell: gather(&case.eta0_cell),
+        })
+    }
+
+    fn case(&self) -> &CoastalCase {
+        &self.case
+    }
+
+    fn case_mesh(case: &CoastalCase) -> &Mesh2d {
+        &case.mesh
+    }
 
     fn evolving(&self) -> Vec<&OpDat<R>> {
         evolving!(self)
@@ -305,10 +332,6 @@ impl<R: Real> Simulation for Volna<R> {
             },
             evolving: evolving!(self, mut),
         }
-    }
-
-    fn mesh(&self) -> &Mesh2d {
-        &self.case.mesh
     }
 
     fn layout(&self) -> Layout {

@@ -24,7 +24,7 @@
 //! single precision; kernels stay generic over `R` so tests can pin the
 //! f32 backends against an f64 reference.
 
-/// The evolving dats of a Volna state or rank, in snapshot order:
+/// The evolving dats of a Volna state, in snapshot order:
 /// `evolving!(s)` borrows them shared, `evolving!(s, mut)` exclusively.
 macro_rules! evolving {
     ($s:expr $(, $m:tt)?) => {
@@ -41,7 +41,6 @@ macro_rules! evolving {
 pub mod drivers;
 pub mod kernels;
 pub mod kernels_vec;
-pub mod mpi;
 
 use ump_core::{Access, ArgInfo, Layout, LoopProfile, OpDat};
 use ump_lazy::TileCache;
@@ -126,16 +125,13 @@ impl<R: Real> Volna<R> {
     /// consistent.
     pub fn from_case(mut case: CoastalCase) -> Volna<R> {
         ump_mesh::renumber::lane_localize_edges(&mut case.mesh);
-        Self::from_case_preordered(case)
+        Self::preordered(case)
     }
 
-    /// As [`from_case`](Volna::from_case) but *without* the
-    /// lane-locality edge pass — for callers whose edge order already
-    /// encodes structure that a reorder would break (rank-local meshes,
-    /// where the owned edges form a prefix and `edge_global` mirrors the
-    /// order). The globally lane-localized mesh passes its order down to
-    /// the rank pieces, so locality is preserved anyway.
-    pub fn from_case_preordered(case: CoastalCase) -> Volna<R> {
+    /// [`from_case`](Volna::from_case) without the lane-locality pass:
+    /// the case's mesh in its own edge order — also the state of a
+    /// distributed rank, on its mesh piece.
+    pub(crate) fn preordered(case: CoastalCase) -> Volna<R> {
         let mesh = &case.mesh;
         let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
         let w = OpDat::from_fn("w", nc, 4, |c| {

@@ -25,7 +25,8 @@
 
 use std::time::{Duration, Instant};
 
-use ump_apps::airfoil::mpi::RankState;
+use ump_apps::airfoil::Airfoil;
+use ump_apps::dist::Rank;
 use ump_core::{distribute, ExecPool, PlanCache, Recorder};
 use ump_lazy::{ExchangePolicy, Shape};
 use ump_mesh::generators::quad_channel;
@@ -75,7 +76,7 @@ fn main() {
                             let cache = PlanCache::new();
                             let pool = ExecPool::new(THREADS_PER_RANK);
                             let mut state =
-                                RankState::<f64>::new(case, locals[comm.rank()].clone());
+                                Rank::<Airfoil<f64>>::new(case, locals[comm.rank()].clone());
                             for _ in 0..WARMUP_STEPS {
                                 state.step_fused_chain::<4>(
                                     comm,

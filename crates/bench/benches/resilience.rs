@@ -54,7 +54,7 @@ fn main() {
 
     // reference: the plain (non-resilient) fused distributed run the
     // golden guarantee is anchored to
-    let (q_ref, _): (OpDat<f64>, _) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+    let (q_ref, _): (OpDat<f64>, _) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
         &case,
         RANKS,
         THREADS_PER_RANK,
@@ -70,7 +70,7 @@ fn main() {
         for _ in 0..REPS {
             let inj = injector.map(|plan| Arc::new(plan.injector()));
             let t0 = Instant::now();
-            let (q, _, report) = dist::run_mpi_fused_resilient::<airfoil::mpi::RankState<f64>, 4>(
+            let (q, _, report) = dist::run_mpi_fused_resilient::<airfoil::Airfoil<f64>, 4>(
                 &case,
                 RANKS,
                 THREADS_PER_RANK,

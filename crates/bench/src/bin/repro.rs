@@ -23,6 +23,7 @@ use ump_bench::{fmt_s, measure_indirect, work_for, MeasuredLoop, Scale};
 use ump_core::{Backend as ExecBackend, ExecPool, PlanCache, Recorder, Scheme};
 use ump_lazy::{Fusion, Shape};
 use ump_mesh::MeshStats;
+use ump_tune::App;
 
 /// Every experiment the CLI accepts, in `all` execution order.
 const EXPERIMENTS: [&str; 16] = [
@@ -36,7 +37,7 @@ fn print_help() {
     println!("repro — regenerate the paper's tables and figures");
     println!();
     println!("usage: repro <experiment>|all [--scale small|paper]");
-    println!("       repro --smoke [--backends all|auto|name,name,…] [--layout aos|soa|aosoaN]");
+    println!("       repro --smoke [--backends all|auto|name,name,…] [--layout aos|soa]");
     println!("       repro serve-smoke [--inject <seed>]");
     println!();
     println!("experiments:");
@@ -111,9 +112,9 @@ fn parse_and_run(args: Vec<String>) -> Result<(), String> {
                 );
             }
             "--layout" => {
-                let v = it.next().ok_or("--layout needs a value (aos|soa|aosoaN)")?;
+                let v = it.next().ok_or("--layout needs a value (aos|soa)")?;
                 layout = ump_core::Layout::parse(v)
-                    .ok_or_else(|| format!("bad layout {v} (want aos|soa|aosoaN, e.g. aosoa8)"))?;
+                    .ok_or_else(|| format!("bad layout {v} (want aos|soa)"))?;
             }
             "--backends" => {
                 let v = it
@@ -201,25 +202,6 @@ fn parse_and_run(args: Vec<String>) -> Result<(), String> {
 // shared prediction plumbing
 // ---------------------------------------------------------------------------
 
-/// (kernel, iteration-set, calls per outer iteration) of Airfoil.
-const AIRFOIL_KERNELS: [(&str, &str, f64); 5] = [
-    ("save_soln", "cells", 1.0),
-    ("adt_calc", "cells", 2.0),
-    ("res_calc", "edges", 2.0),
-    ("bres_calc", "bedges", 2.0),
-    ("update", "cells", 2.0),
-];
-
-const VOLNA_KERNELS: [(&str, &str, f64); 7] = [
-    ("sim_1", "cells", 1.0),
-    ("compute_flux", "edges", 2.0),
-    ("numerical_flux", "edges", 1.0),
-    ("space_disc", "edges", 2.0),
-    ("bc_flux", "bedges", 2.0),
-    ("RK_1", "cells", 1.0),
-    ("RK_2", "cells", 1.0),
-];
-
 struct AppShape {
     cells: usize,
     edges: usize,
@@ -261,37 +243,16 @@ fn set_size(shape: &AppShape, set: &str) -> usize {
     }
 }
 
-/// Predicted total seconds for 1000 outer iterations of one app kernel.
-fn kernel_total(
-    m: &Machine,
-    b: Backend,
-    app: &str,
-    kernel: &str,
-    shape: &AppShape,
-    wb: usize,
-) -> f64 {
-    let (profile, calls) = if app == "airfoil" {
-        let calls = AIRFOIL_KERNELS.iter().find(|k| k.0 == kernel).unwrap().2;
-        (airfoil::profile(kernel), calls)
-    } else {
-        let calls = VOLNA_KERNELS.iter().find(|k| k.0 == kernel).unwrap().2;
-        (volna::profile(kernel), calls)
-    };
-    let n = set_size(shape, &profile.set);
-    let w = work_for(&profile, n, wb, Some(&shape.measured));
-    predict(m, b, &w).seconds * calls * 1000.0
-}
-
 /// Predicted app total (1000 iterations), all kernels.
-fn app_total(m: &Machine, b: Backend, app: &str, shape: &AppShape, wb: usize) -> f64 {
-    let kernels: Vec<&str> = if app == "airfoil" {
-        AIRFOIL_KERNELS.iter().map(|k| k.0).collect()
-    } else {
-        VOLNA_KERNELS.iter().map(|k| k.0).collect()
-    };
-    kernels
+fn app_total(m: &Machine, b: Backend, app: App, shape: &AppShape, wb: usize) -> f64 {
+    app.kernels()
         .iter()
-        .map(|k| kernel_total(m, b, app, k, shape, wb))
+        .map(|&(kernel, _, calls)| {
+            let profile = app.profile(kernel);
+            let n = set_size(shape, &profile.set);
+            let w = work_for(&profile, n, wb, Some(&shape.measured));
+            predict(m, b, &w).seconds * calls * 1000.0
+        })
         .sum()
 }
 
@@ -434,7 +395,7 @@ fn table5(scale: Scale) {
         (machines::cpu2(), Backend::ScalarMpi),
         (machines::k40(), Backend::Cuda),
     ];
-    for (kernel, set, calls) in AIRFOIL_KERNELS {
+    for &(kernel, set, calls) in App::Airfoil.kernels() {
         let profile = airfoil::profile(kernel);
         let n = set_size(&shape, set);
         let w = work_for(&profile, n, 8, Some(&shape.measured));
@@ -450,7 +411,7 @@ fn table5(scale: Scale) {
         }
         println!("{row}");
     }
-    for (kernel, set, calls) in VOLNA_KERNELS {
+    for &(kernel, set, calls) in App::Volna.kernels() {
         let profile = volna::profile(kernel);
         let n = set_size(&vshape, set);
         let w = work_for(&profile, n, 4, Some(&vshape.measured));
@@ -479,13 +440,15 @@ fn table6(scale: Scale) {
         "{:<16} {:>12} {:>7} | {:>12} {:>7} | {:>8} {:>8}",
         "kernel", "CPU1 s", "GB/s", "Phi s", "GB/s", "vec CPU", "vec Phi"
     );
-    let rows: Vec<(&str, &str, usize, f64, &AppShape)> = AIRFOIL_KERNELS
+    let rows: Vec<(&str, &str, usize, f64, &AppShape)> = App::Airfoil
+        .kernels()
         .iter()
-        .map(|(k, s, c)| (*k, *s, 8usize, *c, &shape))
+        .map(|&(k, s, c)| (k, s, 8usize, c, &shape))
         .chain(
-            VOLNA_KERNELS
+            App::Volna
+                .kernels()
                 .iter()
-                .map(|(k, s, c)| (*k, *s, 4usize, *c, &vshape)),
+                .map(|&(k, s, c)| (k, s, 4usize, c, &vshape)),
         )
         .collect();
     for (kernel, set, wb, calls, sh) in rows {
@@ -531,7 +494,7 @@ fn per_kernel_backend_table(
         print!(" {:>14}", name);
     }
     println!();
-    for (kernel, set, calls) in AIRFOIL_KERNELS {
+    for &(kernel, set, calls) in App::Airfoil.kernels() {
         let profile = airfoil::profile(kernel);
         let n = set_size(&shape, set);
         let w = work_for(&profile, n, wb, Some(&shape.measured));
@@ -593,7 +556,7 @@ fn table9(scale: Scale) {
         "{:<16} {:>8} {:>8} {:>8} {:>8}",
         "kernel", "CPU1", "CPU2", "Phi", "K40"
     );
-    for (kernel, set, _calls) in AIRFOIL_KERNELS {
+    for &(kernel, set, _) in App::Airfoil.kernels() {
         let profile = airfoil::profile(kernel);
         let n = set_size(&shape, set);
         let w = work_for(&profile, n, 8, Some(&shape.measured));
@@ -636,9 +599,9 @@ fn fig5(scale: Scale) {
         println!(
             "{:<26} {:>12} {:>12} {:>12}",
             name,
-            fmt_s(app_total(&m, b, "airfoil", &shape, 4)),
-            fmt_s(app_total(&m, b, "airfoil", &shape, 8)),
-            fmt_s(app_total(&m, b, "volna", &vshape, 4)),
+            fmt_s(app_total(&m, b, App::Airfoil, &shape, 4)),
+            fmt_s(app_total(&m, b, App::Airfoil, &shape, 8)),
+            fmt_s(app_total(&m, b, App::Volna, &vshape, 4)),
         );
     }
     println!("paper (s): CPU1 MPI ≈ 46(SP)/68(DP); CPU2 MPI ≈ 21/31; K40 ≈ 5.4/8.4 (bars)");
@@ -806,9 +769,9 @@ fn fig7(scale: Scale) {
         println!(
             "{:<26} {:>12} {:>12} {:>12}",
             name,
-            fmt_s(app_total(&m, b, "airfoil", &shape, 4)),
-            fmt_s(app_total(&m, b, "airfoil", &shape, 8)),
-            fmt_s(app_total(&m, b, "volna", &vshape, 4)),
+            fmt_s(app_total(&m, b, App::Airfoil, &shape, 4)),
+            fmt_s(app_total(&m, b, App::Airfoil, &shape, 8)),
+            fmt_s(app_total(&m, b, App::Volna, &vshape, 4)),
         );
     }
     println!("paper shape: intrinsics 2.0–2.2x (SP) / 1.7–1.8x (DP) over scalar; auto-vec poor");
@@ -975,10 +938,7 @@ fn fusion(scale: Scale) {
             s.bytes_saved / s.executions as f64 / 1e6
         );
     }
-    println!(
-        "speedup: {:.2}x (BENCH_fusion.json holds the criterion-measured numbers)",
-        unfused_s / fused_s
-    );
+    println!("speedup: {:.2}x", unfused_s / fused_s);
 }
 
 /// Tiny-mesh end-to-end sweep of the backend registry on both apps —
@@ -1133,7 +1093,7 @@ fn smoke(backends: &[ExecBackend], layout: ump_core::Layout) {
 /// reference to 1e-12 on both apps. A second pick per app must be a
 /// pure store hit (zero trials).
 fn smoke_auto() {
-    use ump_tune::{App, Tuner};
+    use ump_tune::Tuner;
 
     header("smoke — autotuned backend selection (ump_tune)");
     let tuner = Tuner::new().with_trial_steps(2).with_top_k(4);
@@ -1552,9 +1512,9 @@ fn fig9(scale: Scale) {
         println!(
             "{:<26} {:>12} {:>12} {:>12}",
             m.name,
-            fmt_s(app_total(&m, b, "airfoil", &shape, 4)),
-            fmt_s(app_total(&m, b, "airfoil", &shape, 8)),
-            fmt_s(app_total(&m, b, "volna", &vshape, 4)),
+            fmt_s(app_total(&m, b, App::Airfoil, &shape, 4)),
+            fmt_s(app_total(&m, b, App::Airfoil, &shape, 8)),
+            fmt_s(app_total(&m, b, App::Volna, &vshape, 4)),
         );
     }
     println!("paper shape: K40 2.5–3x CPU1; Phi ≈ CPU1; CPU2 between");

@@ -2,7 +2,7 @@
 //!
 //! The `repro` binary regenerates every table and figure of the paper's
 //! evaluation section (see DESIGN.md's per-experiment index); the
-//! Criterion benches (`kernels`, `fusion`, `halo`, `resilience`, `tune`)
+//! Criterion benches (`halo`, `resilience`, `tune`)
 //! measure one subsystem each. Layer probes — pool dispatch, SIMD
 //! gather/scatter, plan construction — are per-layer rows of the
 //! reference benchmark (`benchmark/`: `core.empty_round_us`,

@@ -34,7 +34,7 @@ fn read_u64(r: &mut impl Read) -> io::Result<u64> {
 ///
 /// Storage defaults to AoS (`data[e*dim + c]`) as the paper's CPU
 /// backends use; [`OpDat::to_layout`] re-permutes the same values into
-/// SoA or AoSoA so `VecR::load/store` on direct data become contiguous
+/// SoA so `VecR::load/store` on direct data become contiguous
 /// vector moves (tentpole of the fused-SIMD fix). Code that indexes
 /// `data` directly assumes AoS — use [`OpDat::view`] / [`OpDat::at`]
 /// for layout-aware access.
@@ -105,7 +105,7 @@ impl<R: Real> OpDat<R> {
     }
 
     /// The component slice of element `e` (AoS layouts only — rows are
-    /// not contiguous under SoA/AoSoA, except for `dim == 1` dats whose
+    /// not contiguous under SoA, except for `dim == 1` dats whose
     /// storage is identical under every layout).
     #[inline]
     pub fn row(&self, e: usize) -> &[R] {
@@ -363,23 +363,17 @@ mod tests {
         let d: OpDat<f64> = OpDat::from_fn("q", 11, 4, |e| {
             (0..4).map(|c| (e * 4 + c) as f64 * 0.37 - 2.0).collect()
         });
-        for to in [
-            Layout::Soa,
-            Layout::AoSoA { block: 4 },
-            Layout::AoSoA { block: 6 }, // ragged: 11 % 6 != 0
-        ] {
-            let mut s = d.clone();
-            s.set_layout(to);
-            assert_eq!(s.layout, to);
-            assert_eq!(s.max_abs_diff(&d), 0.0);
-            for e in 0..11 {
-                for c in 0..4 {
-                    assert_eq!(s.at(e, c).to_bits(), d.at(e, c).to_bits());
-                }
+        let mut s = d.clone();
+        s.set_layout(Layout::Soa);
+        assert_eq!(s.layout, Layout::Soa);
+        assert_eq!(s.max_abs_diff(&d), 0.0);
+        for e in 0..11 {
+            for c in 0..4 {
+                assert_eq!(s.at(e, c).to_bits(), d.at(e, c).to_bits());
             }
-            s.set_layout(Layout::Aos);
-            assert_eq!(s, d);
         }
+        s.set_layout(Layout::Aos);
+        assert_eq!(s, d);
     }
 
     #[test]
@@ -402,7 +396,7 @@ mod tests {
     #[test]
     fn at_mut_writes_through_layout() {
         let mut d: OpDat<f64> = OpDat::zeros("r", 7, 2);
-        d.set_layout(Layout::AoSoA { block: 4 });
+        d.set_layout(Layout::Soa);
         *d.at_mut(6, 1) = 9.0;
         *d.at_mut(0, 0) = -1.0;
         d.set_layout(Layout::Aos);

@@ -10,7 +10,7 @@
 use crate::Csr;
 
 /// A fixed-arity mapping between two sets.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MapTable {
     /// Human-readable name (`"edge2node"`, …) used in diagnostics.
     pub name: String,

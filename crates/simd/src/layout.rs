@@ -2,17 +2,12 @@
 //!
 //! The paper's CPU backends keep `op_dat`s in AoS (`data[e*dim + c]`),
 //! which turns every direct vector load into a strided gather. §4's
-//! discussion of gather/scatter cost motivates the two alternatives
-//! implemented here:
-//!
-//! * **SoA** (`data[c*n + e]`) — direct loads/stores of one component
-//!   across `L` consecutive elements become single contiguous vector
-//!   moves,
-//! * **AoSoA** (`data[(e/b)*b*dim + c*rem + e%b]`, block factor `b`) —
-//!   contiguous within a block, cache-friendly across components. The
-//!   last block is packed at its ragged size `rem = n - (e/b)*b`, so
-//!   total storage is exactly `n*dim` for every layout (no padding and
-//!   no change to byte accounting or serialization sizes).
+//! discussion of gather/scatter cost motivates
+//! the alternative implemented here: **SoA** (`data[c*n + e]`), where
+//! direct loads/stores of one component across `L` consecutive elements
+//! become single contiguous vector moves. Both layouts store exactly
+//! `n*dim` values (no padding, no change to byte accounting or
+//! serialization sizes).
 //!
 //! [`DatView`] carries `(n, dim, layout)` and exposes scalar row and
 //! vector lane accessors that the recorded drivers use for *every* dat
@@ -21,7 +16,7 @@
 //! three siblings): under `Aos` an element's components are one
 //! contiguous run, so a row block is `L` row moves and an in-register
 //! transpose (the paper's AVX back end keeps AoS for exactly that
-//! reason); under `Soa`/`AoSoA` it is one contiguous
+//! reason); under `Soa` it is one contiguous
 //! [`VecR::load`]/[`VecR::store`] per component.
 
 use crate::{IdxVec, Real, VecR};
@@ -33,21 +28,14 @@ pub enum Layout {
     Aos,
     /// Structure-of-arrays: `data[c*n + e]`.
     Soa,
-    /// Blocked hybrid: AoS of SoA tiles of `block` elements; the ragged
-    /// last tile is packed at its actual size.
-    AoSoA {
-        /// Elements per tile (must be ≥ 1).
-        block: usize,
-    },
 }
 
 impl Layout {
     /// Short name for diagnostics and bench JSON.
-    pub fn name(self) -> String {
+    pub fn name(self) -> &'static str {
         match self {
-            Layout::Aos => "aos".into(),
-            Layout::Soa => "soa".into(),
-            Layout::AoSoA { block } => format!("aosoa{block}"),
+            Layout::Aos => "aos",
+            Layout::Soa => "soa",
         }
     }
 
@@ -56,11 +44,7 @@ impl Layout {
         match s {
             "aos" => Some(Layout::Aos),
             "soa" => Some(Layout::Soa),
-            _ => s
-                .strip_prefix("aosoa")
-                .and_then(|b| b.parse().ok())
-                .filter(|&b| b >= 1)
-                .map(|block| Layout::AoSoA { block }),
+            _ => None,
         }
     }
 }
@@ -82,9 +66,6 @@ pub struct DatView {
 impl DatView {
     /// View over `n` elements of `dim` components in `layout`.
     pub fn new(n: usize, dim: usize, layout: Layout) -> DatView {
-        if let Layout::AoSoA { block } = layout {
-            assert!(block >= 1, "AoSoA block factor must be >= 1");
-        }
         DatView { n, dim, layout }
     }
 
@@ -95,11 +76,6 @@ impl DatView {
         match self.layout {
             Layout::Aos => e * self.dim + c,
             Layout::Soa => c * self.n + e,
-            Layout::AoSoA { block } => {
-                let tile = e / block;
-                let rem = block.min(self.n - tile * block);
-                tile * block * self.dim + c * rem + (e - tile * block)
-            }
         }
     }
 
@@ -149,22 +125,6 @@ impl DatView {
         }
     }
 
-    /// `true` when lanes `e0..e0+L` of one component occupy consecutive
-    /// storage — the case where the direct vector paths are single
-    /// contiguous moves.
-    #[inline(always)]
-    pub fn contiguous(&self, e0: usize, lanes: usize) -> bool {
-        match self.layout {
-            Layout::Aos => self.dim == 1,
-            Layout::Soa => true,
-            Layout::AoSoA { block } => {
-                let tile = e0 / block;
-                let rem = block.min(self.n - tile * block);
-                e0 - tile * block + lanes <= rem
-            }
-        }
-    }
-
     /// Vector load of component `c` for elements `e0..e0+L`.
     #[inline(always)]
     pub fn loadv<R: Real, const L: usize>(&self, data: &[R], e0: usize, c: usize) -> VecR<R, L> {
@@ -172,13 +132,6 @@ impl DatView {
             Layout::Aos if self.dim == 1 => VecR::load(data, e0),
             Layout::Aos => VecR::load_strided(data, e0 * self.dim + c, self.dim),
             Layout::Soa => VecR::load(data, c * self.n + e0),
-            Layout::AoSoA { .. } => {
-                if self.contiguous(e0, L) {
-                    VecR::load(data, self.idx(e0, c))
-                } else {
-                    VecR::from_fn(|k| data[self.idx(e0 + k, c)])
-                }
-            }
         }
     }
 
@@ -195,15 +148,6 @@ impl DatView {
             Layout::Aos if self.dim == 1 => v.store(data, e0),
             Layout::Aos => v.store_strided(data, e0 * self.dim + c, self.dim),
             Layout::Soa => v.store(data, c * self.n + e0),
-            Layout::AoSoA { .. } => {
-                if self.contiguous(e0, L) {
-                    v.store(data, self.idx(e0, c));
-                } else {
-                    for k in 0..L {
-                        data[self.idx(e0 + k, c)] = v.lane(k);
-                    }
-                }
-            }
         }
     }
 
@@ -228,12 +172,6 @@ impl DatView {
                     _ => VecR::gather(col, idx, 1, 0),
                 }
             }
-            Layout::AoSoA { .. } => match idx.consecutive_base() {
-                Some(b) if b >= 0 && self.contiguous(b as usize, L) => {
-                    VecR::load(data, self.idx(b as usize, c))
-                }
-                _ => VecR::from_fn(|k| data[self.idx(idx.lane(k) as usize, c)]),
-            },
         }
     }
 
@@ -261,14 +199,6 @@ impl DatView {
                         (cur + v).store(col, b as usize);
                     }
                     _ => v.scatter_add_serial(col, idx, 1, 0),
-                }
-            }
-            Layout::AoSoA { .. } =>
-            {
-                #[allow(clippy::assign_op_pattern)]
-                for k in 0..L {
-                    let i = self.idx(idx.lane(k) as usize, c);
-                    data[i] = data[i] + v.lane(k);
                 }
             }
         }
@@ -313,7 +243,7 @@ impl DatView {
                     }
                 }
             }
-            _ => {
+            Layout::Soa => {
                 for c in 0..K {
                     out[c] = self.loadv(data, e0, c);
                 }
@@ -341,7 +271,7 @@ impl DatView {
                     }
                 }
             }
-            _ => {
+            Layout::Soa => {
                 for c in 0..K {
                     self.storev(vals[c], data, e0, c);
                 }
@@ -369,7 +299,7 @@ impl DatView {
                     }
                 }
             }
-            _ => {
+            Layout::Soa => {
                 for c in 0..K {
                     out[c] = self.gatherv(data, idx, c);
                 }
@@ -386,8 +316,8 @@ impl DatView {
     /// Under `Aos` the rows land lane by lane ascending, within a lane
     /// target by target — the order in which the scalar loop applies
     /// elements `l = 0..L`, so colliding lanes accumulate exactly like
-    /// it, one row read-modify-write each. Under `Soa`/`AoSoA` each
-    /// target's components go through
+    /// it, one row read-modify-write each. Under `Soa` each target's
+    /// components go through
     /// [`scatter_add_serialv`](DatView::scatter_add_serialv) (ascending
     /// lanes per target, consecutive-run fast path included), which
     /// orders two targets' hits on one element by target instead of by
@@ -411,7 +341,7 @@ impl DatView {
                     }
                 }
             }
-            _ => {
+            Layout::Soa => {
                 for t in 0..T {
                     let (vals, idx) = incs[t];
                     for c in 0..K {
@@ -427,7 +357,6 @@ impl DatView {
     /// precision.
     pub fn convert<R: Real>(&self, data: &[R], to: Layout) -> Vec<R> {
         assert_eq!(data.len(), self.n * self.dim, "dat storage size mismatch");
-        let dst = DatView::new(self.n, self.dim, to);
         let mut out = vec![R::ZERO; data.len()];
         let (n, dim) = (self.n, self.dim);
         // The layout dispatch is loop-invariant. The two conversions
@@ -450,13 +379,8 @@ impl DatView {
                     }
                 }
             }
-            _ => {
-                for e in 0..n {
-                    for c in 0..dim {
-                        out[dst.idx(e, c)] = data[self.idx(e, c)];
-                    }
-                }
-            }
+            // same layout: the identity
+            _ => out.copy_from_slice(data),
         }
         out
     }
@@ -484,13 +408,7 @@ mod tests {
 
     #[test]
     fn idx_is_a_bijection_for_every_layout() {
-        for layout in [
-            Layout::Aos,
-            Layout::Soa,
-            Layout::AoSoA { block: 4 },
-            Layout::AoSoA { block: 6 },
-            Layout::AoSoA { block: 64 },
-        ] {
+        for layout in [Layout::Aos, Layout::Soa] {
             let (n, dim) = (13, 4);
             let v = DatView::new(n, dim, layout);
             let mut seen = vec![false; n * dim];
@@ -510,11 +428,7 @@ mod tests {
         let (n, dim) = (11, 4);
         let aos = aos_data(n, dim);
         let av = DatView::new(n, dim, Layout::Aos);
-        for layout in [
-            Layout::Soa,
-            Layout::AoSoA { block: 4 },
-            Layout::AoSoA { block: 3 },
-        ] {
+        for layout in [Layout::Aos, Layout::Soa] {
             let there = av.convert(&aos, layout);
             let back = DatView::new(n, dim, layout).convert(&there, Layout::Aos);
             assert_eq!(aos, back, "{layout:?}");
@@ -527,34 +441,10 @@ mod tests {
         let aos = aos_data(n, dim);
         let soa = DatView::new(n, dim, Layout::Aos).convert(&aos, Layout::Soa);
         let v = DatView::new(n, dim, Layout::Soa);
-        assert!(v.contiguous(5, 4));
         let lanes: VecR<f64, 4> = v.loadv(&soa, 4, 2);
         assert_eq!(lanes.to_array(), [42.0, 52.0, 62.0, 72.0]);
         // and the storage really is contiguous: component 2 block
         assert_eq!(&soa[2 * n + 4..2 * n + 8], &[42.0, 52.0, 62.0, 72.0]);
-    }
-
-    #[test]
-    fn aosoa_ragged_tail_falls_back_per_lane() {
-        // n=10, block=6: tiles [0..6) and ragged [6..10) (rem=4)
-        let (n, dim) = (10, 2);
-        let aos = aos_data(n, dim);
-        let view = DatView::new(n, dim, Layout::AoSoA { block: 6 });
-        let data = DatView::new(n, dim, Layout::Aos).convert(&aos, Layout::AoSoA { block: 6 });
-        assert!(view.contiguous(0, 4));
-        assert!(!view.contiguous(4, 4), "lanes 4..8 straddle the tile seam");
-        assert!(view.contiguous(6, 4), "ragged tile holds exactly 4");
-        for e0 in [0usize, 2, 4, 6] {
-            let got: VecR<f64, 4> = view.loadv(&data, e0, 1);
-            let want: [f64; 4] = std::array::from_fn(|k| ((e0 + k) * 10 + 1) as f64);
-            assert_eq!(got.to_array(), want, "e0={e0}");
-        }
-        // storev through the seam then read back
-        let mut d2 = data.clone();
-        let v = VecR::<f64, 4>::from_array([-1.0, -2.0, -3.0, -4.0]);
-        view.storev(v, &mut d2, 4, 0);
-        let back: VecR<f64, 4> = view.loadv(&d2, 4, 0);
-        assert_eq!(back.to_array(), [-1.0, -2.0, -3.0, -4.0]);
     }
 
     #[test]
@@ -563,7 +453,7 @@ mod tests {
         let aos = aos_data(n, dim);
         let av = DatView::new(n, dim, Layout::Aos);
         let idx = IdxVec::<4>::from_array([7, 2, 2, 5]);
-        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }] {
+        for layout in [Layout::Aos, Layout::Soa] {
             let view = DatView::new(n, dim, layout);
             let data = av.convert(&aos, layout);
             let g: VecR<f64, 4> = view.gatherv(&data, idx, 1);
@@ -590,25 +480,19 @@ mod tests {
         let (n, dim) = (16, 3);
         let aos = aos_data(n, dim);
         let av = DatView::new(n, dim, Layout::Aos);
-        for layout in [
-            Layout::Soa,
-            Layout::AoSoA { block: 8 },
-            Layout::AoSoA { block: 6 },
-        ] {
-            let view = DatView::new(n, dim, layout);
-            let data = av.convert(&aos, layout);
-            for base in [0, 4, 5, 12] {
-                let run = IdxVec::<4>::iota(base);
-                let got: VecR<f64, 4> = view.gatherv(&data, run, 2);
-                let want: [f64; 4] = std::array::from_fn(|k| ((base as usize + k) * 10 + 2) as f64);
-                assert_eq!(got.to_array(), want, "{layout:?} base={base}");
+        let view = DatView::new(n, dim, Layout::Soa);
+        let data = av.convert(&aos, Layout::Soa);
+        for base in [0, 4, 5, 12] {
+            let run = IdxVec::<4>::iota(base);
+            let got: VecR<f64, 4> = view.gatherv(&data, run, 2);
+            let want: [f64; 4] = std::array::from_fn(|k| ((base as usize + k) * 10 + 2) as f64);
+            assert_eq!(got.to_array(), want, "base={base}");
 
-                let mut d2 = data.clone();
-                view.scatter_add_serialv(VecR::<f64, 4>::splat(0.25), &mut d2, run, 2);
-                for k in 0..4 {
-                    let e = base as usize + k;
-                    assert_eq!(d2[view.idx(e, 2)], (e * 10 + 2) as f64 + 0.25, "{layout:?}");
-                }
+            let mut d2 = data.clone();
+            view.scatter_add_serialv(VecR::<f64, 4>::splat(0.25), &mut d2, run, 2);
+            for k in 0..4 {
+                let e = base as usize + k;
+                assert_eq!(d2[view.idx(e, 2)], (e * 10 + 2) as f64 + 0.25);
             }
         }
     }
@@ -616,7 +500,7 @@ mod tests {
     /// Every row accessor against the per-component accessor it replaces
     /// (and both against plain `idx` indexing), at one `(R, L, K)`.
     fn check_row_accessors<R: Real, const L: usize, const K: usize>(layout: Layout, dim: usize) {
-        let n = 22; // AoSoA-6: tiles 6, 6, 6 and a ragged 4
+        let n = 22;
         let view = DatView::new(n, dim, layout);
         let tag = format!("{layout:?} dim={dim} K={K} L={L}");
         let mut data = vec![R::ZERO; n * dim];
@@ -674,12 +558,7 @@ mod tests {
                 check_row_accessors::<f32, 8, $k>($layout, $dim);
             )+};
         }
-        for layout in [
-            Layout::Aos,
-            Layout::Soa,
-            Layout::AoSoA { block: 4 },
-            Layout::AoSoA { block: 6 },
-        ] {
+        for layout in [Layout::Aos, Layout::Soa] {
             check!(layout, 1, 1);
             check!(layout, 2, 1, 2);
             check!(layout, 4, 1, 2, 3, 4);
@@ -718,7 +597,7 @@ mod tests {
     #[test]
     fn row_accessors_panic_on_an_out_of_range_index() {
         use std::panic::catch_unwind;
-        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }] {
+        for layout in [Layout::Aos, Layout::Soa] {
             let view = DatView::new(6, 4, layout);
             let data = vec![0.0f64; 24];
             for bad in [6, -1] {
@@ -740,7 +619,7 @@ mod tests {
     #[test]
     fn rows_round_trip_for_every_layout() {
         let (n, dim) = (7, 4);
-        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 3 }] {
+        for layout in [Layout::Aos, Layout::Soa] {
             let view = DatView::new(n, dim, layout);
             let mut data = vec![0.0f64; n * dim];
             for e in 0..n {
@@ -763,10 +642,10 @@ mod tests {
 
     #[test]
     fn layout_names_parse_back() {
-        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 6 }] {
-            assert_eq!(Layout::parse(&layout.name()), Some(layout));
+        for layout in [Layout::Aos, Layout::Soa] {
+            assert_eq!(Layout::parse(layout.name()), Some(layout));
         }
-        assert_eq!(Layout::parse("aosoa0"), None);
+        assert_eq!(Layout::parse("aosoa8"), None);
         assert_eq!(Layout::parse("banana"), None);
     }
 }

@@ -177,10 +177,15 @@ impl<R: Real, const L: usize> VecR<R, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::F64x4;
+    use crate::{F32x8, F64x4};
 
     fn data16() -> Vec<f64> {
         (0..16).map(|i| i as f64).collect()
+    }
+
+    /// `data[i] = i` over `n` values.
+    fn iota<R: Real>(n: usize) -> Vec<R> {
+        (0..n).map(|i| R::from_f64(i as f64)).collect()
     }
 
     #[test]
@@ -191,6 +196,22 @@ mod tests {
         let mut out = vec![0.0; 16];
         v.store(&mut out, 8);
         assert_eq!(&out[8..12], &[4.0, 5.0, 6.0, 7.0]);
+
+        // the `std::arch` moves at both of the apps' register shapes
+        fn per_lane<R: Real, const L: usize>() {
+            let d = iota::<R>(4 * L);
+            let v = VecR::<R, L>::load(&d, 3);
+            let mut out = vec![R::ZERO; 4 * L];
+            v.store(&mut out, L + 1);
+            for k in 0..L {
+                assert_eq!(v.lane(k), d[3 + k], "load lane {k} of {L}");
+                assert_eq!(out[L + 1 + k], d[3 + k], "store lane {k} of {L}");
+            }
+            assert_eq!(out[L], R::ZERO, "store wrote before its start");
+            assert_eq!(out[2 * L + 1], R::ZERO, "store wrote past its end");
+        }
+        per_lane::<f64, 4>();
+        per_lane::<f32, 8>();
     }
 
     #[test]
@@ -214,6 +235,37 @@ mod tests {
         let idx = IdxVec::<4>::from_array([7, 0, 3, 5]);
         let v = F64x4::gather(&d, idx, 2, 1);
         assert_eq!(v.to_array(), [150.0, 10.0, 70.0, 110.0]);
+
+        // the `std::arch` gathers at f64×4 and f32×8, dim 3, component 2
+        fn per_lane<R: Real, const L: usize>() {
+            let d = iota::<R>(3 * 2 * L);
+            let idx =
+                IdxVec::<L>::from_array(std::array::from_fn(|k| ((5 * k + 3) % (2 * L)) as i32));
+            let v = VecR::<R, L>::gather(&d, idx, 3, 2);
+            for k in 0..L {
+                let want = d[idx.lane(k) as usize * 3 + 2];
+                assert_eq!(v.lane(k), want, "gather lane {k} of {L}");
+            }
+        }
+        per_lane::<f64, 4>();
+        per_lane::<f32, 8>();
+    }
+
+    // An out-of-range lane makes the AVX2 gather decline; the portable
+    // path's bounds check must then panic instead of reading past the
+    // slice.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn gather_out_of_range_lane_panics_f64x4() {
+        let d = data16();
+        F64x4::gather(&d, IdxVec::from_array([0, 7, 2, 8]), 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn gather_out_of_range_lane_panics_f32x8() {
+        let d = iota::<f32>(16);
+        F32x8::gather(&d, IdxVec::from_array([0, 1, 15, 3, 16, 5, 6, 7]), 1, 0);
     }
 
     #[test]

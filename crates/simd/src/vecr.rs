@@ -305,7 +305,12 @@ impl<R: Real, const L: usize> Default for VecR<R, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::F64x4;
+    use crate::{F32x8, F64x4};
+
+    /// Distinct, sign-mixed lanes for the per-lane scalar comparisons.
+    fn lanes<R: Real, const L: usize>(scale: f64, shift: f64) -> VecR<R, L> {
+        VecR::from_fn(|k| R::from_f64(scale * (k * k) as f64 + shift))
+    }
 
     #[test]
     fn arithmetic_is_lanewise() {
@@ -342,6 +347,25 @@ mod tests {
             [9.0, 19.0, 33.0, 51.0]
         );
         assert_eq!(F64x4::splat(4.0).recip().to_array(), [0.25; 4]);
+
+        // `sqrt` and `mul_add` have `std::arch` kernels at the apps'
+        // register shapes — Airfoil's f64×4 and Volna's f32×8 — and must
+        // agree with the scalar math lane by lane at both
+        fn per_lane<R: Real, const L: usize>() {
+            let (a, b, c) = (lanes::<R, L>(0.7, 0.5), lanes(-0.3, 1.5), lanes(0.1, -2.0));
+            let (root, fma) = (a.sqrt(), a.mul_add(b, c));
+            for k in 0..L {
+                assert_eq!(root.lane(k), a.lane(k).sqrt(), "sqrt lane {k} of {L}");
+                let want = a.lane(k).mul_add(b.lane(k), c.lane(k));
+                assert_eq!(fma.lane(k), want, "mul_add lane {k} of {L}");
+            }
+        }
+        per_lane::<f64, 4>();
+        per_lane::<f32, 8>();
+        assert_eq!(
+            F32x8::splat(2.0).mul_add(F32x8::splat(3.0), F32x8::splat(1.0)),
+            F32x8::splat(7.0)
+        );
     }
 
     #[test]
@@ -356,6 +380,23 @@ mod tests {
         assert_eq!(a.simd_ge(b).to_array(), [false, true, false, true]);
         assert_eq!(a.simd_le(a).to_array(), [true; 4]);
         assert_eq!(a.simd_gt(a).to_array(), [false; 4]);
+
+        // `select` is a `std::arch` blend at f64×4 and f32×8
+        fn per_lane<R: Real, const L: usize>() {
+            let (a, b) = (lanes::<R, L>(0.5, -3.0), lanes(-0.25, 2.0));
+            let m = a.simd_lt(b);
+            let sel = VecR::select(m, a, b);
+            for k in 0..L {
+                let want = if a.lane(k) < b.lane(k) {
+                    a.lane(k)
+                } else {
+                    b.lane(k)
+                };
+                assert_eq!(sel.lane(k), want, "select lane {k} of {L}");
+            }
+        }
+        per_lane::<f64, 4>();
+        per_lane::<f32, 8>();
     }
 
     #[test]

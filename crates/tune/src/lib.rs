@@ -48,7 +48,7 @@ pub use probe::HostProbe;
 pub use store::{
     registry_hash, TuneEntry, TuneKey, TuneStore, TUNE_STORE_MAGIC, TUNE_STORE_VERSION,
 };
-pub use tuner::{step_auto_airfoil_on, step_auto_volna_on, Choice, Tuner, TunerStats};
+pub use tuner::{step_auto_on, Choice, Tuner, TunerStats};
 
 use ump_core::Backend;
 

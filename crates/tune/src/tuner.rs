@@ -325,36 +325,22 @@ fn useful_gb_per_s(app: App, rec: &Recorder) -> f64 {
     }
 }
 
-/// One auto-tuned Airfoil timestep on an explicit pool: pick (store
-/// hit after the first call), then dispatch through the registry's
-/// `step_on`. `nx`/`ny` must be the dims `sim` was built with — the
-/// sim does not carry them.
-pub fn step_auto_airfoil_on(
+/// One auto-tuned timestep of either app on an explicit pool: pick for
+/// the app named by `S::NAME` (store hit after the first call), then
+/// dispatch through the registry's `step_on`. `nx`/`ny` must be the
+/// dims `sim` was built with — the sim does not carry them.
+pub fn step_auto_on<S: Simulation<R = f64>>(
     tuner: &Tuner,
-    sim: &mut ump_apps::airfoil::Airfoil<f64>,
+    sim: &mut S,
     nx: usize,
     ny: usize,
     pool: &ExecPool,
     cache: &PlanCache,
     rec: Option<&Recorder>,
 ) -> f64 {
-    let c = tuner.pick(App::Airfoil, nx, ny);
-    airfoil::drivers::step_on(c.backend, sim, pool, cache, 0, c.block_size, rec)
-}
-
-/// One auto-tuned Volna timestep on an explicit pool (see
-/// [`step_auto_airfoil_on`]).
-pub fn step_auto_volna_on(
-    tuner: &Tuner,
-    sim: &mut ump_apps::volna::Volna<f64>,
-    nx: usize,
-    ny: usize,
-    pool: &ExecPool,
-    cache: &PlanCache,
-    rec: Option<&Recorder>,
-) -> f64 {
-    let c = tuner.pick(App::Volna, nx, ny);
-    volna::drivers::step_on(c.backend, sim, pool, cache, 0, c.block_size, rec)
+    let app = App::parse(S::NAME).expect("every Simulation is a tuner App");
+    let c = tuner.pick(app, nx, ny);
+    step_on(c.backend, sim, pool, cache, 0, c.block_size, rec)
 }
 
 #[cfg(test)]
@@ -409,7 +395,7 @@ mod tests {
         let mut auto = ump_apps::airfoil::Airfoil::<f64>::seeded(12, 8, 0);
         let mut refr = ump_apps::airfoil::Airfoil::<f64>::seeded(12, 8, 0);
         for _ in 0..3 {
-            let a = step_auto_airfoil_on(&tuner, &mut auto, 12, 8, &pool, &cache, None);
+            let a = step_auto_on(&tuner, &mut auto, 12, 8, &pool, &cache, None);
             let s = airfoil::drivers::step_seq(&mut refr, None);
             assert!((a - s).abs() <= 1e-12, "rms diverged: {a} vs {s}");
         }

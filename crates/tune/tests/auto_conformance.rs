@@ -4,7 +4,7 @@
 //! tune call is a pure store hit with zero trials.
 
 use ump_core::{Backend, ExecPool, PlanCache};
-use ump_tune::{step_auto_airfoil_on, step_auto_volna_on, App, HostProbe, Tuner};
+use ump_tune::{step_auto_on, App, HostProbe, Tuner};
 
 const STEPS: usize = 3;
 
@@ -33,7 +33,7 @@ fn airfoil_auto_pick_is_registered_and_matches_seq() {
     let mut auto = ump_apps::airfoil::Airfoil::<f64>::seeded(nx, ny, 0);
     let mut seq = ump_apps::airfoil::Airfoil::<f64>::seeded(nx, ny, 0);
     for step in 0..STEPS {
-        let a = step_auto_airfoil_on(&tuner, &mut auto, nx, ny, &pool, &cache, None);
+        let a = step_auto_on(&tuner, &mut auto, nx, ny, &pool, &cache, None);
         let s = ump_apps::airfoil::drivers::step_seq(&mut seq, None);
         assert!(
             (a - s).abs() <= 1e-12,
@@ -55,7 +55,7 @@ fn volna_auto_pick_is_registered_and_matches_seq() {
     let mut auto = ump_apps::volna::Volna::<f64>::seeded(nx, ny, 0);
     let mut seq = ump_apps::volna::Volna::<f64>::seeded(nx, ny, 0);
     for step in 0..STEPS {
-        let a = step_auto_volna_on(&tuner, &mut auto, nx, ny, &pool, &cache, None);
+        let a = step_auto_on(&tuner, &mut auto, nx, ny, &pool, &cache, None);
         let s = ump_apps::volna::drivers::step_seq(&mut seq, None);
         assert!(
             (a - s).abs() <= 1e-12,

@@ -6,7 +6,7 @@
 //! cargo run --release --example airfoil [nx ny iters]
 //! ```
 
-use ump::apps::airfoil::{drivers, mpi::RankState, Airfoil};
+use ump::apps::airfoil::{drivers, Airfoil};
 use ump::apps::dist;
 use ump::core::{ExecPool, PlanCache, Recorder};
 use ump::lazy::{ExchangePolicy, Shape};
@@ -67,7 +67,7 @@ fn main() {
     {
         let case = ump::mesh::generators::quad_channel(nx, ny);
         let t0 = std::time::Instant::now();
-        let (_q, hist) = dist::run_mpi_fused::<RankState<f64>, 4>(
+        let (_q, hist) = dist::run_mpi_fused::<Airfoil<f64>, 4>(
             &case,
             2,
             1,

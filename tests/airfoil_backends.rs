@@ -4,7 +4,7 @@
 //! correctness bar behind every performance number in the paper.
 
 use ump::lazy::{ExchangePolicy, Shape};
-use ump_apps::airfoil::{drivers, mpi::RankState, Airfoil};
+use ump_apps::airfoil::{drivers, Airfoil};
 use ump_apps::dist;
 use ump_core::{Backend, ExecPool, OpDat, PlanCache, Scheme};
 
@@ -126,7 +126,7 @@ fn mpi_backend_matches_sequential() {
     let (ref_sim, ref_hist) = reference();
     let case = ref_sim.case.clone();
     for ranks in [2usize, 3, 4] {
-        let (q, hist) = dist::run_mpi_fused::<RankState<f64>, 4>(
+        let (q, hist) = dist::run_mpi_fused::<Airfoil<f64>, 4>(
             &case,
             ranks,
             1,
@@ -150,7 +150,7 @@ fn hybrid_ranks_threads_simd_matches_sequential() {
     // the paper's winning Phi configuration: MPI ranks × OpenMP threads
     // × vector intrinsics, all at once
     let (ref_sim, ref_hist) = reference();
-    let (q, hist) = dist::run_mpi_fused::<RankState<f64>, 4>(
+    let (q, hist) = dist::run_mpi_fused::<Airfoil<f64>, 4>(
         &ref_sim.case,
         2,
         2,

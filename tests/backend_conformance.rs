@@ -212,82 +212,76 @@ fn per_loop_rows() -> Vec<Backend> {
 
 /// The layout half of the matrix: every backend × both apps must
 /// compute the sequential (AoS) reference's physics when the simulation
-/// state lives in SoA or AoSoA storage. Every row that executes the
-/// recorded chain — per-loop or fused — runs natively on the converted
-/// layout (the per-loop rows are checked not to reallocate the state:
-/// no conversion happened); `seq`, `mpi_*` and `tiled*` convert around
-/// the step — all must be within 1e-12 of an all-AoS run. The AoSoA
-/// block of 6 does not divide either mesh's set sizes, so the packed
-/// ragged tail is exercised too.
+/// state lives in SoA storage. Every row that executes the recorded
+/// chain — per-loop or fused — runs natively on the converted layout
+/// (the per-loop rows are checked not to reallocate the state: no
+/// conversion happened); `seq`, `mpi_*` and `tiled*` convert around the
+/// step — all must be within 1e-12 of an all-AoS run.
 #[test]
-fn every_backend_matches_sequential_under_soa_and_aosoa() {
-    let layouts = [Layout::Soa, Layout::AoSoA { block: 6 }];
+fn every_backend_matches_sequential_under_soa() {
+    let layout = Layout::Soa;
     let native = per_loop_rows();
     let (nx, ny) = (12, 8);
     let (ref_air, ref_air_hist, _) = run_airfoil(Backend::Seq, nx, ny);
     let (ref_vol, ref_vol_hist, _) = run_volna(Backend::Seq, nx, ny);
-    for layout in layouts {
-        for backend in Backend::all() {
-            // airfoil
-            {
-                let pool = ExecPool::new(TEAM);
-                let cache = PlanCache::new();
-                let mut sim = airfoil::Airfoil::<f64>::new(nx, ny);
-                sim.set_layout(layout);
-                let storage = sim.q.data.as_ptr();
-                let hist: Vec<f64> = (0..ITERS)
-                    .map(|_| {
-                        airfoil::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None)
-                    })
-                    .collect();
-                if native.contains(&backend) {
-                    assert_eq!(sim.q.data.as_ptr(), storage, "{backend} converted q");
-                }
-                for (i, (&rms, &r)) in hist.iter().zip(&ref_air_hist).enumerate() {
-                    assert!(
-                        (rms - r).abs() <= 1e-12 * (1.0 + r),
-                        "{backend} airfoil {} iter {i}: rms {rms} vs {r}",
-                        layout.name()
-                    );
-                }
-                assert_eq!(sim.layout(), layout, "{backend} must restore the layout");
-                let d = sim.q.max_abs_diff(&ref_air.q);
+    for backend in Backend::all() {
+        // airfoil
+        {
+            let pool = ExecPool::new(TEAM);
+            let cache = PlanCache::new();
+            let mut sim = airfoil::Airfoil::<f64>::new(nx, ny);
+            sim.set_layout(layout);
+            let storage = sim.q.data.as_ptr();
+            let hist: Vec<f64> = (0..ITERS)
+                .map(|_| {
+                    airfoil::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None)
+                })
+                .collect();
+            if native.contains(&backend) {
+                assert_eq!(sim.q.data.as_ptr(), storage, "{backend} converted q");
+            }
+            for (i, (&rms, &r)) in hist.iter().zip(&ref_air_hist).enumerate() {
                 assert!(
-                    d <= 1e-12,
-                    "{backend} airfoil {}: max |Δq| = {d:e} > 1e-12",
+                    (rms - r).abs() <= 1e-12 * (1.0 + r),
+                    "{backend} airfoil {} iter {i}: rms {rms} vs {r}",
                     layout.name()
                 );
             }
-            // volna
-            {
-                let pool = ExecPool::new(TEAM);
-                let cache = PlanCache::new();
-                let mut sim = volna::Volna::<f64>::new(nx, ny);
-                sim.set_layout(layout);
-                let storage = sim.w.data.as_ptr();
-                let hist: Vec<f64> = (0..ITERS)
-                    .map(|_| {
-                        volna::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None)
-                    })
-                    .collect();
-                if native.contains(&backend) {
-                    assert_eq!(sim.w.data.as_ptr(), storage, "{backend} converted w");
-                }
-                for (i, (&dt, &r)) in hist.iter().zip(&ref_vol_hist).enumerate() {
-                    assert!(
-                        (dt - r).abs() <= 1e-12 * r,
-                        "{backend} volna {} iter {i}: dt {dt} vs {r}",
-                        layout.name()
-                    );
-                }
-                assert_eq!(sim.layout(), layout, "{backend} must restore the layout");
-                let d = sim.w.max_abs_diff(&ref_vol.w);
+            assert_eq!(sim.layout(), layout, "{backend} must restore the layout");
+            let d = sim.q.max_abs_diff(&ref_air.q);
+            assert!(
+                d <= 1e-12,
+                "{backend} airfoil {}: max |Δq| = {d:e} > 1e-12",
+                layout.name()
+            );
+        }
+        // volna
+        {
+            let pool = ExecPool::new(TEAM);
+            let cache = PlanCache::new();
+            let mut sim = volna::Volna::<f64>::new(nx, ny);
+            sim.set_layout(layout);
+            let storage = sim.w.data.as_ptr();
+            let hist: Vec<f64> = (0..ITERS)
+                .map(|_| volna::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None))
+                .collect();
+            if native.contains(&backend) {
+                assert_eq!(sim.w.data.as_ptr(), storage, "{backend} converted w");
+            }
+            for (i, (&dt, &r)) in hist.iter().zip(&ref_vol_hist).enumerate() {
                 assert!(
-                    d <= 1e-12,
-                    "{backend} volna {}: max |Δw| = {d:e} > 1e-12",
+                    (dt - r).abs() <= 1e-12 * r,
+                    "{backend} volna {} iter {i}: dt {dt} vs {r}",
                     layout.name()
                 );
             }
+            assert_eq!(sim.layout(), layout, "{backend} must restore the layout");
+            let d = sim.w.max_abs_diff(&ref_vol.w);
+            assert!(
+                d <= 1e-12,
+                "{backend} volna {}: max |Δw| = {d:e} > 1e-12",
+                layout.name()
+            );
         }
     }
 }
@@ -314,7 +308,7 @@ fn per_loop_pool_rows_bit_match_their_fused_twins() {
             Backend::FusedSimd { lanes: 8 },
         ),
     ];
-    for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 6 }] {
+    for layout in [Layout::Aos, Layout::Soa] {
         for (nx, ny) in MESHES {
             for (per_loop, fused) in twins {
                 let what = format!("{per_loop} vs {fused} {nx}x{ny} {}", layout.name());

@@ -13,8 +13,8 @@
 
 use ump::lazy::{ExchangePolicy, Shape};
 use ump::minimpi::Universe;
-use ump_apps::dist::{self, RankApp};
-use ump_apps::{airfoil, volna};
+use ump_apps::dist::{self, Rank};
+use ump_apps::{airfoil, volna, Simulation};
 use ump_core::dist::assemble_owned;
 use ump_core::{distribute, Backend, ExecPool, OpDat, PlanCache};
 use ump_part::Partition;
@@ -53,7 +53,7 @@ fn mpi_fused_matches_seq_on_2_to_8_ranks() {
             } else {
                 Shape::Threaded
             };
-            let (q, hist) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+            let (q, hist) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
                 &aref.case,
                 ranks,
                 TEAM,
@@ -71,7 +71,7 @@ fn mpi_fused_matches_seq_on_2_to_8_ranks() {
                 );
             }
 
-            let (w, dts) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
+            let (w, dts) = dist::run_mpi_fused::<volna::Volna<f64>, 4>(
                 &vref.case,
                 ranks,
                 TEAM,
@@ -99,7 +99,7 @@ fn mpi_fused_matches_seq_on_2_to_8_ranks() {
 fn overlap_and_blocking_are_bit_identical() {
     let iters = 4;
     let acase = airfoil::Airfoil::<f64>::new(30, 18).case;
-    let (q_o, h_o) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+    let (q_o, h_o) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
         &acase,
         3,
         TEAM,
@@ -108,7 +108,7 @@ fn overlap_and_blocking_are_bit_identical() {
         Shape::Threaded,
         ExchangePolicy::Overlap,
     );
-    let (q_b, h_b) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+    let (q_b, h_b) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
         &acase,
         3,
         TEAM,
@@ -127,7 +127,7 @@ fn overlap_and_blocking_are_bit_identical() {
     assert_eq!(h_o, h_b, "airfoil rms histories must be bit-equal");
 
     let vcase = volna::Volna::<f64>::new(14, 10).case;
-    let (w_o, d_o) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
+    let (w_o, d_o) = dist::run_mpi_fused::<volna::Volna<f64>, 4>(
         &vcase,
         4,
         TEAM,
@@ -136,7 +136,7 @@ fn overlap_and_blocking_are_bit_identical() {
         Shape::Simd { lanes: 4 },
         ExchangePolicy::Overlap,
     );
-    let (w_b, d_b) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
+    let (w_b, d_b) = dist::run_mpi_fused::<volna::Volna<f64>, 4>(
         &vcase,
         4,
         TEAM,
@@ -158,12 +158,12 @@ fn overlap_and_blocking_are_bit_identical() {
 /// One rank of `S` stepped directly on a one-part "partition": the cell
 /// dats back in global order, the reduction history and the pool rounds
 /// issued.
-fn one_rank<S: RankApp>(
+fn one_rank<S: Simulation>(
     case: &S::Case,
     shape: Shape,
     iters: usize,
 ) -> (Vec<Vec<S::R>>, Vec<f64>, u64) {
-    let mesh = S::mesh(case);
+    let mesh = S::case_mesh(case);
     let total = mesh.n_cells();
     let partition = Partition {
         part: vec![0; total],
@@ -173,12 +173,16 @@ fn one_rank<S: RankApp>(
     Universe::new(1)
         .run(|comm| {
             let (cache, pool) = (PlanCache::new(), ExecPool::new(TEAM));
-            let mut st = S::new(case, locals[0].clone());
+            let mut st = Rank::<S>::new(case, locals[0].clone());
             let policy = ExchangePolicy::Overlap;
             let hist = (0..iters)
-                .map(|_| st.step::<4>(comm, &cache, &pool, shape, BLOCK, total, policy, None, None))
+                .map(|_| {
+                    st.step_fused_chain::<4>(
+                        comm, &cache, &pool, shape, BLOCK, total, policy, None, None,
+                    )
+                })
                 .collect();
-            let ids = &st.local().cell_global;
+            let ids = &st.local.cell_global;
             let dats = st.evolving()[..S::CELL_DATS]
                 .iter()
                 .map(|d| assemble_owned(&[(&d.data[..], &ids[..], total)], total, d.dim))
@@ -207,8 +211,7 @@ fn single_rank_runs_with_empty_halos() {
         let hist: Vec<f64> = (0..iters)
             .map(|_| airfoil::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None))
             .collect();
-        let (dats, rank_hist, rounds) =
-            one_rank::<airfoil::mpi::RankState<f64>>(&sim.case, shape, iters);
+        let (dats, rank_hist, rounds) = one_rank::<airfoil::Airfoil<f64>>(&sim.case, shape, iters);
         for (got, want) in dats.iter().zip([&sim.q, &sim.qold, &sim.adt, &sim.res]) {
             assert_eq!(
                 bits(got),
@@ -225,8 +228,7 @@ fn single_rank_runs_with_empty_halos() {
         let hist: Vec<f64> = (0..iters)
             .map(|_| volna::drivers::step_on(backend, &mut sim, &pool, &cache, 0, BLOCK, None))
             .collect();
-        let (dats, rank_hist, rounds) =
-            one_rank::<volna::mpi::RankState<f64>>(&sim.case, shape, iters);
+        let (dats, rank_hist, rounds) = one_rank::<volna::Volna<f64>>(&sim.case, shape, iters);
         for (got, want) in dats.iter().zip([&sim.w, &sim.w_old, &sim.w1, &sim.res]) {
             assert_eq!(bits(got), bits(&want.data), "volna {shape:?} {}", want.name);
         }
@@ -236,7 +238,7 @@ fn single_rank_runs_with_empty_halos() {
 
     // and through the driver, against the sequential reference
     let (aref, _) = airfoil_reference(24, 12, iters);
-    let (q, _) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+    let (q, _) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
         &aref.case,
         1,
         TEAM,
@@ -249,7 +251,7 @@ fn single_rank_runs_with_empty_halos() {
     assert!(d <= 1e-12, "single-rank airfoil: |Δq| {d:e}");
 
     let (vref, _) = volna_reference(10, 8, iters);
-    let (w, _) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
+    let (w, _) = dist::run_mpi_fused::<volna::Volna<f64>, 4>(
         &vref.case,
         1,
         TEAM,
@@ -266,18 +268,18 @@ fn single_rank_runs_with_empty_halos() {
 /// `res` exactly zero (and does some rank have ghosts at all)? The ghost
 /// increments `res_calc` / `space_disc` make must be discarded by the
 /// recording's zeroing epilogue.
-fn ghost_res_is_zero<S: RankApp>(
+fn ghost_res_is_zero<S: Simulation>(
     case: &S::Case,
     partition: &Partition,
     res: impl Fn(&S) -> &OpDat<S::R> + Sync,
 ) -> bool {
-    let mesh = S::mesh(case);
+    let mesh = S::case_mesh(case);
     let locals = distribute(mesh, partition);
     let per_rank = Universe::new(locals.len()).run(|comm| {
         let (cache, pool) = (PlanCache::new(), ExecPool::new(TEAM));
-        let mut st = S::new(case, locals[comm.rank()].clone());
+        let mut st = Rank::<S>::new(case, locals[comm.rank()].clone());
         let (total, policy) = (mesh.n_cells(), ExchangePolicy::Overlap);
-        st.step::<4>(
+        st.step_fused_chain::<4>(
             comm,
             &cache,
             &pool,
@@ -288,7 +290,7 @@ fn ghost_res_is_zero<S: RankApp>(
             None,
             None,
         );
-        let ghosts = &res(&st).data[st.local().n_owned_cells * 4..];
+        let ghosts = &res(&st.sim).data[st.local.n_owned_cells * 4..];
         (
             ghosts.len(),
             ghosts.iter().all(|v| v.to_f64().to_bits() == 0),
@@ -314,7 +316,7 @@ fn ragged_partition_with_a_pure_fringe_rank() {
     let partition = Partition { part, n_parts: 2 };
     partition.validate().unwrap();
     for policy in [ExchangePolicy::Overlap, ExchangePolicy::Blocking] {
-        let (q, _) = dist::run_mpi_fused_with_partition::<airfoil::mpi::RankState<f64>, 4>(
+        let (q, _) = dist::run_mpi_fused_with_partition::<airfoil::Airfoil<f64>, 4>(
             &aref.case,
             &partition,
             TEAM,
@@ -327,7 +329,7 @@ fn ragged_partition_with_a_pure_fringe_rank() {
         assert!(d <= 1e-12, "ragged airfoil ({policy:?}): |Δq| {d:e}");
     }
     assert!(
-        ghost_res_is_zero::<airfoil::mpi::RankState<f64>>(&aref.case, &partition, |st| &st.res),
+        ghost_res_is_zero::<airfoil::Airfoil<f64>>(&aref.case, &partition, |st| &st.res),
         "airfoil ghost res rows must be re-zeroed after a step"
     );
 
@@ -348,7 +350,7 @@ fn ragged_partition_with_a_pure_fringe_rank() {
         .collect();
     let partition = Partition { part, n_parts: 3 };
     partition.validate().unwrap();
-    let (w, _) = dist::run_mpi_fused_with_partition::<volna::mpi::RankState<f64>, 4>(
+    let (w, _) = dist::run_mpi_fused_with_partition::<volna::Volna<f64>, 4>(
         &vref.case,
         &partition,
         TEAM,
@@ -360,7 +362,7 @@ fn ragged_partition_with_a_pure_fringe_rank() {
     let d = w.max_abs_diff(&vref.w);
     assert!(d <= 1e-12, "ragged volna: |Δw| {d:e}");
     assert!(
-        ghost_res_is_zero::<volna::mpi::RankState<f64>>(&vref.case, &partition, |st| &st.res),
+        ghost_res_is_zero::<volna::Volna<f64>>(&vref.case, &partition, |st| &st.res),
         "volna ghost res rows must be re-zeroed after a step"
     );
 }

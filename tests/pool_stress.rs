@@ -7,7 +7,7 @@
 
 use ump::apps::airfoil::{drivers as airfoil_drivers, Airfoil};
 use ump::apps::dist;
-use ump::apps::volna::{drivers as volna_drivers, mpi as volna_mpi, Volna};
+use ump::apps::volna::{drivers as volna_drivers, Volna};
 use ump::color::{PlanInputs, TwoLevelPlan};
 use ump::core::{Backend, ExecPool, PlanCache, SharedDat};
 use ump::lazy::{ExchangePolicy, Shape};
@@ -131,7 +131,7 @@ fn volna_mpi_threaded_matches_sequential() {
     for _ in 0..STEPS {
         hist.push(volna_drivers::step_seq(&mut reference, None));
     }
-    let (w, mpi_hist) = dist::run_mpi_fused::<volna_mpi::RankState<f64>, 4>(
+    let (w, mpi_hist) = dist::run_mpi_fused::<Volna<f64>, 4>(
         &reference.case,
         2,
         2,

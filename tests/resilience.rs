@@ -33,7 +33,7 @@ fn expected_ckpt(k: usize, every: usize) -> usize {
 #[test]
 fn resilient_run_without_faults_is_plain_run() {
     let acase = airfoil::Airfoil::<f64>::new(24, 12).case;
-    let (q0, h0) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+    let (q0, h0) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
         &acase,
         2,
         TEAM,
@@ -42,7 +42,7 @@ fn resilient_run_without_faults_is_plain_run() {
         Shape::Threaded,
         ExchangePolicy::Overlap,
     );
-    let (q1, h1, report) = dist::run_mpi_fused_resilient::<airfoil::mpi::RankState<f64>, 4>(
+    let (q1, h1, report) = dist::run_mpi_fused_resilient::<airfoil::Airfoil<f64>, 4>(
         &acase,
         2,
         TEAM,
@@ -69,7 +69,7 @@ fn airfoil_rank_kill_recovers_bit_identical() {
     let every = 3;
     let case = airfoil::Airfoil::<f64>::new(24, 12).case;
     for ranks in [2usize, 4] {
-        let (q0, h0) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+        let (q0, h0) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
             &case,
             ranks,
             TEAM,
@@ -82,7 +82,7 @@ fn airfoil_rank_kill_recovers_bit_identical() {
             let victim = ranks - 1;
             let plan = FaultPlan::new().with_kill_rank(victim, kill_step as u64);
             let inj = Arc::new(plan.injector());
-            let (q, h, report) = dist::run_mpi_fused_resilient::<airfoil::mpi::RankState<f64>, 4>(
+            let (q, h, report) = dist::run_mpi_fused_resilient::<airfoil::Airfoil<f64>, 4>(
                 &case,
                 ranks,
                 TEAM,
@@ -116,7 +116,7 @@ fn volna_rank_kill_recovers_bit_identical() {
     let every = 2;
     let case = volna::Volna::<f64>::new(16, 12).case;
     for (ranks, shape) in [(2usize, Shape::Threaded), (3, Shape::Simd { lanes: 4 })] {
-        let (w0, h0) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
+        let (w0, h0) = dist::run_mpi_fused::<volna::Volna<f64>, 4>(
             &case,
             ranks,
             TEAM,
@@ -128,7 +128,7 @@ fn volna_rank_kill_recovers_bit_identical() {
         for kill_step in [2usize, 5] {
             let plan = FaultPlan::new().with_kill_rank(ranks - 1, kill_step as u64);
             let inj = Arc::new(plan.injector());
-            let (w, h, report) = dist::run_mpi_fused_resilient::<volna::mpi::RankState<f64>, 4>(
+            let (w, h, report) = dist::run_mpi_fused_resilient::<volna::Volna<f64>, 4>(
                 &case,
                 ranks,
                 TEAM,
@@ -157,7 +157,7 @@ fn volna_rank_kill_recovers_bit_identical() {
 fn airfoil_dropped_halo_packet_rolls_back_without_hanging() {
     let iters = 6;
     let case = airfoil::Airfoil::<f64>::new(24, 12).case;
-    let (q0, h0) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+    let (q0, h0) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
         &case,
         2,
         TEAM,
@@ -172,7 +172,7 @@ fn airfoil_dropped_halo_packet_rolls_back_without_hanging() {
         let plan = FaultPlan::new().with_drop_message(0, 1, nth);
         let inj = Arc::new(plan.injector());
         let t0 = Instant::now();
-        let (q, h, report) = dist::run_mpi_fused_resilient::<airfoil::mpi::RankState<f64>, 4>(
+        let (q, h, report) = dist::run_mpi_fused_resilient::<airfoil::Airfoil<f64>, 4>(
             &case,
             2,
             TEAM,
@@ -209,7 +209,7 @@ fn airfoil_dropped_halo_packet_rolls_back_without_hanging() {
 fn volna_delayed_and_duplicated_packets() {
     let steps = 5;
     let case = volna::Volna::<f64>::new(16, 12).case;
-    let (w0, h0) = dist::run_mpi_fused::<volna::mpi::RankState<f64>, 4>(
+    let (w0, h0) = dist::run_mpi_fused::<volna::Volna<f64>, 4>(
         &case,
         2,
         TEAM,
@@ -221,7 +221,7 @@ fn volna_delayed_and_duplicated_packets() {
     // Volna sends 2 halo packets per step per direction: w, then w1.
     let delayed = FaultPlan::new().with_delay_message(0, 1, 2, 2_000);
     let inj = Arc::new(delayed.injector());
-    let (w, h, report) = dist::run_mpi_fused_resilient::<volna::mpi::RankState<f64>, 4>(
+    let (w, h, report) = dist::run_mpi_fused_resilient::<volna::Volna<f64>, 4>(
         &case,
         2,
         TEAM,
@@ -240,7 +240,7 @@ fn volna_delayed_and_duplicated_packets() {
 
     let duplicated = FaultPlan::new().with_duplicate_message(0, 1, 1);
     let inj = Arc::new(duplicated.injector());
-    let (w, h, report) = dist::run_mpi_fused_resilient::<volna::mpi::RankState<f64>, 4>(
+    let (w, h, report) = dist::run_mpi_fused_resilient::<volna::Volna<f64>, 4>(
         &case,
         2,
         TEAM,
@@ -264,7 +264,7 @@ fn volna_delayed_and_duplicated_packets() {
 fn composed_kill_and_drop_recover_bit_identical() {
     let iters = 8;
     let case = airfoil::Airfoil::<f64>::new(24, 12).case;
-    let (q0, h0) = dist::run_mpi_fused::<airfoil::mpi::RankState<f64>, 4>(
+    let (q0, h0) = dist::run_mpi_fused::<airfoil::Airfoil<f64>, 4>(
         &case,
         2,
         TEAM,
@@ -279,7 +279,7 @@ fn composed_kill_and_drop_recover_bit_identical() {
         .with_kill_rank(1, 2)
         .with_drop_message(1, 0, 18);
     let inj = Arc::new(plan.injector());
-    let (q, h, report) = dist::run_mpi_fused_resilient::<airfoil::mpi::RankState<f64>, 4>(
+    let (q, h, report) = dist::run_mpi_fused_resilient::<airfoil::Airfoil<f64>, 4>(
         &case,
         2,
         TEAM,
@@ -314,7 +314,7 @@ fn fault_schedule_is_deterministic_across_runs() {
             .with_kill_rank(0, 3)
             .with_drop_message(1, 0, 5);
         let inj = Arc::new(plan.injector());
-        let (w, _, report) = dist::run_mpi_fused_resilient::<volna::mpi::RankState<f64>, 4>(
+        let (w, _, report) = dist::run_mpi_fused_resilient::<volna::Volna<f64>, 4>(
             &case,
             2,
             TEAM,

@@ -163,7 +163,7 @@ fn wider_lanes_agree() {
 #[test]
 fn mpi_backend_matches_sequential() {
     use ump::lazy::{ExchangePolicy, Shape};
-    use ump_apps::{dist, volna::mpi::RankState};
+    use ump_apps::dist;
     let mut reference = Volna::<f64>::new(NX, NY);
     let case = reference.case.clone();
     let mut ref_hist = Vec::new();
@@ -171,7 +171,7 @@ fn mpi_backend_matches_sequential() {
         ref_hist.push(drivers::step_seq(&mut reference, None));
     }
     for ranks in [2usize, 3] {
-        let (w, hist) = dist::run_mpi_fused::<RankState<f64>, 4>(
+        let (w, hist) = dist::run_mpi_fused::<Volna<f64>, 4>(
             &case,
             ranks,
             1,
