@@ -127,18 +127,18 @@ impl<R: Real> Airfoil<R> {
         }
     }
 
-    /// Set up on a prebuilt case. Runs the lane-locality edge pass
-    /// (§4's gather/scatter cost): consecutive edges then tend to share
-    /// cells, so the fused-SIMD chunk gathers hit cache lines that lanes
-    /// of the previous chunk already pulled in. The pass reverts itself
-    /// when it would not improve the shared-cell fraction, so this never
-    /// hurts the scalar backends (which are order-insensitive).
+    /// Set up on a prebuilt case, its edges first put in the canonical
+    /// cell-major order
+    /// ([`order_edges_by_cells`](ump_mesh::renumber::order_edges_by_cells)):
+    /// the indirect edge loops then gather from and increment into
+    /// ascending cells, so their cell traffic streams. The state depends
+    /// on the case's mesh alone, not on the order its edges come in.
     pub fn from_case(mut case: AirfoilCase) -> Airfoil<R> {
-        ump_mesh::renumber::lane_localize_edges(&mut case.mesh);
+        ump_mesh::renumber::order_edges_by_cells(&mut case.mesh);
         Self::preordered(case)
     }
 
-    /// [`from_case`](Airfoil::from_case) without the lane-locality pass:
+    /// [`from_case`](Airfoil::from_case) without the edge ordering:
     /// freestream data on the case's mesh in its own edge order — also
     /// the state of a distributed rank, on its mesh piece.
     pub(crate) fn preordered(case: AirfoilCase) -> Airfoil<R> {

@@ -48,10 +48,11 @@ pub trait Simulation: Send + Sync + Sized + 'static {
     /// The state of one rank of a distributed run on `mesh`, the
     /// localized mesh of the rank's piece `local` (moved out of it): the
     /// case's per-cell and per-bedge data gathered through
-    /// `local.cell_global` / `local.bedge_global`. The lane-locality
-    /// edge pass of the global constructors is skipped — `edge_global`,
-    /// `n_owned_edges` and the halo flags mirror the piece's edge order,
-    /// which inherits the globally localized one anyway.
+    /// `local.cell_global` / `local.bedge_global`. The global
+    /// constructors' cell-major edge ordering is skipped: the piece keeps
+    /// [`distribute`](ump_core::dist::distribute)'s core-first edge order,
+    /// which `edge_global`, `n_owned_edges` and the halo flags mirror and
+    /// which keeps the global order within each class.
     fn on_rank(case: &Self::Case, mesh: Mesh2d, local: &LocalMesh) -> Self;
     /// The case this state was built from.
     fn case(&self) -> &Self::Case;

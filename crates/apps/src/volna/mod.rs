@@ -119,17 +119,17 @@ impl<R: Real> Volna<R> {
     }
 
     /// Set up on a prebuilt case: still water plus the tsunami source.
-    /// Runs the lane-locality edge pass first (see
+    /// The edges are first put in the canonical cell-major order (see
     /// [`Airfoil::from_case`](crate::airfoil::Airfoil::from_case)); the
     /// edge dats below are built after the reorder, so everything stays
     /// consistent.
     pub fn from_case(mut case: CoastalCase) -> Volna<R> {
-        ump_mesh::renumber::lane_localize_edges(&mut case.mesh);
+        ump_mesh::renumber::order_edges_by_cells(&mut case.mesh);
         Self::preordered(case)
     }
 
-    /// [`from_case`](Volna::from_case) without the lane-locality pass:
-    /// the case's mesh in its own edge order — also the state of a
+    /// [`from_case`](Volna::from_case) without the edge ordering: the
+    /// case's mesh in its own edge order — also the state of a
     /// distributed rank, on its mesh piece.
     pub(crate) fn preordered(case: CoastalCase) -> Volna<R> {
         let mesh = &case.mesh;

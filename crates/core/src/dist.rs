@@ -18,9 +18,14 @@
 //! * **sum reductions** count *owned* elements only; min/max reductions
 //!   are double-count-insensitive.
 //!
-//! Local numbering: `[owned | ghost]` for cells, `[owned-executed |
-//! foreign-executed]` for edges, so loop drivers can bound reductions by
-//! `n_owned_*` and halo refreshes by the ghost range.
+//! Local numbering: `[owned | ghost]` for cells, `[core | cut | foreign]`
+//! for edges — *core* edges join two owned cells, *cut* edges are owned
+//! (their first cell is) but reach a ghost, *foreign* edges are the
+//! partition-boundary edges other ranks own and this one executes
+//! redundantly; each class keeps the global edge order. Loop drivers
+//! bound reductions by `n_owned_*` and halo refreshes by the ghost range,
+//! and the ghost-reading edges form a suffix — OP2's core/non-core split,
+//! so an overlapped step defers only the few blocks at the end.
 
 use std::collections::HashMap;
 
@@ -32,13 +37,13 @@ use ump_simd::Real;
 /// One rank's share of the mesh (see module docs for layout).
 #[derive(Clone, Debug)]
 pub struct LocalMesh {
-    /// Localized mesh: cells `[owned | ghost]`, edges `[owned | exec]`,
-    /// maps rewritten to local indices.
+    /// Localized mesh: cells `[owned | ghost]`, edges `[core | cut |
+    /// foreign]`, maps rewritten to local indices.
     pub mesh: Mesh2d,
     /// Number of owned cells (the rest are ghosts).
     pub n_owned_cells: usize,
-    /// Number of owned executed edges (the rest are redundantly executed
-    /// foreign edges).
+    /// Number of owned executed edges, core and cut (the rest are
+    /// redundantly executed foreign edges).
     pub n_owned_edges: usize,
     /// Global id of each local cell.
     pub cell_global: Vec<u32>,
@@ -67,7 +72,8 @@ impl LocalMesh {
     /// [`ExchangePlan::finish`](ump_minimpi::PendingExchange::finish).
     ///
     /// Local numbering puts owned cells first, so the test is one
-    /// comparison per edge endpoint.
+    /// comparison per edge endpoint; it puts core edges first, so the
+    /// `true` flags form a suffix.
     pub fn boundary_edges(&self) -> Vec<bool> {
         (0..self.mesh.n_edges())
             .map(|e| {
@@ -99,16 +105,20 @@ pub fn distribute(mesh: &Mesh2d, partition: &Partition) -> Vec<LocalMesh> {
     for (c, &p) in part.iter().enumerate() {
         owned_cells[p as usize].push(c as u32);
     }
-    let mut exec_edges_owned: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
-    let mut exec_edges_foreign: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
+    // executed edges in three classes, each in global order: core (both
+    // cells owned), cut (first cell owned, second foreign; an edge's
+    // owner is its first cell's), foreign (another rank's cut edges)
+    let mut core_edges: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
+    let mut cut_edges: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
+    let mut foreign_edges: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
     for e in 0..mesh.n_edges() {
         let r = mesh.edge2cell.row(e);
-        let (p0, p1) = (part[r[0] as usize], part[r[1] as usize]);
-        // owner of the edge = owner of its first cell
-        exec_edges_owned[p0 as usize].push(e as u32);
-        if p1 != p0 {
-            // partition-boundary edge: redundantly executed by p1 too
-            exec_edges_foreign[p1 as usize].push(e as u32);
+        let (p0, p1) = (part[r[0] as usize] as usize, part[r[1] as usize] as usize);
+        if p1 == p0 {
+            core_edges[p0].push(e as u32);
+        } else {
+            cut_edges[p0].push(e as u32);
+            foreign_edges[p1].push(e as u32);
         }
     }
     let mut owned_bedges: Vec<Vec<u32>> = vec![Vec::new(); n_ranks];
@@ -125,7 +135,7 @@ pub fn distribute(mesh: &Mesh2d, partition: &Partition) -> Vec<LocalMesh> {
     let mut cell_g2l: Vec<HashMap<u32, u32>> = vec![HashMap::new(); n_ranks];
     for p in 0..n_ranks {
         let mut ghost: Vec<u32> = Vec::new();
-        for &e in exec_edges_owned[p].iter().chain(&exec_edges_foreign[p]) {
+        for &e in cut_edges[p].iter().chain(&foreign_edges[p]) {
             for &c in mesh.edge2cell.row(e as usize) {
                 if part[c as usize] != p as u32 {
                     ghost.push(c as u32);
@@ -160,11 +170,7 @@ pub fn distribute(mesh: &Mesh2d, partition: &Partition) -> Vec<LocalMesh> {
     for p in 0..n_ranks {
         let l2g_cells = &cell_l2g[p];
         let g2l_cells = &cell_g2l[p];
-        let edges: Vec<u32> = exec_edges_owned[p]
-            .iter()
-            .chain(&exec_edges_foreign[p])
-            .copied()
-            .collect();
+        let edges: Vec<u32> = [&core_edges[p][..], &cut_edges[p], &foreign_edges[p]].concat();
         let bedges = &owned_bedges[p];
 
         // nodes referenced by local cells, executed edges, owned bedges
@@ -243,7 +249,7 @@ pub fn distribute(mesh: &Mesh2d, partition: &Partition) -> Vec<LocalMesh> {
         locals.push(LocalMesh {
             mesh: local,
             n_owned_cells: owned_cells[p].len(),
-            n_owned_edges: exec_edges_owned[p].len(),
+            n_owned_edges: core_edges[p].len() + cut_edges[p].len(),
             cell_global: l2g_cells.clone(),
             node_global,
             edge_global: edges,
@@ -292,9 +298,9 @@ pub fn assemble_owned<R: Real>(
 mod tests {
     use super::*;
     use ump_mesh::dual::cell_dual;
-    use ump_mesh::generators::quad_channel;
+    use ump_mesh::generators::{quad_channel, tri_coastal};
     use ump_minimpi::Universe;
-    use ump_part::rcb;
+    use ump_part::{greedy_bfs, rcb};
 
     fn setup(nx: usize, ny: usize, ranks: u32) -> (Mesh2d, Partition, Vec<LocalMesh>) {
         let mesh = quad_channel(nx, ny).mesh;
@@ -445,6 +451,35 @@ mod tests {
         // a single rank owns everything: no boundary edges at all
         let single = setup(6, 4, 1).2;
         assert!(single[0].boundary_edges().iter().all(|&b| !b));
+    }
+
+    #[test]
+    fn edges_run_core_first_and_each_class_keeps_global_order() {
+        for mesh in [quad_channel(13, 7).mesh, tri_coastal(9, 8).mesh] {
+            let pts: Vec<[f64; 2]> = (0..mesh.n_cells()).map(|c| mesh.cell_centroid(c)).collect();
+            let dual = cell_dual(&mesh);
+            for ranks in 2..=4 {
+                for partition in [rcb(&pts, ranks), greedy_bfs(&dual, ranks)] {
+                    let owner = |g: u32| partition.part[mesh.edge2cell.row(g as usize)[0] as usize];
+                    for (p, lm) in distribute(&mesh, &partition).iter().enumerate() {
+                        let flags = lm.boundary_edges();
+                        let n_core = flags.iter().take_while(|&&b| !b).count();
+                        assert!(
+                            flags[n_core..].iter().all(|&b| b),
+                            "rank {p}: ghost readers last"
+                        );
+                        let (g, n_owned) = (&lm.edge_global, lm.n_owned_edges);
+                        for (le, &ge) in g.iter().enumerate() {
+                            assert_eq!(owner(ge) == p as u32, le < n_owned, "rank {p} edge {le}");
+                        }
+                        assert!(n_core <= n_owned);
+                        for class in [&g[..n_core], &g[n_core..n_owned], &g[n_owned..]] {
+                            assert!(class.windows(2).all(|w| w[0] < w[1]), "rank {p}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   (Volna's triangle mesh with synthetic coastal bathymetry replacing
 //!   the proprietary NE-Pacific survey data — see DESIGN.md substitutions),
 //! * [`renumber`] — reverse Cuthill–McKee reordering (OP2 renumbers for
-//!   locality before forming mini-partitions),
+//!   locality before forming mini-partitions) and the canonical
+//!   cell-major edge order the applications run in,
 //! * [`stats`] — set sizes and memory footprints (Table IV),
 //! * [`io`] — a small self-describing binary format on top of `bytes`.
 

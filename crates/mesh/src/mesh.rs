@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use crate::topology::MapTable;
 
 /// A 2-D unstructured mesh with derived edge connectivity.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Mesh2d {
     /// Node coordinates.
     pub node_xy: Vec<[f64; 2]>,

@@ -5,12 +5,12 @@
 //! each block's indirect working set small, which is the property the
 //! paper's "block permute" scheme banks on ("as long as blocks are small
 //! enough so that their data is contained in cache"). We implement
-//! reverse Cuthill–McKee (RCM) on any CSR graph plus helpers to push a
-//! permutation through a whole [`Mesh2d`].
+//! reverse Cuthill–McKee (RCM) on any CSR graph, the canonical
+//! cell-major edge order the applications run their edge loops in, and
+//! helpers to push a permutation through a whole [`Mesh2d`].
 
 use crate::csr::Csr;
 use crate::mesh::Mesh2d;
-use crate::topology::MapTable;
 
 /// Reverse Cuthill–McKee ordering of a symmetric CSR graph.
 ///
@@ -125,8 +125,9 @@ pub fn perm_to_order(perm: &[u32]) -> Vec<u32> {
 
 /// Full locality pipeline used by the applications before planning:
 /// RCM on the node graph, then cells renumbered by their minimum new node
-/// (a standard induced ordering), then edges reordered by their first
-/// cell. Returns the node bandwidth before and after for diagnostics.
+/// (a standard induced ordering), then edges in the induced cell-major
+/// order ([`order_edges_by_cells`]). Returns the node bandwidth before
+/// and after for diagnostics.
 pub fn rcm_renumber_mesh(mesh: &mut Mesh2d) -> (usize, usize) {
     let g = crate::dual::node_graph(mesh);
     let ident: Vec<u32> = (0..mesh.n_nodes() as u32).collect();
@@ -147,102 +148,39 @@ pub fn rcm_renumber_mesh(mesh: &mut Mesh2d) -> (usize, usize) {
     });
     renumber_cells(mesh, &order_to_perm(&cell_order));
 
-    // induced edge ordering: sort edges by (first cell, second cell)
-    let mut edge_order: Vec<u32> = (0..mesh.n_edges() as u32).collect();
-    edge_order.sort_by_key(|&e| {
-        let r = mesh.edge2cell.row(e as usize);
-        (r[0], r[1])
-    });
-    reorder_edges(mesh, &edge_order);
+    order_edges_by_cells(mesh);
     (before, after)
 }
 
-/// Fraction of consecutive edge pairs that share at least one cell —
-/// the locality metric the vectorized gather/scatter path cares about:
-/// when edges `e` and `e+1` touch the same cell, the lane gathers of a
-/// SIMD chunk hit overlapping cache lines.
-pub fn shared_cell_fraction(edge2cell: &MapTable) -> f64 {
-    let n = edge2cell.from_size;
-    if n < 2 {
-        return 1.0;
-    }
-    let mut shared = 0usize;
-    for e in 0..n - 1 {
-        let a = edge2cell.row(e);
-        let b = edge2cell.row(e + 1);
-        if a.iter().any(|c| b.contains(c)) {
-            shared += 1;
-        }
-    }
-    shared as f64 / (n - 1) as f64
-}
-
-/// Lane-locality edge ordering: greedy chaining so consecutive edges
-/// share a cell wherever the connectivity allows.
+/// Canonical cell-major edge order: edges sorted by (min cell, max
+/// cell), ties broken on (min node, max node).
 ///
-/// From the current edge, the next edge is the smallest-id unvisited
-/// edge incident to either of its cells; when the chain dies out it
-/// restarts at the smallest unvisited edge. Deterministic (pure
-/// function of the map) and `O(E · arity · max_degree)`. Returns
-/// `order` such that new edge `i` is old edge `order[i]`.
-pub fn lane_local_edge_order(edge2cell: &MapTable) -> Vec<u32> {
-    let n_edges = edge2cell.from_size;
-    let n_cells = edge2cell.to_size;
-    // cell → incident edges, ascending edge id per cell
-    let mut cell_edges: Vec<Vec<u32>> = vec![Vec::new(); n_cells];
-    for e in 0..n_edges {
-        for &c in edge2cell.row(e) {
-            cell_edges[c as usize].push(e as u32);
-        }
+/// The indirect edge loops (`res_calc`, `compute_flux`) then walk the
+/// cells they gather from and increment into in ascending order, so
+/// their cell traffic streams instead of hopping between grid rows. The
+/// key is unique per edge, so the result depends on the mesh alone, not
+/// on the order its edges arrive in. Returns `false`, without
+/// allocating, when the edges are already in this order.
+pub fn order_edges_by_cells(mesh: &mut Mesh2d) -> bool {
+    let (e2c, e2n) = (&mesh.edge2cell, &mesh.edge2node);
+    let key = |e: usize| {
+        let (c, n) = (e2c.row(e), e2n.row(e));
+        (
+            c[0].min(c[1]),
+            c[0].max(c[1]),
+            n[0].min(n[1]),
+            n[0].max(n[1]),
+        )
+    };
+    if (1..mesh.n_edges()).all(|e| key(e - 1) < key(e)) {
+        return false;
     }
-
-    let mut order = Vec::with_capacity(n_edges);
-    let mut visited = vec![false; n_edges];
-    let mut cursor = 0usize; // smallest possibly-unvisited edge
-    while order.len() < n_edges {
-        while cursor < n_edges && visited[cursor] {
-            cursor += 1;
-        }
-        let mut e = cursor as u32;
-        visited[e as usize] = true;
-        order.push(e);
-        loop {
-            let mut next: Option<u32> = None;
-            for &c in edge2cell.row(e as usize) {
-                for &cand in &cell_edges[c as usize] {
-                    if !visited[cand as usize] && next.is_none_or(|b| cand < b) {
-                        next = Some(cand);
-                    }
-                }
-            }
-            match next {
-                Some(cand) => {
-                    visited[cand as usize] = true;
-                    order.push(cand);
-                    e = cand;
-                }
-                None => break,
-            }
-        }
-    }
-    order
-}
-
-/// Apply the lane-locality pass to a mesh's interior edges, keeping the
-/// original order if chaining does not improve the shared-cell metric.
-/// Returns `(before, after)` shared-cell fractions.
-pub fn lane_localize_edges(mesh: &mut Mesh2d) -> (f64, f64) {
-    let before = shared_cell_fraction(&mesh.edge2cell);
-    let order = lane_local_edge_order(&mesh.edge2cell);
-    let mut trial = mesh.edge2cell.clone();
-    trial.reorder_rows(&order);
-    let after = shared_cell_fraction(&trial);
-    if after > before {
-        reorder_edges(mesh, &order);
-        (before, after)
-    } else {
-        (before, before)
-    }
+    // keys computed once, so comparisons never go back to the maps
+    let mut keyed: Vec<_> = (0..mesh.n_edges()).map(|e| (key(e), e as u32)).collect();
+    keyed.sort_unstable();
+    let order: Vec<u32> = keyed.into_iter().map(|(_, e)| e).collect();
+    reorder_edges(mesh, &order);
+    true
 }
 
 #[cfg(test)]
@@ -336,31 +274,17 @@ mod tests {
     }
 
     #[test]
-    fn lane_locality_chains_edges_through_cells() {
-        // Scramble the edge order, then check the pass restores high
-        // consecutive shared-cell fraction.
-        let mut m = quad_channel(12, 9).mesh;
-        let mut order: Vec<u32> = (0..m.n_edges() as u32).collect();
-        SplitMix64::new(3).shuffle(&mut order);
-        reorder_edges(&mut m, &order);
-        let scrambled = shared_cell_fraction(&m.edge2cell);
-        let (before, after) = lane_localize_edges(&mut m);
-        assert_eq!(before, scrambled);
-        assert!(after >= before, "pass must never reduce locality");
+    fn generated_quad_channel_is_already_cell_major() {
+        let mut m = quad_channel(7, 4).mesh;
         assert!(
-            after > 0.8,
-            "greedy chaining should make most consecutive edges share a cell, got {after}"
+            !order_edges_by_cells(&mut m),
+            "generator emits cell-major edges"
         );
-        m.validate().unwrap();
-    }
-
-    #[test]
-    fn lane_local_order_is_a_permutation() {
-        let m = perturbed_quads(9, 7, 0.2, 11);
-        let order = lane_local_edge_order(&m.edge2cell);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..m.n_edges() as u32).collect::<Vec<_>>());
+        let (e2c, e2n) = (m.edge2cell.clone(), m.edge2node.clone());
+        let reversed: Vec<u32> = (0..m.n_edges() as u32).rev().collect();
+        reorder_edges(&mut m, &reversed);
+        assert!(order_edges_by_cells(&mut m));
+        assert_eq!((m.edge2cell, m.edge2node), (e2c, e2n));
     }
 
     #[test]

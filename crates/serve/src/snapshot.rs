@@ -1,10 +1,10 @@
-//! The versioned binary job-snapshot format (`UMPJ`, version 1).
+//! The versioned binary job-snapshot format (`UMPJ`, version 2).
 //!
 //! Layout, all integers little-endian:
 //!
 //! ```text
 //! magic    4  b"UMPJ"
-//! version  4  u32 = 1
+//! version  4  u32 = 2
 //! -- spec --------------------------------------------------------
 //! app      1  u8 (0 = airfoil, 1 = volna)
 //! nx, ny   8+8  u64
@@ -26,6 +26,9 @@
 //! and are rebuilt on restore. Values travel as exact `f64` bit
 //! patterns end to end, so a kill/restore cycle is bit-identical to an
 //! uninterrupted run — the acceptance property of the service layer.
+//! Edge dats are stored in the rebuilt mesh's edge order, so a change
+//! to that order bumps the version: version 2 is the canonical
+//! cell-major order, and a version-1 snapshot is refused.
 
 use std::io::{self, Read};
 
@@ -37,7 +40,7 @@ use crate::job::{App, JobSpec};
 pub const JOB_SNAPSHOT_MAGIC: [u8; 4] = *b"UMPJ";
 
 /// Current job-snapshot version; [`decode`] rejects others.
-pub const JOB_SNAPSHOT_VERSION: u32 = 1;
+pub const JOB_SNAPSHOT_VERSION: u32 = 2;
 
 fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -221,5 +224,16 @@ mod tests {
         let mut bytes = encode(&spec, 0, &[], &[]);
         bytes[5] ^= 0xff; // version corruption
         assert!(peek(&bytes).unwrap_err().to_string().contains("version"));
+    }
+
+    #[test]
+    fn version_1_snapshots_are_refused() {
+        // version 1 stored edge dats in the pre-cell-major edge order
+        let spec = JobSpec::new(App::Volna, 4, 4, Backend::Seq, 1);
+        let mut bytes = encode(&spec, 0, &[], &[]);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = decode(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1, expected 2"), "{err}");
     }
 }

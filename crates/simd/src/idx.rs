@@ -94,10 +94,12 @@ impl<const L: usize> IdxVec<L> {
     }
 
     /// `Some(base)` when the lanes are the consecutive run
-    /// `base..base+L`. Lane-local renumbering maximizes exactly this
-    /// pattern, where a map-driven gather degenerates to a contiguous
-    /// vector load (and an accumulating scatter to a load-add-store:
-    /// consecutive lanes are necessarily distinct, so no collisions).
+    /// `base..base+L`, where a map-driven gather degenerates to a
+    /// contiguous vector load (and an accumulating scatter to a
+    /// load-add-store: consecutive lanes are necessarily distinct, so no
+    /// collisions). Rare on the applications' cell-major edge order,
+    /// whose neighbouring edges share a cell rather than step through
+    /// consecutive ones.
     #[inline(always)]
     pub fn consecutive_base(self) -> Option<i32> {
         let b = self.0[0];

@@ -164,9 +164,9 @@ impl DatView {
             Layout::Aos => VecR::gather(data, idx, self.dim, c),
             Layout::Soa => {
                 let col = &data[c * self.n..(c + 1) * self.n];
-                // lane-local renumbering makes consecutive runs the hot
-                // case; a contiguous load moves the same bits as the
-                // hardware gather at a fraction of the latency
+                // a consecutive run moves the same bits with a
+                // contiguous load as with the hardware gather, at a
+                // fraction of the latency
                 match idx.consecutive_base() {
                     Some(b) if b >= 0 && b as usize + L <= col.len() => VecR::load(col, b as usize),
                     _ => VecR::gather(col, idx, 1, 0),

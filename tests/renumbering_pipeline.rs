@@ -1,13 +1,18 @@
 //! Integration: the RCM renumbering pipeline (OP2 renumbers meshes
 //! before planning) must preserve the physics exactly — the solution is
 //! a permutation of the reference — and must improve the locality
-//! statistics the block-based plans depend on.
+//! statistics the block-based plans depend on. The apps' constructors
+//! put edges in the canonical cell-major order, so their results do not
+//! depend on the order a case's edges arrive in.
 
 use ump::apps::airfoil::{drivers, Airfoil};
+use ump::apps::volna::Volna;
+use ump::apps::Simulation;
 use ump::color::{PlanInputs, PlanStats, TwoLevelPlan};
-use ump::mesh::generators::quad_channel;
+use ump::mesh::generators::{quad_channel, tri_coastal};
 use ump::mesh::renumber::{rcm_renumber_mesh, renumber_cells, renumber_nodes, reorder_edges};
 use ump::mesh::SplitMix64;
+use ump::simd::Real;
 
 /// Scramble all element numberings of a mesh (what a badly-ordered input
 /// file looks like), returning the cell permutation used.
@@ -110,4 +115,40 @@ fn physics_is_invariant_under_renumbering() {
             );
         }
     }
+}
+
+/// Shuffle a mesh's edge order (nothing else) by `seed`.
+fn shuffle_edges(mesh: &mut ump::mesh::Mesh2d, seed: u64) {
+    let mut order: Vec<u32> = (0..mesh.n_edges() as u32).collect();
+    SplitMix64::new(seed).shuffle(&mut order);
+    reorder_edges(mesh, &order);
+}
+
+/// Bits of three `step_seq` results and of every evolving dat after them.
+fn seq_fingerprint<S: Simulation>(mut sim: S) -> Vec<u64> {
+    let mut bits: Vec<u64> = (0..3).map(|_| sim.step_seq(None).to_bits()).collect();
+    for dat in sim.evolving() {
+        bits.extend(dat.data.iter().map(|v| v.to_f64().to_bits()));
+    }
+    bits
+}
+
+#[test]
+fn from_case_is_bit_identical_under_edge_shuffles() {
+    let airfoil = quad_channel(20, 14);
+    let mut shuffled = airfoil.clone();
+    shuffle_edges(&mut shuffled.mesh, 5);
+    assert_eq!(
+        seq_fingerprint(Airfoil::<f64>::from_case(airfoil)),
+        seq_fingerprint(Airfoil::<f64>::from_case(shuffled))
+    );
+
+    // Volna evolves an edge dat (`eflux`) too: it must land identically
+    let coastal = tri_coastal(18, 12);
+    let mut shuffled = coastal.clone();
+    shuffle_edges(&mut shuffled.mesh, 6);
+    assert_eq!(
+        seq_fingerprint(Volna::<f64>::from_case(coastal)),
+        seq_fingerprint(Volna::<f64>::from_case(shuffled))
+    );
 }
