@@ -25,7 +25,7 @@ use ump_core::{
 use ump_lazy::{Chain, LoopDesc, Shape, TileCache};
 use ump_mesh::generators::AirfoilCase;
 use ump_mesh::Mesh2d;
-use ump_simd::{DatView, IdxVec, Real, VecR};
+use ump_simd::{Addressing, DatView, IdxVec, Real, VecR};
 
 use super::kernels::{adt_calc, bres_calc, res_calc, save_soln, update};
 use super::kernels_vec::{adt_calc_vec, res_calc_vec, update_vec};
@@ -135,8 +135,9 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
 /// One lane-aligned chunk of vectorized `adt_calc`: gather the node
 /// coordinate rows through `cell2node`, load the q rows through their
 /// layout view, store adt contiguously (dim-1 dats index identically in
-/// every layout). Raw-slice + [`DatView`] signature: the chunk bodies
-/// have one form, and the view's row accessors branch on the layout.
+/// every layout). Raw-slice + runtime [`DatView`] signature: the chunk
+/// bodies have one form, and dispatch on the layout once per access
+/// ([`DatView::<Layout>::load_rows`](DatView::load_rows) says why).
 #[inline(always)]
 pub(crate) fn adt_chunk<R: Real, const L: usize>(
     cs: usize,
@@ -230,7 +231,7 @@ pub struct StepInputs<'a, R: Real> {
 }
 
 /// rms slots per (iteration, phase): the cell loops' block count.
-fn cell_blocks(sweep: &Sweep<'_>) -> usize {
+fn cell_blocks<A: Addressing>(sweep: &Sweep<'_, A>) -> usize {
     sweep.n_cells.div_ceil(sweep.block)
 }
 
@@ -297,14 +298,14 @@ impl<R: Real> Simulation for Airfoil<R> {
     }
 
     /// One slot per (iteration, phase, cell block).
-    fn slots(sweep: &Sweep<'_>, steps: usize) -> Vec<R> {
+    fn slots<A: Addressing>(sweep: &Sweep<'_, A>, steps: usize) -> Vec<R> {
         vec![R::ZERO; steps * 2 * cell_blocks(sweep)]
     }
 
     /// Each iteration's slots summed in slot order — across ranks, the
     /// rank-ordered sum — normalized to √(Σ del²/cells).
-    fn fold(
-        sweep: &Sweep<'_>,
+    fn fold<A: Addressing>(
+        sweep: &Sweep<'_, A>,
         slots: &[R],
         steps: usize,
         halo: Option<&RankHalo<'_>>,
@@ -346,9 +347,9 @@ impl<R: Real> Simulation for Airfoil<R> {
     /// by re-zeroing ghost `res` rows after each phase. The halo markings
     /// are applied only for a rank: `mark_boundary` forces the interior →
     /// finish → boundary split, which a single process must not pay.
-    fn record_steps<'s, 'a: 's, const L: usize>(
+    fn record_steps<'s, 'a: 's, A: Addressing, const L: usize>(
         inputs: &'s StepInputs<'a, R>,
-        sweep: &'s Sweep<'a>,
+        sweep: &'s Sweep<'a, A>,
         evolving: &'s [SharedDat<'s, R>],
         rms: &'s SharedDat<'s, R>,
         steps: usize,
@@ -366,7 +367,10 @@ impl<R: Real> Simulation for Airfoil<R> {
         let ([qs, qolds, adts, ress], &[qv, qoldv, _, resv]) = (evolving, &sweep.views[..]) else {
             panic!("airfoil records over [q, qold, adt, res]")
         };
-        let xv = x.view();
+        let xv = x.view_as::<A>();
+        // the L-lane bodies move rows through the runtime views, the form
+        // LLVM vectorizes best (`DatView::<Layout>::load_rows`)
+        let [qd, qoldd, resd, xd]: [DatView; 4] = [qv.into(), qoldv.into(), resv.into(), xv.into()];
         let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
         let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n);
 
@@ -383,8 +387,8 @@ impl<R: Real> Simulation for Airfoil<R> {
                     qoldv.store_row(qolds.slice_mut(0, qolds.len()), c, &old);
                 },
                 move |cs| unsafe {
-                    let rows: [VecR<R, L>; 4] = qv.load_rows(qs.as_slice(), cs);
-                    qoldv.store_rows(&rows, qolds.slice_mut(0, qolds.len()), cs);
+                    let rows: [VecR<R, L>; 4] = qd.load_rows(qs.as_slice(), cs);
+                    qoldd.store_rows(&rows, qolds.slice_mut(0, qolds.len()), cs);
                 },
             );
             if halo.is_some() {
@@ -415,9 +419,9 @@ impl<R: Real> Simulation for Airfoil<R> {
                             cs,
                             &mesh.cell2node.data,
                             &x.data,
-                            xv,
+                            xd,
                             qs.as_slice(),
-                            qv,
+                            qd,
                             adts.slice_mut(0, adts.len()),
                             consts,
                         );
@@ -473,12 +477,12 @@ impl<R: Real> Simulation for Airfoil<R> {
                         &mesh.edge2node.data,
                         &mesh.edge2cell.data,
                         &x.data,
-                        xv,
+                        xd,
                         qs.as_slice(),
-                        qv,
+                        qd,
                         adts.as_slice(),
                         ress.slice_mut(0, ress.len()),
-                        resv,
+                        resd,
                         consts,
                     );
                 };
@@ -567,11 +571,11 @@ impl<R: Real> Simulation for Airfoil<R> {
                                 update_chunk::<R, L>(
                                     cs,
                                     qolds.as_slice(),
-                                    qoldv,
+                                    qoldd,
                                     qs.slice_mut(0, qs.len()),
-                                    qv,
+                                    qd,
                                     ress.slice_mut(0, ress.len()),
-                                    resv,
+                                    resd,
                                     adts.as_slice(),
                                     &mut local_v,
                                 );

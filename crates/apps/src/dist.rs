@@ -28,7 +28,8 @@ use std::time::Duration;
 
 use ump_core::dist::assemble_owned;
 use ump_core::{
-    distribute, extract_rows, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder, SharedDat,
+    distribute, extract_rows, Aos, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder,
+    SharedDat,
 };
 use ump_fault::FaultInjector;
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
@@ -181,7 +182,7 @@ impl<S: Simulation> Rank<S> {
             policy,
         };
         let exec = ChainExec::on_pool(shape, Fusion::Groups);
-        recorded_step::<S, L>(
+        recorded_step::<S, Aos, L>(
             self.sim.split(),
             Some(&halo),
             total_cells,

@@ -51,7 +51,7 @@ use ump_core::plan::AnyPlan;
 use ump_core::{Backend, ExecPool, PlanCache, Recorder, Scheme, DISPATCH_SIMT_WIDTH};
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
 use ump_mesh::MapTable;
-use ump_simd::{DatView, IdxVec, Real, VecR};
+use ump_simd::{Addressing, DatView, IdxVec, Real, VecR};
 
 /// Default anchor-blocks-per-tile of the registry dispatcher's tiled
 /// arms: `tile_cells = DISPATCH_TILE_BLOCKS × block_size`.
@@ -103,9 +103,9 @@ impl Lanes<'_> {
 
     /// Components `0..K` of the elements' own rows of `data`.
     #[inline(always)]
-    pub(crate) fn rows<R: Real, const L: usize, const K: usize>(
+    pub(crate) fn rows<R: Real, A: Addressing, const L: usize, const K: usize>(
         self,
-        view: DatView,
+        view: DatView<A>,
         data: &[R],
     ) -> [VecR<R, L>; K] {
         match self {

@@ -19,7 +19,10 @@
 use std::sync::Arc;
 
 use ump_core::plan::AnyPlan;
-use ump_core::{Backend, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder, SharedDat};
+use ump_core::{
+    Addressing, Aos, Backend, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder, SharedDat,
+    Soa,
+};
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape, TileCache, TileReport, TiledChain};
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, Real};
@@ -63,7 +66,10 @@ pub trait Simulation: Send + Sync + Sized + 'static {
     fn evolving(&self) -> Vec<&OpDat<Self::R>>;
     /// The state as one recording borrows it.
     fn split(&mut self) -> Split<'_, Self>;
-    /// Storage layout of the dats (uniform across them).
+    /// Storage layout of the dats. [`set_layout`](Simulation::set_layout)
+    /// keeps it uniform across them, and a step enforces that: the
+    /// recording runs instantiated for this layout, and panics, naming
+    /// the dat, before any loop runs if a dat is stored otherwise.
     fn layout(&self) -> Layout;
     /// Convert every dat to `to` (a pure index permutation, bit-exact).
     fn set_layout(&mut self, to: Layout);
@@ -79,25 +85,30 @@ pub trait Simulation: Send + Sync + Sized + 'static {
     /// The one recording: `steps` steps of the app's loops with their
     /// scalar and `L`-lane bodies, over `evolving` — a global state's
     /// dats, a rank's, or a tile's shadow copies, in
-    /// [`evolving`](Simulation::evolving) order — storing reductions in
-    /// `slots` (laid out as [`slots`](Simulation::slots) says). A rank's
-    /// [`RankHalo`] adds the hooks of paper Fig. 2b's
+    /// [`evolving`](Simulation::evolving) order, all stored in the layout
+    /// `A` — storing reductions in `slots` (laid out as
+    /// [`slots`](Simulation::slots) says). The scalar bodies reach every
+    /// dat through a [`DatView<A>`] — the sweep's views of the evolving
+    /// dats, and [`OpDat::view_as`] for the inputs, which panics on an
+    /// input stored in another layout. Airfoil's `L`-lane bodies go
+    /// through the runtime views made from them
+    /// ([`DatView::<Layout>::load_rows`] says why). A rank's [`RankHalo`] adds the hooks of paper Fig. 2b's
     /// `op_mpi_halo_exchanges` around the unchanged loops.
-    fn record_steps<'s, 'a: 's, const L: usize>(
+    fn record_steps<'s, 'a: 's, A: Addressing, const L: usize>(
         inputs: &'s Self::Inputs<'a>,
-        sweep: &'s Sweep<'a>,
+        sweep: &'s Sweep<'a, A>,
         evolving: &'s [SharedDat<'s, Self::R>],
         slots: &'s SharedDat<'s, Self::R>,
         steps: usize,
         halo: Option<&'s RankHalo<'s>>,
     ) -> Chain<'s>;
     /// The reduction slots of a recording of `steps` steps, initialized.
-    fn slots(sweep: &Sweep<'_>, steps: usize) -> Vec<Self::R>;
+    fn slots<A: Addressing>(sweep: &Sweep<'_, A>, steps: usize) -> Vec<Self::R>;
     /// The per-step values of a recording of `steps` steps, from its
     /// slots: over a global state, or a rank's piece of one with
     /// `total_cells` cells globally (identical on every rank).
-    fn fold(
-        sweep: &Sweep<'_>,
+    fn fold<A: Addressing>(
+        sweep: &Sweep<'_, A>,
         slots: &[Self::R],
         steps: usize,
         halo: Option<&RankHalo<'_>>,
@@ -132,14 +143,17 @@ pub struct Split<'a, S: Simulation> {
 }
 
 /// How one recording sweeps the mesh — the inputs every app's recording
-/// shares.
-pub struct Sweep<'a> {
+/// shares — with the evolving dats stored in the layout `A`.
+pub struct Sweep<'a, A: Addressing> {
     /// The mesh (a rank's: its piece).
     pub(crate) mesh: &'a Mesh2d,
-    /// Layouts of the evolving dats, in order: every access of the
-    /// recorded bodies goes through them, so the one recording executes
-    /// natively in AoS or SoA storage.
-    pub(crate) views: Vec<DatView>,
+    /// Views of the evolving dats, in order, typed for the layout the
+    /// step dispatched: every access of the recorded bodies goes through
+    /// them, so the one recording executes natively in AoS or SoA
+    /// storage with no layout test in its scalar accessors. Built by
+    /// [`OpDat::view_as`], so a dat stored otherwise panics, named,
+    /// before any loop runs.
+    pub(crate) views: Vec<DatView<A>>,
     /// Cells the cell loops cover: all, or a rank's owned ones.
     pub(crate) n_cells: usize,
     /// Block size of the loops whose blocks own reduction slots.
@@ -151,7 +165,7 @@ pub struct Sweep<'a> {
     pub(crate) permute: Option<Arc<AnyPlan>>,
 }
 
-impl<'a> Sweep<'a> {
+impl<'a, A: Addressing> Sweep<'a, A> {
     fn new<R: Real>(
         mesh: &'a Mesh2d,
         evolving: &[&mut OpDat<R>],
@@ -159,10 +173,10 @@ impl<'a> Sweep<'a> {
         block: usize,
         shape: Shape,
         permute: Option<Arc<AnyPlan>>,
-    ) -> Sweep<'a> {
+    ) -> Sweep<'a, A> {
         Sweep {
             mesh,
-            views: evolving.iter().map(|d| d.view()).collect(),
+            views: evolving.iter().map(|d| d.view_as()).collect(),
             n_cells,
             block,
             shape,
@@ -204,7 +218,9 @@ pub fn step_chain<R: Real, const L: usize>(
     step_exec::<_, L>(exec, pool, sim, cache, n_threads, block_size, rec)
 }
 
-/// [`step_chain`] as a registry row executes it.
+/// [`step_chain`] as a registry row executes it: the recording
+/// instantiated for the state's layout — the one layout dispatch of a
+/// step.
 fn step_exec<S: Simulation, const L: usize>(
     exec: ChainExec,
     pool: &ExecPool,
@@ -214,26 +230,42 @@ fn step_exec<S: Simulation, const L: usize>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> f64 {
+    let layout = sim.layout();
     let split = sim.split();
     let total_cells = split.mesh.n_cells();
-    recorded_step::<S, L>(
-        split,
-        None,
-        total_cells,
-        pool,
-        cache,
-        exec,
-        n_threads,
-        block_size,
-        rec,
-    )
+    match layout {
+        Layout::Aos => recorded_step::<S, Aos, L>(
+            split,
+            None,
+            total_cells,
+            pool,
+            cache,
+            exec,
+            n_threads,
+            block_size,
+            rec,
+        ),
+        Layout::Soa => recorded_step::<S, Soa, L>(
+            split,
+            None,
+            total_cells,
+            pool,
+            cache,
+            exec,
+            n_threads,
+            block_size,
+            rec,
+        ),
+    }
 }
 
-/// One step of the one recording, executed as `exec` says, over a
-/// global state (`halo: None`) or a rank's piece of one. Returns the
-/// step's value, agreed across ranks.
+/// One step of the one recording instantiated for the layout `A`,
+/// executed as `exec` says, over a global state (`halo: None`) or a
+/// rank's piece of one (always AoS). Returns the step's value, agreed
+/// across ranks. Panics, naming the dat, before any loop runs if a dat
+/// of `split` is not stored in `A`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn recorded_step<S: Simulation, const L: usize>(
+pub(crate) fn recorded_step<S: Simulation, A: Addressing, const L: usize>(
     split: Split<'_, S>,
     halo: Option<&RankHalo<'_>>,
     total_cells: usize,
@@ -255,7 +287,7 @@ pub(crate) fn recorded_step<S: Simulation, const L: usize>(
         inputs,
         evolving,
     } = split;
-    let sweep = Sweep::new(
+    let sweep = Sweep::<A>::new(
         mesh,
         &evolving,
         halo.map_or(mesh.n_cells(), |h| h.n_owned),
@@ -275,7 +307,7 @@ pub(crate) fn recorded_step<S: Simulation, const L: usize>(
             .map(|d| SharedDat::new(&mut d.data))
             .collect();
         let shared = SharedDat::new(&mut slots);
-        let chain = S::record_steps::<L>(&inputs, &sweep, &evolving, &shared, 1, halo);
+        let chain = S::record_steps::<A, L>(&inputs, &sweep, &evolving, &shared, 1, halo);
         let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
         exec.execute(
             &chain,
@@ -375,7 +407,7 @@ fn tiled_steps<S: Simulation, const L: usize>(
         evolving,
     } = split;
     let shape = tile_shape::<L>();
-    let sweep = Sweep::new(mesh, &evolving, mesh.n_cells(), block_size, shape, None);
+    let sweep = Sweep::<Aos>::new(mesh, &evolving, mesh.n_cells(), block_size, shape, None);
     let mut slots = S::slots(&sweep, steps);
     let report;
     {
@@ -391,7 +423,7 @@ fn tiled_steps<S: Simulation, const L: usize>(
             tiled.register_dat(&d.name, set, d.dim, &mut d.data);
         }
         report = tiled.execute(
-            |dats| S::record_steps::<L>(&inputs, &sweep, dats, &shared, steps, None),
+            |dats| S::record_steps::<Aos, L>(&inputs, &sweep, dats, &shared, steps, None),
             pool,
             tiles,
             steps,

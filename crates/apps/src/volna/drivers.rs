@@ -18,7 +18,7 @@ use ump_core::{
 use ump_lazy::{Chain, LoopDesc, Shape, TileCache};
 use ump_mesh::generators::CoastalCase;
 use ump_mesh::Mesh2d;
-use ump_simd::{DatView, IdxVec, Real, VecR};
+use ump_simd::{Addressing, DatView, IdxVec, Real, VecR};
 
 use super::kernels::{bc_flux, compute_flux, numerical_flux, rk_1, rk_2, sim_1, space_disc};
 use super::kernels_vec::{
@@ -142,19 +142,19 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// One lane-aligned chunk of vectorized `compute_flux`. Raw-slice +
-/// [`DatView`] signature: the chunk bodies have one form, and the view's
-/// row accessors branch on the layout.
+/// [`DatView<A>`] signature: the chunk bodies have one form,
+/// instantiated per layout `A`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn compute_flux_chunk<R: Real, const L: usize>(
+pub(crate) fn compute_flux_chunk<R: Real, A: Addressing, const L: usize>(
     es: usize,
     e2c: &[i32],
     egeom: &[R],
-    egv: DatView,
+    egv: DatView<A>,
     state: &[R],
-    sv: DatView,
+    sv: DatView<A>,
     eflux: &mut [R],
-    efv: DatView,
+    efv: DatView<A>,
     g: R,
     h_min: R,
 ) {
@@ -171,11 +171,11 @@ pub(crate) fn compute_flux_chunk<R: Real, const L: usize>(
 /// chunk's CFL Δt candidates into `dt_acc` (exact — `min` does not
 /// reassociate).
 #[inline(always)]
-pub(crate) fn numerical_flux_chunk<R: Real, const L: usize>(
+pub(crate) fn numerical_flux_chunk<R: Real, A: Addressing, const L: usize>(
     es: usize,
     e2c: &[i32],
     eflux: &[R],
-    efv: DatView,
+    efv: DatView<A>,
     area: &[R],
     dt_acc: &mut VecR<R, L>,
     cfl: R,
@@ -196,17 +196,17 @@ pub(crate) fn numerical_flux_chunk<R: Real, const L: usize>(
 /// it §4's true vector scatter).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn space_disc_chunk<R: Real, const L: usize>(
+pub(crate) fn space_disc_chunk<R: Real, A: Addressing, const L: usize>(
     lanes: Lanes<'_>,
     e2c: &[i32],
     egeom: &[R],
-    egv: DatView,
+    egv: DatView<A>,
     eflux: &[R],
-    efv: DatView,
+    efv: DatView<A>,
     state: &[R],
-    sv: DatView,
+    sv: DatView<A>,
     res: &mut [R],
-    resv: DatView,
+    resv: DatView<A>,
     g: R,
 ) {
     let c0 = lanes.mapped::<L>(e2c, 2, 0);
@@ -223,14 +223,14 @@ pub(crate) fn space_disc_chunk<R: Real, const L: usize>(
 /// One lane-aligned chunk of vectorized `RK_1`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rk1_chunk<R: Real, const L: usize>(
+pub(crate) fn rk1_chunk<R: Real, A: Addressing, const L: usize>(
     cs: usize,
     w_old: &[R],
-    woldv: DatView,
+    woldv: DatView<A>,
     res: &mut [R],
-    resv: DatView,
+    resv: DatView<A>,
     w1: &mut [R],
-    w1v: DatView,
+    w1v: DatView<A>,
     area: &[R],
     dt: R,
 ) {
@@ -246,16 +246,16 @@ pub(crate) fn rk1_chunk<R: Real, const L: usize>(
 /// One lane-aligned chunk of vectorized `RK_2`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rk2_chunk<R: Real, const L: usize>(
+pub(crate) fn rk2_chunk<R: Real, A: Addressing, const L: usize>(
     cs: usize,
     w_old: &[R],
-    woldv: DatView,
+    woldv: DatView<A>,
     w1: &[R],
-    w1v: DatView,
+    w1v: DatView<A>,
     res: &mut [R],
-    resv: DatView,
+    resv: DatView<A>,
     w: &mut [R],
-    wv: DatView,
+    wv: DatView<A>,
     area: &[R],
     dt: R,
 ) {
@@ -282,7 +282,7 @@ pub struct StepInputs<'a, R: Real> {
 }
 
 /// Δt slots per step: the edge loops' block count.
-fn edge_blocks(sweep: &Sweep<'_>) -> usize {
+fn edge_blocks<A: Addressing>(sweep: &Sweep<'_, A>) -> usize {
     sweep.mesh.n_edges().div_ceil(sweep.block)
 }
 
@@ -355,14 +355,14 @@ impl<R: Real> Simulation for Volna<R> {
     }
 
     /// Step `s`'s Δt in slot `s`, then one slot per (step, edge block).
-    fn slots(sweep: &Sweep<'_>, steps: usize) -> Vec<R> {
+    fn slots<A: Addressing>(sweep: &Sweep<'_, A>, steps: usize) -> Vec<R> {
         vec![R::INFINITY; steps * (1 + edge_blocks(sweep))]
     }
 
     /// Each step's Δt, as its epilogue folded it (across ranks already
     /// the min-allreduce).
-    fn fold(
-        _sweep: &Sweep<'_>,
+    fn fold<A: Addressing>(
+        _sweep: &Sweep<'_, A>,
         slots: &[R],
         steps: usize,
         _halo: Option<&RankHalo<'_>>,
@@ -402,9 +402,9 @@ impl<R: Real> Simulation for Volna<R> {
     /// equals every executor's bit-for-bit. The halo markings are applied
     /// only for a rank: `mark_boundary` forces the interior → finish →
     /// boundary split, which a single process must not pay.
-    fn record_steps<'s, 'a: 's, const L: usize>(
+    fn record_steps<'s, 'a: 's, A: Addressing, const L: usize>(
         inputs: &'s StepInputs<'a, R>,
-        sweep: &'s Sweep<'a>,
+        sweep: &'s Sweep<'a, A>,
         evolving: &'s [SharedDat<'s, R>],
         dt: &'s SharedDat<'s, R>,
         steps: usize,
@@ -424,7 +424,7 @@ impl<R: Real> Simulation for Volna<R> {
         else {
             panic!("volna records over [w, w_old, w1, res, eflux]")
         };
-        let (egv, bgv) = (egeom.view(), bgeom.view());
+        let (egv, bgv) = (egeom.view_as::<A>(), bgeom.view_as::<A>());
         let g = R::from_f64(GRAVITY);
         let h_min = R::from_f64(H_MIN);
         let cfl = R::from_f64(CFL);
@@ -482,7 +482,7 @@ impl<R: Real> Simulation for Volna<R> {
                         }
                     },
                     move |es| unsafe {
-                        compute_flux_chunk::<R, L>(
+                        compute_flux_chunk::<R, A, L>(
                             es,
                             &mesh.edge2cell.data,
                             &egeom.data,
@@ -527,7 +527,7 @@ impl<R: Real> Simulation for Volna<R> {
                                 L,
                                 |e| unsafe { flux_edge!(e, &mut local) },
                                 |es| unsafe {
-                                    numerical_flux_chunk::<R, L>(
+                                    numerical_flux_chunk::<R, A, L>(
                                         es,
                                         &mesh.edge2cell.data,
                                         efs.as_slice(),
@@ -591,7 +591,7 @@ impl<R: Real> Simulation for Volna<R> {
                 };
                 let space_disc_desc = phase_desc("space_disc", ne, phase);
                 let chunk = move |lanes: Lanes<'_>| unsafe {
-                    space_disc_chunk::<R, L>(
+                    space_disc_chunk::<R, A, L>(
                         lanes,
                         &mesh.edge2cell.data,
                         &egeom.data,
@@ -662,7 +662,7 @@ impl<R: Real> Simulation for Volna<R> {
                             resv.store_row(r, c, &res_row);
                         },
                         move |cs| unsafe {
-                            rk1_chunk::<R, L>(
+                            rk1_chunk::<R, A, L>(
                                 cs,
                                 wolds.as_slice(),
                                 woldv,
@@ -699,7 +699,7 @@ impl<R: Real> Simulation for Volna<R> {
                             resv.store_row(r, c, &res_row);
                         },
                         move |cs| unsafe {
-                            rk2_chunk::<R, L>(
+                            rk2_chunk::<R, A, L>(
                                 cs,
                                 wolds.as_slice(),
                                 woldv,

@@ -4,7 +4,7 @@
 
 use std::io::{self, Read, Write};
 
-use ump_simd::{DatView, Layout, Real};
+use ump_simd::{Addressing, DatView, Layout, Real};
 
 /// Magic prefix of the [`OpDat::save`] binary format.
 pub const DAT_SNAPSHOT_MAGIC: [u8; 4] = *b"UMPD";
@@ -132,6 +132,22 @@ impl<R: Real> OpDat<R> {
     #[inline]
     pub fn view(&self) -> DatView {
         DatView::new(self.set_size, self.dim, self.layout)
+    }
+
+    /// [`view`](OpDat::view) typed for the layout `A`: the view a
+    /// recording instantiated for `A` indexes this dat through. Panics,
+    /// naming the dat, if it is stored in another layout — that
+    /// recording would index it wrongly.
+    pub fn view_as<A: Addressing>(&self) -> DatView<A> {
+        self.view().typed().unwrap_or_else(|| {
+            panic!(
+                "dat {} is stored {}, but the recording was instantiated for {}: \
+                 set_layout converts a state's dats together",
+                self.name,
+                self.layout.name(),
+                A::LAYOUT.name()
+            )
+        })
     }
 
     /// Component `c` of element `e`, valid under every layout.

@@ -53,4 +53,4 @@ pub use instrument::{FusionStats, LoopStats, Recorder};
 pub use plan::{PlanCache, Scheme};
 pub use pool::{simd_block_sweep, simt_block_sweep, ExecPool, PoolPanic};
 pub use profile::LoopProfile;
-pub use ump_simd::{DatView, Layout};
+pub use ump_simd::{Addressing, Aos, DatView, Layout, Soa};

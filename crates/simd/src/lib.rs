@@ -52,7 +52,7 @@ pub mod vecr;
 
 pub use arch::{have_avx2, isa_name};
 pub use idx::IdxVec;
-pub use layout::{DatView, Layout};
+pub use layout::{Addressing, Aos, DatView, Layout, Soa};
 pub use mask::Mask;
 pub use real::Real;
 pub use sweep::{split_sweep, Sweep};

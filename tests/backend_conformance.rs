@@ -7,6 +7,8 @@
 //! `ump_core::backend` and wired into the one `step_on` dispatcher is
 //! automatically swept here, on CI, against both applications.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use ump_apps::{airfoil, step_on, volna, Simulation};
 use ump_core::{Backend, ExecPool, Layout, OpDat, PlanCache};
 
@@ -354,5 +356,55 @@ fn fused_simd_issues_no_more_rounds_than_fused_threaded() {
             rounds_of_volna(fused_simd) <= rounds_of_volna(Backend::Fused),
             "volna fused_simd{lanes} issued more rounds than fused"
         );
+    }
+}
+
+/// The panic message of `step(sim)`, which must panic before any loop
+/// runs: every evolving dat is left as it was.
+fn panic_before_any_loop<S: Simulation>(sim: &mut S, step: impl FnOnce(&mut S) -> f64) -> String {
+    let before: Vec<OpDat<S::R>> = sim.evolving().into_iter().cloned().collect();
+    let err = catch_unwind(AssertUnwindSafe(|| step(&mut *sim)))
+        .expect_err("a step over dats in mixed layouts must panic");
+    let after: Vec<OpDat<S::R>> = sim.evolving().into_iter().cloned().collect();
+    assert!(before == after, "a loop ran before the panic");
+    err.downcast::<String>()
+        .map_or_else(|_| String::new(), |m| *m)
+}
+
+/// Every row that executes the recording in the caller's process runs it
+/// instantiated for the state's layout, whose accessors do not look at
+/// each dat's own. A state whose dats disagree (one converted alone)
+/// would therefore be indexed wrongly: the step must panic instead,
+/// naming a dat stored otherwise, before any loop runs.
+#[test]
+fn a_step_over_dats_in_mixed_layouts_panics_naming_the_dat() {
+    let (pool, cache) = (ExecPool::new(1), PlanCache::new());
+    let recording_rows = Backend::all().into_iter().filter(|b| {
+        !b.is_distributed()
+            && !matches!(b, Backend::Seq | Backend::Tiled | Backend::TiledSimd { .. })
+    });
+    for backend in recording_rows {
+        // the primary dat alone in SoA: the step dispatches SoA, and the
+        // next evolving dat is still AoS
+        let mut sim = volna::Volna::<f64>::new(12, 8);
+        sim.w.set_layout(Layout::Soa);
+        let msg = panic_before_any_loop(&mut sim, |sim| {
+            volna::drivers::step_on(backend, sim, &pool, &cache, 0, BLOCK, None)
+        });
+        assert!(
+            msg.contains("dat w_old is stored aos"),
+            "{backend} volna w: {msg}"
+        );
+        // another evolving dat, and an input the recording reads, alone
+        // in SoA: the step dispatches AoS
+        for (dat, which) in [("res", 0), ("x", 1)] {
+            let mut sim = airfoil::Airfoil::<f64>::new(12, 8);
+            [&mut sim.res, &mut sim.x][which].set_layout(Layout::Soa);
+            let msg = panic_before_any_loop(&mut sim, |sim| {
+                airfoil::drivers::step_on(backend, sim, &pool, &cache, 0, BLOCK, None)
+            });
+            let want = format!("dat {dat} is stored soa");
+            assert!(msg.contains(&want), "{backend} airfoil {dat}: {msg}");
+        }
     }
 }

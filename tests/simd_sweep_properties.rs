@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use ump_core::{simd_block_sweep, Access, ArgInfo, ExecPool, LoopProfile, PlanCache, SharedDat};
 use ump_lazy::{Chain, LoopDesc, Shape};
 use ump_mesh::generators::perturbed_quads;
-use ump_simd::{split_sweep, DatView, IdxVec, Layout, VecR};
+use ump_simd::{split_sweep, Aos, DatView, IdxVec, VecR};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -133,7 +133,7 @@ proptest! {
             let mut a = vec![0.0f64; ne];
             let mut acc = vec![0.0f64; nc];
             let mut acc4 = vec![0.0f64; nc * 4];
-            let view4 = DatView::new(nc, 4, Layout::Aos);
+            let view4 = DatView::new(nc, 4, Aos);
             {
                 let av = SharedDat::new(&mut a);
                 let accv = SharedDat::new(&mut acc);

@@ -1,7 +1,7 @@
 //! Integration: Volna backend equivalence and conservation properties.
 
 use ump_apps::volna::{drivers, Volna};
-use ump_core::{Backend, ExecPool, PlanCache};
+use ump_core::{Backend, ExecPool, Layout, PlanCache, Recorder};
 use ump_lazy::{Fusion, Shape};
 
 const NX: usize = 20;
@@ -189,4 +189,47 @@ fn mpi_backend_matches_sequential() {
             );
         }
     }
+}
+
+/// The direct cell loops of the recording on SoA storage, scalar bodies,
+/// against the hand-written AoS slice loops of `step_seq` on one thread:
+/// `sim_1 + RK_1 + RK_2` of `threaded` on SoA must take at most as long
+/// as `seq`'s (Volna f32 274×273, the `volna_threaded_soa` mesh). Those
+/// loops are nothing but scalar row accesses, so they show what a row
+/// access costs: measured at 0.81–1.03 of `seq` with the layout a type
+/// of the recording, 1.39–1.54 while every access tested it and checked
+/// each component's bounds (2 CPUs, AVX-512). Median of the per-step
+/// `Recorder` times over 16 interleaved steps after a warm-up one.
+/// Timing test: run in release, `-- --ignored`.
+#[test]
+#[ignore = "timing: the simd CI job runs it in release"]
+fn threaded_soa_direct_loops_keep_up_with_seq() {
+    let base = Volna::<f32>::seeded(274, 273, 1);
+    let (pool, cache) = (ExecPool::new(1), PlanCache::new());
+    let mut soa = base.clone();
+    soa.set_layout(Layout::Soa);
+    let rows = [Backend::Seq, Backend::Threaded];
+    let mut sims = [base, soa];
+    let mut times = [Vec::new(), Vec::new()];
+    for i in 0..17 {
+        for (k, &row) in rows.iter().enumerate() {
+            let rec = Recorder::new();
+            drivers::step_on(row, &mut sims[k], &pool, &cache, 1, 1024, Some(&rec));
+            if i > 0 {
+                let secs = |name| rec.get(name).expect("direct loops are timed").seconds;
+                times[k].push(secs("sim_1") + secs("RK_1") + secs("RK_2"));
+            }
+        }
+    }
+    let [seq, threaded] = times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    });
+    assert!(
+        threaded <= seq,
+        "threaded SoA sim_1+RK_1+RK_2 {:.3} ms vs seq {:.3} ms per step: ratio {:.2} > 1.0",
+        threaded * 1e3,
+        seq * 1e3,
+        threaded / seq
+    );
 }
