@@ -31,7 +31,7 @@ use super::kernels::{adt_calc, bres_calc, res_calc, save_soln, update};
 use super::kernels_vec::{adt_calc_vec, res_calc_vec, update_vec};
 use super::{profile, Airfoil, Consts};
 use crate::dist::RankHalo;
-use crate::{maybe_time, Lanes, Simulation, Split, Sweep};
+use crate::{maybe_time, Simulation, Split, Sweep};
 
 pub use crate::{run_tiled_on, run_tiled_report_on, step_chain, step_on};
 
@@ -158,15 +158,15 @@ pub(crate) fn adt_chunk<R: Real, const L: usize>(
     a.store(adt, cs);
 }
 
-/// `L` edges of vectorized `res_calc` — a lane-aligned chunk or a
-/// color-permuted group — with *serialized* row scatter (lane by lane,
-/// `c0`'s row then `c1`'s: the order of the recording's scalar `apply`;
-/// a permuted group shares no target cell, which makes it §4's true
-/// vector scatter).
-#[inline(always)]
+/// One lane-aligned chunk `es..es + L` of vectorized `res_calc`, with
+/// *serialized* row scatter (lane by lane, `c0`'s row then `c1`'s: the
+/// order of the recording's scalar `apply`). Kept out of line: inlined
+/// into the chain's sweep closure, its SoA form ran 5–10 % slower
+/// (`fused_simd4` `res_calc`, 600×300, one thread).
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn res_chunk<R: Real, const L: usize>(
-    lanes: Lanes<'_>,
+    es: usize,
     e2n: &[i32],
     e2c: &[i32],
     x: &[R],
@@ -178,10 +178,10 @@ pub(crate) fn res_chunk<R: Real, const L: usize>(
     resv: DatView,
     consts: &super::Consts<R>,
 ) {
-    let n0 = lanes.mapped::<L>(e2n, 2, 0);
-    let n1 = lanes.mapped::<L>(e2n, 2, 1);
-    let c0 = lanes.mapped::<L>(e2c, 2, 0);
-    let c1 = lanes.mapped::<L>(e2c, 2, 1);
+    let n0 = IdxVec::load_strided(e2n, es * 2, 2);
+    let n1 = IdxVec::load_strided(e2n, es * 2 + 1, 2);
+    let c0 = IdxVec::load_strided(e2c, es * 2, 2);
+    let c1 = IdxVec::load_strided(e2c, es * 2 + 1, 2);
     let x1: [VecR<R, L>; 2] = xv.gather_rows(x, n0);
     let x2: [VecR<R, L>; 2] = xv.gather_rows(x, n1);
     let q1: [VecR<R, L>; 4] = qv.gather_rows(q, c0);
@@ -360,7 +360,6 @@ impl<R: Real> Simulation for Airfoil<R> {
             mesh,
             n_cells: nc,
             shape,
-            ref permute,
             ..
         } = *sweep;
         let cell_blocks = cell_blocks(sweep);
@@ -469,46 +468,30 @@ impl<R: Real> Simulation for Airfoil<R> {
                     resv.add_row(r, *c0, r1);
                     resv.add_row(r, *c1, r2);
                 };
-                // gather, vector flux kernel, lane scatter (block-exclusive
-                // under the plan's coloring)
-                let chunk = move |lanes: Lanes<'_>| unsafe {
-                    res_chunk::<R, L>(
-                        lanes,
-                        &mesh.edge2node.data,
-                        &mesh.edge2cell.data,
-                        &x.data,
-                        xd,
-                        qs.as_slice(),
-                        qd,
-                        adts.as_slice(),
-                        ress.slice_mut(0, ress.len()),
-                        resd,
-                        consts,
-                    );
-                };
-                match permute {
-                    None => {
-                        chain.record_simd_two_phase(
-                            desc("res_calc", ne),
-                            vec![&mesh.edge2cell],
-                            L,
-                            compute,
-                            apply,
-                            move |es| chunk(Lanes::Aligned(es)),
+                chain.record_simd_two_phase(
+                    desc("res_calc", ne),
+                    vec![&mesh.edge2cell],
+                    L,
+                    compute,
+                    apply,
+                    // gather, vector flux kernel, lane scatter
+                    // (block-exclusive under the plan's coloring)
+                    move |es| unsafe {
+                        res_chunk::<R, L>(
+                            es,
+                            &mesh.edge2node.data,
+                            &mesh.edge2cell.data,
+                            &x.data,
+                            xd,
+                            qs.as_slice(),
+                            qd,
+                            adts.as_slice(),
+                            ress.slice_mut(0, ress.len()),
+                            resd,
+                            consts,
                         );
-                    }
-                    // Fig. 8a's schemes: the calling thread walks the permute
-                    // plan's conflict-free color groups
-                    Some(plan) => {
-                        chain.record_seq(desc("res_calc", ne), move || {
-                            plan.for_each_color_group(
-                                L,
-                                |ids| chunk(Lanes::Permuted(ids)),
-                                |e| apply(e, &compute(e)),
-                            );
-                        });
-                    }
-                }
+                    },
+                );
                 if let Some(h) = halo {
                     chain.mark_boundary(h.edge_halo);
                 }

@@ -44,7 +44,7 @@ pub fn adt_calc_vec<R: Real, const L: usize>(
 
 /// Vector `res_calc`: fluxes for `L` edges at once; increments are
 /// returned in `res1`/`res2` accumulators for the driver to scatter
-/// (serialized or vector-scattered depending on the coloring scheme).
+/// (lane by lane, under the two-level plan's coloring).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn res_calc_vec<R: Real, const L: usize>(

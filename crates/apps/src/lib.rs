@@ -44,14 +44,8 @@ pub use simulation::{
     run_tiled_on, run_tiled_report_on, step_chain, step_on, Simulation, Split, Sweep,
 };
 
-use std::sync::Arc;
-
-use ump_color::PlanInputs;
-use ump_core::plan::AnyPlan;
-use ump_core::{Backend, ExecPool, PlanCache, Recorder, Scheme, DISPATCH_SIMT_WIDTH};
+use ump_core::{Backend, ExecPool, PlanCache, Recorder, DISPATCH_SIMT_WIDTH};
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
-use ump_mesh::MapTable;
-use ump_simd::{Addressing, DatView, IdxVec, Real, VecR};
 
 /// Default anchor-blocks-per-tile of the registry dispatcher's tiled
 /// arms: `tile_cells = DISPATCH_TILE_BLOCKS × block_size`.
@@ -74,53 +68,6 @@ pub(crate) fn maybe_time<T>(
     rec.time(&profile, word_bytes, n_elems, f)
 }
 
-/// The `L` elements one vector chunk body covers.
-#[derive(Clone, Copy)]
-pub(crate) enum Lanes<'a> {
-    /// The lane-aligned run `es..es + L`.
-    Aligned(usize),
-    /// `L` elements of one color group of a permute plan: no two of them
-    /// write a common target (paper §4), so a serialized lane scatter
-    /// over them is a true vector scatter.
-    Permuted(&'a [u32]),
-}
-
-impl Lanes<'_> {
-    /// Slot `j` of the elements' rows in the arity-`dim` map table `map`.
-    #[inline(always)]
-    pub(crate) fn mapped<const L: usize>(self, map: &[i32], dim: usize, j: usize) -> IdxVec<L> {
-        match self {
-            Lanes::Aligned(es) => IdxVec::load_strided(map, es * dim + j, dim),
-            Lanes::Permuted(ids) => {
-                let mut idx = [0i32; L];
-                for l in 0..L {
-                    idx[l] = map[ids[l] as usize * dim + j];
-                }
-                IdxVec::from_array(idx)
-            }
-        }
-    }
-
-    /// Components `0..K` of the elements' own rows of `data`.
-    #[inline(always)]
-    pub(crate) fn rows<R: Real, A: Addressing, const L: usize, const K: usize>(
-        self,
-        view: DatView<A>,
-        data: &[R],
-    ) -> [VecR<R, L>; K] {
-        match self {
-            Lanes::Aligned(es) => view.load_rows(data, es),
-            Lanes::Permuted(ids) => {
-                let mut own = [0i32; L];
-                for l in 0..L {
-                    own[l] = ids[l] as i32;
-                }
-                view.gather_rows(data, IdxVec::from_array(own))
-            }
-        }
-    }
-}
-
 /// How an application's recorded chain is executed — what a registry
 /// row *is*, for every row that executes the recording.
 #[derive(Clone, Copy)]
@@ -129,10 +76,6 @@ pub(crate) struct ChainExec {
     pub shape: Shape,
     /// One dispatch per fusable group, or per loop.
     pub fusion: Fusion,
-    /// How the indirect-increment loop lands: the recording's colored
-    /// loop ([`Scheme::TwoLevel`]), or a calling-thread walk of a permute
-    /// plan's color groups with true vector scatters.
-    pub scheme: Scheme,
     /// The paper's pure-MPI shape: no coloring, no team. The chain runs
     /// on a workerless one-member pool with one block spanning each set,
     /// so every loop sweeps its set in sequential order.
@@ -151,7 +94,6 @@ pub(crate) fn chain_exec(backend: Backend) -> Option<ChainExec> {
         },
         Backend::Simd { .. }
         | Backend::SimdThreaded { .. }
-        | Backend::SimdScheme { .. }
         | Backend::FusedSimd { .. }
         | Backend::MpiFusedSimd { .. } => Shape::Simd {
             lanes: backend.lanes(),
@@ -165,8 +107,7 @@ pub(crate) fn chain_exec(backend: Backend) -> Option<ChainExec> {
     Some(ChainExec {
         shape,
         fusion,
-        scheme: backend.scheme(),
-        calling_thread: matches!(backend, Backend::Simd { .. } | Backend::SimdScheme { .. }),
+        calling_thread: matches!(backend, Backend::Simd { .. }),
     })
 }
 
@@ -177,7 +118,6 @@ impl ChainExec {
         ChainExec {
             shape,
             fusion,
-            scheme: Scheme::TwoLevel,
             calling_thread: false,
         }
     }
@@ -190,21 +130,6 @@ impl ChainExec {
         } else {
             block_size
         }
-    }
-
-    /// The permute plan whose conflict-free color groups the
-    /// indirect-increment loop through `edge2cell` walks on the calling
-    /// thread (Fig. 8a's rows); `None` for the recording's colored loop.
-    pub(crate) fn permute_plan(
-        &self,
-        cache: &PlanCache,
-        edge2cell: &MapTable,
-        block_size: usize,
-    ) -> Option<Arc<AnyPlan>> {
-        (self.scheme != Scheme::TwoLevel).then(|| {
-            let inputs = PlanInputs::new(edge2cell.from_size, vec![edge2cell], block_size);
-            cache.get(self.scheme, &[&edge2cell.name], &inputs)
-        })
     }
 
     /// Execute `chain` as this row does, on the caller's pool or — for

@@ -16,9 +16,6 @@
 //! run is the same state built on its mesh piece
 //! ([`Simulation::on_rank`]), so an app declares its dats once.
 
-use std::sync::Arc;
-
-use ump_core::plan::AnyPlan;
 use ump_core::{
     Addressing, Aos, Backend, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder, SharedDat,
     Soa,
@@ -160,9 +157,6 @@ pub struct Sweep<'a, A: Addressing> {
     pub(crate) block: usize,
     /// The shape the recording executes in.
     pub(crate) shape: Shape,
-    /// Fig. 8a's rows: the permute plan the indirect-increment loop
-    /// walks instead of its colored loop.
-    pub(crate) permute: Option<Arc<AnyPlan>>,
 }
 
 impl<'a, A: Addressing> Sweep<'a, A> {
@@ -172,7 +166,6 @@ impl<'a, A: Addressing> Sweep<'a, A> {
         n_cells: usize,
         block: usize,
         shape: Shape,
-        permute: Option<Arc<AnyPlan>>,
     ) -> Sweep<'a, A> {
         Sweep {
             mesh,
@@ -180,7 +173,6 @@ impl<'a, A: Addressing> Sweep<'a, A> {
             n_cells,
             block,
             shape,
-            permute,
         }
     }
 }
@@ -293,9 +285,6 @@ pub(crate) fn recorded_step<S: Simulation, A: Addressing, const L: usize>(
         halo.map_or(mesh.n_cells(), |h| h.n_owned),
         exec.chain_block(block_size),
         exec.shape,
-        // the chain's own blocks may span whole sets; the permute plans
-        // keep the caller's block size
-        exec.permute_plan(cache, &mesh.edge2cell, block_size),
     );
     // one slot per (reduction, block), merged in block order after the
     // chain runs — a reduction that does not depend on the team size or
@@ -407,7 +396,7 @@ fn tiled_steps<S: Simulation, const L: usize>(
         evolving,
     } = split;
     let shape = tile_shape::<L>();
-    let sweep = Sweep::<Aos>::new(mesh, &evolving, mesh.n_cells(), block_size, shape, None);
+    let sweep = Sweep::<Aos>::new(mesh, &evolving, mesh.n_cells(), block_size, shape);
     let mut slots = S::slots(&sweep, steps);
     let report;
     {

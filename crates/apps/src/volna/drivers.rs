@@ -26,7 +26,7 @@ use super::kernels_vec::{
 };
 use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
 use crate::dist::RankHalo;
-use crate::{maybe_time, Lanes, Simulation, Split, Sweep};
+use crate::{maybe_time, Simulation, Split, Sweep};
 
 pub use crate::{run_tiled_on, run_tiled_report_on, step_chain, step_on};
 
@@ -189,15 +189,13 @@ pub(crate) fn numerical_flux_chunk<R: Real, A: Addressing, const L: usize>(
     numerical_flux_vec(lam, al, ar, dt_acc, cfl);
 }
 
-/// `L` edges of vectorized `space_disc` — a lane-aligned chunk or a
-/// color-permuted group — with *serialized* row scatter (lane by lane,
-/// the left cell's row then the right's: the order of the recording's
-/// scalar `apply`; a permuted group shares no target cell, which makes
-/// it §4's true vector scatter).
+/// One lane-aligned chunk `es..es + L` of vectorized `space_disc`, with
+/// *serialized* row scatter (lane by lane, the left cell's row then the
+/// right's: the order of the recording's scalar `apply`).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn space_disc_chunk<R: Real, A: Addressing, const L: usize>(
-    lanes: Lanes<'_>,
+    es: usize,
     e2c: &[i32],
     egeom: &[R],
     egv: DatView<A>,
@@ -209,10 +207,10 @@ pub(crate) fn space_disc_chunk<R: Real, A: Addressing, const L: usize>(
     resv: DatView<A>,
     g: R,
 ) {
-    let c0 = lanes.mapped::<L>(e2c, 2, 0);
-    let c1 = lanes.mapped::<L>(e2c, 2, 1);
-    let geom: [VecR<R, L>; 4] = lanes.rows(egv, egeom);
-    let ef: [VecR<R, L>; 4] = lanes.rows(efv, eflux);
+    let c0 = IdxVec::load_strided(e2c, es * 2, 2);
+    let c1 = IdxVec::load_strided(e2c, es * 2 + 1, 2);
+    let geom: [VecR<R, L>; 4] = egv.load_rows(egeom, es);
+    let ef: [VecR<R, L>; 4] = efv.load_rows(eflux, es);
     let wl: [VecR<R, L>; 4] = sv.gather_rows(state, c0);
     let wr: [VecR<R, L>; 4] = sv.gather_rows(state, c1);
     // slot 3 (bathymetry) carries no increment: three of four components land
@@ -415,7 +413,6 @@ impl<R: Real> Simulation for Volna<R> {
             mesh,
             n_cells: nc,
             shape,
-            ref permute,
             ..
         } = *sweep;
         let edge_blocks = edge_blocks(sweep);
@@ -589,45 +586,28 @@ impl<R: Real> Simulation for Volna<R> {
                     resv.add_row(r, *c0, rl);
                     resv.add_row(r, *c1, rr);
                 };
-                let space_disc_desc = phase_desc("space_disc", ne, phase);
-                let chunk = move |lanes: Lanes<'_>| unsafe {
-                    space_disc_chunk::<R, A, L>(
-                        lanes,
-                        &mesh.edge2cell.data,
-                        &egeom.data,
-                        egv,
-                        efs.as_slice(),
-                        efv,
-                        state.as_slice(),
-                        sv,
-                        ress.slice_mut(0, ress.len()),
-                        resv,
-                        g,
-                    );
-                };
-                match permute {
-                    None => {
-                        chain.record_simd_two_phase(
-                            space_disc_desc,
-                            vec![&mesh.edge2cell],
-                            L,
-                            compute,
-                            apply,
-                            move |es| chunk(Lanes::Aligned(es)),
+                chain.record_simd_two_phase(
+                    phase_desc("space_disc", ne, phase),
+                    vec![&mesh.edge2cell],
+                    L,
+                    compute,
+                    apply,
+                    move |es| unsafe {
+                        space_disc_chunk::<R, A, L>(
+                            es,
+                            &mesh.edge2cell.data,
+                            &egeom.data,
+                            egv,
+                            efs.as_slice(),
+                            efv,
+                            state.as_slice(),
+                            sv,
+                            ress.slice_mut(0, ress.len()),
+                            resv,
+                            g,
                         );
-                    }
-                    // Fig. 8a's schemes: the calling thread walks the permute
-                    // plan's conflict-free color groups
-                    Some(plan) => {
-                        chain.record_seq(space_disc_desc, move || {
-                            plan.for_each_color_group(
-                                L,
-                                |ids| chunk(Lanes::Permuted(ids)),
-                                |e| apply(e, &compute(e)),
-                            );
-                        });
-                    }
-                }
+                    },
+                );
                 if let Some(h) = halo {
                     chain.mark_boundary(h.edge_halo);
                 }

@@ -65,7 +65,8 @@ pub fn numerical_flux_vec<R: Real, const L: usize>(
 }
 
 /// Vector `space_disc`: returns the increments for both cells
-/// (the driver scatters them under the active coloring scheme).
+/// (the driver scatters them lane by lane, under the two-level plan's
+/// coloring).
 #[inline(always)]
 pub fn space_disc_vec<R: Real, const L: usize>(
     geom: &[VecR<R, L>; 4],

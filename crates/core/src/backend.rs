@@ -2,13 +2,16 @@
 //! one enumerable surface.
 //!
 //! The paper evaluates vectorization and execution-shape choices as
-//! separate axes (threads, SIMT emulation, explicit SIMD, coloring
-//! schemes); this reproduction adds cross-loop fusion on top.
+//! separate axes (threads, SIMT emulation, explicit SIMD); this
+//! reproduction adds cross-loop fusion on top. Its fourth axis, the
+//! coloring scheme of Fig. 8a, is not a row: the permute schemes change
+//! only the order in which a loop visits its edges, so `repro fig8a`
+//! reorders the mesh's edges and times the `simd4` row.
 //!
 //! [`Backend`] names each shape as data. [`Backend::all`] enumerates the
 //! registry, [`Backend::parse`]/[`Backend::name`] round-trip CLI
 //! spellings, and the capability accessors ([`needs_pool`], [`lanes`],
-//! [`is_fused`], [`scheme`]) tell harnesses what a backend requires
+//! [`is_fused`]) tell harnesses what a backend requires
 //! without hard-coding its identity. One generic dispatcher,
 //! `ump_apps::step_on(backend, …)`, serves both applications, so a
 //! backend added here is automatically reachable from the conformance
@@ -26,9 +29,6 @@
 //! [`needs_pool`]: Backend::needs_pool
 //! [`lanes`]: Backend::lanes
 //! [`is_fused`]: Backend::is_fused
-//! [`scheme`]: Backend::scheme
-
-use crate::plan::Scheme;
 
 /// SIMT lock-step width of the registry's SIMT rows (`simt`,
 /// `fused_simt`); the paper's OpenCL work-group sub-width.
@@ -64,12 +64,6 @@ pub enum Backend {
     SimdThreaded {
         /// Vector width inside each colored block.
         lanes: usize,
-    },
-    /// SIMD `res_calc`-class loops under an explicit coloring scheme
-    /// (Fig. 8a's comparison), single thread, L = 4.
-    SimdScheme {
-        /// Coloring scheme for the indirect-increment loop.
-        scheme: Scheme,
     },
     /// SIMT (OpenCL-on-CPU) emulation: lock-step work-items, colored
     /// increments (Fig. 3a).
@@ -126,15 +120,6 @@ impl Backend {
             Backend::Simd { lanes: 8 },
             Backend::SimdThreaded { lanes: 4 },
             Backend::SimdThreaded { lanes: 8 },
-            Backend::SimdScheme {
-                scheme: Scheme::TwoLevel,
-            },
-            Backend::SimdScheme {
-                scheme: Scheme::FullPermute,
-            },
-            Backend::SimdScheme {
-                scheme: Scheme::BlockPermute,
-            },
             Backend::Simt,
             Backend::Fused,
             Backend::FusedSimt,
@@ -156,11 +141,6 @@ impl Backend {
             Backend::Threaded => "threaded".into(),
             Backend::Simd { lanes } => format!("simd{lanes}"),
             Backend::SimdThreaded { lanes } => format!("simd_threaded{lanes}"),
-            Backend::SimdScheme { scheme } => match scheme {
-                Scheme::TwoLevel => "simd_scheme_two_level".into(),
-                Scheme::FullPermute => "simd_scheme_full_permute".into(),
-                Scheme::BlockPermute => "simd_scheme_block_permute".into(),
-            },
             Backend::Simt => "simt".into(),
             Backend::Fused => "fused".into(),
             Backend::FusedSimt => "fused_simt".into(),
@@ -190,7 +170,6 @@ impl Backend {
             // shared pool's counters to move
             Backend::Seq
             | Backend::Simd { .. }
-            | Backend::SimdScheme { .. }
             | Backend::MpiFused
             | Backend::MpiFusedSimd { .. } => false,
             Backend::Threaded
@@ -214,7 +193,6 @@ impl Backend {
             | Backend::FusedSimd { lanes }
             | Backend::MpiFusedSimd { lanes }
             | Backend::TiledSimd { lanes } => lanes,
-            Backend::SimdScheme { .. } => 4,
             _ => 1,
         }
     }
@@ -249,14 +227,6 @@ impl Backend {
             1
         }
     }
-
-    /// The coloring scheme the backend's indirect-increment loop uses.
-    pub fn scheme(self) -> Scheme {
-        match self {
-            Backend::SimdScheme { scheme } => scheme,
-            _ => Scheme::TwoLevel,
-        }
-    }
 }
 
 impl std::fmt::Display for Backend {
@@ -273,7 +243,7 @@ mod tests {
     #[test]
     fn registry_covers_every_shape_once() {
         let all = Backend::all();
-        assert!(all.len() >= 20, "registry shrank: {}", all.len());
+        assert_eq!(all.len(), 17, "registry size changed");
         let names: HashSet<String> = all.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), all.len(), "duplicate backend names");
         // the acceptance shapes are all present
@@ -284,7 +254,6 @@ mod tests {
             "simd8",
             "simd_threaded4",
             "simd_threaded8",
-            "simd_scheme_two_level",
             "simt",
             "fused",
             "fused_simt",
@@ -331,12 +300,5 @@ mod tests {
         assert_eq!(Backend::Tiled.lanes(), 1);
         assert_eq!(Backend::TiledSimd { lanes: 4 }.lanes(), 4);
         assert!(Backend::TiledSimd { lanes: 8 }.needs_pool());
-        assert_eq!(
-            Backend::SimdScheme {
-                scheme: Scheme::FullPermute
-            }
-            .scheme(),
-            Scheme::FullPermute
-        );
     }
 }

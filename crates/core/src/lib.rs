@@ -11,7 +11,7 @@
 //!   Table II/III transfer & FLOP characteristics are *derived* rather
 //!   than hard-coded,
 //! * [`plan::PlanCache`] — `op_plan_get`: coloring plans computed once per
-//!   (loop shape, block size, scheme) and reused,
+//!   (loop shape, block size) and reused,
 //! * [`exec`] — the sequential reference loop and [`SharedDat`], the
 //!   raw-pointer view that lets colored concurrency mutate dats
 //!   race-free,
@@ -50,7 +50,7 @@ pub use dat::{OpDat, DAT_SNAPSHOT_MAGIC, DAT_SNAPSHOT_VERSION};
 pub use dist::{assemble_owned, distribute, extract_rows, LocalMesh};
 pub use exec::{seq_loop, two_rows_mut, SharedDat};
 pub use instrument::{FusionStats, LoopStats, Recorder};
-pub use plan::{PlanCache, Scheme};
+pub use plan::PlanCache;
 pub use pool::{simd_block_sweep, simt_block_sweep, ExecPool, PoolPanic};
 pub use profile::LoopProfile;
 pub use ump_simd::{Addressing, Aos, DatView, Layout, Soa};

@@ -1,95 +1,17 @@
 //! Plan caching — OP2's `op_plan_get`.
 //!
 //! Coloring plans are expensive to build and depend only on the loop
-//! *shape* (iteration set, written maps, block size, scheme), not on the
-//! data, so OP2 computes them on first execution and reuses them across
-//! the time loop. Same here.
+//! *shape* (iteration set, written maps, block size), not on the data,
+//! so OP2 computes them on first execution and reuses them across the
+//! time loop. Same here. Every execution of the runtime runs on a
+//! [`TwoLevelPlan`]; the paper's permute schemes (Fig. 8a) are edge
+//! orders, not plans the cache holds.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ump_color::{BlockPermutePlan, FullPermutePlan, PlanInputs, TwoLevelPlan};
-
-/// Which coloring/execution scheme a plan uses (paper §4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Scheme {
-    /// Original two-level coloring (colored blocks + colored increments).
-    TwoLevel,
-    /// Global color permutation (lane independence, no locality).
-    FullPermute,
-    /// Per-block color permutation (lane independence within blocks).
-    BlockPermute,
-}
-
-/// A built plan of any scheme.
-#[derive(Clone, Debug)]
-pub enum AnyPlan {
-    /// Two-level plan.
-    TwoLevel(TwoLevelPlan),
-    /// Full-permute plan.
-    Full(FullPermutePlan),
-    /// Block-permute plan.
-    Block(BlockPermutePlan),
-}
-
-impl AnyPlan {
-    /// The two-level plan, panicking otherwise (driver/scheme mismatch is
-    /// a programming error).
-    pub fn two_level(&self) -> &TwoLevelPlan {
-        match self {
-            AnyPlan::TwoLevel(p) => p,
-            _ => panic!("expected a two-level plan"),
-        }
-    }
-
-    /// The full-permute plan.
-    pub fn full_permute(&self) -> &FullPermutePlan {
-        match self {
-            AnyPlan::Full(p) => p,
-            _ => panic!("expected a full-permute plan"),
-        }
-    }
-
-    /// The block-permute plan.
-    pub fn block_permute(&self) -> &BlockPermutePlan {
-        match self {
-            AnyPlan::Block(p) => p,
-            _ => panic!("expected a block-permute plan"),
-        }
-    }
-
-    /// Walk a permute plan's color groups on the calling thread, in
-    /// execution order: a full-permute plan's global groups in color
-    /// order; a block-permute plan's blocks in block-color order, each
-    /// block's groups in color order. No two elements of a group write
-    /// a common target (paper §4), so whole `lanes`-wide pieces of a
-    /// group go to `piece`, which may land its increments with true
-    /// vector scatters; the sub-lane tail goes element by element to
-    /// `tail`.
-    pub fn for_each_color_group(
-        &self,
-        lanes: usize,
-        mut piece: impl FnMut(&[u32]),
-        mut tail: impl FnMut(usize),
-    ) {
-        assert!(lanes >= 1, "lanes must be >= 1");
-        let mut run_group = |ids: &[u32]| {
-            let (vector, rest) = ids.split_at(ids.len() / lanes * lanes);
-            vector.chunks_exact(lanes).for_each(&mut piece);
-            rest.iter().for_each(|&e| tail(e as usize));
-        };
-        match self {
-            AnyPlan::Full(p) => p.color_groups().for_each(run_group),
-            AnyPlan::Block(p) => {
-                for &b in p.blocks_by_color.iter().flatten() {
-                    p.block_groups(b as usize).for_each(&mut run_group);
-                }
-            }
-            AnyPlan::TwoLevel(_) => panic!("expected a permute plan"),
-        }
-    }
-}
+use ump_color::{PlanInputs, TwoLevelPlan};
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
@@ -99,16 +21,15 @@ struct PlanKey {
     set_size: usize,
     written_maps: Vec<String>,
     block_size: usize,
-    scheme: Scheme,
 }
 
 /// Default [`PlanCache`] capacity: generous for production time loops
-/// (an app reuses a handful of shapes) while bounding the block-size ×
-/// scheme sweeps that used to grow the cache without limit.
+/// (an app reuses a handful of shapes) while bounding the block-size
+/// sweeps that used to grow the cache without limit.
 pub const DEFAULT_PLAN_CAPACITY: usize = 64;
 
 struct CacheEntry {
-    plan: Arc<AnyPlan>,
+    plan: Arc<TwoLevelPlan>,
     /// Tick of the most recent `get` returning this entry (LRU key).
     last_used: u64,
 }
@@ -162,7 +83,7 @@ impl PlanCache {
     /// A view onto the same cache whose keys live under `namespace`.
     ///
     /// The plan key covers the loop *shape* — set size, written-map
-    /// names, block size, scheme — but not the map contents, which is
+    /// names, block size — but not the map contents, which is
     /// sound while one process runs one mesh. A service multiplexing
     /// *different* meshes over one cache could collide two topologies
     /// that happen to share a set size and a map name ("edge2cell"
@@ -194,19 +115,15 @@ impl PlanCache {
     /// Fetch (building if needed) the plan for a loop shape.
     ///
     /// `written_map_names` must parallel `inputs.written_maps` — names are
-    /// the cache key, tables the build input.
-    pub fn get(
-        &self,
-        scheme: Scheme,
-        written_map_names: &[&str],
-        inputs: &PlanInputs<'_>,
-    ) -> Arc<AnyPlan> {
+    /// the cache key, tables the build input. Debug builds check every
+    /// plan they build against `inputs` before it is cached, and panic
+    /// with the validator's message if it fails.
+    pub fn get(&self, written_map_names: &[&str], inputs: &PlanInputs<'_>) -> Arc<TwoLevelPlan> {
         let key = PlanKey {
             namespace: Arc::clone(&self.namespace),
             set_size: inputs.n_elems,
             written_maps: written_map_names.iter().map(|s| s.to_string()).collect(),
             block_size: inputs.block_size,
-            scheme,
         };
         {
             let mut inner = self.inner.lock();
@@ -220,11 +137,7 @@ impl PlanCache {
             }
         }
         // build outside the lock (plans can take a while on big meshes)
-        let plan = Arc::new(match scheme {
-            Scheme::TwoLevel => AnyPlan::TwoLevel(TwoLevelPlan::build(inputs)),
-            Scheme::FullPermute => AnyPlan::Full(FullPermutePlan::build(inputs)),
-            Scheme::BlockPermute => AnyPlan::Block(BlockPermutePlan::build(inputs)),
-        });
+        let plan = Arc::new(admit(TwoLevelPlan::build(inputs), inputs));
         let mut inner = self.inner.lock();
         inner.builds += 1;
         inner.tick += 1;
@@ -272,6 +185,18 @@ impl PlanCache {
     }
 }
 
+/// `plan`, built from `inputs`, as the cache admits it: debug builds
+/// check it against them first ([`TwoLevelPlan::validate`]), so a
+/// coloring bug panics before any loop runs on the plan.
+fn admit(plan: TwoLevelPlan, inputs: &PlanInputs<'_>) -> TwoLevelPlan {
+    if cfg!(debug_assertions) {
+        if let Err(msg) = plan.validate(inputs) {
+            panic!("invalid plan for {} elements: {msg}", inputs.n_elems);
+        }
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,18 +207,15 @@ mod tests {
         let m = quad_channel(8, 8).mesh;
         let cache = PlanCache::new();
         let inputs = PlanInputs::new(m.n_edges(), vec![&m.edge2cell], 64);
-        let a = cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs);
-        let b = cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs);
+        let a = cache.get(&["edge2cell"], &inputs);
+        let b = cache.get(&["edge2cell"], &inputs);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.builds(), 1);
         // different block size -> different plan
         let inputs2 = PlanInputs::new(m.n_edges(), vec![&m.edge2cell], 128);
-        let c = cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs2);
+        let c = cache.get(&["edge2cell"], &inputs2);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.builds(), 2);
-        // different scheme -> different plan
-        cache.get(Scheme::FullPermute, &["edge2cell"], &inputs);
-        assert_eq!(cache.builds(), 3);
     }
 
     #[test]
@@ -302,10 +224,10 @@ mod tests {
         let cache = PlanCache::new();
         let inputs = PlanInputs::new(m.n_edges(), vec![&m.edge2cell], 64);
         assert_eq!((cache.hits(), cache.builds()), (0, 0));
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs);
+        cache.get(&["edge2cell"], &inputs);
         assert_eq!((cache.hits(), cache.builds()), (0, 1));
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs);
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs);
+        cache.get(&["edge2cell"], &inputs);
+        cache.get(&["edge2cell"], &inputs);
         assert_eq!((cache.hits(), cache.builds()), (2, 1));
     }
 
@@ -314,27 +236,27 @@ mod tests {
         let m = quad_channel(8, 8).mesh;
         let cache = PlanCache::with_capacity(2);
         let inputs = |bs: usize| PlanInputs::new(m.n_edges(), vec![&m.edge2cell], bs);
-        let a = cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(16));
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(32));
+        let a = cache.get(&["edge2cell"], &inputs(16));
+        cache.get(&["edge2cell"], &inputs(32));
         assert_eq!(cache.len(), 2);
         // third shape evicts the least-recently-used (block 16)
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(64));
+        cache.get(&["edge2cell"], &inputs(64));
         assert_eq!((cache.len(), cache.builds()), (2, 3));
         // block 32 and 64 are resident: hits
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(32));
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(64));
+        cache.get(&["edge2cell"], &inputs(32));
+        cache.get(&["edge2cell"], &inputs(64));
         assert_eq!(cache.hits(), 2);
         // block 16 was evicted: rebuilt, and the evicted handle stays valid
-        let a2 = cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(16));
+        let a2 = cache.get(&["edge2cell"], &inputs(16));
         assert_eq!(cache.builds(), 4);
         assert!(!Arc::ptr_eq(&a, &a2));
-        assert_eq!(a.two_level().blocks.len(), a2.two_level().blocks.len());
+        assert_eq!(a.blocks.len(), a2.blocks.len());
         // recency, not insertion order, picks the victim: touch 16 then
         // insert a fourth shape — 64 (least recent) must go, 16 stays
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(16));
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(128));
+        cache.get(&["edge2cell"], &inputs(16));
+        cache.get(&["edge2cell"], &inputs(128));
         let builds_before = cache.builds();
-        cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs(16));
+        cache.get(&["edge2cell"], &inputs(16));
         assert_eq!(cache.builds(), builds_before, "16 should still be resident");
     }
 
@@ -346,12 +268,12 @@ mod tests {
         let b = root.scoped("volna:8x8");
         let inputs = PlanInputs::new(m.n_edges(), vec![&m.edge2cell], 64);
         // identical shape in two scopes builds twice: no cross-mesh reuse
-        let pa = a.get(Scheme::TwoLevel, &["edge2cell"], &inputs);
-        let pb = b.get(Scheme::TwoLevel, &["edge2cell"], &inputs);
+        let pa = a.get(&["edge2cell"], &inputs);
+        let pb = b.get(&["edge2cell"], &inputs);
         assert!(!Arc::ptr_eq(&pa, &pb));
         assert_eq!((root.builds(), root.hits()), (2, 0));
         // within a scope (and across clones of it) the plan is shared
-        let pa2 = a.clone().get(Scheme::TwoLevel, &["edge2cell"], &inputs);
+        let pa2 = a.clone().get(&["edge2cell"], &inputs);
         assert!(Arc::ptr_eq(&pa, &pa2));
         // counters are one surface, visible through every handle
         assert_eq!((b.builds(), b.hits()), (2, 1));
@@ -359,25 +281,14 @@ mod tests {
     }
 
     #[test]
-    fn accessors_match_scheme() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "share target")]
+    fn admission_rejects_a_corrupted_plan() {
         let m = quad_channel(4, 4).mesh;
-        let cache = PlanCache::new();
         let inputs = PlanInputs::new(m.n_edges(), vec![&m.edge2cell], 16);
-        assert!(matches!(
-            &*cache.get(Scheme::BlockPermute, &["edge2cell"], &inputs),
-            AnyPlan::Block(_)
-        ));
-        let p = cache.get(Scheme::TwoLevel, &["edge2cell"], &inputs);
-        let _ = p.two_level();
-    }
-
-    #[test]
-    #[should_panic(expected = "expected a two-level plan")]
-    fn wrong_accessor_panics() {
-        let m = quad_channel(4, 4).mesh;
-        let cache = PlanCache::new();
-        let inputs = PlanInputs::new(m.n_edges(), vec![&m.edge2cell], 16);
-        let p = cache.get(Scheme::FullPermute, &["edge2cell"], &inputs);
-        let _ = p.two_level();
+        let mut plan = TwoLevelPlan::build(&inputs);
+        // every element in one color: neighbors in a block collide
+        plan.elem_colors.iter_mut().for_each(|c| *c = 0);
+        admit(plan, &inputs);
     }
 }

@@ -3,7 +3,7 @@
 //! A [`Chain`] records loops (descriptor + execution closure) in program
 //! order; [`Chain::execute`] partitions them into fusable groups
 //! ([`fuse_groups`]), builds one union-write-set
-//! [`TwoLevelPlan`](ump_color::TwoLevelPlan) per group through the
+//! [`TwoLevelPlan`] per group through the
 //! shared [`PlanCache`], and dispatches each group as a single colored
 //! run on an [`ExecPool`] — the member loops execute back-to-back on
 //! each block while the block's working set is cache-resident.
@@ -35,10 +35,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ump_color::PlanInputs;
-use ump_core::plan::AnyPlan;
+use ump_color::{PlanInputs, TwoLevelPlan};
 use ump_core::pool::{simd_block_sweep, simt_block_sweep};
-use ump_core::{ExecPool, FusionStats, Indirection, PlanCache, Recorder, Scheme};
+use ump_core::{ExecPool, FusionStats, Indirection, PlanCache, Recorder};
 use ump_mesh::MapTable;
 
 use crate::desc::{fuse_groups, GroupSpec, LoopDesc};
@@ -85,7 +84,7 @@ pub enum Shape {
 /// the tiled executor passes no plan, and `slot` as
 /// [`record_blocks`](Chain::record_blocks) documents it.
 type BlockBody<'a> =
-    Box<dyn Fn(Option<&ump_color::TwoLevelPlan>, Shape, Option<usize>, Range<u32>) + Sync + 'a>;
+    Box<dyn Fn(Option<&TwoLevelPlan>, Shape, Option<usize>, Range<u32>) + Sync + 'a>;
 
 /// Halo classification of a recorded loop — what the distributed
 /// executor may do with the loop while halo exchanges are in flight.
@@ -120,14 +119,10 @@ fn sched_spin(shape: Shape) {
 enum Body<'a> {
     /// Dispatched through the pool, block by block.
     Blocks(BlockBody<'a>),
-    /// Run serially on the dispatching thread (tiny sets), over the
-    /// whole set. `elements`: the body runs any element range in
-    /// ascending order, so the tiled executor may run it on cone runs; a
-    /// whole-set walk with no element order ignores its range.
-    Seq {
-        body: Box<dyn Fn(Range<u32>) + Sync + 'a>,
-        elements: bool,
-    },
+    /// Run serially on the dispatching thread (tiny sets): the body
+    /// runs any element range in ascending order — the whole set, or a
+    /// cone run of the tiled executor.
+    Seq(Box<dyn Fn(Range<u32>) + Sync + 'a>),
     /// A halo exchange: `start` posts the non-blocking sends, `finish`
     /// receives and unpacks. Between the two the executor runs interior
     /// work — the latency-hiding schedule of the distributed backend.
@@ -414,28 +409,10 @@ impl<'a> Chain<'a> {
     /// issues no pool rounds.
     pub fn record_serial(&mut self, desc: LoopDesc, body: impl Fn(usize) + Sync + 'a) -> &mut Self {
         let body = move |range: Range<u32>| range.for_each(|e| body(e as usize));
-        self.push_seq(desc, Box::new(body), true)
-    }
-
-    /// Record a serial loop whose body walks the whole set in an order
-    /// of its own (a permute plan's color groups): like
-    /// [`record_serial`](Chain::record_serial), but with no element
-    /// order a tiled execution could follow, so the tiled executor
-    /// refuses the chain.
-    pub fn record_seq(&mut self, desc: LoopDesc, body: impl Fn() + Sync + 'a) -> &mut Self {
-        self.push_seq(desc, Box::new(move |_| body()), false)
-    }
-
-    fn push_seq(
-        &mut self,
-        desc: LoopDesc,
-        body: Box<dyn Fn(Range<u32>) + Sync + 'a>,
-        elements: bool,
-    ) -> &mut Self {
         self.loops.push(RecordedLoop {
             desc,
             written: Vec::new(),
-            body: Body::Seq { body, elements },
+            body: Body::Seq(Box::new(body)),
             halo: HaloClass::Unknown,
             epilogue: None,
         });
@@ -558,7 +535,7 @@ impl<'a> Chain<'a> {
 
     /// The dispatch groups of the recorded chain under `fusion`.
     fn partition(&self, fusion: Fusion) -> Vec<GroupSpec> {
-        let seq = |l: &RecordedLoop<'_>| matches!(l.body, Body::Seq { .. } | Body::Exchange { .. });
+        let seq = |l: &RecordedLoop<'_>| matches!(l.body, Body::Seq(_) | Body::Exchange { .. });
         match fusion {
             Fusion::Groups => {
                 let entries: Vec<(&LoopDesc, bool)> =
@@ -673,7 +650,7 @@ impl<'a> Chain<'a> {
             let mut waited_in_group = 0.0;
             if group.seq {
                 match &members[0].body {
-                    Body::Seq { body, .. } => {
+                    Body::Seq(body) => {
                         // serial loops without an interior marking may
                         // read halo data: complete pending exchanges
                         if !matches!(members[0].halo, HaloClass::Interior) {
@@ -706,7 +683,7 @@ impl<'a> Chain<'a> {
                     members[0].desc.n_elems,
                     members.iter().flat_map(|l| l.written.iter().copied()),
                 );
-                let plan = plan.two_level();
+                let plan = &*plan;
                 let body = |b: usize, range: Range<u32>| {
                     for l in members {
                         if let Body::Blocks(f) = &l.body {
@@ -782,7 +759,7 @@ impl<'a> Chain<'a> {
                 for l in members {
                     if let Body::Blocks(_) = l.body {
                         let own = plans.get(l.desc.n_elems, l.written.iter().copied());
-                        report.unfused_rounds += active_rounds(own.two_level());
+                        report.unfused_rounds += active_rounds(&own);
                     }
                 }
                 report.bytes_saved += group_bytes_saved(members, word_bytes);
@@ -817,24 +794,13 @@ impl<'a> Chain<'a> {
         &self.loops[i].desc
     }
 
-    /// Can loop `i` run on an arbitrary ascending element range — what
-    /// the tiled executor does with each cone run? Pooled and serial
-    /// element bodies can; whole-set walks and exchanges cannot.
-    pub(crate) fn runs_on_ranges(&self, i: usize) -> bool {
-        match self.loops[i].body {
-            Body::Blocks(_) => true,
-            Body::Seq { elements, .. } => elements,
-            Body::Exchange { .. } => false,
-        }
-    }
-
     /// Run loop `i`'s body on `range` outside any plan, in `shape`
     /// (never SIMT, which sweeps a plan's blocks); `slot` as for
     /// [`record_blocks`](Chain::record_blocks).
     pub(crate) fn run_range(&self, i: usize, shape: Shape, slot: Option<usize>, range: Range<u32>) {
         match &self.loops[i].body {
             Body::Blocks(f) => f(None, shape, slot, range),
-            Body::Seq { body, .. } => body(range),
+            Body::Seq(body) => body(range),
             Body::Exchange { .. } => unreachable!("exchanges have no element range"),
         }
     }
@@ -868,7 +834,7 @@ pub enum Fusion {
 struct PlanMemo<'c, 'm> {
     cache: &'c PlanCache,
     block_size: usize,
-    fetched: Vec<(usize, Vec<&'m str>, Arc<AnyPlan>)>,
+    fetched: Vec<(usize, Vec<&'m str>, Arc<TwoLevelPlan>)>,
 }
 
 impl<'m> PlanMemo<'_, 'm> {
@@ -878,7 +844,7 @@ impl<'m> PlanMemo<'_, 'm> {
         &mut self,
         n_elems: usize,
         written: impl IntoIterator<Item = &'m MapTable>,
-    ) -> Arc<AnyPlan> {
+    ) -> Arc<TwoLevelPlan> {
         let inputs = PlanInputs::merged(n_elems, written, self.block_size);
         let names: Vec<&str> = inputs
             .written_maps
@@ -892,7 +858,7 @@ impl<'m> PlanMemo<'_, 'm> {
         {
             return Arc::clone(plan);
         }
-        let plan = self.cache.get(Scheme::TwoLevel, &names, &inputs);
+        let plan = self.cache.get(&names, &inputs);
         self.fetched.push((n_elems, names, Arc::clone(&plan)));
         plan
     }
@@ -914,7 +880,7 @@ pub enum ExchangePolicy {
 
 /// Non-empty color rounds of a plan — the pool dispatches one round per
 /// non-empty color.
-fn active_rounds(plan: &ump_color::TwoLevelPlan) -> usize {
+fn active_rounds(plan: &TwoLevelPlan) -> usize {
     plan.blocks_by_color
         .iter()
         .filter(|blocks| !blocks.is_empty())
@@ -934,10 +900,7 @@ fn active_lists(lists: &[Vec<u32>]) -> usize {
 /// few percent of one pass over the same elements' data, and caching it
 /// would need a key tying the plan to the flags' identity across
 /// borrows — not worth the coupling at current sizes.
-fn group_boundary_blocks(
-    members: &[RecordedLoop<'_>],
-    plan: &ump_color::TwoLevelPlan,
-) -> Option<Vec<bool>> {
+fn group_boundary_blocks(members: &[RecordedLoop<'_>], plan: &TwoLevelPlan) -> Option<Vec<bool>> {
     let mut any = false;
     let mut out = vec![false; plan.blocks.len()];
     for l in members {
@@ -957,10 +920,7 @@ fn group_boundary_blocks(
 /// boundary) per-color lists following per-block flags. Both halves keep
 /// the plan's color structure, so dispatching one after the other never
 /// co-schedules conflicting blocks.
-fn split_blocks_by_color(
-    plan: &ump_color::TwoLevelPlan,
-    boundary: &[bool],
-) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+fn split_blocks_by_color(plan: &TwoLevelPlan, boundary: &[bool]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
     let mut interior: Vec<Vec<u32>> = vec![Vec::new(); plan.blocks_by_color.len()];
     let mut fringe: Vec<Vec<u32>> = vec![Vec::new(); plan.blocks_by_color.len()];
     for (c, blocks) in plan.blocks_by_color.iter().enumerate() {

@@ -122,8 +122,8 @@ pub struct GroupSpec {
     /// Indices of the member loops (contiguous in recorded order).
     pub loops: Range<usize>,
     /// `true`: the member runs serially on the dispatching thread (a
-    /// [`record_serial`](crate::chain::Chain::record_serial) or
-    /// [`record_seq`](crate::chain::Chain::record_seq) loop, never
+    /// [`record_serial`](crate::chain::Chain::record_serial) loop or a
+    /// [`record_exchange`](crate::chain::Chain::record_exchange), never
     /// fused). `false`: one colored dispatch for the whole group.
     pub seq: bool,
 }

@@ -73,8 +73,7 @@
 //! per shape and reused across the time loop.
 //!
 //! Loops recorded with [`Chain::record_serial`] (tiny boundary sets the
-//! paper drops from analysis) or [`Chain::record_seq`] (a whole-set walk
-//! in an order of its own) run serially on the dispatching thread
+//! paper drops from analysis) run serially on the dispatching thread
 //! between groups and never fuse.
 //!
 //! # Distributed chains: halo/compute overlap
@@ -164,7 +163,6 @@
 //! ```
 //!
 //! [`Chain::execute`]: chain::Chain::execute
-//! [`Chain::record_seq`]: chain::Chain::record_seq
 //! [`Chain::record_serial`]: chain::Chain::record_serial
 //! [`Chain::record_simd`]: chain::Chain::record_simd
 //! [`Chain::record_simd_two_phase`]: chain::Chain::record_simd_two_phase

@@ -309,14 +309,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             "{n} loops are not {steps} equal steps"
         );
         (0..n)
-            .map(|i| {
-                assert!(
-                    chain.runs_on_ranges(i),
-                    "loop {}: no element order to tile",
-                    chain.desc(i).name()
-                );
-                self.resolve_loop(chain.desc(i), i / (n / steps))
-            })
+            .map(|i| self.resolve_loop(chain.desc(i), i / (n / steps)))
             .collect()
     }
 

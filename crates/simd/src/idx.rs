@@ -113,8 +113,8 @@ impl<const L: usize> IdxVec<L> {
 
     /// `true` when every lane is distinct — the precondition under which a
     /// vector scatter is race-free. The full/block-permute coloring schemes
-    /// (paper §4) exist precisely to establish this property; plan
-    /// validators call this in debug builds.
+    /// (paper §4) exist precisely to establish this property within a
+    /// color group.
     pub fn all_distinct(self) -> bool {
         for i in 0..L {
             for j in (i + 1)..L {

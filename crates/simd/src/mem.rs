@@ -11,8 +11,7 @@
 //! | map-driven gather (`data[map[n]*dim+d]`)          | [`VecR::gather`] |
 //! | vector store of direct data                       | [`VecR::store`] |
 //! | strided scatter of AoS direct data                | [`VecR::store_strided`] |
-//! | map-driven scatter (permute schemes, lanes distinct)| [`VecR::scatter`] |
-//! | serialized colored increment (original scheme)    | [`VecR::scatter_add_serial`] |
+//! | serialized colored increment                      | [`VecR::scatter_add_serial`] |
 //! | masked scatter-add (measured slower in the paper) | [`VecR::scatter_add_masked`] |
 //!
 //! Those move one component of `L` elements. The chunk bodies of the
@@ -106,36 +105,6 @@ impl<R: Real, const L: usize> VecR<R, L> {
     pub fn store_strided(self, data: &mut [R], start: usize, stride: usize) {
         for k in 0..L {
             data[start + k * stride] = self.0[k];
-        }
-    }
-
-    /// Map-driven *overwriting* scatter: `data[idx[k]*dim + comp] = lane k`.
-    ///
-    /// Sound only when the lane targets are distinct; the full-permute and
-    /// block-permute coloring schemes guarantee this (paper §4). Debug
-    /// builds assert the invariant.
-    #[inline(always)]
-    pub fn scatter(self, data: &mut [R], idx: IdxVec<L>, dim: usize, comp: usize) {
-        debug_assert!(
-            idx.all_distinct(),
-            "vector scatter with colliding lanes — plan violates lane independence"
-        );
-        for k in 0..L {
-            data[idx.lane(k) as usize * dim + comp] = self.0[k];
-        }
-    }
-
-    /// Map-driven *accumulating* scatter with distinct lanes:
-    /// `data[idx[k]*dim + comp] += lane k` (IMCI scatter after the permute
-    /// schemes establish independence).
-    #[inline(always)]
-    pub fn scatter_add(self, data: &mut [R], idx: IdxVec<L>, dim: usize, comp: usize) {
-        debug_assert!(
-            idx.all_distinct(),
-            "vector scatter-add with colliding lanes — plan violates lane independence"
-        );
-        for k in 0..L {
-            data[idx.lane(k) as usize * dim + comp] += self.0[k];
         }
     }
 
@@ -269,17 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_distinct_lanes() {
-        let mut d = vec![0.0f64; 12];
-        let idx = IdxVec::<4>::from_array([5, 1, 3, 0]);
-        F64x4::from_array([50.0, 10.0, 30.0, 0.5]).scatter(&mut d, idx, 2, 0);
-        assert_eq!(d[10], 50.0);
-        assert_eq!(d[2], 10.0);
-        assert_eq!(d[6], 30.0);
-        assert_eq!(d[0], 0.5);
-    }
-
-    #[test]
     fn serial_scatter_add_handles_collisions() {
         let mut d = vec![0.0f64; 4];
         // two lanes hit element 1: must accumulate, not race
@@ -287,15 +245,6 @@ mod tests {
         F64x4::from_array([1.0, 2.0, 5.0, 4.0]).scatter_add_serial(&mut d, idx, 1, 0);
         assert_eq!(d[1], 7.0);
         assert_eq!(d[0], 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lane independence")]
-    #[cfg(debug_assertions)]
-    fn vector_scatter_panics_on_collision_in_debug() {
-        let mut d = vec![0.0f64; 4];
-        let idx = IdxVec::<4>::from_array([1, 1, 0, 2]);
-        F64x4::splat(1.0).scatter_add(&mut d, idx, 1, 0);
     }
 
     #[test]
@@ -318,7 +267,7 @@ mod tests {
         let d: Vec<f64> = (0..8).map(|i| (i * i) as f64).collect();
         let idx = IdxVec::<4>::from_array([6, 4, 1, 3]);
         let mut out = vec![0.0f64; 8];
-        F64x4::gather(&d, idx, 1, 0).scatter(&mut out, idx, 1, 0);
+        F64x4::gather(&d, idx, 1, 0).scatter_add_serial(&mut out, idx, 1, 0);
         for &i in &[6usize, 4, 1, 3] {
             assert_eq!(out[i], d[i]);
         }

@@ -89,7 +89,6 @@ fn analogue(b: Backend) -> ModelBackend {
         Backend::SimdThreaded { .. } | Backend::FusedSimd { .. } | Backend::TiledSimd { .. } => {
             ModelBackend::VecThreaded
         }
-        Backend::SimdScheme { .. } => ModelBackend::AutoVec,
         Backend::Simt | Backend::FusedSimt => ModelBackend::OpenCl,
     }
 }

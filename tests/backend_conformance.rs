@@ -208,7 +208,7 @@ fn per_loop_rows() -> Vec<Backend> {
         .into_iter()
         .filter(|b| !b.is_fused() && *b != Backend::Seq)
         .collect();
-    assert_eq!(rows.len(), 9);
+    assert_eq!(rows.len(), 6);
     rows
 }
 

@@ -6,11 +6,10 @@
 //! illegal fusion shows up as a hard mismatch, not a tolerance question.
 //! The same holds for one recording executed in every way the executor
 //! can run it: fused or loop by loop × every shape × team sizes × block
-//! sizes, and with the increment loop walked through a permute plan.
+//! sizes.
 
 use proptest::prelude::*;
-use ump_color::PlanInputs;
-use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache, Scheme, SharedDat};
+use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache, SharedDat};
 use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape};
 use ump_mesh::generators::perturbed_quads;
 use ump_mesh::Mesh2d;
@@ -230,17 +229,12 @@ type LoopResults = (Vec<f64>, Vec<f64>, f64, f64);
 /// them (scalar body, `L`-lane chunk body, per-block reduction slots),
 /// over integer-valued data: a direct fill of `a`, a gather of `a` and
 /// the cell weights with a two-sided increment of `acc` (2 components)
-/// through `edge2cell`, a sum and a min. With `permute: Some(scheme)`
-/// the increment loop is instead a serial walk of that permute plan's
-/// color groups — `L`-wide pieces with true vector scatters (which
-/// assert lane independence in debug builds), the tail through the
-/// scalar compute + apply.
+/// through `edge2cell`, a sum and a min.
 fn run_recorded<const L: usize>(
     mesh: &Mesh2d,
     pool: &ExecPool,
     shape: Shape,
     fusion: Fusion,
-    permute: Option<Scheme>,
     block_size: usize,
 ) -> LoopResults {
     let (ne, nc) = (mesh.n_edges(), mesh.n_cells());
@@ -299,54 +293,28 @@ fn run_recorded<const L: usize>(
                 accv.slice_mut(c1 * 2, 2)[d] += r1[d];
             }
         };
-        // `L` edges at once; `scatter` is the serialized or the true
-        // vector scatter-add
-        type Scatter<const L: usize> = fn(VecR<f64, L>, &mut [f64], IdxVec<L>, usize, usize);
-        let lanes = move |scatter: Scatter<L>, c0: IdxVec<L>, c1: IdxVec<L>, v: VecR<f64, L>| unsafe {
-            let acc = accv.slice_mut(0, accv.len());
-            let (w0, w1) = (
-                VecR::gather(weight, c0, 1, 0),
-                VecR::gather(weight, c1, 1, 0),
-            );
-            scatter(v * 3.0 + w1, acc, c0, 2, 0);
-            scatter(VecR::splat(1.0), acc, c0, 2, 1);
-            scatter(-v, acc, c1, 2, 0);
-            scatter(w0, acc, c1, 2, 1);
-        };
-        match permute {
-            None => {
-                chain.record_simd_two_phase(
-                    inc_desc,
-                    vec![&mesh.edge2cell],
-                    L,
-                    compute,
-                    apply,
-                    move |es| unsafe {
-                        let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
-                        let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-                        let v = VecR::<f64, L>::load(av.as_slice(), es);
-                        lanes(VecR::scatter_add_serial, c0, c1, v);
-                    },
+        // `L` edges at once, increments scattered lane by lane
+        chain.record_simd_two_phase(
+            inc_desc,
+            vec![&mesh.edge2cell],
+            L,
+            compute,
+            apply,
+            move |es| unsafe {
+                let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
+                let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
+                let v = VecR::<f64, L>::load(av.as_slice(), es);
+                let acc = accv.slice_mut(0, accv.len());
+                let (w0, w1) = (
+                    VecR::gather(weight, c0, 1, 0),
+                    VecR::gather(weight, c1, 1, 0),
                 );
-            }
-            Some(scheme) => {
-                let inputs = PlanInputs::new(ne, vec![&mesh.edge2cell], block_size);
-                let plan = cache.get(scheme, &["edge2cell"], &inputs);
-                chain.record_seq(inc_desc, move || {
-                    plan.for_each_color_group(
-                        L,
-                        |ids| unsafe {
-                            let ids: [usize; L] = std::array::from_fn(|l| ids[l] as usize);
-                            let c0 = IdxVec::<L>::from_array(ids.map(|e| e2c[2 * e]));
-                            let c1 = IdxVec::<L>::from_array(ids.map(|e| e2c[2 * e + 1]));
-                            let v = VecR::<f64, L>::from_fn(|l| av.slice(ids[l], 1)[0]);
-                            lanes(VecR::scatter_add, c0, c1, v);
-                        },
-                        |e| apply(e, &compute(e)),
-                    );
-                });
-            }
-        }
+                (v * 3.0 + w1).scatter_add_serial(acc, c0, 2, 0);
+                VecR::splat(1.0).scatter_add_serial(acc, c0, 2, 1);
+                (-v).scatter_add_serial(acc, c1, 2, 0);
+                w0.scatter_add_serial(acc, c1, 2, 1);
+            },
+        );
 
         // reductions: one slot per block, touched only by the thread
         // that runs the block
@@ -393,8 +361,7 @@ proptest! {
     // One recording, every execution: the same four recorded loops give
     // the hand-written sequential loops' bits fused or loop by loop ×
     // threaded, SIMT and `L`-lane three-sweep blocks (L = 1, 4, 8) ×
-    // teams of 1 and 2, and with the increment loop walked through
-    // either permute plan. Meshes go down to 1×1 (one cell, *no*
+    // teams of 1 and 2. Meshes go down to 1×1 (one cell, *no*
     // interior edges: every loop iterates an empty set) and 1×2 (a
     // single edge: set size < L), and the largest block size makes the
     // set a single block.
@@ -429,13 +396,9 @@ proptest! {
         for pool in [ExecPool::new(1), ExecPool::new(2)] {
             for fusion in [Fusion::Groups, Fusion::PerLoop] {
                 let run = |shape: Shape| match shape {
-                    Shape::Simd { lanes: 1 } => {
-                        run_recorded::<1>(&mesh, &pool, shape, fusion, None, block_size)
-                    }
-                    Shape::Simd { lanes: 8 } => {
-                        run_recorded::<8>(&mesh, &pool, shape, fusion, None, block_size)
-                    }
-                    _ => run_recorded::<4>(&mesh, &pool, shape, fusion, None, block_size),
+                    Shape::Simd { lanes: 1 } => run_recorded::<1>(&mesh, &pool, shape, fusion, block_size),
+                    Shape::Simd { lanes: 8 } => run_recorded::<8>(&mesh, &pool, shape, fusion, block_size),
+                    _ => run_recorded::<4>(&mesh, &pool, shape, fusion, block_size),
                 };
                 for shape in [
                     Shape::Threaded,
@@ -450,18 +413,6 @@ proptest! {
                         shape, fusion, pool.n_threads(), nx, ny, block_size
                     );
                 }
-            }
-        }
-        let pool = ExecPool::new(1);
-        for scheme in [Scheme::FullPermute, Scheme::BlockPermute] {
-            let per_loop = Fusion::PerLoop;
-            let got = [
-                run_recorded::<1>(&mesh, &pool, Shape::Simd { lanes: 1 }, per_loop, Some(scheme), block_size),
-                run_recorded::<4>(&mesh, &pool, Shape::Simd { lanes: 4 }, per_loop, Some(scheme), block_size),
-                run_recorded::<8>(&mesh, &pool, Shape::Simd { lanes: 8 }, per_loop, Some(scheme), block_size),
-            ];
-            for got in &got {
-                prop_assert_eq!(got, &expect, "{:?} on {}x{} block {}", scheme, nx, ny, block_size);
             }
         }
     }
