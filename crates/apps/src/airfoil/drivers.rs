@@ -28,10 +28,9 @@ use ump_mesh::Mesh2d;
 use ump_simd::{Addressing, DatView, IdxVec, Real, VecR};
 
 use super::kernels::{adt_calc, bres_calc, res_calc, save_soln, update};
-use super::kernels_vec::{adt_calc_vec, res_calc_vec, update_vec};
 use super::{profile, Airfoil, Consts};
 use crate::dist::RankHalo;
-use crate::{maybe_time, Simulation, Split, Sweep};
+use crate::{arr, arr_mut, maybe_time, Simulation, Split, Sweep};
 
 pub use crate::{run_tiled_on, run_tiled_report_on, step_chain, step_on};
 
@@ -56,7 +55,9 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
     let (nc, ne, nb) = (mesh.n_cells(), mesh.n_edges(), mesh.n_bedges());
 
     maybe_time(rec, "save_soln", wb, nc, || {
-        seq_loop(0..nc, |c| save_soln(q.row(c), qold.row_mut(c)));
+        seq_loop(0..nc, |c| {
+            save_soln(arr(q.row(c)), arr_mut(qold.row_mut(c)))
+        });
     });
 
     let mut rms = R::ZERO;
@@ -66,11 +67,11 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
                 let n = mesh.cell2node.row(c);
                 let mut a = R::ZERO;
                 adt_calc(
-                    x.row(n[0] as usize),
-                    x.row(n[1] as usize),
-                    x.row(n[2] as usize),
-                    x.row(n[3] as usize),
-                    q.row(c),
+                    arr(x.row(n[0] as usize)),
+                    arr(x.row(n[1] as usize)),
+                    arr(x.row(n[2] as usize)),
+                    arr(x.row(n[3] as usize)),
+                    arr(q.row(c)),
                     &mut a,
                     consts,
                 );
@@ -84,14 +85,14 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
                 let (c0, c1) = (c[0] as usize, c[1] as usize);
                 let (r1, r2) = two_rows_mut(&mut res.data, 4, c0, c1);
                 res_calc(
-                    x.row(n[0] as usize),
-                    x.row(n[1] as usize),
-                    q.row(c0),
-                    q.row(c1),
+                    arr(x.row(n[0] as usize)),
+                    arr(x.row(n[1] as usize)),
+                    arr(q.row(c0)),
+                    arr(q.row(c1)),
                     adt.row(c0)[0],
                     adt.row(c1)[0],
-                    r1,
-                    r2,
+                    arr_mut(r1),
+                    arr_mut(r2),
                     consts,
                 );
             });
@@ -101,11 +102,11 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
                 let n = mesh.bedge2node.row(be);
                 let c0 = mesh.bedge2cell.at(be, 0);
                 bres_calc(
-                    x.row(n[0] as usize),
-                    x.row(n[1] as usize),
-                    q.row(c0),
+                    arr(x.row(n[0] as usize)),
+                    arr(x.row(n[1] as usize)),
+                    arr(q.row(c0)),
                     adt.row(c0)[0],
-                    res.row_mut(c0),
+                    arr_mut(res.row_mut(c0)),
                     case.bound[be],
                     consts,
                 );
@@ -116,9 +117,9 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
                 let a = adt.row(c)[0];
                 let (qr, resr) = (c * 4, c * 4);
                 update(
-                    &qold.data[qr..qr + 4],
-                    &mut q.data[qr..qr + 4],
-                    &mut res.data[resr..resr + 4],
+                    arr(&qold.data[qr..qr + 4]),
+                    arr_mut(&mut q.data[qr..qr + 4]),
+                    arr_mut(&mut res.data[resr..resr + 4]),
                     a,
                     &mut rms,
                 );
@@ -154,7 +155,8 @@ pub(crate) fn adt_chunk<R: Real, const L: usize>(
     let x3: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4 + 2, 4));
     let x4: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4 + 3, 4));
     let q_p: [VecR<R, L>; 4] = qv.load_rows(q, cs);
-    let a = adt_calc_vec(&x1, &x2, &x3, &x4, &q_p, consts);
+    let mut a = VecR::zero();
+    adt_calc(&x1, &x2, &x3, &x4, &q_p, &mut a, consts);
     a.store(adt, cs);
 }
 
@@ -190,7 +192,7 @@ pub(crate) fn res_chunk<R: Real, const L: usize>(
     let a2 = VecR::gather(adt, c1, 1, 0);
     let mut r1 = [VecR::<R, L>::zero(); 4];
     let mut r2 = [VecR::<R, L>::zero(); 4];
-    res_calc_vec(&x1, &x2, &q1, &q2, a1, a2, &mut r1, &mut r2, consts);
+    res_calc(&x1, &x2, &q1, &q2, a1, a2, &mut r1, &mut r2, consts);
     resv.scatter_add_rows_serial([(&r1, c0), (&r2, c1)], res);
 }
 
@@ -213,7 +215,7 @@ pub(crate) fn update_chunk<R: Real, const L: usize>(
     let mut q_p = [VecR::<R, L>::zero(); 4];
     let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
     let adt_p = VecR::<R, L>::load(adt, cs);
-    update_vec(&qold_p, &mut q_p, &mut res_p, adt_p, rms);
+    update(&qold_p, &mut q_p, &mut res_p, adt_p, rms);
     qv.store_rows(&q_p, q, cs);
     resv.store_rows(&res_p, res, cs);
 }
@@ -387,7 +389,9 @@ impl<R: Real> Simulation for Airfoil<R> {
                 },
                 move |cs| unsafe {
                     let rows: [VecR<R, L>; 4] = qd.load_rows(qs.as_slice(), cs);
-                    qoldd.store_rows(&rows, qolds.slice_mut(0, qolds.len()), cs);
+                    let mut old = [VecR::zero(); 4];
+                    save_soln(&rows, &mut old);
+                    qoldd.store_rows(&old, qolds.slice_mut(0, qolds.len()), cs);
                 },
             );
             if halo.is_some() {

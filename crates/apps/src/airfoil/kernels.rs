@@ -1,16 +1,17 @@
-//! The Airfoil user kernels, scalar form — the "elementary kernel
-//! functions" of the OP2 abstraction, straight from OP2's
-//! `save_soln.h` / `adt_calc.h` / `res_calc.h` / `bres_calc.h` /
-//! `update.h`, generic over precision.
+//! The Airfoil user kernels, straight from OP2's `save_soln.h` /
+//! `adt_calc.h` / `res_calc.h` / `bres_calc.h` / `update.h`. Each is
+//! written once over a [`Lane`] type `T`: `T = R` in `step_seq` and the
+//! scalar bodies, `T = VecR<R, L>` in the `L`-lane chunk bodies (paper
+//! Fig. 3b). Rows are `[T; D]` arrays; scalars multiply from the right.
 
 use ump_mesh::generators::BOUND_WALL;
-use ump_simd::Real;
+use ump_simd::{Lane, Real};
 
 use super::Consts;
 
 /// `save_soln`: copy the flow state (direct, cells).
 #[inline(always)]
-pub fn save_soln<R: Real>(q: &[R], qold: &mut [R]) {
+pub fn save_soln<T: Copy>(q: &[T; 4], qold: &mut [T; 4]) {
     for n in 0..4 {
         qold[n] = q[n];
     }
@@ -19,30 +20,33 @@ pub fn save_soln<R: Real>(q: &[R], qold: &mut [R]) {
 /// `adt_calc`: local timestep from the cell's four edges (gather x,
 /// direct write). `x1..x4` are the cell's nodes in winding order.
 #[inline(always)]
-pub fn adt_calc<R: Real>(
-    x1: &[R],
-    x2: &[R],
-    x3: &[R],
-    x4: &[R],
-    q: &[R],
-    adt: &mut R,
+pub fn adt_calc<R: Real, T: Lane<R>>(
+    x1: &[T; 2],
+    x2: &[T; 2],
+    x3: &[T; 2],
+    x4: &[T; 2],
+    q: &[T; 4],
+    adt: &mut T,
     c: &Consts<R>,
 ) {
-    let ri = R::ONE / q[0];
+    let ri = T::splat(R::ONE) / q[0];
     let u = ri * q[1];
     let v = ri * q[2];
-    let cs = (c.gam * c.gm1 * (ri * q[3] - R::HALF * (u * u + v * v))).sqrt();
+    let cs = ((ri * q[3] - (u * u + v * v) * R::HALF) * (c.gam * c.gm1)).sqrt();
 
-    let mut acc = R::ZERO;
-    let mut side = |xa: &[R], xb: &[R]| {
+    // a function, not a closure: at `VecR` width LLVM kept a closure out
+    // of line, one call per side
+    #[inline(always)]
+    fn side<R: Real, T: Lane<R>>(xa: &[T; 2], xb: &[T; 2], u: T, v: T, cs: T) -> T {
         let dx = xa[0] - xb[0];
         let dy = xa[1] - xb[1];
-        acc += (u * dy - v * dx).abs() + cs * (dx * dx + dy * dy).sqrt();
-    };
-    side(x2, x1);
-    side(x3, x2);
-    side(x4, x3);
-    side(x1, x4);
+        (u * dy - v * dx).abs() + cs * (dx * dx + dy * dy).sqrt()
+    }
+    let mut acc = T::splat(R::ZERO);
+    acc += side(x2, x1, u, v, cs);
+    acc += side(x3, x2, u, v, cs);
+    acc += side(x4, x3, u, v, cs);
+    acc += side(x1, x4, u, v, cs);
     *adt = acc / c.cfl;
 }
 
@@ -50,54 +54,55 @@ pub fn adt_calc<R: Real>(
 /// first cell (`q1`/`res1`) lies on the right of the directed edge
 /// `x1 → x2`.
 #[inline(always)]
-pub fn res_calc<R: Real>(
-    x1: &[R],
-    x2: &[R],
-    q1: &[R],
-    q2: &[R],
-    adt1: R,
-    adt2: R,
-    res1: &mut [R],
-    res2: &mut [R],
+pub fn res_calc<R: Real, T: Lane<R>>(
+    x1: &[T; 2],
+    x2: &[T; 2],
+    q1: &[T; 4],
+    q2: &[T; 4],
+    adt1: T,
+    adt2: T,
+    res1: &mut [T; 4],
+    res2: &mut [T; 4],
     c: &Consts<R>,
 ) {
     let dx = x1[0] - x2[0];
     let dy = x1[1] - x2[1];
 
-    let mut ri = R::ONE / q1[0];
-    let p1 = c.gm1 * (q1[3] - R::HALF * ri * (q1[1] * q1[1] + q1[2] * q1[2]));
+    let mut ri = T::splat(R::ONE) / q1[0];
+    let p1 = (q1[3] - ri * R::HALF * (q1[1] * q1[1] + q1[2] * q1[2])) * c.gm1;
     let vol1 = ri * (q1[1] * dy - q1[2] * dx);
 
-    ri = R::ONE / q2[0];
-    let p2 = c.gm1 * (q2[3] - R::HALF * ri * (q2[1] * q2[1] + q2[2] * q2[2]));
+    ri = T::splat(R::ONE) / q2[0];
+    let p2 = (q2[3] - ri * R::HALF * (q2[1] * q2[1] + q2[2] * q2[2])) * c.gm1;
     let vol2 = ri * (q2[1] * dy - q2[2] * dx);
 
-    let mu = R::HALF * (adt1 + adt2) * c.eps;
+    let mu = (adt1 + adt2) * R::HALF * c.eps;
 
     let mut f;
-    f = R::HALF * (vol1 * q1[0] + vol2 * q2[0]) + mu * (q1[0] - q2[0]);
+    f = (vol1 * q1[0] + vol2 * q2[0]) * R::HALF + mu * (q1[0] - q2[0]);
     res1[0] += f;
     res2[0] -= f;
-    f = R::HALF * (vol1 * q1[1] + p1 * dy + vol2 * q2[1] + p2 * dy) + mu * (q1[1] - q2[1]);
+    f = (vol1 * q1[1] + p1 * dy + vol2 * q2[1] + p2 * dy) * R::HALF + mu * (q1[1] - q2[1]);
     res1[1] += f;
     res2[1] -= f;
-    f = R::HALF * (vol1 * q1[2] - p1 * dx + vol2 * q2[2] - p2 * dx) + mu * (q1[2] - q2[2]);
+    f = (vol1 * q1[2] - p1 * dx + vol2 * q2[2] - p2 * dx) * R::HALF + mu * (q1[2] - q2[2]);
     res1[2] += f;
     res2[2] -= f;
-    f = R::HALF * (vol1 * (q1[3] + p1) + vol2 * (q2[3] + p2)) + mu * (q1[3] - q2[3]);
+    f = (vol1 * (q1[3] + p1) + vol2 * (q2[3] + p2)) * R::HALF + mu * (q1[3] - q2[3]);
     res1[3] += f;
     res2[3] -= f;
 }
 
 /// `bres_calc`: boundary edge flux. Wall edges feel only pressure;
-/// far-field edges flux against the freestream state.
+/// far-field edges flux against the freestream state. Scalar only: the
+/// boundary loop is serial in every row, so the branch stays a branch.
 #[inline(always)]
 pub fn bres_calc<R: Real>(
-    x1: &[R],
-    x2: &[R],
-    q1: &[R],
+    x1: &[R; 2],
+    x2: &[R; 2],
+    q1: &[R; 4],
     adt1: R,
-    res1: &mut [R],
+    res1: &mut [R; 4],
     bound: i32,
     c: &Consts<R>,
 ) {
@@ -137,12 +142,18 @@ pub fn bres_calc<R: Real>(
 /// `update`: advance the state, zero the residual, accumulate the
 /// residual RMS (direct, global reduction).
 #[inline(always)]
-pub fn update<R: Real>(qold: &[R], q: &mut [R], res: &mut [R], adt: R, rms: &mut R) {
-    let adti = R::ONE / adt;
+pub fn update<R: Real, T: Lane<R>>(
+    qold: &[T; 4],
+    q: &mut [T; 4],
+    res: &mut [T; 4],
+    adt: T,
+    rms: &mut T,
+) {
+    let adti = T::splat(R::ONE) / adt;
     for n in 0..4 {
         let del = adti * res[n];
         q[n] = qold[n] - del;
-        res[n] = R::ZERO;
+        res[n] = T::splat(R::ZERO);
         *rms += del * del;
     }
 }
@@ -150,7 +161,9 @@ pub fn update<R: Real>(qold: &[R], q: &mut [R], res: &mut [R], adt: R, rms: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane_check::{lanes_case, or_zero, take};
     use ump_mesh::generators::BOUND_FARFIELD;
+    use ump_mesh::SplitMix64;
 
     fn c64() -> Consts<f64> {
         Consts::default()
@@ -255,5 +268,77 @@ mod tests {
         for n in 0..4 {
             assert!((r1[n] - r1s[n] as f64).abs() < 1e-6, "component {n}");
         }
+    }
+
+    /// Lane `k` of every `L`-lane kernel call is the scalar call on lane
+    /// `k`'s arguments, bit for bit — the vector kernel of paper Fig. 3b
+    /// *is* the scalar one — at f64×4, f64×8, f32×8 and f32×4, on seeded
+    /// random rows. `bres_calc` has no vector caller.
+    #[test]
+    fn lanes_equal_scalar_calls_bit_for_bit() {
+        fn every_kernel<R: Real, const L: usize>() {
+            let c = Consts::<R>::default();
+            // (ρ, ρu, ρv, ρE) with a positive pressure; node coordinates;
+            // residuals, zero one time in four (the chunk bodies' start)
+            let q = |r: &mut SplitMix64| {
+                let (u, v) = (r.next_f64() - 0.5, r.next_f64() - 0.5);
+                vec![1.0 + r.next_f64(), u, v, 2.0 + r.next_f64()]
+            };
+            let xy = |r: &mut SplitMix64| vec![r.next_f64(), r.next_f64()];
+            let res = |r: &mut SplitMix64| (0..4).map(|_| or_zero(r.next_f64() - 0.5, r)).collect();
+            let cat = |parts: Vec<Vec<f64>>| parts.concat();
+
+            lanes_case!("save_soln", 1, q, |x| {
+                let mut qold = take(x, 0);
+                save_soln(&take(x, 0), &mut qold);
+                qold.to_vec()
+            });
+            let draw = |r: &mut SplitMix64| cat(vec![xy(r), xy(r), xy(r), xy(r), q(r)]);
+            lanes_case!("adt_calc", 2, draw, |x| {
+                let mut adt = x[0];
+                adt_calc(
+                    &take(x, 0),
+                    &take(x, 2),
+                    &take(x, 4),
+                    &take(x, 6),
+                    &take(x, 8),
+                    &mut adt,
+                    &c,
+                );
+                vec![adt]
+            });
+            let draw = |r: &mut SplitMix64| {
+                let adt = vec![0.5 + r.next_f64(), 0.5 + r.next_f64()];
+                cat(vec![xy(r), xy(r), q(r), q(r), adt, res(r), res(r)])
+            };
+            lanes_case!("res_calc", 3, draw, |x| {
+                let (mut res1, mut res2) = (take(x, 14), take(x, 18));
+                res_calc(
+                    &take(x, 0),
+                    &take(x, 2),
+                    &take(x, 4),
+                    &take(x, 8),
+                    x[12],
+                    x[13],
+                    &mut res1,
+                    &mut res2,
+                    &c,
+                );
+                [res1, res2].concat()
+            });
+            let draw = |r: &mut SplitMix64| {
+                let (adt, rms) = (0.5 + r.next_f64(), r.next_f64());
+                cat(vec![q(r), q(r), res(r), vec![adt, rms]])
+            };
+            lanes_case!("update", 4, draw, |x| {
+                let (mut q, mut res, mut rms) = (take(x, 4), take(x, 8), x[13]);
+                update(&take(x, 0), &mut q, &mut res, x[12], &mut rms);
+                [&q[..], &res[..], &[rms]].concat()
+            });
+        }
+        every_kernel::<f64, 4>();
+        every_kernel::<f64, 8>();
+        every_kernel::<f32, 8>();
+        every_kernel::<f32, 4>();
     }
 }

@@ -23,7 +23,6 @@ macro_rules! evolving {
 
 pub mod drivers;
 pub mod kernels;
-pub mod kernels_vec;
 pub mod mpi;
 
 use ump_core::{Access, ArgInfo, Layout, LoopProfile, OpDat};

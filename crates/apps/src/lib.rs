@@ -9,9 +9,10 @@
 //!   `numerical_flux`, `space_disc`, `RK_1`, `RK_2`.
 //!
 //! Each application provides *kernels* (the "user code" of the OP2
-//! abstraction — a scalar form generic over `R: Real` and a vector form
-//! generic over `VecR<R, LANES>`, mirroring `res_calc` / `res_calc_vec`
-//! in paper Fig. 3b) and what is its own of the *drivers* OP2's code
+//! abstraction — each written once over an [`ump_simd::Lane`] type and
+//! instantiated at `R` for the scalar loops and at `VecR<R, L>` for the
+//! vector ones, as paper Fig. 3b instantiates `res_calc` with the vector
+//! class, §4.2) and what is its own of the *drivers* OP2's code
 //! generator would emit (Figs 2b/3a/3b): a hand-written sequential
 //! reference and one recording of N timesteps as an `ump_lazy` chain
 //! (scalar body, `L`-lane chunk body and reduction per loop). Both state
@@ -35,6 +36,8 @@
 
 pub mod airfoil;
 pub mod dist;
+#[cfg(test)]
+mod lane_check;
 pub mod resilience;
 mod simulation;
 pub mod volna;
@@ -66,6 +69,19 @@ pub(crate) fn maybe_time<T>(
         .or_else(|| volna::find_profile(name))
         .unwrap_or_else(|| panic!("unknown kernel {name}"));
     rec.time(&profile, word_bytes, n_elems, f)
+}
+
+/// An AoS row slice as the `[R; D]` array a kernel takes (the
+/// hand-written `step_seq` loops index their dats by row slice).
+#[inline(always)]
+pub(crate) fn arr<R, const D: usize>(row: &[R]) -> &[R; D] {
+    row.try_into().expect("rows have the kernel's width")
+}
+
+/// [`arr`] for a row the kernel writes.
+#[inline(always)]
+pub(crate) fn arr_mut<R, const D: usize>(row: &mut [R]) -> &mut [R; D] {
+    row.try_into().expect("rows have the kernel's width")
 }
 
 /// How an application's recorded chain is executed — what a registry

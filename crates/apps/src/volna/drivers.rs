@@ -21,12 +21,9 @@ use ump_mesh::Mesh2d;
 use ump_simd::{Addressing, DatView, IdxVec, Real, VecR};
 
 use super::kernels::{bc_flux, compute_flux, numerical_flux, rk_1, rk_2, sim_1, space_disc};
-use super::kernels_vec::{
-    compute_flux_vec, numerical_flux_vec, rk_1_vec, rk_2_vec, space_disc_vec,
-};
 use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
 use crate::dist::RankHalo;
-use crate::{maybe_time, Simulation, Split, Sweep};
+use crate::{arr, arr_mut, maybe_time, Simulation, Split, Sweep};
 
 pub use crate::{run_tiled_on, run_tiled_report_on, step_chain, step_on};
 
@@ -45,7 +42,7 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
 
     maybe_time(rec, "sim_1", wb, nc, || {
         let (w, w_old) = (&sim.w, &mut sim.w_old);
-        seq_loop(0..nc, |c| sim_1(w.row(c), w_old.row_mut(c)));
+        seq_loop(0..nc, |c| sim_1(arr(w.row(c)), arr_mut(w_old.row_mut(c))));
     });
 
     let mut dt = R::INFINITY;
@@ -56,10 +53,10 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
             seq_loop(0..ne, |e| {
                 let c = mesh.edge2cell.row(e);
                 compute_flux(
-                    sim.egeom.row(e),
-                    state.row(c[0] as usize),
-                    state.row(c[1] as usize),
-                    eflux.row_mut(e),
+                    arr(sim.egeom.row(e)),
+                    arr(state.row(c[0] as usize)),
+                    arr(state.row(c[1] as usize)),
+                    arr_mut(eflux.row_mut(e)),
                     g,
                     h_min,
                 );
@@ -70,8 +67,7 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
                 seq_loop(0..ne, |e| {
                     let c = mesh.edge2cell.row(e);
                     numerical_flux(
-                        sim.egeom.row(e),
-                        sim.eflux.row(e),
+                        arr(sim.eflux.row(e)),
                         sim.area.row(c[0] as usize)[0],
                         sim.area.row(c[1] as usize)[0],
                         &mut dt,
@@ -87,12 +83,12 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
                 let (c0, c1) = (c[0] as usize, c[1] as usize);
                 let (rl, rr) = two_rows_mut(&mut res.data, 4, c0, c1);
                 space_disc(
-                    sim.egeom.row(e),
-                    sim.eflux.row(e),
-                    state.row(c0),
-                    state.row(c1),
-                    rl,
-                    rr,
+                    arr(sim.egeom.row(e)),
+                    arr(sim.eflux.row(e)),
+                    arr(state.row(c0)),
+                    arr(state.row(c1)),
+                    arr_mut(rl),
+                    arr_mut(rr),
                     g,
                 );
             });
@@ -101,7 +97,12 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
             let res = &mut sim.res;
             seq_loop(0..mesh.n_bedges(), |be| {
                 let c0 = mesh.bedge2cell.at(be, 0);
-                bc_flux(sim.bgeom.row(be), state.row(c0), res.row_mut(c0), g);
+                bc_flux(
+                    arr(sim.bgeom.row(be)),
+                    arr(state.row(c0)),
+                    arr_mut(res.row_mut(c0)),
+                    g,
+                );
             });
         });
         if phase == 0 {
@@ -109,9 +110,9 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
                 let (w_old, res, w1, area) = (&sim.w_old, &mut sim.res, &mut sim.w1, &sim.area);
                 seq_loop(0..nc, |c| {
                     rk_1(
-                        w_old.row(c),
-                        res.row_mut(c),
-                        w1.row_mut(c),
+                        arr(w_old.row(c)),
+                        arr_mut(res.row_mut(c)),
+                        arr_mut(w1.row_mut(c)),
                         area.row(c)[0],
                         dt,
                     );
@@ -123,10 +124,10 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
                     (&sim.w_old, &sim.w1, &mut sim.res, &mut sim.w, &sim.area);
                 seq_loop(0..nc, |c| {
                     rk_2(
-                        w_old.row(c),
-                        w1.row(c),
-                        res.row_mut(c),
-                        w.row_mut(c),
+                        arr(w_old.row(c)),
+                        arr(w1.row(c)),
+                        arr_mut(res.row_mut(c)),
+                        arr_mut(w.row_mut(c)),
                         area.row(c)[0],
                         dt,
                     );
@@ -163,7 +164,8 @@ pub(crate) fn compute_flux_chunk<R: Real, A: Addressing, const L: usize>(
     let geom: [VecR<R, L>; 4] = egv.load_rows(egeom, es);
     let wl: [VecR<R, L>; 4] = sv.gather_rows(state, c0);
     let wr: [VecR<R, L>; 4] = sv.gather_rows(state, c1);
-    let f = compute_flux_vec(&geom, &wl, &wr, g, h_min);
+    let mut f = [VecR::zero(); 4];
+    compute_flux(&geom, &wl, &wr, &mut f, g, h_min);
     efv.store_rows(&f, eflux, es);
 }
 
@@ -182,11 +184,13 @@ pub(crate) fn numerical_flux_chunk<R: Real, A: Addressing, const L: usize>(
 ) {
     let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
     let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-    let lam = efv.loadv::<R, L>(eflux, es, 3);
+    // the kernel reads λ·len alone: one component load, not the row
+    let mut ef = [VecR::zero(); 4];
+    ef[3] = efv.loadv(eflux, es, 3);
     // area is dim-1: its indexing is layout-invariant, keep the direct gather
     let al = VecR::gather(area, c0, 1, 0);
     let ar = VecR::gather(area, c1, 1, 0);
-    numerical_flux_vec(lam, al, ar, dt_acc, cfl);
+    numerical_flux(&ef, al, ar, dt_acc, cfl);
 }
 
 /// One lane-aligned chunk `es..es + L` of vectorized `space_disc`, with
@@ -213,8 +217,10 @@ pub(crate) fn space_disc_chunk<R: Real, A: Addressing, const L: usize>(
     let ef: [VecR<R, L>; 4] = efv.load_rows(eflux, es);
     let wl: [VecR<R, L>; 4] = sv.gather_rows(state, c0);
     let wr: [VecR<R, L>; 4] = sv.gather_rows(state, c1);
+    let (mut rl, mut rr) = ([VecR::zero(); 4], [VecR::zero(); 4]);
+    space_disc(&geom, &ef, &wl, &wr, &mut rl, &mut rr, g);
     // slot 3 (bathymetry) carries no increment: three of four components land
-    let ([l0, l1, l2, _], [r0, r1, r2, _]) = space_disc_vec(&geom, &ef, &wl, &wr, g);
+    let ([l0, l1, l2, _], [r0, r1, r2, _]) = (rl, rr);
     resv.scatter_add_rows_serial([(&[l0, l1, l2], c0), (&[r0, r1, r2], c1)], res);
 }
 
@@ -236,7 +242,7 @@ pub(crate) fn rk1_chunk<R: Real, A: Addressing, const L: usize>(
     let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
     let area_p = VecR::<R, L>::load(area, cs);
     let mut w1_p = [VecR::<R, L>::zero(); 4];
-    rk_1_vec(&w_old_p, &mut res_p, &mut w1_p, area_p, dt);
+    rk_1(&w_old_p, &mut res_p, &mut w1_p, area_p, dt);
     w1v.store_rows(&w1_p, w1, cs);
     resv.store_rows(&res_p, res, cs);
 }
@@ -262,7 +268,7 @@ pub(crate) fn rk2_chunk<R: Real, A: Addressing, const L: usize>(
     let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
     let area_p = VecR::<R, L>::load(area, cs);
     let mut w_p = [VecR::<R, L>::zero(); 4];
-    rk_2_vec(&w_old_p, &w1_p, &mut res_p, &mut w_p, area_p, dt);
+    rk_2(&w_old_p, &w1_p, &mut res_p, &mut w_p, area_p, dt);
     wv.store_rows(&w_p, w, cs);
     resv.store_rows(&res_p, res, cs);
 }
@@ -447,7 +453,9 @@ impl<R: Real> Simulation for Volna<R> {
                 },
                 move |cs| unsafe {
                     let rows: [VecR<R, L>; 4] = wv.load_rows(ws.as_slice(), cs);
-                    woldv.store_rows(&rows, wolds.slice_mut(0, wolds.len()), cs);
+                    let mut old = [VecR::zero(); 4];
+                    sim_1(&rows, &mut old);
+                    woldv.store_rows(&old, wolds.slice_mut(0, wolds.len()), cs);
                 },
             );
             if halo.is_some() {
@@ -503,10 +511,9 @@ impl<R: Real> Simulation for Volna<R> {
                     macro_rules! flux_edge {
                         ($e:expr, $dt:expr) => {{
                             let c = mesh.edge2cell.row($e);
-                            let ge: [R; 4] = egv.load_row(&egeom.data, $e);
                             let ef: [R; 4] = efv.load_row(efs.as_slice(), $e);
                             let (al, ar) = (area.row(c[0] as usize)[0], area.row(c[1] as usize)[0]);
-                            numerical_flux(&ge, &ef, al, ar, $dt, cfl);
+                            numerical_flux(&ef, al, ar, $dt, cfl);
                         }};
                     }
                     // the block's Δt folds in registers — one scalar, and

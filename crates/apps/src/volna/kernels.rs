@@ -1,10 +1,14 @@
-//! The Volna user kernels, scalar form (see module docs for the scheme).
+//! The Volna user kernels (see module docs for the scheme), each written
+//! once over a [`Lane`] type `T`: `T = R` in `step_seq` and the scalar
+//! bodies, `T = VecR<R, L>` in the `L`-lane chunk bodies, where the
+//! dry-cell clamp is a lane `max`. Rows are `[T; D]` arrays; scalars
+//! multiply from the right.
 
-use ump_simd::Real;
+use ump_simd::{Lane, Real};
 
 /// `sim_1`: save the state (direct copy, cells).
 #[inline(always)]
-pub fn sim_1<R: Real>(w: &[R], w_old: &mut [R]) {
+pub fn sim_1<T: Copy>(w: &[T; 4], w_old: &mut [T; 4]) {
     for n in 0..4 {
         w_old[n] = w[n];
     }
@@ -15,11 +19,18 @@ pub fn sim_1<R: Real>(w: &[R], w_old: &mut [R]) {
 /// normal out of the *left* argument's cell (`edge2cell[0]`). The flux is
 /// pre-multiplied by the edge length; λ·len rides in slot 3.
 #[inline(always)]
-pub fn compute_flux<R: Real>(geom: &[R], wl: &[R], wr: &[R], eflux: &mut [R], g: R, h_min: R) {
+pub fn compute_flux<R: Real, T: Lane<R>>(
+    geom: &[T; 4],
+    wl: &[T; 4],
+    wr: &[T; 4],
+    eflux: &mut [T; 4],
+    g: R,
+    h_min: R,
+) {
     let (nx, ny, len) = (geom[0], geom[1], geom[2]);
 
-    let hl = wl[0].max(h_min);
-    let hr = wr[0].max(h_min);
+    let hl = wl[0].max(T::splat(h_min));
+    let hr = wr[0].max(T::splat(h_min));
     let (hul, hvl) = (wl[1], wl[2]);
     let (hur, hvr) = (wr[1], wr[2]);
 
@@ -27,13 +38,13 @@ pub fn compute_flux<R: Real>(geom: &[R], wl: &[R], wr: &[R], eflux: &mut [R], g:
     let (ur, vr) = (hur / hr, hvr / hr);
     let unl = ul * nx + vl * ny;
     let unr = ur * nx + vr * ny;
-    let cl = (g * hl).sqrt();
-    let cr = (g * hr).sqrt();
+    let cl = (hl * g).sqrt();
+    let cr = (hr * g).sqrt();
     let lambda = (unl.abs() + cl).max(unr.abs() + cr);
 
-    let half = R::HALF;
-    let pl = half * g * hl * hl;
-    let pr = half * g * hr * hr;
+    let half_g = R::HALF * g;
+    let pl = hl * half_g * hl;
+    let pr = hr * half_g * hr;
 
     // physical fluxes projected on n
     let fl0 = hl * unl;
@@ -48,51 +59,50 @@ pub fn compute_flux<R: Real>(geom: &[R], wl: &[R], wr: &[R], eflux: &mut [R], g:
     // otherwise a lake at rest over varying bathymetry pumps mass
     // (the standard hydrostatic LLF correction).
     let deta = (wr[0] + wr[3]) - (wl[0] + wl[3]);
-    eflux[0] = (half * (fl0 + fr0) - half * lambda * deta) * len;
-    eflux[1] = (half * (fl1 + fr1) - half * lambda * (wr[1] - wl[1])) * len;
-    eflux[2] = (half * (fl2 + fr2) - half * lambda * (wr[2] - wl[2])) * len;
+    eflux[0] = ((fl0 + fr0) * R::HALF - lambda * R::HALF * deta) * len;
+    eflux[1] = ((fl1 + fr1) * R::HALF - lambda * R::HALF * (wr[1] - wl[1])) * len;
+    eflux[2] = ((fl2 + fr2) * R::HALF - lambda * R::HALF * (wr[2] - wl[2])) * len;
     eflux[3] = lambda * len;
 }
 
 /// `numerical_flux`: CFL timestep candidate of one edge, min-reduced into
-/// `dt_min` (gather the two cell areas, read the wave speed).
+/// `dt_min` (gather the two cell areas, read the wave speed λ·len).
 #[inline(always)]
-pub fn numerical_flux<R: Real>(
-    geom: &[R],
-    eflux: &[R],
-    area_l: R,
-    area_r: R,
-    dt_min: &mut R,
+pub fn numerical_flux<R: Real, T: Lane<R>>(
+    eflux: &[T; 4],
+    area_l: T,
+    area_r: T,
+    dt_min: &mut T,
     cfl: R,
 ) {
-    let lam_len = eflux[3].max(R::from_f64(1e-12));
-    let _ = geom[2]; // len already folded into λ·len
-    let dt = cfl * area_l.min(area_r) / lam_len;
-    *dt_min = (*dt_min).min(dt);
+    let lam_len = eflux[3].max(T::splat(R::from_f64(1e-12)));
+    let dt = area_l.min(area_r) * cfl / lam_len;
+    *dt_min = dt_min.min(dt);
 }
 
 /// `space_disc`: accumulate the edge flux and the centered bed-slope
 /// source into both cell residuals (gather, colored scatter). Residual
 /// convention: `dW/dt = −res/A`, so outflow adds to the first (right)
-/// cell and subtracts from the second.
+/// cell and subtracts from the second. Slot 3 (bathymetry) is left
+/// alone.
 #[inline(always)]
-pub fn space_disc<R: Real>(
-    geom: &[R],
-    eflux: &[R],
-    wl: &[R],
-    wr: &[R],
-    res_l: &mut [R],
-    res_r: &mut [R],
+pub fn space_disc<R: Real, T: Lane<R>>(
+    geom: &[T; 4],
+    eflux: &[T; 4],
+    wl: &[T; 4],
+    wr: &[T; 4],
+    res_l: &mut [T; 4],
+    res_r: &mut [T; 4],
     g: R,
 ) {
     let (nx, ny, len) = (geom[0], geom[1], geom[2]);
     // Green-Gauss bed-slope source: res_hu += g·h_cell·b_face·n·len
-    let b_face = R::HALF * (wl[3] + wr[3]);
-    let sl = g * wl[0] * b_face * len;
-    let sr = g * wr[0] * b_face * len;
-    // one update per component, as `space_disc_vec` sums it: applied in
-    // place (`step_seq`) or staged in zeroed increments (the recording),
-    // the residual gets the same bits
+    let b_face = (wl[3] + wr[3]) * R::HALF;
+    let sl = wl[0] * g * b_face * len;
+    let sr = wr[0] * g * b_face * len;
+    // one update per component: applied in place (`step_seq`) or staged
+    // in zeroed increments (the recording), the residual gets the same
+    // bits
     res_l[0] += eflux[0];
     res_r[0] -= eflux[0];
     res_l[1] += eflux[1] + sl * nx;
@@ -107,9 +117,10 @@ pub fn space_disc<R: Real>(
 /// boundary cell (without this, a lake at rest develops boundary
 /// currents). `x1`,`x2` are the boundary edge's nodes, cell on the right.
 /// `bgeom = (nx·len, ny·len)` — the outward normal of the cell scaled by
-/// the edge length, precomputed at setup like `egeom`.
+/// the edge length, precomputed at setup like `egeom`. Scalar only: the
+/// boundary loop is serial in every row.
 #[inline(always)]
-pub fn bc_flux<R: Real>(bgeom: &[R], w: &[R], res: &mut [R], g: R) {
+pub fn bc_flux<R: Real>(bgeom: &[R; 2], w: &[R; 4], res: &mut [R; 4], g: R) {
     let h = w[0];
     let p = R::HALF * g * h * h;
     let s = p + g * h * w[3]; // pressure + bed-source share (b_f = b_cell)
@@ -119,28 +130,43 @@ pub fn bc_flux<R: Real>(bgeom: &[R], w: &[R], res: &mut [R], g: R) {
 
 /// `RK_1`: Heun predictor `w1 = w_old − (dt/A)·res`, residual zeroed.
 #[inline(always)]
-pub fn rk_1<R: Real>(w_old: &[R], res: &mut [R], w1: &mut [R], area: R, dt: R) {
-    let f = dt / area;
+pub fn rk_1<R: Real, T: Lane<R>>(
+    w_old: &[T; 4],
+    res: &mut [T; 4],
+    w1: &mut [T; 4],
+    area: T,
+    dt: R,
+) {
+    let f = T::splat(dt) / area;
     for n in 0..4 {
         w1[n] = w_old[n] - f * res[n];
-        res[n] = R::ZERO;
+        res[n] = T::splat(R::ZERO);
     }
 }
 
 /// `RK_2`: Heun corrector `w = ½(w_old + w1 − (dt/A)·res)`, residual
 /// zeroed.
 #[inline(always)]
-pub fn rk_2<R: Real>(w_old: &[R], w1: &[R], res: &mut [R], w: &mut [R], area: R, dt: R) {
-    let f = dt / area;
+pub fn rk_2<R: Real, T: Lane<R>>(
+    w_old: &[T; 4],
+    w1: &[T; 4],
+    res: &mut [T; 4],
+    w: &mut [T; 4],
+    area: T,
+    dt: R,
+) {
+    let f = T::splat(dt) / area;
     for n in 0..4 {
-        w[n] = R::HALF * (w_old[n] + w1[n] - f * res[n]);
-        res[n] = R::ZERO;
+        w[n] = (w_old[n] + w1[n] - f * res[n]) * R::HALF;
+        res[n] = T::splat(R::ZERO);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane_check::{lanes_case, or_zero, take};
+    use ump_mesh::SplitMix64;
 
     const G: f64 = super::super::GRAVITY;
 
@@ -186,14 +212,13 @@ mod tests {
 
     #[test]
     fn dt_scales_with_cell_size_and_wave_speed() {
-        let geom = [1.0, 0.0, 2.0, 0.0];
         let eflux = [0.0, 0.0, 0.0, 10.0];
         let mut dt = f64::INFINITY;
-        numerical_flux(&geom, &eflux, 4.0, 9.0, &mut dt, 0.4);
+        numerical_flux(&eflux, 4.0, 9.0, &mut dt, 0.4);
         assert!((dt - 0.4 * 4.0 / 10.0).abs() < 1e-12);
         // a slower edge cannot raise the minimum
         let eflux2 = [0.0, 0.0, 0.0, 1.0];
-        numerical_flux(&geom, &eflux2, 4.0, 9.0, &mut dt, 0.4);
+        numerical_flux(&eflux2, 4.0, 9.0, &mut dt, 0.4);
         assert!((dt - 0.16).abs() < 1e-12);
     }
 
@@ -213,7 +238,7 @@ mod tests {
 
     #[test]
     fn rk_stages_advance_and_zero_residual() {
-        let w_old = [2.0, 0.0, 0.0, -2.0];
+        let w_old = [2.0f64, 0.0, 0.0, -2.0];
         let mut res = [0.4, 0.8, -0.4, 0.0];
         let mut w1 = [0.0; 4];
         rk_1(&w_old, &mut res, &mut w1, 2.0, 0.5);
@@ -227,5 +252,117 @@ mod tests {
         assert!((w[0] - 0.5 * (2.0 + w1[0] - 0.25 * 0.2)).abs() < 1e-15);
         assert_eq!(w[3], -2.0);
         assert_eq!(res2, [0.0; 4]);
+    }
+
+    /// Lane `k` of every `L`-lane kernel call is the scalar call on lane
+    /// `k`'s arguments, bit for bit, at f64×4, f64×8, f32×8 and f32×4, on
+    /// seeded random rows with dry cells (`h < h_min`, clamped), still
+    /// water (equal states, zero momenta) and signed-zero fluxes and
+    /// residuals. `bc_flux` has no vector caller.
+    #[test]
+    fn lanes_equal_scalar_calls_bit_for_bit() {
+        fn every_kernel<R: Real, const L: usize>() {
+            let (g, h_min, cfl, dt) = (
+                R::from_f64(G),
+                R::from_f64(super::super::H_MIN),
+                R::from_f64(super::super::CFL),
+                R::from_f64(0.01),
+            );
+            // (h, hu, hv, b): dry one time in four, momenta zero one time
+            // in four
+            let w = |r: &mut SplitMix64| {
+                let h = match r.next_below(8) {
+                    0 => 0.0,
+                    1 => 0.5 * super::super::H_MIN,
+                    _ => 0.5 + r.next_f64(),
+                };
+                let (hu, hv) = (
+                    or_zero(r.next_f64() - 0.5, r),
+                    or_zero(r.next_f64() - 0.5, r),
+                );
+                vec![h, hu, hv, -1.0 - r.next_f64()]
+            };
+            // the left state, or both again (still water across the edge)
+            let w2 = |r: &mut SplitMix64| {
+                let wl = w(r);
+                let wr = if r.next_below(4) == 0 {
+                    wl.clone()
+                } else {
+                    w(r)
+                };
+                [wl, wr].concat()
+            };
+            let geom = |r: &mut SplitMix64| {
+                let a = r.next_f64() * std::f64::consts::TAU;
+                vec![a.cos(), a.sin(), 0.5 + r.next_f64(), 0.0]
+            };
+            let signed =
+                |r: &mut SplitMix64| (0..4).map(|_| or_zero(r.next_f64() - 0.5, r)).collect();
+            let cat = |parts: Vec<Vec<f64>>| parts.concat();
+
+            lanes_case!("sim_1", 11, w, |x| {
+                let mut w_old = take(x, 0);
+                sim_1(&take(x, 0), &mut w_old);
+                w_old.to_vec()
+            });
+            let draw = |r: &mut SplitMix64| cat(vec![geom(r), w2(r), signed(r)]);
+            lanes_case!("compute_flux", 12, draw, |x| {
+                let mut eflux = take(x, 12);
+                compute_flux(&take(x, 0), &take(x, 4), &take(x, 8), &mut eflux, g, h_min);
+                eflux.to_vec()
+            });
+            // λ·len zero (clamped) one time in four
+            let draw = |r: &mut SplitMix64| {
+                let mut eflux: Vec<f64> = signed(r);
+                eflux[3] = or_zero(10.0 * r.next_f64(), r);
+                let areas = vec![0.1 + r.next_f64(), 0.1 + r.next_f64()];
+                let dt_min = if r.next_below(4) == 0 {
+                    f64::INFINITY
+                } else {
+                    r.next_f64()
+                };
+                cat(vec![eflux, areas, vec![dt_min]])
+            };
+            lanes_case!("numerical_flux", 13, draw, |x| {
+                let mut dt_min = x[6];
+                numerical_flux(&take(x, 0), x[4], x[5], &mut dt_min, cfl);
+                vec![dt_min]
+            });
+            let draw =
+                |r: &mut SplitMix64| cat(vec![geom(r), signed(r), w2(r), signed(r), signed(r)]);
+            lanes_case!("space_disc", 14, draw, |x| {
+                let (mut res_l, mut res_r) = (take(x, 16), take(x, 20));
+                let (ge, ef) = (take(x, 0), take(x, 4));
+                space_disc(
+                    &ge,
+                    &ef,
+                    &take(x, 8),
+                    &take(x, 12),
+                    &mut res_l,
+                    &mut res_r,
+                    g,
+                );
+                [res_l, res_r].concat()
+            });
+            let draw =
+                |r: &mut SplitMix64| cat(vec![w(r), w(r), signed(r), vec![0.1 + r.next_f64()]]);
+            lanes_case!("RK_1", 15, draw, |x| {
+                let (mut res, mut w1) = (take(x, 8), take(x, 4));
+                rk_1(&take(x, 0), &mut res, &mut w1, x[12], dt);
+                [w1, res].concat()
+            });
+            let draw = |r: &mut SplitMix64| {
+                cat(vec![w(r), w(r), signed(r), w(r), vec![0.1 + r.next_f64()]])
+            };
+            lanes_case!("RK_2", 16, draw, |x| {
+                let (mut res, mut w) = (take(x, 8), take(x, 12));
+                rk_2(&take(x, 0), &take(x, 4), &mut res, &mut w, x[16], dt);
+                [w, res].concat()
+            });
+        }
+        every_kernel::<f64, 4>();
+        every_kernel::<f64, 8>();
+        every_kernel::<f32, 8>();
+        every_kernel::<f32, 4>();
     }
 }

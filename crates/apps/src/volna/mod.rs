@@ -40,7 +40,6 @@ macro_rules! evolving {
 
 pub mod drivers;
 pub mod kernels;
-pub mod kernels_vec;
 
 use ump_core::{Access, ArgInfo, Layout, LoopProfile, OpDat};
 use ump_lazy::TileCache;

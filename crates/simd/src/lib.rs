@@ -29,6 +29,8 @@
 //!
 //! Beyond the value types, the crate provides:
 //!
+//! * [`Lane`] — the number type a user kernel is written over, so one
+//!   kernel source runs on `R` and on `VecR<R, L>` (paper §4.2, Fig. 3b),
 //! * [`IdxVec`] — a lane-wide vector of `i32` mapping indices (the paper's
 //!   `I32vec4`/`I32vec8`), loaded straight from `op_map` tables,
 //! * gather/scatter helpers for both *strided* direct data
@@ -43,6 +45,7 @@
 
 pub mod arch;
 pub mod idx;
+pub mod lane;
 pub mod layout;
 pub mod mask;
 pub mod mem;
@@ -52,6 +55,7 @@ pub mod vecr;
 
 pub use arch::{have_avx2, isa_name};
 pub use idx::IdxVec;
+pub use lane::Lane;
 pub use layout::{Addressing, Aos, DatView, Layout, Soa};
 pub use mask::Mask;
 pub use real::Real;

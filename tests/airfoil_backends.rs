@@ -7,7 +7,7 @@ use ump::lazy::{ExchangePolicy, Shape};
 use ump_apps::airfoil::{drivers, Airfoil};
 use ump_apps::dist;
 use ump_color::{BlockPermutePlan, FullPermutePlan, PlanInputs};
-use ump_core::{Backend, ExecPool, OpDat, PlanCache, Recorder};
+use ump_core::{Backend, ExecPool, Layout, OpDat, PlanCache, Recorder};
 use ump_mesh::renumber::reorder_edges;
 
 const NX: usize = 24;
@@ -279,10 +279,13 @@ fn simd4_step_is_not_slower_than_seq() {
 }
 
 /// The paper's indirect-increment loop (`res_calc`, Fig. 3b) must beat
-/// its scalar form on one core: on one thread, from the same 600×300 AoS
-/// state, `simd4`'s `res_calc` takes at most 0.75 × `seq`'s (measured
-/// 0.64 with cell-major edges; 0.88 with edges chained across grid
-/// rows). Median of the per-step `Recorder` times over 16 interleaved
+/// its scalar form on one core: on one thread, from the same 600×300
+/// state, `simd4`'s `res_calc` takes at most 0.75 × `seq`'s on AoS
+/// storage (measured 0.64 with cell-major edges; 0.88 with edges chained
+/// across grid rows) and at most 1.25 × on SoA storage (measured
+/// 0.88–1.05 before the kernels were written once, 1.02–1.15 after: the
+/// vector body is unchanged, `seq` got faster). `seq` steps the AoS
+/// state. Median of the per-step `Recorder` times over 16 interleaved
 /// steps after the plan-building one. Timing test: run in release,
 /// `-- --ignored`.
 #[test]
@@ -290,9 +293,12 @@ fn simd4_step_is_not_slower_than_seq() {
 fn simd4_res_calc_beats_seq_per_core() {
     let base = Airfoil::<f64>::seeded(600, 300, 1);
     let (pool, cache) = (ExecPool::new(1), PlanCache::new());
-    let rows = [Backend::Seq, Backend::Simd { lanes: 4 }];
-    let mut sims = [base.clone(), base];
-    let mut times = [Vec::new(), Vec::new()];
+    let mut soa = base.clone();
+    soa.set_layout(Layout::Soa);
+    let simd4 = Backend::Simd { lanes: 4 };
+    let rows = [Backend::Seq, simd4, simd4];
+    let mut sims = [base.clone(), base, soa];
+    let mut times = [Vec::new(), Vec::new(), Vec::new()];
     for i in 0..17 {
         for (k, &row) in rows.iter().enumerate() {
             let rec = Recorder::new();
@@ -302,15 +308,17 @@ fn simd4_res_calc_beats_seq_per_core() {
             }
         }
     }
-    let [seq, simd] = times.map(|mut t| {
+    let [seq, aos, soa] = times.map(|mut t| {
         t.sort_by(f64::total_cmp);
         t[t.len() / 2]
     });
-    assert!(
-        simd <= 0.75 * seq,
-        "simd4 res_calc {:.2} ms vs seq {:.2} ms per step: ratio {:.2} > 0.75",
-        simd * 1e3,
-        seq * 1e3,
-        simd / seq
-    );
+    for (layout, simd, bound) in [("AoS", aos, 0.75), ("SoA", soa, 1.25)] {
+        assert!(
+            simd <= bound * seq,
+            "simd4 {layout} res_calc {:.2} ms vs seq {:.2} ms per step: ratio {:.2} > {bound}",
+            simd * 1e3,
+            seq * 1e3,
+            simd / seq
+        );
+    }
 }
