@@ -161,9 +161,7 @@ pub fn update<R: Real, T: Lane<R>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane_check::{lanes_case, or_zero, take};
     use ump_mesh::generators::BOUND_FARFIELD;
-    use ump_mesh::SplitMix64;
 
     fn c64() -> Consts<f64> {
         Consts::default()
@@ -268,77 +266,5 @@ mod tests {
         for n in 0..4 {
             assert!((r1[n] - r1s[n] as f64).abs() < 1e-6, "component {n}");
         }
-    }
-
-    /// Lane `k` of every `L`-lane kernel call is the scalar call on lane
-    /// `k`'s arguments, bit for bit — the vector kernel of paper Fig. 3b
-    /// *is* the scalar one — at f64×4, f64×8, f32×8 and f32×4, on seeded
-    /// random rows. `bres_calc` has no vector caller.
-    #[test]
-    fn lanes_equal_scalar_calls_bit_for_bit() {
-        fn every_kernel<R: Real, const L: usize>() {
-            let c = Consts::<R>::default();
-            // (ρ, ρu, ρv, ρE) with a positive pressure; node coordinates;
-            // residuals, zero one time in four (the chunk bodies' start)
-            let q = |r: &mut SplitMix64| {
-                let (u, v) = (r.next_f64() - 0.5, r.next_f64() - 0.5);
-                vec![1.0 + r.next_f64(), u, v, 2.0 + r.next_f64()]
-            };
-            let xy = |r: &mut SplitMix64| vec![r.next_f64(), r.next_f64()];
-            let res = |r: &mut SplitMix64| (0..4).map(|_| or_zero(r.next_f64() - 0.5, r)).collect();
-            let cat = |parts: Vec<Vec<f64>>| parts.concat();
-
-            lanes_case!("save_soln", 1, q, |x| {
-                let mut qold = take(x, 0);
-                save_soln(&take(x, 0), &mut qold);
-                qold.to_vec()
-            });
-            let draw = |r: &mut SplitMix64| cat(vec![xy(r), xy(r), xy(r), xy(r), q(r)]);
-            lanes_case!("adt_calc", 2, draw, |x| {
-                let mut adt = x[0];
-                adt_calc(
-                    &take(x, 0),
-                    &take(x, 2),
-                    &take(x, 4),
-                    &take(x, 6),
-                    &take(x, 8),
-                    &mut adt,
-                    &c,
-                );
-                vec![adt]
-            });
-            let draw = |r: &mut SplitMix64| {
-                let adt = vec![0.5 + r.next_f64(), 0.5 + r.next_f64()];
-                cat(vec![xy(r), xy(r), q(r), q(r), adt, res(r), res(r)])
-            };
-            lanes_case!("res_calc", 3, draw, |x| {
-                let (mut res1, mut res2) = (take(x, 14), take(x, 18));
-                res_calc(
-                    &take(x, 0),
-                    &take(x, 2),
-                    &take(x, 4),
-                    &take(x, 8),
-                    x[12],
-                    x[13],
-                    &mut res1,
-                    &mut res2,
-                    &c,
-                );
-                [res1, res2].concat()
-            });
-            let draw = |r: &mut SplitMix64| {
-                let (adt, rms) = (0.5 + r.next_f64(), r.next_f64());
-                cat(vec![q(r), q(r), res(r), vec![adt, rms]])
-            };
-            lanes_case!("update", 4, draw, |x| {
-                let (mut q, mut res, mut rms) = (take(x, 4), take(x, 8), x[13]);
-                update(&take(x, 0), &mut q, &mut res, x[12], &mut rms);
-                [&q[..], &res[..], &[rms]].concat()
-            });
-        }
-        every_kernel::<f64, 4>();
-        every_kernel::<f64, 8>();
-        every_kernel::<f32, 8>();
-        every_kernel::<f32, 4>();
     }
 }

@@ -23,6 +23,8 @@ macro_rules! evolving {
 
 pub mod drivers;
 pub mod kernels;
+#[cfg(test)]
+mod kernels_vec;
 pub mod mpi;
 
 use ump_core::{Access, ArgInfo, Layout, LoopProfile, OpDat};

@@ -61,6 +61,18 @@ macro_rules! lanes_case {
 }
 pub(crate) use lanes_case;
 
+/// `at_every_width!(case)`: runs the generic `case::<R, L>` at f64×4,
+/// f64×8, f32×8 and f32×4.
+macro_rules! at_every_width {
+    ($case:ident) => {{
+        $case::<f64, 4>();
+        $case::<f64, 8>();
+        $case::<f32, 8>();
+        $case::<f32, 4>();
+    }};
+}
+pub(crate) use at_every_width;
+
 /// `x[at..at + N]` as the row argument of a kernel.
 pub(crate) fn take<T: Copy, const N: usize>(x: &[T], at: usize) -> [T; N] {
     std::array::from_fn(|i| x[at + i])

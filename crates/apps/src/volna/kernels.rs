@@ -165,8 +165,6 @@ pub fn rk_2<R: Real, T: Lane<R>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane_check::{lanes_case, or_zero, take};
-    use ump_mesh::SplitMix64;
 
     const G: f64 = super::super::GRAVITY;
 
@@ -252,117 +250,5 @@ mod tests {
         assert!((w[0] - 0.5 * (2.0 + w1[0] - 0.25 * 0.2)).abs() < 1e-15);
         assert_eq!(w[3], -2.0);
         assert_eq!(res2, [0.0; 4]);
-    }
-
-    /// Lane `k` of every `L`-lane kernel call is the scalar call on lane
-    /// `k`'s arguments, bit for bit, at f64×4, f64×8, f32×8 and f32×4, on
-    /// seeded random rows with dry cells (`h < h_min`, clamped), still
-    /// water (equal states, zero momenta) and signed-zero fluxes and
-    /// residuals. `bc_flux` has no vector caller.
-    #[test]
-    fn lanes_equal_scalar_calls_bit_for_bit() {
-        fn every_kernel<R: Real, const L: usize>() {
-            let (g, h_min, cfl, dt) = (
-                R::from_f64(G),
-                R::from_f64(super::super::H_MIN),
-                R::from_f64(super::super::CFL),
-                R::from_f64(0.01),
-            );
-            // (h, hu, hv, b): dry one time in four, momenta zero one time
-            // in four
-            let w = |r: &mut SplitMix64| {
-                let h = match r.next_below(8) {
-                    0 => 0.0,
-                    1 => 0.5 * super::super::H_MIN,
-                    _ => 0.5 + r.next_f64(),
-                };
-                let (hu, hv) = (
-                    or_zero(r.next_f64() - 0.5, r),
-                    or_zero(r.next_f64() - 0.5, r),
-                );
-                vec![h, hu, hv, -1.0 - r.next_f64()]
-            };
-            // the left state, or both again (still water across the edge)
-            let w2 = |r: &mut SplitMix64| {
-                let wl = w(r);
-                let wr = if r.next_below(4) == 0 {
-                    wl.clone()
-                } else {
-                    w(r)
-                };
-                [wl, wr].concat()
-            };
-            let geom = |r: &mut SplitMix64| {
-                let a = r.next_f64() * std::f64::consts::TAU;
-                vec![a.cos(), a.sin(), 0.5 + r.next_f64(), 0.0]
-            };
-            let signed =
-                |r: &mut SplitMix64| (0..4).map(|_| or_zero(r.next_f64() - 0.5, r)).collect();
-            let cat = |parts: Vec<Vec<f64>>| parts.concat();
-
-            lanes_case!("sim_1", 11, w, |x| {
-                let mut w_old = take(x, 0);
-                sim_1(&take(x, 0), &mut w_old);
-                w_old.to_vec()
-            });
-            let draw = |r: &mut SplitMix64| cat(vec![geom(r), w2(r), signed(r)]);
-            lanes_case!("compute_flux", 12, draw, |x| {
-                let mut eflux = take(x, 12);
-                compute_flux(&take(x, 0), &take(x, 4), &take(x, 8), &mut eflux, g, h_min);
-                eflux.to_vec()
-            });
-            // λ·len zero (clamped) one time in four
-            let draw = |r: &mut SplitMix64| {
-                let mut eflux: Vec<f64> = signed(r);
-                eflux[3] = or_zero(10.0 * r.next_f64(), r);
-                let areas = vec![0.1 + r.next_f64(), 0.1 + r.next_f64()];
-                let dt_min = if r.next_below(4) == 0 {
-                    f64::INFINITY
-                } else {
-                    r.next_f64()
-                };
-                cat(vec![eflux, areas, vec![dt_min]])
-            };
-            lanes_case!("numerical_flux", 13, draw, |x| {
-                let mut dt_min = x[6];
-                numerical_flux(&take(x, 0), x[4], x[5], &mut dt_min, cfl);
-                vec![dt_min]
-            });
-            let draw =
-                |r: &mut SplitMix64| cat(vec![geom(r), signed(r), w2(r), signed(r), signed(r)]);
-            lanes_case!("space_disc", 14, draw, |x| {
-                let (mut res_l, mut res_r) = (take(x, 16), take(x, 20));
-                let (ge, ef) = (take(x, 0), take(x, 4));
-                space_disc(
-                    &ge,
-                    &ef,
-                    &take(x, 8),
-                    &take(x, 12),
-                    &mut res_l,
-                    &mut res_r,
-                    g,
-                );
-                [res_l, res_r].concat()
-            });
-            let draw =
-                |r: &mut SplitMix64| cat(vec![w(r), w(r), signed(r), vec![0.1 + r.next_f64()]]);
-            lanes_case!("RK_1", 15, draw, |x| {
-                let (mut res, mut w1) = (take(x, 8), take(x, 4));
-                rk_1(&take(x, 0), &mut res, &mut w1, x[12], dt);
-                [w1, res].concat()
-            });
-            let draw = |r: &mut SplitMix64| {
-                cat(vec![w(r), w(r), signed(r), w(r), vec![0.1 + r.next_f64()]])
-            };
-            lanes_case!("RK_2", 16, draw, |x| {
-                let (mut res, mut w) = (take(x, 8), take(x, 12));
-                rk_2(&take(x, 0), &take(x, 4), &mut res, &mut w, x[16], dt);
-                [w, res].concat()
-            });
-        }
-        every_kernel::<f64, 4>();
-        every_kernel::<f64, 8>();
-        every_kernel::<f32, 8>();
-        every_kernel::<f32, 4>();
     }
 }

@@ -40,6 +40,8 @@ macro_rules! evolving {
 
 pub mod drivers;
 pub mod kernels;
+#[cfg(test)]
+mod kernels_vec;
 
 use ump_core::{Access, ArgInfo, Layout, LoopProfile, OpDat};
 use ump_lazy::TileCache;
