@@ -381,11 +381,14 @@ impl<R: Real> Simulation for Airfoil<R> {
                 desc("save_soln", nc),
                 vec![],
                 L,
-                move |c| unsafe {
-                    let row: [R; 4] = qv.load_row(qs.as_slice(), c);
-                    let mut old = [R::ZERO; 4];
-                    save_soln(&row, &mut old);
-                    qoldv.store_row(qolds.slice_mut(0, qolds.len()), c, &old);
+                move |r| unsafe {
+                    let q = qv.rows(qs.as_slice(), r.clone());
+                    let mut q_old = qoldv.rows_mut(qolds.slice_mut(0, qolds.len()), r.clone());
+                    for c in 0..r.len() {
+                        let mut old = [R::ZERO; 4];
+                        save_soln(&q.load(c), &mut old);
+                        q_old.store(c, &old);
+                    }
                 },
                 move |cs| unsafe {
                     let rows: [VecR<R, L>; 4] = qd.load_rows(qs.as_slice(), cs);
@@ -402,19 +405,21 @@ impl<R: Real> Simulation for Airfoil<R> {
                     desc("adt_calc", nc),
                     vec![],
                     L,
-                    move |c| {
-                        let n = mesh.cell2node.row(c);
-                        // four loads written out: a nested `array::from_fn`
-                        // over the nodes measured 2x on this group
-                        let x0: [R; 2] = xv.load_row(&x.data, n[0] as usize);
-                        let x1: [R; 2] = xv.load_row(&x.data, n[1] as usize);
-                        let x2: [R; 2] = xv.load_row(&x.data, n[2] as usize);
-                        let x3: [R; 2] = xv.load_row(&x.data, n[3] as usize);
-                        let mut a = R::ZERO;
-                        unsafe {
-                            let qrow: [R; 4] = qv.load_row(qs.as_slice(), c);
-                            adt_calc(&x0, &x1, &x2, &x3, &qrow, &mut a, consts);
-                            adts.slice_mut(c, 1)[0] = a;
+                    move |r| {
+                        for c in r {
+                            let n = mesh.cell2node.row(c);
+                            // four loads written out: a nested `array::from_fn`
+                            // over the nodes measured 2x on this group
+                            let x0: [R; 2] = xv.load_row(&x.data, n[0] as usize);
+                            let x1: [R; 2] = xv.load_row(&x.data, n[1] as usize);
+                            let x2: [R; 2] = xv.load_row(&x.data, n[2] as usize);
+                            let x3: [R; 2] = xv.load_row(&x.data, n[3] as usize);
+                            let mut a = R::ZERO;
+                            unsafe {
+                                let qrow: [R; 4] = qv.load_row(qs.as_slice(), c);
+                                adt_calc(&x0, &x1, &x2, &x3, &qrow, &mut a, consts);
+                                adts.slice_mut(c, 1)[0] = a;
+                            }
                         }
                     },
                     move |cs| unsafe {

@@ -67,7 +67,7 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
                 seq_loop(0..ne, |e| {
                     let c = mesh.edge2cell.row(e);
                     numerical_flux(
-                        arr(sim.eflux.row(e)),
+                        sim.eflux.row(e)[3],
                         sim.area.row(c[0] as usize)[0],
                         sim.area.row(c[1] as usize)[0],
                         &mut dt,
@@ -184,13 +184,10 @@ pub(crate) fn numerical_flux_chunk<R: Real, A: Addressing, const L: usize>(
 ) {
     let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
     let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-    // the kernel reads λ·len alone: one component load, not the row
-    let mut ef = [VecR::zero(); 4];
-    ef[3] = efv.loadv(eflux, es, 3);
     // area is dim-1: its indexing is layout-invariant, keep the direct gather
     let al = VecR::gather(area, c0, 1, 0);
     let ar = VecR::gather(area, c1, 1, 0);
-    numerical_flux(&ef, al, ar, dt_acc, cfl);
+    numerical_flux(efv.loadv(eflux, es, 3), al, ar, dt_acc, cfl);
 }
 
 /// One lane-aligned chunk `es..es + L` of vectorized `space_disc`, with
@@ -445,11 +442,14 @@ impl<R: Real> Simulation for Volna<R> {
                 desc("sim_1", nc),
                 vec![],
                 L,
-                move |c| unsafe {
-                    let row: [R; 4] = wv.load_row(ws.as_slice(), c);
-                    let mut old = [R::ZERO; 4];
-                    sim_1(&row, &mut old);
-                    woldv.store_row(wolds.slice_mut(0, wolds.len()), c, &old);
+                move |r| unsafe {
+                    let w = wv.rows(ws.as_slice(), r.clone());
+                    let mut w_old = woldv.rows_mut(wolds.slice_mut(0, wolds.len()), r.clone());
+                    for c in 0..r.len() {
+                        let mut old = [R::ZERO; 4];
+                        sim_1(&w.load(c), &mut old);
+                        w_old.store(c, &old);
+                    }
                 },
                 move |cs| unsafe {
                     let rows: [VecR<R, L>; 4] = wv.load_rows(ws.as_slice(), cs);
@@ -474,16 +474,18 @@ impl<R: Real> Simulation for Volna<R> {
                     phase_desc("compute_flux", ne, phase),
                     vec![],
                     L,
-                    move |e| {
-                        let c = mesh.edge2cell.row(e);
-                        unsafe {
-                            let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                            let s = state.as_slice();
-                            let wl: [R; 4] = sv.load_row(s, c[0] as usize);
-                            let wr: [R; 4] = sv.load_row(s, c[1] as usize);
-                            let mut f = [R::ZERO; 4];
-                            compute_flux(&ge, &wl, &wr, &mut f, g, h_min);
-                            efv.store_row(efs.slice_mut(0, efs.len()), e, &f);
+                    move |r| {
+                        for e in r {
+                            let c = mesh.edge2cell.row(e);
+                            unsafe {
+                                let ge: [R; 4] = egv.load_row(&egeom.data, e);
+                                let s = state.as_slice();
+                                let wl: [R; 4] = sv.load_row(s, c[0] as usize);
+                                let wr: [R; 4] = sv.load_row(s, c[1] as usize);
+                                let mut f = [R::ZERO; 4];
+                                compute_flux(&ge, &wl, &wr, &mut f, g, h_min);
+                                efv.store_row(efs.slice_mut(0, efs.len()), e, &f);
+                            }
                         }
                     },
                     move |es| unsafe {
@@ -511,9 +513,9 @@ impl<R: Real> Simulation for Volna<R> {
                     macro_rules! flux_edge {
                         ($e:expr, $dt:expr) => {{
                             let c = mesh.edge2cell.row($e);
-                            let ef: [R; 4] = efv.load_row(efs.as_slice(), $e);
+                            let lam_len = efs.as_slice()[efv.idx($e, 3)];
                             let (al, ar) = (area.row(c[0] as usize)[0], area.row(c[1] as usize)[0]);
-                            numerical_flux(&ef, al, ar, $dt, cfl);
+                            numerical_flux(lam_len, al, ar, $dt, cfl);
                         }};
                     }
                     // the block's Δt folds in registers — one scalar, and
@@ -638,15 +640,18 @@ impl<R: Real> Simulation for Volna<R> {
                         desc("RK_1", nc),
                         vec![],
                         L,
-                        move |c| unsafe {
+                        move |r| unsafe {
                             let dt = dt.slice(step, 1)[0];
-                            let w_old_row: [R; 4] = woldv.load_row(wolds.as_slice(), c);
-                            let r = ress.slice_mut(0, ress.len());
-                            let mut res_row: [R; 4] = resv.load_row(r, c);
-                            let mut w1_row = [R::ZERO; 4];
-                            rk_1(&w_old_row, &mut res_row, &mut w1_row, area.row(c)[0], dt);
-                            w1v.store_row(w1s.slice_mut(0, w1s.len()), c, &w1_row);
-                            resv.store_row(r, c, &res_row);
+                            let w_old = woldv.rows(wolds.as_slice(), r.clone());
+                            let mut res = resv.rows_mut(ress.slice_mut(0, ress.len()), r.clone());
+                            let mut w1 = w1v.rows_mut(w1s.slice_mut(0, w1s.len()), r.clone());
+                            let area = &area.data[r];
+                            for c in 0..area.len() {
+                                let (mut res_row, mut w1_row) = (res.load(c), [R::ZERO; 4]);
+                                rk_1(&w_old.load(c), &mut res_row, &mut w1_row, area[c], dt);
+                                w1.store(c, &w1_row);
+                                res.store(c, &res_row);
+                            }
                         },
                         move |cs| unsafe {
                             rk1_chunk::<R, A, L>(
@@ -667,23 +672,26 @@ impl<R: Real> Simulation for Volna<R> {
                         desc("RK_2", nc),
                         vec![],
                         L,
-                        move |c| unsafe {
+                        move |r| unsafe {
                             let dt = dt.slice(step, 1)[0];
-                            let w_old_row: [R; 4] = woldv.load_row(wolds.as_slice(), c);
-                            let w1_row: [R; 4] = w1v.load_row(w1s.as_slice(), c);
-                            let r = ress.slice_mut(0, ress.len());
-                            let mut res_row: [R; 4] = resv.load_row(r, c);
-                            let mut w_row = [R::ZERO; 4];
-                            rk_2(
-                                &w_old_row,
-                                &w1_row,
-                                &mut res_row,
-                                &mut w_row,
-                                area.row(c)[0],
-                                dt,
-                            );
-                            wv.store_row(ws.slice_mut(0, ws.len()), c, &w_row);
-                            resv.store_row(r, c, &res_row);
+                            let w_old = woldv.rows(wolds.as_slice(), r.clone());
+                            let w1 = w1v.rows(w1s.as_slice(), r.clone());
+                            let mut res = resv.rows_mut(ress.slice_mut(0, ress.len()), r.clone());
+                            let mut w = wv.rows_mut(ws.slice_mut(0, ws.len()), r.clone());
+                            let area = &area.data[r];
+                            for c in 0..area.len() {
+                                let (mut res_row, mut w_row) = (res.load(c), [R::ZERO; 4]);
+                                rk_2(
+                                    &w_old.load(c),
+                                    &w1.load(c),
+                                    &mut res_row,
+                                    &mut w_row,
+                                    area[c],
+                                    dt,
+                                );
+                                w.store(c, &w_row);
+                                res.store(c, &res_row);
+                            }
                         },
                         move |cs| unsafe {
                             rk2_chunk::<R, A, L>(

@@ -66,16 +66,17 @@ pub fn compute_flux<R: Real, T: Lane<R>>(
 }
 
 /// `numerical_flux`: CFL timestep candidate of one edge, min-reduced into
-/// `dt_min` (gather the two cell areas, read the wave speed λ·len).
+/// `dt_min` (gather the two cell areas, read the wave speed λ·len from
+/// slot 3 of the edge flux).
 #[inline(always)]
 pub fn numerical_flux<R: Real, T: Lane<R>>(
-    eflux: &[T; 4],
+    lam_len: T,
     area_l: T,
     area_r: T,
     dt_min: &mut T,
     cfl: R,
 ) {
-    let lam_len = eflux[3].max(T::splat(R::from_f64(1e-12)));
+    let lam_len = lam_len.max(T::splat(R::from_f64(1e-12)));
     let dt = area_l.min(area_r) * cfl / lam_len;
     *dt_min = dt_min.min(dt);
 }
@@ -210,13 +211,11 @@ mod tests {
 
     #[test]
     fn dt_scales_with_cell_size_and_wave_speed() {
-        let eflux = [0.0, 0.0, 0.0, 10.0];
         let mut dt = f64::INFINITY;
-        numerical_flux(&eflux, 4.0, 9.0, &mut dt, 0.4);
+        numerical_flux(10.0, 4.0, 9.0, &mut dt, 0.4);
         assert!((dt - 0.4 * 4.0 / 10.0).abs() < 1e-12);
         // a slower edge cannot raise the minimum
-        let eflux2 = [0.0, 0.0, 0.0, 1.0];
-        numerical_flux(&eflux2, 4.0, 9.0, &mut dt, 0.4);
+        numerical_flux(1.0, 4.0, 9.0, &mut dt, 0.4);
         assert!((dt - 0.16).abs() < 1e-12);
     }
 

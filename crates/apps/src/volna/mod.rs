@@ -265,7 +265,6 @@ pub fn profiles() -> Vec<LoopProfile> {
             name: "numerical_flux".into(),
             set: "edges".into(),
             args: vec![
-                ArgInfo::direct("egeom", 4, Access::Read),
                 ArgInfo::direct("eflux", 4, Access::Read),
                 ArgInfo::indirect("area", 1, Access::Read, "edge2cell", 0),
                 ArgInfo::indirect("area", 1, Access::Read, "edge2cell", 1),

@@ -311,12 +311,15 @@ impl<'a> Chain<'a> {
         self
     }
 
-    /// Record a loop with both a scalar element body and a `lanes`-wide
-    /// vector body. Under [`Shape::Simd`] each colored block runs the
-    /// three-sweep decomposition ([`ump_core::simd_block_sweep`]):
-    /// `scalar(e)` for the pre-/post-sweep elements and `vector(cs)` for
-    /// every lane-aligned chunk `cs..cs + lanes`. Every other shape runs
-    /// `scalar` element-wise, exactly like [`record`](Chain::record).
+    /// Record a loop with both a scalar body and a `lanes`-wide vector
+    /// body. The scalar body runs a run of consecutive elements:
+    /// `scalar(range)` gets each whole block under every shape but
+    /// [`Shape::Simd`], so a direct loop can check a block's rows once
+    /// and leave its element loop free to vectorize. Under `Shape::Simd`
+    /// each colored block runs the three-sweep decomposition
+    /// ([`ump_core::simd_block_sweep`]): `scalar(e..e + 1)` for each
+    /// pre-/post-sweep element and `vector(cs)` for every lane-aligned
+    /// chunk `cs..cs + lanes`.
     ///
     /// `lanes` must equal the const width the vector body was compiled
     /// for; executing under `Shape::Simd` with a different lane count
@@ -326,7 +329,7 @@ impl<'a> Chain<'a> {
         desc: LoopDesc,
         written: Vec<&'a MapTable>,
         lanes: usize,
-        scalar: impl Fn(usize) + Sync + 'a,
+        scalar: impl Fn(Range<usize>) + Sync + 'a,
         vector: impl Fn(usize) + Sync + 'a,
     ) -> &mut Self {
         self.push_blocks(
@@ -338,13 +341,11 @@ impl<'a> Chain<'a> {
                         l, lanes,
                         "chain recorded {lanes}-lane bodies but executes at {l} lanes"
                     );
-                    simd_block_sweep(range, lanes, &scalar, &vector);
+                    simd_block_sweep(range, lanes, |e| scalar(e..e + 1), &vector);
                 }
                 _ => {
                     sched_spin(shape);
-                    for e in range {
-                        scalar(e as usize);
-                    }
+                    scalar(range.start as usize..range.end as usize);
                 }
             }),
         );
@@ -1321,7 +1322,11 @@ mod tests {
                         ),
                         vec![],
                         LANES,
-                        move |e| unsafe { av.slice_mut(e, 1)[0] = (e % 9 + 1) as f64 },
+                        move |r| {
+                            for e in r {
+                                unsafe { av.slice_mut(e, 1)[0] = (e % 9 + 1) as f64 };
+                            }
+                        },
                         move |cs| {
                             vc.fetch_add(1, Ordering::Relaxed);
                             for e in cs..cs + LANES {
@@ -1401,7 +1406,11 @@ mod tests {
                 ),
                 vec![],
                 4,
-                move |e| unsafe { av.slice_mut(e, 1)[0] = 1.0 },
+                move |r| {
+                    for e in r {
+                        unsafe { av.slice_mut(e, 1)[0] = 1.0 };
+                    }
+                },
                 move |cs| {
                     for e in cs..cs + 4 {
                         unsafe { av.slice_mut(e, 1)[0] = 1.0 };

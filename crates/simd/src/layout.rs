@@ -33,6 +33,8 @@
 //! [`VecR::load`]/[`VecR::store`] per component.
 
 use std::fmt::Debug;
+use std::marker::PhantomData;
+use std::ops::Range;
 
 use crate::{IdxVec, Real, VecR};
 
@@ -73,6 +75,12 @@ pub trait Addressing: Copy + Default + Debug + Eq + Send + Sync + 'static {
     const LAYOUT: Layout;
     /// See [`DatView::idx`].
     fn idx(v: DatView<Self>, e: usize, c: usize) -> usize;
+    /// The distance between two consecutive elements' values of one
+    /// component of `D`-component rows: `D` under `Aos`, 1 under `Soa`.
+    fn stride<const D: usize>() -> usize;
+    /// Where component `c` of element `e ≤ n` of `D`-component rows lies
+    /// (the first row of a [`Rows`] block; `idx` without its check).
+    fn slot<const D: usize>(v: DatView<Self>, e: usize, c: usize) -> usize;
     /// See [`DatView::load_row`].
     fn load_row<R: Real, const D: usize>(v: DatView<Self>, data: &[R], e: usize) -> [R; D];
     /// See [`DatView::store_row`].
@@ -194,6 +202,59 @@ impl<A: Addressing> DatView<A> {
     #[inline(always)]
     pub fn add_row<R: Real, const D: usize>(&self, data: &mut [R], e: usize, row: &[R; D]) {
         A::add_row(*self, data, e, row)
+    }
+
+    /// The rows of the elements `range` (`D == dim`), bounds checked once
+    /// here instead of at every row.
+    #[inline(always)]
+    pub fn rows<'d, R: Real, const D: usize>(
+        &self,
+        data: &'d [R],
+        range: Range<usize>,
+    ) -> Rows<'d, R, A, D> {
+        let (comps, len) = self.block::<R, D>(data.as_ptr().cast_mut(), data.len(), range);
+        Rows {
+            comps: comps.map(|p| p.cast_const()),
+            len,
+            _data: PhantomData,
+        }
+    }
+
+    /// Mutable [`rows`](DatView::rows).
+    #[inline(always)]
+    pub fn rows_mut<'d, R: Real, const D: usize>(
+        &self,
+        data: &'d mut [R],
+        range: Range<usize>,
+    ) -> RowsMut<'d, R, A, D> {
+        let (comps, len) = self.block::<R, D>(data.as_mut_ptr(), data.len(), range);
+        RowsMut {
+            comps,
+            len,
+            _data: PhantomData,
+        }
+    }
+
+    /// Where each component of the first element of `range` lies, and
+    /// the element count: the one bounds check of a [`Rows`] block.
+    #[inline(always)]
+    fn block<R, const D: usize>(
+        &self,
+        base: *mut R,
+        len: usize,
+        range: Range<usize>,
+    ) -> ([*mut R; D], usize) {
+        // `D == dim` and `n × D ≤ len` put every slot of an element below
+        // `n` inside `data` under either layout
+        if !(D == self.dim && range.start <= range.end && range.end <= self.n && self.n <= len / D)
+        {
+            rows_out_of_bounds(range, self.n, self.dim, D, len);
+        }
+        let e0 = range.start;
+        // `wrapping_add`: an empty block at `e0 == n` may point one row past
+        // the end under `Aos`; no access reaches it
+        let comps = std::array::from_fn(|c| base.wrapping_add(A::slot::<D>(*self, e0, c)));
+        (comps, range.end - e0)
     }
 
     /// Vector load of component `c` for elements `e0..e0+L`.
@@ -482,6 +543,16 @@ impl Addressing for Aos {
     }
 
     #[inline(always)]
+    fn stride<const D: usize>() -> usize {
+        D
+    }
+
+    #[inline(always)]
+    fn slot<const D: usize>(_: DatView<Aos>, e: usize, c: usize) -> usize {
+        e * D + c
+    }
+
+    #[inline(always)]
     fn load_row<R: Real, const D: usize>(v: DatView<Aos>, data: &[R], e: usize) -> [R; D] {
         debug_assert_eq!(D, v.dim);
         *Aos::run(data, e * D)
@@ -653,6 +724,74 @@ impl Soa {
     }
 }
 
+/// The panic of [`DatView::rows`], out of line.
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn rows_out_of_bounds(range: Range<usize>, n: usize, dim: usize, d: usize, len: usize) -> ! {
+    panic!("rows {range:?} of {d} components out of bounds: {n} elements × {dim} in {len} values")
+}
+
+/// The rows of a block of consecutive elements of one dat, bounds checked
+/// once when [`DatView::rows`] borrows them: row `i` is element
+/// `range.start + i`. A direct loop's scalar body walks its block
+/// through it, so that the element loop carries no per-row branch and
+/// LLVM vectorizes it across elements, under `Soa` with one contiguous
+/// run per component.
+pub struct Rows<'d, R, A, const D: usize> {
+    comps: [*const R; D],
+    len: usize,
+    _data: PhantomData<(&'d [R], A)>,
+}
+
+impl<R: Real, A: Addressing, const D: usize> Rows<'_, R, A, D> {
+    /// Row `i`.
+    ///
+    /// # Safety
+    /// `i` is below the length of the block's range. Unchecked: a check
+    /// per row, even one that the loop bound makes redundant, kept LLVM
+    /// from vectorizing the loop.
+    #[inline(always)]
+    pub unsafe fn load(&self, i: usize) -> [R; D] {
+        debug_assert!(i < self.len, "row {i} of a block of {}", self.len);
+        // SAFETY: `DatView::rows` checked the block, and `i < len`
+        std::array::from_fn(|c| unsafe { *self.comps[c].add(i * A::stride::<D>()) })
+    }
+}
+
+/// Mutable [`Rows`], from [`DatView::rows_mut`].
+pub struct RowsMut<'d, R, A, const D: usize> {
+    comps: [*mut R; D],
+    len: usize,
+    _data: PhantomData<(&'d mut [R], A)>,
+}
+
+impl<R: Real, A: Addressing, const D: usize> RowsMut<'_, R, A, D> {
+    /// Row `i`.
+    ///
+    /// # Safety
+    /// As for [`Rows::load`].
+    #[inline(always)]
+    pub unsafe fn load(&self, i: usize) -> [R; D] {
+        debug_assert!(i < self.len, "row {i} of a block of {}", self.len);
+        // SAFETY: `DatView::rows_mut` checked the block, and `i < len`
+        std::array::from_fn(|c| unsafe { *self.comps[c].add(i * A::stride::<D>()) })
+    }
+
+    /// Store `row` as row `i`.
+    ///
+    /// # Safety
+    /// As for [`Rows::load`].
+    #[inline(always)]
+    pub unsafe fn store(&mut self, i: usize, row: &[R; D]) {
+        debug_assert!(i < self.len, "row {i} of a block of {}", self.len);
+        for (p, &x) in self.comps.iter().zip(row) {
+            // SAFETY: as in `load`; the block borrows `data` mutably
+            unsafe { *p.add(i * A::stride::<D>()) = x };
+        }
+    }
+}
+
 /// The panic of [`Soa::check_row`], out of line: formatting its message
 /// in place spilled the arguments to the stack on every row.
 #[cold]
@@ -668,6 +807,16 @@ impl Addressing for Soa {
     #[inline(always)]
     fn idx(v: DatView<Soa>, e: usize, c: usize) -> usize {
         debug_assert!(e < v.n && c < v.dim);
+        c * v.n + e
+    }
+
+    #[inline(always)]
+    fn stride<const D: usize>() -> usize {
+        1
+    }
+
+    #[inline(always)]
+    fn slot<const D: usize>(v: DatView<Soa>, e: usize, c: usize) -> usize {
         c * v.n + e
     }
 
@@ -1018,6 +1167,25 @@ mod tests {
             }
             assert_eq!(bits(&got), bits(&want), "{tag} add_row e={e}");
         }
+        // blocks of rows, the empty one past the last element included
+        for (s, e) in [(0, n), (0, 7), (7, n), (5, 6), (n, n)] {
+            let rows: Rows<R, A, D> = view.rows(&data, s..e);
+            let mut got = data.clone();
+            let mut block: RowsMut<R, A, D> = view.rows_mut(&mut got, s..e);
+            for i in 0..e - s {
+                // SAFETY: `i` is below the length of both blocks' range
+                let (r, b) = unsafe { (rows.load(i), block.load(i)) };
+                let want: [R; D] = view.load_row(&data, s + i);
+                assert_eq!(bits(&r), bits(&want), "{tag} rows {s}..{e} load {i}");
+                assert_eq!(bits(&b), bits(&want), "{tag} rows_mut {s}..{e} load {i}");
+                unsafe { block.store(i, &row) };
+            }
+            let mut want = data.clone();
+            for el in s..e {
+                view.store_row(&mut want, el, &row);
+            }
+            assert_eq!(bits(&got), bits(&want), "{tag} rows_mut {s}..{e} store");
+        }
         let vals: [VecR<R, L>; D] =
             std::array::from_fn(|c| VecR::from_fn(|l| sensitive(11 * l + c + 1)));
         for e0 in 0..=n - L {
@@ -1053,6 +1221,43 @@ mod tests {
             }
         }
         assert_eq!(bits(&got), bits(&want), "{tag} scatter_add_rows_serial");
+    }
+
+    /// A block of rows is checked when it is borrowed: a range past `n`,
+    /// a reversed range, a row width other than `dim` and storage shorter
+    /// than `n × dim` all panic there, under both layouts.
+    #[test]
+    fn rows_check_the_block_when_borrowed() {
+        fn panics(f: impl FnOnce()) -> bool {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        }
+        fn check<A: Addressing>() {
+            let view = DatView::new(5, 4, A::default());
+            let data = vec![0.0f64; 20];
+            assert!(!panics(|| {
+                let _ = view.rows::<f64, 4>(&data, 0..5);
+            }));
+            assert!(panics(|| {
+                let _ = view.rows::<f64, 4>(&data, 2..6);
+            }));
+            #[allow(clippy::reversed_empty_ranges)]
+            let reversed = 3..2;
+            assert!(panics(|| {
+                let _ = view.rows::<f64, 4>(&data, reversed);
+            }));
+            assert!(panics(|| {
+                let _ = view.rows::<f64, 2>(&data, 0..5);
+            }));
+            assert!(panics(|| {
+                let _ = view.rows::<f64, 4>(&data[..19], 0..1);
+            }));
+            let mut short = vec![0.0f64; 19];
+            assert!(panics(|| {
+                let _ = view.rows_mut::<f64, 4>(&mut short, 0..1);
+            }));
+        }
+        check::<Aos>();
+        check::<Soa>();
     }
 
     #[test]

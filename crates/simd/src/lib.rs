@@ -56,7 +56,7 @@ pub mod vecr;
 pub use arch::{have_avx2, isa_name};
 pub use idx::IdxVec;
 pub use lane::Lane;
-pub use layout::{Addressing, Aos, DatView, Layout, Soa};
+pub use layout::{Addressing, Aos, DatView, Layout, Rows, RowsMut, Soa};
 pub use mask::Mask;
 pub use real::Real;
 pub use sweep::{split_sweep, Sweep};

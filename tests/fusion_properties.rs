@@ -267,7 +267,11 @@ fn run_recorded<const L: usize>(
             desc("fill", vec![ArgInfo::direct("a", 1, Access::Write)]),
             vec![],
             L,
-            move |e| unsafe { av.slice_mut(e, 1)[0] = fill(e) },
+            move |r| {
+                for e in r {
+                    unsafe { av.slice_mut(e, 1)[0] = fill(e) };
+                }
+            },
             move |es| unsafe {
                 VecR::<f64, L>::from_fn(|k| fill(es + k)).store(av.slice_mut(0, av.len()), es)
             },
@@ -329,7 +333,11 @@ fn run_recorded<const L: usize>(
             ),
             vec![],
             L,
-            move |e| unsafe { sumv.slice_mut(e / block_size, 1)[0] += term(e) },
+            move |r| {
+                for e in r {
+                    unsafe { sumv.slice_mut(e / block_size, 1)[0] += term(e) };
+                }
+            },
             move |es| unsafe {
                 let chunk = VecR::<f64, L>::from_fn(|k| term(es + k)).reduce_sum();
                 sumv.slice_mut(es / block_size, 1)[0] += chunk;
@@ -339,9 +347,11 @@ fn run_recorded<const L: usize>(
             desc("min", vec![ArgInfo::global("min", 1, Access::Rw)]),
             vec![],
             L,
-            move |e| unsafe {
-                let slot = &mut minv.slice_mut(e / block_size, 1)[0];
-                *slot = slot.min(cand(e));
+            move |r| {
+                for e in r {
+                    let slot = unsafe { &mut minv.slice_mut(e / block_size, 1)[0] };
+                    *slot = slot.min(cand(e));
+                }
             },
             move |es| unsafe {
                 let slot = &mut minv.slice_mut(es / block_size, 1)[0];

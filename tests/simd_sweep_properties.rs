@@ -158,7 +158,11 @@ proptest! {
                         desc("fill", ne, vec![ArgInfo::direct("a", 1, Access::Write)]),
                         vec![],
                         L,
-                        move |e| unsafe { av.slice_mut(e, 1)[0] = (e % 11 + 1) as f64 },
+                        move |r| {
+                            for e in r {
+                                unsafe { av.slice_mut(e, 1)[0] = (e % 11 + 1) as f64 };
+                            }
+                        },
                         move |cs| unsafe {
                             let d = av.slice_mut(0, av.len());
                             VecR::<f64, L>::from_fn(|k| ((cs + k) % 11 + 1) as f64).store(d, cs);
