@@ -196,7 +196,7 @@ fn mpi_backend_matches_sequential() {
 /// `sim_1 + RK_1 + RK_2` of `threaded` on SoA must take at most as long
 /// as `seq`'s (Volna f32 274×273, the `volna_threaded_soa` mesh). Those
 /// loops are nothing but scalar row accesses, so they show what a row
-/// access costs: measured at 0.50–0.61 of `seq` since each block's rows
+/// access costs: measured at 0.49–0.62 of `seq` since each block's rows
 /// are checked once and the cell loop vectorizes across cells; 1.20–1.43
 /// while every row was checked and `seq`'s kernels took `[T; 4]` rows,
 /// 0.81–1.03 before that, and 1.39–1.54 while every access tested the
