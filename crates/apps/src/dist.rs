@@ -247,33 +247,25 @@ pub fn restore<S: Simulation>(sim: &mut S, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// The cell dats of `global`, checked to be in AoS storage: `caller`
-/// slices rows out of them by index, which would silently scramble any
-/// other layout.
-fn aos_cell_dats<'g, S: Simulation>(global: &'g S, caller: &str) -> Vec<&'g OpDat<S::R>> {
-    let dats: Vec<_> = global.evolving().into_iter().take(S::CELL_DATS).collect();
-    for g in &dats {
-        assert!(
-            g.layout == Layout::Aos,
-            "dist::{caller} slices AoS rows, but global dat {} is {}",
-            g.name,
-            g.layout.name()
-        );
-    }
-    dats
-}
-
 /// Initialize a rank from a *mid-simulation* global state (the inverse
-/// of the owned-row assembly). `global` must be in AoS storage.
+/// of the owned-row assembly). `global` must be in AoS storage: its rows
+/// are sliced out by index, which would silently scramble any other
+/// layout.
 pub fn rank_state_from_global<S: Simulation>(
     case: &S::Case,
     local: LocalMesh,
     global: &S,
 ) -> Rank<S> {
-    let globals = aos_cell_dats(global, "rank_state_from_global");
     let mut rank = Rank::<S>::new(case, local);
     let ids = &rank.local.cell_global;
+    let globals = global.evolving().into_iter().take(S::CELL_DATS);
     for (dat, g) in rank.sim.evolving_mut().into_iter().zip(globals) {
+        assert!(
+            g.layout == Layout::Aos,
+            "dist::rank_state_from_global slices AoS rows, but global dat {} is {}",
+            g.name,
+            g.layout.name()
+        );
         dat.data = extract_rows(&g.data, g.dim, ids);
     }
     rank
@@ -287,16 +279,15 @@ fn rcb_partition(mesh: &Mesh2d, n_ranks: usize) -> Partition {
 /// The frame of every distributed run: distribute `mesh`, run `body` on
 /// every rank of a universe with the rank's mesh piece and its own plan
 /// cache and `threads_per_rank`-wide pool, then assemble the owned rows
-/// of the first `n_dats` evolving dats of the states the ranks return.
-/// Returns the assembled dats and the ranks' other results in rank order.
+/// of the primary dat of the states the ranks return. Returns the
+/// assembled dat and the ranks' other results in rank order.
 fn on_ranks<S: Simulation, T: Send>(
     mesh: &Mesh2d,
     partition: &Partition,
     threads_per_rank: usize,
     injector: Option<Arc<FaultInjector>>,
-    n_dats: usize,
     body: impl Fn(&Comm, LocalMesh, &PlanCache, &ExecPool) -> (Rank<S>, T) + Sync,
-) -> (Vec<OpDat<S::R>>, Vec<T>) {
+) -> (OpDat<S::R>, Vec<T>) {
     let locals = distribute(mesh, partition);
     let mut universe = Universe::new(partition.n_parts as usize);
     if let Some(inj) = injector {
@@ -311,24 +302,20 @@ fn on_ranks<S: Simulation, T: Send>(
         .into_iter()
         .unzip();
     let total = mesh.n_cells();
-    let dats = (0..n_dats)
-        .map(|i| {
-            let parts: Vec<_> = ranks
-                .iter()
-                .map(|rank| {
-                    (
-                        rank.evolving()[i].data.as_slice(),
-                        rank.local.cell_global.as_slice(),
-                        rank.local.n_owned_cells,
-                    )
-                })
-                .collect();
-            let like = ranks[0].evolving()[i];
-            let data = assemble_owned(&parts, total, like.dim);
-            OpDat::from_vec(like.name.clone(), total, like.dim, data)
+    let parts: Vec<_> = ranks
+        .iter()
+        .map(|rank| {
+            (
+                rank.primary().data.as_slice(),
+                rank.local.cell_global.as_slice(),
+                rank.local.n_owned_cells,
+            )
         })
         .collect();
-    (dats, outs)
+    let like = ranks[0].primary();
+    let data = assemble_owned(&parts, total, like.dim);
+    let primary = OpDat::from_vec(like.name.clone(), total, like.dim, data);
+    (primary, outs)
 }
 
 /// Run the distributed fused backend end to end: `n_ranks` SPMD ranks
@@ -375,12 +362,11 @@ pub fn run_mpi_fused_with_partition<S: Simulation, const L: usize>(
 ) -> (OpDat<S::R>, Vec<f64>) {
     let mesh = S::case_mesh(case);
     let total_cells = mesh.n_cells();
-    let (mut dats, mut histories) = on_ranks(
+    let (primary, mut histories) = on_ranks(
         mesh,
         partition,
         threads_per_rank,
         None,
-        1,
         |comm, local, cache, pool| {
             let mut rank = Rank::<S>::new(case, local);
             let history: Vec<f64> = (0..iters)
@@ -401,7 +387,7 @@ pub fn run_mpi_fused_with_partition<S: Simulation, const L: usize>(
             (rank, history)
         },
     );
-    (dats.swap_remove(0), histories.swap_remove(0))
+    (primary, histories.swap_remove(0))
 }
 
 /// As [`run_mpi_fused`], but fault-tolerant: each rank checkpoints its
@@ -427,12 +413,11 @@ pub fn run_mpi_fused_resilient<S: Simulation, const L: usize>(
 ) -> (OpDat<S::R>, Vec<f64>, ResilientReport) {
     let mesh = S::case_mesh(case);
     let total_cells = mesh.n_cells();
-    let (mut dats, mut outs) = on_ranks(
+    let (primary, mut outs) = on_ranks(
         mesh,
         &rcb_partition(mesh, n_ranks),
         threads_per_rank,
         injector.clone(),
-        1,
         |comm, local, cache, pool| {
             let guard = ExchangeGuard::new(io_timeout);
             let mut rank = Rank::<S>::new(case, local.clone());
@@ -467,57 +452,7 @@ pub fn run_mpi_fused_resilient<S: Simulation, const L: usize>(
     for (_, r) in &outs {
         report.merge(r);
     }
-    (dats.swap_remove(0), outs.swap_remove(0).0, report)
-}
-
-/// One distributed fused step on a *global* simulation state — the
-/// `step_on` entry point behind `Backend::MpiFused*`. Distributes the
-/// state across `n_ranks` ranks (two pool threads each), runs one
-/// overlapped fused-chain step per rank, and assembles every cell dat
-/// back, so consecutive calls continue the simulation exactly like a
-/// persistent universe (ghost values are refreshed from owners each step
-/// either way). `sim` must be in AoS storage. Returns the step's global
-/// reduction.
-pub fn step_mpi_fused<S: Simulation, const L: usize>(
-    sim: &mut S,
-    n_ranks: usize,
-    block_size: usize,
-    shape: Shape,
-    rec: Option<&Recorder>,
-) -> f64 {
-    aos_cell_dats(sim, "step_mpi_fused");
-    let (dats, reductions) = {
-        let sim = &*sim;
-        let case = sim.case();
-        let mesh = sim.mesh();
-        let total_cells = mesh.n_cells();
-        on_ranks(
-            mesh,
-            &rcb_partition(mesh, n_ranks),
-            2,
-            None,
-            S::CELL_DATS,
-            |comm, local, cache, pool| {
-                let mut rank = rank_state_from_global(case, local, sim);
-                let reduction = rank.step_fused_chain::<L>(
-                    comm,
-                    cache,
-                    pool,
-                    shape,
-                    block_size,
-                    total_cells,
-                    ExchangePolicy::Overlap,
-                    rec,
-                    None,
-                );
-                (rank, reduction)
-            },
-        )
-    };
-    for (global, dat) in sim.evolving_mut().into_iter().zip(dats) {
-        global.data = dat.data;
-    }
-    reductions[0]
+    (primary, outs.swap_remove(0).0, report)
 }
 
 #[cfg(test)]

@@ -103,17 +103,16 @@ pub(crate) struct ChainExec {
 pub(crate) fn chain_exec(backend: Backend) -> Option<ChainExec> {
     let shape = match backend {
         Backend::Seq | Backend::Tiled | Backend::TiledSimd { .. } => return None,
-        Backend::Threaded | Backend::Fused | Backend::MpiFused => Shape::Threaded,
+        Backend::Threaded | Backend::Fused => Shape::Threaded,
         Backend::Simt | Backend::FusedSimt => Shape::Simt {
             width: DISPATCH_SIMT_WIDTH,
             sched_overhead_ns: 0,
         },
-        Backend::Simd { .. }
-        | Backend::SimdThreaded { .. }
-        | Backend::FusedSimd { .. }
-        | Backend::MpiFusedSimd { .. } => Shape::Simd {
-            lanes: backend.lanes(),
-        },
+        Backend::Simd { .. } | Backend::SimdThreaded { .. } | Backend::FusedSimd { .. } => {
+            Shape::Simd {
+                lanes: backend.lanes(),
+            }
+        }
     };
     let fusion = if backend.is_fused() {
         Fusion::Groups

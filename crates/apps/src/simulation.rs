@@ -24,7 +24,7 @@ use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape, TileCache, TileReport, Tile
 use ump_mesh::Mesh2d;
 use ump_simd::{DatView, Real};
 
-use crate::dist::{step_mpi_fused, RankHalo};
+use crate::dist::RankHalo;
 use crate::{chain_exec, ChainExec, DISPATCH_TILE_BLOCKS};
 
 /// One of the paper's applications as the executors around its
@@ -460,9 +460,10 @@ fn in_aos<S: Simulation, T>(sim: &mut S, f: impl FnOnce(&mut S) -> T) -> T {
 /// 8) and panic, naming the backend, for any other width.
 ///
 /// The recorded chain executes natively in any layout; the rows that
-/// are AoS by definition — the oracle, the ranks' row extraction from
-/// the global state, and the tiled executor — run on AoS rows
-/// converted around the step.
+/// are AoS by definition — the oracle and the tiled executor — run on
+/// AoS rows converted around the step. Distributed steps are not a
+/// row: they run through [`crate::dist::run_mpi_fused`], whose ranks
+/// persist across steps.
 pub fn step_on<S: Simulation>(
     backend: Backend,
     sim: &mut S,
@@ -490,18 +491,10 @@ pub fn step_on<S: Simulation>(
             other => no_lane_instantiation(other),
         };
     };
-    // scalar shapes ride on the L = 4 instantiation; distributed rows
-    // give every rank its own pool and never touch the caller's
-    let (ranks, shape) = (backend.ranks(), exec.shape);
-    match (backend.is_distributed(), backend.lanes()) {
-        (false, 1 | 4) => step_exec::<S, 4>(exec, pool, sim, cache, n_threads, block_size, rec),
-        (false, 8) => step_exec::<S, 8>(exec, pool, sim, cache, n_threads, block_size, rec),
-        (true, 1 | 4) => in_aos(sim, |sim| {
-            step_mpi_fused::<S, 4>(sim, ranks, block_size, shape, rec)
-        }),
-        (true, 8) => in_aos(sim, |sim| {
-            step_mpi_fused::<S, 8>(sim, ranks, block_size, shape, rec)
-        }),
+    // scalar shapes ride on the L = 4 instantiation
+    match backend.lanes() {
+        1 | 4 => step_exec::<S, 4>(exec, pool, sim, cache, n_threads, block_size, rec),
+        8 => step_exec::<S, 8>(exec, pool, sim, cache, n_threads, block_size, rec),
         _ => no_lane_instantiation(backend),
     }
 }

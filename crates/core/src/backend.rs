@@ -6,7 +6,11 @@
 //! reproduction adds cross-loop fusion on top. Its fourth axis, the
 //! coloring scheme of Fig. 8a, is not a row: the permute schemes change
 //! only the order in which a loop visits its edges, so `repro fig8a`
-//! reorders the mesh's edges and times the `simd4` row.
+//! reorders the mesh's edges and times the `simd4` row. Distribution is
+//! not a row either: a row is one step of a whole state, and ranks that
+//! are partitioned, spawned and gathered back every step win nowhere.
+//! `ump_apps::dist::run_mpi_fused` keeps its ranks for the whole run, as
+//! `ump_apps::run_tiled_on` keeps its tiles.
 //!
 //! [`Backend`] names each shape as data. [`Backend::all`] enumerates the
 //! registry, [`Backend::parse`]/[`Backend::name`] round-trip CLI
@@ -45,9 +49,9 @@ pub const DISPATCH_SIMT_WIDTH: usize = 8;
 ///     assert_eq!(Backend::parse(&b.name()), Some(b));
 /// }
 /// // capability flags describe a backend without hard-coding identity
-/// let b = Backend::parse("mpi_fused_simd4").unwrap();
-/// assert!(b.is_distributed() && b.is_fused() && !b.needs_pool());
-/// assert_eq!((b.ranks(), b.lanes()), (2, 4));
+/// let b = Backend::parse("fused_simd4").unwrap();
+/// assert!(b.is_fused() && b.needs_pool());
+/// assert_eq!(b.lanes(), 4);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
@@ -76,21 +80,6 @@ pub enum Backend {
     /// *and* the paper's explicit SIMD composed on one dispatch path.
     FusedSimd {
         /// Vector width of the fused lane bodies.
-        lanes: usize,
-    },
-    /// Distributed fused execution: message-passing ranks own mesh
-    /// partitions, each running the fused loop chain with halo/compute
-    /// overlap — non-blocking halo exchanges posted before the flux
-    /// group, interior blocks executed while messages are in flight,
-    /// boundary blocks after the exchange completes (paper §2, §6.5
-    /// composed with the lazy runtime). Registry entries run at
-    /// [`ranks`](Backend::ranks) ranks; `ump_apps::dist::run_mpi_fused`
-    /// takes any rank count.
-    MpiFused,
-    /// Distributed fused execution with vectorized lane bodies — the
-    /// full composition: ranks × fusion × explicit SIMD.
-    MpiFusedSimd {
-        /// Vector width of the fused lane bodies inside each rank.
         lanes: usize,
     },
     /// Cross-timestep sparse tiling (`ump_lazy::TiledChain`): N
@@ -125,9 +114,6 @@ impl Backend {
             Backend::FusedSimt,
             Backend::FusedSimd { lanes: 4 },
             Backend::FusedSimd { lanes: 8 },
-            Backend::MpiFused,
-            Backend::MpiFusedSimd { lanes: 4 },
-            Backend::MpiFusedSimd { lanes: 8 },
             Backend::Tiled,
             Backend::TiledSimd { lanes: 4 },
             Backend::TiledSimd { lanes: 8 },
@@ -145,8 +131,6 @@ impl Backend {
             Backend::Fused => "fused".into(),
             Backend::FusedSimt => "fused_simt".into(),
             Backend::FusedSimd { lanes } => format!("fused_simd{lanes}"),
-            Backend::MpiFused => "mpi_fused".into(),
-            Backend::MpiFusedSimd { lanes } => format!("mpi_fused_simd{lanes}"),
             Backend::Tiled => "tiled".into(),
             Backend::TiledSimd { lanes } => format!("tiled_simd{lanes}"),
         }
@@ -165,13 +149,7 @@ impl Backend {
     /// [`ExecPool`]: crate::pool::ExecPool
     pub fn needs_pool(self) -> bool {
         match self {
-            // distributed backends give every *rank* its own pool and
-            // never touch the caller's — harnesses must not expect the
-            // shared pool's counters to move
-            Backend::Seq
-            | Backend::Simd { .. }
-            | Backend::MpiFused
-            | Backend::MpiFusedSimd { .. } => false,
+            Backend::Seq | Backend::Simd { .. } => false,
             Backend::Threaded
             | Backend::SimdThreaded { .. }
             | Backend::Simt
@@ -191,7 +169,6 @@ impl Backend {
             Backend::Simd { lanes }
             | Backend::SimdThreaded { lanes }
             | Backend::FusedSimd { lanes }
-            | Backend::MpiFusedSimd { lanes }
             | Backend::TiledSimd { lanes } => lanes,
             _ => 1,
         }
@@ -204,28 +181,9 @@ impl Backend {
             Backend::Fused
                 | Backend::FusedSimt
                 | Backend::FusedSimd { .. }
-                | Backend::MpiFused
-                | Backend::MpiFusedSimd { .. }
                 | Backend::Tiled
                 | Backend::TiledSimd { .. }
         )
-    }
-
-    /// `true` for the message-passing (multi-rank) backends.
-    pub fn is_distributed(self) -> bool {
-        matches!(self, Backend::MpiFused | Backend::MpiFusedSimd { .. })
-    }
-
-    /// Rank count a registry entry runs at in the conformance matrix and
-    /// the smoke sweep (1 for every shared-memory shape). The
-    /// `ump_apps::dist::run_mpi_fused*` drivers accept any rank count; 2
-    /// is the smallest configuration that exercises real halo traffic.
-    pub fn ranks(self) -> usize {
-        if self.is_distributed() {
-            2
-        } else {
-            1
-        }
     }
 }
 
@@ -243,7 +201,7 @@ mod tests {
     #[test]
     fn registry_covers_every_shape_once() {
         let all = Backend::all();
-        assert_eq!(all.len(), 17, "registry size changed");
+        assert_eq!(all.len(), 14, "registry size changed");
         let names: HashSet<String> = all.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), all.len(), "duplicate backend names");
         // the acceptance shapes are all present
@@ -259,9 +217,6 @@ mod tests {
             "fused_simt",
             "fused_simd4",
             "fused_simd8",
-            "mpi_fused",
-            "mpi_fused_simd4",
-            "mpi_fused_simd8",
             "tiled",
             "tiled_simd4",
             "tiled_simd8",
@@ -288,15 +243,8 @@ mod tests {
         assert_eq!(Backend::Threaded.lanes(), 1);
         assert!(Backend::FusedSimd { lanes: 4 }.is_fused());
         assert!(!Backend::Simt.is_fused());
-        assert!(Backend::MpiFused.is_fused());
-        assert!(Backend::MpiFused.is_distributed());
-        assert!(!Backend::MpiFused.needs_pool(), "ranks own their pools");
-        assert_eq!(Backend::MpiFused.ranks(), 2);
-        assert_eq!(Backend::MpiFusedSimd { lanes: 8 }.lanes(), 8);
-        assert!(!Backend::Fused.is_distributed());
-        assert_eq!(Backend::Threaded.ranks(), 1);
         assert!(Backend::Tiled.needs_pool(), "tile sweeps dispatch rounds");
-        assert!(Backend::Tiled.is_fused() && !Backend::Tiled.is_distributed());
+        assert!(Backend::Tiled.is_fused());
         assert_eq!(Backend::Tiled.lanes(), 1);
         assert_eq!(Backend::TiledSimd { lanes: 4 }.lanes(), 4);
         assert!(Backend::TiledSimd { lanes: 8 }.needs_pool());

@@ -138,9 +138,17 @@ impl Recorder {
         rows
     }
 
-    /// Sum of wall seconds over all loops.
+    /// Sum of wall seconds over all loops, each counted once. `ump_lazy`
+    /// records a fused group under `fused[a+b+…]` and again under its
+    /// members' names, whose shares add up to the group's time, so only
+    /// the members are summed.
     pub fn total_seconds(&self) -> f64 {
-        self.stats.lock().values().map(|s| s.seconds).sum()
+        self.stats
+            .lock()
+            .iter()
+            .filter(|(name, _)| !name.starts_with("fused["))
+            .map(|(_, s)| s.seconds)
+            .sum()
     }
 
     /// Accumulate one chain execution's fusion statistics under the
@@ -169,39 +177,6 @@ impl Recorder {
         let mut rows: Vec<_> = fusion.iter().map(|(k, v)| (k.clone(), *v)).collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
-    }
-
-    /// Merge another recorder into this one (used to combine per-rank
-    /// recorders of the message-passing backend; times are maxed, volumes
-    /// summed, matching how MPI runtimes are reported). Fusion statistics
-    /// follow the same convention: counts of the per-rank chain (loops,
-    /// groups, rounds) are maxed — every rank runs the same chain — and
-    /// the volume-like `bytes_saved` sums across ranks.
-    pub fn merge_rank(&self, other: &Recorder) {
-        {
-            let other_stats = other.stats.lock();
-            let mut stats = self.stats.lock();
-            for (name, s) in other_stats.iter() {
-                let e = stats.entry(name.clone()).or_default();
-                e.calls = e.calls.max(s.calls);
-                e.seconds = e.seconds.max(s.seconds);
-                e.bytes += s.bytes;
-                e.flops += s.flops;
-            }
-        }
-        let other_fusion = other.fusion.lock();
-        let mut fusion = self.fusion.lock();
-        for (name, s) in other_fusion.iter() {
-            let e = fusion.entry(name.clone()).or_default();
-            e.executions = e.executions.max(s.executions);
-            e.loops = e.loops.max(s.loops);
-            e.groups = e.groups.max(s.groups);
-            e.fused_rounds = e.fused_rounds.max(s.fused_rounds);
-            e.unfused_rounds = e.unfused_rounds.max(s.unfused_rounds);
-            e.bytes_saved += s.bytes_saved;
-            e.steps = e.steps.max(s.steps);
-            e.cross_step_bytes_saved += s.cross_step_bytes_saved;
-        }
     }
 }
 
@@ -305,44 +280,5 @@ mod tests {
         let t = rec.fusion("airfoil_tiled").unwrap();
         assert_eq!(t.steps, 4);
         assert_eq!(t.cross_step_bytes_saved, 4096.0);
-    }
-
-    #[test]
-    fn rank_merge_maxes_time_sums_volume() {
-        let a = Recorder::new();
-        a.record("k", 1.0, 100.0, 10.0);
-        let b = Recorder::new();
-        b.record("k", 2.0, 100.0, 10.0);
-        a.merge_rank(&b);
-        let s = a.get("k").unwrap();
-        assert_eq!(s.seconds, 2.0);
-        assert_eq!(s.bytes, 200.0);
-    }
-
-    #[test]
-    fn rank_merge_carries_fusion_stats() {
-        let delta = FusionStats {
-            executions: 2,
-            loops: 18,
-            groups: 14,
-            fused_rounds: 14,
-            unfused_rounds: 18,
-            bytes_saved: 500.0,
-            steps: 2,
-            cross_step_bytes_saved: 100.0,
-        };
-        let a = Recorder::new();
-        a.record_fusion("chain", delta);
-        let b = Recorder::new();
-        b.record_fusion("chain", delta);
-        a.merge_rank(&b);
-        let s = a.fusion("chain").unwrap();
-        // per-rank counts max (same chain on every rank), volumes sum
-        assert_eq!(s.executions, 2);
-        assert_eq!(s.fused_rounds, 14);
-        assert_eq!(s.rounds_saved(), 4);
-        assert_eq!(s.bytes_saved, 1000.0);
-        assert_eq!(s.steps, 2);
-        assert_eq!(s.cross_step_bytes_saved, 200.0);
     }
 }

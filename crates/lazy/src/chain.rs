@@ -560,8 +560,11 @@ impl<'a> Chain<'a> {
     /// come from `cache` (union write sets, [`PlanInputs::merged`]);
     /// `word_bytes` scales the byte accounting (4 = SP, 8 = DP). When a
     /// [`Recorder`] is given, each group is timed under
-    /// `fused[name+name+…]` (plain loop name for serial groups) and the
-    /// chain's [`FusionStats`] accumulate under the chain name.
+    /// `fused[name+name+…]` (plain loop name for serial groups), each
+    /// member of a multi-loop group again under its own name with its
+    /// byte share of the group's time ([`Recorder::total_seconds`] sums
+    /// only these), and the chain's [`FusionStats`] accumulate under the
+    /// chain name.
     ///
     /// The returned [`ChainReport`] (including the unfused-rounds
     /// baseline and the bytes-saved estimate) is always computed —
@@ -1609,40 +1612,45 @@ mod tests {
         );
     }
 
+    /// Records a chain `w` (writes `a`) then `r` (updates `a`) over 128
+    /// items, which fuses into one group, and executes it once.
+    fn execute_w_then_r(rec: &Recorder) {
+        let n = 128;
+        let pool = ExecPool::new(2);
+        let cache = PlanCache::new();
+        let mut a = vec![0.0f64; n];
+        let av = SharedDat::new(&mut a);
+        let mut chain = Chain::new("stats");
+        {
+            let av = &av;
+            chain.record(
+                desc(
+                    "w",
+                    "items",
+                    n,
+                    vec![ArgInfo::direct("a", 1, Access::Write)],
+                ),
+                vec![],
+                move |e| unsafe { av.slice_mut(e, 1)[0] = 1.0 },
+            );
+        }
+        {
+            let av = &av;
+            chain.record(
+                desc("r", "items", n, vec![ArgInfo::direct("a", 1, Access::Rw)]),
+                vec![],
+                move |e| unsafe { av.slice_mut(e, 1)[0] += 1.0 },
+            );
+        }
+        chain.execute(&pool, &cache, Shape::Threaded, 0, 32, 8, Some(rec));
+    }
+
     /// Group timing and fusion stats land in the recorder.
     #[test]
     fn recorder_receives_group_times_and_fusion_stats() {
         let n = 128;
-        let pool = ExecPool::new(2);
-        let cache = PlanCache::new();
         let rec = Recorder::new();
-        let mut a = vec![0.0f64; n];
-        {
-            let av = SharedDat::new(&mut a);
-            let mut chain = Chain::new("stats");
-            {
-                let av = &av;
-                chain.record(
-                    desc(
-                        "w",
-                        "items",
-                        n,
-                        vec![ArgInfo::direct("a", 1, Access::Write)],
-                    ),
-                    vec![],
-                    move |e| unsafe { av.slice_mut(e, 1)[0] = 1.0 },
-                );
-            }
-            {
-                let av = &av;
-                chain.record(
-                    desc("r", "items", n, vec![ArgInfo::direct("a", 1, Access::Rw)]),
-                    vec![],
-                    move |e| unsafe { av.slice_mut(e, 1)[0] += 1.0 },
-                );
-            }
-            chain.execute(&pool, &cache, Shape::Threaded, 0, 32, 8, Some(&rec));
-        }
+        execute_w_then_r(&rec);
         assert!(rec.get("fused[w+r]").is_some());
         let f = rec.fusion("stats").unwrap();
         assert_eq!(f.executions, 1);
@@ -1651,5 +1659,23 @@ mod tests {
         assert_eq!(f.rounds_saved(), 1);
         // the Rw read of `a` in loop `r` re-reads what `w` wrote
         assert_eq!(f.bytes_saved, (n * 8) as f64);
+    }
+
+    /// A fused group is recorded under `fused[w+r]` and again under its
+    /// members' names, whose shares add up to the group's time: the
+    /// recorder's total counts that time once.
+    #[test]
+    fn total_seconds_counts_a_fused_group_once() {
+        let rec = Recorder::new();
+        execute_w_then_r(&rec);
+        let group = rec.get("fused[w+r]").unwrap().seconds;
+        let members = rec.get("w").unwrap().seconds + rec.get("r").unwrap().seconds;
+        assert!(group > 0.0);
+        assert!(
+            (members - group).abs() <= 1e-12 * group,
+            "{members} vs {group}"
+        );
+        let total = rec.total_seconds();
+        assert!((total - group).abs() <= 1e-12 * group, "{total} vs {group}");
     }
 }

@@ -236,4 +236,30 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("version 1, expected 2"), "{err}");
     }
+
+    /// A snapshot naming a backend the registry no longer lists (such as
+    /// the retired `mpi_fused_simd4`) is a typed error from both entry
+    /// points, never a panic.
+    #[test]
+    fn unregistered_backend_names_are_refused() {
+        let spec = JobSpec::new(App::Airfoil, 4, 4, Backend::Seq, 1);
+        let bytes = encode(&spec, 0, &[], &[]);
+        // magic, version, app tag, nx, ny, then the name's length prefix
+        let at = 4 + 4 + 1 + 8 + 8;
+        let old_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        assert_eq!(&bytes[at + 4..at + 4 + old_len], b"seq");
+        let retired = b"mpi_fused_simd4";
+        let mut spliced = bytes[..at].to_vec();
+        spliced.extend_from_slice(&(retired.len() as u32).to_le_bytes());
+        spliced.extend_from_slice(retired);
+        spliced.extend_from_slice(&bytes[at + 4 + old_len..]);
+        for err in [peek(&spliced).unwrap_err(), decode(&spliced).unwrap_err()] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains("backend mpi_fused_simd4 is not in the registry"),
+                "{err}"
+            );
+        }
+    }
 }

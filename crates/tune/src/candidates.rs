@@ -11,8 +11,7 @@ pub struct Candidate {
     pub block_size: usize,
     /// Vector lanes this shape commits to (1 for scalar shapes).
     pub lanes: usize,
-    /// Worker team the trial will run with (1 for pool-free shapes,
-    /// `ranks()` for the in-process distributed ones).
+    /// Worker team the trial will run with (1 for pool-free shapes).
     pub team: usize,
 }
 
@@ -41,11 +40,7 @@ pub fn enumerate(team: usize) -> Vec<Candidate> {
                 backend,
                 block_size,
                 lanes: backend.lanes(),
-                team: if backend.needs_pool() {
-                    team
-                } else {
-                    backend.ranks()
-                },
+                team: if backend.needs_pool() { team } else { 1 },
             });
         }
     }

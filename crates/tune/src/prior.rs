@@ -80,12 +80,12 @@ pub fn work_for(app: App, kernel: &str, shape: &MeshShape) -> KernelWork {
 /// The model analogue of a registry backend, plus how far the shape
 /// falls short of the model's whole-machine assumption: `predict`
 /// prices every backend as if it owned all cores, so single-threaded
-/// shapes are charged `cores / ranks-or-1` on top.
+/// shapes are charged `cores` on top.
 fn analogue(b: Backend) -> ModelBackend {
     match b {
-        Backend::Seq | Backend::MpiFused => ModelBackend::ScalarMpi,
+        Backend::Seq => ModelBackend::ScalarMpi,
         Backend::Threaded | Backend::Fused | Backend::Tiled => ModelBackend::ScalarThreaded,
-        Backend::Simd { .. } | Backend::MpiFusedSimd { .. } => ModelBackend::VecMpi,
+        Backend::Simd { .. } => ModelBackend::VecMpi,
         Backend::SimdThreaded { .. } | Backend::FusedSimd { .. } | Backend::TiledSimd { .. } => {
             ModelBackend::VecThreaded
         }
@@ -110,7 +110,7 @@ pub fn score(machine: &Machine, cand: &Candidate, app: App, shape: &MeshShape) -
             1.0
         }
     } else {
-        (machine.cores as f64 / cand.backend.ranks() as f64).max(1.0)
+        (machine.cores as f64).max(1.0)
     };
     let mut seconds = 0.0;
     for (kernel, _set, calls) in app.kernels() {

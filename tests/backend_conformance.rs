@@ -217,7 +217,7 @@ fn per_loop_rows() -> Vec<Backend> {
 /// state lives in SoA storage. Every row that executes the recorded
 /// chain — per-loop or fused — runs natively on the converted layout
 /// (the per-loop rows are checked not to reallocate the state: no
-/// conversion happened); `seq`, `mpi_*` and `tiled*` convert around the
+/// conversion happened); `seq` and `tiled*` convert around the
 /// step — all must be within 1e-12 of an all-AoS run.
 #[test]
 fn every_backend_matches_sequential_under_soa() {
@@ -379,10 +379,9 @@ fn panic_before_any_loop<S: Simulation>(sim: &mut S, step: impl FnOnce(&mut S) -
 #[test]
 fn a_step_over_dats_in_mixed_layouts_panics_naming_the_dat() {
     let (pool, cache) = (ExecPool::new(1), PlanCache::new());
-    let recording_rows = Backend::all().into_iter().filter(|b| {
-        !b.is_distributed()
-            && !matches!(b, Backend::Seq | Backend::Tiled | Backend::TiledSimd { .. })
-    });
+    let recording_rows = Backend::all()
+        .into_iter()
+        .filter(|b| !matches!(b, Backend::Seq | Backend::Tiled | Backend::TiledSimd { .. }));
     for backend in recording_rows {
         // the primary dat alone in SoA: the step dispatches SoA, and the
         // next evolving dat is still AoS

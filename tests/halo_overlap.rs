@@ -1,9 +1,12 @@
 //! Distributed fused execution with halo/compute overlap: edge cases and
 //! acceptance bounds.
 //!
-//! * `mpi_fused` / `mpi_fused_simd` on 2–8 ranks match the sequential
-//!   reference within 1e-12 on both applications (reductions are
-//!   rank-ordered, hence bit-reproducible run to run),
+//! * `dist::run_mpi_fused` in the threaded and SIMD shapes on 2–8 ranks
+//!   matches the sequential reference within 1e-12 on both applications
+//!   (reductions are rank-ordered, hence bit-reproducible run to run),
+//!   and at `L = 8` and f32 on 2 and 3 ranks,
+//! * the rank chains fuse: every rank records its groups into one shared
+//!   `Recorder`,
 //! * overlap and blocking exchange policies are **bit-identical** (the
 //!   split schedule computes in the same order; only the exchange
 //!   placement moves),
@@ -16,7 +19,7 @@ use ump::minimpi::Universe;
 use ump_apps::dist::{self, Rank};
 use ump_apps::{airfoil, volna, Simulation};
 use ump_core::dist::assemble_owned;
-use ump_core::{distribute, Backend, ExecPool, OpDat, PlanCache};
+use ump_core::{distribute, Backend, ExecPool, OpDat, PlanCache, Recorder};
 use ump_part::Partition;
 use ump_simd::Real;
 
@@ -89,6 +92,112 @@ fn mpi_fused_matches_seq_on_2_to_8_ranks() {
                 );
             }
         }
+    }
+}
+
+/// The f32 bound of the registry's conformance sweep
+/// (`every_backend_matches_sequential_at_f32`): the primary field within
+/// it relative to the reference's largest magnitude (at least 1), each
+/// step's value relative to 1 + |value|.
+const F32_TOL: f64 = 1e-4;
+
+/// `run_mpi_fused::<S, 8>` on 2 and 3 ranks, threaded and at 8 lanes,
+/// against `iters` steps of `step_seq` on `fresh`: the primary field
+/// within `tol × scale` and every step's value within `tol × (1 + |r|)`,
+/// where `scale` is 1 at f64 and the field's largest magnitude (at
+/// least 1) at f32.
+fn l8_ranks_match_seq<S: Simulation + Clone>(app: &str, fresh: &S, iters: usize, tol: f64) {
+    let mut reference = fresh.clone();
+    let ref_hist: Vec<f64> = (0..iters).map(|_| reference.step_seq(None)).collect();
+    let scale = if S::R::BYTES == 4 {
+        let fold = |m: f64, v: &S::R| m.max(v.to_f64().abs());
+        reference.primary().data.iter().fold(1.0, fold)
+    } else {
+        1.0
+    };
+    for ranks in [2usize, 3] {
+        for shape in [Shape::Threaded, Shape::Simd { lanes: 8 }] {
+            let (primary, hist) = dist::run_mpi_fused::<S, 8>(
+                fresh.case(),
+                ranks,
+                TEAM,
+                BLOCK,
+                iters,
+                shape,
+                ExchangePolicy::Overlap,
+            );
+            let at = format!("{app} {ranks} ranks {shape:?}");
+            let d = primary.max_abs_diff(reference.primary());
+            assert!(d <= tol * scale, "{at}: max |Δ| = {d:e}, scale {scale}");
+            assert_eq!(hist.len(), iters, "{at}");
+            for (i, (&v, &r)) in hist.iter().zip(&ref_hist).enumerate() {
+                assert!(
+                    (v - r).abs() <= tol * (1.0 + r.abs()),
+                    "{at} step {i}: {v} vs {r}"
+                );
+            }
+        }
+    }
+}
+
+/// The distributed driver at the other lane width and precision the
+/// registry compiles: Airfoil f64 and Volna f32 at `L = 8`.
+#[test]
+fn mpi_fused_matches_seq_at_8_lanes_and_f32() {
+    let airfoil = airfoil::Airfoil::<f64>::new(40, 20);
+    l8_ranks_match_seq("airfoil f64", &airfoil, 5, 1e-12);
+    l8_ranks_match_seq("volna f32", &volna::Volna::<f32>::new(16, 12), 5, F32_TOL);
+}
+
+/// `iters` steps of `Rank::step_fused_chain` on a 2-rank split of
+/// `case`, both ranks recording into `rec`.
+fn two_ranks_into<S: Simulation>(case: &S::Case, shape: Shape, iters: usize, rec: &Recorder) {
+    let mesh = S::case_mesh(case);
+    let total = mesh.n_cells();
+    let pts: Vec<[f64; 2]> = (0..total).map(|c| mesh.cell_centroid(c)).collect();
+    let locals = distribute(mesh, &ump_part::rcb(&pts, 2));
+    Universe::new(2).run(|comm| {
+        let (cache, pool) = (PlanCache::new(), ExecPool::new(TEAM));
+        let mut rank = Rank::<S>::new(case, locals[comm.rank()].clone());
+        for _ in 0..iters {
+            rank.step_fused_chain::<4>(
+                comm,
+                &cache,
+                &pool,
+                shape,
+                BLOCK,
+                total,
+                ExchangePolicy::Overlap,
+                Some(rec),
+                None,
+            );
+        }
+    });
+}
+
+/// The rank chains fuse the same groups as the shared-memory recording
+/// (boundary blocks split into extra rounds, but loops still merge),
+/// and every rank's execution reaches the one recorder they share.
+#[test]
+fn rank_chains_fuse_into_one_shared_recorder() {
+    let iters = 3;
+    for shape in [Shape::Threaded, Shape::Simd { lanes: 4 }] {
+        let rec = Recorder::new();
+        let sim = airfoil::Airfoil::<f64>::new(40, 20);
+        two_ranks_into::<airfoil::Airfoil<f64>>(&sim.case, shape, iters, &rec);
+        let s = rec.fusion("airfoil_step").expect("airfoil fusion stats");
+        assert!(
+            s.groups < s.loops,
+            "airfoil {shape:?}: rank chains must fuse"
+        );
+        assert_eq!(s.executions, 2 * iters, "airfoil {shape:?}");
+
+        let rec = Recorder::new();
+        let sim = volna::Volna::<f64>::new(16, 12);
+        two_ranks_into::<volna::Volna<f64>>(&sim.case, shape, iters, &rec);
+        let s = rec.fusion("volna_step").expect("volna fusion stats");
+        assert!(s.groups < s.loops, "volna {shape:?}: rank chains must fuse");
+        assert_eq!(s.executions, 2 * iters, "volna {shape:?}");
     }
 }
 
@@ -368,8 +477,8 @@ fn ragged_partition_with_a_pure_fringe_rank() {
 }
 
 /// The README's backend table is generated from the registry — every
-/// registered name appears in it (including the distributed rows), so
-/// the docs can never drift from `Backend::all()`.
+/// registered name appears in it, so the docs can never drift from
+/// `Backend::all()`.
 #[test]
 fn readme_backend_table_covers_the_registry() {
     let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))

@@ -2,7 +2,7 @@
 //!
 //! Under any injected [`FaultPlan`] — a rank killed at a chosen step, a
 //! halo packet dropped, delayed past the deadline, or duplicated — the
-//! recovered `mpi_fused` run must produce reductions and final state
+//! recovered `run_mpi_fused` run must produce reductions and final state
 //! **bit-identical** to the fault-free run, and must finish within a
 //! bounded wall time (typed exchange timeouts + coordinated rollback,
 //! never a hang). The sweep covers kill points × rank counts × both
