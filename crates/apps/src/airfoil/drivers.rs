@@ -20,12 +20,13 @@
 //! the sequential reference within floating-point reassociation bounds.
 
 use ump_core::{
-    seq_loop, simd_block_sweep, two_rows_mut, Layout, LocalMesh, OpDat, Recorder, SharedDat,
+    seq_loop, simd_block_sweep, two_rows_mut, Block, DatRef, Flat, Layout, LocalMesh, OpDat,
+    ReadOnly, Recorder, Writable,
 };
 use ump_lazy::{Chain, LoopDesc, Shape, TileCache};
 use ump_mesh::generators::AirfoilCase;
 use ump_mesh::Mesh2d;
-use ump_simd::{Addressing, DatView, IdxVec, Real, VecR};
+use ump_simd::{Addressing, IdxVec, Real, VecR};
 
 use super::kernels::{adt_calc, bres_calc, res_calc, save_soln, update};
 use super::{profile, Airfoil, Consts};
@@ -134,30 +135,28 @@ pub fn step_seq<R: Real>(sim: &mut Airfoil<R>, rec: Option<&Recorder>) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// One lane-aligned chunk of vectorized `adt_calc`: gather the node
-/// coordinate rows through `cell2node`, load the q rows through their
-/// layout view, store adt contiguously (dim-1 dats index identically in
-/// every layout). Raw-slice + runtime [`DatView`] signature: the chunk
-/// bodies have one form, and dispatch on the layout once per access
-/// ([`DatView::<Layout>::load_rows`](DatView::load_rows) says why).
+/// coordinate rows through `cell2node`, load the q rows, store adt
+/// contiguously. The chunk bodies take Airfoil's dats as handles of the
+/// runtime layout, and dispatch on the layout once per access
+/// ([`DatRef::load_rows`] says why); its one-component dats are
+/// [`column`](DatRef::column)s, which index alike in every layout.
 #[inline(always)]
 pub(crate) fn adt_chunk<R: Real, const L: usize>(
     cs: usize,
     c2n: &[i32],
-    x: &[R],
-    xv: DatView,
-    q: &[R],
-    qv: DatView,
-    adt: &mut [R],
+    x: DatRef<'_, R, ReadOnly>,
+    q: DatRef<'_, R, ReadOnly>,
+    adt: DatRef<'_, R, Writable, Flat>,
     consts: &super::Consts<R>,
 ) {
-    let x1: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4, 4));
-    let x2: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4 + 1, 4));
-    let x3: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4 + 2, 4));
-    let x4: [VecR<R, L>; 2] = xv.gather_rows(x, IdxVec::load_strided(c2n, cs * 4 + 3, 4));
-    let q_p: [VecR<R, L>; 4] = qv.load_rows(q, cs);
+    let x1: [VecR<R, L>; 2] = x.gather_rows(IdxVec::load_strided(c2n, cs * 4, 4));
+    let x2: [VecR<R, L>; 2] = x.gather_rows(IdxVec::load_strided(c2n, cs * 4 + 1, 4));
+    let x3: [VecR<R, L>; 2] = x.gather_rows(IdxVec::load_strided(c2n, cs * 4 + 2, 4));
+    let x4: [VecR<R, L>; 2] = x.gather_rows(IdxVec::load_strided(c2n, cs * 4 + 3, 4));
+    let q_p: [VecR<R, L>; 4] = q.load_rows(cs);
     let mut a = VecR::zero();
     adt_calc(&x1, &x2, &x3, &x4, &q_p, &mut a, consts);
-    a.store(adt, cs);
+    adt.storev(a, cs, 0);
 }
 
 /// One lane-aligned chunk `es..es + L` of vectorized `res_calc`, with
@@ -171,53 +170,46 @@ pub(crate) fn res_chunk<R: Real, const L: usize>(
     es: usize,
     e2n: &[i32],
     e2c: &[i32],
-    x: &[R],
-    xv: DatView,
-    q: &[R],
-    qv: DatView,
-    adt: &[R],
-    res: &mut [R],
-    resv: DatView,
+    x: DatRef<'_, R, ReadOnly>,
+    q: DatRef<'_, R, ReadOnly>,
+    adt: DatRef<'_, R, ReadOnly, Flat>,
+    res: DatRef<'_, R, Writable>,
     consts: &super::Consts<R>,
 ) {
     let n0 = IdxVec::load_strided(e2n, es * 2, 2);
     let n1 = IdxVec::load_strided(e2n, es * 2 + 1, 2);
     let c0 = IdxVec::load_strided(e2c, es * 2, 2);
     let c1 = IdxVec::load_strided(e2c, es * 2 + 1, 2);
-    let x1: [VecR<R, L>; 2] = xv.gather_rows(x, n0);
-    let x2: [VecR<R, L>; 2] = xv.gather_rows(x, n1);
-    let q1: [VecR<R, L>; 4] = qv.gather_rows(q, c0);
-    let q2: [VecR<R, L>; 4] = qv.gather_rows(q, c1);
-    let a1 = VecR::gather(adt, c0, 1, 0);
-    let a2 = VecR::gather(adt, c1, 1, 0);
+    let x1: [VecR<R, L>; 2] = x.gather_rows(n0);
+    let x2: [VecR<R, L>; 2] = x.gather_rows(n1);
+    let q1: [VecR<R, L>; 4] = q.gather_rows(c0);
+    let q2: [VecR<R, L>; 4] = q.gather_rows(c1);
+    let a1 = adt.gatherv(c0, 0);
+    let a2 = adt.gatherv(c1, 0);
     let mut r1 = [VecR::<R, L>::zero(); 4];
     let mut r2 = [VecR::<R, L>::zero(); 4];
     res_calc(&x1, &x2, &q1, &q2, a1, a2, &mut r1, &mut r2, consts);
-    resv.scatter_add_rows_serial([(&r1, c0), (&r2, c1)], res);
+    res.scatter_add_rows_serial([(&r1, c0), (&r2, c1)]);
 }
 
 /// One lane-aligned chunk of vectorized `update`, folding the residual
 /// into `rms` (the caller reduces the accumulator once per block).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn update_chunk<R: Real, const L: usize>(
     cs: usize,
-    qold: &[R],
-    qoldv: DatView,
-    q: &mut [R],
-    qv: DatView,
-    res: &mut [R],
-    resv: DatView,
-    adt: &[R],
+    qold: DatRef<'_, R, ReadOnly>,
+    q: DatRef<'_, R, Writable>,
+    res: DatRef<'_, R, Writable>,
+    adt: DatRef<'_, R, ReadOnly, Flat>,
     rms: &mut VecR<R, L>,
 ) {
-    let qold_p: [VecR<R, L>; 4] = qoldv.load_rows(qold, cs);
+    let qold_p: [VecR<R, L>; 4] = qold.load_rows(cs);
     let mut q_p = [VecR::<R, L>::zero(); 4];
-    let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
-    let adt_p = VecR::<R, L>::load(adt, cs);
+    let mut res_p: [VecR<R, L>; 4] = res.load_rows(cs);
+    let adt_p = adt.loadv(cs, 0);
     update(&qold_p, &mut q_p, &mut res_p, adt_p, rms);
-    qv.store_rows(&q_p, q, cs);
-    resv.store_rows(&res_p, res, cs);
+    q.store_rows(&q_p, cs);
+    res.store_rows(&res_p, cs);
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +225,7 @@ pub struct StepInputs<'a, R: Real> {
 }
 
 /// rms slots per (iteration, phase): the cell loops' block count.
-fn cell_blocks<A: Addressing>(sweep: &Sweep<'_, A>) -> usize {
+fn cell_blocks(sweep: &Sweep<'_>) -> usize {
     sweep.n_cells.div_ceil(sweep.block)
 }
 
@@ -300,14 +292,14 @@ impl<R: Real> Simulation for Airfoil<R> {
     }
 
     /// One slot per (iteration, phase, cell block).
-    fn slots<A: Addressing>(sweep: &Sweep<'_, A>, steps: usize) -> Vec<R> {
+    fn slots(sweep: &Sweep<'_>, steps: usize) -> Vec<R> {
         vec![R::ZERO; steps * 2 * cell_blocks(sweep)]
     }
 
     /// Each iteration's slots summed in slot order — across ranks, the
     /// rank-ordered sum — normalized to √(Σ del²/cells).
-    fn fold<A: Addressing>(
-        sweep: &Sweep<'_, A>,
+    fn fold(
+        sweep: &Sweep<'_>,
         slots: &[R],
         steps: usize,
         halo: Option<&RankHalo<'_>>,
@@ -349,11 +341,11 @@ impl<R: Real> Simulation for Airfoil<R> {
     /// by re-zeroing ghost `res` rows after each phase. The halo markings
     /// are applied only for a rank: `mark_boundary` forces the interior →
     /// finish → boundary split, which a single process must not pay.
-    fn record_steps<'s, 'a: 's, A: Addressing, const L: usize>(
+    fn record_steps<'s, 'a: 's, A: Addressing + Default, const L: usize>(
         inputs: &'s StepInputs<'a, R>,
-        sweep: &'s Sweep<'a, A>,
-        evolving: &'s [SharedDat<'s, R>],
-        rms: &'s SharedDat<'s, R>,
+        sweep: &'s Sweep<'a>,
+        evolving: &'s [DatRef<'s, R, Writable, A>],
+        rms: DatRef<'s, R, Writable, Flat>,
         steps: usize,
         halo: Option<&'s RankHalo<'s>>,
     ) -> Chain<'s> {
@@ -365,36 +357,43 @@ impl<R: Real> Simulation for Airfoil<R> {
             ..
         } = *sweep;
         let cell_blocks = cell_blocks(sweep);
-        let ([qs, qolds, adts, ress], &[qv, qoldv, _, resv]) = (evolving, &sweep.views[..]) else {
+        let &[q, qold, adt, res] = evolving else {
             panic!("airfoil records over [q, qold, adt, res]")
         };
-        let xv = x.view_as::<A>();
-        // the L-lane bodies move rows through the runtime views, the form
-        // LLVM vectorizes best (`DatView::<Layout>::load_rows`)
-        let [qd, qoldd, resd, xd]: [DatView; 4] = [qv.into(), qoldv.into(), resv.into(), xv.into()];
+        let x = x.read_as::<A>();
+        // the L-lane bodies move rows through runtime-layout handles, the
+        // form LLVM vectorizes best (`DatRef::load_rows`)
+        let (xd, qd, qoldd, resd, adtd) = (
+            x.runtime(),
+            q.runtime(),
+            qold.runtime(),
+            res.runtime(),
+            adt.column(),
+        );
         let (ne, nb) = (mesh.n_edges(), mesh.n_bedges());
         let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n);
 
         let mut chain = Chain::new("airfoil_step");
+        chain.register_map(&mesh.edge2cell);
         for step in 0..steps {
             chain.record_simd(
                 desc("save_soln", nc),
-                vec![],
                 L,
-                move |r| unsafe {
-                    let q = qv.rows(qs.as_slice(), r.clone());
-                    let mut q_old = qoldv.rows_mut(qolds.slice_mut(0, qolds.len()), r.clone());
-                    for c in 0..r.len() {
-                        let mut old = [R::ZERO; 4];
-                        save_soln(&q.load(c), &mut old);
-                        q_old.store(c, &old);
-                    }
+                move |r| {
+                    Block::with(r, |b| {
+                        let (q, q_old) = (q.rows::<4>(b), qold.rows_mut::<4>(b));
+                        for c in b.iter() {
+                            let mut old = [R::ZERO; 4];
+                            save_soln(&q.load(c), &mut old);
+                            q_old.store(c, &old);
+                        }
+                    })
                 },
-                move |cs| unsafe {
-                    let rows: [VecR<R, L>; 4] = qd.load_rows(qs.as_slice(), cs);
+                move |cs| {
+                    let rows: [VecR<R, L>; 4] = qd.load_rows(cs);
                     let mut old = [VecR::zero(); 4];
                     save_soln(&rows, &mut old);
-                    qoldd.store_rows(&old, qolds.slice_mut(0, qolds.len()), cs);
+                    qoldd.store_rows(&old, cs);
                 },
             );
             if halo.is_some() {
@@ -403,36 +402,24 @@ impl<R: Real> Simulation for Airfoil<R> {
             for phase in 0..2 {
                 chain.record_simd(
                     desc("adt_calc", nc),
-                    vec![],
                     L,
                     move |r| {
                         for c in r {
                             let n = mesh.cell2node.row(c);
                             // four loads written out: a nested `array::from_fn`
                             // over the nodes measured 2x on this group
-                            let x0: [R; 2] = xv.load_row(&x.data, n[0] as usize);
-                            let x1: [R; 2] = xv.load_row(&x.data, n[1] as usize);
-                            let x2: [R; 2] = xv.load_row(&x.data, n[2] as usize);
-                            let x3: [R; 2] = xv.load_row(&x.data, n[3] as usize);
+                            let x0: [R; 2] = x.load_row(n[0] as usize);
+                            let x1: [R; 2] = x.load_row(n[1] as usize);
+                            let x2: [R; 2] = x.load_row(n[2] as usize);
+                            let x3: [R; 2] = x.load_row(n[3] as usize);
                             let mut a = R::ZERO;
-                            unsafe {
-                                let qrow: [R; 4] = qv.load_row(qs.as_slice(), c);
-                                adt_calc(&x0, &x1, &x2, &x3, &qrow, &mut a, consts);
-                                adts.slice_mut(c, 1)[0] = a;
-                            }
+                            adt_calc(&x0, &x1, &x2, &x3, &q.load_row(c), &mut a, consts);
+                            adt.store_row(c, &[a]);
                         }
                     },
-                    move |cs| unsafe {
-                        adt_chunk::<R, L>(
-                            cs,
-                            &mesh.cell2node.data,
-                            &x.data,
-                            xd,
-                            qs.as_slice(),
-                            qd,
-                            adts.slice_mut(0, adts.len()),
-                            consts,
-                        );
+                    move |cs| {
+                        let c2n = &mesh.cell2node.data;
+                        adt_chunk::<R, L>(cs, c2n, xd, qd.read(), adtd, consts);
                     },
                 );
                 if let Some(h) = halo {
@@ -441,64 +428,40 @@ impl<R: Real> Simulation for Airfoil<R> {
                     // owned cells only): post the sends; the receives finish
                     // between res_calc's interior and boundary passes
                     let tag = (step * 2 + phase) as u64 * 2;
-                    h.record_exchange(&mut chain, "halo[q]", qs, 4, tag);
-                    h.record_exchange(&mut chain, "halo[adt]", adts, 1, tag + 1);
+                    h.record_exchange(&mut chain, "halo[q]", q, tag);
+                    h.record_exchange(&mut chain, "halo[adt]", adt, tag + 1);
                 }
                 let compute = move |e: usize| {
                     let n = mesh.edge2node.row(e);
                     let c = mesh.edge2cell.row(e);
                     let (c0, c1) = (c[0] as usize, c[1] as usize);
-                    let xa: [R; 2] = xv.load_row(&x.data, n[0] as usize);
-                    let xb: [R; 2] = xv.load_row(&x.data, n[1] as usize);
+                    let xa: [R; 2] = x.load_row(n[0] as usize);
+                    let xb: [R; 2] = x.load_row(n[1] as usize);
+                    let q1: [R; 4] = q.load_row(c0);
+                    let q2: [R; 4] = q.load_row(c1);
+                    let ([a1], [a2]) = (adt.load_row(c0), adt.load_row(c1));
                     let mut r1 = [R::ZERO; 4];
                     let mut r2 = [R::ZERO; 4];
-                    unsafe {
-                        let q1: [R; 4] = qv.load_row(qs.as_slice(), c0);
-                        let q2: [R; 4] = qv.load_row(qs.as_slice(), c1);
-                        res_calc(
-                            &xa,
-                            &xb,
-                            &q1,
-                            &q2,
-                            adts.slice(c0, 1)[0],
-                            adts.slice(c1, 1)[0],
-                            &mut r1,
-                            &mut r2,
-                            consts,
-                        );
-                    }
+                    res_calc(&xa, &xb, &q1, &q2, a1, a2, &mut r1, &mut r2, consts);
                     (c0, r1, c1, r2)
                 };
-                // c0's row then c1's, components ascending, through the
-                // layout view
-                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
-                    let r = ress.slice_mut(0, ress.len());
+                // c0's row then c1's, components ascending
+                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| {
                     let (c0, r1, c1, r2) = inc;
-                    resv.add_row(r, *c0, r1);
-                    resv.add_row(r, *c1, r2);
+                    res.add_row(*c0, r1);
+                    res.add_row(*c1, r2);
                 };
                 chain.record_simd_two_phase(
                     desc("res_calc", ne),
-                    vec![&mesh.edge2cell],
                     L,
                     compute,
                     apply,
                     // gather, vector flux kernel, lane scatter
                     // (block-exclusive under the plan's coloring)
-                    move |es| unsafe {
-                        res_chunk::<R, L>(
-                            es,
-                            &mesh.edge2node.data,
-                            &mesh.edge2cell.data,
-                            &x.data,
-                            xd,
-                            qs.as_slice(),
-                            qd,
-                            adts.as_slice(),
-                            ress.slice_mut(0, ress.len()),
-                            resd,
-                            consts,
-                        );
+                    move |es| {
+                        let (e2n, e2c) = (&mesh.edge2node.data, &mesh.edge2cell.data);
+                        let (q, adt) = (qd.read(), adtd.read());
+                        res_chunk::<R, L>(es, e2n, e2c, xd, q, adt, resd, consts);
                     },
                 );
                 if let Some(h) = halo {
@@ -507,23 +470,13 @@ impl<R: Real> Simulation for Airfoil<R> {
                 chain.record_serial(desc("bres_calc", nb), move |be| {
                     let n = mesh.bedge2node.row(be);
                     let c0 = mesh.bedge2cell.at(be, 0);
-                    let xa: [R; 2] = xv.load_row(&x.data, n[0] as usize);
-                    let xb: [R; 2] = xv.load_row(&x.data, n[1] as usize);
-                    unsafe {
-                        let qrow: [R; 4] = qv.load_row(qs.as_slice(), c0);
-                        let r = ress.slice_mut(0, ress.len());
-                        let mut rrow: [R; 4] = resv.load_row(r, c0);
-                        bres_calc(
-                            &xa,
-                            &xb,
-                            &qrow,
-                            adts.slice(c0, 1)[0],
-                            &mut rrow,
-                            bound[be],
-                            consts,
-                        );
-                        resv.store_row(r, c0, &rrow);
-                    }
+                    let xa: [R; 2] = x.load_row(n[0] as usize);
+                    let xb: [R; 2] = x.load_row(n[1] as usize);
+                    let qrow: [R; 4] = q.load_row(c0);
+                    let [a] = adt.load_row(c0);
+                    let mut rrow: [R; 4] = res.load_row(c0);
+                    bres_calc(&xa, &xb, &qrow, a, &mut rrow, bound[be], consts);
+                    res.store_row(c0, &rrow);
                 });
                 // bedges map to owned cells only — never to ghosts
                 if halo.is_some() {
@@ -534,14 +487,13 @@ impl<R: Real> Simulation for Airfoil<R> {
                 // out of line (a call per cell, sum via memory)
                 macro_rules! update_cell {
                     ($c:expr, $rms:expr) => {{
-                        let qold_row: [R; 4] = qoldv.load_row(qolds.as_slice(), $c);
+                        let qold_row: [R; 4] = qold.load_row($c);
                         let mut q_row = [R::ZERO; 4];
-                        let r = ress.slice_mut(0, ress.len());
-                        let mut res_row: [R; 4] = resv.load_row(r, $c);
-                        let adt = adts.slice($c, 1)[0];
-                        update(&qold_row, &mut q_row, &mut res_row, adt, $rms);
-                        qv.store_row(qs.slice_mut(0, qs.len()), $c, &q_row);
-                        resv.store_row(r, $c, &res_row);
+                        let mut res_row: [R; 4] = res.load_row($c);
+                        let [a] = adt.load_row($c);
+                        update(&qold_row, &mut q_row, &mut res_row, a, $rms);
+                        q.store_row($c, &q_row);
+                        res.store_row($c, &res_row);
                     }};
                 }
                 // the block's residual folds in registers — one scalar, and
@@ -551,45 +503,36 @@ impl<R: Real> Simulation for Airfoil<R> {
                 // has no slot (its owner contributes those cells)
                 let vector = matches!(shape, Shape::Simd { .. });
                 let slots = (step * 2 + phase) * cell_blocks;
-                chain.record_blocks(desc("update", nc), vec![], move |slot, range| {
+                chain.record_blocks(desc("update", nc), move |slot, range| {
                     let mut local = R::ZERO;
                     if vector {
                         let mut local_v = VecR::<R, L>::zero();
                         simd_block_sweep(
                             range,
                             L,
-                            |c| unsafe { update_cell!(c, &mut local) },
-                            |cs| unsafe {
-                                update_chunk::<R, L>(
-                                    cs,
-                                    qolds.as_slice(),
-                                    qoldd,
-                                    qs.slice_mut(0, qs.len()),
-                                    qd,
-                                    ress.slice_mut(0, ress.len()),
-                                    resd,
-                                    adts.as_slice(),
-                                    &mut local_v,
-                                );
+                            |c| update_cell!(c, &mut local),
+                            |cs| {
+                                let (qold, adt) = (qoldd.read(), adtd.read());
+                                update_chunk::<R, L>(cs, qold, qd, resd, adt, &mut local_v);
                             },
                         );
                         local += local_v.reduce_sum();
                     } else {
                         for c in range.start as usize..range.end as usize {
-                            unsafe { update_cell!(c, &mut local) };
+                            update_cell!(c, &mut local);
                         }
                     }
                     if let Some(b) = slot {
-                        unsafe { rms.slice_mut(slots + b, 1)[0] = local };
+                        rms.store_row(slots + b, &[local]);
                     }
                 });
                 if halo.is_some() {
                     chain.mark_interior();
                     // discard ghost increments (owners recompute them via
                     // their redundant boundary edges)
-                    chain.epilogue(move || unsafe {
-                        for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
-                            *v = R::ZERO;
+                    chain.epilogue(move || {
+                        for c in nc..res.view().n {
+                            res.store_row(c, &[R::ZERO; 4]);
                         }
                     });
                 }

@@ -28,8 +28,8 @@ use std::time::Duration;
 
 use ump_core::dist::assemble_owned;
 use ump_core::{
-    distribute, extract_rows, Aos, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder,
-    SharedDat,
+    distribute, extract_rows, Addressing, Aos, DatRef, ExecPool, Layout, LocalMesh, OpDat,
+    PlanCache, Recorder, Writable,
 };
 use ump_fault::FaultInjector;
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
@@ -68,21 +68,26 @@ pub struct RankHalo<'a> {
 }
 
 impl<'a> RankHalo<'a> {
-    /// Record a refresh of `dat`'s ghost rows (`dim` components per
-    /// cell) at this point of `chain`: the sends are posted when the
-    /// executor reaches the entry, the receives finish when the first
-    /// later loop needs halo data.
-    pub(crate) fn record_exchange<R: Real>(
+    /// Record a refresh of `dat`'s ghost rows at this point of `chain`:
+    /// the sends are posted when the executor reaches the entry, the
+    /// receives finish when the first later loop needs halo data. The
+    /// exchange moves AoS rows: a rank's state is always AoS.
+    pub(crate) fn record_exchange<R: Real, A: Addressing>(
         &self,
         chain: &mut Chain<'a>,
         name: &str,
-        dat: &'a SharedDat<'a, R>,
-        dim: usize,
+        dat: DatRef<'a, R, Writable, A>,
         tag: u64,
     ) {
         let RankHalo {
             comm, plan, guard, ..
         } = *self;
+        assert_eq!(
+            dat.view().layout.layout(),
+            Layout::Aos,
+            "{name} of a non-AoS dat"
+        );
+        let dim = dat.view().dim;
         // the in-flight handle, passed from start to finish
         let posted = Arc::new(Mutex::new(None));
         let pending = Arc::clone(&posted);

@@ -17,12 +17,12 @@
 //! ([`Simulation::on_rank`]), so an app declares its dats once.
 
 use ump_core::{
-    Addressing, Aos, Backend, ExecPool, Layout, LocalMesh, OpDat, PlanCache, Recorder, SharedDat,
-    Soa,
+    Addressing, Aos, Backend, DatRef, ExecPool, Flat, Layout, LocalMesh, OpDat, PlanCache,
+    Recorder, Soa, Writable,
 };
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape, TileCache, TileReport, TiledChain};
 use ump_mesh::Mesh2d;
-use ump_simd::{DatView, Real};
+use ump_simd::Real;
 
 use crate::dist::RankHalo;
 use crate::{chain_exec, ChainExec, DISPATCH_TILE_BLOCKS};
@@ -80,32 +80,32 @@ pub trait Simulation: Send + Sync + Sized + 'static {
     fn step_seq(&mut self, rec: Option<&Recorder>) -> f64;
 
     /// The one recording: `steps` steps of the app's loops with their
-    /// scalar and `L`-lane bodies, over `evolving` — a global state's
-    /// dats, a rank's, or a tile's shadow copies, in
+    /// scalar and `L`-lane bodies, over the handles `evolving` — of a
+    /// global state's dats, a rank's, or a tile's shadow copies, in
     /// [`evolving`](Simulation::evolving) order, all stored in the layout
     /// `A` — storing reductions in `slots` (laid out as
-    /// [`slots`](Simulation::slots) says). The scalar bodies reach every
-    /// dat through a [`DatView<A>`] — the sweep's views of the evolving
-    /// dats, and [`OpDat::view_as`] for the inputs, which panics on an
-    /// input stored in another layout. Airfoil's `L`-lane bodies go
-    /// through the runtime views made from them
-    /// ([`DatView::<Layout>::load_rows`] says why). A rank's [`RankHalo`] adds the hooks of paper Fig. 2b's
-    /// `op_mpi_halo_exchanges` around the unchanged loops.
-    fn record_steps<'s, 'a: 's, A: Addressing, const L: usize>(
+    /// [`slots`](Simulation::slots) says). Every body reaches every dat
+    /// through a [`DatRef`]: those handles, and [`OpDat::read_as`] for
+    /// the inputs, which panics on an input stored in another layout.
+    /// Airfoil's `L`-lane bodies take the same handles under the runtime
+    /// layout ([`DatRef::load_rows`] says why). A rank's [`RankHalo`]
+    /// adds the hooks of paper Fig. 2b's `op_mpi_halo_exchanges` around
+    /// the unchanged loops.
+    fn record_steps<'s, 'a: 's, A: Addressing + Default, const L: usize>(
         inputs: &'s Self::Inputs<'a>,
-        sweep: &'s Sweep<'a, A>,
-        evolving: &'s [SharedDat<'s, Self::R>],
-        slots: &'s SharedDat<'s, Self::R>,
+        sweep: &'s Sweep<'a>,
+        evolving: &'s [DatRef<'s, Self::R, Writable, A>],
+        slots: DatRef<'s, Self::R, Writable, Flat>,
         steps: usize,
         halo: Option<&'s RankHalo<'s>>,
     ) -> Chain<'s>;
     /// The reduction slots of a recording of `steps` steps, initialized.
-    fn slots<A: Addressing>(sweep: &Sweep<'_, A>, steps: usize) -> Vec<Self::R>;
+    fn slots(sweep: &Sweep<'_>, steps: usize) -> Vec<Self::R>;
     /// The per-step values of a recording of `steps` steps, from its
     /// slots: over a global state, or a rank's piece of one with
     /// `total_cells` cells globally (identical on every rank).
-    fn fold<A: Addressing>(
-        sweep: &Sweep<'_, A>,
+    fn fold(
+        sweep: &Sweep<'_>,
         slots: &[Self::R],
         steps: usize,
         halo: Option<&RankHalo<'_>>,
@@ -140,41 +140,16 @@ pub struct Split<'a, S: Simulation> {
 }
 
 /// How one recording sweeps the mesh — the inputs every app's recording
-/// shares — with the evolving dats stored in the layout `A`.
-pub struct Sweep<'a, A: Addressing> {
+/// shares besides its dats.
+pub struct Sweep<'a> {
     /// The mesh (a rank's: its piece).
     pub(crate) mesh: &'a Mesh2d,
-    /// Views of the evolving dats, in order, typed for the layout the
-    /// step dispatched: every access of the recorded bodies goes through
-    /// them, so the one recording executes natively in AoS or SoA
-    /// storage with no layout test in its scalar accessors. Built by
-    /// [`OpDat::view_as`], so a dat stored otherwise panics, named,
-    /// before any loop runs.
-    pub(crate) views: Vec<DatView<A>>,
     /// Cells the cell loops cover: all, or a rank's owned ones.
     pub(crate) n_cells: usize,
     /// Block size of the loops whose blocks own reduction slots.
     pub(crate) block: usize,
     /// The shape the recording executes in.
     pub(crate) shape: Shape,
-}
-
-impl<'a, A: Addressing> Sweep<'a, A> {
-    fn new<R: Real>(
-        mesh: &'a Mesh2d,
-        evolving: &[&mut OpDat<R>],
-        n_cells: usize,
-        block: usize,
-        shape: Shape,
-    ) -> Sweep<'a, A> {
-        Sweep {
-            mesh,
-            views: evolving.iter().map(|d| d.view_as()).collect(),
-            n_cells,
-            block,
-            shape,
-        }
-    }
 }
 
 /// One step recorded as an `ump_lazy` loop chain and executed on `pool`
@@ -257,7 +232,7 @@ fn step_exec<S: Simulation, const L: usize>(
 /// across ranks. Panics, naming the dat, before any loop runs if a dat
 /// of `split` is not stored in `A`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn recorded_step<S: Simulation, A: Addressing, const L: usize>(
+pub(crate) fn recorded_step<S: Simulation, A: Addressing + Default, const L: usize>(
     split: Split<'_, S>,
     halo: Option<&RankHalo<'_>>,
     total_cells: usize,
@@ -279,24 +254,20 @@ pub(crate) fn recorded_step<S: Simulation, A: Addressing, const L: usize>(
         inputs,
         evolving,
     } = split;
-    let sweep = Sweep::<A>::new(
+    let sweep = Sweep {
         mesh,
-        &evolving,
-        halo.map_or(mesh.n_cells(), |h| h.n_owned),
-        exec.chain_block(block_size),
-        exec.shape,
-    );
+        n_cells: halo.map_or(mesh.n_cells(), |h| h.n_owned),
+        block: exec.chain_block(block_size),
+        shape: exec.shape,
+    };
     // one slot per (reduction, block), merged in block order after the
     // chain runs — a reduction that does not depend on the team size or
     // the grouping
     let mut slots = S::slots(&sweep, 1);
     {
-        let evolving: Vec<_> = evolving
-            .into_iter()
-            .map(|d| SharedDat::new(&mut d.data))
-            .collect();
-        let shared = SharedDat::new(&mut slots);
-        let chain = S::record_steps::<A, L>(&inputs, &sweep, &evolving, &shared, 1, halo);
+        let evolving: Vec<_> = evolving.into_iter().map(|d| d.write_as::<A>()).collect();
+        let slots = DatRef::flat_mut(&mut slots);
+        let chain = S::record_steps::<A, L>(&inputs, &sweep, &evolving, slots, 1, halo);
         let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
         exec.execute(
             &chain,
@@ -327,9 +298,10 @@ pub(crate) fn recorded_step<S: Simulation, A: Addressing, const L: usize>(
 /// any `tile_cells`, `steps` or team size; reductions land in per-`(step,
 /// block)` slots (ownership is block-aligned, so each slot belongs to
 /// one tile) folded in slot order — the same block-ordered fold as the
-/// fused drivers. Tiled execution is defined on AoS rows: a state in
-/// another layout is converted to AoS and back around the call (a pure
-/// index permutation, bit-exact).
+/// fused drivers. Tiles run in the state's layout: their shadow copies
+/// are stored like the state, and the copy-in and write-back move each
+/// run of rows through the handles' addressing (under SoA one range per
+/// component).
 ///
 /// The cone schedule is inspected once and kept, with the executor's
 /// buffers, in [`Simulation::tiles`]: a repeated `(steps, tile_cells,
@@ -359,28 +331,26 @@ pub fn run_tiled_report_on<R: Real, const L: usize>(
     block_size: usize,
     rec: Option<&Recorder>,
 ) -> (Vec<f64>, TileReport) {
-    in_aos(sim, |sim| {
-        // the cache is lent to the executor while the split borrows the
-        // rest of the state
-        let mut tiles = std::mem::take(sim.tiles_mut());
-        let out = tiled_steps::<_, L>(
-            sim.split(),
-            &mut tiles,
-            pool,
-            n_threads,
-            steps,
-            tile_cells,
-            block_size,
-            rec,
-        );
-        *sim.tiles_mut() = tiles;
-        out
-    })
+    // the cache is lent to the executor while the split borrows the rest
+    // of the state
+    let mut tiles = std::mem::take(sim.tiles_mut());
+    let layout = sim.layout();
+    let split = sim.split();
+    let t = &mut tiles;
+    let out = match layout {
+        Layout::Aos => tiled_steps::<_, Aos, L>(
+            split, t, pool, n_threads, steps, tile_cells, block_size, rec,
+        ),
+        Layout::Soa => tiled_steps::<_, Soa, L>(
+            split, t, pool, n_threads, steps, tile_cells, block_size, rec,
+        ),
+    };
+    *sim.tiles_mut() = tiles;
+    out
 }
 
-/// [`run_tiled_report_on`] over an AoS state's split.
-#[allow(clippy::too_many_arguments)]
-fn tiled_steps<S: Simulation, const L: usize>(
+/// [`run_tiled_report_on`] over a split stored in the layout `A`.
+fn tiled_steps<S: Simulation, A: Addressing + Default, const L: usize>(
     split: Split<'_, S>,
     tiles: &mut TileCache<S::R>,
     pool: &ExecPool,
@@ -396,12 +366,17 @@ fn tiled_steps<S: Simulation, const L: usize>(
         evolving,
     } = split;
     let shape = tile_shape::<L>();
-    let sweep = Sweep::<Aos>::new(mesh, &evolving, mesh.n_cells(), block_size, shape);
+    let sweep = Sweep {
+        mesh,
+        n_cells: mesh.n_cells(),
+        block: block_size,
+        shape,
+    };
     let mut slots = S::slots(&sweep, steps);
     let report;
     {
-        let shared = SharedDat::new(&mut slots);
-        let mut tiled = TiledChain::new(format!("{}_tiled", S::NAME));
+        let slots = DatRef::flat_mut(&mut slots);
+        let mut tiled = TiledChain::<_, A>::new(format!("{}_tiled", S::NAME));
         tiled.register_set("cells", mesh.n_cells());
         tiled.register_set("edges", mesh.n_edges());
         tiled.register_set("bedges", mesh.n_bedges());
@@ -409,10 +384,10 @@ fn tiled_steps<S: Simulation, const L: usize>(
         tiled.register_map(&mesh.bedge2cell);
         for (i, d) in evolving.into_iter().enumerate() {
             let set = if i < S::CELL_DATS { "cells" } else { "edges" };
-            tiled.register_dat(&d.name, set, d.dim, &mut d.data);
+            tiled.register_dat(d.name.clone(), set, d.write_as());
         }
         report = tiled.execute(
-            |dats| S::record_steps::<Aos, L>(&inputs, &sweep, dats, &shared, steps, None),
+            |dats| S::record_steps::<A, L>(&inputs, &sweep, dats, slots, steps, None),
             pool,
             tiles,
             steps,
@@ -459,9 +434,9 @@ fn in_aos<S: Simulation, T>(sim: &mut S, f: impl FnOnce(&mut S) -> T) -> T {
 /// dispatched to the const instantiations the registry lists (L = 4 and
 /// 8) and panic, naming the backend, for any other width.
 ///
-/// The recorded chain executes natively in any layout; the rows that
-/// are AoS by definition — the oracle and the tiled executor — run on
-/// AoS rows converted around the step. Distributed steps are not a
+/// The recorded chain executes natively in any layout, tiled or not;
+/// the oracle, AoS by definition, runs on AoS rows converted around the
+/// step. Distributed steps are not a
 /// row: they run through [`crate::dist::run_mpi_fused`], whose ranks
 /// persist across steps.
 pub fn step_on<S: Simulation>(

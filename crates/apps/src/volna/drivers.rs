@@ -13,12 +13,13 @@
 //! MPI / OpenMP / OpenCL / intrinsics configurations.
 
 use ump_core::{
-    seq_loop, simd_block_sweep, two_rows_mut, Layout, LocalMesh, OpDat, Recorder, SharedDat,
+    seq_loop, simd_block_sweep, two_rows_mut, Block, DatRef, Flat, Layout, LocalMesh, OpDat,
+    ReadOnly, Recorder, Writable,
 };
 use ump_lazy::{Chain, LoopDesc, Shape, TileCache};
 use ump_mesh::generators::CoastalCase;
 use ump_mesh::Mesh2d;
-use ump_simd::{Addressing, DatView, IdxVec, Real, VecR};
+use ump_simd::{Addressing, IdxVec, Real, VecR};
 
 use super::kernels::{bc_flux, compute_flux, numerical_flux, rk_1, rk_2, sim_1, space_disc};
 use super::{phase_desc, profile, Volna, CFL, GRAVITY, H_MIN};
@@ -142,31 +143,28 @@ pub fn step_seq<R: Real>(sim: &mut Volna<R>, rec: Option<&Recorder>) -> f64 {
 // lane-chunk bodies of the recorded chain
 // ---------------------------------------------------------------------------
 
-/// One lane-aligned chunk of vectorized `compute_flux`. Raw-slice +
-/// [`DatView<A>`] signature: the chunk bodies have one form,
-/// instantiated per layout `A`.
-#[allow(clippy::too_many_arguments)]
+/// One lane-aligned chunk of vectorized `compute_flux`. The chunk bodies
+/// take Volna's dats as handles of the layout type `A` they are
+/// instantiated for; its one-component dats are
+/// [`column`](DatRef::column)s, which index alike in every layout.
 #[inline(always)]
 pub(crate) fn compute_flux_chunk<R: Real, A: Addressing, const L: usize>(
     es: usize,
     e2c: &[i32],
-    egeom: &[R],
-    egv: DatView<A>,
-    state: &[R],
-    sv: DatView<A>,
-    eflux: &mut [R],
-    efv: DatView<A>,
+    egeom: DatRef<'_, R, ReadOnly, A>,
+    state: DatRef<'_, R, ReadOnly, A>,
+    eflux: DatRef<'_, R, Writable, A>,
     g: R,
     h_min: R,
 ) {
     let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
     let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-    let geom: [VecR<R, L>; 4] = egv.load_rows(egeom, es);
-    let wl: [VecR<R, L>; 4] = sv.gather_rows(state, c0);
-    let wr: [VecR<R, L>; 4] = sv.gather_rows(state, c1);
+    let geom: [VecR<R, L>; 4] = egeom.load_rows(es);
+    let wl: [VecR<R, L>; 4] = state.gather_rows(c0);
+    let wr: [VecR<R, L>; 4] = state.gather_rows(c1);
     let mut f = [VecR::zero(); 4];
     compute_flux(&geom, &wl, &wr, &mut f, g, h_min);
-    efv.store_rows(&f, eflux, es);
+    eflux.store_rows(&f, es);
 }
 
 /// One lane-aligned chunk of vectorized `numerical_flux`: folds the
@@ -176,98 +174,79 @@ pub(crate) fn compute_flux_chunk<R: Real, A: Addressing, const L: usize>(
 pub(crate) fn numerical_flux_chunk<R: Real, A: Addressing, const L: usize>(
     es: usize,
     e2c: &[i32],
-    eflux: &[R],
-    efv: DatView<A>,
-    area: &[R],
+    eflux: DatRef<'_, R, ReadOnly, A>,
+    area: DatRef<'_, R, ReadOnly, Flat>,
     dt_acc: &mut VecR<R, L>,
     cfl: R,
 ) {
     let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
     let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-    // area is dim-1: its indexing is layout-invariant, keep the direct gather
-    let al = VecR::gather(area, c0, 1, 0);
-    let ar = VecR::gather(area, c1, 1, 0);
-    numerical_flux(efv.loadv(eflux, es, 3), al, ar, dt_acc, cfl);
+    let (al, ar) = (area.gatherv(c0, 0), area.gatherv(c1, 0));
+    numerical_flux(eflux.loadv(es, 3), al, ar, dt_acc, cfl);
 }
 
 /// One lane-aligned chunk `es..es + L` of vectorized `space_disc`, with
 /// *serialized* row scatter (lane by lane, the left cell's row then the
 /// right's: the order of the recording's scalar `apply`).
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn space_disc_chunk<R: Real, A: Addressing, const L: usize>(
     es: usize,
     e2c: &[i32],
-    egeom: &[R],
-    egv: DatView<A>,
-    eflux: &[R],
-    efv: DatView<A>,
-    state: &[R],
-    sv: DatView<A>,
-    res: &mut [R],
-    resv: DatView<A>,
+    egeom: DatRef<'_, R, ReadOnly, A>,
+    eflux: DatRef<'_, R, ReadOnly, A>,
+    state: DatRef<'_, R, ReadOnly, A>,
+    res: DatRef<'_, R, Writable, A>,
     g: R,
 ) {
     let c0 = IdxVec::load_strided(e2c, es * 2, 2);
     let c1 = IdxVec::load_strided(e2c, es * 2 + 1, 2);
-    let geom: [VecR<R, L>; 4] = egv.load_rows(egeom, es);
-    let ef: [VecR<R, L>; 4] = efv.load_rows(eflux, es);
-    let wl: [VecR<R, L>; 4] = sv.gather_rows(state, c0);
-    let wr: [VecR<R, L>; 4] = sv.gather_rows(state, c1);
+    let geom: [VecR<R, L>; 4] = egeom.load_rows(es);
+    let ef: [VecR<R, L>; 4] = eflux.load_rows(es);
+    let wl: [VecR<R, L>; 4] = state.gather_rows(c0);
+    let wr: [VecR<R, L>; 4] = state.gather_rows(c1);
     let (mut rl, mut rr) = ([VecR::zero(); 4], [VecR::zero(); 4]);
     space_disc(&geom, &ef, &wl, &wr, &mut rl, &mut rr, g);
     // slot 3 (bathymetry) carries no increment: three of four components land
     let ([l0, l1, l2, _], [r0, r1, r2, _]) = (rl, rr);
-    resv.scatter_add_rows_serial([(&[l0, l1, l2], c0), (&[r0, r1, r2], c1)], res);
+    res.scatter_add_rows_serial([(&[l0, l1, l2], c0), (&[r0, r1, r2], c1)]);
 }
 
 /// One lane-aligned chunk of vectorized `RK_1`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn rk1_chunk<R: Real, A: Addressing, const L: usize>(
     cs: usize,
-    w_old: &[R],
-    woldv: DatView<A>,
-    res: &mut [R],
-    resv: DatView<A>,
-    w1: &mut [R],
-    w1v: DatView<A>,
-    area: &[R],
+    w_old: DatRef<'_, R, ReadOnly, A>,
+    res: DatRef<'_, R, Writable, A>,
+    w1: DatRef<'_, R, Writable, A>,
+    area: DatRef<'_, R, ReadOnly, Flat>,
     dt: R,
 ) {
-    let w_old_p: [VecR<R, L>; 4] = woldv.load_rows(w_old, cs);
-    let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
-    let area_p = VecR::<R, L>::load(area, cs);
+    let w_old_p: [VecR<R, L>; 4] = w_old.load_rows(cs);
+    let mut res_p: [VecR<R, L>; 4] = res.load_rows(cs);
     let mut w1_p = [VecR::<R, L>::zero(); 4];
-    rk_1(&w_old_p, &mut res_p, &mut w1_p, area_p, dt);
-    w1v.store_rows(&w1_p, w1, cs);
-    resv.store_rows(&res_p, res, cs);
+    rk_1(&w_old_p, &mut res_p, &mut w1_p, area.loadv(cs, 0), dt);
+    w1.store_rows(&w1_p, cs);
+    res.store_rows(&res_p, cs);
 }
 
 /// One lane-aligned chunk of vectorized `RK_2`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn rk2_chunk<R: Real, A: Addressing, const L: usize>(
     cs: usize,
-    w_old: &[R],
-    woldv: DatView<A>,
-    w1: &[R],
-    w1v: DatView<A>,
-    res: &mut [R],
-    resv: DatView<A>,
-    w: &mut [R],
-    wv: DatView<A>,
-    area: &[R],
+    w_old: DatRef<'_, R, ReadOnly, A>,
+    w1: DatRef<'_, R, ReadOnly, A>,
+    res: DatRef<'_, R, Writable, A>,
+    w: DatRef<'_, R, Writable, A>,
+    area: DatRef<'_, R, ReadOnly, Flat>,
     dt: R,
 ) {
-    let w_old_p: [VecR<R, L>; 4] = woldv.load_rows(w_old, cs);
-    let w1_p: [VecR<R, L>; 4] = w1v.load_rows(w1, cs);
-    let mut res_p: [VecR<R, L>; 4] = resv.load_rows(res, cs);
-    let area_p = VecR::<R, L>::load(area, cs);
+    let w_old_p: [VecR<R, L>; 4] = w_old.load_rows(cs);
+    let w1_p: [VecR<R, L>; 4] = w1.load_rows(cs);
+    let mut res_p: [VecR<R, L>; 4] = res.load_rows(cs);
     let mut w_p = [VecR::<R, L>::zero(); 4];
-    rk_2(&w_old_p, &w1_p, &mut res_p, &mut w_p, area_p, dt);
-    wv.store_rows(&w_p, w, cs);
-    resv.store_rows(&res_p, res, cs);
+    rk_2(&w_old_p, &w1_p, &mut res_p, &mut w_p, area.loadv(cs, 0), dt);
+    w.store_rows(&w_p, cs);
+    res.store_rows(&res_p, cs);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +262,7 @@ pub struct StepInputs<'a, R: Real> {
 }
 
 /// Δt slots per step: the edge loops' block count.
-fn edge_blocks<A: Addressing>(sweep: &Sweep<'_, A>) -> usize {
+fn edge_blocks(sweep: &Sweep<'_>) -> usize {
     sweep.mesh.n_edges().div_ceil(sweep.block)
 }
 
@@ -356,14 +335,14 @@ impl<R: Real> Simulation for Volna<R> {
     }
 
     /// Step `s`'s Δt in slot `s`, then one slot per (step, edge block).
-    fn slots<A: Addressing>(sweep: &Sweep<'_, A>, steps: usize) -> Vec<R> {
+    fn slots(sweep: &Sweep<'_>, steps: usize) -> Vec<R> {
         vec![R::INFINITY; steps * (1 + edge_blocks(sweep))]
     }
 
     /// Each step's Δt, as its epilogue folded it (across ranks already
     /// the min-allreduce).
-    fn fold<A: Addressing>(
-        _sweep: &Sweep<'_, A>,
+    fn fold(
+        _sweep: &Sweep<'_>,
         slots: &[R],
         steps: usize,
         _halo: Option<&RankHalo<'_>>,
@@ -403,15 +382,14 @@ impl<R: Real> Simulation for Volna<R> {
     /// equals every executor's bit-for-bit. The halo markings are applied
     /// only for a rank: `mark_boundary` forces the interior → finish →
     /// boundary split, which a single process must not pay.
-    fn record_steps<'s, 'a: 's, A: Addressing, const L: usize>(
+    fn record_steps<'s, 'a: 's, A: Addressing + Default, const L: usize>(
         inputs: &'s StepInputs<'a, R>,
-        sweep: &'s Sweep<'a, A>,
-        evolving: &'s [SharedDat<'s, R>],
-        dt: &'s SharedDat<'s, R>,
+        sweep: &'s Sweep<'a>,
+        evolving: &'s [DatRef<'s, R, Writable, A>],
+        dt: DatRef<'s, R, Writable, Flat>,
         steps: usize,
         halo: Option<&'s RankHalo<'s>>,
     ) -> Chain<'s> {
-        let StepInputs { area, egeom, bgeom } = *inputs;
         let Sweep {
             mesh,
             n_cells: nc,
@@ -419,12 +397,13 @@ impl<R: Real> Simulation for Volna<R> {
             ..
         } = *sweep;
         let edge_blocks = edge_blocks(sweep);
-        let ([ws, wolds, w1s, ress, efs], &[wv, woldv, w1v, resv, efv]) =
-            (evolving, &sweep.views[..])
-        else {
+        let &[w, w_old, w1, res, eflux] = evolving else {
             panic!("volna records over [w, w_old, w1, res, eflux]")
         };
-        let (egv, bgv) = (egeom.view_as::<A>(), bgeom.view_as::<A>());
+        let egeom = inputs.egeom.read_as::<A>();
+        let bgeom = inputs.bgeom.read_as::<A>();
+        let area = inputs.area.read_as::<A>();
+        let area1 = area.column();
         let g = R::from_f64(GRAVITY);
         let h_min = R::from_f64(H_MIN);
         let cfl = R::from_f64(CFL);
@@ -432,30 +411,31 @@ impl<R: Real> Simulation for Volna<R> {
         let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n);
 
         let mut chain = Chain::new("volna_step");
+        chain.register_map(&mesh.edge2cell);
         for step in 0..steps {
             if let Some(h) = halo {
                 // refresh w ghosts for phase 0: posted before sim_1 so the
                 // copy loop also hides message latency
-                h.record_exchange(&mut chain, "halo[w]", ws, 4, step as u64 * 2);
+                h.record_exchange(&mut chain, "halo[w]", w, step as u64 * 2);
             }
             chain.record_simd(
                 desc("sim_1", nc),
-                vec![],
                 L,
-                move |r| unsafe {
-                    let w = wv.rows(ws.as_slice(), r.clone());
-                    let mut w_old = woldv.rows_mut(wolds.slice_mut(0, wolds.len()), r.clone());
-                    for c in 0..r.len() {
-                        let mut old = [R::ZERO; 4];
-                        sim_1(&w.load(c), &mut old);
-                        w_old.store(c, &old);
-                    }
+                move |r| {
+                    Block::with(r, |b| {
+                        let (w, w_old) = (w.rows::<4>(b), w_old.rows_mut::<4>(b));
+                        for c in b.iter() {
+                            let mut old = [R::ZERO; 4];
+                            sim_1(&w.load(c), &mut old);
+                            w_old.store(c, &old);
+                        }
+                    })
                 },
-                move |cs| unsafe {
-                    let rows: [VecR<R, L>; 4] = wv.load_rows(ws.as_slice(), cs);
+                move |cs| {
+                    let rows: [VecR<R, L>; 4] = w.load_rows(cs);
                     let mut old = [VecR::zero(); 4];
                     sim_1(&rows, &mut old);
-                    woldv.store_rows(&old, wolds.slice_mut(0, wolds.len()), cs);
+                    w_old.store_rows(&old, cs);
                 },
             );
             if halo.is_some() {
@@ -465,42 +445,28 @@ impl<R: Real> Simulation for Volna<R> {
             // block slots, read by RK
             let dt_slots = steps + step * edge_blocks;
             for phase in 0..2 {
-                let (state, sv) = if phase == 0 { (ws, wv) } else { (w1s, w1v) };
+                let state = if phase == 0 { w } else { w1 }.read();
                 if let (1, Some(h)) = (phase, halo) {
                     // refresh w1 ghosts (RK_1 wrote owned rows only)
-                    h.record_exchange(&mut chain, "halo[w1]", w1s, 4, step as u64 * 2 + 1);
+                    h.record_exchange(&mut chain, "halo[w1]", w1, step as u64 * 2 + 1);
                 }
                 chain.record_simd(
                     phase_desc("compute_flux", ne, phase),
-                    vec![],
                     L,
                     move |r| {
                         for e in r {
                             let c = mesh.edge2cell.row(e);
-                            unsafe {
-                                let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                                let s = state.as_slice();
-                                let wl: [R; 4] = sv.load_row(s, c[0] as usize);
-                                let wr: [R; 4] = sv.load_row(s, c[1] as usize);
-                                let mut f = [R::ZERO; 4];
-                                compute_flux(&ge, &wl, &wr, &mut f, g, h_min);
-                                efv.store_row(efs.slice_mut(0, efs.len()), e, &f);
-                            }
+                            let ge: [R; 4] = egeom.load_row(e);
+                            let wl: [R; 4] = state.load_row(c[0] as usize);
+                            let wr: [R; 4] = state.load_row(c[1] as usize);
+                            let mut f = [R::ZERO; 4];
+                            compute_flux(&ge, &wl, &wr, &mut f, g, h_min);
+                            eflux.store_row(e, &f);
                         }
                     },
-                    move |es| unsafe {
-                        compute_flux_chunk::<R, A, L>(
-                            es,
-                            &mesh.edge2cell.data,
-                            &egeom.data,
-                            egv,
-                            state.as_slice(),
-                            sv,
-                            efs.slice_mut(0, efs.len()),
-                            efv,
-                            g,
-                            h_min,
-                        );
+                    move |es| {
+                        let e2c = &mesh.edge2cell.data;
+                        compute_flux_chunk::<R, A, L>(es, e2c, egeom, state, eflux, g, h_min);
                     },
                 );
                 if let Some(h) = halo {
@@ -513,8 +479,9 @@ impl<R: Real> Simulation for Volna<R> {
                     macro_rules! flux_edge {
                         ($e:expr, $dt:expr) => {{
                             let c = mesh.edge2cell.row($e);
-                            let lam_len = efs.as_slice()[efv.idx($e, 3)];
-                            let (al, ar) = (area.row(c[0] as usize)[0], area.row(c[1] as usize)[0]);
+                            let [.., lam_len] = eflux.load_row::<4>($e);
+                            let ([al], [ar]) =
+                                (area1.load_row(c[0] as usize), area1.load_row(c[1] as usize));
                             numerical_flux(lam_len, al, ar, $dt, cfl);
                         }};
                     }
@@ -523,7 +490,7 @@ impl<R: Real> Simulation for Volna<R> {
                     // in its block slot with one store (`min` is exact in any
                     // order); a tile's fringe run has no slot
                     let vector = matches!(shape, Shape::Simd { .. });
-                    chain.record_blocks(desc("numerical_flux", ne), vec![], move |slot, range| {
+                    chain.record_blocks(desc("numerical_flux", ne), move |slot, range| {
                         let Some(b) = slot else { return };
                         let mut local = R::INFINITY;
                         if vector {
@@ -531,14 +498,14 @@ impl<R: Real> Simulation for Volna<R> {
                             simd_block_sweep(
                                 range,
                                 L,
-                                |e| unsafe { flux_edge!(e, &mut local) },
-                                |es| unsafe {
+                                |e| flux_edge!(e, &mut local),
+                                |es| {
+                                    let (e2c, ef) = (&mesh.edge2cell.data, eflux.read());
                                     numerical_flux_chunk::<R, A, L>(
                                         es,
-                                        &mesh.edge2cell.data,
-                                        efs.as_slice(),
-                                        efv,
-                                        &area.data,
+                                        e2c,
+                                        ef,
+                                        area1,
                                         &mut local_v,
                                         cfl,
                                     );
@@ -547,10 +514,10 @@ impl<R: Real> Simulation for Volna<R> {
                             local = local.min(local_v.reduce_min());
                         } else {
                             for e in range.start as usize..range.end as usize {
-                                unsafe { flux_edge!(e, &mut local) };
+                                flux_edge!(e, &mut local);
                             }
                         }
-                        unsafe { dt.slice_mut(dt_slots + b, 1)[0] = local };
+                        dt.store_row(dt_slots + b, &[local]);
                     });
                     // numerical_flux reads edge-local flux and the local cell
                     // areas — no halo data
@@ -561,60 +528,44 @@ impl<R: Real> Simulation for Volna<R> {
                     // agreement is the rank-ordered min-allreduce — the step's
                     // implicit synchronization point (exact through f64 at
                     // either precision)
-                    chain.epilogue(move || unsafe {
+                    chain.epilogue(move || {
                         let mut merged = R::INFINITY;
-                        for &v in dt.slice(dt_slots, edge_blocks) {
+                        for slot in dt_slots..dt_slots + edge_blocks {
+                            let [v] = dt.load_row(slot);
                             merged = if v < merged { v } else { merged };
                         }
                         if let Some(h) = halo {
                             merged = R::from_f64(h.comm.allreduce_min(merged.to_f64()));
                         }
-                        dt.slice_mut(step, 1)[0] = merged;
+                        dt.store_row(step, &[merged]);
                     });
                 }
                 let compute = move |e: usize| {
                     let c = mesh.edge2cell.row(e);
                     let (c0, c1) = (c[0] as usize, c[1] as usize);
+                    let ge: [R; 4] = egeom.load_row(e);
+                    let ef: [R; 4] = eflux.load_row(e);
+                    let wl: [R; 4] = state.load_row(c0);
+                    let wr: [R; 4] = state.load_row(c1);
                     let mut rl = [R::ZERO; 4];
                     let mut rr = [R::ZERO; 4];
-                    unsafe {
-                        let ge: [R; 4] = egv.load_row(&egeom.data, e);
-                        let ef: [R; 4] = efv.load_row(efs.as_slice(), e);
-                        let s = state.as_slice();
-                        let wl: [R; 4] = sv.load_row(s, c0);
-                        let wr: [R; 4] = sv.load_row(s, c1);
-                        space_disc(&ge, &ef, &wl, &wr, &mut rl, &mut rr, g);
-                    }
+                    space_disc(&ge, &ef, &wl, &wr, &mut rl, &mut rr, g);
                     (c0, rl, c1, rr)
                 };
-                // left row, then right, components ascending, through the
-                // layout view
-                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| unsafe {
-                    let r = ress.slice_mut(0, ress.len());
+                // left row, then right, components ascending
+                let apply = move |_e: usize, inc: &(usize, [R; 4], usize, [R; 4])| {
                     let (c0, rl, c1, rr) = inc;
-                    resv.add_row(r, *c0, rl);
-                    resv.add_row(r, *c1, rr);
+                    res.add_row(*c0, rl);
+                    res.add_row(*c1, rr);
                 };
                 chain.record_simd_two_phase(
                     phase_desc("space_disc", ne, phase),
-                    vec![&mesh.edge2cell],
                     L,
                     compute,
                     apply,
-                    move |es| unsafe {
-                        space_disc_chunk::<R, A, L>(
-                            es,
-                            &mesh.edge2cell.data,
-                            &egeom.data,
-                            egv,
-                            efs.as_slice(),
-                            efv,
-                            state.as_slice(),
-                            sv,
-                            ress.slice_mut(0, ress.len()),
-                            resv,
-                            g,
-                        );
+                    move |es| {
+                        let (e2c, ef) = (&mesh.edge2cell.data, eflux.read());
+                        space_disc_chunk::<R, A, L>(es, e2c, egeom, ef, state, res, g);
                     },
                 );
                 if let Some(h) = halo {
@@ -622,14 +573,11 @@ impl<R: Real> Simulation for Volna<R> {
                 }
                 chain.record_serial(phase_desc("bc_flux", nb, phase), move |be| {
                     let c0 = mesh.bedge2cell.at(be, 0);
-                    unsafe {
-                        let bg: [R; 2] = bgv.load_row(&bgeom.data, be);
-                        let wrow: [R; 4] = sv.load_row(state.as_slice(), c0);
-                        let r = ress.slice_mut(0, ress.len());
-                        let mut rrow: [R; 4] = resv.load_row(r, c0);
-                        bc_flux(&bg, &wrow, &mut rrow, g);
-                        resv.store_row(r, c0, &rrow);
-                    }
+                    let bg: [R; 2] = bgeom.load_row(be);
+                    let wrow: [R; 4] = state.load_row(c0);
+                    let mut rrow: [R; 4] = res.load_row(c0);
+                    bc_flux(&bg, &wrow, &mut rrow, g);
+                    res.store_row(c0, &rrow);
                 });
                 // bedges map to owned cells only
                 if halo.is_some() {
@@ -638,84 +586,65 @@ impl<R: Real> Simulation for Volna<R> {
                 if phase == 0 {
                     chain.record_simd(
                         desc("RK_1", nc),
-                        vec![],
                         L,
-                        move |r| unsafe {
-                            let dt = dt.slice(step, 1)[0];
-                            let w_old = woldv.rows(wolds.as_slice(), r.clone());
-                            let mut res = resv.rows_mut(ress.slice_mut(0, ress.len()), r.clone());
-                            let mut w1 = w1v.rows_mut(w1s.slice_mut(0, w1s.len()), r.clone());
-                            let area = &area.data[r];
-                            for c in 0..area.len() {
-                                let (mut res_row, mut w1_row) = (res.load(c), [R::ZERO; 4]);
-                                rk_1(&w_old.load(c), &mut res_row, &mut w1_row, area[c], dt);
-                                w1.store(c, &w1_row);
-                                res.store(c, &res_row);
-                            }
+                        move |r| {
+                            let [dt] = dt.load_row(step);
+                            Block::with(r, |b| {
+                                let (w_old, area) = (w_old.rows::<4>(b), area.rows::<1>(b));
+                                let (res, w1) = (res.rows_mut::<4>(b), w1.rows_mut::<4>(b));
+                                for c in b.iter() {
+                                    let (mut res_row, mut w1_row) = (res.load(c), [R::ZERO; 4]);
+                                    let [a] = area.load(c);
+                                    rk_1(&w_old.load(c), &mut res_row, &mut w1_row, a, dt);
+                                    w1.store(c, &w1_row);
+                                    res.store(c, &res_row);
+                                }
+                            })
                         },
-                        move |cs| unsafe {
-                            rk1_chunk::<R, A, L>(
-                                cs,
-                                wolds.as_slice(),
-                                woldv,
-                                ress.slice_mut(0, ress.len()),
-                                resv,
-                                w1s.slice_mut(0, w1s.len()),
-                                w1v,
-                                &area.data,
-                                dt.slice(step, 1)[0],
-                            );
+                        move |cs| {
+                            let [dt] = dt.load_row(step);
+                            rk1_chunk::<R, A, L>(cs, w_old.read(), res, w1, area1, dt);
                         },
                     );
                 } else {
                     chain.record_simd(
                         desc("RK_2", nc),
-                        vec![],
                         L,
-                        move |r| unsafe {
-                            let dt = dt.slice(step, 1)[0];
-                            let w_old = woldv.rows(wolds.as_slice(), r.clone());
-                            let w1 = w1v.rows(w1s.as_slice(), r.clone());
-                            let mut res = resv.rows_mut(ress.slice_mut(0, ress.len()), r.clone());
-                            let mut w = wv.rows_mut(ws.slice_mut(0, ws.len()), r.clone());
-                            let area = &area.data[r];
-                            for c in 0..area.len() {
-                                let (mut res_row, mut w_row) = (res.load(c), [R::ZERO; 4]);
-                                rk_2(
-                                    &w_old.load(c),
-                                    &w1.load(c),
-                                    &mut res_row,
-                                    &mut w_row,
-                                    area[c],
-                                    dt,
-                                );
-                                w.store(c, &w_row);
-                                res.store(c, &res_row);
-                            }
+                        move |r| {
+                            let [dt] = dt.load_row(step);
+                            Block::with(r, |b| {
+                                let (w_old, w1) = (w_old.rows::<4>(b), w1.rows::<4>(b));
+                                let (res, w) = (res.rows_mut::<4>(b), w.rows_mut::<4>(b));
+                                let area = area.rows::<1>(b);
+                                for c in b.iter() {
+                                    let (mut res_row, mut w_row) = (res.load(c), [R::ZERO; 4]);
+                                    let [a] = area.load(c);
+                                    rk_2(
+                                        &w_old.load(c),
+                                        &w1.load(c),
+                                        &mut res_row,
+                                        &mut w_row,
+                                        a,
+                                        dt,
+                                    );
+                                    w.store(c, &w_row);
+                                    res.store(c, &res_row);
+                                }
+                            })
                         },
-                        move |cs| unsafe {
-                            rk2_chunk::<R, A, L>(
-                                cs,
-                                wolds.as_slice(),
-                                woldv,
-                                w1s.as_slice(),
-                                w1v,
-                                ress.slice_mut(0, ress.len()),
-                                resv,
-                                ws.slice_mut(0, ws.len()),
-                                wv,
-                                &area.data,
-                                dt.slice(step, 1)[0],
-                            );
+                        move |cs| {
+                            let [dt] = dt.load_row(step);
+                            let (w_old, w1) = (w_old.read(), w1.read());
+                            rk2_chunk::<R, A, L>(cs, w_old, w1, res, w, area1, dt);
                         },
                     );
                 }
                 if halo.is_some() {
                     chain.mark_interior();
                     // discard ghost increments (owners recompute them)
-                    chain.epilogue(move || unsafe {
-                        for v in ress.slice_mut(nc * 4, ress.len() - nc * 4) {
-                            *v = R::ZERO;
+                    chain.epilogue(move || {
+                        for c in nc..res.view().n {
+                            res.store_row(c, &[R::ZERO; 4]);
                         }
                     });
                 }

@@ -4,7 +4,7 @@
 
 use std::io::{self, Read, Write};
 
-use ump_simd::{Addressing, DatView, Layout, Real};
+use ump_simd::{Addressing, DatRef, DatView, Layout, ReadOnly, Real, Writable};
 
 /// Magic prefix of the [`OpDat::save`] binary format.
 pub const DAT_SNAPSHOT_MAGIC: [u8; 4] = *b"UMPD";
@@ -134,18 +134,28 @@ impl<R: Real> OpDat<R> {
         DatView::new(self.set_size, self.dim, self.layout)
     }
 
-    /// [`view`](OpDat::view) typed for the layout `A`: the view a
-    /// recording instantiated for `A` indexes this dat through. Panics,
-    /// naming the dat, if it is stored in another layout — that
-    /// recording would index it wrongly.
-    pub fn view_as<A: Addressing>(&self) -> DatView<A> {
+    /// A read-only [`DatRef`] of the storage, typed for the layout `A`:
+    /// the handle a recording instantiated for `A` reads this dat
+    /// through. Panics, naming the dat, if it is stored in another
+    /// layout — that recording would index it wrongly.
+    pub fn read_as<A: Addressing + Default>(&self) -> DatRef<'_, R, ReadOnly, A> {
+        DatRef::new(&self.data, self.view_as())
+    }
+
+    /// [`read_as`](OpDat::read_as), writable.
+    pub fn write_as<A: Addressing + Default>(&mut self) -> DatRef<'_, R, Writable, A> {
+        let view = self.view_as();
+        DatRef::new_mut(&mut self.data, view)
+    }
+
+    fn view_as<A: Addressing + Default>(&self) -> DatView<A> {
         self.view().typed().unwrap_or_else(|| {
             panic!(
                 "dat {} is stored {}, but the recording was instantiated for {}: \
                  set_layout converts a state's dats together",
                 self.name,
                 self.layout.name(),
-                A::LAYOUT.name()
+                A::default().layout().name()
             )
         })
     }

@@ -21,85 +21,13 @@
 //! the engines per kernel: they record each loop once on an `ump_lazy`
 //! chain, whose executor drives it through them.
 //!
-//! Mutation from multiple threads is funnelled through [`SharedDat`], a
-//! raw-pointer wrapper whose safety contract is the coloring invariant:
-//! *within one color round no two concurrent bodies touch the same
-//! element*. Plans are validated (tests + `debug_assert`) to uphold it.
+//! Bodies running on several threads at once reach a dat through a
+//! [`DatRef`](ump_simd::DatRef), a raw-pointer handle whose safety
+//! contract is the coloring invariant: *within one color round no two
+//! concurrent bodies touch the same element*. Plans are validated (tests
+//! + `debug_assert`) to uphold it.
 
-use std::marker::PhantomData;
 use std::ops::Range;
-
-/// A shared mutable view of a dat's storage for colored concurrency.
-///
-/// # Safety contract
-/// Callers may only touch element ranges that the active plan guarantees
-/// conflict-free for the current color round. All constructors are safe;
-/// the access methods are `unsafe` to mark that contract.
-pub struct SharedDat<'a, R> {
-    ptr: *mut R,
-    len: usize,
-    _marker: PhantomData<&'a mut [R]>,
-}
-
-unsafe impl<R: Send> Send for SharedDat<'_, R> {}
-unsafe impl<R: Send> Sync for SharedDat<'_, R> {}
-
-impl<'a, R> SharedDat<'a, R> {
-    /// Wrap a mutable slice.
-    pub fn new(data: &'a mut [R]) -> SharedDat<'a, R> {
-        SharedDat {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Length of the underlying storage.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Mutable subslice `[start, start+len)`.
-    ///
-    /// # Safety
-    /// The range must be disjoint from every range other threads access
-    /// during the current color round (the coloring invariant).
-    #[inline(always)]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [R] {
-        debug_assert!(start + len <= self.len, "SharedDat range out of bounds");
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
-    }
-
-    /// Shared view of the whole storage.
-    ///
-    /// # Safety
-    /// No thread may be mutating the elements read.
-    #[inline(always)]
-    pub unsafe fn as_slice(&self) -> &[R] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// Shared subslice `[start, start+len)` — the read-side counterpart of
-    /// [`slice_mut`](SharedDat::slice_mut), for loops that *read* a dat
-    /// other loops of the same colored round write.
-    ///
-    /// # Safety
-    /// No concurrent writer may overlap the range during the current
-    /// color round (the coloring invariant again: for per-element data
-    /// this holds whenever the range stays within the caller's own
-    /// block).
-    #[inline(always)]
-    pub unsafe fn slice(&self, start: usize, len: usize) -> &[R] {
-        debug_assert!(start + len <= self.len, "SharedDat range out of bounds");
-        unsafe { std::slice::from_raw_parts(self.ptr.add(start), len) }
-    }
-}
 
 /// Split two distinct rows out of a dat's AoS storage for a two-sided
 /// update.
@@ -134,6 +62,7 @@ mod tests {
     use crate::pool::ExecPool;
     use ump_color::{PlanInputs, TwoLevelPlan};
     use ump_mesh::generators::quad_channel;
+    use ump_simd::DatRef;
 
     #[test]
     fn seq_loop_visits_in_order() {
@@ -145,15 +74,10 @@ mod tests {
     #[test]
     fn shared_dat_disjoint_writes() {
         let mut data = vec![0.0f64; 100];
-        let shared = SharedDat::new(&mut data);
+        let shared = DatRef::flat_mut(&mut data);
         std::thread::scope(|s| {
-            let sh = &shared;
-            s.spawn(move || unsafe {
-                sh.slice_mut(0, 50).iter_mut().for_each(|x| *x = 1.0);
-            });
-            s.spawn(move || unsafe {
-                sh.slice_mut(50, 50).iter_mut().for_each(|x| *x = 2.0);
-            });
+            s.spawn(move || (0..50).for_each(|e| shared.store_row(e, &[1.0])));
+            s.spawn(move || (50..100).for_each(|e| shared.store_row(e, &[2.0])));
         });
         assert!(data[..50].iter().all(|&x| x == 1.0));
         assert!(data[50..].iter().all(|&x| x == 2.0));
@@ -178,15 +102,13 @@ mod tests {
         }
 
         let mut out = vec![0.0f64; m.n_cells()];
-        let shared = SharedDat::new(&mut out);
+        let shared = DatRef::flat_mut(&mut out);
         let e2c = &m.edge2cell;
         ExecPool::new(4).colored_blocks(&plan, 0, |_b, range| {
             for e in range {
                 let c = e2c.row(e as usize);
-                unsafe {
-                    shared.slice_mut(c[0] as usize, 1)[0] += 1.0;
-                    shared.slice_mut(c[1] as usize, 1)[0] += 1.0;
-                }
+                shared.add_row(c[0] as usize, &[1.0]);
+                shared.add_row(c[1] as usize, &[1.0]);
             }
         });
         assert_eq!(out, reference);
@@ -199,13 +121,11 @@ mod tests {
         let plan = TwoLevelPlan::build(&inputs);
         let run = |threads: usize| {
             let mut out = vec![0.0f64; m.n_cells()];
-            let shared = SharedDat::new(&mut out);
+            let shared = DatRef::flat_mut(&mut out);
             ExecPool::new(threads).colored_blocks(&plan, 0, |_b, range| {
                 for e in range {
                     let c = m.edge2cell.row(e as usize);
-                    unsafe {
-                        shared.slice_mut(c[0] as usize, 1)[0] += e as f64;
-                    }
+                    shared.add_row(c[0] as usize, &[e as f64]);
                 }
             });
             out

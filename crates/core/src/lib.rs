@@ -12,9 +12,8 @@
 //!   than hard-coded,
 //! * [`plan::PlanCache`] — `op_plan_get`: coloring plans computed once per
 //!   (loop shape, block size) and reused,
-//! * [`exec`] — the sequential reference loop and [`SharedDat`], the
-//!   raw-pointer view that lets colored concurrency mutate dats
-//!   race-free,
+//! * [`exec`] — the sequential reference loop; colored concurrency
+//!   mutates dats race-free through [`DatRef`] handles,
 //! * [`pool`] — the persistent worker-pool runtime ([`pool::ExecPool`]):
 //!   a fixed team of parked threads dispatched per color round,
 //!   mirroring the persistent OpenMP `parallel` region the paper's
@@ -48,9 +47,11 @@ pub use arg::{Access, ArgInfo, Indirection};
 pub use backend::{Backend, DISPATCH_SIMT_WIDTH};
 pub use dat::{OpDat, DAT_SNAPSHOT_MAGIC, DAT_SNAPSHOT_VERSION};
 pub use dist::{assemble_owned, distribute, extract_rows, LocalMesh};
-pub use exec::{seq_loop, two_rows_mut, SharedDat};
+pub use exec::{seq_loop, two_rows_mut};
 pub use instrument::{FusionStats, LoopStats, Recorder};
 pub use plan::PlanCache;
 pub use pool::{simd_block_sweep, simt_block_sweep, ExecPool, PoolPanic};
 pub use profile::LoopProfile;
-pub use ump_simd::{Addressing, Aos, DatView, Layout, Soa};
+pub use ump_simd::{
+    Addressing, Aos, Block, DatRef, DatView, Flat, Layout, ReadOnly, Row, Soa, Writable,
+};

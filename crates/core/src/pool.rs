@@ -54,8 +54,8 @@
 //! # Safety argument (coloring invariant)
 //!
 //! `run_round` executes `body(i)` concurrently on many threads while the
-//! closure borrows the caller's data through [`SharedDat`] (a
-//! raw-pointer view). Soundness rests on the same contract the old
+//! closure borrows the caller's data through
+//! [`DatRef`](ump_simd::DatRef) handles (raw-pointer views). Soundness rests on the same contract the old
 //! scoped implementation had: **within one color round, no two block
 //! bodies touch the same element** — guaranteed by the two-level plan,
 //! which assigns conflicting blocks different colors, and validated by
@@ -69,8 +69,6 @@
 //! before the dispatcher's return: each per-color round ends in a
 //! happens-before edge, exactly like the implicit barrier at the end of
 //! an OpenMP `for`.
-//!
-//! [`SharedDat`]: crate::exec::SharedDat
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -677,6 +675,7 @@ mod tests {
     use super::*;
     use ump_color::PlanInputs;
     use ump_mesh::generators::quad_channel;
+    use ump_simd::DatRef;
 
     #[test]
     fn run_round_visits_every_item_once() {
@@ -732,14 +731,12 @@ mod tests {
 
         let pool = ExecPool::new(4);
         let mut out = vec![0.0f64; m.n_cells()];
-        let shared = crate::exec::SharedDat::new(&mut out);
+        let shared = DatRef::flat_mut(&mut out);
         pool.colored_blocks(&plan, 0, |_b, range| {
             for e in range {
                 let c = m.edge2cell.row(e as usize);
-                unsafe {
-                    shared.slice_mut(c[0] as usize, 1)[0] += 1.0;
-                    shared.slice_mut(c[1] as usize, 1)[0] += 1.0;
-                }
+                shared.add_row(c[0] as usize, &[1.0]);
+                shared.add_row(c[1] as usize, &[1.0]);
             }
         });
         assert_eq!(out, reference);
@@ -776,14 +773,12 @@ mod tests {
         let pool = ExecPool::new(4);
         let r0 = pool.dispatch_rounds();
         let mut out = vec![0.0f64; m.n_cells()];
-        let shared = crate::exec::SharedDat::new(&mut out);
+        let shared = DatRef::flat_mut(&mut out);
         let body = |_b: usize, range: Range<u32>| {
             for e in range {
                 let c = m.edge2cell.row(e as usize);
-                unsafe {
-                    shared.slice_mut(c[0] as usize, 1)[0] += 1.0;
-                    shared.slice_mut(c[1] as usize, 1)[0] += 1.0;
-                }
+                shared.add_row(c[0] as usize, &[1.0]);
+                shared.add_row(c[1] as usize, &[1.0]);
             }
         };
         pool.colored_block_lists(&plan.blocks, &first, 0, body);
@@ -948,7 +943,7 @@ mod tests {
 
         let pool = ExecPool::new(2);
         let mut out = vec![0.0f64; m.n_cells()];
-        let shared = crate::exec::SharedDat::new(&mut out);
+        let shared = DatRef::flat_mut(&mut out);
         let e2c = &m.edge2cell;
         pool.colored_blocks(&plan, 0, |b, range| {
             simt_block_sweep(
@@ -963,9 +958,7 @@ mod tests {
                 },
                 &|_e, inc: &[(i32, f64); 2]| {
                     for &(target, v) in inc {
-                        unsafe {
-                            shared.slice_mut(target as usize, 1)[0] += v;
-                        }
+                        shared.add_row(target as usize, &[v]);
                     }
                 },
             );

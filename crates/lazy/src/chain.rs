@@ -18,17 +18,20 @@
 //!
 //! # The shared-write contract
 //!
-//! Bodies run concurrently on pool threads and mutate the loop's dats
-//! through [`SharedDat`](ump_core::SharedDat) views. A recording must
-//! honor what the plans are colored for: a **direct** body writes only
-//! its own element's rows (a vector body only rows `cs..cs + lanes`) —
-//! blocks are disjoint element ranges, so concurrent blocks never touch
-//! one row; an **increment** body writes only the rows its element
-//! reaches through the loop's written maps — conflicting blocks get
-//! different colors; and a dat a group writes is *read* only at those
-//! same rows. The executor then guarantees that no two concurrent bodies
-//! overlap and that every write happens-before `execute` returns (each
-//! pool round ends in a barrier).
+//! Bodies run concurrently on pool threads and reach the loop's dats
+//! through [`DatRef`](ump_core::DatRef) handles, whose write accessors
+//! are safe because a recording and this executor together keep one
+//! contract, stated once on that type: no value is written by one body
+//! while another body running at the same time reads or writes it. A
+//! recording honors what the plans are colored for: a **direct** body
+//! writes only its own element's rows (a vector body only rows `cs..cs +
+//! lanes`) — blocks are disjoint element ranges, so concurrent blocks
+//! never touch one row; an **increment** body writes only the rows its
+//! element reaches through the loop's written maps — conflicting blocks
+//! get different colors; and a dat a group writes is *read* only at
+//! those same rows. The executor then guarantees that no two concurrent
+//! bodies overlap and that every write happens-before `execute` returns
+//! (each pool round ends in a barrier).
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -173,6 +176,7 @@ impl ChainReport {
 /// A recorded chain of loops awaiting fused execution.
 pub struct Chain<'a> {
     name: String,
+    maps: Vec<&'a MapTable>,
     loops: Vec<RecordedLoop<'a>>,
 }
 
@@ -181,8 +185,22 @@ impl<'a> Chain<'a> {
     pub fn new(name: impl Into<String>) -> Chain<'a> {
         Chain {
             name: name.into(),
+            maps: Vec::new(),
             loops: Vec::new(),
         }
+    }
+
+    /// Declare an indirection map. Every map a pooled loop's descriptor
+    /// writes through must be registered before the loop is recorded:
+    /// the loop's plan is colored by those maps.
+    pub fn register_map(&mut self, map: &'a MapTable) -> &mut Self {
+        assert!(
+            self.maps.iter().all(|m| m.name != map.name),
+            "map '{}' registered twice",
+            map.name
+        );
+        self.maps.push(map);
+        self
     }
 
     /// Chain name.
@@ -200,22 +218,32 @@ impl<'a> Chain<'a> {
         self.loops.is_empty()
     }
 
-    fn push_blocks(&mut self, desc: LoopDesc, written: Vec<&'a MapTable>, body: BlockBody<'a>) {
-        let mut names: Vec<&str> = written.iter().map(|m| m.name.as_str()).collect();
-        names.sort_unstable();
-        assert_eq!(
-            names,
-            desc.profile.written_maps(),
-            "{}: written tables must match the descriptor's written maps",
-            desc.profile.name
-        );
-        for m in &written {
-            assert_eq!(
-                m.from_size, desc.n_elems,
-                "{}: written map size mismatch",
-                desc.profile.name
-            );
-        }
+    /// Record a pooled loop, with the registered tables of the maps its
+    /// descriptor writes through.
+    fn push_blocks(&mut self, desc: LoopDesc, body: BlockBody<'a>) {
+        let p = &desc.profile;
+        let written = p
+            .written_maps()
+            .iter()
+            .map(|name| {
+                let m = self
+                    .maps
+                    .iter()
+                    .find(|m| m.name == *name)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "loop {}: written map '{name}' is not registered with chain {}",
+                            p.name, self.name
+                        )
+                    });
+                assert_eq!(
+                    m.from_size, desc.n_elems,
+                    "loop {}: written map '{name}' size mismatch",
+                    p.name
+                );
+                *m
+            })
+            .collect();
         self.loops.push(RecordedLoop {
             desc,
             written,
@@ -223,29 +251,6 @@ impl<'a> Chain<'a> {
             halo: HaloClass::Unknown,
             epilogue: None,
         });
-    }
-
-    /// Record a loop whose body runs element-wise in every shape —
-    /// direct loops and loops whose execution is shape-agnostic.
-    /// `written` holds the tables of the descriptor's written maps (empty
-    /// for loops without indirect writes).
-    pub fn record(
-        &mut self,
-        desc: LoopDesc,
-        written: Vec<&'a MapTable>,
-        body: impl Fn(usize) + Sync + 'a,
-    ) -> &mut Self {
-        self.push_blocks(
-            desc,
-            written,
-            Box::new(move |_plan, shape, _slot, range| {
-                sched_spin(shape);
-                for e in range {
-                    body(e as usize);
-                }
-            }),
-        );
-        self
     }
 
     /// Record a loop whose body sees the whole block — for per-block
@@ -260,52 +265,13 @@ impl<'a> Chain<'a> {
     pub fn record_blocks(
         &mut self,
         desc: LoopDesc,
-        written: Vec<&'a MapTable>,
         body: impl Fn(Option<usize>, Range<u32>) + Sync + 'a,
     ) -> &mut Self {
         self.push_blocks(
             desc,
-            written,
             Box::new(move |_plan, shape, slot, range| {
                 sched_spin(shape);
                 body(slot, range)
-            }),
-        );
-        self
-    }
-
-    /// Record a two-phase (compute → increment) loop — the indirect-
-    /// increment kernels. The threaded shape applies each element's
-    /// increment immediately; the SIMT shape runs lock-step chunks with
-    /// color-bucketed increments ([`simt_block_sweep`]).
-    pub fn record_two_phase<I: Send>(
-        &mut self,
-        desc: LoopDesc,
-        written: Vec<&'a MapTable>,
-        compute: impl Fn(usize) -> I + Sync + 'a,
-        apply: impl Fn(usize, &I) + Sync + 'a,
-    ) -> &mut Self {
-        self.push_blocks(
-            desc,
-            written,
-            Box::new(move |plan, shape, slot, range| match shape {
-                // without a recorded vector body the SIMD shape degrades
-                // to the threaded element loop (still correct: one
-                // thread per block, increments applied immediately)
-                Shape::Threaded | Shape::Simd { .. } => {
-                    for e in range {
-                        let e = e as usize;
-                        let inc = compute(e);
-                        apply(e, &inc);
-                    }
-                }
-                Shape::Simt {
-                    width,
-                    sched_overhead_ns,
-                } => {
-                    let (plan, b) = plan.zip(slot).expect("SIMT sweeps a plan's blocks");
-                    simt_block_sweep(plan, b, range, width, sched_overhead_ns, &compute, &apply)
-                }
             }),
         );
         self
@@ -327,14 +293,12 @@ impl<'a> Chain<'a> {
     pub fn record_simd(
         &mut self,
         desc: LoopDesc,
-        written: Vec<&'a MapTable>,
         lanes: usize,
         scalar: impl Fn(Range<usize>) + Sync + 'a,
         vector: impl Fn(usize) + Sync + 'a,
     ) -> &mut Self {
         self.push_blocks(
             desc,
-            written,
             Box::new(move |_plan, shape, _slot, range| match shape {
                 Shape::Simd { lanes: l } => {
                     assert_eq!(
@@ -352,18 +316,19 @@ impl<'a> Chain<'a> {
         self
     }
 
-    /// Record a two-phase (compute → increment) loop with an additional
-    /// `lanes`-wide vector body for [`Shape::Simd`]. The vector body
+    /// Record a two-phase (compute → increment) loop — the indirect-
+    /// increment kernels — with a `lanes`-wide vector body for
+    /// [`Shape::Simd`]. The threaded shape applies each element's
+    /// increment immediately; the SIMT shape runs lock-step chunks with
+    /// color-bucketed increments ([`simt_block_sweep`]). The vector body
     /// `vector(cs)` handles one whole aligned chunk: gather, compute,
     /// and *serialized* lane scatter (safe — a block executes on one
     /// thread, and the group plan's coloring keeps concurrent blocks off
     /// each other's write targets). Pre-/post-sweep elements run
-    /// `compute` + `apply` immediately. The threaded and SIMT shapes
-    /// behave exactly like [`record_two_phase`](Chain::record_two_phase).
+    /// `compute` + `apply` immediately.
     pub fn record_simd_two_phase<I: Send>(
         &mut self,
         desc: LoopDesc,
-        written: Vec<&'a MapTable>,
         lanes: usize,
         compute: impl Fn(usize) -> I + Sync + 'a,
         apply: impl Fn(usize, &I) + Sync + 'a,
@@ -371,7 +336,6 @@ impl<'a> Chain<'a> {
     ) -> &mut Self {
         self.push_blocks(
             desc,
-            written,
             Box::new(move |plan, shape, slot, range| match shape {
                 Shape::Threaded => {
                     for e in range {
@@ -980,7 +944,7 @@ fn group_bytes_saved(members: &[RecordedLoop<'_>], word_bytes: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ump_core::{Access, ArgInfo, LoopProfile, SharedDat};
+    use ump_core::{Access, ArgInfo, DatRef, Flat, LoopProfile, Writable};
     use ump_mesh::generators::quad_channel;
 
     fn desc(name: &str, set: &str, n: usize, args: Vec<ArgInfo>) -> LoopDesc {
@@ -997,13 +961,34 @@ mod tests {
         )
     }
 
+    /// A writable handle of a one-component buffer.
+    type Values<'d> = DatRef<'d, f64, Writable, Flat>;
+
     /// Land a two-sided one-component increment: `c0`'s row, then `c1`'s.
-    unsafe fn apply_inc(acc: &SharedDat<'_, f64>, inc: &(usize, [f64; 1], usize, [f64; 1])) {
+    fn apply_inc(acc: Values<'_>, inc: &(usize, [f64; 1], usize, [f64; 1])) {
         let (c0, r0, c1, r1) = inc;
-        unsafe {
-            acc.slice_mut(*c0, 1)[0] += r0[0];
-            acc.slice_mut(*c1, 1)[0] += r1[0];
-        }
+        acc.add_row(*c0, r0);
+        acc.add_row(*c1, r1);
+    }
+
+    /// An element body run over every element of a block.
+    fn each(body: impl Fn(usize) + Sync) -> impl Fn(Option<usize>, Range<u32>) + Sync {
+        move |_b, range| range.for_each(|e| body(e as usize))
+    }
+
+    /// Lanes of the vector bodies of the two-phase loops below.
+    const LANES: usize = 4;
+
+    /// Record a two-phase loop whose vector body runs `compute` and
+    /// `apply` lane by lane.
+    fn record_two_phase<'a, I: Send>(
+        chain: &mut Chain<'a>,
+        desc: LoopDesc,
+        compute: impl Fn(usize) -> I + Copy + Sync + 'a,
+        apply: impl Fn(usize, &I) + Copy + Sync + 'a,
+    ) {
+        let vector = move |cs| (cs..cs + LANES).for_each(|e| apply(e, &compute(e)));
+        chain.record_simd_two_phase(desc, LANES, compute, apply, vector);
     }
 
     /// A direct chain (fill → scale → combine) must fuse into one group
@@ -1039,25 +1024,24 @@ mod tests {
             let mut b = vec![0.0f64; n];
             let report;
             {
-                let av = SharedDat::new(&mut a);
-                let bv = SharedDat::new(&mut b);
+                let av = DatRef::flat_mut(&mut a);
+                let bv = DatRef::flat_mut(&mut b);
                 let mut chain = Chain::new("direct");
                 {
                     let av = &av;
-                    chain.record(
+                    chain.record_blocks(
                         desc(
                             "fill",
                             "items",
                             n,
                             vec![ArgInfo::direct("a", 1, Access::Write)],
                         ),
-                        vec![],
-                        move |e| unsafe { av.slice_mut(e, 1)[0] = (e % 13) as f64 },
+                        each(move |e| av.store_row(e, &[(e % 13) as f64])),
                     );
                 }
                 {
                     let (av, bv) = (&av, &bv);
-                    chain.record(
+                    chain.record_blocks(
                         desc(
                             "scale",
                             "items",
@@ -1067,13 +1051,12 @@ mod tests {
                                 ArgInfo::direct("b", 1, Access::Write),
                             ],
                         ),
-                        vec![],
-                        move |e| unsafe { bv.slice_mut(e, 1)[0] = av.slice(e, 1)[0] * 2.0 },
+                        each(move |e| bv.store_row(e, &[av.load_row::<1>(e)[0] * 2.0])),
                     );
                 }
                 {
                     let (av, bv) = (&av, &bv);
-                    chain.record(
+                    chain.record_blocks(
                         desc(
                             "combine",
                             "items",
@@ -1083,8 +1066,7 @@ mod tests {
                                 ArgInfo::direct("b", 1, Access::Inc),
                             ],
                         ),
-                        vec![],
-                        move |e| unsafe { bv.slice_mut(e, 1)[0] += av.slice(e, 1)[0] },
+                        each(move |e| bv.add_row(e, &av.load_row::<1>(e))),
                     );
                 }
                 assert_eq!(chain.groups().len(), 1, "direct-only chain must fuse");
@@ -1138,26 +1120,27 @@ mod tests {
             let mut out = vec![0.0f64; ne];
             let report;
             {
-                let av = SharedDat::new(&mut a);
-                let accv = SharedDat::new(&mut acc);
-                let outv = SharedDat::new(&mut out);
+                let av = DatRef::flat_mut(&mut a);
+                let accv = DatRef::flat_mut(&mut acc);
+                let outv = DatRef::flat_mut(&mut out);
                 let mut chain = Chain::new("indirect");
+                chain.register_map(&m.edge2cell);
                 {
                     let av = &av;
-                    chain.record(
+                    chain.record_blocks(
                         desc(
                             "fill",
                             "edges",
                             ne,
                             vec![ArgInfo::direct("a", 1, Access::Write)],
                         ),
-                        vec![],
-                        move |e| unsafe { av.slice_mut(e, 1)[0] = (e % 7 + 1) as f64 },
+                        each(move |e| av.store_row(e, &[(e % 7 + 1) as f64])),
                     );
                 }
                 {
                     let (av, accv, m) = (&av, &accv, &m);
-                    chain.record_two_phase(
+                    record_two_phase(
+                        &mut chain,
                         desc(
                             "scatter",
                             "edges",
@@ -1168,18 +1151,17 @@ mod tests {
                                 ArgInfo::indirect("acc", 1, Access::Inc, "edge2cell", 1),
                             ],
                         ),
-                        vec![&m.edge2cell],
                         move |e| {
                             let c = m.edge2cell.row(e);
-                            let v = unsafe { av.slice(e, 1)[0] };
+                            let v = av.load_row::<1>(e)[0];
                             (c[0] as usize, [v], c[1] as usize, [-2.0])
                         },
-                        move |_e, inc| unsafe { apply_inc(accv, inc) },
+                        move |_e, inc| apply_inc(*accv, inc),
                     );
                 }
                 {
                     let (accv, outv, m) = (&accv, &outv, &m);
-                    chain.record(
+                    chain.record_blocks(
                         desc(
                             "gather",
                             "edges",
@@ -1190,14 +1172,12 @@ mod tests {
                                 ArgInfo::direct("out", 1, Access::Write),
                             ],
                         ),
-                        vec![],
-                        move |e| {
+                        each(move |e| {
                             let c = m.edge2cell.row(e);
-                            unsafe {
-                                outv.slice_mut(e, 1)[0] = accv.slice(c[0] as usize, 1)[0]
-                                    - accv.slice(c[1] as usize, 1)[0];
-                            }
-                        },
+                            let [a0] = accv.load_row(c[0] as usize);
+                            let [a1] = accv.load_row(c[1] as usize);
+                            outv.store_row(e, &[a0 - a1]);
+                        }),
                     );
                 }
                 let groups = chain.groups();
@@ -1225,9 +1205,9 @@ mod tests {
         let mut consumed = vec![0.0f64; 1];
         let report;
         {
-            let pv = SharedDat::new(&mut partial);
-            let tv = SharedDat::new(&mut total);
-            let cv = SharedDat::new(&mut consumed);
+            let pv = DatRef::flat_mut(&mut partial);
+            let tv = DatRef::flat_mut(&mut total);
+            let cv = DatRef::flat_mut(&mut consumed);
             let mut chain = Chain::new("reduce");
             {
                 let pv = &pv;
@@ -1238,28 +1218,27 @@ mod tests {
                         n,
                         vec![ArgInfo::global("acc", 1, Access::Inc)],
                     ),
-                    vec![],
                     move |b, range| {
                         let mut local = 0.0;
                         for e in range {
                             local += e as f64;
                         }
                         let b = b.expect("a colored block owns its slot");
-                        unsafe { pv.slice_mut(b, 1)[0] = local };
+                        pv.store_row(b, &[local]);
                     },
                 );
             }
             {
                 let (pv, tv) = (&pv, &tv);
-                chain.epilogue(move || unsafe {
-                    let s: f64 = pv.slice(0, pv.len()).iter().sum();
-                    tv.slice_mut(0, 1)[0] = s;
+                chain.epilogue(move || {
+                    let s: f64 = (0..pv.len()).map(|b| pv.load_row::<1>(b)[0]).sum();
+                    tv.store_row(0, &[s]);
                 });
             }
             {
                 let (tv, cv) = (&tv, &cv);
-                chain.record_serial(desc("consume", "bedges", 1, vec![]), move |e| unsafe {
-                    cv.slice_mut(e, 1)[0] = tv.slice(0, 1)[0] * 2.0;
+                chain.record_serial(desc("consume", "bedges", 1, vec![]), move |e| {
+                    cv.store_row(e, &[tv.load_row::<1>(0)[0] * 2.0]);
                 });
             }
             let r0 = pool.dispatch_rounds();
@@ -1311,9 +1290,10 @@ mod tests {
             let mut a = vec![0.0f64; ne];
             let mut acc = vec![0.0f64; nc];
             {
-                let av = SharedDat::new(&mut a);
-                let accv = SharedDat::new(&mut acc);
+                let av = DatRef::flat_mut(&mut a);
+                let accv = DatRef::flat_mut(&mut acc);
                 let mut chain = Chain::new("simd");
+                chain.register_map(&m.edge2cell);
                 {
                     let (av, vc) = (&av, &vector_chunks);
                     chain.record_simd(
@@ -1323,17 +1303,16 @@ mod tests {
                             ne,
                             vec![ArgInfo::direct("a", 1, Access::Write)],
                         ),
-                        vec![],
                         LANES,
                         move |r| {
                             for e in r {
-                                unsafe { av.slice_mut(e, 1)[0] = (e % 9 + 1) as f64 };
+                                av.store_row(e, &[(e % 9 + 1) as f64]);
                             }
                         },
                         move |cs| {
                             vc.fetch_add(1, Ordering::Relaxed);
                             for e in cs..cs + LANES {
-                                unsafe { av.slice_mut(e, 1)[0] = (e % 9 + 1) as f64 };
+                                av.store_row(e, &[(e % 9 + 1) as f64]);
                             }
                         },
                     );
@@ -1351,25 +1330,21 @@ mod tests {
                                 ArgInfo::indirect("acc", 1, Access::Inc, "edge2cell", 1),
                             ],
                         ),
-                        vec![&m.edge2cell],
                         LANES,
                         move |e| {
                             let c = m.edge2cell.row(e);
-                            let v = unsafe { av.slice(e, 1)[0] };
+                            let v = av.load_row::<1>(e)[0];
                             (c[0] as usize, [v], c[1] as usize, [-3.0])
                         },
-                        move |_e, inc| unsafe { apply_inc(accv, inc) },
+                        move |_e, inc| apply_inc(*accv, inc),
                         move |cs| {
                             vc.fetch_add(1, Ordering::Relaxed);
                             // serialized lane scatter in ascending order —
                             // the same accumulation order as the scalar path
                             for e in cs..cs + LANES {
                                 let c = m.edge2cell.row(e);
-                                unsafe {
-                                    let v = av.slice(e, 1)[0];
-                                    accv.slice_mut(c[0] as usize, 1)[0] += v;
-                                    accv.slice_mut(c[1] as usize, 1)[0] -= 3.0;
-                                }
+                                accv.add_row(c[0] as usize, &av.load_row::<1>(e));
+                                accv.add_row(c[1] as usize, &[-3.0]);
                             }
                         },
                     );
@@ -1396,7 +1371,7 @@ mod tests {
         let pool = ExecPool::new(1);
         let cache = PlanCache::new();
         let mut a = vec![0.0f64; n];
-        let av = SharedDat::new(&mut a);
+        let av = DatRef::flat_mut(&mut a);
         let mut chain = Chain::new("mismatch");
         {
             let av = &av;
@@ -1407,21 +1382,39 @@ mod tests {
                     n,
                     vec![ArgInfo::direct("a", 1, Access::Write)],
                 ),
-                vec![],
                 4,
                 move |r| {
                     for e in r {
-                        unsafe { av.slice_mut(e, 1)[0] = 1.0 };
+                        av.store_row(e, &[1.0]);
                     }
                 },
                 move |cs| {
                     for e in cs..cs + 4 {
-                        unsafe { av.slice_mut(e, 1)[0] = 1.0 };
+                        av.store_row(e, &[1.0]);
                     }
                 },
             );
         }
         chain.execute(&pool, &cache, Shape::Simd { lanes: 8 }, 0, 16, 8, None);
+    }
+
+    /// A pooled loop that writes through a map the chain was not given
+    /// panics when it is recorded, naming the loop and the map.
+    #[test]
+    #[should_panic(
+        expected = "loop scatter: written map 'edge2cell' is not registered with chain bare"
+    )]
+    fn recording_a_write_through_an_unregistered_map_panics() {
+        let mut chain = Chain::new("bare");
+        chain.record_blocks(
+            desc(
+                "scatter",
+                "edges",
+                8,
+                vec![ArgInfo::indirect("acc", 1, Access::Inc, "edge2cell", 0)],
+            ),
+            |_b, _range| {},
+        );
     }
 
     /// The overlap schedule in event order: exchange start → interior
@@ -1449,19 +1442,18 @@ mod tests {
                 let mut chain = Chain::new("overlap");
                 chain.record_exchange("halo[q]", || log("start".into()), || log("finish".into()));
                 // a different set: must not fuse with the split group
-                chain.record(
+                chain.record_blocks(
                     desc(
                         "interior_only",
                         "cells",
                         32,
                         vec![ArgInfo::direct("b", 1, Access::Write)],
                     ),
-                    vec![],
-                    |e| {
+                    each(|e| {
                         if e == 0 {
                             log("interior_loop".into());
                         }
-                    },
+                    }),
                 );
                 chain.mark_interior();
                 chain.record_blocks(
@@ -1471,7 +1463,6 @@ mod tests {
                         n,
                         vec![ArgInfo::direct("a", 1, Access::Rw)],
                     ),
-                    vec![],
                     |b, _range| log(format!("block{}", b.unwrap())),
                 );
                 chain.mark_boundary(&flags);
@@ -1530,11 +1521,14 @@ mod tests {
         {
             let mut chain = Chain::new("flush");
             chain.record_exchange("halo[a]", || log("start_a"), || log("finish_a"));
-            chain.record(desc("unknown", "items", n, vec![]), vec![], move |e| {
-                if e == 0 {
-                    log("unknown_loop");
-                }
-            });
+            chain.record_blocks(
+                desc("unknown", "items", n, vec![]),
+                each(move |e| {
+                    if e == 0 {
+                        log("unknown_loop");
+                    }
+                }),
+            );
             chain.record_exchange("halo[b]", || log("start_b"), || log("finish_b"));
             report = chain.execute(&pool, &cache, Shape::Threaded, 0, 4, 8, None);
         }
@@ -1560,12 +1554,14 @@ mod tests {
             let cache = PlanCache::new();
             let mut acc = vec![0.0f64; nc];
             {
-                let accv = SharedDat::new(&mut acc);
+                let accv = DatRef::flat_mut(&mut acc);
                 let mut chain = Chain::new("bits");
+                chain.register_map(&m.edge2cell);
                 chain.record_exchange("halo[acc]", || {}, || {});
                 {
                     let (accv, m) = (&accv, &m);
-                    chain.record_two_phase(
+                    record_two_phase(
+                        &mut chain,
                         desc(
                             "scatter",
                             "edges",
@@ -1575,13 +1571,12 @@ mod tests {
                                 ArgInfo::indirect("acc", 1, Access::Inc, "edge2cell", 1),
                             ],
                         ),
-                        vec![&m.edge2cell],
                         move |e| {
                             let c = m.edge2cell.row(e);
                             let v = 1.0 / (e as f64 + 1.0);
                             (c[0] as usize, [v], c[1] as usize, [-v * 0.5])
                         },
-                        move |_e, inc| unsafe { apply_inc(accv, inc) },
+                        move |_e, inc| apply_inc(*accv, inc),
                     );
                     chain.mark_boundary(&flags);
                 }
@@ -1619,27 +1614,25 @@ mod tests {
         let pool = ExecPool::new(2);
         let cache = PlanCache::new();
         let mut a = vec![0.0f64; n];
-        let av = SharedDat::new(&mut a);
+        let av = DatRef::flat_mut(&mut a);
         let mut chain = Chain::new("stats");
         {
             let av = &av;
-            chain.record(
+            chain.record_blocks(
                 desc(
                     "w",
                     "items",
                     n,
                     vec![ArgInfo::direct("a", 1, Access::Write)],
                 ),
-                vec![],
-                move |e| unsafe { av.slice_mut(e, 1)[0] = 1.0 },
+                each(move |e| av.store_row(e, &[1.0])),
             );
         }
         {
             let av = &av;
-            chain.record(
+            chain.record_blocks(
                 desc("r", "items", n, vec![ArgInfo::direct("a", 1, Access::Rw)]),
-                vec![],
-                move |e| unsafe { av.slice_mut(e, 1)[0] += 1.0 },
+                each(move |e| av.add_row(e, &[1.0])),
             );
         }
         chain.execute(&pool, &cache, Shape::Threaded, 0, 32, 8, Some(rec));

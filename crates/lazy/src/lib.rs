@@ -121,7 +121,7 @@
 //! A direct-only chain fuses into one colored dispatch:
 //!
 //! ```
-//! use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache, SharedDat};
+//! use ump_core::{Access, ArgInfo, DatRef, ExecPool, LoopProfile, PlanCache};
 //! use ump_lazy::{Chain, LoopDesc, Shape};
 //!
 //! let desc = |name: &str, args| {
@@ -142,18 +142,20 @@
 //! let mut data = vec![0.0f64; 100];
 //! let report;
 //! {
-//!     let view = SharedDat::new(&mut data);
-//!     let v = &view;
+//!     let a = DatRef::flat_mut(&mut data);
 //!     let mut chain = Chain::new("example");
-//!     chain.record(
+//!     chain.record_blocks(
 //!         desc("fill", vec![ArgInfo::direct("a", 1, Access::Write)]),
-//!         vec![],
-//!         move |e| unsafe { v.slice_mut(e, 1)[0] = e as f64 },
+//!         move |_block, range| range.for_each(|e| a.store_row(e as usize, &[e as f64])),
 //!     );
-//!     chain.record(
+//!     chain.record_blocks(
 //!         desc("double", vec![ArgInfo::direct("a", 1, Access::Rw)]),
-//!         vec![],
-//!         move |e| unsafe { v.slice_mut(e, 1)[0] *= 2.0 },
+//!         move |_block, range| {
+//!             for e in range.map(|e| e as usize) {
+//!                 let [v] = a.load_row(e);
+//!                 a.store_row(e, &[v * 2.0]);
+//!             }
+//!         },
 //!     );
 //!     assert_eq!(chain.groups().len(), 1, "direct-only chains always fuse");
 //!     report = chain.execute(&pool, &cache, Shape::Threaded, 0, 32, 8, None);

@@ -71,7 +71,9 @@ use std::ops::{Deref, Range};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use ump_core::{Access, ArgInfo, ExecPool, FusionStats, Indirection, Recorder, SharedDat};
+use ump_core::{
+    Access, Addressing, ArgInfo, DatRef, ExecPool, FusionStats, Indirection, Recorder, Writable,
+};
 use ump_mesh::{Csr, MapTable};
 
 use crate::chain::{Chain, Shape};
@@ -191,42 +193,43 @@ struct TLoop {
     global_write: bool,
 }
 
-/// The evolving dats a recording runs over, in registration order: the
-/// registered storage, or one tile worker's shadow copy of it. `'a` is
-/// the [`TiledChain`]'s, so a recording over a worker's short-lived
-/// shadows may still capture anything that outlives the tiled chain.
-pub struct TileDats<'s, 'a, T> {
-    dats: &'s [SharedDat<'s, T>],
+/// The evolving dats a recording runs over, in registration order, as
+/// handles in the layout `A`: the registered storage, or one tile
+/// worker's shadow copy of it. `'a` is the [`TiledChain`]'s, so a
+/// recording over a worker's short-lived shadows may still capture
+/// anything that outlives the tiled chain.
+pub struct TileDats<'s, 'a, T, A> {
+    dats: &'s [DatRef<'s, T, Writable, A>],
     _chain: PhantomData<&'a ()>,
 }
 
-impl<'s, T> Deref for TileDats<'s, '_, T> {
-    type Target = [SharedDat<'s, T>];
+impl<'s, T, A> Deref for TileDats<'s, '_, T, A> {
+    type Target = [DatRef<'s, T, Writable, A>];
 
-    fn deref(&self) -> &[SharedDat<'s, T>] {
+    fn deref(&self) -> &[DatRef<'s, T, Writable, A>] {
         self.dats
     }
 }
 
 /// Cross-timestep tiling of a recorded [`Chain`]: the sets, maps and
-/// *evolving* dats (the ones some loop writes) its cone walk needs. See
-/// the module docs for the execution model; `crates/apps` tiles both
-/// applications' one recording through this (the `run_tiled[_on]`
-/// drivers), and the property-test harness tiles synthetic integer
-/// chains to pin bit-exactness.
-pub struct TiledChain<'a, T: Copy + Default + Send + Sync> {
+/// *evolving* dats (the ones some loop writes) its cone walk needs,
+/// stored in the layout `A`. See the module docs for the execution
+/// model; `crates/apps` tiles both applications' one recording through
+/// this (the `run_tiled[_on]` drivers), and the property-test harness
+/// tiles synthetic integer chains to pin bit-exactness.
+pub struct TiledChain<'a, T: Copy + Default + Send + Sync, A: Addressing> {
     name: String,
     sets: Vec<(String, usize)>,
     maps: Vec<&'a MapTable>,
     /// Name, set and dim of each registered dat, in registration order.
     regs: Vec<(String, usize, usize)>,
-    dats: Vec<SharedDat<'a, T>>,
+    dats: Vec<DatRef<'a, T, Writable, A>>,
 }
 
-impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
+impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
     /// New tiling named `name` (the fusion-stats key under which
     /// [`execute`](TiledChain::execute) reports).
-    pub fn new(name: impl Into<String>) -> TiledChain<'a, T> {
+    pub fn new(name: impl Into<String>) -> TiledChain<'a, T, A> {
         TiledChain {
             name: name.into(),
             sets: Vec::new(),
@@ -260,21 +263,20 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
     }
 
     /// Declare an evolving dat (one some recorded loop writes) living on
-    /// `set` with `dim` components per element, backed by `data` in AoS
-    /// order. Recordings reach it as the next slot of [`TileDats`]; the
-    /// executor hands tiles shadow copies in its place.
+    /// `set`, reached through `dat`. Recordings reach it as the next slot
+    /// of [`TileDats`]; the executor hands tiles shadow copies in its
+    /// place, stored as `dat`'s view says.
     pub fn register_dat(
         &mut self,
         name: impl Into<String>,
         set: &str,
-        dim: usize,
-        data: &'a mut [T],
+        dat: DatRef<'a, T, Writable, A>,
     ) {
         let name = name.into();
         let set_idx = self.set_index(set);
-        assert_eq!(
-            data.len(),
-            self.sets[set_idx].1 * dim,
+        let (n, dim) = (self.sets[set_idx].1, dat.view().dim);
+        assert!(
+            dat.view().n == n && dat.len() == n * dim,
             "dat '{name}': storage is not set_size x dim"
         );
         assert!(
@@ -282,11 +284,11 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             "dat '{name}' registered twice"
         );
         self.regs.push((name, set_idx, dim));
-        self.dats.push(SharedDat::new(data));
+        self.dats.push(dat);
     }
 
     /// The registered storage, as recordings see it.
-    pub fn dats(&self) -> TileDats<'_, 'a, T> {
+    pub fn dats(&self) -> TileDats<'_, 'a, T, A> {
         TileDats {
             dats: &self.dats,
             _chain: PhantomData,
@@ -671,7 +673,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
         rec: Option<&Recorder>,
     ) -> TileReport
     where
-        F: for<'s> Fn(&'s TileDats<'s, 'a, T>) -> Chain<'s> + Sync,
+        F: for<'s> Fn(&'s TileDats<'s, 'a, T, A>) -> Chain<'s> + Sync,
     {
         assert!(
             !matches!(shape, Shape::Simt { .. }),
@@ -701,6 +703,9 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             }
         };
         let dims: Vec<usize> = self.regs.iter().map(|r| r.2).collect();
+        // the storage ranges holding rows `r` of registered dat `d`
+        let spans =
+            |d: usize, r: &Range<u32>| self.dats[d].view().spans(r.start as usize..r.end as usize);
         // staging words of one tile's owned rows in one epoch
         let out_words = |tp: &TilePlan| -> usize {
             tp.copy_out
@@ -720,7 +725,7 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
         // worker-recycled full-size shadow sets: at most `team` live at
         // once, far fewer than one per tile
         let shadows = &cache.shadows;
-        let staging = SharedDat::new(&mut cache.staging);
+        let staging = DatRef::flat_mut(&mut cache.staging);
         let mut rounds = 0usize;
 
         for ep in &sched.epochs {
@@ -759,18 +764,18 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                         .collect();
                 }
                 for (d, runs) in &tp.copy_in {
-                    let dim = dims[*d];
-                    // SAFETY: round 1 only reads the global storage
-                    let global = unsafe { self.dats[*d].as_slice() };
-                    let sh = &mut shadow[*d];
-                    for r in runs {
-                        let (a, b) = (r.start as usize * dim, r.end as usize * dim);
-                        sh[a..b].copy_from_slice(&global[a..b]);
+                    for span in runs.iter().flat_map(|r| spans(*d, r)) {
+                        // SAFETY: round 1 only reads the global storage
+                        let global = unsafe { self.dats[*d].slice(span.start, span.len()) };
+                        shadow[*d][span].copy_from_slice(global);
                     }
                 }
                 {
-                    let views: Vec<SharedDat<'_, T>> =
-                        shadow.iter_mut().map(|s| SharedDat::new(s)).collect();
+                    let views: Vec<DatRef<'_, T, Writable, A>> = shadow
+                        .iter_mut()
+                        .zip(&self.dats)
+                        .map(|(s, d)| DatRef::new_mut(s, d.view()))
+                        .collect();
                     let dats = TileDats {
                         dats: &views,
                         _chain: PhantomData,
@@ -788,15 +793,14 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
                             loop_s[li] = t0.elapsed().as_secs_f64();
                         }
                     }
-                    let mut off = base[t];
-                    for (d, r) in &tp.copy_out {
-                        let dim = dims[*d];
-                        let n = (r.end - r.start) as usize * dim;
+                }
+                let mut off = base[t];
+                for (d, r) in &tp.copy_out {
+                    for span in spans(*d, r) {
+                        let n = span.len();
                         // SAFETY: this tile's staging range, exclusively
                         let dst = unsafe { staging.slice_mut(off, n) };
-                        // SAFETY: this worker's shadow
-                        let src = unsafe { views[*d].slice(r.start as usize * dim, n) };
-                        dst.copy_from_slice(src);
+                        dst.copy_from_slice(&shadow[*d][span]);
                         off += n;
                     }
                 }
@@ -840,14 +844,15 @@ impl<'a, T: Copy + Default + Send + Sync> TiledChain<'a, T> {
             pool.run_round(ep.tiles.len(), n_threads, 1, &|t| {
                 let mut off = base[t];
                 for (d, r) in &ep.tiles[t].copy_out {
-                    let dim = dims[*d];
-                    let n = (r.end - r.start) as usize * dim;
-                    // SAFETY: ownership ranges partition the set
-                    let dst = unsafe { self.dats[*d].slice_mut(r.start as usize * dim, n) };
-                    // SAFETY: round 1 completed; staging is read-only now
-                    let src = unsafe { staging.slice(off, n) };
-                    dst.copy_from_slice(src);
-                    off += n;
+                    for span in spans(*d, r) {
+                        let n = span.len();
+                        // SAFETY: ownership ranges partition the set
+                        let dst = unsafe { self.dats[*d].slice_mut(span.start, n) };
+                        // SAFETY: round 1 completed; staging is read-only now
+                        let src = unsafe { staging.slice(off, n) };
+                        dst.copy_from_slice(src);
+                        off += n;
+                    }
                 }
             });
             rounds += 1;

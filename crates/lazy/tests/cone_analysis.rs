@@ -8,9 +8,19 @@
 // `vec![0..9]` are exactly what we assert against.
 #![allow(clippy::single_range_in_vec_init)]
 
-use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, SharedDat};
+use std::ops::Range;
+
+use ump_core::{Access, ArgInfo, DatRef, ExecPool, Flat, LoopProfile, Writable};
 use ump_lazy::{epoch_ranges, Chain, LoopDesc, Shape, TileCache, TiledChain};
 use ump_mesh::MapTable;
+
+/// A writable handle of a one-component integer buffer.
+type Values<'d> = DatRef<'d, i64, Writable, Flat>;
+
+/// An element body run over every element of a block.
+fn each(body: impl Fn(usize) + Sync) -> impl Fn(Option<usize>, Range<u32>) + Sync {
+    move |_b, range| range.for_each(|e| body(e as usize))
+}
 
 fn desc(name: &str, set: &str, n: usize, args: Vec<ArgInfo>) -> LoopDesc {
     LoopDesc::new(
@@ -63,30 +73,42 @@ fn scatter_desc(n_edges: usize) -> LoopDesc {
 
 /// The path mesh's sets, map and evolving dats `u` (cells) and `f`
 /// (edges), over the given backing storage.
-fn path_tiling<'a>(map: &'a MapTable, u: &'a mut [i64], f: &'a mut [i64]) -> TiledChain<'a, i64> {
+fn path_tiling<'a>(
+    map: &'a MapTable,
+    u: &'a mut [i64],
+    f: &'a mut [i64],
+) -> TiledChain<'a, i64, Flat> {
     let mut tiled = TiledChain::new("path");
     tiled.register_set("cells", map.to_size);
     tiled.register_set("edges", map.from_size);
     tiled.register_map(map);
-    tiled.register_dat("u", "cells", 1, u);
-    tiled.register_dat("f", "edges", 1, f);
+    tiled.register_dat("u", "cells", DatRef::flat_mut(u));
+    tiled.register_dat("f", "edges", DatRef::flat_mut(f));
     tiled
 }
 
 /// Record `steps` gather/scatter steps of the path mesh over `[u, f]`.
-fn record_path<'s>(map: &'s MapTable, dats: &'s [SharedDat<'s, i64>], steps: usize) -> Chain<'s> {
-    let [u, f] = dats else { panic!("[u, f]") };
+fn record_path<'s>(map: &'s MapTable, dats: &'s [Values<'s>], steps: usize) -> Chain<'s> {
+    let &[u, f] = dats else { panic!("[u, f]") };
     let n_edges = map.from_size;
     let mut chain = Chain::new("path");
+    chain.register_map(map);
     for _ in 0..steps {
-        chain.record(gather_desc(n_edges), vec![], move |e| unsafe {
-            f.slice_mut(e, 1)[0] = u.slice(e, 1)[0] + u.slice(e + 1, 1)[0];
-        });
-        chain.record(scatter_desc(n_edges), vec![map], move |e| unsafe {
-            let v = f.slice(e, 1)[0];
-            u.slice_mut(e, 1)[0] += v;
-            u.slice_mut(e + 1, 1)[0] += v;
-        });
+        chain.record_blocks(
+            gather_desc(n_edges),
+            each(move |e| {
+                let ([a], [b]) = (u.load_row(e), u.load_row(e + 1));
+                f.store_row(e, &[a + b]);
+            }),
+        );
+        chain.record_blocks(
+            scatter_desc(n_edges),
+            each(move |e| {
+                let v = f.load_row::<1>(e);
+                u.add_row(e, &v);
+                u.add_row(e + 1, &v);
+            }),
+        );
     }
     chain
 }
@@ -237,8 +259,7 @@ fn global_reuse_cuts_epochs() {
     let map = path_edge2cell(8);
     let n_edges = map.from_size;
     let (mut f, mut dt) = (vec![0i64; n_edges], vec![0i64; 1]);
-    let (f, dt) = (SharedDat::new(&mut f), SharedDat::new(&mut dt));
-    let (f, dt) = (&f, &dt);
+    let (f, dt) = (DatRef::flat_mut(&mut f), DatRef::flat_mut(&mut dt));
     let reduce = desc(
         "reduce",
         "edges",
@@ -259,13 +280,17 @@ fn global_reuse_cuts_epochs() {
     );
     let mut chain = Chain::new("epochs");
     for _ in 0..3 {
-        chain.record(reduce.clone(), vec![], move |e| unsafe {
-            f.slice_mut(e, 1)[0] = e as i64;
-            dt.slice_mut(0, 1)[0] += 1;
-        });
-        chain.record(consume.clone(), vec![], move |e| unsafe {
-            f.slice_mut(e, 1)[0] += dt.slice(0, 1)[0];
-        });
+        chain.record_blocks(
+            reduce.clone(),
+            each(move |e| {
+                f.store_row(e, &[e as i64]);
+                dt.add_row(0, &[1]);
+            }),
+        );
+        chain.record_blocks(
+            consume.clone(),
+            each(move |e| f.add_row(e, &dt.load_row::<1>(0))),
+        );
     }
     // cut before every consume (read-after-Inc) and before the next
     // step's reduce (Inc-after-read): 2 epochs per step
@@ -276,9 +301,7 @@ fn global_reuse_cuts_epochs() {
     // in-chain — needs no cuts at all
     let mut rms_only = Chain::new("rms");
     for _ in 0..3 {
-        rms_only.record(reduce.clone(), vec![], move |e| unsafe {
-            f.slice_mut(e, 1)[0] = e as i64;
-        });
+        rms_only.record_blocks(reduce.clone(), each(move |e| f.store_row(e, &[e as i64])));
     }
     assert_eq!(epoch_ranges(&rms_only), vec![0..3]);
 }

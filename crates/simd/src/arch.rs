@@ -182,11 +182,16 @@ pub fn store<R: Real, const L: usize>(v: VecR<R, L>, data: &mut [R], start: usiz
 }
 
 /// Map-driven gather `data[idx[k]*dim + comp]` via `vgatherdpd` /
-/// `vgatherdps`. Effective indices are bounds-checked once up front;
-/// out-of-range indices fall back to the scalar path's panic.
+/// `vgatherdps`, over the `len` values from `data`. Effective indices
+/// are bounds-checked once up front; out-of-range indices fall back to
+/// the scalar path's panic.
+///
+/// # Safety
+/// `data` is valid for reads of `len` values.
 #[inline(always)]
-pub fn gather<R: Real, const L: usize>(
-    data: &[R],
+pub unsafe fn gather<R: Real, const L: usize>(
+    data: *const R,
+    len: usize,
     idx: IdxVec<L>,
     dim: usize,
     comp: usize,
@@ -200,10 +205,11 @@ pub fn gather<R: Real, const L: usize>(
         use core::arch::x86_64::*;
         if avx2::is_f64x4::<R, L>() {
             let eff: [i32; 4] = std::array::from_fn(|k| idx.lane(k) * dim as i32 + comp as i32);
-            if eff.iter().all(|&i| (i as usize) < data.len() && i >= 0) {
+            if eff.iter().all(|&i| (i as usize) < len && i >= 0) {
+                // SAFETY: every effective index is below `len`
                 let v = unsafe {
                     let vi = _mm_loadu_si128(eff.as_ptr() as *const __m128i);
-                    avx2::st_pd(_mm256_i32gather_pd::<8>(data.as_ptr() as *const f64, vi))
+                    avx2::st_pd(_mm256_i32gather_pd::<8>(data as *const f64, vi))
                 };
                 return Some(v);
             }
@@ -211,10 +217,11 @@ pub fn gather<R: Real, const L: usize>(
         }
         if avx2::is_f32x8::<R, L>() {
             let eff: [i32; 8] = std::array::from_fn(|k| idx.lane(k) * dim as i32 + comp as i32);
-            if eff.iter().all(|&i| (i as usize) < data.len() && i >= 0) {
+            if eff.iter().all(|&i| (i as usize) < len && i >= 0) {
+                // SAFETY: every effective index is below `len`
                 let v = unsafe {
                     let vi = _mm256_loadu_si256(eff.as_ptr() as *const __m256i);
-                    avx2::st_ps(_mm256_i32gather_ps::<4>(data.as_ptr() as *const f32, vi))
+                    avx2::st_ps(_mm256_i32gather_ps::<4>(data as *const f32, vi))
                 };
                 return Some(v);
             }
@@ -222,7 +229,7 @@ pub fn gather<R: Real, const L: usize>(
         }
         None
     }
-    no_avx2_fallback!(data, idx, dim, comp)
+    no_avx2_fallback!(data, len, idx, dim, comp)
 }
 
 /// Fused multiply-add `a*b + c` (`vfmadd213pd`) — fuses exactly like the
@@ -371,13 +378,15 @@ mod tests {
             assert_eq!(v.to_array(), [25.0, 36.0, 49.0, 64.0]);
         }
         let idx = IdxVec::<4>::from_array([7, 0, 3, 5]);
-        if let Some(v) = gather::<f64, 4>(&data, idx, 4, 1) {
+        // SAFETY: a slice is valid for reads of its length
+        let gathered = |idx| unsafe { gather::<f64, 4>(data.as_ptr(), data.len(), idx, 4, 1) };
+        if let Some(v) = gathered(idx) {
             let want: [f64; 4] = std::array::from_fn(|k| data[idx.lane(k) as usize * 4 + 1]);
             assert_eq!(v.to_array(), want);
         }
         // out-of-range effective index: must decline, not fault
         let oob = IdxVec::<4>::from_array([7, 0, 3, 100]);
-        assert!(gather::<f64, 4>(&data, oob, 4, 1).is_none() || !have_avx2());
+        assert!(gathered(oob).is_none() || !have_avx2());
 
         let mut out = vec![0.0f64; 8];
         let stored = store(VecR::<f64, 4>::splat(7.0), &mut out, 2);

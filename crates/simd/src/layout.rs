@@ -1,4 +1,5 @@
-//! Storage layouts for set data and the layout-typed accessor views.
+//! Storage layouts for set data, and [`DatRef`], the one handle through
+//! which a recorded loop body reaches a dat.
 //!
 //! The paper's CPU backends keep `op_dat`s in AoS (`data[e*dim + c]`),
 //! which turns every direct vector load into a strided gather. §4's
@@ -9,24 +10,23 @@
 //! `n*dim` values (no padding, no change to byte accounting or
 //! serialization sizes).
 //!
-//! Each layout's addressing is written once, in a zero-sized type behind
-//! [`Addressing`]: [`Aos`] and [`Soa`]. A [`DatView<A>`] carries `(n,
-//! dim)` and the layout type `A`, and its accessors are what the recorded
-//! drivers use for every dat access, so one kernel body serves all
-//! layouts. As OP2's generated code fixes each dat's layout when it emits
-//! a loop, the recording is instantiated per layout and the executor
-//! picks the instantiation once per step from the runtime [`Layout`] an
-//! `OpDat` stores: the scalar row accessors of the recorded bodies test
-//! no layout at run time. The runtime view `DatView<Layout>` is a thin
-//! dispatcher onto the two types. Code outside the recordings addresses
-//! dats through it, it converts storage between layouts
-//! ([`convert`](DatView::convert)), and Airfoil's `L`-lane chunk bodies
-//! move rows through it, one dispatch per access of a chunk, because
-//! that is the form LLVM vectorizes best for them
-//! ([`load_rows`](DatView::<Layout>::load_rows) has the measurement).
+//! A layout is named by a type behind [`Addressing`]: the zero-sized
+//! [`Aos`] and [`Soa`], or the runtime [`Layout`] an `OpDat` stores. A
+//! [`DatView<A>`] is a dat's shape, `(n, dim)` addressed as `A` says. A
+//! [`DatRef`] is a dat as a loop body sees it, like the pointer OP2's
+//! `op_par_loop` hands a kernel for each `op_arg`: the storage's base
+//! pointer, its view, and an access type, [`ReadOnly`] or [`Writable`].
+//! Every row accessor is written once, on that pointer, and touches
+//! exactly the values it moves. As OP2's generated code fixes each dat's
+//! layout when it emits a loop, the recording is instantiated per layout
+//! type, and the handles of a recording test no layout at run time. A
+//! handle over the runtime `Layout` dispatches once per access; code
+//! outside the recordings addresses dats that way, and so do Airfoil's
+//! `L`-lane chunk bodies, because that is the form LLVM vectorizes best
+//! for them ([`load_rows`](DatRef::load_rows) has the measurement).
 //!
 //! The vector bodies move whole rows of `L` elements at once
-//! ([`DatView::load_rows`] and its three siblings): under `Aos` an
+//! ([`DatRef::load_rows`] and its three siblings): under `Aos` an
 //! element's components are one contiguous run, so a row block is `L`
 //! row moves and an in-register transpose (the paper's AVX back end
 //! keeps AoS for exactly that reason); under `Soa` it is one contiguous
@@ -34,8 +34,9 @@
 
 use std::fmt::Debug;
 use std::marker::PhantomData;
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
 
+use crate::mem::index_out_of_bounds;
 use crate::{IdxVec, Real, VecR};
 
 /// Storage layout of a `dim`-component dataset over `n` elements, as an
@@ -67,81 +68,14 @@ impl Layout {
     }
 }
 
-/// One storage layout's addressing, implemented by the zero-sized
-/// [`Aos`] and [`Soa`]. Each method is documented, and called, as the
-/// [`DatView`] method of the same name.
-pub trait Addressing: Copy + Default + Debug + Eq + Send + Sync + 'static {
-    /// The runtime layout this type addresses.
-    const LAYOUT: Layout;
-    /// See [`DatView::idx`].
-    fn idx(v: DatView<Self>, e: usize, c: usize) -> usize;
-    /// The distance between two consecutive elements' values of one
-    /// component of `D`-component rows: `D` under `Aos`, 1 under `Soa`.
-    fn stride<const D: usize>() -> usize;
-    /// Where component `c` of element `e ≤ n` of `D`-component rows lies
-    /// (the first row of a [`Rows`] block; `idx` without its check).
-    fn slot<const D: usize>(v: DatView<Self>, e: usize, c: usize) -> usize;
-    /// See [`DatView::load_row`].
-    fn load_row<R: Real, const D: usize>(v: DatView<Self>, data: &[R], e: usize) -> [R; D];
-    /// See [`DatView::store_row`].
-    fn store_row<R: Real, const D: usize>(v: DatView<Self>, data: &mut [R], e: usize, row: &[R; D]);
-    /// See [`DatView::add_row`].
-    fn add_row<R: Real, const D: usize>(v: DatView<Self>, data: &mut [R], e: usize, row: &[R; D]);
-    /// See [`DatView::loadv`].
-    fn loadv<R: Real, const L: usize>(
-        v: DatView<Self>,
-        data: &[R],
-        e0: usize,
-        c: usize,
-    ) -> VecR<R, L>;
-    /// See [`DatView::storev`].
-    fn storev<R: Real, const L: usize>(
-        v: DatView<Self>,
-        vals: VecR<R, L>,
-        data: &mut [R],
-        e0: usize,
-        c: usize,
-    );
-    /// See [`DatView::gatherv`].
-    fn gatherv<R: Real, const L: usize>(
-        v: DatView<Self>,
-        data: &[R],
-        idx: IdxVec<L>,
-        c: usize,
-    ) -> VecR<R, L>;
-    /// See [`DatView::scatter_add_serialv`].
-    fn scatter_add_serialv<R: Real, const L: usize>(
-        v: DatView<Self>,
-        vals: VecR<R, L>,
-        data: &mut [R],
-        idx: IdxVec<L>,
-        c: usize,
-    );
-    /// See [`DatView::load_rows`].
-    fn load_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Self>,
-        data: &[R],
-        e0: usize,
-    ) -> [VecR<R, L>; K];
-    /// See [`DatView::store_rows`].
-    fn store_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Self>,
-        vals: &[VecR<R, L>; K],
-        data: &mut [R],
-        e0: usize,
-    );
-    /// See [`DatView::gather_rows`].
-    fn gather_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Self>,
-        data: &[R],
-        idx: IdxVec<L>,
-    ) -> [VecR<R, L>; K];
-    /// See [`DatView::scatter_add_rows_serial`].
-    fn scatter_add_rows_serial<R: Real, const L: usize, const K: usize, const T: usize>(
-        v: DatView<Self>,
-        incs: [(&[VecR<R, L>; K], IdxVec<L>); T],
-        data: &mut [R],
-    );
+/// What a view or handle addresses its storage by: a layout type
+/// ([`Aos`], [`Soa`], [`Flat`]), whose accessors test no layout at run
+/// time, or the runtime [`Layout`], whose accessors dispatch on it.
+pub trait Addressing: Copy + Debug + Eq + Send + Sync + 'static {
+    /// Components per element, if the type fixes it.
+    const DIM: Option<usize> = None;
+    /// The layout addressed: a constant for a layout type.
+    fn layout(self) -> Layout;
 }
 
 /// Array-of-structures addressing, `data[e*dim + c]`: an element's row
@@ -154,12 +88,47 @@ pub struct Aos;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Soa;
 
+/// The addressing of a one-component dat, whose storage is one run of
+/// `n` values in every layout: a handle typed `Flat` tests neither the
+/// layout nor the component count. Reduction slots, and the
+/// [`column`](DatRef::column)s of one-component dats.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct Flat;
+
+impl Addressing for Flat {
+    const DIM: Option<usize> = Some(1);
+
+    #[inline(always)]
+    fn layout(self) -> Layout {
+        Layout::Aos
+    }
+}
+
+impl Addressing for Aos {
+    #[inline(always)]
+    fn layout(self) -> Layout {
+        Layout::Aos
+    }
+}
+
+impl Addressing for Soa {
+    #[inline(always)]
+    fn layout(self) -> Layout {
+        Layout::Soa
+    }
+}
+
+impl Addressing for Layout {
+    #[inline(always)]
+    fn layout(self) -> Layout {
+        self
+    }
+}
+
 /// The shape of one dataset's storage — `n` elements of `dim`
-/// components addressed as `A` says — without borrowing the data, so it
-/// can be captured by recorded loop bodies while `SharedDat` views hand
-/// out the slices. `A` is a layout type ([`Aos`], [`Soa`]) for the
-/// accessors of a recording, or the runtime [`Layout`] (the default) for
-/// the dispatching view an `OpDat` hands out.
+/// components addressed as `A` says — without the data. `A` is a layout
+/// type ([`Aos`], [`Soa`]) for a recording's handles, or the runtime
+/// [`Layout`] (the default) for the view an `OpDat` hands out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DatView<A = Layout> {
     /// Set size.
@@ -181,219 +150,39 @@ impl<A: Addressing> DatView<A> {
     /// Flat storage index of component `c` of element `e`.
     #[inline(always)]
     pub fn idx(&self, e: usize, c: usize) -> usize {
-        A::idx(*self, e, c)
-    }
-
-    /// Copy element `e`'s components into a local row array (`D ==
-    /// dim`).
-    #[inline(always)]
-    pub fn load_row<R: Real, const D: usize>(&self, data: &[R], e: usize) -> [R; D] {
-        A::load_row(*self, data, e)
-    }
-
-    /// Store a local row array as element `e`'s components.
-    #[inline(always)]
-    pub fn store_row<R: Real, const D: usize>(&self, data: &mut [R], e: usize, row: &[R; D]) {
-        A::store_row(*self, data, e, row)
-    }
-
-    /// Accumulate a local row array into element `e`'s components (the
-    /// colored-increment application).
-    #[inline(always)]
-    pub fn add_row<R: Real, const D: usize>(&self, data: &mut [R], e: usize, row: &[R; D]) {
-        A::add_row(*self, data, e, row)
-    }
-
-    /// The rows of the elements `range` (`D == dim`), bounds checked once
-    /// here instead of at every row.
-    #[inline(always)]
-    pub fn rows<'d, R: Real, const D: usize>(
-        &self,
-        data: &'d [R],
-        range: Range<usize>,
-    ) -> Rows<'d, R, A, D> {
-        let (comps, len) = self.block::<R, D>(data.as_ptr().cast_mut(), data.len(), range);
-        Rows {
-            comps: comps.map(|p| p.cast_const()),
-            len,
-            _data: PhantomData,
+        debug_assert!(e < self.n && c < self.dim);
+        match self.layout.layout() {
+            Layout::Aos => e * self.dim + c,
+            Layout::Soa => c * self.n + e,
         }
     }
 
-    /// Mutable [`rows`](DatView::rows).
-    #[inline(always)]
-    pub fn rows_mut<'d, R: Real, const D: usize>(
-        &self,
-        data: &'d mut [R],
-        range: Range<usize>,
-    ) -> RowsMut<'d, R, A, D> {
-        let (comps, len) = self.block::<R, D>(data.as_mut_ptr(), data.len(), range);
-        RowsMut {
-            comps,
-            len,
-            _data: PhantomData,
-        }
+    /// The storage ranges that hold the elements `rows`: one run under
+    /// `Aos`, one run per component under `Soa`.
+    pub fn spans(&self, rows: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+        let (runs, width, gap) = match self.layout.layout() {
+            Layout::Aos => (1, self.dim, 0),
+            Layout::Soa => (self.dim, 1, self.n),
+        };
+        (0..runs).map(move |c| c * gap + rows.start * width..c * gap + rows.end * width)
     }
 
-    /// Where each component of the first element of `range` lies, and
-    /// the element count: the one bounds check of a [`Rows`] block.
-    #[inline(always)]
-    fn block<R, const D: usize>(
-        &self,
-        base: *mut R,
-        len: usize,
-        range: Range<usize>,
-    ) -> ([*mut R; D], usize) {
-        // `D == dim` and `n × D ≤ len` put every slot of an element below
-        // `n` inside `data` under either layout
-        if !(D == self.dim && range.start <= range.end && range.end <= self.n && self.n <= len / D)
-        {
-            rows_out_of_bounds(range, self.n, self.dim, D, len);
-        }
-        let e0 = range.start;
-        // `wrapping_add`: an empty block at `e0 == n` may point one row past
-        // the end under `Aos`; no access reaches it
-        let comps = std::array::from_fn(|c| base.wrapping_add(A::slot::<D>(*self, e0, c)));
-        (comps, range.end - e0)
-    }
-
-    /// Vector load of component `c` for elements `e0..e0+L`.
-    #[inline(always)]
-    pub fn loadv<R: Real, const L: usize>(&self, data: &[R], e0: usize, c: usize) -> VecR<R, L> {
-        A::loadv(*self, data, e0, c)
-    }
-
-    /// Vector store of component `c` for elements `e0..e0+L`.
-    #[inline(always)]
-    pub fn storev<R: Real, const L: usize>(
-        &self,
-        vals: VecR<R, L>,
-        data: &mut [R],
-        e0: usize,
-        c: usize,
-    ) {
-        A::storev(*self, vals, data, e0, c)
-    }
-
-    /// Map-driven vector gather of component `c`: lane `k` reads element
-    /// `idx[k]`.
-    #[inline(always)]
-    pub fn gatherv<R: Real, const L: usize>(
-        &self,
-        data: &[R],
-        idx: IdxVec<L>,
-        c: usize,
-    ) -> VecR<R, L> {
-        A::gatherv(*self, data, idx, c)
-    }
-
-    /// Serialized accumulating vector scatter of component `c`: lanes
-    /// applied in ascending lane order (the colored-increment order), so
-    /// colliding targets accumulate exactly like the scalar path.
-    #[inline(always)]
-    pub fn scatter_add_serialv<R: Real, const L: usize>(
-        &self,
-        vals: VecR<R, L>,
-        data: &mut [R],
-        idx: IdxVec<L>,
-        c: usize,
-    ) {
-        A::scatter_add_serialv(*self, vals, data, idx, c)
-    }
-
-    /// Components `0..K` of elements `e0..e0+L`, one vector per
-    /// component (`K ≤ dim`). Under `Aos` that is `L` row loads and a
-    /// transpose that stays in registers.
-    #[inline(always)]
-    pub fn load_rows<R: Real, const L: usize, const K: usize>(
-        &self,
-        data: &[R],
-        e0: usize,
-    ) -> [VecR<R, L>; K] {
-        A::load_rows(*self, data, e0)
-    }
-
-    /// Store `vals` as components `0..K` of elements `e0..e0+L` (the
-    /// inverse of [`load_rows`](DatView::load_rows)).
-    #[inline(always)]
-    pub fn store_rows<R: Real, const L: usize, const K: usize>(
-        &self,
-        vals: &[VecR<R, L>; K],
-        data: &mut [R],
-        e0: usize,
-    ) {
-        A::store_rows(*self, vals, data, e0)
-    }
-
-    /// Map-driven row gather: lane `l` of vector `c` is component `c` of
-    /// element `idx[l]` (`K ≤ dim`). Under `Aos` each lane is one row
-    /// load.
-    #[inline(always)]
-    pub fn gather_rows<R: Real, const L: usize, const K: usize>(
-        &self,
-        data: &[R],
-        idx: IdxVec<L>,
-    ) -> [VecR<R, L>; K] {
-        A::gather_rows(*self, data, idx)
-    }
-
-    /// Serialized accumulating row scatter of `T` increments per lane —
-    /// the colored increment of an element that reaches `T` targets
-    /// (`res_calc`'s two cells): increment `t` adds lane `l` of its
-    /// vectors to components `0..K` of element `idx_t[l]`.
-    ///
-    /// Under `Aos` the rows land lane by lane ascending, within a lane
-    /// target by target — the order in which the scalar loop applies
-    /// elements `l = 0..L`, so colliding lanes accumulate exactly like
-    /// it, one row read-modify-write each. Under `Soa` each target's
-    /// components go through
-    /// [`scatter_add_serialv`](DatView::scatter_add_serialv) (ascending
-    /// lanes per target, consecutive-run fast path included), which
-    /// orders two targets' hits on one element by target instead of by
-    /// lane: the same sum up to reassociation.
-    #[inline(always)]
-    pub fn scatter_add_rows_serial<R: Real, const L: usize, const K: usize, const T: usize>(
-        &self,
-        incs: [(&[VecR<R, L>; K], IdxVec<L>); T],
-        data: &mut [R],
-    ) {
-        A::scatter_add_rows_serial(*self, incs, data)
+    /// The same shape under the runtime layout.
+    pub fn runtime(self) -> DatView {
+        DatView::new(self.n, self.dim, self.layout.layout())
     }
 }
 
-/// `$call` on `$view` typed for its runtime layout, bound to `$v`.
-macro_rules! dispatch {
-    ($view:expr, $v:ident => $call:expr) => {
-        match $view.layout {
-            Layout::Aos => {
-                let $v = $view.with(Aos);
-                $call
-            }
-            Layout::Soa => {
-                let $v = $view.with(Soa);
-                $call
-            }
-        }
-    };
-}
-
-/// The runtime view: each accessor dispatches onto the layout type of the
-/// view's [`Layout`]. Code outside the recordings addresses dats through
-/// it, and so do Airfoil's vector chunk bodies (see
-/// [`load_rows`](DatView::<Layout>::load_rows)).
 impl DatView<Layout> {
-    /// This view typed for `A`, if `A` addresses its layout.
-    pub fn typed<A: Addressing>(self) -> Option<DatView<A>> {
-        (self.layout == A::LAYOUT).then(|| DatView::new(self.n, self.dim, A::default()))
+    /// This view typed for `A`, if `A` addresses its layout (and its
+    /// component count, if `A` fixes one).
+    pub fn typed<A: Addressing + Default>(self) -> Option<DatView<A>> {
+        let fits = self.layout == A::default().layout() && A::DIM.is_none_or(|d| d == self.dim);
+        fits.then(|| DatView::new(self.n, self.dim, A::default()))
     }
 
-    /// [`DatView::<A>::idx`](DatView::idx) in the view's layout.
-    #[inline]
-    pub fn idx(&self, e: usize, c: usize) -> usize {
-        dispatch!(self, v => v.idx(e, c))
-    }
-
-    /// [`DatView::<A>::gatherv`](DatView::gatherv) in the view's layout.
+    /// Map-driven vector gather of component `c` of `data` stored as this
+    /// view says: [`DatRef::gatherv`].
     #[inline(always)]
     pub fn gatherv<R: Real, const L: usize>(
         &self,
@@ -401,11 +190,11 @@ impl DatView<Layout> {
         idx: IdxVec<L>,
         c: usize,
     ) -> VecR<R, L> {
-        dispatch!(self, v => v.gatherv(data, idx, c))
+        DatRef::new(data, *self).gatherv(idx, c)
     }
 
-    /// [`DatView::<A>::scatter_add_serialv`](DatView::scatter_add_serialv)
-    /// in the view's layout.
+    /// Serialized accumulating vector scatter of component `c` into
+    /// `data` stored as this view says: [`DatRef::scatter_add_serialv`].
     #[inline(always)]
     pub fn scatter_add_serialv<R: Real, const L: usize>(
         &self,
@@ -414,61 +203,7 @@ impl DatView<Layout> {
         idx: IdxVec<L>,
         c: usize,
     ) {
-        dispatch!(self, v => v.scatter_add_serialv(vals, data, idx, c))
-    }
-
-    /// [`DatView::<A>::load_rows`](DatView::load_rows) in the view's
-    /// layout.
-    ///
-    /// Airfoil's vector chunk bodies move rows through the runtime view,
-    /// one dispatch per access, although the step dispatched the layout
-    /// already: with both arms in the body, LLVM computes its `res_calc`
-    /// kernel in lane vectors between the AoS row transposes. Given the
-    /// AoS arm alone it computes the kernel one lane at a time along the
-    /// row's components instead, and single-thread `simd4` `res_calc`
-    /// measured 0.82–0.86 of `seq`'s against 0.62–0.69
-    /// (`simd4_res_calc_beats_seq_per_core`, 600×300).
-    #[inline(always)]
-    pub fn load_rows<R: Real, const L: usize, const K: usize>(
-        &self,
-        data: &[R],
-        e0: usize,
-    ) -> [VecR<R, L>; K] {
-        dispatch!(self, v => v.load_rows(data, e0))
-    }
-
-    /// [`DatView::<A>::store_rows`](DatView::store_rows) in the view's
-    /// layout.
-    #[inline(always)]
-    pub fn store_rows<R: Real, const L: usize, const K: usize>(
-        &self,
-        vals: &[VecR<R, L>; K],
-        data: &mut [R],
-        e0: usize,
-    ) {
-        dispatch!(self, v => v.store_rows(vals, data, e0))
-    }
-
-    /// [`DatView::<A>::gather_rows`](DatView::gather_rows) in the view's
-    /// layout.
-    #[inline(always)]
-    pub fn gather_rows<R: Real, const L: usize, const K: usize>(
-        &self,
-        data: &[R],
-        idx: IdxVec<L>,
-    ) -> [VecR<R, L>; K] {
-        dispatch!(self, v => v.gather_rows(data, idx))
-    }
-
-    /// [`DatView::<A>::scatter_add_rows_serial`](DatView::scatter_add_rows_serial)
-    /// in the view's layout.
-    #[inline(always)]
-    pub fn scatter_add_rows_serial<R: Real, const L: usize, const K: usize, const T: usize>(
-        &self,
-        incs: [(&[VecR<R, L>; K], IdxVec<L>); T],
-        data: &mut [R],
-    ) {
-        dispatch!(self, v => v.scatter_add_rows_serial(incs, data))
+        DatRef::new_mut(data, *self).scatter_add_serialv(vals, idx, c)
     }
 
     /// Permute `data` from this view's layout into `to`, returning the
@@ -503,297 +238,654 @@ impl DatView<Layout> {
         }
         out
     }
+}
 
-    /// The same shape under the layout type `a`.
-    fn with<A: Addressing>(&self, a: A) -> DatView<A> {
-        debug_assert_eq!(self.layout, A::LAYOUT);
-        DatView::new(self.n, self.dim, a)
+/// Access type of a [`DatRef`] that only reads: built from `&[R]`, or
+/// by [`DatRef::read`].
+#[derive(Clone, Copy, Debug)]
+pub struct ReadOnly;
+
+/// Access type of a [`DatRef`] built from `&mut [R]`: it reads, and has
+/// the write accessors besides.
+#[derive(Clone, Copy, Debug)]
+pub struct Writable;
+
+/// One dat as a loop body reaches it: the base pointer of its storage,
+/// its [`DatView`] and an access type `M`, [`ReadOnly`] or [`Writable`].
+/// It is `Copy`, `Send` and `Sync`, so every body a chain runs on its
+/// pool's threads may hold it, and every accessor is implemented on the
+/// raw pointer: none borrows more than the values it moves, so two
+/// threads' accesses to different rows of one dat never alias.
+///
+/// # The shared-write contract
+///
+/// The write accessors are safe to call, as an `op_par_loop` kernel
+/// writes through its arguments without ceremony, because the executors
+/// of `ump_lazy` and a recording between them uphold what the handles
+/// rely on: *no value is written by one body while another body running
+/// at the same time reads or writes it*. A recording keeps its side:
+/// a **direct** body writes only its own element's rows (a vector body
+/// only rows `cs..cs + lanes`), an **increment** body only the rows its
+/// element reaches through the loop's written maps, and a dat a group
+/// writes is read only at those same rows. The executor keeps the other:
+/// blocks are disjoint element ranges, blocks that reach a common row
+/// through a written map get different colors, only blocks of one color
+/// run at once, and every round ends in a barrier, so every write
+/// happens-before the next round and before `execute` returns. Each
+/// `unsafe` block of this type relies on exactly that, plus the bounds
+/// check in front of it; nothing outside the type reaches the pointer
+/// except through the three `unsafe` slice methods.
+///
+/// Only the writable form has write methods, so a store through a handle
+/// built from `&[R]` does not compile:
+///
+/// ```compile_fail
+/// use ump_simd::{Aos, DatRef, DatView};
+///
+/// let data = vec![0.0f64; 8];
+/// let q = DatRef::new(&data, DatView::new(2, 4, Aos));
+/// q.store_row(0, &[1.0; 4]);
+/// ```
+pub struct DatRef<'d, R, M, A = Layout> {
+    ptr: *mut R,
+    len: usize,
+    view: DatView<A>,
+    _access: PhantomData<(&'d [R], M)>,
+}
+
+impl<R, M, A: Copy> Clone for DatRef<'_, R, M, A> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
 
-impl<A: Addressing> From<DatView<A>> for DatView<Layout> {
-    /// The runtime view of the same shape and layout.
-    fn from(v: DatView<A>) -> DatView<Layout> {
-        DatView::new(v.n, v.dim, A::LAYOUT)
+impl<R, M, A: Copy> Copy for DatRef<'_, R, M, A> {}
+
+// SAFETY: `ptr` and `len` are a slice borrowed for `'d`, `view` and the
+// access marker are plain values. Sent to another thread, the handle
+// reads and writes `R`s there (`R: Send + Sync`), as `&[R]` / `&mut [R]`
+// would; what it adds is writes shared between threads, which the
+// shared-write contract above keeps apart.
+unsafe impl<R: Send + Sync, M, A: Send> Send for DatRef<'_, R, M, A> {}
+// SAFETY: as for `Send`.
+unsafe impl<R: Send + Sync, M, A: Sync> Sync for DatRef<'_, R, M, A> {}
+
+impl<'d, R, A: Addressing> DatRef<'d, R, ReadOnly, A> {
+    /// A read-only handle of `data`, stored as `view` says.
+    pub fn new(data: &'d [R], view: DatView<A>) -> DatRef<'d, R, ReadOnly, A> {
+        DatRef {
+            ptr: data.as_ptr().cast_mut(),
+            len: data.len(),
+            view,
+            _access: PhantomData,
+        }
     }
 }
 
-impl Aos {
-    /// The `K` values from `start` — one contiguous run, one bounds
-    /// check, constant width.
-    #[inline(always)]
-    fn run<R: Real, const K: usize>(data: &[R], start: usize) -> &[R; K] {
-        data[start..][..K].try_into().expect("row width")
+impl<'d, R, A: Addressing> DatRef<'d, R, Writable, A> {
+    /// A writable handle of `data`, stored as `view` says.
+    pub fn new_mut(data: &'d mut [R], view: DatView<A>) -> DatRef<'d, R, Writable, A> {
+        DatRef {
+            ptr: data.as_mut_ptr(),
+            len: data.len(),
+            view,
+            _access: PhantomData,
+        }
     }
 
-    /// Mutable [`run`](Aos::run).
+    /// The read-only form of this handle.
     #[inline(always)]
-    fn run_mut<R: Real, const K: usize>(data: &mut [R], start: usize) -> &mut [R; K] {
-        (&mut data[start..][..K]).try_into().expect("row width")
+    pub fn read(self) -> DatRef<'d, R, ReadOnly, A> {
+        DatRef {
+            ptr: self.ptr,
+            len: self.len,
+            view: self.view,
+            _access: PhantomData,
+        }
     }
 }
 
-impl Addressing for Aos {
-    const LAYOUT: Layout = Layout::Aos;
+impl<'d, R> DatRef<'d, R, Writable, Flat> {
+    /// A writable handle of a plain array of values — reduction slots,
+    /// or any buffer without rows: `data.len()` elements of one
+    /// component.
+    pub fn flat_mut(data: &'d mut [R]) -> DatRef<'d, R, Writable, Flat> {
+        let n = data.len();
+        DatRef::new_mut(data, DatView::new(n, 1, Flat))
+    }
+}
 
+impl<'d, R: Copy, M, A: Addressing> DatRef<'d, R, M, A> {
+    /// The handle's shape.
     #[inline(always)]
-    fn idx(v: DatView<Aos>, e: usize, c: usize) -> usize {
-        debug_assert!(e < v.n && c < v.dim);
-        e * v.dim + c
+    pub fn view(&self) -> DatView<A> {
+        self.view
     }
 
+    /// Values of the storage.
     #[inline(always)]
-    fn stride<const D: usize>() -> usize {
-        D
+    pub fn len(&self) -> usize {
+        self.len
     }
 
+    /// `true` when the storage holds no value.
     #[inline(always)]
-    fn slot<const D: usize>(_: DatView<Aos>, e: usize, c: usize) -> usize {
-        e * D + c
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
+    /// The same handle under the runtime layout: its accessors dispatch
+    /// on the layout once per access.
     #[inline(always)]
-    fn load_row<R: Real, const D: usize>(v: DatView<Aos>, data: &[R], e: usize) -> [R; D] {
-        debug_assert_eq!(D, v.dim);
-        *Aos::run(data, e * D)
+    pub fn runtime(self) -> DatRef<'d, R, M, Layout> {
+        self.with(self.view.runtime())
     }
 
-    #[inline(always)]
-    fn store_row<R: Real, const D: usize>(v: DatView<Aos>, data: &mut [R], e: usize, row: &[R; D]) {
-        debug_assert_eq!(D, v.dim);
-        *Aos::run_mut(data, e * D) = *row;
+    /// The handle of a one-component dat typed [`Flat`]: its storage is
+    /// one run of `n` values in every layout, so its accessors test no
+    /// layout. Panics if the dat has another component count.
+    pub fn column(self) -> DatRef<'d, R, M, Flat> {
+        assert_eq!(
+            self.view.dim, 1,
+            "column() of a {}-component dat",
+            self.view.dim
+        );
+        self.with(DatView::new(self.view.n, 1, Flat))
     }
 
+    /// Components per element: a constant if `A` fixes it.
     #[inline(always)]
-    fn add_row<R: Real, const D: usize>(v: DatView<Aos>, data: &mut [R], e: usize, row: &[R; D]) {
-        debug_assert_eq!(D, v.dim);
-        for (dst, &x) in Aos::run_mut::<R, D>(data, e * D).iter_mut().zip(row) {
-            *dst += x;
+    fn dim(&self) -> usize {
+        A::DIM.unwrap_or(self.view.dim)
+    }
+
+    fn with<B>(self, view: DatView<B>) -> DatRef<'d, R, M, B> {
+        DatRef {
+            ptr: self.ptr,
+            len: self.len,
+            view,
+            _access: PhantomData,
         }
     }
 
+    /// The whole storage as a slice.
+    ///
+    /// # Safety
+    /// No thread writes any of it while the slice lives.
     #[inline(always)]
-    fn loadv<R: Real, const L: usize>(
-        v: DatView<Aos>,
-        data: &[R],
-        e0: usize,
-        c: usize,
-    ) -> VecR<R, L> {
-        if v.dim == 1 {
-            VecR::load(data, e0)
-        } else {
-            VecR::load_strided(data, e0 * v.dim + c, v.dim)
+    pub unsafe fn as_slice(&self) -> &'d [R] {
+        // SAFETY: the handle borrows `len` values for `'d`; the caller
+        // rules out concurrent writes
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+
+    /// The storage values `start..start + len` as a slice.
+    ///
+    /// # Safety
+    /// No thread writes any of them while the slice lives.
+    #[inline(always)]
+    pub unsafe fn slice(&self, start: usize, len: usize) -> &'d [R] {
+        self.check_run(start, len);
+        // SAFETY: the run lies in the storage; the caller rules out
+        // concurrent writes
+        unsafe { std::slice::from_raw_parts(self.ptr.add(start), len) }
+    }
+
+    /// The one bounds check of a run of `k` values from `start`, in the
+    /// two steps slicing `[start..][..k]` takes: one branch each, where
+    /// one condition of both cost LLVM a flag and a test per row.
+    #[inline(always)]
+    fn check_run(&self, start: usize, k: usize) {
+        let Some(rest) = self.len.checked_sub(start) else {
+            range_out_of_bounds(start, start.wrapping_add(k), self.len)
+        };
+        if k > rest {
+            range_out_of_bounds(start, start.wrapping_add(k), self.len);
         }
     }
 
+    /// The one bounds check of the values `start..end`, in the form
+    /// slicing `[start..end]` takes: the vector moves and the `Soa`
+    /// columns keep the checks the slices they replace had.
     #[inline(always)]
-    fn storev<R: Real, const L: usize>(
-        v: DatView<Aos>,
-        vals: VecR<R, L>,
-        data: &mut [R],
-        e0: usize,
-        c: usize,
-    ) {
-        if v.dim == 1 {
-            vals.store(data, e0)
-        } else {
-            vals.store_strided(data, e0 * v.dim + c, v.dim)
+    fn check_range(&self, start: usize, end: usize) {
+        if start > end || end > self.len {
+            range_out_of_bounds(start, end, self.len);
         }
     }
 
+    /// Where the `K` values from storage index `start` lie, checked.
     #[inline(always)]
-    fn gatherv<R: Real, const L: usize>(
-        v: DatView<Aos>,
-        data: &[R],
-        idx: IdxVec<L>,
-        c: usize,
-    ) -> VecR<R, L> {
-        VecR::gather(data, idx, v.dim, c)
+    fn run<const K: usize>(&self, start: usize) -> *mut [R; K] {
+        self.check_run(start, K);
+        // SAFETY: `start ≤ len`: in the storage, or one past its end
+        unsafe { self.ptr.add(start).cast() }
     }
 
+    /// Where element `e`'s first component lies under `Soa`, checked: `e
+    /// < n` and the storage holds at least `n × D` values, which put
+    /// every slot `c * n + e`, `c < D`, below `D × n ≤ len`.
     #[inline(always)]
-    fn scatter_add_serialv<R: Real, const L: usize>(
-        v: DatView<Aos>,
-        vals: VecR<R, L>,
-        data: &mut [R],
-        idx: IdxVec<L>,
-        c: usize,
-    ) {
-        vals.scatter_add_serial(data, idx, v.dim, c)
+    fn soa_row<const D: usize>(&self, e: usize) -> *mut R {
+        debug_assert_eq!(D, self.dim());
+        let n = self.view.n;
+        if e >= n {
+            soa_row_out_of_bounds(e, n, D, self.len);
+        }
+        if n > self.len / D {
+            soa_row_out_of_bounds(e, n, D, self.len);
+        }
+        // SAFETY: `e < n ≤ len`
+        unsafe { self.ptr.add(e) }
     }
 
+    /// Copy element `e`'s components into a local row array (`D ==
+    /// dim`).
     #[inline(always)]
-    fn load_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Aos>,
-        data: &[R],
-        e0: usize,
-    ) -> [VecR<R, L>; K] {
-        debug_assert!(K <= v.dim);
+    pub fn load_row<const D: usize>(&self, e: usize) -> [R; D] {
+        match self.view.layout.layout() {
+            Layout::Aos => {
+                debug_assert_eq!(D, self.dim());
+                // SAFETY: `run` checked the row (the contract: no
+                // concurrent writer)
+                unsafe { self.run::<D>(e * D).read() }
+            }
+            Layout::Soa => {
+                let (p, n) = (self.soa_row::<D>(e), self.view.n);
+                // SAFETY: `soa_row` checked every component's slot
+                std::array::from_fn(|c| unsafe { p.add(c * n).read() })
+            }
+        }
+    }
+
+    /// The rows of the elements of `block` (`D == dim`), bounds checked
+    /// once here instead of at every row.
+    #[inline(always)]
+    pub fn rows<'b, const D: usize>(&self, block: Block<'b>) -> Rows<'b, 'd, R, A, D> {
+        Rows {
+            comps: self.block::<D>(block).map(|p| p.cast_const()),
+            layout: self.view.layout,
+            _rows: PhantomData,
+        }
+    }
+
+    /// Where each component of `block`'s first element lies: the one
+    /// bounds check of a [`Rows`] block.
+    #[inline(always)]
+    fn block<const D: usize>(&self, block: Block<'_>) -> [*mut R; D] {
+        let (n, dim) = (self.view.n, self.dim());
+        let Block { start, len, .. } = block;
+        // `D == dim` and `n × D ≤ len` put every slot of an element below
+        // `n` inside the storage under either layout
+        if !(D == dim && len <= n && start <= n - len && n <= self.len / D) {
+            rows_out_of_bounds(start..start + len, n, dim, D, self.len);
+        }
+        // `wrapping_add`: an empty block at `start == n` may point one row
+        // past the end under `Aos`; no access reaches it
+        std::array::from_fn(|c| {
+            self.ptr.wrapping_add(match self.view.layout.layout() {
+                Layout::Aos => start * D + c,
+                Layout::Soa => c * n + start,
+            })
+        })
+    }
+}
+
+impl<R: Real, M, A: Addressing> DatRef<'_, R, M, A> {
+    /// The `L` values from storage index `start` as one vector.
+    #[inline(always)]
+    fn vload<const L: usize>(&self, start: usize) -> VecR<R, L> {
+        self.check_range(start, start + L);
+        // SAFETY: checked run of exactly the values loaded
+        VecR::load(
+            unsafe { std::slice::from_raw_parts(self.ptr.add(start), L) },
+            0,
+        )
+    }
+
+    /// The value at storage index `i`, checked.
+    #[inline(always)]
+    fn at(&self, i: usize) -> R {
+        if i >= self.len {
+            index_out_of_bounds(i, self.len);
+        }
+        // SAFETY: `i < len`
+        unsafe { self.ptr.add(i).read() }
+    }
+
+    /// Vector load of component `c` for elements `e0..e0+L`.
+    #[inline(always)]
+    pub fn loadv<const L: usize>(&self, e0: usize, c: usize) -> VecR<R, L> {
+        let (n, dim) = (self.view.n, self.dim());
+        match self.view.layout.layout() {
+            Layout::Aos if dim == 1 => self.vload(e0),
+            Layout::Aos => VecR::from_fn(|l| self.at((e0 + l) * dim + c)),
+            Layout::Soa => self.vload(c * n + e0),
+        }
+    }
+
+    /// Map-driven vector gather of component `c`: lane `k` reads element
+    /// `idx[k]`.
+    #[inline(always)]
+    pub fn gatherv<const L: usize>(&self, idx: IdxVec<L>, c: usize) -> VecR<R, L> {
+        match self.view.layout.layout() {
+            // SAFETY: the handle's storage is `len` values
+            Layout::Aos => unsafe { VecR::gather_raw(self.ptr, self.len, idx, self.dim(), c) },
+            Layout::Soa => self.soa_gatherv(idx, c),
+        }
+    }
+
+    /// Where component `c`'s run of `n` values starts under `Soa`,
+    /// checked, and `n`.
+    #[inline(always)]
+    fn soa_column(&self, c: usize) -> (*mut R, usize) {
+        let n = self.view.n;
+        self.check_range(c * n, (c + 1) * n);
+        // SAFETY: `c × n ≤ len`
+        (unsafe { self.ptr.add(c * n) }, n)
+    }
+
+    /// [`gatherv`](DatRef::gatherv) under `Soa`.
+    #[inline(always)]
+    fn soa_gatherv<const L: usize>(&self, idx: IdxVec<L>, c: usize) -> VecR<R, L> {
+        let (col, n) = self.soa_column(c);
+        // a consecutive run moves the same bits with a contiguous load as
+        // with the hardware gather, at a fraction of the latency
+        match idx.consecutive_base() {
+            Some(b) if b >= 0 && b as usize + L <= n => {
+                // SAFETY: values `b..b + L` of the column
+                VecR::load(
+                    unsafe { std::slice::from_raw_parts(col.add(b as usize), L) },
+                    0,
+                )
+            }
+            // SAFETY: the column is `n` values of the storage
+            _ => unsafe { VecR::gather_raw(col, n, idx, 1, 0) },
+        }
+    }
+
+    /// Components `0..K` of elements `e0..e0+L`, one vector per
+    /// component (`K ≤ dim`). Under `Aos` that is `L` row loads and a
+    /// transpose that stays in registers.
+    ///
+    /// Airfoil's vector chunk bodies move rows through handles of the
+    /// runtime layout, one dispatch per access, although the step
+    /// dispatched the layout already: with both arms in the body, LLVM
+    /// computes its `res_calc` kernel in lane vectors between the AoS row
+    /// transposes. Given the AoS arm alone it computes the kernel one
+    /// lane at a time along the row's components instead, and
+    /// single-thread `simd4` `res_calc` measured 0.82–0.86 of `seq`'s
+    /// against 0.62–0.69 (`simd4_res_calc_beats_seq_per_core`, 600×300).
+    #[inline(always)]
+    pub fn load_rows<const L: usize, const K: usize>(&self, e0: usize) -> [VecR<R, L>; K] {
+        let (n, dim) = (self.view.n, self.dim());
+        debug_assert!(K <= dim);
         let mut out = [VecR::<R, L>::zero(); K];
-        for l in 0..L {
-            let row: &[R; K] = Aos::run(data, (e0 + l) * v.dim);
-            for c in 0..K {
-                out[c].0[l] = row[c];
+        match self.view.layout.layout() {
+            Layout::Aos => {
+                for l in 0..L {
+                    // SAFETY: `run` checked the row
+                    let row: &[R; K] = unsafe { &*self.run((e0 + l) * dim) };
+                    for c in 0..K {
+                        out[c].0[l] = row[c];
+                    }
+                }
             }
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn store_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Aos>,
-        vals: &[VecR<R, L>; K],
-        data: &mut [R],
-        e0: usize,
-    ) {
-        debug_assert!(K <= v.dim);
-        for l in 0..L {
-            let row: &mut [R; K] = Aos::run_mut(data, (e0 + l) * v.dim);
-            for c in 0..K {
-                row[c] = vals[c].0[l];
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn gather_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Aos>,
-        data: &[R],
-        idx: IdxVec<L>,
-    ) -> [VecR<R, L>; K] {
-        debug_assert!(K <= v.dim);
-        let mut out = [VecR::<R, L>::zero(); K];
-        for l in 0..L {
-            let row: &[R; K] = Aos::run(data, idx.lane(l) as usize * v.dim);
-            for c in 0..K {
-                out[c].0[l] = row[c];
-            }
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn scatter_add_rows_serial<R: Real, const L: usize, const K: usize, const T: usize>(
-        v: DatView<Aos>,
-        incs: [(&[VecR<R, L>; K], IdxVec<L>); T],
-        data: &mut [R],
-    ) {
-        debug_assert!(K <= v.dim);
-        for l in 0..L {
-            for t in 0..T {
-                let (vals, idx) = incs[t];
-                let row: &mut [R; K] = Aos::run_mut(data, idx.lane(l) as usize * v.dim);
+            Layout::Soa => {
                 for c in 0..K {
-                    row[c] += vals[c].0[l];
+                    out[c] = self.vload(c * n + e0);
+                }
+            }
+        }
+        out
+    }
+
+    /// Map-driven row gather: lane `l` of vector `c` is component `c` of
+    /// element `idx[l]` (`K ≤ dim`). Under `Aos` each lane is one row
+    /// load.
+    #[inline(always)]
+    pub fn gather_rows<const L: usize, const K: usize>(&self, idx: IdxVec<L>) -> [VecR<R, L>; K] {
+        let dim = self.dim();
+        debug_assert!(K <= dim);
+        let mut out = [VecR::<R, L>::zero(); K];
+        match self.view.layout.layout() {
+            Layout::Aos => {
+                for l in 0..L {
+                    // SAFETY: `run` checked the row
+                    let row: &[R; K] = unsafe { &*self.run(idx.lane(l) as usize * dim) };
+                    for c in 0..K {
+                        out[c].0[l] = row[c];
+                    }
+                }
+            }
+            Layout::Soa => {
+                for c in 0..K {
+                    out[c] = self.soa_gatherv(idx, c);
+                }
+            }
+        }
+        out
+    }
+}
+
+impl<R: Copy, A: Addressing> DatRef<'_, R, Writable, A> {
+    /// The storage values `start..start + len` as a mutable slice.
+    ///
+    /// # Safety
+    /// No other thread reads or writes any of them while the slice lives.
+    #[inline(always)]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [R] {
+        self.check_run(start, len);
+        // SAFETY: the run lies in the storage; the caller rules out
+        // concurrent access
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
+    }
+
+    /// Store a local row array as element `e`'s components.
+    #[inline(always)]
+    pub fn store_row<const D: usize>(&self, e: usize, row: &[R; D]) {
+        match self.view.layout.layout() {
+            Layout::Aos => {
+                debug_assert_eq!(D, self.dim());
+                // SAFETY: `run` checked the row; the contract keeps other
+                // bodies off it
+                unsafe { self.run::<D>(e * D).write(*row) }
+            }
+            Layout::Soa => {
+                let (p, n) = (self.soa_row::<D>(e), self.view.n);
+                for (c, &x) in row.iter().enumerate() {
+                    // SAFETY: `soa_row` checked every component's slot
+                    unsafe { p.add(c * n).write(x) };
                 }
             }
         }
     }
 }
 
-impl Soa {
-    /// The one bounds check of a scalar row access: element `e` exists
-    /// (`e < n`) and `data` holds at least `n × D` values. Together they
-    /// put every slot `c * n + e`, `c < D`, below `D × n ≤ data.len()`.
+impl<'d, R: Copy, A: Addressing> DatRef<'d, R, Writable, A> {
+    /// Mutable [`rows`](DatRef::rows).
     #[inline(always)]
-    fn check_row<const D: usize>(v: DatView<Soa>, len: usize, e: usize) {
-        debug_assert_eq!(D, v.dim);
-        if !(e < v.n && v.n <= len / D) {
-            soa_row_out_of_bounds(e, v.n, D, len);
+    pub fn rows_mut<'b, const D: usize>(&self, block: Block<'b>) -> RowsMut<'b, 'd, R, A, D> {
+        RowsMut {
+            comps: self.block::<D>(block),
+            layout: self.view.layout,
+            _rows: PhantomData,
         }
-    }
-
-    /// Element `e`'s `D` components, `n` apart.
-    #[inline(always)]
-    fn row<R: Real, const D: usize>(v: DatView<Soa>, data: &[R], e: usize) -> [&R; D] {
-        Soa::check_row::<D>(v, data.len(), e);
-        // SAFETY: `check_row` checked `e < n` and `n × D ≤ data.len()`,
-        // so `c * n + e < D × n` is in bounds for every `c < D`.
-        std::array::from_fn(|c| unsafe { data.get_unchecked(c * v.n + e) })
-    }
-
-    /// Mutable [`row`](Soa::row).
-    #[inline(always)]
-    fn row_mut<R: Real, const D: usize>(v: DatView<Soa>, data: &mut [R], e: usize) -> [&mut R; D] {
-        Soa::check_row::<D>(v, data.len(), e);
-        let base = data.as_mut_ptr();
-        // SAFETY: `check_row` checked `e < n` and `n × D ≤ data.len()`,
-        // so `c * n + e < D × n` is in bounds for every `c < D`; the
-        // slots lie `n ≥ 1` apart, so the `D` references are disjoint.
-        std::array::from_fn(|c| unsafe { &mut *base.add(c * v.n + e) })
     }
 }
 
-/// The panic of [`DatView::rows`], out of line.
+impl<R: Copy + AddAssign, A: Addressing> DatRef<'_, R, Writable, A> {
+    /// Accumulate a local row array into element `e`'s components (the
+    /// colored-increment application).
+    #[inline(always)]
+    pub fn add_row<const D: usize>(&self, e: usize, row: &[R; D]) {
+        match self.view.layout.layout() {
+            Layout::Aos => {
+                debug_assert_eq!(D, self.dim());
+                let p = self.run::<D>(e * D).cast::<R>();
+                for (c, &x) in row.iter().enumerate() {
+                    // SAFETY: `run` checked the row
+                    unsafe { *p.add(c) += x };
+                }
+            }
+            Layout::Soa => {
+                let (p, n) = (self.soa_row::<D>(e), self.view.n);
+                for (c, &x) in row.iter().enumerate() {
+                    // SAFETY: `soa_row` checked every component's slot
+                    unsafe { *p.add(c * n) += x };
+                }
+            }
+        }
+    }
+}
+
+impl<R: Real, A: Addressing> DatRef<'_, R, Writable, A> {
+    /// Store one vector as the `L` values from storage index `start`.
+    #[inline(always)]
+    fn vstore<const L: usize>(&self, vals: VecR<R, L>, start: usize) {
+        self.check_range(start, start + L);
+        // SAFETY: checked run of exactly the values stored; the contract
+        // keeps other bodies off them
+        vals.store(
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), L) },
+            0,
+        )
+    }
+
+    /// Vector store of component `c` for elements `e0..e0+L`.
+    #[inline(always)]
+    pub fn storev<const L: usize>(&self, vals: VecR<R, L>, e0: usize, c: usize) {
+        let (n, dim) = (self.view.n, self.dim());
+        match self.view.layout.layout() {
+            Layout::Aos if dim == 1 => self.vstore(vals, e0),
+            Layout::Aos => {
+                for l in 0..L {
+                    let i = (e0 + l) * dim + c;
+                    if i >= self.len {
+                        index_out_of_bounds(i, self.len);
+                    }
+                    // SAFETY: `i < len`
+                    unsafe { self.ptr.add(i).write(vals.0[l]) };
+                }
+            }
+            Layout::Soa => self.vstore(vals, c * n + e0),
+        }
+    }
+
+    /// Serialized accumulating vector scatter of component `c`: lanes
+    /// applied in ascending lane order (the colored-increment order), so
+    /// colliding targets accumulate exactly like the scalar path.
+    #[inline(always)]
+    pub fn scatter_add_serialv<const L: usize>(&self, vals: VecR<R, L>, idx: IdxVec<L>, c: usize) {
+        let dim = self.dim();
+        match self.view.layout.layout() {
+            // SAFETY: the handle's storage is `len` values
+            Layout::Aos => unsafe { vals.scatter_add_serial_raw(self.ptr, self.len, idx, dim, c) },
+            Layout::Soa => self.soa_scatter_add_serialv(vals, idx, c),
+        }
+    }
+
+    /// [`scatter_add_serialv`](DatRef::scatter_add_serialv) under `Soa`.
+    #[inline(always)]
+    fn soa_scatter_add_serialv<const L: usize>(&self, vals: VecR<R, L>, idx: IdxVec<L>, c: usize) {
+        let (col, n) = self.soa_column(c);
+        // consecutive lanes never collide, so a packed load-add-store
+        // accumulates bit-identically to the ascending-lane serial order
+        match idx.consecutive_base() {
+            Some(b) if b >= 0 && b as usize + L <= n => {
+                // SAFETY: values `b..b + L` of the column; the contract
+                // keeps other bodies off them
+                let run = unsafe { std::slice::from_raw_parts_mut(col.add(b as usize), L) };
+                (VecR::<R, L>::load(run, 0) + vals).store(run, 0);
+            }
+            // SAFETY: the column is `n` values of the storage
+            _ => unsafe { vals.scatter_add_serial_raw(col, n, idx, 1, 0) },
+        }
+    }
+
+    /// Store `vals` as components `0..K` of elements `e0..e0+L` (the
+    /// inverse of [`load_rows`](DatRef::load_rows)).
+    #[inline(always)]
+    pub fn store_rows<const L: usize, const K: usize>(&self, vals: &[VecR<R, L>; K], e0: usize) {
+        let (n, dim) = (self.view.n, self.dim());
+        debug_assert!(K <= dim);
+        match self.view.layout.layout() {
+            Layout::Aos => {
+                for l in 0..L {
+                    // SAFETY: `run` checked the row
+                    let row: &mut [R; K] = unsafe { &mut *self.run((e0 + l) * dim) };
+                    for c in 0..K {
+                        row[c] = vals[c].0[l];
+                    }
+                }
+            }
+            Layout::Soa => {
+                for c in 0..K {
+                    self.vstore(vals[c], c * n + e0);
+                }
+            }
+        }
+    }
+
+    /// Serialized accumulating row scatter of `T` increments per lane —
+    /// the colored increment of an element that reaches `T` targets
+    /// (`res_calc`'s two cells): increment `t` adds lane `l` of its
+    /// vectors to components `0..K` of element `idx_t[l]`.
+    ///
+    /// Under `Aos` the rows land lane by lane ascending, within a lane
+    /// target by target — the order in which the scalar loop applies
+    /// elements `l = 0..L`, so colliding lanes accumulate exactly like
+    /// it, one row read-modify-write each. Under `Soa` each target's
+    /// components go through
+    /// [`scatter_add_serialv`](DatRef::scatter_add_serialv) (ascending
+    /// lanes per target, consecutive-run fast path included), which
+    /// orders two targets' hits on one element by target instead of by
+    /// lane: the same sum up to reassociation.
+    #[inline(always)]
+    pub fn scatter_add_rows_serial<const L: usize, const K: usize, const T: usize>(
+        &self,
+        incs: [(&[VecR<R, L>; K], IdxVec<L>); T],
+    ) {
+        let dim = self.dim();
+        debug_assert!(K <= dim);
+        match self.view.layout.layout() {
+            Layout::Aos => {
+                for l in 0..L {
+                    for t in 0..T {
+                        let (vals, idx) = incs[t];
+                        // SAFETY: `run` checked the row
+                        let row: &mut [R; K] =
+                            unsafe { &mut *self.run(idx.lane(l) as usize * dim) };
+                        for c in 0..K {
+                            row[c] += vals[c].0[l];
+                        }
+                    }
+                }
+            }
+            Layout::Soa => {
+                for t in 0..T {
+                    let (vals, idx) = incs[t];
+                    for c in 0..K {
+                        self.soa_scatter_add_serialv(vals[c], idx, c);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The panic of a run of values past the end of a handle's storage, out
+/// of line.
 #[cold]
 #[inline(never)]
 #[track_caller]
-fn rows_out_of_bounds(range: Range<usize>, n: usize, dim: usize, d: usize, len: usize) -> ! {
-    panic!("rows {range:?} of {d} components out of bounds: {n} elements × {dim} in {len} values")
+fn range_out_of_bounds(start: usize, end: usize, len: usize) -> ! {
+    panic!("values {start}..{end} out of bounds of {len}")
 }
 
-/// The rows of a block of consecutive elements of one dat, bounds checked
-/// once when [`DatView::rows`] borrows them: row `i` is element
-/// `range.start + i`. A direct loop's scalar body walks its block
-/// through it, so that the element loop carries no per-row branch and
-/// LLVM vectorizes it across elements, under `Soa` with one contiguous
-/// run per component.
-pub struct Rows<'d, R, A, const D: usize> {
-    comps: [*const R; D],
-    len: usize,
-    _data: PhantomData<(&'d [R], A)>,
-}
-
-impl<R: Real, A: Addressing, const D: usize> Rows<'_, R, A, D> {
-    /// Row `i`.
-    ///
-    /// # Safety
-    /// `i` is below the length of the block's range. Unchecked: a check
-    /// per row, even one that the loop bound makes redundant, kept LLVM
-    /// from vectorizing the loop.
-    #[inline(always)]
-    pub unsafe fn load(&self, i: usize) -> [R; D] {
-        debug_assert!(i < self.len, "row {i} of a block of {}", self.len);
-        // SAFETY: `DatView::rows` checked the block, and `i < len`
-        std::array::from_fn(|c| unsafe { *self.comps[c].add(i * A::stride::<D>()) })
-    }
-}
-
-/// Mutable [`Rows`], from [`DatView::rows_mut`].
-pub struct RowsMut<'d, R, A, const D: usize> {
-    comps: [*mut R; D],
-    len: usize,
-    _data: PhantomData<(&'d mut [R], A)>,
-}
-
-impl<R: Real, A: Addressing, const D: usize> RowsMut<'_, R, A, D> {
-    /// Row `i`.
-    ///
-    /// # Safety
-    /// As for [`Rows::load`].
-    #[inline(always)]
-    pub unsafe fn load(&self, i: usize) -> [R; D] {
-        debug_assert!(i < self.len, "row {i} of a block of {}", self.len);
-        // SAFETY: `DatView::rows_mut` checked the block, and `i < len`
-        std::array::from_fn(|c| unsafe { *self.comps[c].add(i * A::stride::<D>()) })
-    }
-
-    /// Store `row` as row `i`.
-    ///
-    /// # Safety
-    /// As for [`Rows::load`].
-    #[inline(always)]
-    pub unsafe fn store(&mut self, i: usize, row: &[R; D]) {
-        debug_assert!(i < self.len, "row {i} of a block of {}", self.len);
-        for (p, &x) in self.comps.iter().zip(row) {
-            // SAFETY: as in `load`; the block borrows `data` mutably
-            unsafe { *p.add(i * A::stride::<D>()) = x };
-        }
-    }
-}
-
-/// The panic of [`Soa::check_row`], out of line: formatting its message
-/// in place spilled the arguments to the stack on every row.
+/// The panic of an `Soa` scalar row access, out of line: formatting its
+/// message in place spilled the arguments to the stack on every row.
 #[cold]
 #[inline(never)]
 #[track_caller]
@@ -801,155 +893,126 @@ fn soa_row_out_of_bounds(e: usize, n: usize, dim: usize, len: usize) -> ! {
     panic!("soa row {e} out of bounds: {n} elements × {dim} components in {len} values")
 }
 
-impl Addressing for Soa {
-    const LAYOUT: Layout = Layout::Soa;
+/// The panic of [`DatRef::rows`], out of line.
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn rows_out_of_bounds(range: Range<usize>, n: usize, dim: usize, d: usize, len: usize) -> ! {
+    panic!("rows {range:?} of {d} components out of bounds: {n} elements × {dim} in {len} values")
+}
 
+/// A block of consecutive elements, as a direct loop's scalar body runs
+/// it: the range the rows of several dats are borrowed for, checked once
+/// per dat ([`DatRef::rows`]). Its [`Row`] indices carry the block's
+/// lifetime `'b`, which [`Block::with`] makes unique to one call, so a
+/// row index of one block cannot index another block's rows: the
+/// element loop over [`iter`](Block::iter) carries neither a per-row
+/// check nor `unsafe`, and LLVM vectorizes it across elements, under
+/// `Soa` with one contiguous run per component.
+#[derive(Clone, Copy)]
+pub struct Block<'b> {
+    start: usize,
+    len: usize,
+    _brand: PhantomData<fn(&'b ()) -> &'b ()>,
+}
+
+/// Row `i` of the block `'b`, from [`Block::iter`].
+#[derive(Clone, Copy)]
+pub struct Row<'b> {
+    i: usize,
+    _brand: PhantomData<fn(&'b ()) -> &'b ()>,
+}
+
+impl Block<'_> {
+    /// `f` on the block of the elements `range`, with a lifetime of its
+    /// own. Panics on a reversed range.
     #[inline(always)]
-    fn idx(v: DatView<Soa>, e: usize, c: usize) -> usize {
-        debug_assert!(e < v.n && c < v.dim);
-        c * v.n + e
+    pub fn with<T>(range: Range<usize>, f: impl for<'b> FnOnce(Block<'b>) -> T) -> T {
+        if range.start > range.end {
+            reversed_block(range.clone());
+        }
+        f(Block {
+            start: range.start,
+            len: range.end - range.start,
+            _brand: PhantomData,
+        })
+    }
+}
+
+impl<'b> Block<'b> {
+    /// The block's rows, in ascending element order.
+    #[inline(always)]
+    pub fn iter(self) -> impl Iterator<Item = Row<'b>> {
+        (0..self.len).map(|i| Row {
+            i,
+            _brand: PhantomData,
+        })
+    }
+}
+
+/// The panic of [`Block::with`], out of line.
+#[cold]
+#[inline(never)]
+#[track_caller]
+fn reversed_block(range: Range<usize>) -> ! {
+    panic!("block of the reversed range {range:?}")
+}
+
+/// The rows of a [`Block`] of one dat, bounds checked once when
+/// [`DatRef::rows`] borrows them: row `i` is element `block.start + i`.
+pub struct Rows<'b, 'd, R, A, const D: usize> {
+    comps: [*const R; D],
+    layout: A,
+    _rows: PhantomData<(Block<'b>, &'d [R])>,
+}
+
+impl<'b, R: Copy, A: Addressing, const D: usize> Rows<'b, '_, R, A, D> {
+    /// Row `r`.
+    #[inline(always)]
+    pub fn load(&self, r: Row<'b>) -> [R; D] {
+        let at = r.i * stride::<D>(self.layout);
+        // SAFETY: `DatRef::rows` checked every row of the block, and `r`
+        // is one of them
+        std::array::from_fn(|c| unsafe { *self.comps[c].add(at) })
+    }
+}
+
+/// Mutable [`Rows`], from [`DatRef::rows_mut`].
+pub struct RowsMut<'b, 'd, R, A, const D: usize> {
+    comps: [*mut R; D],
+    layout: A,
+    _rows: PhantomData<(Block<'b>, &'d [R])>,
+}
+
+impl<'b, R: Copy, A: Addressing, const D: usize> RowsMut<'b, '_, R, A, D> {
+    /// Row `r`.
+    #[inline(always)]
+    pub fn load(&self, r: Row<'b>) -> [R; D] {
+        let at = r.i * stride::<D>(self.layout);
+        // SAFETY: `DatRef::rows_mut` checked every row of the block, and
+        // `r` is one of them
+        std::array::from_fn(|c| unsafe { *self.comps[c].add(at) })
     }
 
+    /// Store `row` as row `r`.
     #[inline(always)]
-    fn stride<const D: usize>() -> usize {
-        1
-    }
-
-    #[inline(always)]
-    fn slot<const D: usize>(v: DatView<Soa>, e: usize, c: usize) -> usize {
-        c * v.n + e
-    }
-
-    #[inline(always)]
-    fn load_row<R: Real, const D: usize>(v: DatView<Soa>, data: &[R], e: usize) -> [R; D] {
-        Soa::row::<R, D>(v, data, e).map(|x| *x)
-    }
-
-    #[inline(always)]
-    fn store_row<R: Real, const D: usize>(v: DatView<Soa>, data: &mut [R], e: usize, row: &[R; D]) {
-        for (dst, &x) in Soa::row_mut::<R, D>(v, data, e).into_iter().zip(row) {
-            *dst = x;
+    pub fn store(&self, r: Row<'b>, row: &[R; D]) {
+        let at = r.i * stride::<D>(self.layout);
+        for (p, &x) in self.comps.iter().zip(row) {
+            // SAFETY: as in `load`; the contract keeps other bodies off
+            // the block's rows
+            unsafe { *p.add(at) = x };
         }
     }
+}
 
-    #[inline(always)]
-    fn add_row<R: Real, const D: usize>(v: DatView<Soa>, data: &mut [R], e: usize, row: &[R; D]) {
-        for (dst, &x) in Soa::row_mut::<R, D>(v, data, e).into_iter().zip(row) {
-            *dst += x;
-        }
-    }
-
-    #[inline(always)]
-    fn loadv<R: Real, const L: usize>(
-        v: DatView<Soa>,
-        data: &[R],
-        e0: usize,
-        c: usize,
-    ) -> VecR<R, L> {
-        VecR::load(data, c * v.n + e0)
-    }
-
-    #[inline(always)]
-    fn storev<R: Real, const L: usize>(
-        v: DatView<Soa>,
-        vals: VecR<R, L>,
-        data: &mut [R],
-        e0: usize,
-        c: usize,
-    ) {
-        vals.store(data, c * v.n + e0)
-    }
-
-    #[inline(always)]
-    fn gatherv<R: Real, const L: usize>(
-        v: DatView<Soa>,
-        data: &[R],
-        idx: IdxVec<L>,
-        c: usize,
-    ) -> VecR<R, L> {
-        let col = &data[c * v.n..(c + 1) * v.n];
-        // a consecutive run moves the same bits with a contiguous load
-        // as with the hardware gather, at a fraction of the latency
-        match idx.consecutive_base() {
-            Some(b) if b >= 0 && b as usize + L <= col.len() => VecR::load(col, b as usize),
-            _ => VecR::gather(col, idx, 1, 0),
-        }
-    }
-
-    #[inline(always)]
-    fn scatter_add_serialv<R: Real, const L: usize>(
-        v: DatView<Soa>,
-        vals: VecR<R, L>,
-        data: &mut [R],
-        idx: IdxVec<L>,
-        c: usize,
-    ) {
-        let col = &mut data[c * v.n..(c + 1) * v.n];
-        // consecutive lanes never collide, so a packed load-add-store
-        // accumulates bit-identically to the ascending-lane serial order
-        match idx.consecutive_base() {
-            Some(b) if b >= 0 && b as usize + L <= col.len() => {
-                let cur = VecR::<R, L>::load(col, b as usize);
-                (cur + vals).store(col, b as usize);
-            }
-            _ => vals.scatter_add_serial(col, idx, 1, 0),
-        }
-    }
-
-    #[inline(always)]
-    fn load_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Soa>,
-        data: &[R],
-        e0: usize,
-    ) -> [VecR<R, L>; K] {
-        debug_assert!(K <= v.dim);
-        let mut out = [VecR::<R, L>::zero(); K];
-        for c in 0..K {
-            out[c] = Soa::loadv(v, data, e0, c);
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn store_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Soa>,
-        vals: &[VecR<R, L>; K],
-        data: &mut [R],
-        e0: usize,
-    ) {
-        debug_assert!(K <= v.dim);
-        for c in 0..K {
-            Soa::storev(v, vals[c], data, e0, c);
-        }
-    }
-
-    #[inline(always)]
-    fn gather_rows<R: Real, const L: usize, const K: usize>(
-        v: DatView<Soa>,
-        data: &[R],
-        idx: IdxVec<L>,
-    ) -> [VecR<R, L>; K] {
-        debug_assert!(K <= v.dim);
-        let mut out = [VecR::<R, L>::zero(); K];
-        for c in 0..K {
-            out[c] = Soa::gatherv(v, data, idx, c);
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn scatter_add_rows_serial<R: Real, const L: usize, const K: usize, const T: usize>(
-        v: DatView<Soa>,
-        incs: [(&[VecR<R, L>; K], IdxVec<L>); T],
-        data: &mut [R],
-    ) {
-        debug_assert!(K <= v.dim);
-        for t in 0..T {
-            let (vals, idx) = incs[t];
-            for c in 0..K {
-                Soa::scatter_add_serialv(v, vals[c], data, idx, c);
-            }
-        }
+/// The distance between two consecutive elements' values of one
+/// component of `D`-component rows: `D` under `Aos`, 1 under `Soa`.
+#[inline(always)]
+fn stride<const D: usize>(layout: impl Addressing) -> usize {
+    match layout.layout() {
+        Layout::Aos => D,
+        Layout::Soa => 1,
     }
 }
 
@@ -983,6 +1046,14 @@ mod tests {
                     seen[i] = true;
                 }
             }
+            // the spans of a run of rows hold exactly those rows' values
+            let mut spanned: Vec<usize> = v.spans(3..9).flatten().collect();
+            let mut want: Vec<usize> = (3..9)
+                .flat_map(|e| (0..dim).map(move |c| v.idx(e, c)))
+                .collect();
+            spanned.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(spanned, want, "{layout:?} spans");
         }
     }
 
@@ -1003,8 +1074,8 @@ mod tests {
         let (n, dim) = (12, 4);
         let aos = aos_data(n, dim);
         let soa = DatView::new(n, dim, Layout::Aos).convert(&aos, Layout::Soa);
-        let v = DatView::new(n, dim, Soa);
-        let lanes: VecR<f64, 4> = v.loadv(&soa, 4, 2);
+        let v = DatRef::new(&soa, DatView::new(n, dim, Soa));
+        let lanes: VecR<f64, 4> = v.loadv(4, 2);
         assert_eq!(lanes.to_array(), [42.0, 52.0, 62.0, 72.0]);
         // and the storage really is contiguous: component 2 block
         assert_eq!(&soa[2 * n + 4..2 * n + 8], &[42.0, 52.0, 62.0, 72.0]);
@@ -1062,31 +1133,31 @@ mod tests {
 
     /// Every row accessor against the per-component accessor it replaces
     /// (and both against plain `idx` indexing), at one `(A, R, L, K)`.
-    fn check_row_accessors<A: Addressing, R: Real, const L: usize, const K: usize>(dim: usize) {
+    fn check_row_accessors<A: Addressing + Default, R: Real, const L: usize, const K: usize>(
+        dim: usize,
+    ) {
         let n = 22;
         let view = DatView::new(n, dim, A::default());
-        let tag = format!("{:?} dim={dim} K={K} L={L}", A::LAYOUT);
+        let tag = format!("{:?} dim={dim} K={K} L={L}", A::default());
         let mut data = vec![R::ZERO; n * dim];
         for e in 0..n {
             for c in 0..dim {
                 data[view.idx(e, c)] = R::from_f64((e * 10 + c) as f64 + 0.5);
             }
         }
+        let dat = DatRef::new(&data, view);
         let vals: [VecR<R, L>; K] =
             std::array::from_fn(|c| VecR::from_fn(|l| R::from_f64(1e-3 * (1 + l + 10 * c) as f64)));
         for e0 in 0..=n - L {
-            let rows: [VecR<R, L>; K] = view.load_rows(&data, e0);
+            let rows: [VecR<R, L>; K] = dat.load_rows(e0);
             let (mut by_rows, mut by_comp) = (data.clone(), data.clone());
-            view.store_rows(&vals, &mut by_rows, e0);
+            DatRef::new_mut(&mut by_rows, view).store_rows(&vals, e0);
+            let comp = DatRef::new_mut(&mut by_comp, view);
             for c in 0..K {
                 let want: VecR<R, L> = VecR::from_fn(|l| data[view.idx(e0 + l, c)]);
                 assert_eq!(rows[c], want, "{tag} load e0={e0} c={c}");
-                assert_eq!(
-                    view.loadv::<R, L>(&data, e0, c),
-                    want,
-                    "{tag} loadv e0={e0}"
-                );
-                view.storev(vals[c], &mut by_comp, e0, c);
+                assert_eq!(dat.loadv::<L>(e0, c), want, "{tag} loadv e0={e0}");
+                comp.storev(vals[c], e0, c);
             }
             assert_eq!(by_rows, by_comp, "{tag} store e0={e0}");
         }
@@ -1098,14 +1169,15 @@ mod tests {
         ];
         for pat in patterns {
             let idx = IdxVec::<L>::from_array(std::array::from_fn(|l| pat[l] as i32));
-            let rows: [VecR<R, L>; K] = view.gather_rows(&data, idx);
+            let rows: [VecR<R, L>; K] = dat.gather_rows(idx);
             let (mut by_rows, mut by_comp) = (data.clone(), data.clone());
-            view.scatter_add_rows_serial([(&vals, idx)], &mut by_rows);
+            DatRef::new_mut(&mut by_rows, view).scatter_add_rows_serial([(&vals, idx)]);
+            let comp = DatRef::new_mut(&mut by_comp, view);
             for c in 0..K {
                 let want: VecR<R, L> = VecR::from_fn(|l| data[view.idx(pat[l], c)]);
                 assert_eq!(rows[c], want, "{tag} gather {pat:?} c={c}");
-                assert_eq!(view.gatherv::<R, L>(&data, idx, c), want, "{tag} gatherv");
-                view.scatter_add_serialv(vals[c], &mut by_comp, idx, c);
+                assert_eq!(dat.gatherv::<L>(idx, c), want, "{tag} gatherv");
+                comp.scatter_add_serialv(vals[c], idx, c);
             }
             assert_eq!(by_rows, by_comp, "{tag} scatter {pat:?}");
         }
@@ -1137,30 +1209,36 @@ mod tests {
         R::from_f64(mag * (1.0 + i as f64 * 1e-3))
     }
 
-    /// The scalar row and row-block accessors of one layout type against
-    /// plain [`DatView::idx`] addressing, compared bit for bit.
-    fn check_accessors_against_idx<A: Addressing, R: Real, const L: usize>() {
+    /// The scalar row and row-block accessors of a handle against plain
+    /// [`DatView::idx`] addressing, compared bit for bit: typed `A`, and
+    /// the same handle under the runtime layout.
+    fn check_accessors_against_idx<A: Addressing + Default, R: Real, const L: usize>() {
+        check_handle_against_idx::<A, R, L>(DatView::new(19, 4, A::default()));
+        check_handle_against_idx::<Layout, R, L>(DatView::new(19, 4, A::default()).runtime());
+    }
+
+    fn check_handle_against_idx<A: Addressing, R: Real, const L: usize>(view: DatView<A>) {
         const D: usize = 4;
-        let n = 19;
-        let view = DatView::new(n, D, A::default());
-        let tag = format!("{:?} L={L} R={}B", A::LAYOUT, R::BYTES);
+        let n = view.n;
+        let tag = format!("{:?} L={L} R={}B", view.layout, R::BYTES);
         let bits = |d: &[R]| d.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
         let data: Vec<R> = (0..n * D).map(sensitive).collect();
+        let dat = DatRef::new(&data, view);
         let row: [R; D] = std::array::from_fn(|c| sensitive(7 * c + 3));
         for e in 0..n {
-            let got: [R; D] = view.load_row(&data, e);
+            let got: [R; D] = dat.load_row(e);
             let want: [R; D] = std::array::from_fn(|c| data[view.idx(e, c)]);
             assert_eq!(bits(&got), bits(&want), "{tag} load_row e={e}");
 
             let (mut got, mut want) = (data.clone(), data.clone());
-            view.store_row(&mut got, e, &row);
+            DatRef::new_mut(&mut got, view).store_row(e, &row);
             for c in 0..D {
                 want[view.idx(e, c)] = row[c];
             }
             assert_eq!(bits(&got), bits(&want), "{tag} store_row e={e}");
 
             let (mut got, mut want) = (data.clone(), data.clone());
-            view.add_row(&mut got, e, &row);
+            DatRef::new_mut(&mut got, view).add_row(e, &row);
             for c in 0..D {
                 let i = view.idx(e, c);
                 want[i] += row[c];
@@ -1169,33 +1247,34 @@ mod tests {
         }
         // blocks of rows, the empty one past the last element included
         for (s, e) in [(0, n), (0, 7), (7, n), (5, 6), (n, n)] {
-            let rows: Rows<R, A, D> = view.rows(&data, s..e);
             let mut got = data.clone();
-            let mut block: RowsMut<R, A, D> = view.rows_mut(&mut got, s..e);
-            for i in 0..e - s {
-                // SAFETY: `i` is below the length of both blocks' range
-                let (r, b) = unsafe { (rows.load(i), block.load(i)) };
-                let want: [R; D] = view.load_row(&data, s + i);
-                assert_eq!(bits(&r), bits(&want), "{tag} rows {s}..{e} load {i}");
-                assert_eq!(bits(&b), bits(&want), "{tag} rows_mut {s}..{e} load {i}");
-                unsafe { block.store(i, &row) };
-            }
+            let out = DatRef::new_mut(&mut got, view);
+            Block::with(s..e, |b| {
+                let (rows, block) = (dat.rows::<D>(b), out.rows_mut::<D>(b));
+                for (i, r) in b.iter().enumerate() {
+                    let want: [R; D] = dat.load_row(s + i);
+                    assert_eq!(bits(&rows.load(r)), bits(&want), "{tag} rows {s}..{e} {i}");
+                    assert_eq!(bits(&block.load(r)), bits(&want), "{tag} rows_mut {s}..{e}");
+                    block.store(r, &row);
+                }
+            });
             let mut want = data.clone();
+            let w = DatRef::new_mut(&mut want, view);
             for el in s..e {
-                view.store_row(&mut want, el, &row);
+                w.store_row(el, &row);
             }
             assert_eq!(bits(&got), bits(&want), "{tag} rows_mut {s}..{e} store");
         }
         let vals: [VecR<R, L>; D] =
             std::array::from_fn(|c| VecR::from_fn(|l| sensitive(11 * l + c + 1)));
         for e0 in 0..=n - L {
-            let got: [VecR<R, L>; D] = view.load_rows(&data, e0);
+            let got: [VecR<R, L>; D] = dat.load_rows(e0);
             for c in 0..D {
                 let want: [R; L] = std::array::from_fn(|l| data[view.idx(e0 + l, c)]);
                 assert_eq!(bits(&got[c].to_array()), bits(&want), "{tag} load_rows");
             }
             let (mut got, mut want) = (data.clone(), data.clone());
-            view.store_rows(&vals, &mut got, e0);
+            DatRef::new_mut(&mut got, view).store_rows(&vals, e0);
             for l in 0..L {
                 for c in 0..D {
                     want[view.idx(e0 + l, c)] = vals[c].lane(l);
@@ -1207,13 +1286,13 @@ mod tests {
         // land the lanes in ascending order
         let pat: [usize; 8] = [18, 3, 3, 0, 3, 11, 12, 5];
         let idx = IdxVec::<L>::from_array(std::array::from_fn(|l| pat[l] as i32));
-        let got: [VecR<R, L>; D] = view.gather_rows(&data, idx);
+        let got: [VecR<R, L>; D] = dat.gather_rows(idx);
         for c in 0..D {
             let want: [R; L] = std::array::from_fn(|l| data[view.idx(pat[l], c)]);
             assert_eq!(bits(&got[c].to_array()), bits(&want), "{tag} gather_rows");
         }
         let (mut got, mut want) = (data.clone(), data.clone());
-        view.scatter_add_rows_serial([(&vals, idx)], &mut got);
+        DatRef::new_mut(&mut got, view).scatter_add_rows_serial([(&vals, idx)]);
         for l in 0..L {
             for c in 0..D {
                 let i = view.idx(pat[l], c);
@@ -1231,30 +1310,33 @@ mod tests {
         fn panics(f: impl FnOnce()) -> bool {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
         }
-        fn check<A: Addressing>() {
+        fn check<A: Addressing + Default>() {
             let view = DatView::new(5, 4, A::default());
             let data = vec![0.0f64; 20];
-            assert!(!panics(|| {
-                let _ = view.rows::<f64, 4>(&data, 0..5);
-            }));
-            assert!(panics(|| {
-                let _ = view.rows::<f64, 4>(&data, 2..6);
-            }));
+            let dat = DatRef::new(&data, view);
+            assert!(!panics(|| Block::with(0..5, |b| {
+                dat.rows::<4>(b);
+            })));
+            assert!(panics(|| Block::with(2..6, |b| {
+                dat.rows::<4>(b);
+            })));
             #[allow(clippy::reversed_empty_ranges)]
             let reversed = 3..2;
-            assert!(panics(|| {
-                let _ = view.rows::<f64, 4>(&data, reversed);
-            }));
-            assert!(panics(|| {
-                let _ = view.rows::<f64, 2>(&data, 0..5);
-            }));
-            assert!(panics(|| {
-                let _ = view.rows::<f64, 4>(&data[..19], 0..1);
-            }));
+            assert!(panics(|| Block::with(reversed, |b| {
+                dat.rows::<4>(b);
+            })));
+            assert!(panics(|| Block::with(0..5, |b| {
+                dat.rows::<2>(b);
+            })));
+            let short = DatRef::new(&data[..19], view);
+            assert!(panics(|| Block::with(0..1, |b| {
+                short.rows::<4>(b);
+            })));
             let mut short = vec![0.0f64; 19];
-            assert!(panics(|| {
-                let _ = view.rows_mut::<f64, 4>(&mut short, 0..1);
-            }));
+            let short = DatRef::new_mut(&mut short, view);
+            assert!(panics(|| Block::with(0..1, |b| {
+                short.rows_mut::<4>(b);
+            })));
         }
         check::<Aos>();
         check::<Soa>();
@@ -1274,40 +1356,44 @@ mod tests {
     // value short and the row the last one, so the row's last component
     // would read or write past the end.
 
+    fn soa(data: &mut [f64]) -> DatRef<'_, f64, Writable, Soa> {
+        DatRef::new_mut(data, DatView::new(6, 4, Soa))
+    }
+
     #[test]
     #[should_panic(expected = "soa row 6 out of bounds")]
     fn soa_load_row_panics_past_the_last_element() {
-        let _: [f64; 4] = DatView::new(6, 4, Soa).load_row(&[0.0; 24], 6);
+        let _: [f64; 4] = soa(&mut [0.0; 24]).load_row(6);
     }
 
     #[test]
     #[should_panic(expected = "soa row 5 out of bounds")]
     fn soa_load_row_panics_on_short_storage() {
-        let _: [f64; 4] = DatView::new(6, 4, Soa).load_row(&[0.0; 23], 5);
+        let _: [f64; 4] = soa(&mut [0.0; 23]).load_row(5);
     }
 
     #[test]
     #[should_panic(expected = "soa row 6 out of bounds")]
     fn soa_store_row_panics_past_the_last_element() {
-        DatView::new(6, 4, Soa).store_row(&mut [0.0; 24], 6, &[1.0f64; 4]);
+        soa(&mut [0.0; 24]).store_row(6, &[1.0f64; 4]);
     }
 
     #[test]
     #[should_panic(expected = "soa row 5 out of bounds")]
     fn soa_store_row_panics_on_short_storage() {
-        DatView::new(6, 4, Soa).store_row(&mut [0.0; 23], 5, &[1.0f64; 4]);
+        soa(&mut [0.0; 23]).store_row(5, &[1.0f64; 4]);
     }
 
     #[test]
     #[should_panic(expected = "soa row 6 out of bounds")]
     fn soa_add_row_panics_past_the_last_element() {
-        DatView::new(6, 4, Soa).add_row(&mut [0.0; 24], 6, &[1.0f64; 4]);
+        soa(&mut [0.0; 24]).add_row(6, &[1.0f64; 4]);
     }
 
     #[test]
     #[should_panic(expected = "soa row 5 out of bounds")]
     fn soa_add_row_panics_on_short_storage() {
-        DatView::new(6, 4, Soa).add_row(&mut [0.0; 23], 5, &[1.0f64; 4]);
+        soa(&mut [0.0; 23]).add_row(5, &[1.0f64; 4]);
     }
 
     #[test]
@@ -1316,7 +1402,6 @@ mod tests {
         // is lane 0's second target and lane 1's first. The scalar loop
         // lands lane 0 whole, then lane 1; magnitudes are chosen so any
         // other order rounds differently.
-        let view = DatView::new(4, 2, Aos);
         let (i0, i1) = (
             IdxVec::<4>::from_array([0, 1, 2, 1]),
             IdxVec::<4>::from_array([1, 2, 3, 3]),
@@ -1324,7 +1409,8 @@ mod tests {
         let v0 = [VecR::<f64, 4>::from_array([1.0, 1e16, 3.0, 1.0]); 2];
         let v1 = [VecR::<f64, 4>::from_array([-1e16, 1.0, 1.0, 2.0]); 2];
         let mut got = vec![1.0f64; 8];
-        view.scatter_add_rows_serial([(&v0, i0), (&v1, i1)], &mut got);
+        DatRef::new_mut(&mut got, DatView::new(4, 2, Aos))
+            .scatter_add_rows_serial([(&v0, i0), (&v1, i1)]);
         let mut want = vec![1.0f64; 8];
         for l in 0..4 {
             for (v, i) in [(&v0, i0), (&v1, i1)] {
@@ -1339,22 +1425,28 @@ mod tests {
         assert_ne!(got[2], ((1.0 + 1e16) + 1.0) - 1e16);
     }
 
-    fn check_rows_panic_out_of_range<A: Addressing + std::panic::RefUnwindSafe>() {
-        use std::panic::catch_unwind;
-        let layout = A::LAYOUT;
-        let view = DatView::new(6, 4, A::default());
+    fn check_rows_panic_out_of_range<A: Addressing + Default + std::panic::RefUnwindSafe>() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let layout = A::default();
+        let view = DatView::new(6, 4, layout);
         let data = vec![0.0f64; 24];
+        let dat = DatRef::new(&data, view);
         for bad in [6, -1] {
             let idx = IdxVec::<4>::from_array([0, 5, bad, 1]);
-            let gathered = catch_unwind(|| -> [VecR<f64, 4>; 4] { view.gather_rows(&data, idx) });
+            let gathered = catch_unwind(AssertUnwindSafe(|| -> [VecR<f64, 4>; 4] {
+                dat.gather_rows(idx)
+            }));
             assert!(gathered.is_err(), "{layout:?} gather of {bad}");
             let scattered = catch_unwind(|| {
                 let mut d = data.clone();
-                view.scatter_add_rows_serial([(&[VecR::<f64, 4>::zero(); 4], idx)], &mut d);
+                DatRef::new_mut(&mut d, view)
+                    .scatter_add_rows_serial([(&[VecR::<f64, 4>::zero(); 4], idx)]);
             });
             assert!(scattered.is_err(), "{layout:?} scatter to {bad}");
         }
-        let past_end = catch_unwind(|| -> [VecR<f64, 4>; 4] { view.load_rows(&data, 3) });
+        let past_end = catch_unwind(AssertUnwindSafe(|| -> [VecR<f64, 4>; 4] {
+            dat.load_rows(3)
+        }));
         assert!(past_end.is_err(), "{layout:?} load past the end");
     }
 
@@ -1364,25 +1456,25 @@ mod tests {
         check_rows_panic_out_of_range::<Soa>();
     }
 
-    fn check_rows_round_trip<A: Addressing>() {
+    fn check_rows_round_trip<A: Addressing + Default>() {
         let (n, dim) = (7, 4);
-        let layout = A::LAYOUT;
-        let view = DatView::new(n, dim, A::default());
+        let layout = A::default();
         let mut data = vec![0.0f64; n * dim];
+        let dat = DatRef::new_mut(&mut data, DatView::new(n, dim, layout));
         for e in 0..n {
             let row: [f64; 4] = std::array::from_fn(|c| (e * 10 + c) as f64);
-            view.store_row(&mut data, e, &row);
+            dat.store_row(e, &row);
         }
         for e in 0..n {
-            let row: [f64; 4] = view.load_row(&data, e);
+            let row: [f64; 4] = dat.load_row(e);
             assert_eq!(
                 row,
                 std::array::from_fn(|c| (e * 10 + c) as f64),
                 "{layout:?}"
             );
         }
-        view.add_row(&mut data, 3, &[0.5f64; 4]);
-        let row: [f64; 4] = view.load_row(&data, 3);
+        dat.add_row(3, &[0.5f64; 4]);
+        let row: [f64; 4] = dat.read().load_row(3);
         assert_eq!(row[2], 32.5, "{layout:?}");
     }
 

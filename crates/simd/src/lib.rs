@@ -56,7 +56,10 @@ pub mod vecr;
 pub use arch::{have_avx2, isa_name};
 pub use idx::IdxVec;
 pub use lane::Lane;
-pub use layout::{Addressing, Aos, DatView, Layout, Rows, RowsMut, Soa};
+pub use layout::{
+    Addressing, Aos, Block, DatRef, DatView, Flat, Layout, ReadOnly, Row, Rows, RowsMut, Soa,
+    Writable,
+};
 pub use mask::Mask;
 pub use real::Real;
 pub use sweep::{split_sweep, Sweep};

@@ -16,17 +16,17 @@
 //!
 //! Those move one component of `L` elements. The chunk bodies of the
 //! applications move whole rows — all components of `L` elements at
-//! once — through the layout view, which under AoS (the layout the
+//! once — through the dat handle, which under AoS (the layout the
 //! paper's AVX back end keeps) turns each operation into `L` contiguous
 //! row moves and an in-register transpose, and otherwise loops the
 //! per-component operations above:
 //!
 //! | paper operation, all components of a row          | method |
 //! |---------------------------------------------------|--------|
-//! | vector load of direct rows `e0..e0+L`             | [`DatView::load_rows`](crate::DatView::load_rows) |
-//! | vector store of direct rows                       | [`DatView::store_rows`](crate::DatView::store_rows) |
-//! | map-driven row gather (`data[map[n]*dim..]`)      | [`DatView::gather_rows`](crate::DatView::gather_rows) |
-//! | serialized colored increment of whole rows, in the scalar loop's order | [`DatView::scatter_add_rows_serial`](crate::DatView::scatter_add_rows_serial) |
+//! | vector load of direct rows `e0..e0+L`             | [`DatRef::load_rows`](crate::DatRef::load_rows) |
+//! | vector store of direct rows                       | [`DatRef::store_rows`](crate::DatRef::store_rows) |
+//! | map-driven row gather (`data[map[n]*dim..]`)      | [`DatRef::gather_rows`](crate::DatRef::gather_rows) |
+//! | serialized colored increment of whole rows, in the scalar loop's order | [`DatRef::scatter_add_rows_serial`](crate::DatRef::scatter_add_rows_serial) |
 
 use crate::{IdxVec, Mask, Real, VecR};
 
@@ -62,12 +62,36 @@ impl<R: Real, const L: usize> VecR<R, L> {
     /// (`_mm512_i32logather_pd` on IMCI).
     #[inline(always)]
     pub fn gather(data: &[R], idx: IdxVec<L>, dim: usize, comp: usize) -> Self {
-        if let Some(v) = crate::arch::gather(data, idx, dim, comp) {
+        // SAFETY: a slice is valid for reads of its length
+        unsafe { VecR::gather_raw(data.as_ptr(), data.len(), idx, dim, comp) }
+    }
+
+    /// [`gather`](VecR::gather) from the `len` values at `data`: each
+    /// effective index is checked against `len`, and only the `L` values
+    /// gathered are read.
+    ///
+    /// # Safety
+    /// `data` is valid for reads of `len` values.
+    #[inline(always)]
+    pub(crate) unsafe fn gather_raw(
+        data: *const R,
+        len: usize,
+        idx: IdxVec<L>,
+        dim: usize,
+        comp: usize,
+    ) -> Self {
+        // SAFETY: the caller guarantees `data` holds `len` values
+        if let Some(v) = unsafe { crate::arch::gather(data, len, idx, dim, comp) } {
             return v;
         }
         let mut out = [R::ZERO; L];
         for k in 0..L {
-            out[k] = data[idx.lane(k) as usize * dim + comp];
+            let i = idx.lane(k) as usize * dim + comp;
+            if i >= len {
+                index_out_of_bounds(i, len);
+            }
+            // SAFETY: `i < len`
+            out[k] = unsafe { data.add(i).read() };
         }
         VecR(out)
     }
@@ -117,8 +141,34 @@ impl<R: Real, const L: usize> VecR<R, L> {
     /// for `res_calc`'s Phi performance.
     #[inline(always)]
     pub fn scatter_add_serial(self, data: &mut [R], idx: IdxVec<L>, dim: usize, comp: usize) {
+        // SAFETY: a mutable slice is valid for reads and writes of its
+        // length
+        unsafe { self.scatter_add_serial_raw(data.as_mut_ptr(), data.len(), idx, dim, comp) }
+    }
+
+    /// [`scatter_add_serial`](VecR::scatter_add_serial) into the `len`
+    /// values at `data`: each effective index is checked against `len`,
+    /// and only the `L` targets are read and written.
+    ///
+    /// # Safety
+    /// `data` is valid for reads and writes of `len` values, and no other
+    /// thread accesses the targets meanwhile.
+    #[inline(always)]
+    pub(crate) unsafe fn scatter_add_serial_raw(
+        self,
+        data: *mut R,
+        len: usize,
+        idx: IdxVec<L>,
+        dim: usize,
+        comp: usize,
+    ) {
         for k in 0..L {
-            data[idx.lane(k) as usize * dim + comp] += self.0[k];
+            let i = idx.lane(k) as usize * dim + comp;
+            if i >= len {
+                index_out_of_bounds(i, len);
+            }
+            // SAFETY: `i < len`
+            unsafe { *data.add(i) += self.0[k] };
         }
     }
 
@@ -141,6 +191,15 @@ impl<R: Real, const L: usize> VecR<R, L> {
             }
         }
     }
+}
+
+/// The panic of a gather or scatter lane past the end of its storage,
+/// out of line, worded as slice indexing words it.
+#[cold]
+#[inline(never)]
+#[track_caller]
+pub(crate) fn index_out_of_bounds(i: usize, len: usize) -> ! {
+    panic!("index out of bounds: the len is {len} but the index is {i}")
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! ```
 
 use ump::color::{PlanInputs, TwoLevelPlan};
-use ump::core::{ExecPool, SharedDat};
+use ump::core::{DatRef, ExecPool};
 use ump::mesh::generators::quad_channel;
 use ump::simd::{split_sweep, F64x4, IdxVec, VecR};
 
@@ -48,14 +48,12 @@ fn main() {
     let pool = ExecPool::new(0);
     let mut threaded = vec![0.0f64; mesh.n_cells()];
     {
-        let shared = SharedDat::new(&mut threaded);
+        let shared = DatRef::flat_mut(&mut threaded);
         pool.colored_blocks(&plan, 0, |_b, range| {
             for e in range.start as usize..range.end as usize {
                 let c = mesh.edge2cell.row(e);
-                unsafe {
-                    shared.slice_mut(c[0] as usize, 1)[0] += edge_weight[e];
-                    shared.slice_mut(c[1] as usize, 1)[0] -= edge_weight[e];
-                }
+                shared.add_row(c[0] as usize, &[edge_weight[e]]);
+                shared.add_row(c[1] as usize, &[-edge_weight[e]]);
             }
         });
     }

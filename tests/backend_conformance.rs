@@ -371,17 +371,17 @@ fn panic_before_any_loop<S: Simulation>(sim: &mut S, step: impl FnOnce(&mut S) -
         .map_or_else(|_| String::new(), |m| *m)
 }
 
-/// Every row that executes the recording in the caller's process runs it
-/// instantiated for the state's layout, whose accessors do not look at
-/// each dat's own. A state whose dats disagree (one converted alone)
-/// would therefore be indexed wrongly: the step must panic instead,
-/// naming a dat stored otherwise, before any loop runs.
+/// Every row that executes the recording in the caller's process, tiled
+/// or not, runs it instantiated for the state's layout, whose accessors
+/// do not look at each dat's own. A state whose dats disagree (one
+/// converted alone) would therefore be indexed wrongly: the step must
+/// panic instead, naming a dat stored otherwise, before any loop runs.
 #[test]
 fn a_step_over_dats_in_mixed_layouts_panics_naming_the_dat() {
     let (pool, cache) = (ExecPool::new(1), PlanCache::new());
     let recording_rows = Backend::all()
         .into_iter()
-        .filter(|b| !matches!(b, Backend::Seq | Backend::Tiled | Backend::TiledSimd { .. }));
+        .filter(|b| !matches!(b, Backend::Seq));
     for backend in recording_rows {
         // the primary dat alone in SoA: the step dispatches SoA, and the
         // next evolving dat is still AoS

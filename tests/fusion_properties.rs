@@ -8,8 +8,10 @@
 //! can run it: fused or loop by loop × every shape × team sizes × block
 //! sizes.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
-use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache, SharedDat};
+use ump_core::{Access, Aos, ArgInfo, DatRef, DatView, ExecPool, LoopProfile, PlanCache};
 use ump_lazy::{Chain, ExchangePolicy, Fusion, LoopDesc, Shape};
 use ump_mesh::generators::perturbed_quads;
 use ump_mesh::Mesh2d;
@@ -154,6 +156,11 @@ fn run_reference(mesh: &Mesh2d, kinds: &[Kind], s: &mut State) {
     }
 }
 
+/// An element body run over every element of a block.
+fn each(body: impl Fn(usize) + Sync) -> impl Fn(Option<usize>, Range<u32>) + Sync {
+    move |_b, range| range.for_each(|e| body(e as usize))
+}
+
 /// Record the same chain and execute it fused.
 fn run_fused(
     mesh: &Mesh2d,
@@ -165,56 +172,46 @@ fn run_fused(
     let (ne, nc) = (mesh.n_edges(), mesh.n_cells());
     let pool = ExecPool::new(3);
     let cache = PlanCache::new();
-    let av = SharedDat::new(&mut s.a);
-    let bv = SharedDat::new(&mut s.b);
-    let accv = SharedDat::new(&mut s.acc);
+    let av = DatRef::flat_mut(&mut s.a);
+    let bv = DatRef::flat_mut(&mut s.b);
+    let accv = DatRef::flat_mut(&mut s.acc);
     let mut chain = Chain::new("prop");
+    chain.register_map(&mesh.edge2cell);
     for k in kinds {
         match k {
             Kind::FillA => {
-                let av = &av;
-                chain.record(k.desc(ne, nc), vec![], move |e| unsafe {
-                    av.slice_mut(e, 1)[0] += (e % 5 + 1) as f64;
-                });
+                let body = move |e: usize| av.add_row(e, &[(e % 5 + 1) as f64]);
+                chain.record_blocks(k.desc(ne, nc), each(body));
             }
             Kind::CombineB => {
-                let (av, bv) = (&av, &bv);
-                chain.record(k.desc(ne, nc), vec![], move |e| unsafe {
-                    bv.slice_mut(e, 1)[0] += 2.0 * av.slice(e, 1)[0];
-                });
+                let body = move |e: usize| bv.add_row(e, &[2.0 * av.load_row::<1>(e)[0]]);
+                chain.record_blocks(k.desc(ne, nc), each(body));
             }
             Kind::Scatter => {
-                let (av, accv) = (&av, &accv);
-                chain.record_two_phase(
-                    k.desc(ne, nc),
-                    vec![&mesh.edge2cell],
-                    move |e| {
-                        let c = mesh.edge2cell.row(e);
-                        let v = unsafe { av.slice(e, 1)[0] };
-                        (c[0] as usize, [v], c[1] as usize, [-2.0])
-                    },
-                    move |_e, inc| unsafe {
-                        let (c0, r0, c1, r1) = inc;
-                        accv.slice_mut(*c0, 1)[0] += r0[0];
-                        accv.slice_mut(*c1, 1)[0] += r1[0];
-                    },
-                );
+                let compute = move |e: usize| {
+                    let c = mesh.edge2cell.row(e);
+                    (c[0] as usize, av.load_row::<1>(e), c[1] as usize, [-2.0])
+                };
+                let apply = move |_e: usize, inc: &(usize, [f64; 1], usize, [f64; 1])| {
+                    let (c0, r0, c1, r1) = inc;
+                    accv.add_row(*c0, r0);
+                    accv.add_row(*c1, r1);
+                };
+                // the vector body runs the scalar halves lane by lane
+                let vector = move |es| (es..es + 4).for_each(|e| apply(e, &compute(e)));
+                chain.record_simd_two_phase(k.desc(ne, nc), 4, compute, apply, vector);
             }
             Kind::Gather => {
-                let (bv, accv) = (&bv, &accv);
-                chain.record(k.desc(ne, nc), vec![], move |e| {
+                let body = move |e: usize| {
                     let c = mesh.edge2cell.row(e);
-                    unsafe {
-                        bv.slice_mut(e, 1)[0] +=
-                            accv.slice(c[0] as usize, 1)[0] - accv.slice(c[1] as usize, 1)[0];
-                    }
-                });
+                    let ([a0], [a1]) = (accv.load_row(c[0] as usize), accv.load_row(c[1] as usize));
+                    bv.add_row(e, &[a0 - a1]);
+                };
+                chain.record_blocks(k.desc(ne, nc), each(body));
             }
             Kind::CellStep => {
-                let accv = &accv;
-                chain.record(k.desc(ne, nc), vec![], move |c| unsafe {
-                    accv.slice_mut(c, 1)[0] += 3.0;
-                });
+                let body = move |c: usize| accv.add_row(c, &[3.0]);
+                chain.record_blocks(k.desc(ne, nc), each(body));
             }
         }
     }
@@ -259,22 +256,21 @@ fn run_recorded<const L: usize>(
     let (mut a, mut acc) = (vec![0.0f64; ne], vec![0.0f64; nc * 2]);
     let (mut sums, mut mins) = (vec![0.0f64; n_blocks], vec![f64::INFINITY; n_blocks]);
     {
-        let (av, accv) = (SharedDat::new(&mut a), SharedDat::new(&mut acc));
-        let (sumv, minv) = (SharedDat::new(&mut sums), SharedDat::new(&mut mins));
-        let (av, accv, sumv, minv, weight) = (&av, &accv, &sumv, &minv, &weight);
+        let av = DatRef::flat_mut(&mut a);
+        let accv = DatRef::new_mut(&mut acc, DatView::new(nc, 2, Aos));
+        let (sumv, minv) = (DatRef::flat_mut(&mut sums), DatRef::flat_mut(&mut mins));
+        let weight = DatRef::new(&weight, DatView::new(nc, 1, Aos));
         let mut chain = Chain::new("recorded");
+        chain.register_map(&mesh.edge2cell);
         chain.record_simd(
             desc("fill", vec![ArgInfo::direct("a", 1, Access::Write)]),
-            vec![],
             L,
             move |r| {
                 for e in r {
-                    unsafe { av.slice_mut(e, 1)[0] = fill(e) };
+                    av.store_row(e, &[fill(e)]);
                 }
             },
-            move |es| unsafe {
-                VecR::<f64, L>::from_fn(|k| fill(es + k)).store(av.slice_mut(0, av.len()), es)
-            },
+            move |es| av.storev(VecR::<f64, L>::from_fn(|k| fill(es + k)), es, 0),
         );
 
         let inc_desc = desc(
@@ -285,44 +281,31 @@ fn run_recorded<const L: usize>(
                 ArgInfo::indirect("acc", 2, Access::Inc, "edge2cell", 1),
             ],
         );
-        let compute = move |e: usize| unsafe {
+        let compute = move |e: usize| {
             let (c0, c1) = (e2c[2 * e] as usize, e2c[2 * e + 1] as usize);
-            let v = av.slice(e, 1)[0];
-            (c0, [3.0 * v + weight[c1], 1.0], c1, [-v, weight[c0]])
+            let ([v], [w0], [w1]) = (av.load_row(e), weight.load_row(c0), weight.load_row(c1));
+            (c0, [3.0 * v + w1, 1.0], c1, [-v, w0])
         };
-        let apply = move |_e: usize, inc: &(usize, [f64; 2], usize, [f64; 2])| unsafe {
+        let apply = move |_e: usize, inc: &(usize, [f64; 2], usize, [f64; 2])| {
             let (c0, r0, c1, r1) = inc;
-            for d in 0..2 {
-                accv.slice_mut(c0 * 2, 2)[d] += r0[d];
-                accv.slice_mut(c1 * 2, 2)[d] += r1[d];
-            }
+            accv.add_row(*c0, r0);
+            accv.add_row(*c1, r1);
         };
         // `L` edges at once, increments scattered lane by lane
-        chain.record_simd_two_phase(
-            inc_desc,
-            vec![&mesh.edge2cell],
-            L,
-            compute,
-            apply,
-            move |es| unsafe {
-                let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
-                let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-                let v = VecR::<f64, L>::load(av.as_slice(), es);
-                let acc = accv.slice_mut(0, accv.len());
-                let (w0, w1) = (
-                    VecR::gather(weight, c0, 1, 0),
-                    VecR::gather(weight, c1, 1, 0),
-                );
-                (v * 3.0 + w1).scatter_add_serial(acc, c0, 2, 0);
-                VecR::splat(1.0).scatter_add_serial(acc, c0, 2, 1);
-                (-v).scatter_add_serial(acc, c1, 2, 0);
-                w0.scatter_add_serial(acc, c1, 2, 1);
-            },
-        );
+        chain.record_simd_two_phase(inc_desc, L, compute, apply, move |es| {
+            let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
+            let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
+            let v = av.loadv::<L>(es, 0);
+            let (w0, w1) = (weight.gatherv(c0, 0), weight.gatherv(c1, 0));
+            accv.scatter_add_serialv(v * 3.0 + w1, c0, 0);
+            accv.scatter_add_serialv(VecR::splat(1.0), c0, 1);
+            accv.scatter_add_serialv(-v, c1, 0);
+            accv.scatter_add_serialv(w0, c1, 1);
+        });
 
         // reductions: one slot per block, touched only by the thread
         // that runs the block
-        let term = move |e: usize| unsafe { av.slice(e, 1)[0] * (e % 3) as f64 };
+        let term = move |e: usize| av.load_row::<1>(e)[0] * (e % 3) as f64;
         chain.record_simd(
             desc(
                 "sum",
@@ -331,31 +314,32 @@ fn run_recorded<const L: usize>(
                     ArgInfo::global("sum", 1, Access::Inc),
                 ],
             ),
-            vec![],
             L,
             move |r| {
                 for e in r {
-                    unsafe { sumv.slice_mut(e / block_size, 1)[0] += term(e) };
+                    sumv.add_row(e / block_size, &[term(e)]);
                 }
             },
-            move |es| unsafe {
+            move |es| {
                 let chunk = VecR::<f64, L>::from_fn(|k| term(es + k)).reduce_sum();
-                sumv.slice_mut(es / block_size, 1)[0] += chunk;
+                sumv.add_row(es / block_size, &[chunk]);
             },
         );
+        let lower = move |slot: usize, v: f64| {
+            let [m] = minv.load_row(slot);
+            minv.store_row(slot, &[m.min(v)]);
+        };
         chain.record_simd(
             desc("min", vec![ArgInfo::global("min", 1, Access::Rw)]),
-            vec![],
             L,
             move |r| {
                 for e in r {
-                    let slot = unsafe { &mut minv.slice_mut(e / block_size, 1)[0] };
-                    *slot = slot.min(cand(e));
+                    lower(e / block_size, cand(e));
                 }
             },
-            move |es| unsafe {
-                let slot = &mut minv.slice_mut(es / block_size, 1)[0];
-                *slot = slot.min(VecR::<f64, L>::from_fn(|k| cand(es + k)).reduce_min());
+            move |es| {
+                let chunk = VecR::<f64, L>::from_fn(|k| cand(es + k)).reduce_min();
+                lower(es / block_size, chunk);
             },
         );
         let overlap = ExchangePolicy::Overlap;

@@ -9,7 +9,7 @@ use ump::apps::airfoil::{drivers as airfoil_drivers, Airfoil};
 use ump::apps::dist;
 use ump::apps::volna::{drivers as volna_drivers, Volna};
 use ump::color::{PlanInputs, TwoLevelPlan};
-use ump::core::{Backend, ExecPool, PlanCache, SharedDat};
+use ump::core::{Backend, DatRef, ExecPool, PlanCache};
 use ump::lazy::{ExchangePolicy, Shape};
 use ump::mesh::generators::quad_channel;
 
@@ -64,14 +64,12 @@ fn pool_reuse_across_edge_and_cell_plans_is_race_free() {
         // edge plan: two-sided colored increment
         let mut acc = vec![0.0f64; mesh.n_cells()];
         {
-            let shared = SharedDat::new(&mut acc);
+            let shared = DatRef::flat_mut(&mut acc);
             pool.colored_blocks(&edge_plan, 0, |_b, range| {
                 for e in range.start as usize..range.end as usize {
                     let c = mesh.edge2cell.row(e);
-                    unsafe {
-                        shared.slice_mut(c[0] as usize, 1)[0] += 1.0;
-                        shared.slice_mut(c[1] as usize, 1)[0] += 1.0;
-                    }
+                    shared.add_row(c[0] as usize, &[1.0]);
+                    shared.add_row(c[1] as usize, &[1.0]);
                 }
             });
         }
@@ -80,10 +78,10 @@ fn pool_reuse_across_edge_and_cell_plans_is_race_free() {
         // cell plan: direct per-cell write
         let mut cells = vec![0u8; mesh.n_cells()];
         {
-            let shared = SharedDat::new(&mut cells);
+            let shared = DatRef::flat_mut(&mut cells);
             pool.colored_blocks(&cell_plan, 0, |_b, range| {
                 for c in range.start as usize..range.end as usize {
-                    unsafe { shared.slice_mut(c, 1)[0] += 1 };
+                    shared.add_row(c, &[1]);
                 }
             });
         }
@@ -161,14 +159,12 @@ fn pool_lifecycle_churn() {
         let pool = ExecPool::new(3);
         let mut acc = vec![0.0f64; mesh.n_cells()];
         {
-            let shared = SharedDat::new(&mut acc);
+            let shared = DatRef::flat_mut(&mut acc);
             pool.colored_blocks(&plan, 0, |_b, range| {
                 for e in range.start as usize..range.end as usize {
                     let c = mesh.edge2cell.row(e);
-                    unsafe {
-                        shared.slice_mut(c[0] as usize, 1)[0] += 1.0;
-                        shared.slice_mut(c[1] as usize, 1)[0] += 1.0;
-                    }
+                    shared.add_row(c[0] as usize, &[1.0]);
+                    shared.add_row(c[1] as usize, &[1.0]);
                 }
             });
         }

@@ -15,7 +15,7 @@
 use std::cell::RefCell;
 
 use proptest::prelude::*;
-use ump_core::{simd_block_sweep, Access, ArgInfo, ExecPool, LoopProfile, PlanCache, SharedDat};
+use ump_core::{simd_block_sweep, Access, ArgInfo, DatRef, ExecPool, LoopProfile, PlanCache};
 use ump_lazy::{Chain, LoopDesc, Shape};
 use ump_mesh::generators::perturbed_quads;
 use ump_simd::{split_sweep, Aos, DatView, IdxVec, VecR};
@@ -133,11 +133,10 @@ proptest! {
             let mut a = vec![0.0f64; ne];
             let mut acc = vec![0.0f64; nc];
             let mut acc4 = vec![0.0f64; nc * 4];
-            let view4 = DatView::new(nc, 4, Aos);
             {
-                let av = SharedDat::new(&mut a);
-                let accv = SharedDat::new(&mut acc);
-                let acc4v = SharedDat::new(&mut acc4);
+                let av = DatRef::flat_mut(&mut a);
+                let accv = DatRef::flat_mut(&mut acc);
+                let acc4v = DatRef::new_mut(&mut acc4, DatView::new(nc, 4, Aos));
                 let desc = |name: &str, n: usize, args: Vec<ArgInfo>| {
                     LoopDesc::new(
                         LoopProfile {
@@ -152,25 +151,22 @@ proptest! {
                     )
                 };
                 let mut chain = Chain::new("prop_simd");
+                chain.register_map(&mesh.edge2cell);
+                chain.record_simd(
+                    desc("fill", ne, vec![ArgInfo::direct("a", 1, Access::Write)]),
+                    L,
+                    move |r| {
+                        for e in r {
+                            av.store_row(e, &[(e % 11 + 1) as f64]);
+                        }
+                    },
+                    move |cs| {
+                        let v = VecR::<f64, L>::from_fn(|k| ((cs + k) % 11 + 1) as f64);
+                        av.storev(v, cs, 0);
+                    },
+                );
                 {
-                    let av = &av;
-                    chain.record_simd(
-                        desc("fill", ne, vec![ArgInfo::direct("a", 1, Access::Write)]),
-                        vec![],
-                        L,
-                        move |r| {
-                            for e in r {
-                                unsafe { av.slice_mut(e, 1)[0] = (e % 11 + 1) as f64 };
-                            }
-                        },
-                        move |cs| unsafe {
-                            let d = av.slice_mut(0, av.len());
-                            VecR::<f64, L>::from_fn(|k| ((cs + k) % 11 + 1) as f64).store(d, cs);
-                        },
-                    );
-                }
-                {
-                    let (av, accv, acc4v, m) = (&av, &accv, &acc4v, mesh);
+                    let m = mesh;
                     chain.record_simd_two_phase(
                         desc(
                             "scatter",
@@ -183,38 +179,33 @@ proptest! {
                                 ArgInfo::indirect("acc4", 4, Access::Inc, "edge2cell", 1),
                             ],
                         ),
-                        vec![&m.edge2cell],
                         L,
                         move |e| {
                             let c = m.edge2cell.row(e);
-                            let v = unsafe { av.slice(e, 1)[0] };
+                            let [v] = av.load_row(e);
                             (c[0] as usize, c[1] as usize, v)
                         },
-                        move |_e, inc| unsafe {
+                        move |_e, inc| {
                             let (c0, c1, v) = *inc;
-                            accv.slice_mut(c0, 1)[0] += 3.0 * v;
-                            accv.slice_mut(c1, 1)[0] -= v;
+                            accv.add_row(c0, &[3.0 * v]);
+                            accv.add_row(c1, &[-v]);
                             let (r0, r1) = rows(v);
-                            let acc4d = acc4v.slice_mut(0, acc4v.len());
-                            view4.add_row(acc4d, c0, &r0);
-                            view4.add_row(acc4d, c1, &r1);
+                            acc4v.add_row(c0, &r0);
+                            acc4v.add_row(c1, &r1);
                         },
-                        move |es| unsafe {
+                        move |es| {
                             // lane gather of a, serialized lane scatter
                             // into acc — the fused-SIMD indirect shape
-                            let ad = av.slice(0, av.len());
-                            let accd = accv.slice_mut(0, accv.len());
                             let e2c = &m.edge2cell.data;
                             let c0 = IdxVec::<L>::load_strided(e2c, es * 2, 2);
                             let c1 = IdxVec::<L>::load_strided(e2c, es * 2 + 1, 2);
-                            let v = VecR::<f64, L>::load(ad, es);
-                            (v * 3.0).scatter_add_serial(accd, c0, 1, 0);
-                            (-v).scatter_add_serial(accd, c1, 1, 0);
+                            let v = av.loadv::<L>(es, 0);
+                            accv.scatter_add_serialv(v * 3.0, c0, 0);
+                            accv.scatter_add_serialv(-v, c1, 0);
                             // the dim-4 rows, `c0`'s then `c1`'s per lane
                             let r0 = [v * 3.0, v / 3.0, v * 0.1, v];
                             let r1 = [-v, v / 7.0, -(v / 9.0), -v];
-                            let acc4d = acc4v.slice_mut(0, acc4v.len());
-                            view4.scatter_add_rows_serial([(&r0, c0), (&r1, c1)], acc4d);
+                            acc4v.scatter_add_rows_serial([(&r0, c0), (&r1, c1)]);
                         },
                     );
                 }

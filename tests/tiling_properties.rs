@@ -14,8 +14,8 @@
 //! rounds < N × fused rounds).
 
 use proptest::prelude::*;
-use ump_apps::{airfoil, run_tiled_report_on, volna, Simulation};
-use ump_core::{Access, ArgInfo, ExecPool, LoopProfile, PlanCache};
+use ump_apps::{airfoil, run_tiled_on, run_tiled_report_on, volna, Simulation};
+use ump_core::{Access, ArgInfo, DatRef, ExecPool, Layout, LoopProfile, PlanCache};
 use ump_lazy::{Chain, Fusion, LoopDesc, Shape, TileCache, TileReport, TiledChain};
 use ump_mesh::MapTable;
 
@@ -205,8 +205,8 @@ fn run_tiled_path(
     tiled.register_set("cells", n_cells);
     tiled.register_set("edges", n_edges);
     tiled.register_map(map);
-    tiled.register_dat("u", "cells", 1, u);
-    tiled.register_dat("f", "edges", 1, f);
+    tiled.register_dat("u", "cells", DatRef::flat_mut(u));
+    tiled.register_dat("f", "edges", DatRef::flat_mut(f));
     let gather = desc(
         "gather",
         "edges",
@@ -229,16 +229,22 @@ fn run_tiled_path(
     );
     tiled.execute(
         |dats| {
-            let [u, f] = &dats[..] else { panic!("[u, f]") };
+            let &[u, f] = &dats[..] else { panic!("[u, f]") };
             let mut chain = Chain::new("path");
+            chain.register_map(map);
             for _ in 0..steps {
-                chain.record(gather.clone(), vec![], move |e| unsafe {
-                    f.slice_mut(e, 1)[0] = u.slice(e, 1)[0] + u.slice(e + 1, 1)[0];
+                chain.record_blocks(gather.clone(), move |_b, range| {
+                    for e in range.start as usize..range.end as usize {
+                        let ([a], [b]) = (u.load_row(e), u.load_row(e + 1));
+                        f.store_row(e, &[a + b]);
+                    }
                 });
-                chain.record(scatter.clone(), vec![map], move |e| unsafe {
-                    let v = f.slice(e, 1)[0];
-                    u.slice_mut(e, 1)[0] += v;
-                    u.slice_mut(e + 1, 1)[0] += v;
+                chain.record_blocks(scatter.clone(), move |_b, range| {
+                    for e in range.start as usize..range.end as usize {
+                        let v = f.load_row::<1>(e);
+                        u.add_row(e, &v);
+                        u.add_row(e + 1, &v);
+                    }
                 });
             }
             chain
@@ -533,6 +539,52 @@ fn tiled_vector_bodies_match_fused() {
             "volna tile={tile} vs fused"
         );
     }
+}
+
+/// Tiles run in the state's layout: their shadows are stored like the
+/// state, and copy-in and write-back move SoA rows one range per
+/// component. A SoA state tiled with scalar bodies ends bit-identical to
+/// the same run on AoS, state and history, on both apps, and stays SoA.
+/// With 4-lane bodies the SoA row scatter lands a chunk's two targets
+/// target by target instead of lane by lane
+/// (`DatRef::scatter_add_rows_serial`), as every SoA vector row does:
+/// the same sums up to reassociation.
+#[test]
+fn tiled_soa_state_matches_the_aos_run() {
+    fn run<S: Simulation<R = f64>, const L: usize>(mut sim: S, layout: Layout) -> Vec<Vec<f64>> {
+        sim.set_layout(layout);
+        let pool = ExecPool::new(TEAM);
+        let hist = run_tiled_on::<f64, L>(&mut sim, &pool, 0, 3, 96, 32, None);
+        assert_eq!(sim.layout(), layout, "{} stays {}", S::NAME, layout.name());
+        sim.set_layout(Layout::Aos);
+        let mut out: Vec<Vec<f64>> = sim.evolving().iter().map(|d| d.data.clone()).collect();
+        out.push(hist);
+        out
+    }
+    fn check<S: Simulation<R = f64>>(fresh: impl Fn() -> S) {
+        let (aos, soa) = (
+            run::<S, 1>(fresh(), Layout::Aos),
+            run::<S, 1>(fresh(), Layout::Soa),
+        );
+        for (i, (a, s)) in aos.iter().zip(&soa).enumerate() {
+            assert_eq!(bits(a), bits(s), "{} L=1 dat {i}", S::NAME);
+        }
+        let (aos, soa) = (
+            run::<S, 4>(fresh(), Layout::Aos),
+            run::<S, 4>(fresh(), Layout::Soa),
+        );
+        for (i, (a, s)) in aos.iter().zip(&soa).enumerate() {
+            for (x, y) in a.iter().zip(s) {
+                assert!(
+                    (x - y).abs() <= 1e-12 * (1.0 + x.abs()),
+                    "{} L=4 dat {i}",
+                    S::NAME
+                );
+            }
+        }
+    }
+    check(|| airfoil::Airfoil::<f64>::seeded(20, 12, 3));
+    check(|| volna::Volna::<f64>::seeded(20, 12, 3));
 }
 
 // ---------------------------------------------------------------------------
