@@ -374,7 +374,9 @@ impl<R: Real> Simulation for Airfoil<R> {
         let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n);
 
         let mut chain = Chain::new("airfoil_step");
-        chain.register_map(&mesh.edge2cell);
+        chain
+            .register_map(&mesh.edge2cell)
+            .register_map(&mesh.bedge2cell);
         for step in 0..steps {
             chain.record_simd(
                 desc("save_soln", nc),

@@ -87,6 +87,10 @@ pub trait Simulation: Send + Sync + Sized + 'static {
     /// [`slots`](Simulation::slots) says). Every body reaches every dat
     /// through a [`DatRef`]: those handles, and [`OpDat::read_as`] for
     /// the inputs, which panics on an input stored in another layout.
+    /// The bodies keep a recording's side of the handles' shared-write
+    /// contract, which the caller took on in building `evolving` and
+    /// `slots`: each writes only its element's rows, or the rows its
+    /// loop's written maps reach.
     /// Airfoil's `L`-lane bodies take the same handles under the runtime
     /// layout ([`DatRef::load_rows`] says why). A rank's [`RankHalo`]
     /// adds the hooks of paper Fig. 2b's `op_mpi_halo_exchanges` around
@@ -265,8 +269,15 @@ pub(crate) fn recorded_step<S: Simulation, A: Addressing + Default, const L: usi
     // the grouping
     let mut slots = S::slots(&sweep, 1);
     {
-        let evolving: Vec<_> = evolving.into_iter().map(|d| d.write_as::<A>()).collect();
-        let slots = DatRef::flat_mut(&mut slots);
+        // SAFETY: `record_steps` keeps a recording's side of the
+        // shared-write contract, `exec.execute` the executor's; the
+        // handles end with this block
+        let (evolving, slots): (Vec<_>, _) = unsafe {
+            (
+                evolving.into_iter().map(|d| d.write_as::<A>()).collect(),
+                DatRef::flat_mut(&mut slots),
+            )
+        };
         let chain = S::record_steps::<A, L>(&inputs, &sweep, &evolving, slots, 1, halo);
         let policy = halo.map_or(ExchangePolicy::Overlap, |h| h.policy);
         exec.execute(
@@ -375,16 +386,23 @@ fn tiled_steps<S: Simulation, A: Addressing + Default, const L: usize>(
     let mut slots = S::slots(&sweep, steps);
     let report;
     {
-        let slots = DatRef::flat_mut(&mut slots);
+        let names: Vec<String> = evolving.iter().map(|d| d.name.clone()).collect();
+        // SAFETY: `record_steps` keeps a recording's side of the
+        // shared-write contract, the tiled executor the other; the
+        // handles end with this block
+        let (evolving, slots): (Vec<_>, _) = unsafe {
+            (
+                evolving.into_iter().map(|d| d.write_as::<A>()).collect(),
+                DatRef::flat_mut(&mut slots),
+            )
+        };
         let mut tiled = TiledChain::<_, A>::new(format!("{}_tiled", S::NAME));
         tiled.register_set("cells", mesh.n_cells());
         tiled.register_set("edges", mesh.n_edges());
         tiled.register_set("bedges", mesh.n_bedges());
-        tiled.register_map(&mesh.edge2cell);
-        tiled.register_map(&mesh.bedge2cell);
-        for (i, d) in evolving.into_iter().enumerate() {
+        for (i, (&d, name)) in evolving.iter().zip(names).enumerate() {
             let set = if i < S::CELL_DATS { "cells" } else { "edges" };
-            tiled.register_dat(d.name.clone(), set, d.write_as());
+            tiled.register_dat(name, set, d);
         }
         report = tiled.execute(
             |dats| S::record_steps::<A, L>(&inputs, &sweep, dats, slots, steps, None),

@@ -411,7 +411,9 @@ impl<R: Real> Simulation for Volna<R> {
         let desc = |name: &str, n: usize| LoopDesc::new(profile(name), n);
 
         let mut chain = Chain::new("volna_step");
-        chain.register_map(&mesh.edge2cell);
+        chain
+            .register_map(&mesh.edge2cell)
+            .register_map(&mesh.bedge2cell);
         for step in 0..steps {
             if let Some(h) = halo {
                 // refresh w ghosts for phase 0: posted before sim_1 so the

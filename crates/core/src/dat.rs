@@ -143,9 +143,14 @@ impl<R: Real> OpDat<R> {
     }
 
     /// [`read_as`](OpDat::read_as), writable.
-    pub fn write_as<A: Addressing + Default>(&mut self) -> DatRef<'_, R, Writable, A> {
+    ///
+    /// # Safety
+    /// As for [`DatRef::new_mut`]: the caller keeps the handle's
+    /// shared-write contract for every copy of it.
+    pub unsafe fn write_as<A: Addressing + Default>(&mut self) -> DatRef<'_, R, Writable, A> {
         let view = self.view_as();
-        DatRef::new_mut(&mut self.data, view)
+        // SAFETY: the caller takes the contract on
+        unsafe { DatRef::new_mut(&mut self.data, view) }
     }
 
     fn view_as<A: Addressing + Default>(&self) -> DatView<A> {

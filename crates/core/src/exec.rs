@@ -74,7 +74,8 @@ mod tests {
     #[test]
     fn shared_dat_disjoint_writes() {
         let mut data = vec![0.0f64; 100];
-        let shared = DatRef::flat_mut(&mut data);
+        // SAFETY: the two threads store disjoint halves
+        let shared = unsafe { DatRef::flat_mut(&mut data) };
         std::thread::scope(|s| {
             s.spawn(move || (0..50).for_each(|e| shared.store_row(e, &[1.0])));
             s.spawn(move || (50..100).for_each(|e| shared.store_row(e, &[2.0])));
@@ -102,7 +103,8 @@ mod tests {
         }
 
         let mut out = vec![0.0f64; m.n_cells()];
-        let shared = DatRef::flat_mut(&mut out);
+        // SAFETY: blocks that add to a common cell get different colors
+        let shared = unsafe { DatRef::flat_mut(&mut out) };
         let e2c = &m.edge2cell;
         ExecPool::new(4).colored_blocks(&plan, 0, |_b, range| {
             for e in range {
@@ -121,7 +123,8 @@ mod tests {
         let plan = TwoLevelPlan::build(&inputs);
         let run = |threads: usize| {
             let mut out = vec![0.0f64; m.n_cells()];
-            let shared = DatRef::flat_mut(&mut out);
+            // SAFETY: blocks that add to a common cell get different colors
+            let shared = unsafe { DatRef::flat_mut(&mut out) };
             ExecPool::new(threads).colored_blocks(&plan, 0, |_b, range| {
                 for e in range {
                     let c = m.edge2cell.row(e as usize);

@@ -731,7 +731,8 @@ mod tests {
 
         let pool = ExecPool::new(4);
         let mut out = vec![0.0f64; m.n_cells()];
-        let shared = DatRef::flat_mut(&mut out);
+        // SAFETY: blocks that add to a common row get different colors
+        let shared = unsafe { DatRef::flat_mut(&mut out) };
         pool.colored_blocks(&plan, 0, |_b, range| {
             for e in range {
                 let c = m.edge2cell.row(e as usize);
@@ -773,7 +774,8 @@ mod tests {
         let pool = ExecPool::new(4);
         let r0 = pool.dispatch_rounds();
         let mut out = vec![0.0f64; m.n_cells()];
-        let shared = DatRef::flat_mut(&mut out);
+        // SAFETY: blocks that add to a common row get different colors
+        let shared = unsafe { DatRef::flat_mut(&mut out) };
         let body = |_b: usize, range: Range<u32>| {
             for e in range {
                 let c = m.edge2cell.row(e as usize);
@@ -943,7 +945,8 @@ mod tests {
 
         let pool = ExecPool::new(2);
         let mut out = vec![0.0f64; m.n_cells()];
-        let shared = DatRef::flat_mut(&mut out);
+        // SAFETY: blocks that add to a common row get different colors
+        let shared = unsafe { DatRef::flat_mut(&mut out) };
         let e2c = &m.edge2cell;
         pool.colored_blocks(&plan, 0, |b, range| {
             simt_block_sweep(

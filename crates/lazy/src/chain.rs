@@ -19,10 +19,12 @@
 //! # The shared-write contract
 //!
 //! Bodies run concurrently on pool threads and reach the loop's dats
-//! through [`DatRef`](ump_core::DatRef) handles, whose write accessors
-//! are safe because a recording and this executor together keep one
-//! contract, stated once on that type: no value is written by one body
-//! while another body running at the same time reads or writes it. A
+//! through [`DatRef`](ump_core::DatRef) handles. Their write accessors
+//! are safe because building a writable handle is `unsafe`: whoever
+//! builds the handles a recording captures takes on the contract stated
+//! once on that type, that no value is written by one body while
+//! another body running at the same time reads or writes it, and a
+//! recording and this executor keep it between them. A
 //! recording honors what the plans are colored for: a **direct** body
 //! writes only its own element's rows (a vector body only rows `cs..cs +
 //! lanes`) — blocks are disjoint element ranges, so concurrent blocks
@@ -192,7 +194,10 @@ impl<'a> Chain<'a> {
 
     /// Declare an indirection map. Every map a pooled loop's descriptor
     /// writes through must be registered before the loop is recorded:
-    /// the loop's plan is colored by those maps.
+    /// the loop's plan is colored by those maps. A tiled execution
+    /// ([`TiledChain`](crate::TiledChain)) also walks its dependency cones
+    /// through the chain's maps, so every map that reaches an evolving
+    /// dat, read or written, belongs here.
     pub fn register_map(&mut self, map: &'a MapTable) -> &mut Self {
         assert!(
             self.maps.iter().all(|m| m.name != map.name),
@@ -206,6 +211,11 @@ impl<'a> Chain<'a> {
     /// Chain name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The registered maps, in registration order.
+    pub(crate) fn maps(&self) -> &[&'a MapTable] {
+        &self.maps
     }
 
     /// Number of recorded loops.
@@ -1024,8 +1034,9 @@ mod tests {
             let mut b = vec![0.0f64; n];
             let report;
             {
-                let av = DatRef::flat_mut(&mut a);
-                let bv = DatRef::flat_mut(&mut b);
+                // SAFETY: the bodies keep a recording's side of the shared-write contract
+                let av = unsafe { DatRef::flat_mut(&mut a) };
+                let bv = unsafe { DatRef::flat_mut(&mut b) };
                 let mut chain = Chain::new("direct");
                 {
                     let av = &av;
@@ -1120,9 +1131,10 @@ mod tests {
             let mut out = vec![0.0f64; ne];
             let report;
             {
-                let av = DatRef::flat_mut(&mut a);
-                let accv = DatRef::flat_mut(&mut acc);
-                let outv = DatRef::flat_mut(&mut out);
+                // SAFETY: the bodies keep a recording's side of the shared-write contract
+                let av = unsafe { DatRef::flat_mut(&mut a) };
+                let accv = unsafe { DatRef::flat_mut(&mut acc) };
+                let outv = unsafe { DatRef::flat_mut(&mut out) };
                 let mut chain = Chain::new("indirect");
                 chain.register_map(&m.edge2cell);
                 {
@@ -1205,9 +1217,10 @@ mod tests {
         let mut consumed = vec![0.0f64; 1];
         let report;
         {
-            let pv = DatRef::flat_mut(&mut partial);
-            let tv = DatRef::flat_mut(&mut total);
-            let cv = DatRef::flat_mut(&mut consumed);
+            // SAFETY: the bodies keep a recording's side of the shared-write contract
+            let pv = unsafe { DatRef::flat_mut(&mut partial) };
+            let tv = unsafe { DatRef::flat_mut(&mut total) };
+            let cv = unsafe { DatRef::flat_mut(&mut consumed) };
             let mut chain = Chain::new("reduce");
             {
                 let pv = &pv;
@@ -1290,8 +1303,9 @@ mod tests {
             let mut a = vec![0.0f64; ne];
             let mut acc = vec![0.0f64; nc];
             {
-                let av = DatRef::flat_mut(&mut a);
-                let accv = DatRef::flat_mut(&mut acc);
+                // SAFETY: the bodies keep a recording's side of the shared-write contract
+                let av = unsafe { DatRef::flat_mut(&mut a) };
+                let accv = unsafe { DatRef::flat_mut(&mut acc) };
                 let mut chain = Chain::new("simd");
                 chain.register_map(&m.edge2cell);
                 {
@@ -1371,7 +1385,8 @@ mod tests {
         let pool = ExecPool::new(1);
         let cache = PlanCache::new();
         let mut a = vec![0.0f64; n];
-        let av = DatRef::flat_mut(&mut a);
+        // SAFETY: the bodies keep a recording's side of the shared-write contract
+        let av = unsafe { DatRef::flat_mut(&mut a) };
         let mut chain = Chain::new("mismatch");
         {
             let av = &av;
@@ -1554,7 +1569,8 @@ mod tests {
             let cache = PlanCache::new();
             let mut acc = vec![0.0f64; nc];
             {
-                let accv = DatRef::flat_mut(&mut acc);
+                // SAFETY: the bodies keep a recording's side of the shared-write contract
+                let accv = unsafe { DatRef::flat_mut(&mut acc) };
                 let mut chain = Chain::new("bits");
                 chain.register_map(&m.edge2cell);
                 chain.record_exchange("halo[acc]", || {}, || {});
@@ -1614,7 +1630,8 @@ mod tests {
         let pool = ExecPool::new(2);
         let cache = PlanCache::new();
         let mut a = vec![0.0f64; n];
-        let av = DatRef::flat_mut(&mut a);
+        // SAFETY: the bodies keep a recording's side of the shared-write contract
+        let av = unsafe { DatRef::flat_mut(&mut a) };
         let mut chain = Chain::new("stats");
         {
             let av = &av;

@@ -142,7 +142,8 @@
 //! let mut data = vec![0.0f64; 100];
 //! let report;
 //! {
-//!     let a = DatRef::flat_mut(&mut data);
+//!     // SAFETY: each body writes only its own block's elements
+//!     let a = unsafe { DatRef::flat_mut(&mut data) };
 //!     let mut chain = Chain::new("example");
 //!     chain.record_blocks(
 //!         desc("fill", vec![ArgInfo::direct("a", 1, Access::Write)]),

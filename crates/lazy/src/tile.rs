@@ -16,8 +16,9 @@
 //! shared-memory path runs — there is no tiled copy of a loop body. The
 //! pieces:
 //!
-//! * [`TiledChain`] — the cone walk's inputs: the sets, maps and
-//!   *evolving* dats (anything some recorded loop writes). A recording
+//! * [`TiledChain`] — the cone walk's inputs besides the recording
+//!   (whose [`Chain`] holds the maps): the sets and the *evolving* dats
+//!   (anything some recorded loop writes). A recording
 //!   reaches the evolving dats only through the [`TileDats`] it is
 //!   given, so the executor can hand each tile its private shadow copies
 //!   instead; read-only data (coordinates, geometry, maps) is captured
@@ -74,7 +75,7 @@ use std::time::Instant;
 use ump_core::{
     Access, Addressing, ArgInfo, DatRef, ExecPool, FusionStats, Indirection, Recorder, Writable,
 };
-use ump_mesh::{Csr, MapTable};
+use ump_mesh::Csr;
 
 use crate::chain::{Chain, Shape};
 use crate::desc::{global_barrier, LoopDesc};
@@ -211,16 +212,16 @@ impl<'s, T, A> Deref for TileDats<'s, '_, T, A> {
     }
 }
 
-/// Cross-timestep tiling of a recorded [`Chain`]: the sets, maps and
+/// Cross-timestep tiling of a recorded [`Chain`]: the sets and
 /// *evolving* dats (the ones some loop writes) its cone walk needs,
-/// stored in the layout `A`. See the module docs for the execution
+/// stored in the layout `A`; the maps are the chain's own
+/// ([`Chain::register_map`]). See the module docs for the execution
 /// model; `crates/apps` tiles both applications' one recording through
 /// this (the `run_tiled[_on]` drivers), and the property-test harness
 /// tiles synthetic integer chains to pin bit-exactness.
 pub struct TiledChain<'a, T: Copy + Default + Send + Sync, A: Addressing> {
     name: String,
     sets: Vec<(String, usize)>,
-    maps: Vec<&'a MapTable>,
     /// Name, set and dim of each registered dat, in registration order.
     regs: Vec<(String, usize, usize)>,
     dats: Vec<DatRef<'a, T, Writable, A>>,
@@ -233,7 +234,6 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
         TiledChain {
             name: name.into(),
             sets: Vec::new(),
-            maps: Vec::new(),
             regs: Vec::new(),
             dats: Vec::new(),
         }
@@ -248,18 +248,6 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
             "set '{name}' registered twice"
         );
         self.sets.push((name, n));
-    }
-
-    /// Declare an indirection map. Required for every map an evolving
-    /// dat is reached through; maps used only for read-only data need
-    /// not be registered.
-    pub fn register_map(&mut self, map: &'a MapTable) {
-        assert!(
-            self.maps.iter().all(|m| m.name != map.name),
-            "map '{}' registered twice",
-            map.name
-        );
-        self.maps.push(map);
     }
 
     /// Declare an evolving dat (one some recorded loop writes) living on
@@ -303,7 +291,8 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
     }
 
     /// Resolve every loop of `chain`, a recording of `steps` equal
-    /// timesteps, against the registered sets, maps and dats.
+    /// timesteps, against the registered sets and dats and the chain's
+    /// maps.
     fn resolve(&self, chain: &Chain<'_>, steps: usize) -> Vec<TLoop> {
         let n = chain.len();
         assert!(
@@ -311,11 +300,12 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
             "{n} loops are not {steps} equal steps"
         );
         (0..n)
-            .map(|i| self.resolve_loop(chain.desc(i), i / (n / steps)))
+            .map(|i| self.resolve_loop(chain, chain.desc(i), i / (n / steps)))
             .collect()
     }
 
-    fn resolve_loop(&self, desc: &LoopDesc, step: usize) -> TLoop {
+    fn resolve_loop(&self, chain: &Chain<'_>, desc: &LoopDesc, step: usize) -> TLoop {
+        let maps = chain.maps();
         let set = self.set_index(&desc.profile.set);
         assert_eq!(
             self.sets[set].1, desc.n_elems,
@@ -330,21 +320,23 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
                 Indirection::Direct => (None, dat_index(&a.dat)),
                 Indirection::Indirect { map, .. } => {
                     let dat = dat_index(&a.dat);
-                    let m = self.maps.iter().position(|m| m.name == *map);
+                    let m = maps.iter().position(|m| m.name == *map);
                     if let Some(d) = dat {
                         let m = m.unwrap_or_else(|| {
                             panic!(
-                                "loop {}: map '{map}' reaches evolving dat '{}' but is not registered",
-                                desc.profile.name, a.dat
+                                "loop {}: map '{map}' reaches evolving dat '{}' but is not registered with chain {}",
+                                desc.profile.name,
+                                a.dat,
+                                chain.name()
                             )
                         });
                         assert_eq!(
-                            self.maps[m].from_size, desc.n_elems,
+                            maps[m].from_size, desc.n_elems,
                             "loop {}: map '{map}' from-size mismatch",
                             desc.profile.name
                         );
                         assert_eq!(
-                            self.maps[m].to_size, self.sets[self.regs[d].1].1,
+                            maps[m].to_size, self.sets[self.regs[d].1].1,
                             "loop {}: map '{map}' target-size mismatch with dat '{}'",
                             desc.profile.name, a.dat
                         );
@@ -431,7 +423,7 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
             .collect();
 
         // map inverses (target row -> source iterations), built once
-        let inv: Vec<Csr> = self.maps.iter().map(|m| m.invert()).collect();
+        let inv: Vec<Csr> = chain.maps().iter().map(|m| m.invert()).collect();
         let set_len = |d: usize| self.sets[self.regs[d].1].1;
 
         let mut executed_iters = 0usize;
@@ -476,7 +468,7 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
                     }
                     // one inverse image per map, of the union of the
                     // needs of every dat the loop writes through it
-                    let mut through: Vec<Option<RowSet>> = vec![None; self.maps.len()];
+                    let mut through: Vec<Option<RowSet>> = vec![None; inv.len()];
                     for a in l.args.iter().filter(|a| a.access.writes()) {
                         let Some(d) = a.dat else { continue };
                         let Some(nd) = &needed[d] else { continue };
@@ -507,14 +499,14 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
                     // become needed one loop earlier (Inc reads the
                     // prior value, so it needs its target rows too); one
                     // forward image per map, shared by every dat it reads
-                    let mut image: Vec<Option<RowSet>> = vec![None; self.maps.len()];
+                    let mut image: Vec<Option<RowSet>> = vec![None; inv.len()];
                     for a in l.args.iter().filter(|a| a.access.reads()) {
                         let Some(d) = a.dat else { continue };
                         let nd = needed[d].get_or_insert_with(|| RowSet::new(set_len(d)));
                         match a.map {
                             None => nd.or(&e),
                             Some(m) => nd.or(image[m].get_or_insert_with(|| {
-                                let map = self.maps[m];
+                                let map = chain.maps()[m];
                                 let mut img = RowSet::new(map.to_size);
                                 for it in e.iter() {
                                     for &r in map.row(it) {
@@ -614,8 +606,8 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
     ) -> TileKey {
         TileKey {
             sets: self.sets.clone(),
-            maps: self
-                .maps
+            maps: chain
+                .maps()
                 .iter()
                 .map(|m| (m.name.clone(), m.from_size, m.to_size, m.dim))
                 .collect(),
@@ -725,7 +717,9 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
         // worker-recycled full-size shadow sets: at most `team` live at
         // once, far fewer than one per tile
         let shadows = &cache.shadows;
-        let staging = DatRef::flat_mut(&mut cache.staging);
+        // SAFETY: tile t writes staging only at its own range base[t]..
+        // in round 1, and round 2 reads it after round 1's barrier
+        let staging = unsafe { DatRef::flat_mut(&mut cache.staging) };
         let mut rounds = 0usize;
 
         for ep in &sched.epochs {
@@ -774,7 +768,9 @@ impl<'a, T: Copy + Default + Send + Sync, A: Addressing> TiledChain<'a, T, A> {
                     let views: Vec<DatRef<'_, T, Writable, A>> = shadow
                         .iter_mut()
                         .zip(&self.dats)
-                        .map(|(s, d)| DatRef::new_mut(s, d.view()))
+                        // SAFETY: the shadow set is this task's own, and
+                        // `run_range` runs its bodies on this thread
+                        .map(|(s, d)| unsafe { DatRef::new_mut(s, d.view()) })
                         .collect();
                     let dats = TileDats {
                         dats: &views,

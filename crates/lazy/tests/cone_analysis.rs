@@ -81,9 +81,10 @@ fn path_tiling<'a>(
     let mut tiled = TiledChain::new("path");
     tiled.register_set("cells", map.to_size);
     tiled.register_set("edges", map.from_size);
-    tiled.register_map(map);
-    tiled.register_dat("u", "cells", DatRef::flat_mut(u));
-    tiled.register_dat("f", "edges", DatRef::flat_mut(f));
+    // SAFETY: the recorded bodies keep a recording's side of the
+    // shared-write contract, the tiled executor the other
+    tiled.register_dat("u", "cells", unsafe { DatRef::flat_mut(u) });
+    tiled.register_dat("f", "edges", unsafe { DatRef::flat_mut(f) });
     tiled
 }
 
@@ -259,7 +260,8 @@ fn global_reuse_cuts_epochs() {
     let map = path_edge2cell(8);
     let n_edges = map.from_size;
     let (mut f, mut dt) = (vec![0i64; n_edges], vec![0i64; 1]);
-    let (f, dt) = (DatRef::flat_mut(&mut f), DatRef::flat_mut(&mut dt));
+    // SAFETY: the bodies keep a recording's side of the shared-write contract
+    let (f, dt) = unsafe { (DatRef::flat_mut(&mut f), DatRef::flat_mut(&mut dt)) };
     let reduce = desc(
         "reduce",
         "edges",

@@ -203,7 +203,8 @@ impl DatView<Layout> {
         idx: IdxVec<L>,
         c: usize,
     ) {
-        DatRef::new_mut(data, *self).scatter_add_serialv(vals, idx, c)
+        // SAFETY: the handle lives for this one call on this thread
+        unsafe { DatRef::new_mut(data, *self) }.scatter_add_serialv(vals, idx, c)
     }
 
     /// Permute `data` from this view's layout into `to`, returning the
@@ -259,11 +260,15 @@ pub struct Writable;
 ///
 /// # The shared-write contract
 ///
-/// The write accessors are safe to call, as an `op_par_loop` kernel
-/// writes through its arguments without ceremony, because the executors
-/// of `ump_lazy` and a recording between them uphold what the handles
-/// rely on: *no value is written by one body while another body running
-/// at the same time reads or writes it*. A recording keeps its side:
+/// A writable handle is `Copy` and `Send`, so several threads may hold
+/// it at once; what keeps their accesses apart is one contract: *no
+/// value is written through a handle while another access running at
+/// the same time reads or writes it*. Building a writable handle
+/// ([`DatRef::new_mut`], [`DatRef::flat_mut`]) is `unsafe` because its
+/// caller takes the contract on for every copy of the handle; the write
+/// accessors are then safe to call, as an `op_par_loop` kernel writes
+/// through its arguments without ceremony. Under the executors of
+/// `ump_lazy` the contract splits in two. A recording keeps its side:
 /// a **direct** body writes only its own element's rows (a vector body
 /// only rows `cs..cs + lanes`), an **increment** body only the rows its
 /// element reaches through the loop's written maps, and a dat a group
@@ -274,7 +279,8 @@ pub struct Writable;
 /// happens-before the next round and before `execute` returns. Each
 /// `unsafe` block of this type relies on exactly that, plus the bounds
 /// check in front of it; nothing outside the type reaches the pointer
-/// except through the three `unsafe` slice methods.
+/// except through the three `unsafe` slice methods. A handle used by one
+/// thread at a time keeps the contract trivially, as `&mut [R]` would.
 ///
 /// Only the writable form has write methods, so a store through a handle
 /// built from `&[R]` does not compile:
@@ -324,7 +330,13 @@ impl<'d, R, A: Addressing> DatRef<'d, R, ReadOnly, A> {
 
 impl<'d, R, A: Addressing> DatRef<'d, R, Writable, A> {
     /// A writable handle of `data`, stored as `view` says.
-    pub fn new_mut(data: &'d mut [R], view: DatView<A>) -> DatRef<'d, R, Writable, A> {
+    ///
+    /// # Safety
+    /// The caller keeps the [shared-write contract](DatRef#the-shared-write-contract)
+    /// for the handle and every copy of it, for as long as any lives: no
+    /// value is written through one while another access running at the
+    /// same time reads or writes it.
+    pub unsafe fn new_mut(data: &'d mut [R], view: DatView<A>) -> DatRef<'d, R, Writable, A> {
         DatRef {
             ptr: data.as_mut_ptr(),
             len: data.len(),
@@ -349,9 +361,13 @@ impl<'d, R> DatRef<'d, R, Writable, Flat> {
     /// A writable handle of a plain array of values — reduction slots,
     /// or any buffer without rows: `data.len()` elements of one
     /// component.
-    pub fn flat_mut(data: &'d mut [R]) -> DatRef<'d, R, Writable, Flat> {
+    ///
+    /// # Safety
+    /// As for [`DatRef::new_mut`].
+    pub unsafe fn flat_mut(data: &'d mut [R]) -> DatRef<'d, R, Writable, Flat> {
         let n = data.len();
-        DatRef::new_mut(data, DatView::new(n, 1, Flat))
+        // SAFETY: the caller takes the contract on
+        unsafe { DatRef::new_mut(data, DatView::new(n, 1, Flat)) }
     }
 }
 
@@ -1020,6 +1036,12 @@ fn stride<const D: usize>(layout: impl Addressing) -> usize {
 mod tests {
     use super::*;
 
+    /// A writable handle that only this test's thread uses.
+    fn writable<R, A: Addressing>(data: &mut [R], view: DatView<A>) -> DatRef<'_, R, Writable, A> {
+        // SAFETY: one thread, which keeps the contract trivially
+        unsafe { DatRef::new_mut(data, view) }
+    }
+
     fn aos_data(n: usize, dim: usize) -> Vec<f64> {
         // value encodes (e, c) so permutation mistakes are visible
         let mut d = vec![0.0; n * dim];
@@ -1151,8 +1173,8 @@ mod tests {
         for e0 in 0..=n - L {
             let rows: [VecR<R, L>; K] = dat.load_rows(e0);
             let (mut by_rows, mut by_comp) = (data.clone(), data.clone());
-            DatRef::new_mut(&mut by_rows, view).store_rows(&vals, e0);
-            let comp = DatRef::new_mut(&mut by_comp, view);
+            writable(&mut by_rows, view).store_rows(&vals, e0);
+            let comp = writable(&mut by_comp, view);
             for c in 0..K {
                 let want: VecR<R, L> = VecR::from_fn(|l| data[view.idx(e0 + l, c)]);
                 assert_eq!(rows[c], want, "{tag} load e0={e0} c={c}");
@@ -1171,8 +1193,8 @@ mod tests {
             let idx = IdxVec::<L>::from_array(std::array::from_fn(|l| pat[l] as i32));
             let rows: [VecR<R, L>; K] = dat.gather_rows(idx);
             let (mut by_rows, mut by_comp) = (data.clone(), data.clone());
-            DatRef::new_mut(&mut by_rows, view).scatter_add_rows_serial([(&vals, idx)]);
-            let comp = DatRef::new_mut(&mut by_comp, view);
+            writable(&mut by_rows, view).scatter_add_rows_serial([(&vals, idx)]);
+            let comp = writable(&mut by_comp, view);
             for c in 0..K {
                 let want: VecR<R, L> = VecR::from_fn(|l| data[view.idx(pat[l], c)]);
                 assert_eq!(rows[c], want, "{tag} gather {pat:?} c={c}");
@@ -1231,14 +1253,14 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "{tag} load_row e={e}");
 
             let (mut got, mut want) = (data.clone(), data.clone());
-            DatRef::new_mut(&mut got, view).store_row(e, &row);
+            writable(&mut got, view).store_row(e, &row);
             for c in 0..D {
                 want[view.idx(e, c)] = row[c];
             }
             assert_eq!(bits(&got), bits(&want), "{tag} store_row e={e}");
 
             let (mut got, mut want) = (data.clone(), data.clone());
-            DatRef::new_mut(&mut got, view).add_row(e, &row);
+            writable(&mut got, view).add_row(e, &row);
             for c in 0..D {
                 let i = view.idx(e, c);
                 want[i] += row[c];
@@ -1248,7 +1270,7 @@ mod tests {
         // blocks of rows, the empty one past the last element included
         for (s, e) in [(0, n), (0, 7), (7, n), (5, 6), (n, n)] {
             let mut got = data.clone();
-            let out = DatRef::new_mut(&mut got, view);
+            let out = writable(&mut got, view);
             Block::with(s..e, |b| {
                 let (rows, block) = (dat.rows::<D>(b), out.rows_mut::<D>(b));
                 for (i, r) in b.iter().enumerate() {
@@ -1259,7 +1281,7 @@ mod tests {
                 }
             });
             let mut want = data.clone();
-            let w = DatRef::new_mut(&mut want, view);
+            let w = writable(&mut want, view);
             for el in s..e {
                 w.store_row(el, &row);
             }
@@ -1274,7 +1296,7 @@ mod tests {
                 assert_eq!(bits(&got[c].to_array()), bits(&want), "{tag} load_rows");
             }
             let (mut got, mut want) = (data.clone(), data.clone());
-            DatRef::new_mut(&mut got, view).store_rows(&vals, e0);
+            writable(&mut got, view).store_rows(&vals, e0);
             for l in 0..L {
                 for c in 0..D {
                     want[view.idx(e0 + l, c)] = vals[c].lane(l);
@@ -1292,7 +1314,7 @@ mod tests {
             assert_eq!(bits(&got[c].to_array()), bits(&want), "{tag} gather_rows");
         }
         let (mut got, mut want) = (data.clone(), data.clone());
-        DatRef::new_mut(&mut got, view).scatter_add_rows_serial([(&vals, idx)]);
+        writable(&mut got, view).scatter_add_rows_serial([(&vals, idx)]);
         for l in 0..L {
             for c in 0..D {
                 let i = view.idx(pat[l], c);
@@ -1333,7 +1355,7 @@ mod tests {
                 short.rows::<4>(b);
             })));
             let mut short = vec![0.0f64; 19];
-            let short = DatRef::new_mut(&mut short, view);
+            let short = writable(&mut short, view);
             assert!(panics(|| Block::with(0..1, |b| {
                 short.rows_mut::<4>(b);
             })));
@@ -1357,7 +1379,7 @@ mod tests {
     // would read or write past the end.
 
     fn soa(data: &mut [f64]) -> DatRef<'_, f64, Writable, Soa> {
-        DatRef::new_mut(data, DatView::new(6, 4, Soa))
+        writable(data, DatView::new(6, 4, Soa))
     }
 
     #[test]
@@ -1409,8 +1431,7 @@ mod tests {
         let v0 = [VecR::<f64, 4>::from_array([1.0, 1e16, 3.0, 1.0]); 2];
         let v1 = [VecR::<f64, 4>::from_array([-1e16, 1.0, 1.0, 2.0]); 2];
         let mut got = vec![1.0f64; 8];
-        DatRef::new_mut(&mut got, DatView::new(4, 2, Aos))
-            .scatter_add_rows_serial([(&v0, i0), (&v1, i1)]);
+        writable(&mut got, DatView::new(4, 2, Aos)).scatter_add_rows_serial([(&v0, i0), (&v1, i1)]);
         let mut want = vec![1.0f64; 8];
         for l in 0..4 {
             for (v, i) in [(&v0, i0), (&v1, i1)] {
@@ -1439,7 +1460,7 @@ mod tests {
             assert!(gathered.is_err(), "{layout:?} gather of {bad}");
             let scattered = catch_unwind(|| {
                 let mut d = data.clone();
-                DatRef::new_mut(&mut d, view)
+                writable(&mut d, view)
                     .scatter_add_rows_serial([(&[VecR::<f64, 4>::zero(); 4], idx)]);
             });
             assert!(scattered.is_err(), "{layout:?} scatter to {bad}");
@@ -1460,7 +1481,7 @@ mod tests {
         let (n, dim) = (7, 4);
         let layout = A::default();
         let mut data = vec![0.0f64; n * dim];
-        let dat = DatRef::new_mut(&mut data, DatView::new(n, dim, layout));
+        let dat = writable(&mut data, DatView::new(n, dim, layout));
         for e in 0..n {
             let row: [f64; 4] = std::array::from_fn(|c| (e * 10 + c) as f64);
             dat.store_row(e, &row);

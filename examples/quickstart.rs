@@ -48,7 +48,8 @@ fn main() {
     let pool = ExecPool::new(0);
     let mut threaded = vec![0.0f64; mesh.n_cells()];
     {
-        let shared = DatRef::flat_mut(&mut threaded);
+        // SAFETY: blocks that add to a common cell get different colors
+        let shared = unsafe { DatRef::flat_mut(&mut threaded) };
         pool.colored_blocks(&plan, 0, |_b, range| {
             for e in range.start as usize..range.end as usize {
                 let c = mesh.edge2cell.row(e);

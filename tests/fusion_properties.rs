@@ -172,9 +172,10 @@ fn run_fused(
     let (ne, nc) = (mesh.n_edges(), mesh.n_cells());
     let pool = ExecPool::new(3);
     let cache = PlanCache::new();
-    let av = DatRef::flat_mut(&mut s.a);
-    let bv = DatRef::flat_mut(&mut s.b);
-    let accv = DatRef::flat_mut(&mut s.acc);
+    // SAFETY: the bodies keep a recording's side of the shared-write contract
+    let av = unsafe { DatRef::flat_mut(&mut s.a) };
+    let bv = unsafe { DatRef::flat_mut(&mut s.b) };
+    let accv = unsafe { DatRef::flat_mut(&mut s.acc) };
     let mut chain = Chain::new("prop");
     chain.register_map(&mesh.edge2cell);
     for k in kinds {
@@ -256,9 +257,10 @@ fn run_recorded<const L: usize>(
     let (mut a, mut acc) = (vec![0.0f64; ne], vec![0.0f64; nc * 2]);
     let (mut sums, mut mins) = (vec![0.0f64; n_blocks], vec![f64::INFINITY; n_blocks]);
     {
-        let av = DatRef::flat_mut(&mut a);
-        let accv = DatRef::new_mut(&mut acc, DatView::new(nc, 2, Aos));
-        let (sumv, minv) = (DatRef::flat_mut(&mut sums), DatRef::flat_mut(&mut mins));
+        // SAFETY: the bodies keep a recording's side of the shared-write contract
+        let av = unsafe { DatRef::flat_mut(&mut a) };
+        let accv = unsafe { DatRef::new_mut(&mut acc, DatView::new(nc, 2, Aos)) };
+        let (sumv, minv) = unsafe { (DatRef::flat_mut(&mut sums), DatRef::flat_mut(&mut mins)) };
         let weight = DatRef::new(&weight, DatView::new(nc, 1, Aos));
         let mut chain = Chain::new("recorded");
         chain.register_map(&mesh.edge2cell);

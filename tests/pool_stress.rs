@@ -64,7 +64,8 @@ fn pool_reuse_across_edge_and_cell_plans_is_race_free() {
         // edge plan: two-sided colored increment
         let mut acc = vec![0.0f64; mesh.n_cells()];
         {
-            let shared = DatRef::flat_mut(&mut acc);
+            // SAFETY: blocks that add to a common row get different colors
+            let shared = unsafe { DatRef::flat_mut(&mut acc) };
             pool.colored_blocks(&edge_plan, 0, |_b, range| {
                 for e in range.start as usize..range.end as usize {
                     let c = mesh.edge2cell.row(e);
@@ -78,7 +79,8 @@ fn pool_reuse_across_edge_and_cell_plans_is_race_free() {
         // cell plan: direct per-cell write
         let mut cells = vec![0u8; mesh.n_cells()];
         {
-            let shared = DatRef::flat_mut(&mut cells);
+            // SAFETY: blocks that add to a common row get different colors
+            let shared = unsafe { DatRef::flat_mut(&mut cells) };
             pool.colored_blocks(&cell_plan, 0, |_b, range| {
                 for c in range.start as usize..range.end as usize {
                     shared.add_row(c, &[1]);
@@ -159,7 +161,8 @@ fn pool_lifecycle_churn() {
         let pool = ExecPool::new(3);
         let mut acc = vec![0.0f64; mesh.n_cells()];
         {
-            let shared = DatRef::flat_mut(&mut acc);
+            // SAFETY: blocks that add to a common row get different colors
+            let shared = unsafe { DatRef::flat_mut(&mut acc) };
             pool.colored_blocks(&plan, 0, |_b, range| {
                 for e in range.start as usize..range.end as usize {
                     let c = mesh.edge2cell.row(e);

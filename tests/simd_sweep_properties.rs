@@ -134,9 +134,10 @@ proptest! {
             let mut acc = vec![0.0f64; nc];
             let mut acc4 = vec![0.0f64; nc * 4];
             {
-                let av = DatRef::flat_mut(&mut a);
-                let accv = DatRef::flat_mut(&mut acc);
-                let acc4v = DatRef::new_mut(&mut acc4, DatView::new(nc, 4, Aos));
+                // SAFETY: the bodies keep a recording's side of the shared-write contract
+                let av = unsafe { DatRef::flat_mut(&mut a) };
+                let accv = unsafe { DatRef::flat_mut(&mut acc) };
+                let acc4v = unsafe { DatRef::new_mut(&mut acc4, DatView::new(nc, 4, Aos)) };
                 let desc = |name: &str, n: usize, args: Vec<ArgInfo>| {
                     LoopDesc::new(
                         LoopProfile {

@@ -204,9 +204,10 @@ fn run_tiled_path(
     let mut tiled = TiledChain::new("path");
     tiled.register_set("cells", n_cells);
     tiled.register_set("edges", n_edges);
-    tiled.register_map(map);
-    tiled.register_dat("u", "cells", DatRef::flat_mut(u));
-    tiled.register_dat("f", "edges", DatRef::flat_mut(f));
+    // SAFETY: the recorded bodies keep a recording's side of the
+    // shared-write contract, the tiled executor the other
+    tiled.register_dat("u", "cells", unsafe { DatRef::flat_mut(u) });
+    tiled.register_dat("f", "edges", unsafe { DatRef::flat_mut(f) });
     let gather = desc(
         "gather",
         "edges",
