@@ -22,12 +22,13 @@
 //! colored blocks, explicit SIMD with gather/scatter and the three-sweep
 //! structure, the SIMT emulation — loop by loop or fused — are the
 //! [`Shape`] and [`Fusion`] it is executed under ([`step_chain`]), and
-//! cross-timestep tiling runs its bodies tile by tile ([`run_tiled_on`],
-//! through [`ump_lazy::TiledChain`]); [`step_on`] dispatches a registry
-//! row to them. The message-passing backend declares nothing of its
-//! own either: a rank is the app's own [`Simulation`] state built on its
-//! mesh piece ([`Simulation::on_rank`], held by a [`dist::Rank`]), it
-//! executes the one recording with its halo hooks on
+//! [`step_on`] dispatches a registry row to them. Cross-timestep tiling
+//! is not a row: [`run_tiled_on`] records N steps and runs their bodies
+//! tile by tile (through [`ump_lazy::TiledChain`]), keeping its tiles
+//! across the steps of one call. The message-passing backend declares
+//! nothing of its own either: a rank is the app's own [`Simulation`]
+//! state built on its mesh piece ([`Simulation::on_rank`], held by a
+//! [`dist::Rank`]), it executes the one recording with its halo hooks on
 //! ([`dist::Rank::step_fused_chain`]), and [`dist`] drives any
 //! [`Simulation`] end to end (halo exchanges, redundant exec-halo
 //! execution, checkpoints, assembly).
@@ -49,10 +50,6 @@ pub use simulation::{
 
 use ump_core::{Backend, ExecPool, PlanCache, Recorder, DISPATCH_SIMT_WIDTH};
 use ump_lazy::{Chain, ExchangePolicy, Fusion, Shape};
-
-/// Default anchor-blocks-per-tile of the registry dispatcher's tiled
-/// arms: `tile_cells = DISPATCH_TILE_BLOCKS × block_size`.
-pub const DISPATCH_TILE_BLOCKS: usize = 4;
 
 /// `f()`, timed as one invocation of kernel `name` when a recorder is
 /// attached. Kernel names are unique across the two applications, so
@@ -98,11 +95,11 @@ pub(crate) struct ChainExec {
     pub calling_thread: bool,
 }
 
-/// The execution of `backend`'s row; `None` for the rows that execute
-/// no chain recording (`seq`, `tiled*`).
+/// The execution of `backend`'s row; `None` for the row that executes
+/// no chain recording (`seq`).
 pub(crate) fn chain_exec(backend: Backend) -> Option<ChainExec> {
     let shape = match backend {
-        Backend::Seq | Backend::Tiled | Backend::TiledSimd { .. } => return None,
+        Backend::Seq => return None,
         Backend::Threaded | Backend::Fused => Shape::Threaded,
         Backend::Simt | Backend::FusedSimt => Shape::Simt {
             width: DISPATCH_SIMT_WIDTH,

@@ -25,7 +25,7 @@ use ump_mesh::Mesh2d;
 use ump_simd::Real;
 
 use crate::dist::RankHalo;
-use crate::{chain_exec, ChainExec, DISPATCH_TILE_BLOCKS};
+use crate::{chain_exec, ChainExec};
 
 /// One of the paper's applications as the executors around its
 /// recording see it. [`Airfoil`](crate::airfoil::Airfoil) and
@@ -452,11 +452,12 @@ fn in_aos<S: Simulation, T>(sim: &mut S, f: impl FnOnce(&mut S) -> T) -> T {
 /// dispatched to the const instantiations the registry lists (L = 4 and
 /// 8) and panic, naming the backend, for any other width.
 ///
-/// The recorded chain executes natively in any layout, tiled or not;
-/// the oracle, AoS by definition, runs on AoS rows converted around the
-/// step. Distributed steps are not a
-/// row: they run through [`crate::dist::run_mpi_fused`], whose ranks
-/// persist across steps.
+/// The recorded chain executes natively in any layout; the oracle, AoS
+/// by definition, runs on AoS rows converted around the step.
+/// Distributed steps and cross-timestep tiling are not rows: they run
+/// through [`crate::dist::run_mpi_fused`], whose ranks persist across
+/// steps, and [`run_tiled_on`], whose tiles persist across the steps of
+/// one call.
 pub fn step_on<S: Simulation>(
     backend: Backend,
     sim: &mut S,
@@ -467,22 +468,7 @@ pub fn step_on<S: Simulation>(
     rec: Option<&Recorder>,
 ) -> f64 {
     let Some(exec) = chain_exec(backend) else {
-        let tile_cells = DISPATCH_TILE_BLOCKS * block_size;
-        return match backend {
-            Backend::Seq => in_aos(sim, |sim| sim.step_seq(rec)),
-            // the tiled executor over a 1-step recording; multi-step
-            // harnesses call `run_tiled_on` directly
-            Backend::Tiled => {
-                run_tiled_on::<S::R, 1>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-            }
-            Backend::TiledSimd { lanes: 4 } => {
-                run_tiled_on::<S::R, 4>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-            }
-            Backend::TiledSimd { lanes: 8 } => {
-                run_tiled_on::<S::R, 8>(sim, pool, n_threads, 1, tile_cells, block_size, rec)[0]
-            }
-            other => no_lane_instantiation(other),
-        };
+        return in_aos(sim, |sim| sim.step_seq(rec));
     };
     // scalar shapes ride on the L = 4 instantiation
     match backend.lanes() {

@@ -177,9 +177,8 @@ pub fn all() -> Vec<Machine> {
 /// STREAM bandwidth, with the latency/efficiency parameters inherited
 /// from [`cpu1`]'s calibration (the closest paper machine to a generic
 /// out-of-order x86 host). The compute roof is estimated from the core
-/// count at a nominal 2.5 GHz with 4 DP lanes × FMA — crude, but the
-/// autotuner only uses this machine to *rank* candidates before
-/// measuring, so relative ordering matters and absolute FLOP/s do not.
+/// count at a nominal 2.5 GHz with 4 DP lanes × FMA — crude: a model
+/// to set beside host measurements, not an absolute FLOP/s figure.
 ///
 /// Deliberately **not** part of [`all`]: the Table I tests iterate that
 /// list and pin its bandwidth ordering to the paper.

@@ -9,8 +9,11 @@
 //! reorders the mesh's edges and times the `simd4` row. Distribution is
 //! not a row either: a row is one step of a whole state, and ranks that
 //! are partitioned, spawned and gathered back every step win nowhere.
-//! `ump_apps::dist::run_mpi_fused` keeps its ranks for the whole run, as
-//! `ump_apps::run_tiled_on` keeps its tiles.
+//! `ump_apps::dist::run_mpi_fused` keeps its ranks for the whole run.
+//! Cross-timestep tiling is not a row for the same reason: a one-step
+//! tile sweep pays its fringe and copies with no later step to reuse
+//! them, so `ump_apps::run_tiled_on` keeps its tiles across the steps
+//! of one call.
 //!
 //! [`Backend`] names each shape as data. [`Backend::all`] enumerates the
 //! registry, [`Backend::parse`]/[`Backend::name`] round-trip CLI
@@ -82,19 +85,6 @@ pub enum Backend {
         /// Vector width of the fused lane bodies.
         lanes: usize,
     },
-    /// Cross-timestep sparse tiling (`ump_lazy::TiledChain`): N
-    /// timesteps of the app's one recording swept tile-by-tile through
-    /// per-tile dependency cones with redundant fringe compute —
-    /// bandwidth elimination on top of fusion's barrier reduction. Tiles
-    /// run every loop's scalar body.
-    Tiled,
-    /// Cross-timestep tiling running every loop's `lanes`-wide chunk
-    /// body (gathers, serialized lane scatters, the three-sweep
-    /// alignment) on the cone runs inside each tile.
-    TiledSimd {
-        /// Vector width of the recorded chunk bodies.
-        lanes: usize,
-    },
 }
 
 impl Backend {
@@ -114,9 +104,6 @@ impl Backend {
             Backend::FusedSimt,
             Backend::FusedSimd { lanes: 4 },
             Backend::FusedSimd { lanes: 8 },
-            Backend::Tiled,
-            Backend::TiledSimd { lanes: 4 },
-            Backend::TiledSimd { lanes: 8 },
         ]
     }
 
@@ -131,8 +118,6 @@ impl Backend {
             Backend::Fused => "fused".into(),
             Backend::FusedSimt => "fused_simt".into(),
             Backend::FusedSimd { lanes } => format!("fused_simd{lanes}"),
-            Backend::Tiled => "tiled".into(),
-            Backend::TiledSimd { lanes } => format!("tiled_simd{lanes}"),
         }
     }
 
@@ -155,9 +140,7 @@ impl Backend {
             | Backend::Simt
             | Backend::Fused
             | Backend::FusedSimt
-            | Backend::FusedSimd { .. }
-            | Backend::Tiled
-            | Backend::TiledSimd { .. } => true,
+            | Backend::FusedSimd { .. } => true,
         }
     }
 
@@ -168,8 +151,7 @@ impl Backend {
         match self {
             Backend::Simd { lanes }
             | Backend::SimdThreaded { lanes }
-            | Backend::FusedSimd { lanes }
-            | Backend::TiledSimd { lanes } => lanes,
+            | Backend::FusedSimd { lanes } => lanes,
             _ => 1,
         }
     }
@@ -178,11 +160,7 @@ impl Backend {
     pub fn is_fused(self) -> bool {
         matches!(
             self,
-            Backend::Fused
-                | Backend::FusedSimt
-                | Backend::FusedSimd { .. }
-                | Backend::Tiled
-                | Backend::TiledSimd { .. }
+            Backend::Fused | Backend::FusedSimt | Backend::FusedSimd { .. }
         )
     }
 }
@@ -201,7 +179,7 @@ mod tests {
     #[test]
     fn registry_covers_every_shape_once() {
         let all = Backend::all();
-        assert_eq!(all.len(), 14, "registry size changed");
+        assert_eq!(all.len(), 11, "registry size changed");
         let names: HashSet<String> = all.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), all.len(), "duplicate backend names");
         // the acceptance shapes are all present
@@ -217,11 +195,13 @@ mod tests {
             "fused_simt",
             "fused_simd4",
             "fused_simd8",
-            "tiled",
-            "tiled_simd4",
-            "tiled_simd8",
         ] {
             assert!(names.contains(required), "missing {required}");
+        }
+        // the one-step tiled rows are retired: tiling keeps its tiles
+        // across the steps of one `run_tiled_on` call instead
+        for retired in ["tiled", "tiled_simd4", "tiled_simd8"] {
+            assert_eq!(Backend::parse(retired), None, "{retired} is registered");
         }
     }
 
@@ -243,10 +223,9 @@ mod tests {
         assert_eq!(Backend::Threaded.lanes(), 1);
         assert!(Backend::FusedSimd { lanes: 4 }.is_fused());
         assert!(!Backend::Simt.is_fused());
-        assert!(Backend::Tiled.needs_pool(), "tile sweeps dispatch rounds");
-        assert!(Backend::Tiled.is_fused());
-        assert_eq!(Backend::Tiled.lanes(), 1);
-        assert_eq!(Backend::TiledSimd { lanes: 4 }.lanes(), 4);
-        assert!(Backend::TiledSimd { lanes: 8 }.needs_pool());
+        assert!(Backend::FusedSimt.is_fused() && Backend::FusedSimt.needs_pool());
+        assert_eq!(Backend::FusedSimt.lanes(), 1);
+        assert_eq!(Backend::SimdThreaded { lanes: 4 }.lanes(), 4);
+        assert!(!Backend::SimdThreaded { lanes: 8 }.is_fused());
     }
 }

@@ -113,7 +113,7 @@ pub struct ServiceConfig {
     /// production: the hooks reduce to one branch per step).
     pub fault: Option<Arc<FaultInjector>>,
     /// Tuner consulted by [`Service::submit_auto`]. `None` builds a
-    /// default host-probed [`Tuner`] lazily on the first auto
+    /// default [`Tuner`] (`Tuner::new()`) lazily on the first auto
     /// submission; supply one to control trial budget or persistence.
     pub tuner: Option<Arc<Tuner>>,
 }
@@ -334,7 +334,7 @@ pub struct ServiceStats {
     /// Auto submissions whose backend came straight from the
     /// persistent tuning store (zero trials).
     pub tune_store_hits: u64,
-    /// Auto submissions that required a fresh prior-pruned search.
+    /// Auto submissions that required a fresh measured search.
     pub tune_store_misses: u64,
     /// Plan-cache hits across all jobs (shared LRU cache).
     pub plan_hits: usize,
@@ -484,7 +484,7 @@ impl Service {
     }
 
     /// The tuner behind [`submit_auto`](Service::submit_auto) — the
-    /// configured one, or a default host-probed tuner built lazily on
+    /// configured one, or a default `Tuner::new()` built lazily on
     /// first use.
     pub fn tuner(&self) -> &Arc<Tuner> {
         self.tuner.get_or_init(|| Arc::new(Tuner::new()))

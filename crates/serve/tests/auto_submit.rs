@@ -6,18 +6,12 @@
 use std::sync::Arc;
 use ump_core::Backend;
 use ump_serve::{App, JobSpec, JobStatus, Service, ServiceConfig, Tuner};
-use ump_tune::HostProbe;
 
 fn test_service() -> Service {
     Service::new(ServiceConfig {
         pools: 2,
         team: 2,
-        tuner: Some(Arc::new(
-            Tuner::with_probe(HostProbe::fixed(2, 8.0))
-                .with_top_k(2)
-                .with_trial_steps(1)
-                .with_team(2),
-        )),
+        tuner: Some(Arc::new(Tuner::new().with_trial_steps(1).with_team(2))),
         ..ServiceConfig::default()
     })
 }

@@ -9,10 +9,6 @@ pub struct Candidate {
     pub backend: Backend,
     /// Mini-partition block size handed to the dispatcher.
     pub block_size: usize,
-    /// Vector lanes this shape commits to (1 for scalar shapes).
-    pub lanes: usize,
-    /// Worker team the trial will run with (1 for pool-free shapes).
-    pub team: usize,
 }
 
 /// Block sizes tried for shapes where blocking matters (pooled and
@@ -26,8 +22,7 @@ const UNBLOCKED: [usize; 1] = [1024];
 /// Cross the full registry with per-shape block sizes. Every candidate
 /// is derived from `Backend::all()` and its capability flags — nothing
 /// here can produce an unregistered shape.
-pub fn enumerate(team: usize) -> Vec<Candidate> {
-    let team = team.max(1);
+pub fn enumerate() -> Vec<Candidate> {
     let mut out = Vec::new();
     for backend in Backend::all() {
         let blocks: &[usize] = if backend.needs_pool() || backend.is_fused() {
@@ -39,8 +34,6 @@ pub fn enumerate(team: usize) -> Vec<Candidate> {
             out.push(Candidate {
                 backend,
                 block_size,
-                lanes: backend.lanes(),
-                team: if backend.needs_pool() { team } else { 1 },
             });
         }
     }
@@ -53,7 +46,7 @@ mod tests {
 
     #[test]
     fn covers_the_whole_registry() {
-        let cands = enumerate(4);
+        let cands = enumerate();
         for b in Backend::all() {
             assert!(
                 cands.iter().any(|c| c.backend == b),
@@ -70,7 +63,7 @@ mod tests {
                 == BLOCKED.len()
         );
         for c in &cands {
-            assert!(c.team >= 1 && c.lanes >= 1 && c.block_size >= 1);
+            assert!(c.block_size >= 1);
             assert!(Backend::all().contains(&c.backend));
         }
     }

@@ -4,41 +4,41 @@
 //! flips with kernel, mesh, and machine: direct kernels are
 //! bandwidth-bound everywhere, `res_calc`-class indirect kernels trade
 //! gather efficiency against scatter serialization, and latency-bound
-//! boundary loops punish per-loop launch overhead. With 17 registered
-//! [`Backend`]s, hand-picking one per app per host is exactly the
-//! burden the OP2-lineage runtimes exist to remove.
+//! boundary loops punish per-loop launch overhead. With 11 registered
+//! [`Backend`](ump_core::Backend)s, hand-picking one per app per host
+//! is exactly the burden the OP2-lineage runtimes exist to remove.
 //!
-//! This crate closes the loop from *model* to *measurement* to
-//! *persisted decision*:
+//! This crate goes from *measurement* to *persisted decision*:
 //!
-//! 1. **Candidate space + prior** ([`candidates`], [`prior`]): the
-//!    `(backend, block_size, lanes, team)` cross product is enumerated
-//!    from registry capability flags, each candidate is scored with
-//!    `ump_archsim::predict` on a [`Machine`](ump_archsim::Machine)
-//!    auto-calibrated from the host (a tiny STREAM-triad probe,
-//!    [`probe::HostProbe`]), and only the top-K prior candidates
-//!    survive.
-//! 2. **Measured trials** ([`tuner`]): each survivor runs a few real
-//!    timesteps through the registry's `step_on` dispatcher on the
-//!    actual mesh, scored by wall seconds/step with per-kernel
-//!    [`LoopStats`](ump_core::LoopStats) granularity (the fused paths
-//!    attribute group time back to member loops).
+//! 1. **Candidate space** ([`candidates`]): the `(backend, block_size)`
+//!    cross product is enumerated from registry capability flags.
+//! 2. **Measured trials** ([`tuner`]): every candidate runs one planning
+//!    warm-up step and a few timed steps through the registry's
+//!    `step_on` dispatcher on the actual mesh, scored by wall
+//!    seconds/step, and the measured minimum wins. Per-kernel
+//!    [`LoopStats`](ump_core::LoopStats) give the winner's bandwidth
+//!    (the fused paths attribute group time back to member loops).
 //! 3. **Persistent store** ([`store`]): decisions land in a versioned
 //!    little-endian `UMPT` file keyed by `(app, mesh dims, backend-set
-//!    hash, host signature)`, so a warm start skips both planning and
+//!    hash, core count)`, so a warm start skips both planning and
 //!    search. Corrupt or version-mismatched stores degrade to a fresh
 //!    search — a typed [`Err`](std::io::Error), never a panic.
 //!
-//! `auto` is deliberately an *entry point*, not an 18th registry
+//! No model prunes the candidates before timing. On a 2-CPU host the
+//! archsim host model ranked the measured winner 10th or lower of 25 on
+//! four of five meshes, so a search times them all: about a second on
+//! Airfoil 600×300 there, once per key.
+//!
+//! `auto` is deliberately an *entry point*, not a 12th registry
 //! variant: [`Tuner::pick`] always returns a concrete registered
-//! [`Backend`], so checkpoints, job specs, and conformance tests keep
-//! their closed-world guarantees.
+//! [`Backend`](ump_core::Backend), so checkpoints, job specs, and
+//! conformance tests keep their closed-world guarantees. [`HostProbe`] is not the tuner's: it
+//! reports a host's cores and triad bandwidth to harnesses.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod candidates;
-pub mod prior;
 pub mod probe;
 pub mod store;
 pub mod tuner;
@@ -49,8 +49,6 @@ pub use store::{
     registry_hash, TuneEntry, TuneKey, TuneStore, TUNE_STORE_MAGIC, TUNE_STORE_VERSION,
 };
 pub use tuner::{step_auto_on, Choice, Tuner, TunerStats};
-
-use ump_core::Backend;
 
 /// The two applications the tuner knows how to drive — also the
 /// service's `ump_serve::App` (serve depends on tune, not the other way
@@ -136,12 +134,6 @@ impl std::fmt::Display for App {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Assert a backend came out of the registry — every tuner decision
-/// must be expressible as a plain registered [`Backend`].
-pub fn is_registered(b: Backend) -> bool {
-    Backend::all().contains(&b)
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
-//! Host calibration probe: core count + a tiny STREAM-triad bandwidth
-//! measurement, feeding `ump_archsim::machines::host`.
+//! Host probe: core count plus a tiny STREAM-triad bandwidth
+//! measurement, for harnesses that report what host they ran on. The
+//! tuner itself reads only the core count (`available_parallelism`)
+//! and runs no triad.
 
-/// What the prior needs to know about the machine it is running on.
+/// What a harness reports about the machine it is running on.
 ///
 /// `measure()` runs a sub-100ms STREAM-style triad across all cores;
 /// tests and deterministic callers use [`HostProbe::fixed`] instead,
-/// since a measured probe varies run to run (the store key only folds
-/// in a coarse bandwidth bucket for exactly that reason — see
-/// [`signature`](HostProbe::signature)).
+/// since a measured probe varies run to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HostProbe {
     /// Available hardware parallelism.
@@ -52,23 +52,6 @@ impl HostProbe {
             stream_gbs: per_thread.iter().sum::<f64>().max(0.1),
         }
     }
-
-    /// Coarse, stable identity of this host for the tuning-store key:
-    /// FNV-1a over the core count and the bandwidth rounded to 16 GB/s
-    /// buckets, so ordinary run-to-run probe noise maps to the same
-    /// signature while a different machine (or container shape) does
-    /// not.
-    pub fn signature(&self) -> u64 {
-        let bucket = (self.stream_gbs / 16.0).round() as u64;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in [self.cores as u64, bucket] {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        }
-        h
-    }
 }
 
 /// One thread's triad rate in GB/s (best of [`TRIAD_REPS`]).
@@ -101,16 +84,5 @@ mod tests {
         let p = HostProbe::measure();
         assert!(p.cores >= 1);
         assert!(p.stream_gbs > 0.1, "triad rate {}", p.stream_gbs);
-    }
-
-    #[test]
-    fn signature_is_stable_under_probe_noise() {
-        let a = HostProbe::fixed(8, 40.0);
-        let b = HostProbe::fixed(8, 43.0); // same 16 GB/s bucket
-        let c = HostProbe::fixed(8, 80.0);
-        let d = HostProbe::fixed(4, 40.0);
-        assert_eq!(a.signature(), b.signature());
-        assert_ne!(a.signature(), c.signature());
-        assert_ne!(a.signature(), d.signature());
     }
 }

@@ -13,7 +13,7 @@
 //!   app       u8   (0 = airfoil, 1 = volna)
 //!   nx, ny    u64
 //!   registry  u64  (FNV-1a over Backend::all() names)
-//!   host_sig  u64  (HostProbe::signature)
+//!   cores     u64  (the host's available parallelism)
 //!   name_len  u32  (≤ 64) + backend name bytes (must parse)
 //!   block     u64  (1..=2²⁰)
 //!   trials    u32  (≤ 10⁶)
@@ -38,7 +38,7 @@ const MAX_NAME: usize = 64;
 /// What a tuning decision is keyed by. A store entry is only reused
 /// when *all four* coordinates match: same app, same mesh dims, same
 /// registered backend set (a registry change invalidates old picks),
-/// same host signature (a different machine re-tunes).
+/// same core count (a different container shape re-tunes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TuneKey {
     /// Application.
@@ -49,9 +49,8 @@ pub struct TuneKey {
     pub ny: u64,
     /// [`registry_hash`] at write time.
     pub registry: u64,
-    /// [`HostProbe::signature`](crate::HostProbe::signature) at write
-    /// time.
-    pub host_sig: u64,
+    /// The host's available parallelism at write time.
+    pub cores: u64,
 }
 
 /// One persisted decision.
@@ -165,7 +164,7 @@ impl TuneStore {
             out.extend_from_slice(&e.key.nx.to_le_bytes());
             out.extend_from_slice(&e.key.ny.to_le_bytes());
             out.extend_from_slice(&e.key.registry.to_le_bytes());
-            out.extend_from_slice(&e.key.host_sig.to_le_bytes());
+            out.extend_from_slice(&e.key.cores.to_le_bytes());
             let name = e.backend.name();
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
@@ -205,7 +204,7 @@ impl TuneStore {
             let nx = read_u64(bytes, "nx")?;
             let ny = read_u64(bytes, "ny")?;
             let registry = read_u64(bytes, "registry hash")?;
-            let host_sig = read_u64(bytes, "host signature")?;
+            let cores = read_u64(bytes, "core count")?;
             let name_len = read_u32(bytes, "backend name length")? as usize;
             if name_len == 0 || name_len > MAX_NAME {
                 return Err(bad(format!("entry {i}: backend name length {name_len}")));
@@ -239,7 +238,7 @@ impl TuneStore {
                     nx,
                     ny,
                     registry,
-                    host_sig,
+                    cores,
                 },
                 backend,
                 block_size: block as usize,
@@ -276,7 +275,7 @@ mod tests {
                 nx: 48,
                 ny: 24,
                 registry: registry_hash(),
-                host_sig: 0x1234,
+                cores: 2,
             },
             backend: Backend::Threaded,
             block_size: 256,
@@ -290,7 +289,7 @@ mod tests {
                 nx: 20,
                 ny: 14,
                 registry: registry_hash(),
-                host_sig: 0x1234,
+                cores: 2,
             },
             backend: Backend::FusedSimd { lanes: 4 },
             block_size: 1024,
@@ -339,6 +338,20 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[name_at] = b'z';
         assert!(TuneStore::decode(&corrupt).is_err());
+        // a retired registry row is as unknown as a garbled one
+        let old_len = "threaded".len();
+        let retired = b"tiled_simd4";
+        let mut spliced = bytes[..name_at - 4].to_vec();
+        spliced.extend_from_slice(&(retired.len() as u32).to_le_bytes());
+        spliced.extend_from_slice(retired);
+        spliced.extend_from_slice(&bytes[name_at + old_len..]);
+        let err = TuneStore::decode(&spliced).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("unregistered backend \"tiled_simd4\""),
+            "{err}"
+        );
         s.entries.clear();
         assert!(TuneStore::decode(&s.encode()).unwrap().is_empty());
     }

@@ -1,8 +1,7 @@
-//! The tuner: prior-pruned measured trials behind a persistent store.
+//! The tuner: measured trials of every candidate behind a persistent
+//! store.
 
 use crate::candidates::{enumerate, Candidate};
-use crate::prior::{rank, MeshShape};
-use crate::probe::HostProbe;
 use crate::store::{registry_hash, TuneEntry, TuneKey, TuneStore};
 use crate::App;
 use std::path::PathBuf;
@@ -10,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use ump_apps::{airfoil, step_on, volna, Simulation};
-use ump_archsim::{machines, Machine};
+use ump_core::exec::default_threads;
 use ump_core::{Backend, ExecPool, PlanCache, Recorder};
 
 /// A tuning decision: always a concrete registered [`Backend`].
@@ -45,13 +44,11 @@ pub struct TunerStats {
     pub trials_run: u64,
 }
 
-/// The self-tuning backend selector. Construction probes the host (or
-/// takes a fixed probe for determinism); `pick` answers from the store
-/// when it can and otherwise runs a prior-pruned trial search.
+/// The self-tuning backend selector. Construction reads the host's core
+/// count; `pick` answers from the store when it can and otherwise times
+/// every candidate.
 pub struct Tuner {
-    probe: HostProbe,
-    machine: Machine,
-    top_k: usize,
+    cores: usize,
     trial_steps: u64,
     team: usize,
     store_path: Option<PathBuf>,
@@ -72,8 +69,7 @@ impl Default for Tuner {
 impl std::fmt::Debug for Tuner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tuner")
-            .field("probe", &self.probe)
-            .field("top_k", &self.top_k)
+            .field("cores", &self.cores)
             .field("trial_steps", &self.trial_steps)
             .field("team", &self.team)
             .field("store_path", &self.store_path)
@@ -83,22 +79,14 @@ impl std::fmt::Debug for Tuner {
 }
 
 impl Tuner {
-    /// Probe the live host; no persistence.
+    /// A tuner for this host (its `available_parallelism` keys the
+    /// store and sizes the default team); no persistence.
     pub fn new() -> Tuner {
-        Self::with_probe(HostProbe::measure())
-    }
-
-    /// Build from a known probe (tests, replays): no bandwidth
-    /// measurement happens, so construction is deterministic and
-    /// instant.
-    pub fn with_probe(probe: HostProbe) -> Tuner {
-        let machine = machines::host(probe.cores, probe.stream_gbs);
+        let cores = default_threads();
         Tuner {
-            probe,
-            machine,
-            top_k: 6,
+            cores,
             trial_steps: 2,
-            team: probe.cores.clamp(1, 8),
+            team: cores.clamp(1, 8),
             store_path: None,
             store: Mutex::new(TuneStore::new()),
             pool: OnceLock::new(),
@@ -128,12 +116,6 @@ impl Tuner {
         self
     }
 
-    /// Prior survivors measured per search (default 6).
-    pub fn with_top_k(mut self, k: usize) -> Tuner {
-        self.top_k = k.max(1);
-        self
-    }
-
     /// Timed steps per trial after the one planning warm-up step
     /// (default 2).
     pub fn with_trial_steps(mut self, steps: u64) -> Tuner {
@@ -141,21 +123,11 @@ impl Tuner {
         self
     }
 
-    /// Worker-team size used for pooled trial backends (default:
-    /// probed cores, capped at 8).
+    /// Worker-team size used for pooled trial backends (default: the
+    /// host's cores, capped at 8).
     pub fn with_team(mut self, team: usize) -> Tuner {
         self.team = team.max(1);
         self
-    }
-
-    /// The probe this tuner was calibrated from.
-    pub fn probe(&self) -> HostProbe {
-        self.probe
-    }
-
-    /// The auto-calibrated machine model backing the prior.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
     }
 
     /// Counter snapshot.
@@ -185,13 +157,13 @@ impl Tuner {
             nx: nx as u64,
             ny: ny as u64,
             registry: registry_hash(),
-            host_sig: self.probe.signature(),
+            cores: self.cores as u64,
         }
     }
 
     /// Decide the backend for `(app, nx, ny)`: a pure store lookup on a
-    /// warm start (zero trials, zero planning), otherwise an archsim
-    /// prior-pruned measured search whose result is persisted.
+    /// warm start (zero trials, zero planning), otherwise a measured
+    /// search over every candidate whose result is persisted.
     pub fn pick(&self, app: App, nx: usize, ny: usize) -> Choice {
         self.picks.fetch_add(1, Ordering::Relaxed);
         let key = self.key(app, nx, ny);
@@ -227,12 +199,6 @@ impl Tuner {
         choice
     }
 
-    /// Prior-pruned candidates for `(app, shape)` — exposed for the
-    /// bench harness to report what survived.
-    pub fn shortlist(&self, app: App, shape: &MeshShape) -> Vec<Candidate> {
-        rank(&self.machine, &enumerate(self.team), app, shape, self.top_k)
-    }
-
     fn search(&self, app: App, nx: usize, ny: usize) -> Choice {
         match app {
             App::Airfoil => self.search_on(app, airfoil::Airfoil::<f64>::seeded(nx, ny, 0)),
@@ -243,8 +209,7 @@ impl Tuner {
     /// The trial search on `pristine`: every trial steps a clone of it
     /// through the registry's `step_on`, once to plan, then timed.
     fn search_on<S: Simulation + Clone>(&self, app: App, pristine: S) -> Choice {
-        let shape = MeshShape::of(pristine.mesh(), 256);
-        self.run_trials(app, &shape, |cand, rec| {
+        self.run_trials(app, |cand, rec| {
             let mut sim = pristine.clone();
             let pool = self.pool();
             let cache = PlanCache::new();
@@ -273,17 +238,16 @@ impl Tuner {
         })
     }
 
-    /// Run one warmed, timed trial per shortlisted candidate and keep
-    /// the measured-best. `run` returns wall seconds/step; per-kernel
-    /// rates come from the recorder it fills.
-    fn run_trials<F>(&self, app: App, shape: &MeshShape, mut run: F) -> Choice
+    /// Run one warmed, timed trial per candidate of [`enumerate`] and
+    /// keep the measured-best. `run` returns wall seconds/step;
+    /// per-kernel rates come from the recorder it fills.
+    fn run_trials<F>(&self, app: App, mut run: F) -> Choice
     where
         F: FnMut(&Candidate, &Recorder) -> f64,
     {
-        let shortlist = self.shortlist(app, shape);
         let mut best: Option<Choice> = None;
         let mut trials = 0u32;
-        for cand in &shortlist {
+        for cand in &enumerate() {
             let rec = Recorder::new();
             let secs = run(cand, &rec);
             trials += 1;
@@ -299,7 +263,7 @@ impl Tuner {
                 });
             }
         }
-        let mut choice = best.expect("shortlist is never empty (top_k >= 1)");
+        let mut choice = best.expect("the registry is never empty");
         choice.trials = trials;
         choice
     }
@@ -348,10 +312,28 @@ mod tests {
     use super::*;
 
     fn fast_tuner() -> Tuner {
-        Tuner::with_probe(HostProbe::fixed(2, 8.0))
-            .with_top_k(2)
-            .with_trial_steps(1)
-            .with_team(2)
+        Tuner::new().with_trial_steps(1).with_team(2)
+    }
+
+    #[test]
+    fn every_candidate_is_timed_and_the_measured_minimum_wins() {
+        // the winner can be any row, even `seq` on a multi-core host, so
+        // every candidate is timed and the measured minimum is kept
+        let tuner = fast_tuner();
+        let mut timed = Vec::new();
+        let choice = tuner.run_trials(App::Airfoil, |cand, _rec| {
+            timed.push(*cand);
+            if cand.backend == Backend::Seq {
+                1e-3
+            } else {
+                2e-3 + timed.len() as f64 * 1e-6
+            }
+        });
+        assert_eq!(choice.backend, Backend::Seq);
+        assert_eq!(choice.seconds_per_step, 1e-3);
+        assert_eq!(choice.trials as usize, enumerate().len());
+        assert_eq!(enumerate().len(), 19, "11 rows, 8 pooled ones at 2 blocks");
+        assert_eq!(timed, enumerate(), "each candidate timed once, in order");
     }
 
     #[test]
@@ -360,7 +342,11 @@ mod tests {
         let cold = tuner.pick(App::Airfoil, 12, 8);
         assert!(Backend::all().contains(&cold.backend));
         assert!(!cold.from_store);
-        assert_eq!(cold.trials, 2, "top_k=2 means exactly two trials");
+        assert_eq!(
+            cold.trials as usize,
+            enumerate().len(),
+            "a cold pick times every candidate"
+        );
         assert!(cold.seconds_per_step > 0.0);
 
         let warm = tuner.pick(App::Airfoil, 12, 8);
@@ -373,7 +359,7 @@ mod tests {
         assert_eq!(stats.picks, 2);
         assert_eq!(stats.store_hits, 1);
         assert_eq!(stats.store_misses, 1);
-        assert_eq!(stats.trials_run, 2);
+        assert_eq!(stats.trials_run, enumerate().len() as u64);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use ump_core::Backend;
-use ump_tune::{registry_hash, App, HostProbe, TuneEntry, TuneKey, TuneStore, Tuner};
+use ump_tune::{registry_hash, App, TuneEntry, TuneKey, TuneStore, Tuner};
 
 /// A realistic store shared by every corruption case: every registered
 /// backend appears as some entry's decision, so name decoding is
@@ -22,7 +22,7 @@ fn sample_bytes() -> &'static [u8] {
                     nx: 32 + i as u64,
                     ny: 16 + i as u64,
                     registry: registry_hash(),
-                    host_sig: 0xdead_beef ^ i as u64,
+                    cores: 1 + i as u64,
                 },
                 backend,
                 block_size: 256 << (i % 3),
@@ -133,21 +133,21 @@ fn tmp(name: &str) -> std::path::PathBuf {
 fn warm_start_from_persisted_store_runs_zero_trials() {
     let path = tmp("warm_start.umpt");
     let _ = std::fs::remove_file(&path);
-    let probe = HostProbe::fixed(2, 8.0);
-
-    let cold = Tuner::with_probe(probe)
+    // two `Tuner::new()`s key on the same core count: no triad noise
+    // can move the second one off the first one's entry
+    let cold = Tuner::new()
         .with_store_path(&path)
-        .with_top_k(2)
-        .with_trial_steps(1);
+        .with_trial_steps(1)
+        .with_team(2);
     let first = cold.pick(App::Airfoil, 12, 8);
     assert!(!first.from_store && first.trials > 0);
     assert!(path.exists(), "search must persist its decision");
 
     // a brand-new tuner (fresh process stand-in) warm-starts from disk
-    let warm = Tuner::with_probe(probe)
+    let warm = Tuner::new()
         .with_store_path(&path)
-        .with_top_k(2)
-        .with_trial_steps(1);
+        .with_trial_steps(1)
+        .with_team(2);
     let second = warm.pick(App::Airfoil, 12, 8);
     assert!(second.from_store, "persisted decision not picked up");
     assert_eq!(second.trials, 0, "warm start must run zero trials");
@@ -160,10 +160,10 @@ fn warm_start_from_persisted_store_runs_zero_trials() {
 fn corrupt_store_file_degrades_to_fresh_search() {
     let path = tmp("corrupt.umpt");
     std::fs::write(&path, b"UMPT\x63\x00\x00\x00garbage").unwrap();
-    let tuner = Tuner::with_probe(HostProbe::fixed(2, 8.0))
+    let tuner = Tuner::new()
         .with_store_path(&path)
-        .with_top_k(1)
-        .with_trial_steps(1);
+        .with_trial_steps(1)
+        .with_team(2);
     let c = tuner.pick(App::Volna, 10, 8);
     assert!(!c.from_store, "corrupt store must not produce hits");
     assert!(Backend::all().contains(&c.backend));

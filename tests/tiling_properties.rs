@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use ump_apps::{airfoil, run_tiled_on, run_tiled_report_on, volna, Simulation};
-use ump_core::{Access, ArgInfo, DatRef, ExecPool, Layout, LoopProfile, PlanCache};
+use ump_core::{Access, ArgInfo, DatRef, ExecPool, Layout, LoopProfile, PlanCache, Recorder};
 use ump_lazy::{Chain, Fusion, LoopDesc, Shape, TileCache, TileReport, TiledChain};
 use ump_mesh::MapTable;
 
@@ -775,4 +775,65 @@ fn zero_steps_is_a_no_op_on_airfoil() {
 #[test]
 fn zero_steps_is_a_no_op_on_volna() {
     zero_steps_is_a_no_op::<volna::Volna<f64>>();
+}
+
+/// One-step calls (block 64, four blocks per tile): three of them at
+/// each lane width stay within 1e-12 of `step_seq`, dispatch pool
+/// rounds, and report under `<app>_tiled` one execution and one
+/// recorded step per call, in fewer rounds than the same loops issue
+/// unfused.
+fn one_step_calls_report_tiled_stats<S: Simulation<R = f64> + Clone>(fresh: S) {
+    fn check<S: Simulation<R = f64> + Clone, const L: usize>(
+        fresh: &S,
+        reference: &S,
+        hist: &[f64],
+    ) {
+        const BLOCK: usize = 64;
+        let pool = ExecPool::new(TEAM);
+        let rec = Recorder::new();
+        let mut sim = fresh.clone();
+        let r0 = pool.dispatch_rounds();
+        for (i, &want) in hist.iter().enumerate() {
+            let got = run_tiled_on::<f64, L>(&mut sim, &pool, 0, 1, 4 * BLOCK, BLOCK, Some(&rec));
+            assert_eq!(got.len(), 1);
+            assert!(
+                (got[0] - want).abs() <= 1e-12 * want.abs(),
+                "{} L = {L} step {i}: {} vs {want}",
+                S::NAME,
+                got[0]
+            );
+        }
+        assert!(
+            pool.dispatch_rounds() > r0,
+            "{} L = {L}: no pool rounds",
+            S::NAME
+        );
+        let d = sim.evolving()[0].max_abs_diff(reference.evolving()[0]);
+        assert!(d <= 1e-12, "{} L = {L} diverged: {d:e} > 1e-12", S::NAME);
+        let s = rec
+            .fusion(&format!("{}_tiled", S::NAME))
+            .expect("tiling stats");
+        assert_eq!(s.executions, hist.len());
+        assert_eq!(s.steps, hist.len(), "one recorded step per call");
+        assert!(
+            s.fused_rounds < s.unfused_rounds,
+            "{} L = {L}: tiling must cut dispatch rounds",
+            S::NAME
+        );
+    }
+    let mut reference = fresh.clone();
+    let hist: Vec<f64> = (0..3).map(|_| reference.step_seq(None)).collect();
+    check::<S, 1>(&fresh, &reference, &hist);
+    check::<S, 4>(&fresh, &reference, &hist);
+    check::<S, 8>(&fresh, &reference, &hist);
+}
+
+#[test]
+fn one_step_calls_report_tiled_stats_on_airfoil() {
+    one_step_calls_report_tiled_stats(airfoil::Airfoil::<f64>::new(48, 24));
+}
+
+#[test]
+fn one_step_calls_report_tiled_stats_on_volna() {
+    one_step_calls_report_tiled_stats(volna::Volna::<f64>::new(20, 14));
 }
